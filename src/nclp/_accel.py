@@ -40,10 +40,6 @@ def torus_diff_1d(N: int) -> np.ndarray:
     return (diff + 0.5) % 1.0 - 0.5
 
 
-def torus_dist_1d(N: int) -> np.ndarray:
-    return np.abs(torus_diff_1d(N))
-
-
 # -- pure numpy paths -------------------------------------------------------
 
 def _lp_bumps_numpy(diff: np.ndarray, M: int) -> np.ndarray:

@@ -289,7 +289,7 @@ class B1Split:
 
 
 def thmB1_decompose(tf_family: OperatorFamily, f: Martingale,
-                    l_range: tuple[int, int], lam_cache: dict | None = None):
+                    l_range: tuple[int, int]):
     """Split each component of a transform family against the zeta meets.
 
     pi_k = meet_{s>=k} zeta(2^s) - meet_{s>=k-1} zeta(2^s); psi is the
@@ -303,10 +303,7 @@ def thmB1_decompose(tf_family: OperatorFamily, f: Martingale,
         raise ContractViolation(f"l_max too small: 2^{l_max} <= {sup:.6g}")
     zs = {}
     for ell in range(l_min, l_max + 1):
-        if lam_cache and ell in lam_cache:
-            zs[ell] = lam_cache[ell]
-        else:
-            zs[ell] = zeta(f, 2.0 ** ell).zeta
+        zs[ell] = zeta(f, 2.0 ** ell).zeta
     w = {l_max: zs[l_max]}
     for ell in range(l_max - 1, l_min - 1, -1):
         w[ell] = proj_meet([w[ell + 1], zs[ell]])

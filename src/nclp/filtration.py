@@ -222,9 +222,3 @@ def build_filtration(spec: AlgebraSpec | str) -> Filtration:
         return CornerFiltration(*spec.params)
     raise ContractViolation(f"unsupported spec {spec}")
 
-
-def torus_distance(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """l-infinity torus distance; inputs broadcast, last axis = coordinates."""
-    diff = np.abs(x - y)
-    diff = np.minimum(diff, 1.0 - diff)
-    return diff.max(axis=-1) if diff.ndim and diff.shape[-1] > 1 else diff

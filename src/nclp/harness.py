@@ -524,14 +524,15 @@ def _localized_scalar(N, K, s, rng):
 def run_pseudoloc_decay(cfg, suite):
     K = cfg.depth
     T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
-    T0, _ = pl.paraproduct_correction(T)
+    # H is orthogonal: ||Phi_s||, ||Psi_s|| are norms of their Haar blocks
+    t0_hat = pl.haar2(pl.paraproduct_correction(T)[0].mats)
     s_lo, s_hi = cfg.s_range
     rng = trial_rng(cfg.seed, 0)
     svals, phin, psin = [], [], []
     comm_ratio = 0.0
     for s in range(s_lo, s_hi + 1):
-        phi = pl.estimate_norm(pl.phi_s(T0, s).mats)
-        psi = pl.estimate_norm(pl.psi_s(T, s).mats)
+        phi = pl.estimate_norm(pl.phi_s_hat(t0_hat, s))
+        psi = pl.estimate_norm(pl.psi_s_hat(T, s))
         svals.append(s)
         phin.append(phi)
         psin.append(psi)
@@ -620,6 +621,8 @@ def run_vanish(cfg, suite):
 
 def run_localization(cfg, suite):
     K = cfg.depth
+    if K < 7:   # r1 is drawn from [4/N, 0.05], which needs N >= 80
+        raise ContractViolation(f"localization needs depth >= 7, got {K}")
     T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)

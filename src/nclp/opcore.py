@@ -58,9 +58,6 @@ class Algebra:
     def zero(self) -> "Op":
         return Op(np.zeros((self.nblocks, self.d, self.d), dtype=complex), self)
 
-    def from_blocks(self, blocks) -> "Op":
-        return Op(np.asarray(blocks, dtype=complex), self)
-
 
 def dense_algebra(d: int) -> Algebra:
     """Full matrix algebra M_d with the normalized trace."""

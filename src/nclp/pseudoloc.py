@@ -4,6 +4,7 @@ kernel-identity and almost-orthogonality bounds, the paraproduct reduction,
 and the commutative and semicommutative localization checks."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -12,7 +13,8 @@ from . import _accel
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import Op, l2_norm, op_norm, proj_join
+from .opcore import (Op, annihilation_check, dense_algebra, l2_norm,
+                     proj_join)
 
 # ---------------------------------------------------------------------------
 # dyadic averaging on the scalar grid
@@ -21,40 +23,68 @@ from .opcore import Op, l2_norm, op_norm, proj_join
 
 def e_level(f: np.ndarray, k: int) -> np.ndarray:
     """Average a grid function (cells along axis 0) over level-k cubes."""
-    N = f.shape[0]
-    L = N // (1 << k)
-    shp = (1 << k, L) + f.shape[1:]
-    m = f.reshape(shp).mean(axis=1, keepdims=True)
-    return np.broadcast_to(m, shp).reshape(f.shape).copy()
+    L = f.shape[0] >> k
+    return np.repeat(f.reshape((1 << k, L) + f.shape[1:]).mean(axis=1), L, 0)
 
 
 def delta_level(f: np.ndarray, j: int) -> np.ndarray:
     """Martingale difference at level j >= 1 (level 0 differences from zero)."""
-    if j == 0:
-        return e_level(f, 0)
-    return e_level(f, j) - e_level(f, j - 1)
-
-
-def avg_rows(X: np.ndarray, k: int) -> np.ndarray:
-    """Block-average the output (row) index of kernel matrices (..., N, N)."""
-    N = X.shape[-2]
-    L = N // (1 << k)
-    shp = X.shape[:-2] + (1 << k, L, X.shape[-1])
-    m = X.reshape(shp).mean(axis=-2, keepdims=True)
-    return np.broadcast_to(m, shp).reshape(X.shape).copy()
-
-
-def avg_cols(X: np.ndarray, k: int) -> np.ndarray:
-    N = X.shape[-1]
-    L = N // (1 << k)
-    shp = X.shape[:-1] + (1 << k, L)
-    m = X.reshape(shp).mean(axis=-1, keepdims=True)
-    return np.broadcast_to(m, shp).reshape(X.shape).copy()
+    return e_level(f, j) - e_level(f, j - 1) if j else e_level(f, 0)
 
 
 def grid_l2(f: np.ndarray, K: int) -> float:
     """L2 norm with the cell measure 2^{-K} (extra axes summed)."""
     return float(np.sqrt(2.0 ** (-K) * (np.abs(f) ** 2).sum()))
+
+
+# -- orthonormal Haar transform ----------------------------------------------
+# Coefficient 0 is the constant N^{-1/2} (level -1); 2^l .. 2^{l+1} - 1 are the
+# level-l wavelets +-|Q|^{-1/2} on the halves of each level-l cube Q.  E_k
+# spans the first 2^k coefficients and Delta_j (j >= 1) the level-(j-1) block,
+# so E_k T Delta_j is a block of H T H^T (Beylkin-Coifman-Rokhlin's
+# non-standard form).
+
+def haar(x: np.ndarray, levels: int | None = None) -> np.ndarray:
+    """Haar coefficients along the last axis in O(N) per vector; with
+    ``levels`` = k only the first 2^k, those at levels < k."""
+    N = x.shape[-1]
+    K = N.bit_length() - 1
+    k = K if levels is None else levels
+    out = np.empty(x.shape[:-1] + (1 << k,), dtype=np.result_type(x, float))
+    sums = x
+    for lev in range(K - 1, -1, -1):      # level-(lev+1) cube sums -> lev
+        even, odd = sums[..., 0::2], sums[..., 1::2]
+        if lev < k:
+            out[..., 1 << lev:2 << lev] = (even - odd) / np.sqrt(N >> lev)
+        sums = even + odd
+    out[..., :1] = sums / np.sqrt(N)
+    return out
+
+
+def ihaar(c: np.ndarray, N: int) -> np.ndarray:
+    """Inverse of ``haar`` along the last axis: the length-N function whose
+    first 2^k Haar coefficients are c and the rest zero."""
+    vals = c[..., :1] / np.sqrt(N)
+    for lev in range(c.shape[-1].bit_length() - 1):   # cube values -> lev+1
+        d = c[..., 1 << lev:2 << lev] / np.sqrt(N >> lev)
+        vals = np.stack([vals + d, vals - d], -1).reshape(d.shape[:-1] + (-1,))
+    return np.repeat(vals, N // c.shape[-1], axis=-1)
+
+
+def _on_rows(f, x: np.ndarray, *args) -> np.ndarray:
+    return f(x.swapaxes(-1, -2), *args).swapaxes(-1, -2)
+
+
+def haar2(mats: np.ndarray) -> np.ndarray:
+    """Haar-coefficient matrices H T H^T of kernel matrices (..., N, N)."""
+    return _on_rows(haar, haar(mats))
+
+
+def _from_haar(block: np.ndarray, N: int, col_start: int = 0) -> np.ndarray:
+    """Kernel matrices (..., N, N) whose Haar-coefficient matrix holds
+    ``block`` from row 0 and column ``col_start`` on, and zeros elsewhere."""
+    pad = [(0, 0)] * (block.ndim - 1) + [(col_start, 0)]
+    return _on_rows(ihaar, ihaar(np.pad(block, pad), N), N)
 
 
 # ---------------------------------------------------------------------------
@@ -134,9 +164,6 @@ class DiscOp:
         """(M, N, ...) result of T f for cellwise data f of shape (N, ...)."""
         return np.einsum("mij,j...->mi...", self.mats, f)
 
-    def adjoint_mats(self) -> np.ndarray:
-        return self.mats.conj().transpose(0, 2, 1)
-
 
 def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
     """Midpoint-quadrature assembly with hard zero on the diagonal and on
@@ -147,15 +174,14 @@ def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
     if kernel.family == "annuli":
         return _assemble_annuli(kernel, K, eps)
     diff = _accel.torus_diff_1d(N)
-    vals = kernel.evaluate(diff)
-    if not np.all(np.isfinite(vals)):
-        bad = np.argwhere(~np.isfinite(vals))[0]
+    mats = kernel.evaluate(diff)           # scaled and zeroed in place
+    if not np.all(np.isfinite(mats)):
+        bad = np.argwhere(~np.isfinite(mats))[0]
         raise NumericError(f"kernel evaluation not finite at {tuple(bad)}")
-    mats = (2.0 ** (-K)) * vals
-    dist = np.abs(diff)
-    kill = dist <= eps
+    mats *= 2.0 ** (-K)
+    kill = np.abs(diff) <= eps
     np.fill_diagonal(kill, True)
-    mats = np.where(kill[None, :, :], 0.0, mats)
+    mats[:, kill] = 0.0
     return DiscOp(mats, K, kernel, float(eps))
 
 
@@ -173,44 +199,29 @@ def _assemble_annuli(kernel: HilbertKernel, K: int, eps: float) -> DiscOp:
 
 def truncated_mats(T: DiscOp, eps: float) -> np.ndarray:
     """Entries of T_eps: zero where torus distance <= eps."""
-    dist = _accel.torus_dist_1d(T.N)
+    dist = np.abs(_accel.torus_diff_1d(T.N))
     return np.where(dist[None, :, :] <= eps, 0.0, T.mats)
 
 
 # -- operator norms ----------------------------------------------------------
 
-def power_iteration(G: np.ndarray, min_iters: int = 200,
-                    max_iters: int = 2000, tol: float = 1e-10) -> float:
-    """Largest eigenvalue of a PSD matrix from a fixed deterministic start.
-
-    The start is all-ones plus a small fixed ramp; the bare all-ones vector
-    lies in the kernel of mean-zero convolution operators, so a deterministic
-    tie-breaker is required for reproducible convergence.
-    """
-    n = G.shape[0]
-    v = np.ones(n, dtype=G.dtype) + 1e-3 * np.linspace(0.0, 1.0, n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for it in range(max_iters):
-        w = G @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new = float(np.real(np.vdot(v, w)))
-        v = w / nw
-        if it >= min_iters and abs(new - lam) <= tol * max(abs(new), 1e-300):
-            lam = new
-            break
-        lam = new
-    return max(lam, 0.0)
-
-
 def family_gram(mats: np.ndarray) -> np.ndarray:
-    return np.einsum("mki,mkj->ij", mats.conj(), mats)
+    """T*T for T: L2 -> L2(C^M), one BLAS product of the stacked (M*N, N)."""
+    A = mats.reshape(math.prod(mats.shape[:-1]), mats.shape[-1])
+    G = A.conj().T @ A
+    if not np.all(np.isfinite(G)):
+        raise NumericError("Gram matrix of non-finite operator matrices")
+    return G
+
+
+def _top_eigenvalue(G: np.ndarray) -> float:
+    """Top eigenvalue of a Hermitian PSD matrix by a dense solve, >= 0."""
+    return float(np.linalg.eigvalsh(G).max(initial=0.0))
 
 
 def estimate_norm(mats: np.ndarray) -> float:
-    return float(np.sqrt(power_iteration(family_gram(mats))))
+    """||T||: the top singular value of the stacked (M*N, N) matrix."""
+    return float(np.sqrt(_top_eigenvalue(family_gram(mats))))
 
 
 def normalized(T: DiscOp) -> DiscOp:
@@ -221,46 +232,65 @@ def normalized(T: DiscOp) -> DiscOp:
 
 
 # ---------------------------------------------------------------------------
-# shifted quasi-orthogonal pieces
+# shifted quasi-orthogonal pieces, as blocks of Haar-coefficient matrices
 # ---------------------------------------------------------------------------
 
-def _check_s(T: DiscOp, s: int):
-    if not 1 <= s < T.K:
-        raise ContractViolation(f"shift s = {s} outside 1..{T.K - 1}")
+def _check_s(K: int, s: int):
+    if not 1 <= s < K:
+        raise ContractViolation(f"shift s = {s} outside 1..{K - 1}")
 
 
 def ekt_delta(mats: np.ndarray, k: int, j: int) -> np.ndarray:
-    """E_k T Delta_j as kernel matrices (row-average, column-difference)."""
-    cols = avg_cols(mats, j) - avg_cols(mats, j - 1)
-    return avg_rows(cols, k)
+    """E_k T Delta_j (j >= 1) as kernel matrices: the Haar block with rows
+    at level < k and columns at level j - 1."""
+    half = 1 << (j - 1)
+    cols = haar(mats, j)[..., half:]
+    return _from_haar(_on_rows(haar, cols, k), mats.shape[-1], half)
+
+
+def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
+    """Haar coefficients of Phi_s from those of T (``haar2(T.mats)``): the
+    entries with row level <= column level - s.  Phi_s maps into E_{K-s},
+    so only the first 2^{K-s} rows, the ones that can be nonzero, are
+    returned."""
+    K = t_hat.shape[-1].bit_length() - 1
+    _check_s(K, s)
+    lev = np.array([i.bit_length() - 1 for i in range(1 << K)])  # const: -1
+    rows = 1 << (K - s)
+    return np.where(lev[:rows, None] <= lev[None, :] - s,
+                    t_hat[..., :rows, :], 0.0)
 
 
 def phi_s(T: DiscOp, s: int) -> DiscOp:
     """sum_{k=0}^{K-s} E_k T Delta_{k+s}."""
-    _check_s(T, s)
-    acc = np.zeros_like(T.mats)
-    for k in range(0, T.K - s + 1):
-        acc += ekt_delta(T.mats, k, k + s)
-    return replace(T, mats=acc)
+    return replace(T, mats=_from_haar(phi_s_hat(haar2(T.mats), s), T.N))
+
+
+def psi_s_hat(T: DiscOp, s: int) -> np.ndarray:
+    """Haar coefficients of Psi_s: for each k the level-(k+s-1) column block
+    of H T_{4*2^{-k}} H^T, on rows at level >= k.  For k < 4 the truncation
+    radius 4*2^{-k} reaches the torus diameter 1/2 and empties T, so only
+    the columns from level s + 3 on are returned (none when K - s < 4)."""
+    _check_s(T.K, s)
+    blocks = [np.zeros(T.mats.shape[:-1] + (0,), dtype=T.mats.dtype)]
+    for k in range(4, T.K - s + 1):
+        lev = k + s - 1
+        tk = truncated_mats(T, 4.0 * 2.0 ** (-k))
+        block = _on_rows(haar, haar(tk, lev + 1)[..., 1 << lev:])
+        block[..., :1 << k, :] = 0.0
+        blocks.append(block)
+    return np.concatenate(blocks, axis=-1)
 
 
 def psi_s(T: DiscOp, s: int) -> DiscOp:
     """sum_{k=0}^{K-s} (id - E_k) T_{4*2^{-k}} Delta_{k+s}."""
-    _check_s(T, s)
-    acc = np.zeros_like(T.mats)
-    for k in range(0, T.K - s + 1):
-        eps_k = 4.0 * 2.0 ** (-k)
-        if eps_k >= 0.5:   # torus l-inf diameter: the truncation empties T
-            continue
-        tk = truncated_mats(T, eps_k)
-        cols = avg_cols(tk, k + s) - avg_cols(tk, k + s - 1)
-        acc += cols - avg_rows(cols, k)
-    return replace(T, mats=acc)
+    hat = psi_s_hat(T, s)
+    return replace(T, mats=_from_haar(hat, T.N, T.N - hat.shape[-1]))
 
 
 def lambda_family(T: DiscOp, s: int) -> list[np.ndarray]:
     """The Cotlar family Lambda_{s,k} = E_k T Delta_{k+s}."""
-    _check_s(T, s)
+    _check_s(T.K, s)
     return [ekt_delta(T.mats, k, k + s) for k in range(0, T.K - s + 1)]
 
 
@@ -272,7 +302,7 @@ def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
               rng: np.random.Generator) -> dict:
     """Compare assembled E_k T Delta_{k+s} entries with the two-bump formula
     <T psi_{Qhat_y}, phi_{R_x}> on sampled pairs."""
-    _check_s(T, s)
+    _check_s(T.K, s)
     N = T.N
     A = ekt_delta(T.mats, k, k + s)
     Lr = N // (1 << k)            # cells per level-k cube
@@ -304,12 +334,15 @@ def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
     return {"max_residual": resid, "size_constant": size_ratio}
 
 
-def schur_bound(T: DiscOp | np.ndarray) -> float:
-    """sqrt(||S1||_inf ||S2||_inf) from the component-l2 kernel norms."""
-    mats = T.mats if isinstance(T, DiscOp) else T
+def _schur_integrals(mats: np.ndarray) -> tuple[float, float]:
+    """||S1||_inf, ||S2||_inf: sup row/column sums of component-l2 norms."""
     norms = np.sqrt((np.abs(mats) ** 2).sum(axis=0))
-    s1 = norms.sum(axis=1).max()
-    s2 = norms.sum(axis=0).max()
+    return float(norms.sum(axis=1).max()), float(norms.sum(axis=0).max())
+
+
+def schur_bound(T: DiscOp | np.ndarray) -> float:
+    """sqrt(||S1||_inf ||S2||_inf)."""
+    s1, s2 = _schur_integrals(T.mats if isinstance(T, DiscOp) else T)
     return float(np.sqrt(s1 * s2))
 
 
@@ -317,20 +350,24 @@ def cotlar_bound(family: list[np.ndarray]) -> float:
     """sum over offsets d of sqrt(max pairwise composition norm at offset d).
 
     For maps L2 -> L2(H) the two compositions are L_i* L_j (computed
-    directly) and L_i L_j*, whose norm squared equals the spectral radius
-    of (L_i* L_i)(L_j* L_j)."""
+    directly) and L_i L_j*, whose norm squared is the top eigenvalue of the
+    Hermitian G_i^{1/2} G_j G_i^{1/2} with G_i = L_i* L_i."""
     F = len(family)
     if F == 0:
         return 0.0
-    grams = [np.einsum("mki,mkj->ij", A.conj(), A) for A in family]
+    N = family[0].shape[-1]
+    stack = np.concatenate([A.reshape(-1, N) for A in family], axis=1)
+    x = family_gram(stack).reshape(F, N, F, N)    # x[i, :, j] = L_i* L_j
+    roots = []
+    for i in range(F):
+        w, V = np.linalg.eigh(x[i, :, i])
+        roots.append((V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T)
     best: dict[int, float] = {}
     for i in range(F):
         for j in range(F):
-            x = np.einsum("mki,mkj->ij", family[i].conj(), family[j])
-            n1 = float(np.sqrt(power_iteration(x.conj().T @ x)))
-            n2 = float(np.sqrt(abs(power_iteration(grams[i] @ grams[j]))))
-            d = i - j
-            best[d] = max(best.get(d, 0.0), n1, n2)
+            n1 = np.sqrt(_top_eigenvalue(x[i, :, j].conj().T @ x[i, :, j]))
+            n2 = np.sqrt(_top_eigenvalue(roots[i] @ x[j, :, j] @ roots[i]))
+            best[i - j] = max(best.get(i - j, 0.0), n1, n2)
     return float(sum(np.sqrt(v) for v in best.values()))
 
 
@@ -342,19 +379,14 @@ def schur_integrals_decay(T: DiscOp, s_range, k_range) -> dict:
         for k in k_range:
             if k + s > T.K:
                 continue
-            A = ekt_delta(T.mats, k, k + s)
-            norms = np.sqrt((np.abs(A) ** 2).sum(axis=0))
-            s1 = float(norms.sum(axis=1).max())
-            s2 = float(norms.sum(axis=0).max())
+            s1, s2 = _schur_integrals(ekt_delta(T.mats, k, k + s))
             rows.append({"s": s, "k": k,
                          "S1": s1, "S2": s2,
                          "S1_normalized": (2.0 ** (gamma * s)) * s1 / s,
                          "S2_normalized": s2 / s})
-    return {
-        "rows": rows,
-        "max_S1_normalized": max(r["S1_normalized"] for r in rows),
-        "max_S2_normalized": max(r["S2_normalized"] for r in rows),
-    }
+    return {"rows": rows,
+            "max_S1_normalized": max(r["S1_normalized"] for r in rows),
+            "max_S2_normalized": max(r["S2_normalized"] for r in rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -403,16 +435,11 @@ def paraproduct_correction(T: DiscOp) -> tuple[DiscOp, np.ndarray]:
 
 def rho_bmo(rho: np.ndarray, K: int) -> float:
     """Dyadic BMO of the scalarized R = sum_j ||d_j rho(x)|| r_j."""
-    sq = np.zeros(rho.shape[0])
     best = 0.0
-    # accumulate sum_{j>l} ||d_j rho||^2 from the top level downwards
-    tails = [np.zeros(rho.shape[0])]
-    for j in range(K, 0, -1):
-        sq = sq + (np.abs(delta_level(rho, j)) ** 2).sum(axis=1)
-        tails.append(sq.copy())
-    tails = tails[::-1]   # tails[l] = sum_{j > l} ||d_j rho||^2
-    for lev in range(0, K + 1):
-        best = max(best, float(e_level(tails[lev], lev).max()))
+    tail = np.zeros(rho.shape[0])        # sum_{j > lev} ||d_j rho||^2
+    for lev in range(K, -1, -1):
+        best = max(best, float(e_level(tail, lev).max()))
+        tail = tail + (np.abs(delta_level(rho, lev)) ** 2).sum(axis=1)
     return float(np.sqrt(best))
 
 
@@ -431,7 +458,6 @@ def paraproduct_bound_report(T: DiscOp, f: np.ndarray) -> dict:
 
 @dataclass
 class SigmaSet:
-    omega: dict                  # level k -> boolean cell mask (union of cubes)
     mask: np.ndarray             # union of the 9-fold dilations
 
     def outside(self) -> np.ndarray:
@@ -443,27 +469,18 @@ def sigma_set(f: np.ndarray, s: int, K: int, tol: float = 1e-12) -> SigmaSet:
     Sigma = union of the 9-fold dilations."""
     N = f.shape[0]
     scale = max(np.abs(f).max(), 1e-300)
-    omega = {}
-    total = np.zeros(N, dtype=bool)
+    mask = np.zeros(N, dtype=bool)
     for k in range(0, K - s + 1):
-        df = delta_level(f, k + s)
-        supp = np.abs(df) > tol * scale
-        L = N // (1 << k)
+        supp = np.abs(delta_level(f, k + s)) > tol * scale
+        L = N >> k
         cubes = np.unique(np.nonzero(supp)[0] // L)
-        m = np.zeros(N, dtype=bool)
-        dil = np.zeros(N, dtype=bool)
-        for c in cubes:
-            m[c * L:(c + 1) * L] = True
-            idx = np.arange((c - 4) * L, (c + 5) * L) % N
-            dil[idx] = True
-        omega[k] = m
-        total |= dil
-    return SigmaSet(omega, total)
+        mask[(cubes[:, None] * L + np.arange(-4 * L, 5 * L)) % N] = True
+    return SigmaSet(mask)
 
 
 def commutative_pseudoloc_check(T: DiscOp, f: np.ndarray, s: int) -> dict:
     """||Tf||_{L2(H)} outside Sigma_{f,s} against s 2^{-gamma s/2} ||f||_2."""
-    _check_s(T, s)
+    _check_s(T.K, s)
     gamma = T.kernel.gamma if T.kernel else 1.0
     sig = sigma_set(f, s, T.K)
     tf = T.apply(f)
@@ -478,7 +495,7 @@ def commutative_pseudoloc_check(T: DiscOp, f: np.ndarray, s: int) -> dict:
 def vanish_check(T: DiscOp, f: np.ndarray, s: int) -> float:
     """sup outside Sigma_{f,s} of | sum_k E_k Pi_rho* Delta_{k+s} f |,
     normalized by ||f||_2."""
-    _check_s(T, s)
+    _check_s(T.K, s)
     rho = adjoint_one(T)
     N = T.N
     total = np.zeros((N, rho.shape[1]), dtype=complex)
@@ -499,7 +516,7 @@ def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int) -> float:
     Meaningful when the differences of f below level s vanish (the finite
     grid truncates the bi-infinite telescope at level 0).
     """
-    _check_s(T, s)
+    _check_s(T.K, s)
     sig = sigma_set(f, s, T.K)
     out = sig.outside()
     if not out.any():
@@ -536,7 +553,6 @@ def zeta_fs(filt: GridFiltration, q_list: list[Op], levels: list[int]) -> Op:
     level projections q_k = sum_Q xi_Q 1_Q."""
     d = filt.d
     ncells = filt.algebra.nblocks
-    from .opcore import dense_algebra
     cell_alg = dense_algebra(d)
     lost = [[] for _ in range(ncells)]
     for k, q in zip(levels, q_list):
@@ -566,10 +582,6 @@ def apply_disc_to_matrix(T: DiscOp, f: Op) -> list[Op]:
     return [Op(vals[m], f.algebra) for m in range(T.M)]
 
 
-def _matrix_level_op(filt: GridFiltration, x: Op, k: int) -> Op:
-    return filt.expect(x, k)
-
-
 def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
                        q_list: list[Op], identity_check: bool = False) -> dict:
     """Compressed-norm localization for matrix-valued f.
@@ -577,8 +589,7 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
     Preconditions: T normalized; q_list[k] in the level-k subalgebra with
     q_k df_{k+s} q_k = 0 (certified here; violations raise).
     """
-    _check_s(T, s)
-    from .opcore import annihilation_check
+    _check_s(T.K, s)
     gamma = T.kernel.gamma if T.kernel else 1.0
     mart = Martingale(filt, f)
     levels = list(range(0, filt.K - s + 1))

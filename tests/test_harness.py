@@ -107,3 +107,18 @@ def test_cli_usage_errors_exit_two():
     assert _cli("no-such-experiment").returncode == 2
     # contract violation inside the run: cz needs the grid algebra
     assert _cli("cz", "--algebra", "tensor:3", "--trials", "1").returncode == 2
+
+
+@pytest.mark.parametrize("depth", [2, 3, 6])
+def test_cli_localization_rejects_shallow_depth(depth, capsys):
+    # r1 is drawn from [4/N, 0.05], an empty range below N = 80
+    from nclp.cli import main
+    assert main(["localization", "--depth", str(depth), "--trials", "1",
+                 "--quiet"]) == 2
+    assert "localization needs depth >= 7" in capsys.readouterr().err
+
+
+def test_cli_localization_smallest_depth_runs():
+    from nclp.cli import main
+    assert main(["localization", "--depth", "7", "--trials", "2",
+                 "--quiet"]) == 0

@@ -1,24 +1,72 @@
 import numpy as np
 import pytest
 
-from nclp.errors import ContractViolation
+from nclp.errors import ContractViolation, NumericError
 from nclp.filtration import GridFiltration
 from nclp.harness import random_positive_martingale, trial_rng
 from nclp.opcore import Op
-from nclp.pseudoloc import (adjoint_one, annuli_kernel, assemble,
-                            avg_cols, avg_rows, cotlar_bound, delta_level,
-                            e_level, ekt_delta, estimate_norm, family_gram,
-                            grid_l2, hilbert_kernel, ksk_check, lambda_family,
+from nclp.pseudoloc import (DiscOp, adjoint_one, annuli_kernel, assemble,
+                            cotlar_bound, delta_level, e_level, ekt_delta,
+                            estimate_norm, family_gram, grid_l2, haar, haar2,
+                            hilbert_kernel, ihaar, ksk_check, lambda_family,
                             localization_check, lp_bumps_kernel,
                             nc_pseudoloc_check, normalized, paraproduct,
                             paraproduct_adjoint, paraproduct_adjoint_mats,
-                            paraproduct_correction, phi_s, power_iteration,
-                            psi_s, restriction_identity_residual, rho_bmo,
-                            schur_bound, sigma_set, truncated_mats, zeta_fs)
+                            paraproduct_correction, phi_s, phi_s_hat, psi_s,
+                            psi_s_hat, restriction_identity_residual,
+                            rho_bmo, schur_bound, sigma_set, truncated_mats,
+                            zeta_fs)
 
 
 def _T(K=5, M=3, eps=0.0):
     return assemble(lp_bumps_kernel(M), K, eps)
+
+
+# -- reshape-average oracle for the Haar-coefficient pieces -----------------
+# E_k T Delta_j by block-averaging the output (row) and input (column) index
+# of the kernel matrices, and Phi_s / Psi_s as sums of such pieces.
+
+def avg_rows(X, k):
+    """Block-average the output (row) index of kernel matrices (..., N, N)."""
+    N = X.shape[-2]
+    L = N // (1 << k)
+    shp = X.shape[:-2] + (1 << k, L, X.shape[-1])
+    m = X.reshape(shp).mean(axis=-2, keepdims=True)
+    return np.broadcast_to(m, shp).reshape(X.shape).copy()
+
+
+def avg_cols(X, k):
+    N = X.shape[-1]
+    L = N // (1 << k)
+    shp = X.shape[:-1] + (1 << k, L)
+    m = X.reshape(shp).mean(axis=-1, keepdims=True)
+    return np.broadcast_to(m, shp).reshape(X.shape).copy()
+
+
+def oracle_ekt_delta(mats, k, j):
+    return avg_rows(avg_cols(mats, j) - avg_cols(mats, j - 1), k)
+
+
+def oracle_phi_s(T, s):
+    return sum(oracle_ekt_delta(T.mats, k, k + s)
+               for k in range(0, T.K - s + 1))
+
+
+def oracle_psi_s(T, s):
+    acc = np.zeros_like(T.mats)
+    for k in range(0, T.K - s + 1):
+        eps_k = 4.0 * 2.0 ** (-k)
+        if eps_k >= 0.5:   # torus l-inf diameter: the truncation empties T
+            continue
+        tk = truncated_mats(T, eps_k)
+        cols = avg_cols(tk, k + s) - avg_cols(tk, k + s - 1)
+        acc += cols - avg_rows(cols, k)
+    return acc
+
+
+def _kernel(name, K):
+    return {"lp-bumps": lp_bumps_kernel(K), "hilbert": hilbert_kernel(),
+            "annuli": annuli_kernel(K)}[name]
 
 
 # -- grid helpers ------------------------------------------------------------
@@ -40,6 +88,26 @@ def test_avg_rows_cols_oracle():
     c = avg_cols(X, 1)
     assert np.allclose(c[:, 0], c[:, 1])
     assert np.allclose(c[:, 0], X[:, :2].mean(axis=1))
+
+
+def test_haar_orthonormal_and_inverse():
+    K = 5
+    N = 2 ** K
+    H = haar(np.eye(N)).T                  # rows: the Haar basis
+    assert np.allclose(H @ H.T, np.eye(N), atol=1e-14)
+    # row 0 is the constant, row 2^l + c the level-l wavelet on cube c
+    assert np.allclose(H[0], N ** -0.5)
+    # (level 2, cube 1: cells 8..15)
+    h = 8 ** -0.5
+    assert np.allclose(H[5], np.r_[np.zeros(8), np.full(4, h),
+                                   np.full(4, -h), np.zeros(16)])
+    x = np.random.default_rng(66).standard_normal((3, N)) + 1j
+    assert np.allclose(ihaar(haar(x), N), x, atol=1e-13)
+    for k in range(K + 1):
+        # the first 2^k coefficients carry E_k
+        assert np.allclose(haar(x, k), haar(x)[:, :1 << k], atol=1e-13)
+        assert np.allclose(ihaar(haar(x, k), N), e_level(x.T, k).T,
+                           atol=1e-13)
 
 
 def test_grid_l2_oracle():
@@ -99,12 +167,35 @@ def test_truncated_mats():
 
 # -- norms -------------------------------------------------------------------
 
-def test_power_iteration_vs_eigvalsh():
-    rng = np.random.default_rng(60)
-    A = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-    G = A.conj().T @ A
-    assert power_iteration(G) == pytest.approx(
-        float(np.linalg.eigvalsh(G).max()), rel=1e-8)
+@pytest.mark.parametrize("kernel", ["hilbert", "annuli"])
+def test_estimate_norm_exact_vs_svd(kernel):
+    # at K = 8 an iterative solve stopped early is off by about 1e-9
+    K = 8
+    T = assemble(_kernel(kernel, K), K)
+    for mats in (T.mats, phi_s(T, 3).mats, ekt_delta(T.mats, 2, 5)):
+        top = np.linalg.svd(mats.reshape(-1, T.N), compute_uv=False)[0]
+        assert estimate_norm(mats) == pytest.approx(top, rel=1e-12)
+
+
+def test_family_gram_is_stacked_product():
+    T = assemble(annuli_kernel(4), 4)
+    G = family_gram(T.mats)
+    assert np.allclose(G, np.einsum("mki,mkj->ij", T.mats.conj(), T.mats),
+                       atol=1e-14)
+    assert np.allclose(G, G.conj().T, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_mats_raise_numeric_error(bad):
+    T = _T(4, 2)
+    mats = T.mats.copy()
+    mats[1, 3, 5] = bad
+    with pytest.raises(NumericError):
+        estimate_norm(mats)
+    with pytest.raises(NumericError):
+        normalized(DiscOp(mats, T.K, T.kernel, T.eps))
+    with pytest.raises(NumericError):
+        cotlar_bound([mats, T.mats])
 
 
 def test_estimate_norm_vs_svd_oracle():
@@ -134,12 +225,45 @@ def test_ekt_delta_annihilates_coarse_functions():
     assert np.abs(out - np.repeat(out[:, ::T.N // 2], T.N // 2, axis=1)).max() < 1e-12
 
 
+@pytest.mark.parametrize("corrected", [False, True], ids=["T", "T0"])
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [4, 6, 8])
+def test_haar_pieces_match_oracle(K, kernel, corrected):
+    T = normalized(assemble(_kernel(kernel, K), K))
+    if corrected:
+        T = paraproduct_correction(T)[0]
+    tol = 1e-12 * np.abs(T.mats).max()
+    for s in range(1, K):
+        assert np.abs(phi_s(T, s).mats - oracle_phi_s(T, s)).max() <= tol
+        assert np.abs(psi_s(T, s).mats - oracle_psi_s(T, s)).max() <= tol
+    for j in range(1, K + 1):
+        cols = avg_cols(T.mats, j) - avg_cols(T.mats, j - 1)
+        for k in range(0, K + 1):   # oracle_ekt_delta(T.mats, k, j)
+            assert np.abs(ekt_delta(T.mats, k, j)
+                          - avg_rows(cols, k)).max() <= tol
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "annuli"])
+def test_haar_block_norms_equal_piece_norms(kernel):
+    # what the decay experiment relies on: H is orthogonal
+    K = 7
+    T = normalized(assemble(_kernel(kernel, K), K))
+    t_hat = haar2(T.mats)
+    for s in range(1, K):
+        assert estimate_norm(phi_s_hat(t_hat, s)) == pytest.approx(
+            estimate_norm(phi_s(T, s).mats), rel=1e-12, abs=1e-300)
+        assert estimate_norm(psi_s_hat(T, s)) == pytest.approx(
+            estimate_norm(psi_s(T, s).mats), rel=1e-12, abs=1e-300)
+
+
 def test_phi_psi_shift_contract():
     T = _T(4, 2)
     with pytest.raises(ContractViolation):
         phi_s(T, 0)
     with pytest.raises(ContractViolation):
         psi_s(T, 4)
+    with pytest.raises(ContractViolation):
+        phi_s_hat(haar2(T.mats), 4)
 
 
 def test_restriction_identity():
@@ -172,6 +296,22 @@ def test_schur_dominates_operator_norm():
         for k in (0, 1, 2):
             A = ekt_delta(T.mats, k, k + s)
             assert schur_bound(A) >= estimate_norm(A) - 1e-9
+
+
+def test_cotlar_bound_matches_svd_oracle():
+    # [DERIVED] sum over offsets d of sqrt(max_{i-j=d} max(||L_i* L_j||,
+    # ||L_i L_j*||)), each composition norm from a dense SVD
+    T = normalized(assemble(annuli_kernel(5), 5))
+    fam = lambda_family(T, 2)
+    A = [L.reshape(-1, T.N) for L in fam]
+    best = {}
+    for i in range(len(A)):
+        for j in range(len(A)):
+            n = max(np.linalg.norm(A[i].conj().T @ A[j], 2),
+                    np.linalg.norm(A[i] @ A[j].conj().T, 2))
+            best[i - j] = max(best.get(i - j, 0.0), n)
+    expect = sum(np.sqrt(v) for v in best.values())
+    assert cotlar_bound(fam) == pytest.approx(expect, rel=1e-10)
 
 
 def test_cotlar_dominates_sum_norm():
