@@ -14,8 +14,12 @@ EXIT_NUMERIC = 3
 
 
 def _range_pair(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition("..")
-    return int(lo), int(hi)
+    try:
+        lo, hi = text.split("..")
+        return int(lo), int(hi)
+    except ValueError:
+        raise ContractViolation(f"bad range {text!r}: expected a..b with "
+                                "integers a and b") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,24 +51,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    lam = None
-    if args.lambda_exp is not None:
-        a, b = _range_pair(args.lambda_exp)
-        lam = list(range(a, b + 1))
-    cfg = ExperimentConfig(
-        experiment=args.experiment,
-        algebra=args.algebra,
-        trials=args.trials,
-        seed=args.seed,
-        lambda_exps=lam,
-        s_range=_range_pair(args.s) if args.s is not None else None,
-        kernel=args.kernel,
-        gamma=args.gamma,
-        depth=args.depth,
-        out=args.out,
-        format=args.format,
-    )
     try:
+        lam = None
+        if args.lambda_exp is not None:
+            a, b = _range_pair(args.lambda_exp)
+            lam = list(range(a, b + 1))
+        cfg = ExperimentConfig(
+            experiment=args.experiment,
+            algebra=args.algebra,
+            trials=args.trials,
+            seed=args.seed,
+            lambda_exps=lam,
+            s_range=_range_pair(args.s) if args.s is not None else None,
+            kernel=args.kernel,
+            gamma=args.gamma,
+            depth=args.depth,
+            out=args.out,
+            format=args.format,
+        )
         report = run(cfg)
     except ContractViolation as exc:
         print(f"nclp: config/contract error: {exc}", file=sys.stderr)

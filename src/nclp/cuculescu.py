@@ -11,8 +11,9 @@ keeps the spectral part at or below lambda.  Two endpoint conventions exist:
 * ``"half-open"``: chi_{(0,lambda]} taken literally, which expels those
   kernel directions.
 
-Both are implemented by diagonalizing the compression restricted to the range
-of the previous projection, so q_n <= q_{n-1} holds by construction.
+Both are implemented by diagonalizing q_{n-1} f_n q_{n-1} shifted to
+lambda + 1 on the complement of range(q_{n-1}), one stacked eigen-solve over
+all blocks per level; q_n <= q_{n-1} holds up to rounding.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .martingale import Martingale
-from .opcore import ENDPOINT_TOL, Op, op_norm, positive_part_floor, proj_meet
+from .opcore import ENDPOINT_TOL, Op, op_norm, proj_meet
 
 
 @dataclass
@@ -49,29 +50,21 @@ def cuculescu(f: Martingale, lam: float,
     if not f.is_positive():
         raise ContractViolation("cuculescu requires a positive martingale")
     alg = f.algebra
-    nb, d = alg.nblocks, alg.d
-    # Per-block orthonormal bases of range(q_{n-1}); start with the identity.
-    bases = [np.eye(d, dtype=complex) for _ in range(nb)]
+    # q f_n q + (lam+1)(1 - q) has the spectrum of the compression on
+    # range(q) and lam + 1 on its complement, so one stacked eigh per level
+    # keeps exactly the directions of range(q) at or below lam.
+    one = np.eye(alg.d)
+    q = np.broadcast_to(one, (alg.nblocks, alg.d, alg.d))
     qs = []
     for fn in f.seq:
-        blocks = np.zeros((nb, d, d), dtype=complex)
-        new_bases = []
-        for b in range(nb):
-            V = bases[b]
-            if V.shape[1] == 0:
-                new_bases.append(V)
-                continue
-            h = V.conj().T @ fn.blocks[b] @ V
-            h = 0.5 * (h + h.conj().T)
-            w, u = np.linalg.eigh(h)
-            keep = w <= lam + ENDPOINT_TOL
-            if convention == "half-open":
-                keep &= w > ENDPOINT_TOL
-            W = V @ u[:, keep]
-            blocks[b] = W @ W.conj().T
-            new_bases.append(W)
-        bases = new_bases
-        qs.append(Op(blocks, alg))
+        h = q @ fn.blocks @ q + (lam + 1.0) * (one - q)
+        w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(1, 2)))
+        keep = w <= lam + ENDPOINT_TOL
+        if convention == "half-open":
+            keep &= w > ENDPOINT_TOL
+        u = u * keep[:, None, :]
+        q = u @ u.conj().swapaxes(1, 2)
+        qs.append(Op(q, alg))
     return CuculescuSequence(float(lam), convention, qs, f)
 
 
@@ -86,18 +79,18 @@ def cuculescu_report(seq: CuculescuSequence) -> dict:
     """Measured versions of the three classical properties."""
     f = seq.martingale
     lam = seq.lam
-    comm = 0.0
-    excess = -np.inf
-    for i, fn in enumerate(f.seq):
-        qn = seq.qs[i]
-        qprev = seq.q_at(i - 1)
-        comp = qprev @ fn @ qprev
-        comm = max(comm, op_norm(qn @ comp - comp @ qn))
-        excess = max(excess, positive_part_floor(-(lam * qn - qn @ fn @ qn)))
+    fs = np.stack([fn.blocks for fn in f.seq])
+    qs = np.stack([q.blocks for q in seq.qs])
+    qprev = np.concatenate([f.algebra.unit().blocks[None], qs[:-1]])
+    comp = qprev @ fs @ qprev
+    comm = np.linalg.svd(qs @ comp - comp @ qs, compute_uv=False)
+    # largest eigenvalue of q_n f_n q_n - lam q_n over all levels
+    h = qs @ fs @ qs - lam * qs
+    excess = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2))).max()
     tail = float((f.algebra.unit() - q_lambda(seq)).trace().real)
     return {
-        "commutator": comm,
-        "compression_excess": float(excess),   # max eig of q f q - lam q
+        "commutator": float(comm.max(initial=0.0)),
+        "compression_excess": float(excess),
         "tail_trace": tail,
         "tail_bound_ratio": lam * tail / max(f.sup_l1(), 1e-300),
     }
@@ -155,14 +148,8 @@ def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:
     lowest index, joins this part); Delta_c collects i < j.  The two parts
     sum to x exactly when the family is complete.
     """
-    dr = x.algebra.zero()
-    idx = list(pi.indices())
-    for i in idx:
-        for j in idx:
-            if i >= j:
-                dr = dr + pi.blocks[i] @ x @ pi.blocks[j]
-    dc = x - dr
-    return dr, dc
+    dr = delta_trunc(x, pi, pi.l_max)
+    return dr, x - dr
 
 
 def delta_trunc(x: Op, pi: PiFamily, ell: int) -> Op:

@@ -68,23 +68,20 @@ def cz_decompose(f: Martingale, lam: float) -> CZParts:
     npos = len(qs)
     one = alg.unit()
 
-    g_d = q @ top @ q
-    b_d = alg.zero()
-    b_d_terms = []
-    for k in range(npos):
-        g_d = g_d + ps[k] @ f.seq[k] @ ps[k]
-        term = ps[k] @ (top - f.seq[k]) @ ps[k]
-        b_d_terms.append(term)
-        b_d = b_d + term
-    g_off = q @ top @ (one - q) + (one - q) @ top @ q
-    b_off = alg.zero()
-    for i in range(npos):
-        for j in range(npos):
-            if i == j:
-                continue
-            fij = f.seq[max(i, j)]
-            g_off = g_off + ps[i] @ fij @ ps[j]
-            b_off = b_off + ps[i] @ (top - fij) @ ps[j]
+    # every p_i X p_j at once, X = f_{i v j} (the good part) or f - f_{i v j}
+    P = np.stack([p.blocks for p in ps])
+    F = np.stack([fn.blocks for fn in f.seq])
+    i, j = np.meshgrid(np.arange(npos), np.arange(npos), indexing="ij")
+    fij = F[np.maximum(i, j)]
+    good = P[i] @ fij @ P[j]
+    bad = P[i] @ (top.blocks - fij) @ P[j]
+    off = i != j
+    b_d_terms = [Op(t, alg) for t in bad[~off]]
+    g_d = q @ top @ q + Op(good[~off].sum(axis=0), alg)
+    b_d = Op(bad[~off].sum(axis=0), alg)
+    g_off = q @ top @ (one - q) + (one - q) @ top @ q \
+        + Op(good[off].sum(axis=0), alg)
+    b_off = Op(bad[off].sum(axis=0), alg)
     # q f p_j and p_i f q cross terms: q = q_top meets every p orthogonally,
     # and f - f_{i v j} with the top level present vanishes, so the displayed
     # four parts already reassemble f; see cz_report for the residual.
@@ -187,26 +184,20 @@ def zeta_cube_inequalities(zd: ZetaData) -> dict:
     means the inequality holds).
     """
     filt = zd.parts.filtration
-    worst_strong = np.inf
-    worst_weak = np.inf
-    d = filt.d
+    strong, weak = [], []
     for k in zd.parts.martingale.levels:
         if k == 0:
             continue
         for Q in filt.cubes_at_level(k):
             xi_q = zd.xi[(k, Q.corner)]
             xi_hat = zd.xi[(k - 1, dyadic_father(Q).corner)]
-            strong_cap = np.eye(d) - xi_hat + xi_q
-            mask = filt.concentric_mask(Q, 9)
-            zb = zd.zeta.blocks[mask]
-            for blk in zb:
-                h1 = strong_cap - blk
-                h2 = xi_q - blk
-                worst_strong = min(worst_strong, float(np.linalg.eigvalsh(
-                    0.5 * (h1 + h1.conj().T)).min()))
-                worst_weak = min(worst_weak, float(np.linalg.eigvalsh(
-                    0.5 * (h2 + h2.conj().T)).min()))
-    return {"strong_min_eig": worst_strong, "weak_min_eig": worst_weak}
+            zb = zd.zeta.blocks[filt.concentric_mask(Q, 9)]
+            strong.append(np.eye(filt.d) - xi_hat + xi_q - zb)
+            weak.append(xi_q - zb)
+    h = np.stack([np.concatenate(strong), np.concatenate(weak)])
+    w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    return {"strong_min_eig": float(w[0].min()),
+            "weak_min_eig": float(w[1].min())}
 
 
 # ---------------------------------------------------------------------------

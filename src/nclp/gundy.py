@@ -103,9 +103,7 @@ def thmA1_decompose(f: Martingale, xi: CoeffMatrix,
     shift = 0.0
     work = f
     if not f.is_positive():
-        from .opcore import positive_part_floor
-        floor = min(positive_part_floor(fn) for fn in f.seq)
-        shift = -floor + 1e-6
+        shift = -f.spectral_floor + 1e-6
         work = Martingale(f.filtration, f.top + shift * f.algebra.unit())
     if pi is None:
         pi = pi_family(work, l_range or default_l_range(work))

@@ -57,6 +57,12 @@ class ExperimentConfig:
             self.trials = 8
         if self.trials < 1:
             raise ContractViolation("trials >= 1 required")
+        if self.lambda_exps is not None and len(self.lambda_exps) == 0:
+            raise ContractViolation("empty lambda exponent range")
+        if self.s_range is not None and (
+                len(self.s_range) != 2 or self.s_range[0] > self.s_range[1]):
+            raise ContractViolation(f"bad shift range {self.s_range!r}: "
+                                    "need a..b with a <= b")
         return self
 
 
@@ -172,15 +178,18 @@ class Suite:
         for k in keys:
             vals = [t["metrics"][k] for t in self.trials
                     if k in t["metrics"]]
-            agg[k] = {"max": max(vals), "mean": sum(vals) / len(vals)}
+            # np.max propagates a NaN wherever it sits; max() may drop it
+            agg[k] = {"max": float(np.max(vals)),
+                      "mean": sum(vals) / len(vals)}
         assertions = []
         for name, metric, thr in self.rules:
-            if metric not in agg:
-                continue
-            measured = agg[metric]["max"]
+            # no PASS without a finite measurement: a metric missing from
+            # every trial, or aggregating to -inf or NaN, fails the rule
+            measured = agg.get(metric, {"max": float("nan")})["max"]
             assertions.append({"name": name, "threshold": thr,
                                "measured": measured,
-                               "pass": bool(measured <= thr)})
+                               "pass": bool(np.isfinite(measured)
+                                            and measured <= thr)})
         for t in self.trials:
             t["pass"] = all(t["metrics"].get(m, -np.inf) <= thr
                             for _, m, thr in self.rules)
@@ -570,6 +579,9 @@ def run_pseudoloc_decay(cfg, suite):
 def run_ksk(cfg, suite):
     depths = [cfg.depth] if cfg.depth else [6, 7, 8]
     s = cfg.s_range[0]
+    if min(depths) <= s:    # no level k with k + s < depth: nothing to check
+        raise ContractViolation(f"ksk needs depth > s, got depth "
+                                f"{min(depths)} and s = {s}")
     for t, K in enumerate(depths[:max(cfg.trials, len(depths))]):
         rng = trial_rng(cfg.seed, t)
         T = pl.assemble(_make_kernel(cfg, K), K)

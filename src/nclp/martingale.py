@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,16 @@ class Martingale:
     def sup_l1(self) -> float:
         return max(schatten_norm(f, 1) for f in self.seq)
 
+    @cached_property
+    def spectral_floor(self) -> float:
+        """Smallest eigenvalue of the Hermitian parts of all f_k, from one
+        stacked eigen-solve; ``seq`` never changes, so it is computed once."""
+        b = np.stack([f.blocks for f in self.seq])
+        return float(np.linalg.eigvalsh(
+            0.5 * (b + b.conj().swapaxes(-1, -2))).min())
+
     def is_positive(self, tol: float = 1e-10) -> bool:
-        from .opcore import positive_part_floor
-        return all(positive_part_floor(f) >= -tol for f in self.seq)
+        return self.spectral_floor >= -tol
 
 
 @dataclass
@@ -124,7 +132,6 @@ def transform_family(f: Martingale, xi: CoeffMatrix) -> OperatorFamily:
 
 def row_square(g: OperatorFamily) -> Op:
     """(sum_m g_m g_m*)^{1/2}."""
-    from .opcore import abs_op
     acc = g[0].algebra.zero()
     for gm in g:
         acc = acc + gm @ gm.H

@@ -79,8 +79,7 @@ class Op:
             raise ContractViolation(
                 f"block shape {blocks.shape} does not match algebra "
                 f"({algebra.nblocks},{algebra.d},{algebra.d})")
-        if not np.all(np.isfinite(blocks.real)) \
-                or not np.all(np.isfinite(blocks.imag)):
+        if not np.isfinite(blocks).all():   # complex: both parts finite
             raise NumericError("operator entries must be finite")
         self.blocks = blocks
         self.algebra = algebra

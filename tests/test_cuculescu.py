@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from nclp.cuculescu import (cuculescu, cuculescu_report, delta_split,
-                            delta_trunc, pi_family, q_lambda)
+from nclp.cuculescu import (CuculescuSequence, cuculescu, cuculescu_report,
+                            delta_split, delta_trunc, pi_family, q_lambda)
 from nclp.errors import ContractViolation
-from nclp.filtration import GridFiltration, TensorDyadicFiltration
-from nclp.harness import random_positive_martingale, trial_rng
+from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
+                             build_filtration)
+from nclp.harness import (ExperimentConfig, Suite, random_positive_martingale,
+                          trial_rng)
 from nclp.martingale import Martingale
-from nclp.opcore import Op, annihilation_check, is_projection, l2_norm, op_norm
+from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
+                         l2_norm, op_norm)
 
 
 def naive_cuculescu(f, lam):
@@ -25,6 +28,89 @@ def naive_cuculescu(f, lam):
         q = Op(blocks, alg)
         qs.append(q)
     return qs
+
+
+def per_block_cuculescu(f, lam, convention):
+    """Oracle: the recursion block by block, diagonalizing V* f_n V on an
+    orthonormal basis V of range(q_{n-1}) kept per block."""
+    alg = f.algebra
+    nb, d = alg.nblocks, alg.d
+    bases = [np.eye(d, dtype=complex) for _ in range(nb)]
+    qs = []
+    for fn in f.seq:
+        blocks = np.zeros((nb, d, d), dtype=complex)
+        new_bases = []
+        for b in range(nb):
+            V = bases[b]
+            if V.shape[1] == 0:
+                new_bases.append(V)
+                continue
+            h = V.conj().T @ fn.blocks[b] @ V
+            h = 0.5 * (h + h.conj().T)
+            w, u = np.linalg.eigh(h)
+            keep = w <= lam + ENDPOINT_TOL
+            if convention == "half-open":
+                keep &= w > ENDPOINT_TOL
+            W = V @ u[:, keep]
+            blocks[b] = W @ W.conj().T
+            new_bases.append(W)
+        bases = new_bases
+        qs.append(Op(blocks, alg))
+    return qs
+
+
+def _rank_deficient_martingale():
+    """Every f_k vanishes on one direction shared by all cells, so its
+    compressions keep a kernel the two conventions treat differently."""
+    filt = GridFiltration(1, 3, 3)
+    rng = np.random.default_rng(21)
+    basis = np.linalg.qr(rng.standard_normal((3, 2)))[0]
+    g = basis @ (rng.standard_normal((filt.algebra.nblocks, 2, 2))
+                 + 1j * rng.standard_normal((filt.algebra.nblocks, 2, 2)))
+    top = Op(g @ g.conj().transpose(0, 2, 1), filt.algebra)
+    return Martingale(filt, (1.0 / top.trace().real) * top)
+
+
+@pytest.mark.parametrize("convention", ["closed", "half-open"])
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
+                                  "rank-deficient"])
+def test_batched_matches_per_block_oracle(spec, convention):
+    if spec == "rank-deficient":
+        marts = [_rank_deficient_martingale()]
+    else:
+        filt = build_filtration(spec)
+        marts = [random_positive_martingale(filt, trial_rng(22, t))
+                 for t in range(3)]
+    for f in marts:
+        for e in range(-2, 5):
+            seq = cuculescu(f, 2.0 ** e, convention)
+            oracle = per_block_cuculescu(f, 2.0 ** e, convention)
+            for q, q_ref in zip(seq.qs, oracle, strict=True):
+                assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
+
+
+def test_rank_deficient_case_separates_conventions():
+    f = _rank_deficient_martingale()
+    closed = cuculescu(f, 0.25, convention="closed")
+    halfopen = cuculescu(f, 0.25, convention="half-open")
+    for qc, qh in zip(closed.qs, halfopen.qs):
+        assert qc.trace().real > qh.trace().real + 0.1
+
+
+def test_compression_excess_sees_a_projection_above_lambda():
+    # q_n = 1 at every level leaves q f q - lam q = f - lam, positive on the
+    # spectrum of f above lam; a minimum eigenvalue would read 0 here
+    filt = GridFiltration(1, 3, 2)
+    f = random_positive_martingale(filt, trial_rng(23, 0))
+    w = np.linalg.eigvalsh(f.top.blocks)
+    lam = 0.5 * (w.min() + w.max())
+    bad = CuculescuSequence(lam, "closed", [f.algebra.unit()] * len(f.seq), f)
+    excess = cuculescu_report(bad)["compression_excess"]
+    assert excess >= w.max() - lam - 1e-12 > 0.0
+    suite = Suite(ExperimentConfig("cuculescu").resolved())
+    suite.add_trial("x", {"compression_excess": excess})
+    suite.rule("compression_below_lambda", "compression_excess", 1e-8)
+    assert suite.report()["assertions"][0]["pass"] is False
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])

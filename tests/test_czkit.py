@@ -5,7 +5,7 @@ from nclp.czkit import (cz_decompose, cz_report, g_off_layer_report,
                         g_off_layers, thmB1_decompose, zeta, zeta_cube_inequalities,
                         zeta_report)
 from nclp.errors import ContractViolation
-from nclp.filtration import GridFiltration, TensorDyadicFiltration
+from nclp.filtration import GridFiltration, TensorDyadicFiltration, dyadic_father
 from nclp.harness import random_positive_martingale, trial_rng
 from nclp.martingale import Martingale, OperatorFamily
 from nclp.opcore import Op, is_projection, l2_norm
@@ -14,6 +14,76 @@ from nclp.opcore import Op, is_projection, l2_norm
 def _grid_mart(seed, n=1, K=4, d=2):
     filt = GridFiltration(n, K, d)
     return random_positive_martingale(filt, trial_rng(seed, 0))
+
+
+def pair_sum_oracle(parts):
+    """g_d, g_off, b_d, b_off and the b_d terms rebuilt one Op product at a
+    time from the recursion projections of ``parts``."""
+    f = parts.martingale
+    ps, q, top = parts.ps, parts.q, f.top
+    one = f.algebra.unit()
+    g_d = q @ top @ q
+    b_d = f.algebra.zero()
+    terms = []
+    for k in range(len(ps)):
+        g_d = g_d + ps[k] @ f.seq[k] @ ps[k]
+        terms.append(ps[k] @ (top - f.seq[k]) @ ps[k])
+        b_d = b_d + terms[-1]
+    g_off = q @ top @ (one - q) + (one - q) @ top @ q
+    b_off = f.algebra.zero()
+    for i in range(len(ps)):
+        for j in range(len(ps)):
+            if i != j:
+                fij = f.seq[max(i, j)]
+                g_off = g_off + ps[i] @ fij @ ps[j]
+                b_off = b_off + ps[i] @ (top - fij) @ ps[j]
+    return g_d, g_off, b_d, b_off, terms
+
+
+def cube_inequality_oracle(zd):
+    """zeta_cube_inequalities with one eigvalsh per 2x2 block."""
+    filt = zd.parts.filtration
+    worst_strong = worst_weak = np.inf
+    for k in zd.parts.martingale.levels[1:]:
+        for Q in filt.cubes_at_level(k):
+            xi_q = zd.xi[(k, Q.corner)]
+            xi_hat = zd.xi[(k - 1, dyadic_father(Q).corner)]
+            strong_cap = np.eye(filt.d) - xi_hat + xi_q
+            for blk in zd.zeta.blocks[filt.concentric_mask(Q, 9)]:
+                h1 = strong_cap - blk
+                h2 = xi_q - blk
+                worst_strong = min(worst_strong, np.linalg.eigvalsh(
+                    0.5 * (h1 + h1.conj().T)).min())
+                worst_weak = min(worst_weak, np.linalg.eigvalsh(
+                    0.5 * (h2 + h2.conj().T)).min())
+    return {"strong_min_eig": worst_strong, "weak_min_eig": worst_weak}
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
+def test_stacked_pair_sums_match_oracle(n, K, d):
+    for t in range(2):
+        f = random_positive_martingale(GridFiltration(n, K, d),
+                                       trial_rng(60, t))
+        for e in range(0, 5):
+            parts = cz_decompose(f, 2.0 ** e)
+            g_d, g_off, b_d, b_off, terms = pair_sum_oracle(parts)
+            for got, ref in ((parts.g_d, g_d), (parts.g_off, g_off),
+                             (parts.b_d, b_d), (parts.b_off, b_off)):
+                assert (got - ref).max_abs() <= 1e-12
+            assert len(parts.b_d_terms) == len(terms)
+            for got, ref in zip(parts.b_d_terms, terms):
+                assert (got - ref).max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2)])
+def test_stacked_cube_inequalities_match_oracle(n, K, d):
+    f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(61, 0))
+    for e in range(0, 5):
+        zd = zeta(f, 2.0 ** e)
+        got = zeta_cube_inequalities(zd)
+        ref = cube_inequality_oracle(zd)
+        for key in ("strong_min_eig", "weak_min_eig"):
+            assert abs(got[key] - ref[key]) <= 1e-12
 
 
 def test_decomposition_reassembles():

@@ -7,7 +7,7 @@ import pytest
 
 from nclp.errors import ContractViolation
 from nclp.filtration import GridFiltration, TensorDyadicFiltration
-from nclp.harness import (EXPERIMENTS, ExperimentConfig, digest,
+from nclp.harness import (EXPERIMENTS, ExperimentConfig, Suite, digest,
                           random_coeffs, random_positive_martingale,
                           report_csv, report_json, run, trial_rng)
 
@@ -15,6 +15,40 @@ from nclp.harness import (EXPERIMENTS, ExperimentConfig, digest,
 def test_config_rejects_unknown_experiment():
     with pytest.raises(ContractViolation):
         ExperimentConfig("nonsense").resolved()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lambda_exps", []), ("s_range", (4, 1)), ("s_range", (1, 2, 3))])
+def test_config_rejects_empty_or_malformed_ranges(field, value):
+    with pytest.raises(ContractViolation):
+        ExperimentConfig("cuculescu", **{field: value}).resolved()
+
+
+def _single_rule_suite(trial_metrics):
+    suite = Suite(ExperimentConfig("norms").resolved())
+    for m in trial_metrics:
+        suite.add_trial("x", m)
+    suite.rule("check", "residual", 1e-8)
+    (assertion,) = suite.report()["assertions"]
+    return assertion
+
+
+def test_rule_with_metric_missing_from_every_trial_fails():
+    a = _single_rule_suite([{"other": 0.0}, {"other": 1.0}])
+    assert a["pass"] is False
+    assert np.isnan(a["measured"])
+
+
+def test_rule_with_minus_inf_aggregate_fails():
+    a = _single_rule_suite([{"residual": -np.inf}, {"residual": -np.inf}])
+    assert a["pass"] is False
+
+
+def test_nan_trial_value_is_not_dropped_from_the_aggregate():
+    # max() keeps its first argument when a later one is NaN
+    a = _single_rule_suite([{"residual": 0.0}, {"residual": np.nan}])
+    assert np.isnan(a["measured"])
+    assert a["pass"] is False
 
 
 def test_trial_rng_reproducible_and_independent():
@@ -122,3 +156,18 @@ def test_cli_localization_smallest_depth_runs():
     from nclp.cli import main
     assert main(["localization", "--depth", "7", "--trials", "2",
                  "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["cuculescu", "--lambda-exp", "5..2"],
+    ["cz", "--lambda-exp", "4..1"],
+    ["cuculescu", "--lambda-exp", "3"],
+    ["ksk", "--s", "4..1"],
+    ["ksk", "--depth", "3", "--s", "5..5"],
+], ids=["cuculescu-reversed", "cz-reversed", "single-number", "s-reversed",
+        "ksk-depth-below-s"])
+def test_cli_rejects_empty_or_malformed_range(argv, capsys):
+    from nclp.cli import main
+    assert main(argv + ["--trials", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nclp: config/contract error:")

@@ -39,6 +39,15 @@ def test_nonfinite_rejected():
         Op(bad, ALG)
 
 
+@pytest.mark.parametrize("value", [complex(0.0, np.inf), complex(np.nan, 0.0)])
+def test_nonfinite_in_one_part_rejected(value):
+    # an inf only in the imaginary part, a NaN only in the real part
+    bad = np.zeros((1, 4, 4), dtype=complex)
+    bad[0, 1, 2] = value
+    with pytest.raises(NumericError):
+        Op(bad, ALG)
+
+
 def test_shape_mismatch_rejected():
     with pytest.raises(ContractViolation):
         Op(np.zeros((2, 4, 4)), ALG)
