@@ -4,7 +4,7 @@ The dominant cost outside LAPACK is evaluating kernel families on all grid
 pairs (M * N^2 evaluations).  Those loops are JIT-compiled with numba when it
 is available; setting the environment variable ``NCLP_NUMBA=0`` forces the
 pure-numpy broadcasting path (same math, vectorized).  ``backend_name()``
-reports which path is active; ``benchmarks/bench_assembly.py`` compares them.
+reports which path is active.
 """
 from __future__ import annotations
 

@@ -11,9 +11,10 @@ keeps the spectral part at or below lambda.  Two endpoint conventions exist:
 * ``"half-open"``: chi_{(0,lambda]} taken literally, which expels those
   kernel directions.
 
-Both are implemented by diagonalizing q_{n-1} f_n q_{n-1} shifted to
-lambda + 1 on the complement of range(q_{n-1}), one stacked eigen-solve over
-all blocks per level; q_n <= q_{n-1} holds up to rounding.
+The threshold is a leading batch axis (a scalar is the length-1 batch): one
+stacked eigen-solve per level diagonalizes q_{n-1} f_n q_{n-1}, shifted to
+lambda + 1 on the complement of range(q_{n-1}), for every (lambda, block)
+pair.  q_n <= q_{n-1} holds up to rounding, so q(lambda) is the last q_n.
 """
 from __future__ import annotations
 
@@ -40,11 +41,14 @@ class CuculescuSequence:
         return self.qs[i]
 
 
-def cuculescu(f: Martingale, lam: float,
-              convention: str = "closed") -> CuculescuSequence:
-    """Run the recursion along all levels of a positive martingale."""
-    if lam <= 0:
-        raise ContractViolation("cuculescu requires lambda > 0")
+def cuculescu(f: Martingale, lam, convention: str = "closed"):
+    """Run the recursion along all levels of a positive martingale, one
+    sequence per entry of a 1-D threshold vector (one for a scalar)."""
+    lams = np.asarray(lam, dtype=float).reshape(-1)
+    if np.ndim(lam) > 1 or not np.all(np.isfinite(lams) & (lams > 0)) \
+            or lams.size == 0:
+        raise ContractViolation("lambda must be a positive number or a "
+                                f"non-empty 1-D vector of them, got {lam!r}")
     if convention not in ("closed", "half-open"):
         raise ContractViolation(f"unknown endpoint convention {convention!r}")
     if not f.is_positive():
@@ -54,46 +58,56 @@ def cuculescu(f: Martingale, lam: float,
     # range(q) and lam + 1 on its complement, so one stacked eigh per level
     # keeps exactly the directions of range(q) at or below lam.
     one = np.eye(alg.d)
-    q = np.broadcast_to(one, (alg.nblocks, alg.d, alg.d))
-    qs = []
+    cut = lams[:, None, None]
+    q = np.broadcast_to(one, (lams.size, alg.nblocks, alg.d, alg.d))
+    levels = []
     for fn in f.seq:
-        h = q @ fn.blocks @ q + (lam + 1.0) * (one - q)
-        w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(1, 2)))
-        keep = w <= lam + ENDPOINT_TOL
+        h = q @ fn.blocks @ q + (cut[..., None] + 1.0) * (one - q)
+        w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+        keep = w <= cut + ENDPOINT_TOL
         if convention == "half-open":
             keep &= w > ENDPOINT_TOL
-        u = u * keep[:, None, :]
-        q = u @ u.conj().swapaxes(1, 2)
-        qs.append(Op(q, alg))
-    return CuculescuSequence(float(lam), convention, qs, f)
+        u = u * keep[..., None, :]
+        q = u @ u.conj().swapaxes(-1, -2)
+        levels.append(q)
+    seqs = [CuculescuSequence(float(lv), convention,
+                              [Op(q[i], alg) for q in levels], f)
+            for i, lv in enumerate(lams)]
+    return seqs if np.ndim(lam) else seqs[0]
 
 
 def q_lambda(seq: CuculescuSequence) -> Op:
-    """q(lambda) = meet of all q_n; the chain is decreasing so this is the
-    last projection, but it is computed through the lattice meet on purpose
-    so the documented null-space cut applies uniformly."""
-    return proj_meet(seq.qs)
+    """q(lambda) = meet of all q_n, which is the last q_n because the chain
+    decreases (the tests check it against ``proj_meet``)."""
+    return seq.qs[-1]
 
 
-def cuculescu_report(seq: CuculescuSequence) -> dict:
-    """Measured versions of the three classical properties."""
-    f = seq.martingale
-    lam = seq.lam
+def cuculescu_report(seqs):
+    """Measured versions of the three classical properties: one report per
+    sequence of a list (all of one martingale, one batched svd and eigvalsh
+    over every threshold and level), or one for a single sequence."""
+    batch = [seqs] if isinstance(seqs, CuculescuSequence) else list(seqs)
+    f = batch[0].martingale
+    if any(s.martingale is not f for s in batch):
+        raise ContractViolation("cuculescu_report needs one martingale")
+    lams = np.array([s.lam for s in batch])[:, None, None, None, None]
     fs = np.stack([fn.blocks for fn in f.seq])
-    qs = np.stack([q.blocks for q in seq.qs])
-    qprev = np.concatenate([f.algebra.unit().blocks[None], qs[:-1]])
+    qs = np.stack([[q.blocks for q in s.qs] for s in batch])
+    unit = np.broadcast_to(f.algebra.unit().blocks, qs[:, :1].shape)
+    qprev = np.concatenate([unit, qs[:, :-1]], axis=1)
     comp = qprev @ fs @ qprev
     comm = np.linalg.svd(qs @ comp - comp @ qs, compute_uv=False)
     # largest eigenvalue of q_n f_n q_n - lam q_n over all levels
-    h = qs @ fs @ qs - lam * qs
-    excess = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2))).max()
-    tail = float((f.algebra.unit() - q_lambda(seq)).trace().real)
-    return {
-        "commutator": float(comm.max(initial=0.0)),
-        "compression_excess": float(excess),
-        "tail_trace": tail,
-        "tail_bound_ratio": lam * tail / max(f.sup_l1(), 1e-300),
-    }
+    h = qs @ fs @ qs - lams * qs
+    excess = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    tails = 1.0 - np.einsum("b,lbii->l", f.algebra.weights, qs[:, -1]).real
+    reports = [{
+        "commutator": float(comm[i].max(initial=0.0)),
+        "compression_excess": float(excess[i].max()),
+        "tail_trace": float(tails[i]),
+        "tail_bound_ratio": float(s.lam * tails[i] / max(f.sup_l1, 1e-300)),
+    } for i, s in enumerate(batch)]
+    return reports[0] if isinstance(seqs, CuculescuSequence) else reports
 
 
 @dataclass
@@ -126,8 +140,9 @@ def pi_family(f: Martingale, l_range: tuple[int, int],
     if 2.0 ** l_max <= sup:
         raise ContractViolation(
             f"l_max too small: 2^{l_max} <= sup ||f_n||_inf = {sup:.6g}")
-    q_of = {ell: q_lambda(cuculescu(f, 2.0 ** ell, convention))
-            for ell in range(l_min, l_max + 1)}
+    ells = range(l_min, l_max + 1)
+    q_of = dict(zip(ells, map(q_lambda, cuculescu(
+        f, 2.0 ** np.array(ells, dtype=float), convention))))
     w = {l_max: q_of[l_max]}
     for ell in range(l_max - 1, l_min - 1, -1):
         w[ell] = proj_meet([w[ell + 1], q_of[ell]])
@@ -153,11 +168,11 @@ def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:
 
 
 def delta_trunc(x: Op, pi: PiFamily, ell: int) -> Op:
-    """Delta_{r,ell}(x) = sum_{j <= i <= ell} pi_i x pi_j."""
-    out = x.algebra.zero()
+    """Delta_{r,ell}(x) = sum_{j <= i <= ell} pi_i x pi_j, which is
+    sum_{i <= ell} pi_i x w_i because sum_{j <= i} pi_j = w_i."""
     idx = [k for k in pi.indices() if k <= ell]
-    for i in idx:
-        for j in idx:
-            if i >= j:
-                out = out + pi.blocks[i] @ x @ pi.blocks[j]
-    return out
+    if not idx:
+        return x.algebra.zero()
+    b = np.stack([pi.blocks[i].blocks for i in idx])
+    w = np.stack([pi.w[i].blocks for i in idx])
+    return Op((b @ x.blocks @ w).sum(axis=0), x.algebra)

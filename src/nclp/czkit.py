@@ -36,57 +36,46 @@ class CZParts:
 
 def m_lambda_of(qs: list[Op], levels: list[int], alg) -> int:
     """Largest level with q = 1; -1 if no level qualifies at finite depth."""
-    m = -1
-    one = alg.unit()
-    for lev, q in zip(levels, qs):
-        if np.abs(q.blocks - one.blocks).max() <= 1e-10:
-            m = lev
-    return m
+    one = alg.unit().blocks
+    return max((lev for lev, q in zip(levels, qs)
+                if np.abs(q.blocks - one).max() <= 1e-10), default=-1)
 
 
-def cz_decompose(f: Martingale, lam: float) -> CZParts:
-    """f = g_d + g_off + b_d + b_off through the recursion projections.
+def cz_decompose(f: Martingale, lam):
+    """f = g_d + g_off + b_d + b_off through the recursion projections, one
+    CZParts per entry of a 1-D threshold vector (one for a scalar).
 
     g_d   = q f q + sum_k p_k f_k p_k
     g_off = sum_{i != j} p_i f_{i v j} p_j + q f q^perp + q^perp f q
     b_d   = sum_k p_k (f - f_k) p_k
     b_off = sum_{i != j} p_i (f - f_{i v j}) p_j
     """
-    filt = f.filtration
-    if not isinstance(filt, GridFiltration):
+    if not isinstance(f.filtration, GridFiltration):
         raise ContractViolation("cz_decompose lives on the grid algebra")
-    if lam <= 0:
-        raise ContractViolation("lambda > 0 required")
-    if not f.is_positive():
-        raise ContractViolation("cz_decompose requires positive f")
-    seq = cuculescu(f, lam)
-    qs = seq.qs
-    ps = [seq.q_at(i - 1) - qs[i] for i in range(len(qs))]
-    q = q_lambda(seq)
-    top = f.top
+    seqs = cuculescu(f, np.atleast_1d(lam))
     alg = f.algebra
-    npos = len(qs)
-    one = alg.unit()
-
-    # every p_i X p_j at once, X = f_{i v j} (the good part) or f - f_{i v j}
-    P = np.stack([p.blocks for p in ps])
-    F = np.stack([fn.blocks for fn in f.seq])
-    i, j = np.meshgrid(np.arange(npos), np.arange(npos), indexing="ij")
-    fij = F[np.maximum(i, j)]
-    good = P[i] @ fij @ P[j]
-    bad = P[i] @ (top.blocks - fij) @ P[j]
-    off = i != j
-    b_d_terms = [Op(t, alg) for t in bad[~off]]
-    g_d = q @ top @ q + Op(good[~off].sum(axis=0), alg)
-    b_d = Op(bad[~off].sum(axis=0), alg)
-    g_off = q @ top @ (one - q) + (one - q) @ top @ q \
-        + Op(good[off].sum(axis=0), alg)
-    b_off = Op(bad[off].sum(axis=0), alg)
-    # q f p_j and p_i f q cross terms: q = q_top meets every p orthogonally,
-    # and f - f_{i v j} with the top level present vanishes, so the displayed
-    # four parts already reassemble f; see cz_report for the residual.
-    return CZParts(g_d, g_off, b_d, b_off, b_d_terms, qs, ps, q,
-                   m_lambda_of(qs, f.levels, alg), float(lam), f)
+    one = np.eye(alg.d)
+    Q = np.stack([[q.blocks for q in s.qs] for s in seqs])
+    Qprev = np.concatenate([np.broadcast_to(one, Q[:, :1].shape), Q[:, :-1]],
+                           axis=1)
+    P, F = Qprev - Q, np.stack([fn.blocks for fn in f.seq])
+    q, top = Q[:, -1], F[-1]
+    # the pair sums telescope: u_j = sum_{i<j} p_i = 1 - q_{j-1} and
+    # f_{i v j} = f_j for i < j, so sum_{i != j} p_i X_{i v j} p_j is
+    # sum_j u_j X_j p_j + p_j X_j u_j: one product per level
+    u = one - Qprev
+    good_off = (u @ F @ P + P @ F @ u).sum(axis=1)
+    b_off = (u @ (top - F) @ P + P @ (top - F) @ u).sum(axis=1)
+    g_d = q @ top @ q + (P @ F @ P).sum(axis=1)
+    g_off = q @ top @ (one - q) + (one - q) @ top @ q + good_off
+    bad = P @ (top - F) @ P
+    parts = [CZParts(Op(gd, alg), Op(go, alg), Op(bd.sum(0), alg), Op(bo, alg),
+                     [Op(t, alg) for t in bd], s.qs, [Op(p, alg) for p in ps],
+                     q_lambda(s), m_lambda_of(s.qs, f.levels, alg), s.lam, f)
+             for gd, go, bd, bo, ps, s in zip(g_d, g_off, bad, b_off, P, seqs)]
+    # the q f p_j and p_i f q cross terms sit in q f q^perp + q^perp f q, so
+    # the four parts reassemble f; cz_report measures the residual
+    return parts if np.ndim(lam) else parts[0]
 
 
 def cz_report(parts: CZParts) -> dict:
@@ -270,10 +259,8 @@ class B1Split:
     l_max: int
 
     def rho(self, i: int) -> Op:
-        out = self.psi
-        for j in range(self.l_min + 1, i + 1):
-            out = out + self.pi_blocks[j]
-        return out
+        return sum((self.pi_blocks[j] for j in range(self.l_min + 1, i + 1)),
+                   self.psi)
 
     def w_ell(self, ell: int) -> Op:
         return self.rho(ell)
@@ -292,9 +279,9 @@ def thmB1_decompose(tf_family: OperatorFamily, f: Martingale,
     sup = op_norm(f.top)
     if 2.0 ** l_max <= sup:
         raise ContractViolation(f"l_max too small: 2^{l_max} <= {sup:.6g}")
-    zs = {}
-    for ell in range(l_min, l_max + 1):
-        zs[ell] = zeta(f, 2.0 ** ell).zeta
+    ells = range(l_min, l_max + 1)
+    zs = {ell: zeta(f, parts.lam, parts).zeta for ell, parts in
+          zip(ells, cz_decompose(f, 2.0 ** np.array(ells, dtype=float)))}
     w = {l_max: zs[l_max]}
     for ell in range(l_max - 1, l_min - 1, -1):
         w[ell] = proj_meet([w[ell + 1], zs[ell]])
@@ -303,21 +290,15 @@ def thmB1_decompose(tf_family: OperatorFamily, f: Martingale,
         blocks[ell] = w[ell] - w[ell - 1]
     psi = blocks[l_min]
     one = f.algebra.unit()
-    idx = list(range(l_min, l_max + 1))
+    # the blocks above psi telescope: sum_{l_min < j <= i} pi_j = w_i - psi,
+    # so the lower triangle is sum_i pi_i g (w_i - psi) and the strict upper
+    # one sum_j (w_{j-1} - psi) g pi_j
     center, a_ops, b_ops = [], [], []
     for g in tf_family:
-        c = psi @ g @ psi
-        a = (one - psi) @ g @ psi
-        b = psi @ g @ (one - psi)
-        for i in idx[1:]:
-            for j in idx[1:]:
-                term = blocks[i] @ g @ blocks[j]
-                if i >= j:
-                    a = a + term
-                else:
-                    b = b + term
-        center.append(c)
-        a_ops.append(a)
-        b_ops.append(b)
+        center.append(psi @ g @ psi)
+        a_ops.append(sum((blocks[i] @ g @ (w[i] - psi) for i in ells[1:]),
+                         (one - psi) @ g @ psi))
+        b_ops.append(sum(((w[i - 1] - psi) @ g @ blocks[i] for i in ells[1:]),
+                         psi @ g @ (one - psi)))
     return B1Split(OperatorFamily(center), OperatorFamily(a_ops),
                    OperatorFamily(b_ops), blocks, psi, l_min, l_max)

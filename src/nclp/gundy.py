@@ -66,7 +66,7 @@ def gundy_verify(parts: GundyParts) -> dict:
     """
     f = parts.martingale
     lam = parts.seq.lam
-    denom = max(f.sup_l1(), 1e-300)
+    denom = max(f.sup_l1, 1e-300)
     alpha_sums = parts.partial_sums(parts.d_alpha)
     alpha_term = max(l2_norm(a) ** 2 for a in alpha_sums) / lam
     beta_term = sum(schatten_norm(d, 1) for d in parts.d_beta)
@@ -128,7 +128,7 @@ def weak11_experiment(f: Martingale, xi: CoeffMatrix,
     if xi.row_bound > 1.0 + 1e-9:
         raise ContractViolation("weak11 requires sup_k sum_m |xi_km|^2 <= 1")
     a_fam, b_fam, _, _ = thmA1_decompose(f, xi)
-    denom = max(f.sup_l1(), 1e-300)
+    denom = max(f.sup_l1, 1e-300)
     row = row_square(a_fam)
     col = col_square(b_fam)
     best_row = max(2.0 ** e * tail_trace(row, 2.0 ** e) for e in lambda_exps)

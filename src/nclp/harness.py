@@ -204,11 +204,21 @@ class Suite:
                 "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())}
 
 
+def _strict_json(x):
+    """A copy of x with each non-finite float spelled "NaN", "Infinity" or
+    "-Infinity", so that the report is strict JSON."""
+    if isinstance(x, dict):
+        return {k: _strict_json(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict_json(v) for v in x]
+    if isinstance(x, float) and not np.isfinite(x):
+        return "NaN" if np.isnan(x) else ("Infinity" if x > 0 else "-Infinity")
+    return x
+
+
 def report_json(report: dict) -> str:
-    body = {k: v for k, v in report.items() if k != "timestamp"}
-    body = json.loads(json.dumps(body))       # normalize types
-    body["timestamp"] = report["timestamp"]
-    return json.dumps(body, sort_keys=True, indent=1) + "\n"
+    return json.dumps(_strict_json(report), sort_keys=True, indent=1,
+                      allow_nan=False) + "\n"
 
 
 def report_csv(report: dict) -> str:
@@ -273,20 +283,16 @@ def run_norms(cfg, suite):
 
 def run_cuculescu(cfg, suite):
     filt = _filtration(cfg)
+    lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         f = random_positive_martingale(filt, rng)
-        comm = excess = tail_excess = -np.inf
-        for e in cfg.lambda_exps:
-            rep = cuculescu_report(cuculescu(f, 2.0 ** e))
-            comm = max(comm, rep["commutator"])
-            excess = max(excess, rep["compression_excess"])
-            tail_excess = max(tail_excess,
-                              2.0 ** e * rep["tail_trace"] - f.sup_l1())
+        reps = cuculescu_report(cuculescu(f, lams))
         suite.add_trial(digest(f.top, cfg.lambda_exps), {
-            "commutator": comm,
-            "compression_excess": excess,
-            "tail_excess": tail_excess,
+            "commutator": max(r["commutator"] for r in reps),
+            "compression_excess": max(r["compression_excess"] for r in reps),
+            "tail_excess": max(lam * r["tail_trace"] - f.sup_l1
+                               for lam, r in zip(lams, reps)),
         })
     suite.rule("commutation", "commutator", 1e-8)
     suite.rule("compression_below_lambda", "compression_excess", 1e-8)
@@ -419,20 +425,17 @@ def run_cross(cfg, suite):
 
 def run_cz(cfg, suite):
     filt = _filtration(cfg)
+    lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         f = random_positive_martingale(filt, rng)
-        m = {"reconstruction_residual": 0.0, "g_d_excess": -np.inf,
-             "b_d_excess": -np.inf}
-        for e in cfg.lambda_exps:
-            rep = cz_report(cz_decompose(f, 2.0 ** e))
-            m["reconstruction_residual"] = max(m["reconstruction_residual"],
-                                               rep["reconstruction_residual"])
-            m["g_d_excess"] = max(m["g_d_excess"],
-                                  rep["g_d_l2sq"] - rep["g_d_bound"])
-            m["b_d_excess"] = max(m["b_d_excess"],
-                                  rep["b_d_l1_sum"] - rep["b_d_bound"])
-        suite.add_trial(digest(f.top, cfg.lambda_exps), m)
+        reps = [cz_report(parts) for parts in cz_decompose(f, lams)]
+        suite.add_trial(digest(f.top, cfg.lambda_exps), {
+            "reconstruction_residual": max(r["reconstruction_residual"]
+                                           for r in reps),
+            "g_d_excess": max(r["g_d_l2sq"] - r["g_d_bound"] for r in reps),
+            "b_d_excess": max(r["b_d_l1_sum"] - r["b_d_bound"] for r in reps),
+        })
     suite.rule("reconstruction", "reconstruction_residual", 1e-10)
     suite.rule("diagonal_good_part_l2", "g_d_excess", 1e-8)
     suite.rule("diagonal_bad_part_l1", "b_d_excess", 1e-8)
@@ -440,30 +443,26 @@ def run_cz(cfg, suite):
 
 def run_zeta(cfg, suite):
     filt = _filtration(cfg)
+    lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         f = random_positive_martingale(filt, rng)
-        m = {"excised_mass_ratio": 0.0, "cube_ineq_violation": 0.0,
-             "layer_sum_residual": 0.0, "layer_support_residual": 0.0,
-             "layer_orthogonality_residual": 0.0, "layer_ratio": 0.0}
-        for e in cfg.lambda_exps:
-            parts = cz_decompose(f, 2.0 ** e)
-            zd = zeta(f, 2.0 ** e, parts)
-            m["excised_mass_ratio"] = max(m["excised_mass_ratio"],
-                                          zeta_report(zd)["excised_mass_ratio"])
+        m = {}
+        for parts in cz_decompose(f, lams):
+            zd = zeta(f, parts.lam, parts)
             ineq = zeta_cube_inequalities(zd)
-            m["cube_ineq_violation"] = max(
-                m["cube_ineq_violation"],
-                -min(ineq["strong_min_eig"], ineq["weak_min_eig"]))
             lay = g_off_layer_report(parts, g_off_layers(parts))
-            m["layer_sum_residual"] = max(m["layer_sum_residual"],
-                                          lay["sum_residual"])
-            m["layer_support_residual"] = max(m["layer_support_residual"],
-                                              lay["support_residual"])
-            m["layer_orthogonality_residual"] = max(
-                m["layer_orthogonality_residual"],
-                lay["layer_orthogonality_residual"])
-            m["layer_ratio"] = max(m["layer_ratio"], lay["sup_layer_ratio"])
+            for key, val in (
+                    ("excised_mass_ratio",
+                     zeta_report(zd)["excised_mass_ratio"]),
+                    ("cube_ineq_violation",
+                     -min(ineq["strong_min_eig"], ineq["weak_min_eig"])),
+                    ("layer_sum_residual", lay["sum_residual"]),
+                    ("layer_support_residual", lay["support_residual"]),
+                    ("layer_orthogonality_residual",
+                     lay["layer_orthogonality_residual"]),
+                    ("layer_ratio", lay["sup_layer_ratio"])):
+                m[key] = max(m.get(key, 0.0), val)
         suite.add_trial(digest(f.top, cfg.lambda_exps), m)
     suite.rule("excised_mass_9n", "excised_mass_ratio", 1.0 + 1e-8)
     suite.rule("cube_operator_inequalities", "cube_ineq_violation", 1e-8)
@@ -556,8 +555,8 @@ def run_pseudoloc_decay(cfg, suite):
         # identically-zero entries (the torus truncation empties the far
         # truncated pieces) carry no slope information
         pts = [(x, np.log2(y)) for x, y in zip(xs, ys) if y > 0]
-        if len(pts) < 2:
-            return 0.0
+        if len(pts) < 2:    # no slope: NaN fails every rule that reads it
+            return float("nan")
         return float(np.polyfit([p[0] for p in pts],
                                 [p[1] for p in pts], 1)[0])
 
@@ -659,8 +658,7 @@ def run_nc_pseudoloc(cfg, suite):
         rng = trial_rng(cfg.seed, t)
         f = random_positive_martingale(filt, rng)
         m = {"ratio": 0.0, "identity_residual": 0.0, "zeta_trace": 0.0}
-        for lam in (1.0, 2.0, 4.0):
-            parts = cz_decompose(f, lam)
+        for parts in cz_decompose(f, [1.0, 2.0, 4.0]):
             layers = g_off_layers(parts)["layers"]
             for s in range(s_lo, s_hi + 1):
                 g_s = layers.get(s)

@@ -39,8 +39,13 @@ class Martingale:
             return self.algebra.zero()
         return self.filtration.expect(x, self.levels[i - 1])
 
+    @cached_property
     def sup_l1(self) -> float:
-        return max(schatten_norm(f, 1) for f in self.seq)
+        """max_k ||f_k||_1 from one stacked svd, computed once like
+        ``spectral_floor``."""
+        s = np.linalg.svd(np.stack([f.blocks for f in self.seq]),
+                          compute_uv=False)
+        return float((s.sum(axis=-1) @ self.algebra.weights).max())
 
     @cached_property
     def spectral_floor(self) -> float:

@@ -6,11 +6,11 @@ from nclp.cuculescu import (CuculescuSequence, cuculescu, cuculescu_report,
 from nclp.errors import ContractViolation
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
-from nclp.harness import (ExperimentConfig, Suite, random_positive_martingale,
-                          trial_rng)
+from nclp.harness import (ExperimentConfig, Suite, random_op,
+                          random_positive_martingale, trial_rng)
 from nclp.martingale import Martingale
 from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
-                         l2_norm, op_norm)
+                         l2_norm, op_norm, proj_meet, schatten_norm)
 
 
 def naive_cuculescu(f, lam):
@@ -59,6 +59,17 @@ def per_block_cuculescu(f, lam, convention):
     return qs
 
 
+def delta_trunc_oracle(x, pi, ell):
+    """Delta_{r,ell}(x) as the double loop over pairs j <= i <= ell."""
+    out = x.algebra.zero()
+    idx = [k for k in pi.indices() if k <= ell]
+    for i in idx:
+        for j in idx:
+            if i >= j:
+                out = out + pi.blocks[i] @ x @ pi.blocks[j]
+    return out
+
+
 def _rank_deficient_martingale():
     """Every f_k vanishes on one direction shared by all cells, so its
     compressions keep a kernel the two conventions treat differently."""
@@ -87,6 +98,70 @@ def test_batched_matches_per_block_oracle(spec, convention):
             oracle = per_block_cuculescu(f, 2.0 ** e, convention)
             for q, q_ref in zip(seq.qs, oracle, strict=True):
                 assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
+
+
+def _batch_martingales(spec):
+    if spec == "rank-deficient":
+        return [_rank_deficient_martingale()]
+    filt = build_filtration(spec)
+    return [random_positive_martingale(filt, trial_rng(24, t))
+            for t in range(2)]
+
+
+@pytest.mark.parametrize("convention", ["closed", "half-open"])
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
+                                  "rank-deficient"])
+def test_lambda_batch_matches_per_lambda_calls(spec, convention):
+    lams = 2.0 ** np.arange(-2, 5)
+    for f in _batch_martingales(spec):
+        seqs = cuculescu(f, lams, convention)
+        reports = cuculescu_report(seqs)
+        assert len(seqs) == len(reports) == len(lams)
+        for lam, seq, rep in zip(lams, seqs, reports):
+            one = cuculescu(f, lam, convention)
+            assert isinstance(one, CuculescuSequence)
+            assert seq.lam == one.lam == lam
+            assert seq.convention == convention
+            for q, q_ref in zip(seq.qs, one.qs, strict=True):
+                assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
+            ref = cuculescu_report(one)
+            assert rep.keys() == ref.keys()
+            for key in rep:
+                assert abs(rep[key] - ref[key]) <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [[], [[1.0, 2.0]], [1.0, 0.0], [-1.0, 2.0],
+                                 [1.0, np.nan], [np.inf], 0.0],
+                         ids=["empty", "2-D", "zero", "negative", "nan",
+                              "inf", "scalar-zero"])
+def test_bad_lambda_batch_raises(lam):
+    f = random_positive_martingale(GridFiltration(1, 3, 2), trial_rng(26, 0))
+    with pytest.raises(ContractViolation):
+        cuculescu(f, lam)
+
+
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "rank-deficient"])
+def test_q_lambda_equals_proj_meet_oracle(spec):
+    for f in _batch_martingales(spec):
+        for convention in ("closed", "half-open"):
+            for seq in cuculescu(f, 2.0 ** np.arange(-2, 5), convention):
+                diff = q_lambda(seq).blocks - proj_meet(seq.qs).blocks
+                assert np.abs(diff).max() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
+                                  "rank-deficient"])
+def test_sup_l1_equals_max_schatten_norm(spec):
+    # ||f_k||_1 = tau(f_k) is the same at every level of a positive
+    # martingale, so signed and non-Hermitian tops are checked as well
+    marts = _batch_martingales(spec)
+    alg = marts[0].algebra
+    for t, hermitian in enumerate((True, False)):
+        top = random_op(alg, trial_rng(29, t), hermitian=hermitian)
+        marts.append(Martingale(marts[0].filtration, top))
+    for f in marts:
+        ref = max(schatten_norm(fk, 1) for fk in f.seq)
+        assert abs(f.sup_l1 - ref) <= 1e-12
 
 
 def test_rank_deficient_case_separates_conventions():
@@ -140,7 +215,7 @@ def test_classical_properties_report():
         rep = cuculescu_report(cuculescu(f, lam))
         assert rep["commutator"] < 1e-8
         assert rep["compression_excess"] < 1e-8
-        assert lam * rep["tail_trace"] <= f.sup_l1() + 1e-8
+        assert lam * rep["tail_trace"] <= f.sup_l1 + 1e-8
 
 
 def test_scalar_stopping_time_oracle():
@@ -230,3 +305,19 @@ def test_delta_trunc_contraction_and_nesting():
         prev = tr
     r, _ = delta_split(x, pi)
     assert (prev - r).max_abs() < 1e-10   # full truncation = row part
+
+
+@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,4,2"])
+def test_delta_trunc_matches_pair_loop_oracle(spec):
+    filt = build_filtration(spec)
+    f = random_positive_martingale(filt, trial_rng(27, 0))
+    pi = pi_family(f, (-3, 3))
+    rng = np.random.default_rng(28)
+    alg = f.algebra
+    x = Op(rng.standard_normal((alg.nblocks, alg.d, alg.d))
+           + 1j * rng.standard_normal((alg.nblocks, alg.d, alg.d)), alg)
+    for ell in range(pi.l_min - 1, pi.l_max + 1):
+        got = delta_trunc(x, pi, ell)
+        assert (got - delta_trunc_oracle(x, pi, ell)).max_abs() <= 1e-12
+    r, _ = delta_split(x, pi)
+    assert (r - delta_trunc_oracle(x, pi, pi.l_max)).max_abs() <= 1e-12

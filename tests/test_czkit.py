@@ -40,6 +40,28 @@ def pair_sum_oracle(parts):
     return g_d, g_off, b_d, b_off, terms
 
 
+def thmB1_pair_loop_oracle(tf_family, split):
+    """The A and B parts of thmB1_decompose as double loops over the block
+    pairs above psi."""
+    psi, blocks = split.psi, split.pi_blocks
+    one = psi.algebra.unit()
+    idx = list(range(split.l_min + 1, split.l_max + 1))
+    a_ops, b_ops = [], []
+    for g in tf_family:
+        a = (one - psi) @ g @ psi
+        b = psi @ g @ (one - psi)
+        for i in idx:
+            for j in idx:
+                term = blocks[i] @ g @ blocks[j]
+                if i >= j:
+                    a = a + term
+                else:
+                    b = b + term
+        a_ops.append(a)
+        b_ops.append(b)
+    return a_ops, b_ops
+
+
 def cube_inequality_oracle(zd):
     """zeta_cube_inequalities with one eigvalsh per 2x2 block."""
     filt = zd.parts.filtration
@@ -84,6 +106,35 @@ def test_stacked_cube_inequalities_match_oracle(n, K, d):
         ref = cube_inequality_oracle(zd)
         for key in ("strong_min_eig", "weak_min_eig"):
             assert abs(got[key] - ref[key]) <= 1e-12
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
+def test_lambda_batch_matches_per_lambda_calls(n, K, d):
+    lams = 2.0 ** np.arange(0, 5)
+    for t in range(2):
+        f = random_positive_martingale(GridFiltration(n, K, d),
+                                       trial_rng(62, t))
+        batch = cz_decompose(f, lams)
+        assert len(batch) == len(lams)
+        for lam, parts in zip(lams, batch):
+            ref = cz_decompose(f, lam)
+            assert parts.lam == ref.lam == lam
+            assert parts.m_lambda == ref.m_lambda
+            for got, want in [(parts.g_d, ref.g_d), (parts.g_off, ref.g_off),
+                              (parts.b_d, ref.b_d), (parts.b_off, ref.b_off),
+                              (parts.q, ref.q),
+                              *zip(parts.b_d_terms, ref.b_d_terms,
+                                   strict=True),
+                              *zip(parts.qs, ref.qs, strict=True),
+                              *zip(parts.ps, ref.ps, strict=True)]:
+                assert (got - want).max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("lam", [[], [[1.0, 2.0]], [1.0, 0.0], [2.0, -1.0]],
+                         ids=["empty", "2-D", "zero", "negative"])
+def test_bad_lambda_batch_raises(lam):
+    with pytest.raises(ContractViolation):
+        cz_decompose(_grid_mart(63), lam)
 
 
 def test_decomposition_reassembles():
@@ -190,6 +241,18 @@ def test_thmB1_split_reassembles():
     # the cumulative projections rho(i) increase to the unit
     total = split.rho(split.l_max)
     assert (total - one).max_abs() < 1e-8
+
+
+@pytest.mark.parametrize("K,l_range", [(3, (-2, 4)), (4, (-3, 3))])
+def test_thmB1_telescoped_parts_match_pair_loop_oracle(K, l_range):
+    f = _grid_mart(64, K=K)
+    fam = OperatorFamily(f.diffs[1:])
+    split = thmB1_decompose(fam, f, l_range)
+    a_ref, b_ref = thmB1_pair_loop_oracle(fam, split)
+    for got, ref in zip(split.a_part, a_ref, strict=True):
+        assert (got - ref).max_abs() <= 1e-12
+    for got, ref in zip(split.b_part, b_ref, strict=True):
+        assert (got - ref).max_abs() <= 1e-12
 
 
 def test_thmB1_range_check():

@@ -51,6 +51,38 @@ def test_nan_trial_value_is_not_dropped_from_the_aggregate():
     assert a["pass"] is False
 
 
+def _refuse_constant(token):
+    raise AssertionError(f"non-strict JSON token {token}")
+
+
+def test_report_json_is_strict_for_a_missing_metric():
+    suite = Suite(ExperimentConfig("norms").resolved())
+    suite.add_trial("x", {"other": 0.0, "low": -np.inf, "high": np.inf})
+    suite.rule("check", "residual", 1e-8)
+    rep = suite.report()
+    parsed = json.loads(report_json(rep), parse_constant=_refuse_constant)
+    (assertion,) = parsed["assertions"]
+    assert assertion["measured"] == "NaN" and assertion["pass"] is False
+    assert parsed["trials"][0]["metrics"]["low"] == "-Infinity"
+    assert parsed["trials"][0]["metrics"]["high"] == "Infinity"
+    # the in-memory report keeps its floats
+    assert np.isnan(rep["assertions"][0]["measured"])
+    assert rep["trials"][0]["metrics"]["low"] == -np.inf
+
+
+def test_slope_from_one_nonzero_point_is_nan_and_fails():
+    # a single shift leaves one point to fit: no slope, not a 0.0 that
+    # passes phi_slope_lower
+    rep = run(ExperimentConfig("pseudoloc-decay", depth=6, s_range=(3, 3)))
+    assert rep["trials"][0]["metrics"]["phi_norm"] > 0.0
+    result = {a["name"]: a for a in rep["assertions"]}
+    for name in ("phi_slope_upper", "phi_slope_lower", "psi_slope_upper",
+                 "psi_slope_lower"):
+        assert np.isnan(result[name]["measured"])
+        assert result[name]["pass"] is False
+    json.loads(report_json(rep), parse_constant=_refuse_constant)
+
+
 def test_trial_rng_reproducible_and_independent():
     a = trial_rng(5, 0).standard_normal(4)
     b = trial_rng(5, 0).standard_normal(4)
