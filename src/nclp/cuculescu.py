@@ -127,9 +127,6 @@ class PiFamily:
     def indices(self):
         return range(self.l_min, self.l_max + 1)
 
-    def w_ell(self, ell: int) -> Op:
-        return self.w[ell]
-
 
 def pi_family(f: Martingale, l_range: tuple[int, int],
               convention: str = "closed") -> PiFamily:
@@ -150,10 +147,6 @@ def pi_family(f: Martingale, l_range: tuple[int, int],
     for ell in range(l_min + 1, l_max + 1):
         blocks[ell] = w[ell] - w[ell - 1]
     return PiFamily(l_min, l_max, blocks, w)
-
-
-def w_ell(pi: PiFamily, ell: int) -> Op:
-    return pi.w_ell(ell)
 
 
 def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:

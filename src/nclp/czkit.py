@@ -262,9 +262,6 @@ class B1Split:
         return sum((self.pi_blocks[j] for j in range(self.l_min + 1, i + 1)),
                    self.psi)
 
-    def w_ell(self, ell: int) -> Op:
-        return self.rho(ell)
-
 
 def thmB1_decompose(tf_family: OperatorFamily, f: Martingale,
                     l_range: tuple[int, int]):

@@ -205,12 +205,6 @@ def dyadic_father(Q: DyadicCube) -> DyadicCube:
     return DyadicCube(Q.level - 1, tuple(c // 2 for c in Q.corner), Q.n)
 
 
-def concentric_father(filtration: GridFiltration, Q: DyadicCube,
-                      delta: int) -> np.ndarray:
-    """Cell mask of delta*Q; measure is delta^n * |Q| exactly (torus wrap)."""
-    return filtration.concentric_mask(Q, delta)
-
-
 def build_filtration(spec: AlgebraSpec | str) -> Filtration:
     if isinstance(spec, str):
         spec = parse_spec(spec)

@@ -195,7 +195,6 @@ class Suite:
                             for _, m, thr in self.rules)
         cfg = {k: v for k, v in asdict(self.config).items()
                if v is not None and k not in ("out", "format")}
-        cfg["backend"] = __import__("nclp._accel", fromlist=["x"]).backend_name()
         return {"experiment": self.config.experiment,
                 "config": cfg,
                 "trials": self.trials,

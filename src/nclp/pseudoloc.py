@@ -9,7 +9,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _accel
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
@@ -33,7 +32,7 @@ def delta_level(f: np.ndarray, j: int) -> np.ndarray:
 
 
 def grid_l2(f: np.ndarray, K: int) -> float:
-    """L2 norm with the cell measure 2^{-K} (extra axes summed)."""
+    """L2 norm with the cell measure 2^{-K} (all axes summed)."""
     return float(np.sqrt(2.0 ** (-K) * (np.abs(f) ** 2).sum()))
 
 
@@ -91,9 +90,22 @@ def _from_haar(block: np.ndarray, N: int, col_start: int = 0) -> np.ndarray:
 # kernel families
 # ---------------------------------------------------------------------------
 
+def _torus_offsets(N: int) -> np.ndarray:
+    """Signed torus offsets t_n = n/N of cell midpoints, in [-1/2, 1/2)."""
+    return (np.arange(N) / N + 0.5) % 1.0 - 0.5
+
+
+def _circulant_index(N: int) -> np.ndarray:
+    """The table (i - j) mod N: entry (i, j) of a circulant is entry
+    (i - j) mod N of its first column."""
+    i = np.arange(N)
+    return (i[:, None] - i[None, :]) % N
+
+
 @dataclass(frozen=True)
 class HilbertKernel:
-    """M-component kernel (x, y) -> C^M with declared size/smoothness data."""
+    """M-component convolution kernel t -> C^M on the torus with declared
+    size/smoothness data."""
 
     family: str                  # "lp-bumps" | "hilbert" | "annuli"
     M: int
@@ -102,15 +114,27 @@ class HilbertKernel:
     C2: float
     cutoff: float = 0.0          # only used by the Hilbert-type family
 
-    def evaluate(self, diff: np.ndarray) -> np.ndarray:
+    def column(self, N: int) -> np.ndarray:
+        """(M, N) kernel values at the offsets ``_torus_offsets(N)``."""
+        t = _torus_offsets(N)
         if self.family == "lp-bumps":
-            return _accel.lp_bumps_components(diff, self.M)
+            # k_m(t) = 2^m b(2^m t), b(u) = u (1 - u^2)^2 on |u| < 1
+            scale = 2.0 ** np.arange(1, self.M + 1)[:, None]
+            u = scale * t
+            return scale * np.where(np.abs(u) < 1.0, u * (1.0 - u * u) ** 2,
+                                    0.0)
         if self.family == "hilbert":
-            vals = _accel.hilbert_component(diff, self.cutoff)
-            taper = np.clip(2.0 * (1.0 - np.abs(diff) / self.cutoff), 0.0, 1.0)
-            return vals * taper[None, :, :]
-        raise ContractViolation(
-            f"kernel family {self.family!r} has no pointwise evaluator")
+            # 1/t on 0 < |t| <= cutoff, tapered by min(1, 2 (1 - |t|/cutoff))
+            inv = np.divide(1.0, t, out=np.zeros(N), where=t != 0.0)
+            vals = np.where(np.abs(t) > self.cutoff, 0.0, inv)
+            taper = np.clip(2.0 * (1.0 - np.abs(t) / self.cutoff), 0.0, 1.0)
+            return (vals * taper)[None, :]
+        if self.family == "annuli":
+            # the multipliers of the annuli 2^k <= |xi| < 2^{k+1}
+            xi = np.abs(np.fft.fftfreq(N, d=1.0 / N))
+            lo = 2.0 ** np.arange(self.M)[:, None]
+            return np.fft.ifft(((xi >= lo) & (xi < 2.0 * lo)).astype(float))
+        raise ContractViolation(f"unknown kernel family {self.family!r}")
 
 
 def lp_bumps_kernel(M: int) -> HilbertKernel:
@@ -125,8 +149,7 @@ def hilbert_kernel(cutoff: float = 0.25) -> HilbertKernel:
 
 
 def annuli_kernel(K: int) -> HilbertKernel:
-    """Dyadic frequency multipliers; realized in frequency space, no
-    pointwise evaluator."""
+    """Dyadic frequency multipliers, one per annulus 2^k <= |xi| < 2^{k+1}."""
     return HilbertKernel("annuli", K, gamma=1.0, C1=np.nan, C2=np.nan)
 
 
@@ -166,41 +189,29 @@ class DiscOp:
 
 
 def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
-    """Midpoint-quadrature assembly with hard zero on the diagonal and on
-    torus distance <= eps."""
+    """The circulant with first column ``kernel.column(2^K)``.  Except for
+    the ``annuli`` multipliers (left as they are, ``eps`` ignored) it is a
+    midpoint quadrature: scaled by 2^{-K}, with hard zero on the diagonal
+    and on torus distance <= eps."""
     if K < 2:
         raise ContractViolation("grid depth K >= 2 required")
     N = 2 ** K
-    if kernel.family == "annuli":
-        return _assemble_annuli(kernel, K, eps)
-    diff = _accel.torus_diff_1d(N)
-    mats = kernel.evaluate(diff)           # scaled and zeroed in place
-    if not np.all(np.isfinite(mats)):
-        bad = np.argwhere(~np.isfinite(mats))[0]
+    col = kernel.column(N)
+    if not np.all(np.isfinite(col)):
+        bad = np.argwhere(~np.isfinite(col))[0]
         raise NumericError(f"kernel evaluation not finite at {tuple(bad)}")
-    mats *= 2.0 ** (-K)
-    kill = np.abs(diff) <= eps
-    np.fill_diagonal(kill, True)
-    mats[:, kill] = 0.0
-    return DiscOp(mats, K, kernel, float(eps))
-
-
-def _assemble_annuli(kernel: HilbertKernel, K: int, eps: float) -> DiscOp:
-    N = 2 ** K
-    freqs = np.fft.fftfreq(N, d=1.0 / N).astype(int)
-    eye_hat = np.fft.fft(np.eye(N), axis=0)
-    mats = np.empty((K, N, N), dtype=complex)
-    for k in range(K):
-        lo, hi = 2 ** k, 2 ** (k + 1)
-        mask = ((freqs >= lo) & (freqs < hi)) | ((freqs > -hi) & (freqs <= -lo))
-        mats[k] = np.fft.ifft(mask[:, None] * eye_hat, axis=0)
-    return DiscOp(mats, K, kernel, float(eps))
+    if kernel.family != "annuli":
+        col *= 2.0 ** (-K)
+        col[:, np.abs(_torus_offsets(N)) <= eps] = 0.0
+        col[:, 0] = 0.0
+    return DiscOp(np.take(col, _circulant_index(N), axis=1), K, kernel,
+                  float(eps))
 
 
 def truncated_mats(T: DiscOp, eps: float) -> np.ndarray:
     """Entries of T_eps: zero where torus distance <= eps."""
-    dist = np.abs(_accel.torus_diff_1d(T.N))
-    return np.where(dist[None, :, :] <= eps, 0.0, T.mats)
+    far = np.abs(_torus_offsets(T.N)) > eps
+    return np.where(far[_circulant_index(T.N)], T.mats, 0.0)
 
 
 # -- operator norms ----------------------------------------------------------
@@ -446,9 +457,9 @@ def rho_bmo(rho: np.ndarray, K: int) -> float:
 def paraproduct_bound_report(T: DiscOp, f: np.ndarray) -> dict:
     rho = adjoint_one(T)
     out = paraproduct(rho, f, T.K)
-    lhs = float(np.sqrt(T.measure * (np.abs(out) ** 2).sum()))
+    lhs = grid_l2(out, T.K)
     bmo = rho_bmo(rho, T.K)
-    f2 = float(np.sqrt(T.measure * (np.abs(f) ** 2).sum()))
+    f2 = grid_l2(f, T.K)
     return {"lhs": lhs, "bound": bmo * f2, "slack": bmo * f2 - lhs}
 
 
@@ -456,17 +467,10 @@ def paraproduct_bound_report(T: DiscOp, f: np.ndarray) -> dict:
 # localization sets and checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SigmaSet:
-    mask: np.ndarray             # union of the 9-fold dilations
-
-    def outside(self) -> np.ndarray:
-        return ~self.mask
-
-
-def sigma_set(f: np.ndarray, s: int, K: int, tol: float = 1e-12) -> SigmaSet:
-    """Omega_k = smallest level-k cube set containing supp Delta_{k+s} f;
-    Sigma = union of the 9-fold dilations."""
+def sigma_set(f: np.ndarray, s: int, K: int,
+              tol: float = 1e-12) -> np.ndarray:
+    """Cell mask of Sigma_{f,s}: Omega_k = smallest level-k cube set
+    containing supp Delta_{k+s} f; Sigma = union of the 9-fold dilations."""
     N = f.shape[0]
     scale = max(np.abs(f).max(), 1e-300)
     mask = np.zeros(N, dtype=bool)
@@ -475,18 +479,17 @@ def sigma_set(f: np.ndarray, s: int, K: int, tol: float = 1e-12) -> SigmaSet:
         L = N >> k
         cubes = np.unique(np.nonzero(supp)[0] // L)
         mask[(cubes[:, None] * L + np.arange(-4 * L, 5 * L)) % N] = True
-    return SigmaSet(mask)
+    return mask
 
 
 def commutative_pseudoloc_check(T: DiscOp, f: np.ndarray, s: int) -> dict:
     """||Tf||_{L2(H)} outside Sigma_{f,s} against s 2^{-gamma s/2} ||f||_2."""
     _check_s(T.K, s)
     gamma = T.kernel.gamma if T.kernel else 1.0
-    sig = sigma_set(f, s, T.K)
     tf = T.apply(f)
-    out = sig.outside()
-    val = float(np.sqrt(T.measure * (np.abs(tf[:, out]) ** 2).sum()))
-    f2 = float(np.sqrt(T.measure * (np.abs(f) ** 2).sum()))
+    out = ~sigma_set(f, s, T.K)
+    val = grid_l2(tf[:, out], T.K)
+    f2 = grid_l2(f, T.K)
     denom = s * 2.0 ** (-gamma * s / 2.0) * max(f2, 1e-300)
     return {"outside_norm": val, "ratio": val / denom,
             "outside_fraction": float(out.mean())}
@@ -502,9 +505,8 @@ def vanish_check(T: DiscOp, f: np.ndarray, s: int) -> float:
     for k in range(0, T.K - s + 1):
         g = delta_level(f, k + s)
         total += e_level(paraproduct_adjoint(rho, g, T.K), k)
-    sig = sigma_set(f, s, T.K)
-    out = sig.outside()
-    f2 = float(np.sqrt(T.measure * (np.abs(f) ** 2).sum()))
+    out = ~sigma_set(f, s, T.K)
+    f2 = grid_l2(f, T.K)
     if not out.any():
         return 0.0
     return float(np.abs(total[out]).max() / max(f2, 1e-300))
@@ -517,8 +519,7 @@ def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int) -> float:
     grid truncates the bi-infinite telescope at level 0).
     """
     _check_s(T.K, s)
-    sig = sigma_set(f, s, T.K)
-    out = sig.outside()
+    out = ~sigma_set(f, s, T.K)
     if not out.any():
         return 0.0
     lhs = T.apply(f)

@@ -4,7 +4,7 @@ import pytest
 from nclp.errors import ContractViolation
 from nclp.filtration import (CornerFiltration, DyadicCube, GridFiltration,
                              TensorDyadicFiltration, build_filtration,
-                             concentric_father, dyadic_father, parse_spec)
+                             dyadic_father, parse_spec)
 from nclp.opcore import Op
 
 
@@ -130,4 +130,4 @@ def test_concentric_father_measure():
     Q = filt.cube_of_cell(3, 5)
     assert DyadicCube(3, Q.corner, 1).measure == pytest.approx(2.0 ** -3)
     # concentric father 9Q of a single-cell cube on a 32-cell torus
-    assert concentric_father(filt, Q, 9).sum() == 9
+    assert filt.concentric_mask(Q, 9).sum() == 9

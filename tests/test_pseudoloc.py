@@ -5,7 +5,8 @@ from nclp.errors import ContractViolation, NumericError
 from nclp.filtration import GridFiltration
 from nclp.harness import random_positive_martingale, trial_rng
 from nclp.opcore import Op
-from nclp.pseudoloc import (DiscOp, adjoint_one, annuli_kernel, assemble,
+from nclp.pseudoloc import (DiscOp, _circulant_index, _torus_offsets,
+                            adjoint_one, annuli_kernel, assemble,
                             cotlar_bound, delta_level, e_level, ekt_delta,
                             estimate_norm, family_gram, grid_l2, haar, haar2,
                             hilbert_kernel, ihaar, ksk_check, lambda_family,
@@ -137,6 +138,80 @@ def test_assemble_eps_zeroing():
     N = T.N
     diff = (np.subtract.outer(np.arange(N), np.arange(N)) / N + 0.5) % 1 - 0.5
     assert np.all(T.mats[:, np.abs(diff) <= 0.25] == 0.0)
+
+
+# -- dense N x N oracle for the circulant assembly ----------------------------
+# Every kernel evaluated on the full table of torus differences x_i - y_j, and
+# the annuli built by filtering each column of the identity.
+
+def dense_torus_diff(N):
+    i = np.arange(N)
+    return ((i[:, None] - i[None, :]) / N + 0.5) % 1.0 - 0.5
+
+
+def oracle_assemble(kernel, K, eps):
+    N = 2 ** K
+    diff = dense_torus_diff(N)
+    if kernel.family == "lp-bumps":
+        mats = np.empty((kernel.M, N, N))
+        for m in range(1, kernel.M + 1):
+            scale = 2.0 ** m
+            t = scale * diff
+            mats[m - 1] = scale * np.where(np.abs(t) < 1.0,
+                                           t * (1.0 - t * t) ** 2, 0.0)
+    else:
+        with np.errstate(divide="ignore"):
+            vals = np.where(diff != 0.0,
+                            1.0 / np.where(diff == 0.0, 1.0, diff), 0.0)
+        vals = np.where(np.abs(diff) > kernel.cutoff, 0.0, vals)
+        taper = np.clip(2.0 * (1.0 - np.abs(diff) / kernel.cutoff), 0.0, 1.0)
+        mats = (vals * taper)[None, :, :]
+    mats *= 2.0 ** (-K)
+    kill = np.abs(diff) <= eps
+    np.fill_diagonal(kill, True)
+    mats[:, kill] = 0.0
+    return mats
+
+
+def oracle_annuli(K):
+    N = 2 ** K
+    freqs = np.fft.fftfreq(N, d=1.0 / N).astype(int)
+    eye_hat = np.fft.fft(np.eye(N), axis=0)
+    mats = np.empty((K, N, N), dtype=complex)
+    for k in range(K):
+        lo, hi = 2 ** k, 2 ** (k + 1)
+        mask = ((freqs >= lo) & (freqs < hi)) | ((freqs > -hi)
+                                                 & (freqs <= -lo))
+        mats[k] = np.fft.ifft(mask[:, None] * eye_hat, axis=0)
+    return mats
+
+
+def test_torus_offsets_range_and_antisymmetry():
+    N = 16
+    d = _torus_offsets(N)[_circulant_index(N)]
+    assert np.array_equal(d, dense_torus_diff(N))
+    assert d.min() >= -0.5 and d.max() < 0.5
+    off = d + d.T
+    # antisymmetric except at the -0.5 seam where both entries wrap
+    assert np.all((np.abs(off) < 1e-15) | (np.abs(off + 1.0) < 1e-15))
+    assert np.allclose(np.diag(d), 0.0)
+
+
+@pytest.mark.parametrize("K", [4, 7, 9])
+def test_assemble_matches_dense_oracle(K):
+    for kernel in (lp_bumps_kernel(K), hilbert_kernel()):
+        for eps in (0.0, 0.01):
+            assert np.array_equal(assemble(kernel, K, eps).mats,
+                                  oracle_assemble(kernel, K, eps))
+    T = assemble(annuli_kernel(K), K)
+    assert np.abs(T.mats - oracle_annuli(K)).max() <= 1e-15
+
+
+def test_assemble_rejects_non_finite_kernel():
+    # cutoff 0 makes the taper 0/0 at the zero offset
+    with np.errstate(divide="ignore", invalid="ignore"), \
+            pytest.raises(NumericError):
+        assemble(hilbert_kernel(cutoff=0.0), 4)
 
 
 def test_assemble_rejects_shallow_grid():
@@ -370,7 +445,6 @@ def test_sigma_set_scalar_oracle():
     f = np.zeros(N)
     f[8] = 1.0
     s = 2
-    sig = sigma_set(f, s, K)
     # at level k, the bad cube is the level-k cube containing cell 8 when
     # Delta_{k+s} f is supported there (always true for a dirac)
     manual = np.zeros(N, dtype=bool)
@@ -379,7 +453,7 @@ def test_sigma_set_scalar_oracle():
         c = 8 // L
         idx = np.arange((c - 4) * L, (c + 5) * L) % N
         manual[idx] = True
-    assert np.array_equal(sig.mask, manual)
+    assert np.array_equal(sigma_set(f, s, K), manual)
 
 
 def test_localization_contract_error():
