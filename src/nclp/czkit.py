@@ -9,7 +9,7 @@ import numpy as np
 
 from .cuculescu import cuculescu, q_lambda
 from .errors import ContractViolation
-from .filtration import GridFiltration, dyadic_father
+from .filtration import GridFiltration
 from .martingale import Martingale, OperatorFamily
 from .opcore import (Interval, Op, is_projection, l2_norm, op_norm, proj_join,
                      proj_meet, schatten_norm, spectral_projection)
@@ -83,12 +83,15 @@ def cz_report(parts: CZParts) -> dict:
     n = parts.filtration.n
     lam = parts.lam
     l1 = schatten_norm(f.top, 1)
+    # ||t||_1 of every b_d term from one stacked svd
+    sv = np.linalg.svd(np.stack([t.blocks for t in parts.b_d_terms]),
+                       compute_uv=False)
     recon = parts.g_d + parts.g_off + parts.b_d + parts.b_off - f.top
     return {
         "reconstruction_residual": recon.max_abs(),
         "g_d_l2sq": l2_norm(parts.g_d) ** 2,
         "g_d_bound": (2.0 ** n) * lam * l1,
-        "b_d_l1_sum": sum(schatten_norm(t, 1) for t in parts.b_d_terms),
+        "b_d_l1_sum": float((sv.sum(axis=2) @ f.algebra.weights).sum()),
         "b_d_bound": 2.0 * l1,
         "m_lambda": parts.m_lambda,
     }
@@ -108,15 +111,6 @@ class ZetaData:
     parts: CZParts
 
 
-def cube_constant_blocks(filt: GridFiltration, q: Op, k: int) -> dict:
-    """The per-cube blocks xi_Q of a level-k cube-constant projection."""
-    out = {}
-    for Q in filt.cubes_at_level(k):
-        cells = filt.cube_cells(Q)
-        out[(k, Q.corner)] = q.blocks[cells[0]]
-    return out
-
-
 def zeta(f: Martingale, lam: float, parts: CZParts | None = None) -> ZetaData:
     """Bad-set excision: psi_k sums the lost cube blocks smeared over the
     9-fold dilations; zeta(lambda) is the meet of their complements."""
@@ -126,24 +120,22 @@ def zeta(f: Martingale, lam: float, parts: CZParts | None = None) -> ZetaData:
     alg = f.algebra
     d = alg.d
     m_lam = parts.m_lambda
-    xi = {}
-    for pos, k in enumerate(f.levels):
-        xi.update(cube_constant_blocks(filt, parts.qs[pos], k))
+    # xi_Q is the block of q_k on the first cell of the level-k cube Q
+    xi = {(k, c): b for pos, k in enumerate(f.levels)
+          for c, b in zip(np.ndindex(*(2 ** k,) * filt.n),
+                          parts.qs[pos].blocks[filt.first_cells(k)])}
     psi_list = []
     zeta_k_list = []
-    running = np.zeros((alg.nblocks, d, d), dtype=complex)
+    running = np.zeros((alg.nblocks, d * d), dtype=complex)
     for pos, k in enumerate(f.levels):
         if k > m_lam:
-            qk = parts.qs[pos]
+            first = filt.first_cells(k)
             qprev = parts.qs[pos - 1] if pos > 0 else alg.unit()
-            for Q in filt.cubes_at_level(k):
-                cells = filt.cube_cells(Q)
-                diff = qprev.blocks[cells[0]] - qk.blocks[cells[0]]
-                if np.abs(diff).max() <= 1e-14:
-                    continue
-                mask = filt.concentric_mask(Q, 9)
-                running[mask] += diff
-        psi = Op(running.copy(), alg)
+            diff = qprev.blocks[first] - parts.qs[pos].blocks[first]
+            diff[np.abs(diff).max(axis=(1, 2)) <= 1e-14] = 0.0
+            running = running + filt.dilation_masks(k, 9).T @ diff.reshape(
+                len(first), -1)
+        psi = Op(running.reshape(-1, d, d), alg)
         supp = spectral_projection(psi.hermitize(), Interval(1e-9, None,
                                                              closed_lo=False))
         psi_list.append(psi)
@@ -172,17 +164,20 @@ def zeta_cube_inequalities(zd: ZetaData) -> dict:
     Returns the most negative eigenvalue seen for each difference (>= -1e-8
     means the inequality holds).
     """
-    filt = zd.parts.filtration
+    filt, qs = zd.parts.filtration, zd.parts.qs
     strong, weak = [], []
-    for k in zd.parts.martingale.levels:
-        if k == 0:
-            continue
-        for Q in filt.cubes_at_level(k):
-            xi_q = zd.xi[(k, Q.corner)]
-            xi_hat = zd.xi[(k - 1, dyadic_father(Q).corner)]
-            zb = zd.zeta.blocks[filt.concentric_mask(Q, 9)]
-            strong.append(np.eye(filt.d) - xi_hat + xi_q - zb)
-            weak.append(xi_q - zb)
+    for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
+        # one (cube, cell) pair per cell of each 9Q; the father of the cube
+        # at corner c is the level-(k-1) cube at corner c // 2
+        cube, cell = np.nonzero(filt.dilation_masks(k, 9))
+        corner = np.unravel_index(cube, (2 ** k,) * filt.n)
+        father = np.ravel_multi_index(tuple(c // 2 for c in corner),
+                                      (2 ** (k - 1),) * filt.n)
+        xi_q = qs[pos].blocks[filt.first_cells(k)[cube]]
+        xi_hat = qs[pos - 1].blocks[filt.first_cells(k - 1)[father]]
+        zb = zd.zeta.blocks[cell]
+        strong.append(np.eye(filt.d) - xi_hat + xi_q - zb)
+        weak.append(xi_q - zb)
     h = np.stack([np.concatenate(strong), np.concatenate(weak)])
     w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
     return {"strong_min_eig": float(w[0].min()),

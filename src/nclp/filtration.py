@@ -163,22 +163,33 @@ class GridFiltration(Filtration):
         i, j = divmod(cell, self.side)
         return DyadicCube(k, (i // L, j // L), 2)
 
-    def concentric_mask(self, Q: "DyadicCube", delta: int) -> np.ndarray:
-        """Boolean cell mask of the concentric dilation delta*Q (torus wrap)."""
+    def first_cells(self, k: int) -> np.ndarray:
+        """Flat index of the first cell of each level-k cube, in the order of
+        ``cubes_at_level(k)``."""
+        starts = np.arange(2 ** k) * 2 ** (self.K - k)
+        if self.n == 1:
+            return starts
+        return (starts[:, None] * self.side + starts[None, :]).ravel()
+
+    def dilation_masks(self, k: int, delta: int) -> np.ndarray:
+        """(cubes, cells) boolean incidence of the concentric dilations
+        delta*Q (torus wrap), one row per cube of ``cubes_at_level(k)``."""
         if delta % 2 == 0 or delta < 1:
             raise ContractViolation("concentric dilation factor must be odd")
-        L = 2 ** (self.K - Q.level)
-        r = (delta - 1) // 2
-        mask_axes = []
-        for c in Q.corner:
-            m = np.zeros(self.side, dtype=bool)
-            lo = c * L - r * L
-            idx = (np.arange(lo, lo + delta * L)) % self.side
-            m[idx] = True
-            mask_axes.append(m)
+        # along each axis a cell lies in delta*Q iff its level-k cube is at
+        # most (delta - 1)/2 cubes away from Q, mod 2^k; delta >= 2^k covers
+        # the whole axis
+        cube = np.arange(self.side) // 2 ** (self.K - k)
+        away = cube - np.arange(2 ** k)[:, None]
+        m = (away + (delta - 1) // 2) % 2 ** k < delta
         if self.n == 1:
-            return mask_axes[0]
-        return (mask_axes[0][:, None] & mask_axes[1][None, :]).ravel()
+            return m
+        return (m[:, None, :, None] & m[None, :, None, :]).reshape(4 ** k, -1)
+
+    def concentric_mask(self, Q: "DyadicCube", delta: int) -> np.ndarray:
+        """Boolean cell mask of the concentric dilation delta*Q (torus wrap)."""
+        row = np.ravel_multi_index(Q.corner, (2 ** Q.level,) * self.n)
+        return self.dilation_masks(Q.level, delta)[row]
 
 
 @dataclass(frozen=True)

@@ -311,25 +311,27 @@ def run_gundy(cfg, suite):
                                max(op_norm(f.top), 1e-9)))) + 1)))
         for e in cfg.lambda_exps:
             parts = gundy(f, 2.0 ** e)
+            # running maxima use np.maximum, which keeps a NaN: the builtin
+            # max(0.0, nan) is 0.0 and would turn a failed check into a PASS
             for k in range(len(f.diffs)):
                 s = parts.d_alpha[k] + parts.d_beta[k] + parts.d_gamma[k]
-                m["recon_residual"] = max(m["recon_residual"],
-                                          (s - f.diffs[k]).max_abs())
+                m["recon_residual"] = np.maximum(m["recon_residual"],
+                                                 (s - f.diffs[k]).max_abs())
                 for dpart in (parts.d_alpha, parts.d_beta, parts.d_gamma):
-                    m["mart_residual"] = max(
+                    m["mart_residual"] = np.maximum(
                         m["mart_residual"],
                         f.expect_before(k, dpart[k]).max_abs())
             q = q_lambda(parts.seq)
             for dg in parts.d_gamma:
-                m["gamma_annihilation"] = max(m["gamma_annihilation"],
-                                              (q @ dg @ q).max_abs())
+                m["gamma_annihilation"] = np.maximum(
+                    m["gamma_annihilation"], (q @ dg @ q).max_abs())
                 if pi.l_min < e <= pi.l_max:
-                    m["trunc_residual"] = max(
+                    m["trunc_residual"] = np.maximum(
                         m["trunc_residual"], delta_trunc(dg, pi, e).max_abs())
             rep = gundy_verify(parts)
-            m["alpha_ratio"] = max(m["alpha_ratio"], rep["alpha"])
-            m["beta_ratio"] = max(m["beta_ratio"], rep["beta"])
-            m["gamma_ratio"] = max(m["gamma_ratio"], rep["gamma"])
+            m["alpha_ratio"] = np.maximum(m["alpha_ratio"], rep["alpha"])
+            m["beta_ratio"] = np.maximum(m["beta_ratio"], rep["beta"])
+            m["gamma_ratio"] = np.maximum(m["gamma_ratio"], rep["gamma"])
         suite.add_trial(digest(f.top, cfg.lambda_exps), m)
     suite.rule("reconstruction", "recon_residual", 1e-10)
     suite.rule("parts_are_martingales", "mart_residual", 1e-10)
@@ -454,14 +456,14 @@ def run_zeta(cfg, suite):
             for key, val in (
                     ("excised_mass_ratio",
                      zeta_report(zd)["excised_mass_ratio"]),
-                    ("cube_ineq_violation",
-                     -min(ineq["strong_min_eig"], ineq["weak_min_eig"])),
+                    ("cube_ineq_violation", -np.minimum(
+                        ineq["strong_min_eig"], ineq["weak_min_eig"])),
                     ("layer_sum_residual", lay["sum_residual"]),
                     ("layer_support_residual", lay["support_residual"]),
                     ("layer_orthogonality_residual",
                      lay["layer_orthogonality_residual"]),
                     ("layer_ratio", lay["sup_layer_ratio"])):
-                m[key] = max(m.get(key, 0.0), val)
+                m[key] = np.maximum(m.get(key, 0.0), val)
         suite.add_trial(digest(f.top, cfg.lambda_exps), m)
     suite.rule("excised_mass_9n", "excised_mass_ratio", 1.0 + 1e-8)
     suite.rule("cube_operator_inequalities", "cube_ineq_violation", 1e-8)
@@ -536,7 +538,6 @@ def run_pseudoloc_decay(cfg, suite):
     s_lo, s_hi = cfg.s_range
     rng = trial_rng(cfg.seed, 0)
     svals, phin, psin = [], [], []
-    comm_ratio = 0.0
     for s in range(s_lo, s_hi + 1):
         phi = pl.estimate_norm(pl.phi_s_hat(t0_hat, s))
         psi = pl.estimate_norm(pl.psi_s_hat(T, s))
@@ -545,7 +546,6 @@ def run_pseudoloc_decay(cfg, suite):
         psin.append(psi)
         f = _localized_scalar(T.N, T.K, s, rng)
         chk = pl.commutative_pseudoloc_check(T, f, s)
-        comm_ratio = max(comm_ratio, chk["ratio"])
         suite.add_trial(digest(np.array([s]), T.mats[0, 0]), {
             "s": float(s), "phi_norm": phi, "psi_norm": psi,
             "comm_ratio": chk["ratio"],
@@ -586,8 +586,8 @@ def run_ksk(cfg, suite):
         resid = size_c = 0.0
         for k in range(0, min(3, K - s)):
             rep = pl.ksk_check(T, s, k, n_pairs=70, rng=rng)
-            resid = max(resid, rep["max_residual"])
-            size_c = max(size_c, rep["size_constant"])
+            resid = np.maximum(resid, rep["max_residual"])
+            size_c = np.maximum(size_c, rep["size_constant"])
         suite.add_trial(digest(np.array([K, s]), T.mats[0, 0]), {
             "max_residual": resid, "size_constant": size_c,
         })
@@ -618,9 +618,9 @@ def run_vanish(cfg, suite):
         worst = worst_rest = 0.0
         for s in range(s_lo, s_hi + 1):
             f = _localized_scalar(T.N, T.K, s, rng)
-            worst = max(worst, pl.vanish_check(T, f, s))
-            worst_rest = max(worst_rest,
-                             pl.restriction_identity_residual(T, f, s))
+            worst = np.maximum(worst, pl.vanish_check(T, f, s))
+            worst_rest = np.maximum(
+                worst_rest, pl.restriction_identity_residual(T, f, s))
         suite.add_trial(digest(np.array([t]), T.mats[0, 0]), {
             "vanish_residual": worst,
             "restriction_residual": worst_rest,
@@ -665,11 +665,12 @@ def run_nc_pseudoloc(cfg, suite):
                     continue
                 rep = pl.nc_pseudoloc_check(T, g_s, s, filt, parts.qs,
                                             identity_check=(t == 0))
-                m["ratio"] = max(m["ratio"], rep["ratio"])
-                m["zeta_trace"] = max(m["zeta_trace"], rep["zeta_trace"])
+                m["ratio"] = np.maximum(m["ratio"], rep["ratio"])
+                m["zeta_trace"] = np.maximum(m["zeta_trace"],
+                                             rep["zeta_trace"])
                 if "identity_residual" in rep:
-                    m["identity_residual"] = max(m["identity_residual"],
-                                                 rep["identity_residual"])
+                    m["identity_residual"] = np.maximum(
+                        m["identity_residual"], rep["identity_residual"])
         suite.add_trial(digest(f.top), m)
     # d = 1 reduction against the plain scalar masked norm
     red = _nc_scalar_reduction(cfg, T, K)
@@ -707,8 +708,9 @@ def _nc_scalar_reduction(cfg, T, K):
         fop = Op(f.astype(complex)[:, None, None], filt1.algebra)
         rep = pl.nc_pseudoloc_check(T, fop, s, filt1, q_list)
         chk = pl.commutative_pseudoloc_check(T, f, s)
-        worst = max(worst, abs(rep["compressed_norm"] - chk["outside_norm"]))
-    return worst
+        worst = np.maximum(worst,
+                           abs(rep["compressed_norm"] - chk["outside_norm"]))
+    return float(worst)
 
 
 def run_bmo_czo(cfg, suite):

@@ -12,8 +12,8 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import (Op, annihilation_check, dense_algebra, l2_norm,
-                     proj_join)
+from .opcore import (MEET_NULL_TOL, Interval, Op, annihilation_check, l2_norm,
+                     spectral_projection)
 
 # ---------------------------------------------------------------------------
 # dyadic averaging on the scalar grid
@@ -551,30 +551,20 @@ def localization_check(T: DiscOp, x0: float, r1: float, r2: float) -> dict:
 
 def zeta_fs(filt: GridFiltration, q_list: list[Op], levels: list[int]) -> Op:
     """zeta_{f,s} = meet_k ( 1 - join_Q (1 - xi_Q) 1_{9Q} ) from the supplied
-    level projections q_k = sum_Q xi_Q 1_Q."""
+    level projections q_k = sum_Q xi_Q 1_Q.
+
+    On each cell the meet of the projections xi_Q over the 9Q that contain
+    it is the null space of S = sum (1 - xi_Q), and S is one incidence
+    product per level."""
     d = filt.d
-    ncells = filt.algebra.nblocks
-    cell_alg = dense_algebra(d)
-    lost = [[] for _ in range(ncells)]
+    S = np.zeros((filt.algebra.nblocks, d * d), dtype=complex)
     for k, q in zip(levels, q_list):
-        for Q in filt.cubes_at_level(k):
-            cells = filt.cube_cells(Q)
-            xi = q.blocks[cells[0]]
-            comp = np.eye(d) - xi
-            if np.abs(comp).max() <= 1e-14:
-                continue
-            mask = filt.concentric_mask(Q, 9)
-            for cell in np.nonzero(mask)[0]:
-                lost[cell].append(comp)
-    blocks = np.empty((ncells, d, d), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for cell in range(ncells):
-        if not lost[cell]:
-            blocks[cell] = eye
-            continue
-        join = proj_join([Op(c[None, :, :], cell_alg) for c in lost[cell]])
-        blocks[cell] = eye - join.blocks[0]
-    return Op(blocks, filt.algebra)
+        comp = np.eye(d) - q.blocks[filt.first_cells(k)]
+        comp[np.abs(comp).max(axis=(1, 2)) <= 1e-14] = 0.0
+        S += filt.dilation_masks(k, 9).T @ comp.reshape(len(comp), -1)
+    lost = Op(S.reshape(-1, d, d), filt.algebra).hermitize()
+    return spectral_projection(lost, Interval(None, MEET_NULL_TOL,
+                                              closed_hi=True))
 
 
 def apply_disc_to_matrix(T: DiscOp, f: Op) -> list[Op]:

@@ -1,14 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from nclp.czkit import (cz_decompose, cz_report, g_off_layer_report,
+from nclp.czkit import (ZetaData, cz_decompose, cz_report, g_off_layer_report,
                         g_off_layers, thmB1_decompose, zeta, zeta_cube_inequalities,
                         zeta_report)
 from nclp.errors import ContractViolation
 from nclp.filtration import GridFiltration, TensorDyadicFiltration, dyadic_father
 from nclp.harness import random_positive_martingale, trial_rng
 from nclp.martingale import Martingale, OperatorFamily
-from nclp.opcore import Op, is_projection, l2_norm
+from nclp.opcore import (Interval, Op, is_projection, l2_norm, proj_meet,
+                         schatten_norm, spectral_projection)
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -81,6 +84,51 @@ def cube_inequality_oracle(zd):
     return {"strong_min_eig": worst_strong, "weak_min_eig": worst_weak}
 
 
+def zeta_per_cube_oracle(parts):
+    """xi, psi_k, zeta_k and zeta with the lost blocks added one cube at a
+    time onto its 9-fold dilation."""
+    f, filt = parts.martingale, parts.filtration
+    alg = f.algebra
+    xi = {(k, Q.corner): parts.qs[pos].blocks[filt.cube_cells(Q)[0]]
+          for pos, k in enumerate(f.levels) for Q in filt.cubes_at_level(k)}
+    running = np.zeros((alg.nblocks, alg.d, alg.d), dtype=complex)
+    psi, zeta_k = [], []
+    for pos, k in enumerate(f.levels):
+        if k > parts.m_lambda:
+            qprev = parts.qs[pos - 1] if pos > 0 else alg.unit()
+            for Q in filt.cubes_at_level(k):
+                cell = filt.cube_cells(Q)[0]
+                diff = qprev.blocks[cell] - parts.qs[pos].blocks[cell]
+                if np.abs(diff).max() <= 1e-14:
+                    continue
+                running[filt.concentric_mask(Q, 9)] += diff
+        psi.append(Op(running.copy(), alg))
+        supp = spectral_projection(psi[-1].hermitize(),
+                                   Interval(1e-9, None, closed_lo=False))
+        zeta_k.append(alg.unit() - supp)
+    return xi, psi, zeta_k, proj_meet(zeta_k)
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 6, 2)])
+def test_zeta_matches_per_cube_oracle(n, K, d):
+    for t in range(3):
+        f = random_positive_martingale(GridFiltration(n, K, d),
+                                       trial_rng(63, t))
+        for parts in cz_decompose(f, 2.0 ** np.arange(0, 5)):
+            zd = zeta(f, parts.lam, parts)
+            xi, psi, zeta_k, z = zeta_per_cube_oracle(parts)
+            assert zd.xi.keys() == xi.keys()
+            assert all(np.array_equal(zd.xi[key], xi[key]) for key in xi)
+            for got, ref in zip(zd.psi, psi):
+                assert (got - ref).max_abs() <= 1e-12
+                # a cell no kept 9Q covers stays exactly zero
+                blank = ~ref.blocks.any(axis=(1, 2))
+                assert np.array_equal(~got.blocks.any(axis=(1, 2)), blank)
+            for got, ref in zip(zd.zeta_k, zeta_k):
+                assert (got - ref).max_abs() <= 1e-12
+            assert (zd.zeta - z).max_abs() <= 1e-12
+
+
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
 def test_stacked_pair_sums_match_oracle(n, K, d):
     for t in range(2):
@@ -106,6 +154,28 @@ def test_stacked_cube_inequalities_match_oracle(n, K, d):
         ref = cube_inequality_oracle(zd)
         for key in ("strong_min_eig", "weak_min_eig"):
             assert abs(got[key] - ref[key]) <= 1e-12
+
+
+def test_cube_inequalities_reach_the_rim_of_9Q():
+    # one dead finest cube Q (cell 20 of 32) and zeta supported on cell 24
+    # alone: 24 lies in 9Q but not in 7Q, so only the full dilation sees
+    # zeta > xi_Q there
+    filt = GridFiltration(1, 5, 1)
+    parts = cz_decompose(random_positive_martingale(filt, trial_rng(64, 0)),
+                         1.0)
+    one = filt.algebra.unit()
+    dead = np.ones((32, 1, 1), dtype=complex)
+    dead[20] = 0.0
+    qs = [one] * 5 + [Op(dead, filt.algebra)]
+    z = np.zeros((32, 1, 1), dtype=complex)
+    z[24] = 1.0
+    zd = ZetaData(1.0, [], [], Op(z, filt.algebra), {},
+                  replace(parts, qs=qs))
+    zd.xi = {(k, Q.corner): qs[k].blocks[filt.cube_cells(Q)[0]]
+             for k in filt.levels for Q in filt.cubes_at_level(k)}
+    for rep in (zeta_cube_inequalities(zd), cube_inequality_oracle(zd)):
+        assert rep["weak_min_eig"] == pytest.approx(-1.0)
+        assert rep["strong_min_eig"] == pytest.approx(-1.0)
 
 
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
@@ -150,6 +220,15 @@ def test_good_part_bounds():
         rep = cz_report(cz_decompose(f, lam))
         assert rep["g_d_l2sq"] <= rep["g_d_bound"] + 1e-9
         assert rep["b_d_l1_sum"] <= rep["b_d_bound"] + 1e-9
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
+def test_b_d_l1_sum_matches_per_term_norms(n, K, d):
+    f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(54, 0))
+    for parts in cz_decompose(f, 2.0 ** np.arange(0, 5)):
+        ref = sum(schatten_norm(t, 1) for t in parts.b_d_terms)
+        got = cz_report(parts)["b_d_l1_sum"]
+        assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15
 
 
 def test_rejects_wrong_algebra_and_bad_lambda():

@@ -131,3 +131,39 @@ def test_concentric_father_measure():
     assert DyadicCube(3, Q.corner, 1).measure == pytest.approx(2.0 ** -3)
     # concentric father 9Q of a single-cell cube on a 32-cell torus
     assert filt.concentric_mask(Q, 9).sum() == 9
+
+
+def concentric_mask_oracle(filt, Q, delta):
+    """delta*Q built one axis at a time from the cube's cell range."""
+    L = 2 ** (filt.K - Q.level)
+    r = (delta - 1) // 2
+    mask_axes = []
+    for c in Q.corner:
+        m = np.zeros(filt.side, dtype=bool)
+        lo = c * L - r * L
+        m[np.arange(lo, lo + delta * L) % filt.side] = True
+        mask_axes.append(m)
+    if filt.n == 1:
+        return mask_axes[0]
+    return (mask_axes[0][:, None] & mask_axes[1][None, :]).ravel()
+
+
+@pytest.mark.parametrize("n,K", [(1, 3), (1, 4), (1, 6), (1, 9),
+                                 (2, 3), (2, 4), (2, 6)])
+def test_dilation_masks_match_concentric_mask(n, K):
+    # every level, including those where 2^k < 9 and 9Q is the whole torus;
+    # n = 2, K = 9 is left out: its finest incidence has 2^36 entries
+    filt = GridFiltration(n, K, 1)
+    for k in filt.levels:
+        cubes = filt.cubes_at_level(k)
+        for delta in (1, 3, 9):
+            ref = np.stack([concentric_mask_oracle(filt, Q, delta)
+                            for Q in cubes])
+            assert np.array_equal(filt.dilation_masks(k, delta), ref)
+        assert np.array_equal(filt.first_cells(k),
+                              [filt.cube_cells(Q)[0] for Q in cubes])
+        for Q in cubes[:3] + cubes[-2:]:
+            assert np.array_equal(filt.concentric_mask(Q, 9),
+                                  concentric_mask_oracle(filt, Q, 9))
+    with pytest.raises(ContractViolation):
+        filt.dilation_masks(1, 4)

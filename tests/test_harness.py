@@ -83,6 +83,20 @@ def test_slope_from_one_nonzero_point_is_nan_and_fails():
     json.loads(report_json(rep), parse_constant=_refuse_constant)
 
 
+def test_nan_vanish_check_on_one_shift_fails(monkeypatch):
+    # the running max over shifts must keep the NaN: max(0.0, nan) is 0.0
+    import nclp.pseudoloc as pl
+    check = pl.vanish_check
+    monkeypatch.setattr(pl, "vanish_check", lambda T, f, s: float("nan")
+                        if s == 3 else check(T, f, s))
+    rep = run(ExperimentConfig("vanish", trials=2, depth=7, s_range=(2, 4)))
+    parsed = json.loads(report_json(rep), parse_constant=_refuse_constant)
+    result = {a["name"]: a for a in parsed["assertions"]}
+    assert result["paraproduct_term_vanishes_outside"]["measured"] == "NaN"
+    assert result["paraproduct_term_vanishes_outside"]["pass"] is False
+    assert result["restriction_identity"]["pass"] is True
+
+
 def test_trial_rng_reproducible_and_independent():
     a = trial_rng(5, 0).standard_normal(4)
     b = trial_rng(5, 0).standard_normal(4)

@@ -3,8 +3,10 @@ import pytest
 
 from nclp.errors import ContractViolation, NumericError
 from nclp.filtration import GridFiltration
-from nclp.harness import random_positive_martingale, trial_rng
-from nclp.opcore import Op
+from nclp.czkit import cz_decompose
+from nclp.harness import (_localized_scalar, random_positive_martingale,
+                          trial_rng)
+from nclp.opcore import Op, dense_algebra, proj_join
 from nclp.pseudoloc import (DiscOp, _circulant_index, _torus_offsets,
                             adjoint_one, annuli_kernel, assemble,
                             cotlar_bound, delta_level, e_level, ekt_delta,
@@ -488,6 +490,77 @@ def test_zeta_fs_scalar_complement():
     idx = np.arange((3 - 4) * L, (3 + 5) * L) % N
     expect[idx] = 0.0
     assert np.allclose(z.blocks[:, 0, 0].real, expect)
+
+
+def zeta_fs_per_cell_join_oracle(filt, q_list, levels):
+    """zeta_{f,s} with one proj_join per cell over the lost blocks 1 - xi_Q
+    of the 9Q that contain it; also returns the cells no 9Q touches."""
+    d = filt.d
+    lost = [[] for _ in range(filt.algebra.nblocks)]
+    for k, q in zip(levels, q_list):
+        for Q in filt.cubes_at_level(k):
+            comp = np.eye(d) - q.blocks[filt.cube_cells(Q)[0]]
+            if np.abs(comp).max() <= 1e-14:
+                continue
+            for cell in np.nonzero(filt.concentric_mask(Q, 9))[0]:
+                lost[cell].append(comp)
+    blocks = np.empty((filt.algebra.nblocks, d, d), dtype=complex)
+    for cell, comps in enumerate(lost):
+        join = proj_join([Op(c[None], dense_algebra(d)) for c in comps]) \
+            if comps else Op(np.zeros((1, d, d)), dense_algebra(d))
+        blocks[cell] = np.eye(d) - join.blocks[0]
+    return blocks, np.array([not comps for comps in lost])
+
+
+def support_q_list(f, K, s, filt1):
+    """The support-driven projections of the d = 1 scalar reduction: q_k
+    drops the level-k cubes on which df_{k+s} does not vanish."""
+    scale = max(np.abs(f).max(), 1e-300)
+    q_list = []
+    for k in range(0, K - s + 1):
+        bad = np.abs(delta_level(f, k + s)) > 1e-12 * scale
+        cube_bad = bad.reshape(1 << k, -1).any(axis=1)
+        good = np.repeat(~cube_bad, 2 ** (K - k)).astype(complex)
+        q_list.append(Op(good[:, None, None], filt1.algebra))
+    return q_list
+
+
+def _check_zeta_fs(filt, q_list, levels):
+    ref, untouched = zeta_fs_per_cell_join_oracle(filt, q_list, levels)
+    z = zeta_fs(filt, q_list, levels)
+    assert np.abs(z.blocks - ref).max() <= 1e-12
+    # a cell outside every bad 9Q keeps exactly the identity
+    assert np.array_equal(z.blocks[untouched],
+                          np.broadcast_to(np.eye(filt.d), ref[untouched].shape))
+    return untouched
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 5, 1), (1, 5, 2), (1, 4, 3),
+                                   (2, 3, 2)])
+def test_zeta_fs_matches_per_cell_join_oracle(n, K, d):
+    filt = GridFiltration(n, K, d)
+    touched = 0
+    for t in range(2):
+        f = random_positive_martingale(filt, trial_rng(66, t))
+        for parts in cz_decompose(f, 2.0 ** np.arange(0, 4)):
+            for s in (1, 2):
+                levels = list(range(0, K - s + 1))
+                untouched = _check_zeta_fs(
+                    filt, [parts.qs[k] for k in levels], levels)
+                touched += int((~untouched).sum())
+    assert touched > 0
+
+
+def test_zeta_fs_matches_per_cell_join_oracle_on_support_projections():
+    K = 9
+    filt1 = GridFiltration(1, K, 1)
+    rng = trial_rng(67, 0)
+    for s in (2, 3, 4):
+        f = _localized_scalar(2 ** K, K, s, rng)
+        levels = list(range(0, K - s + 1))
+        untouched = _check_zeta_fs(filt1, support_q_list(f, K, s, filt1),
+                                   levels)
+        assert 0 < untouched.sum() < 2 ** K
 
 
 def test_nc_pseudoloc_rejects_uncertified_projection():
