@@ -11,7 +11,7 @@ from .opcore import (Algebra, Interval, MuFunction, Op, dense_algebra,
 from .filtration import (AlgebraSpec, CornerFiltration, DyadicCube,
                          Filtration, GridFiltration, TensorDyadicFiltration,
                          build_filtration, parse_spec)
-from .martingale import (CoeffMatrix, Martingale, OperatorFamily, bmo_norms,
+from .martingale import (CoeffMatrix, Martingale, bmo_norms,
                          col_square, dirac_coeffs, function_bmo,
                          l2_identity_check, lp_rc_norm, partition_coeffs,
                          row_square, transform_family)

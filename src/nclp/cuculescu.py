@@ -24,21 +24,21 @@ import numpy as np
 
 from .errors import ContractViolation
 from .martingale import Martingale
-from .opcore import ENDPOINT_TOL, Op, op_norm, proj_meet
+from .opcore import ENDPOINT_TOL, Op, null_projection, op_norm
 
 
 @dataclass
 class CuculescuSequence:
     lam: float
     convention: str
-    qs: list[Op]           # aligned with martingale positions
+    qs: Op                 # batched over the martingale positions
     martingale: Martingale
 
-    def q_at(self, i: int) -> Op:
-        """q at position i; i = -1 gives the conventional starting unit."""
-        if i < 0:
-            return self.martingale.algebra.unit()
-        return self.qs[i]
+    @property
+    def q_prev(self) -> Op:
+        """q_{n-1} at each position n, the unit before the first level."""
+        unit = self.martingale.algebra.unit().blocks[None]
+        return Op(np.concatenate([unit, self.qs.blocks[:-1]]), self.qs.algebra)
 
 
 def cuculescu(f: Martingale, lam, convention: str = "closed"):
@@ -60,18 +60,17 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
     one = np.eye(alg.d)
     cut = lams[:, None, None]
     q = np.broadcast_to(one, (lams.size, alg.nblocks, alg.d, alg.d))
-    levels = []
-    for fn in f.seq:
-        h = q @ fn.blocks @ q + (cut[..., None] + 1.0) * (one - q)
+    qs = np.empty((lams.size,) + f.seq.blocks.shape, dtype=complex)
+    for n, fn in enumerate(f.seq.blocks):
+        h = q @ fn @ q + (cut[..., None] + 1.0) * (one - q)
         w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         keep = w <= cut + ENDPOINT_TOL
         if convention == "half-open":
             keep &= w > ENDPOINT_TOL
         u = u * keep[..., None, :]
-        q = u @ u.conj().swapaxes(-1, -2)
-        levels.append(q)
-    seqs = [CuculescuSequence(float(lv), convention,
-                              [Op(q[i], alg) for q in levels], f)
+        q = qs[:, n] = u @ u.conj().swapaxes(-1, -2)
+    qs = Op(qs, alg)
+    seqs = [CuculescuSequence(float(lv), convention, qs[i], f)
             for i, lv in enumerate(lams)]
     return seqs if np.ndim(lam) else seqs[0]
 
@@ -91,8 +90,8 @@ def cuculescu_report(seqs):
     if any(s.martingale is not f for s in batch):
         raise ContractViolation("cuculescu_report needs one martingale")
     lams = np.array([s.lam for s in batch])[:, None, None, None, None]
-    fs = np.stack([fn.blocks for fn in f.seq])
-    qs = np.stack([[q.blocks for q in s.qs] for s in batch])
+    fs = f.seq.blocks
+    qs = np.stack([s.qs.blocks for s in batch])
     unit = np.broadcast_to(f.algebra.unit().blocks, qs[:, :1].shape)
     qprev = np.concatenate([unit, qs[:, :-1]], axis=1)
     comp = qprev @ fs @ qprev
@@ -112,20 +111,34 @@ def cuculescu_report(seqs):
 
 @dataclass
 class PiFamily:
-    """Ordered orthogonal blocks pi_k, k = l_min..l_max.
+    """Ordered orthogonal blocks pi_l, l = l_min..l_max, batched over l.
 
-    blocks[l_min] is the residual meet over all computed scales; for
-    k > l_min, blocks[k] = W_k - W_{k-1} with W_l = meet_{s>=l} q(2^s).
-    The meets cache w[l] serves the absorption identities.
+    ``w`` is the meet ladder W_l = meet_{s>=l} q_s and ``blocks`` its
+    increments: blocks[0] = W_{l_min} is the residual meet over all computed
+    scales, blocks[i] = W_l - W_{l-1} for l = l_min + i.  The ladder serves
+    the absorption identities.
     """
 
     l_min: int
-    l_max: int
-    blocks: dict
-    w: dict
+    blocks: Op
+    w: Op
+
+    @property
+    def l_max(self) -> int:
+        return self.l_min + len(self.w) - 1
 
     def indices(self):
         return range(self.l_min, self.l_max + 1)
+
+
+def meet_ladder(qs: Op, l_min: int) -> PiFamily:
+    """The PiFamily of projections qs batched over l = l_min..: every
+    W_l is the null space of sum_{s>=l} (1 - q_s), a reverse cumulative sum,
+    so one batched spectral projection gives the whole ladder."""
+    lost = np.cumsum((qs.algebra.unit() - qs).blocks[::-1], axis=0)[::-1]
+    w = null_projection(Op(lost, qs.algebra))
+    return PiFamily(l_min, Op(np.diff(w.blocks, axis=0, prepend=0.0),
+                              qs.algebra), w)
 
 
 def pi_family(f: Martingale, l_range: tuple[int, int],
@@ -133,20 +146,13 @@ def pi_family(f: Martingale, l_range: tuple[int, int],
     l_min, l_max = l_range
     if l_min > l_max:
         raise ContractViolation("empty ell-range")
-    sup = max(op_norm(fn) for fn in f.seq)
+    sup = op_norm(f.seq).max()
     if 2.0 ** l_max <= sup:
         raise ContractViolation(
             f"l_max too small: 2^{l_max} <= sup ||f_n||_inf = {sup:.6g}")
-    ells = range(l_min, l_max + 1)
-    q_of = dict(zip(ells, map(q_lambda, cuculescu(
-        f, 2.0 ** np.array(ells, dtype=float), convention))))
-    w = {l_max: q_of[l_max]}
-    for ell in range(l_max - 1, l_min - 1, -1):
-        w[ell] = proj_meet([w[ell + 1], q_of[ell]])
-    blocks = {l_min: w[l_min]}
-    for ell in range(l_min + 1, l_max + 1):
-        blocks[ell] = w[ell] - w[ell - 1]
-    return PiFamily(l_min, l_max, blocks, w)
+    lams = 2.0 ** np.arange(l_min, l_max + 1, dtype=float)
+    return meet_ladder(Op(np.stack([q_lambda(s).blocks for s in cuculescu(
+        f, lams, convention)]), f.algebra), l_min)
 
 
 def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:
@@ -162,10 +168,8 @@ def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:
 
 def delta_trunc(x: Op, pi: PiFamily, ell: int) -> Op:
     """Delta_{r,ell}(x) = sum_{j <= i <= ell} pi_i x pi_j, which is
-    sum_{i <= ell} pi_i x w_i because sum_{j <= i} pi_j = w_i."""
-    idx = [k for k in pi.indices() if k <= ell]
-    if not idx:
-        return x.algebra.zero()
-    b = np.stack([pi.blocks[i].blocks for i in idx])
-    w = np.stack([pi.w[i].blocks for i in idx])
-    return Op((b @ x.blocks @ w).sum(axis=0), x.algebra)
+    sum_{i <= ell} pi_i x w_i because sum_{j <= i} pi_j = w_i; each entry
+    of a batched x is truncated."""
+    n = min(max(ell - pi.l_min + 1, 0), len(pi.w))
+    sel = (slice(None, n),) + (None,) * len(x.batch)
+    return (pi.blocks[sel] @ x @ pi.w[sel]).sum()

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuculescu import cuculescu, q_lambda
+from .cuculescu import PiFamily, cuculescu, meet_ladder, q_lambda
 from .errors import ContractViolation
 from .filtration import GridFiltration
-from .martingale import Martingale, OperatorFamily
+from .martingale import Martingale
 from .opcore import (Interval, Op, is_projection, l2_norm, op_norm, proj_join,
                      proj_meet, schatten_norm, spectral_projection)
 
@@ -21,9 +21,9 @@ class CZParts:
     g_off: Op
     b_d: Op
     b_off: Op
-    b_d_terms: list[Op]          # p_k (f - f_k) p_k per level
-    qs: list[Op]                 # Cuculescu projections per level
-    ps: list[Op]                 # p_k = q_{k-1} - q_k
+    b_d_terms: Op                # p_k (f - f_k) p_k, batched over levels
+    qs: Op                       # Cuculescu projections, batched likewise
+    ps: Op                       # p_k = q_{k-1} - q_k
     q: Op                        # final meet
     m_lambda: int
     lam: float
@@ -34,11 +34,10 @@ class CZParts:
         return self.martingale.filtration
 
 
-def m_lambda_of(qs: list[Op], levels: list[int], alg) -> int:
+def m_lambda_of(qs: Op, levels: list[int]) -> int:
     """Largest level with q = 1; -1 if no level qualifies at finite depth."""
-    one = alg.unit().blocks
-    return max((lev for lev, q in zip(levels, qs)
-                if np.abs(q.blocks - one).max() <= 1e-10), default=-1)
+    dev = np.abs(qs.blocks - qs.algebra.unit().blocks).max(axis=(1, 2, 3))
+    return max((lev for lev, d in zip(levels, dev) if d <= 1e-10), default=-1)
 
 
 def cz_decompose(f: Martingale, lam):
@@ -55,10 +54,10 @@ def cz_decompose(f: Martingale, lam):
     seqs = cuculescu(f, np.atleast_1d(lam))
     alg = f.algebra
     one = np.eye(alg.d)
-    Q = np.stack([[q.blocks for q in s.qs] for s in seqs])
+    Q = np.stack([s.qs.blocks for s in seqs])
     Qprev = np.concatenate([np.broadcast_to(one, Q[:, :1].shape), Q[:, :-1]],
                            axis=1)
-    P, F = Qprev - Q, np.stack([fn.blocks for fn in f.seq])
+    P, F = Qprev - Q, f.seq.blocks
     q, top = Q[:, -1], F[-1]
     # the pair sums telescope: u_j = sum_{i<j} p_i = 1 - q_{j-1} and
     # f_{i v j} = f_j for i < j, so sum_{i != j} p_i X_{i v j} p_j is
@@ -68,11 +67,12 @@ def cz_decompose(f: Martingale, lam):
     b_off = (u @ (top - F) @ P + P @ (top - F) @ u).sum(axis=1)
     g_d = q @ top @ q + (P @ F @ P).sum(axis=1)
     g_off = q @ top @ (one - q) + (one - q) @ top @ q + good_off
-    bad = P @ (top - F) @ P
-    parts = [CZParts(Op(gd, alg), Op(go, alg), Op(bd.sum(0), alg), Op(bo, alg),
-                     [Op(t, alg) for t in bd], s.qs, [Op(p, alg) for p in ps],
-                     q_lambda(s), m_lambda_of(s.qs, f.levels, alg), s.lam, f)
-             for gd, go, bd, bo, ps, s in zip(g_d, g_off, bad, b_off, P, seqs)]
+    bad = Op(P @ (top - F) @ P, alg)
+    g_d, g_off, b_d, b_off, P = (Op(x, alg) for x in (
+        g_d, g_off, bad.blocks.sum(axis=1), b_off, P))
+    parts = [CZParts(g_d[i], g_off[i], b_d[i], b_off[i], bad[i], s.qs, P[i],
+                     q_lambda(s), m_lambda_of(s.qs, f.levels), s.lam, f)
+             for i, s in enumerate(seqs)]
     # the q f p_j and p_i f q cross terms sit in q f q^perp + q^perp f q, so
     # the four parts reassemble f; cz_report measures the residual
     return parts if np.ndim(lam) else parts[0]
@@ -83,15 +83,12 @@ def cz_report(parts: CZParts) -> dict:
     n = parts.filtration.n
     lam = parts.lam
     l1 = schatten_norm(f.top, 1)
-    # ||t||_1 of every b_d term from one stacked svd
-    sv = np.linalg.svd(np.stack([t.blocks for t in parts.b_d_terms]),
-                       compute_uv=False)
     recon = parts.g_d + parts.g_off + parts.b_d + parts.b_off - f.top
     return {
         "reconstruction_residual": recon.max_abs(),
         "g_d_l2sq": l2_norm(parts.g_d) ** 2,
         "g_d_bound": (2.0 ** n) * lam * l1,
-        "b_d_l1_sum": float((sv.sum(axis=2) @ f.algebra.weights).sum()),
+        "b_d_l1_sum": float(schatten_norm(parts.b_d_terms, 1).sum()),
         "b_d_bound": 2.0 * l1,
         "m_lambda": parts.m_lambda,
     }
@@ -104,8 +101,8 @@ def cz_report(parts: CZParts) -> dict:
 @dataclass
 class ZetaData:
     lam: float
-    psi: list[Op]                # psi_k per level
-    zeta_k: list[Op]             # 1 - supp psi_k
+    psi: Op                      # psi_k, batched over levels
+    zeta_k: Op                   # 1 - supp psi_k
     zeta: Op
     xi: dict                     # (level, cube corner) -> d x d projection block
     parts: CZParts
@@ -123,25 +120,19 @@ def zeta(f: Martingale, lam: float, parts: CZParts | None = None) -> ZetaData:
     # xi_Q is the block of q_k on the first cell of the level-k cube Q
     xi = {(k, c): b for pos, k in enumerate(f.levels)
           for c, b in zip(np.ndindex(*(2 ** k,) * filt.n),
-                          parts.qs[pos].blocks[filt.first_cells(k)])}
-    psi_list = []
-    zeta_k_list = []
-    running = np.zeros((alg.nblocks, d * d), dtype=complex)
+                          parts.qs.blocks[pos, filt.first_cells(k)])}
+    # the lost blocks q_{k-1} - q_k = p_k of each level, spread over the 9Q
+    lost = np.zeros((len(f.levels), alg.nblocks, d * d), dtype=complex)
     for pos, k in enumerate(f.levels):
         if k > m_lam:
-            first = filt.first_cells(k)
-            qprev = parts.qs[pos - 1] if pos > 0 else alg.unit()
-            diff = qprev.blocks[first] - parts.qs[pos].blocks[first]
+            diff = parts.ps.blocks[pos, filt.first_cells(k)]
             diff[np.abs(diff).max(axis=(1, 2)) <= 1e-14] = 0.0
-            running = running + filt.dilation_masks(k, 9).T @ diff.reshape(
-                len(first), -1)
-        psi = Op(running.reshape(-1, d, d), alg)
-        supp = spectral_projection(psi.hermitize(), Interval(1e-9, None,
-                                                             closed_lo=False))
-        psi_list.append(psi)
-        zeta_k_list.append(alg.unit() - supp)
-    z = proj_meet(zeta_k_list)
-    return ZetaData(float(lam), psi_list, zeta_k_list, z, xi, parts)
+            lost[pos] = filt.dilation_masks(k, 9).T @ diff.reshape(
+                len(diff), -1)
+    psi = Op(np.cumsum(lost, axis=0).reshape(lost.shape[:2] + (d, d)), alg)
+    zeta_k = alg.unit() - spectral_projection(
+        psi.hermitize(), Interval(1e-9, None, closed_lo=False))
+    return ZetaData(float(lam), psi, zeta_k, proj_meet(zeta_k), xi, parts)
 
 
 def zeta_report(zd: ZetaData) -> dict:
@@ -190,52 +181,37 @@ def zeta_cube_inequalities(zd: ZetaData) -> dict:
 
 def g_off_layers(parts: CZParts) -> dict:
     """g_off = sum_s g_(s) with g_(s) = sum_k p_k df_{k+s} q_{k+s-1}
-    + q_{k+s-1} df_{k+s} p_k, the k-sum over levels above m_lambda."""
+    + q_{k+s-1} df_{k+s} p_k, the k-sum over levels above m_lambda.
+
+    ``layers`` is batched over s = 1, 2, ...; ``terms`` over every (s, k)
+    pair, in the order of the arrays ``s`` and ``k`` (positions)."""
     f = parts.martingale
-    levels = f.levels
-    npos = len(levels)
-    layers = {}
-    terms = {}
-    for s in range(1, npos):
-        acc = f.algebra.zero()
-        row_terms = []
-        for ki in range(npos - s):
-            if levels[ki] <= parts.m_lambda:
-                continue
-            pk = parts.ps[ki]
-            df = f.diffs[ki + s]
-            qprev = parts.qs[ki + s - 1]
-            t = pk @ df @ qprev + qprev @ df @ pk
-            row_terms.append((ki, t))
-            acc = acc + t
-        layers[s] = acc
-        terms[s] = row_terms
-    return {"layers": layers, "terms": terms}
+    npos = len(f.levels)
+    lo = sum(lev <= parts.m_lambda for lev in f.levels)
+    s, k = np.array([(s, k) for s in range(1, npos)
+                     for k in range(lo, npos - s)], dtype=int).reshape(-1, 2).T
+    p, df, qprev = parts.ps[k], f.diffs[k + s], parts.qs[k + s - 1]
+    terms = p @ df @ qprev + qprev @ df @ p
+    layers = np.zeros((npos - 1,) + f.seq.blocks.shape[1:], dtype=complex)
+    np.add.at(layers, s - 1, terms.blocks)     # in order: k ascending per s
+    return {"layers": Op(layers, f.algebra), "terms": terms, "s": s, "k": k}
 
 
 def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
     f = parts.martingale
-    lam = parts.lam
+    g, terms = layers["layers"], layers["terms"]
     l1 = schatten_norm(f.top, 1)
-    total = f.algebra.zero()
-    sup_ratio = 0.0
-    orth_resid = 0.0
-    supp_resid = 0.0
-    one = f.algebra.unit()
-    for s, g_s in layers["layers"].items():
-        total = total + g_s
-        nsq = l2_norm(g_s) ** 2
-        sup_ratio = max(sup_ratio, nsq / max(lam * l1, 1e-300))
-        termsum = sum(l2_norm(t) ** 2 for _, t in layers["terms"][s])
-        orth_resid = max(orth_resid, abs(nsq - termsum))
-        for ki, t in layers["terms"][s]:
-            comp = (one - parts.ps[ki]) @ t @ (one - parts.ps[ki])
-            supp_resid = max(supp_resid, comp.max_abs())
+    nsq = l2_norm(g) ** 2
+    termsum = np.zeros(len(g))
+    np.add.at(termsum, layers["s"] - 1, l2_norm(terms) ** 2)
+    rest = f.algebra.unit() - parts.ps[layers["k"]]
     return {
-        "sum_residual": (total - parts.g_off).max_abs(),
-        "sup_layer_ratio": sup_ratio,
-        "layer_orthogonality_residual": orth_resid,
-        "support_residual": supp_resid,
+        "sum_residual": (g.sum() - parts.g_off).max_abs(),
+        "sup_layer_ratio": float((nsq / max(parts.lam * l1, 1e-300)).max(
+            initial=0.0)),
+        "layer_orthogonality_residual": float(np.abs(nsq - termsum).max(
+            initial=0.0)),
+        "support_residual": (rest @ terms @ rest).max_abs(),
     }
 
 
@@ -245,21 +221,13 @@ def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
 
 @dataclass
 class B1Split:
-    center: OperatorFamily       # psi T f psi
-    a_part: OperatorFamily
-    b_part: OperatorFamily
-    pi_blocks: dict              # ordered blocks, lowest index = psi residual
-    psi: Op
-    l_min: int
-    l_max: int
-
-    def rho(self, i: int) -> Op:
-        return sum((self.pi_blocks[j] for j in range(self.l_min + 1, i + 1)),
-                   self.psi)
+    center: Op                   # psi T f psi, batched like the family
+    a_part: Op
+    b_part: Op
+    pi: PiFamily                 # blocks[0] = w[0] is the psi residual
 
 
-def thmB1_decompose(tf_family: OperatorFamily, f: Martingale,
-                    l_range: tuple[int, int]):
+def thmB1_decompose(tf_family: Op, f: Martingale, l_range: tuple[int, int]):
     """Split each component of a transform family against the zeta meets.
 
     pi_k = meet_{s>=k} zeta(2^s) - meet_{s>=k-1} zeta(2^s); psi is the
@@ -271,26 +239,15 @@ def thmB1_decompose(tf_family: OperatorFamily, f: Martingale,
     sup = op_norm(f.top)
     if 2.0 ** l_max <= sup:
         raise ContractViolation(f"l_max too small: 2^{l_max} <= {sup:.6g}")
-    ells = range(l_min, l_max + 1)
-    zs = {ell: zeta(f, parts.lam, parts).zeta for ell, parts in
-          zip(ells, cz_decompose(f, 2.0 ** np.array(ells, dtype=float)))}
-    w = {l_max: zs[l_max]}
-    for ell in range(l_max - 1, l_min - 1, -1):
-        w[ell] = proj_meet([w[ell + 1], zs[ell]])
-    blocks = {l_min: w[l_min]}
-    for ell in range(l_min + 1, l_max + 1):
-        blocks[ell] = w[ell] - w[ell - 1]
-    psi = blocks[l_min]
-    one = f.algebra.unit()
+    lams = 2.0 ** np.arange(l_min, l_max + 1, dtype=float)
+    pi = meet_ladder(Op(np.stack([zeta(f, parts.lam, parts).zeta.blocks
+                                  for parts in cz_decompose(f, lams)]),
+                        f.algebra), l_min)
+    g, psi, one = tf_family, pi.w[0], f.algebra.unit()
     # the blocks above psi telescope: sum_{l_min < j <= i} pi_j = w_i - psi,
     # so the lower triangle is sum_i pi_i g (w_i - psi) and the strict upper
     # one sum_j (w_{j-1} - psi) g pi_j
-    center, a_ops, b_ops = [], [], []
-    for g in tf_family:
-        center.append(psi @ g @ psi)
-        a_ops.append(sum((blocks[i] @ g @ (w[i] - psi) for i in ells[1:]),
-                         (one - psi) @ g @ psi))
-        b_ops.append(sum(((w[i - 1] - psi) @ g @ blocks[i] for i in ells[1:]),
-                         psi @ g @ (one - psi)))
-    return B1Split(OperatorFamily(center), OperatorFamily(a_ops),
-                   OperatorFamily(b_ops), blocks, psi, l_min, l_max)
+    above, w = pi.blocks[1:, None], pi.w[:, None] - psi
+    a_part = (one - psi) @ g @ psi + (above @ g @ w[1:]).sum()
+    b_part = psi @ g @ (one - psi) + (w[:-1] @ g @ above).sum()
+    return B1Split(psi @ g @ psi, a_part, b_part, pi)

@@ -60,6 +60,7 @@ class Filtration:
         self.spec = spec
 
     def expect(self, f: Op, k: int) -> Op:
+        """E_k applied to each entry of f (batch axes pass through)."""
         raise NotImplementedError
 
     def check_level(self, k: int):
@@ -80,10 +81,12 @@ class TensorDyadicFiltration(Filtration):
         if k == self.N:
             return f.copy()
         a, b = 2 ** k, 2 ** (self.N - k)
-        m = f.blocks[0].reshape(a, b, a, b)
-        small = np.einsum("ibjb->ij", m) / b
-        out = np.kron(small, np.eye(b))
-        return Op(out[None, :, :], self.algebra)
+        batch = f.batch
+        m = f.blocks[..., 0, :, :].reshape(batch + (a, b, a, b))
+        small = np.einsum("...ibjb->...ij", m) / b
+        # the kron product small (x) 1_b, entry by entry
+        out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
+        return Op(out.reshape(batch + (1, a * b, a * b)), self.algebra)
 
 
 class CornerFiltration(Filtration):
@@ -96,10 +99,10 @@ class CornerFiltration(Filtration):
 
     def expect(self, f: Op, k: int) -> Op:
         self.check_level(k)
-        m = f.blocks[0]
-        out = np.diag(np.diag(m)).astype(complex)
-        out[:k, :k] = m[:k, :k]
-        return Op(out[None, :, :], self.algebra)
+        m = f.blocks
+        out = np.where(np.eye(self.n, dtype=bool), m, 0.0)
+        out[..., :k, :k] = m[..., :k, :k]
+        return Op(out, self.algebra)
 
 
 class GridFiltration(Filtration):
@@ -122,22 +125,21 @@ class GridFiltration(Filtration):
     def side(self) -> int:
         return 2 ** self.K
 
-    def _spatial(self, blocks: np.ndarray) -> np.ndarray:
-        return blocks.reshape((self.side,) * self.n + (self.d, self.d))
+    def cubes(self, blocks: np.ndarray, k: int) -> np.ndarray:
+        """Blocks (*batch, cells, d, d) reshaped to (*batch, 2^k, L) per
+        axis plus (d, d): the L cells along each axis of each level-k cube
+        sit on the axes -3 (n = 1) or -5 and -3 (n = 2)."""
+        return blocks.reshape(blocks.shape[:-3] + (2 ** k, 2 ** (self.K - k))
+                              * self.n + (self.d, self.d))
 
     def expect(self, f: Op, k: int) -> Op:
         self.check_level(k)
         if k == self.K:
             return f.copy()
-        L = 2 ** (self.K - k)
-        sp = self._spatial(f.blocks)
-        if self.n == 1:
-            m = sp.reshape(2 ** k, L, self.d, self.d).mean(axis=1, keepdims=True)
-            out = np.broadcast_to(m, (2 ** k, L, self.d, self.d))
-        else:
-            m = sp.reshape(2 ** k, L, 2 ** k, L, self.d, self.d).mean(
-                axis=(1, 3), keepdims=True)
-            out = np.broadcast_to(m, (2 ** k, L, 2 ** k, L, self.d, self.d))
+        cubes = self.cubes(f.blocks, k)
+        axes = (-3,) if self.n == 1 else (-5, -3)
+        m = cubes.mean(axis=axes, keepdims=True)
+        out = np.broadcast_to(m, cubes.shape)
         return Op(out.reshape(f.blocks.shape).copy(), self.algebra)
 
     # dyadic cube helpers --------------------------------------------------

@@ -10,30 +10,22 @@ import numpy as np
 from .cuculescu import (CuculescuSequence, PiFamily, cuculescu, delta_split,
                         pi_family, q_lambda)
 from .errors import ContractViolation
-from .martingale import (CoeffMatrix, Martingale, OperatorFamily, col_square,
-                         row_square, transform_family)
+from .martingale import (CoeffMatrix, Martingale, col_square, row_square,
+                         transform_family)
 from .opcore import (Op, annihilation_check, l2_norm, op_norm, schatten_norm,
                      tail_trace, weak_l1)
 
 
 @dataclass
 class GundyParts:
-    d_alpha: list[Op]
-    d_beta: list[Op]
-    d_gamma: list[Op]
+    d_alpha: Op                  # each batched over the martingale positions
+    d_beta: Op
+    d_gamma: Op
     seq: CuculescuSequence
 
     @property
     def martingale(self) -> Martingale:
         return self.seq.martingale
-
-    def partial_sums(self, diffs: list[Op]) -> list[Op]:
-        out = []
-        acc = self.martingale.algebra.zero()
-        for d in diffs:
-            acc = acc + d
-            out.append(acc)
-        return out
 
 
 def gundy(f: Martingale, lam: float) -> GundyParts:
@@ -46,16 +38,11 @@ def gundy(f: Martingale, lam: float) -> GundyParts:
     if lam <= 0:
         raise ContractViolation("gundy requires lambda > 0")
     seq = cuculescu(f, lam)
-    d_alpha, d_beta, d_gamma = [], [], []
-    for i, df in enumerate(f.diffs):
-        qk = seq.qs[i]
-        qp = seq.q_at(i - 1)
-        core = qk @ df @ qk
-        comp = f.expect_before(i, core)
-        d_alpha.append(core - comp)
-        d_beta.append(qp @ df @ qp - core + comp)
-        d_gamma.append(df - qp @ df @ qp)
-    return GundyParts(d_alpha, d_beta, d_gamma, seq)
+    qk, qp, df = seq.qs, seq.q_prev, f.diffs
+    core = qk @ df @ qk
+    comp = f.expect_each(core, lag=1)
+    kept = qp @ df @ qp
+    return GundyParts(core - comp, kept - core + comp, df - kept, seq)
 
 
 def gundy_verify(parts: GundyParts) -> dict:
@@ -67,14 +54,13 @@ def gundy_verify(parts: GundyParts) -> dict:
     f = parts.martingale
     lam = parts.seq.lam
     denom = max(f.sup_l1, 1e-300)
-    alpha_sums = parts.partial_sums(parts.d_alpha)
-    alpha_term = max(l2_norm(a) ** 2 for a in alpha_sums) / lam
-    beta_term = sum(schatten_norm(d, 1) for d in parts.d_beta)
+    alpha_sums = Op(np.cumsum(parts.d_alpha.blocks, axis=0), f.algebra)
+    alpha_term = float((l2_norm(alpha_sums) ** 2).max()) / lam
+    beta_term = float(schatten_norm(parts.d_beta, 1).sum())
     q = q_lambda(parts.seq)
-    scale = max(max((op_norm(df) for df in f.diffs), default=0.0), 1e-300)
-    gamma_annihilated = all(annihilation_check(q, dg, tol=1e-10)
-                            for dg in parts.d_gamma
-                            if op_norm(dg) > 1e-12 * scale)
+    scale = max(float(op_norm(f.diffs).max()), 1e-300)
+    live = parts.d_gamma[op_norm(parts.d_gamma) > 1e-12 * scale]
+    gamma_annihilated = bool(np.all(annihilation_check(q, live, tol=1e-10)))
     gamma_term = lam * float((f.algebra.unit() - q).trace().real)
     return {
         "alpha": alpha_term / denom,
@@ -85,7 +71,7 @@ def gundy_verify(parts: GundyParts) -> dict:
 
 
 def default_l_range(f: Martingale) -> tuple[int, int]:
-    sup = max(op_norm(fn) for fn in f.seq)
+    sup = op_norm(f.seq).max()
     l_max = int(np.ceil(np.log2(max(sup, 1e-12)))) + 1
     return (min(-2, l_max - 8), l_max)
 
@@ -93,7 +79,7 @@ def default_l_range(f: Martingale) -> tuple[int, int]:
 def thmA1_decompose(f: Martingale, xi: CoeffMatrix,
                     l_range: tuple[int, int] | None = None,
                     pi: PiFamily | None = None):
-    """Row/column split of the transform family.
+    """Row/column split of the transform family, batched over m.
 
     A_m = sum_k xi[k,m] Delta_r(df_k),  B_m = sum_k xi[k,m] Delta_c(df_k),
     so A_m + B_m = T_m exactly.  The martingale must be positive (callers
@@ -107,19 +93,8 @@ def thmA1_decompose(f: Martingale, xi: CoeffMatrix,
         work = Martingale(f.filtration, f.top + shift * f.algebra.unit())
     if pi is None:
         pi = pi_family(work, l_range or default_l_range(work))
-    splits = [delta_split(df, pi) for df in f.diffs[:xi.k_max]]
-    a_ops, b_ops = [], []
-    for m in range(xi.m_max):
-        am = f.algebra.zero()
-        bm = f.algebra.zero()
-        for k in range(xi.k_max):
-            c = xi.entries[k, m]
-            if c != 0:
-                am = am + c * splits[k][0]
-                bm = bm + c * splits[k][1]
-        a_ops.append(am)
-        b_ops.append(bm)
-    return OperatorFamily(a_ops), OperatorFamily(b_ops), pi, shift
+    row, col = delta_split(f.diffs[:xi.k_max], pi)
+    return xi.apply(row), xi.apply(col), pi, shift
 
 
 def weak11_experiment(f: Martingale, xi: CoeffMatrix,
@@ -178,19 +153,14 @@ def cross_experiment(f: Martingale, rho: CoeffMatrix, eta: CoeffMatrix,
     flat = np.einsum("km,kn->kmn", rho.entries[:kmax], eta.entries[:kmax])
     flat = flat.reshape(kmax, -1)
     fam = transform_family(f, CoeffMatrix(flat))
-    # ||B||_4 with B = sum T_mn (x) e_{m,n}: per block, assemble
+    # ||B||_4 with B = sum T_mn (x) e_{m,n}: in every block, assemble
     # (B*B)[n,n'] = sum_m T_mn* T_mn' and take tr((B*B)^2).
     M_m, M_n = rho.m_max, eta.m_max
     alg = f.algebra
-    val4 = 0.0
-    mats = np.stack([g.blocks for g in fam])  # (M_m*M_n, nb, d, d)
-    mats = mats.reshape(M_m, M_n, alg.nblocks, alg.d, alg.d)
-    for b in range(alg.nblocks):
-        tb = mats[:, :, b]                    # (M_m, M_n, d, d)
-        bstar_b = np.einsum("mnab,mqac->nqbc", tb.conj(), tb)
-        big = bstar_b.transpose(0, 2, 1, 3).reshape(M_n * alg.d, M_n * alg.d)
-        val4 += alg.weights[b] * float(np.trace(big @ big).real)
-    lhs = val4 ** 0.25
+    t = fam.blocks.reshape(M_m, M_n, alg.nblocks, alg.d, alg.d)
+    big = np.einsum("mnkab,mqkac->knbqc", t.conj(), t).reshape(
+        alg.nblocks, M_n * alg.d, M_n * alg.d)
+    lhs = float(alg.weights @ np.einsum("kij,kji->k", big, big).real) ** 0.25
     row = schatten_norm(row_square(fam), p)
     col = schatten_norm(col_square(fam), p)
     return {

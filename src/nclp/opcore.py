@@ -65,17 +65,24 @@ def dense_algebra(d: int) -> Algebra:
 
 
 class Op:
-    """An element of a block-diagonal algebra.
+    """An element of a block-diagonal algebra, or a batch of them.
 
-    ``blocks`` has shape (nblocks, d, d).  Arithmetic is blockwise; the
+    ``blocks`` has shape (*batch, nblocks, d, d): an indexed family of
+    operators (the martingale f_k, the projections q_k, a transform family
+    T_m f) is one Op with leading batch axes.  Arithmetic is blockwise and
+    broadcasts over the batch; ``len``, indexing and iteration run over the
+    first batch axis.  Norms and traces give one value per entry (a Python
+    scalar when unbatched); ``max_abs`` is the max over everything.  The
     objects are small value types, so we keep them immutable by convention.
     """
 
     __slots__ = ("blocks", "algebra")
+    __array_ufunc__ = None      # numpy scalars defer to Op's reflected operators
 
     def __init__(self, blocks: np.ndarray, algebra: Algebra):
         blocks = np.asarray(blocks, dtype=complex)
-        if blocks.shape != (algebra.nblocks, algebra.d, algebra.d):
+        if blocks.shape[-3:] != (algebra.nblocks, algebra.d, algebra.d) \
+                or blocks.ndim < 3:
             raise ContractViolation(
                 f"block shape {blocks.shape} does not match algebra "
                 f"({algebra.nblocks},{algebra.d},{algebra.d})")
@@ -83,6 +90,30 @@ class Op:
             raise NumericError("operator entries must be finite")
         self.blocks = blocks
         self.algebra = algebra
+
+    @property
+    def batch(self) -> tuple:
+        return self.blocks.shape[:-3]
+
+    # -- the first batch axis -----------------------------------------------
+    def __len__(self) -> int:
+        if not self.batch:
+            raise TypeError("an unbatched Op has no length")
+        return self.blocks.shape[0]
+
+    def __getitem__(self, i) -> "Op":
+        if not self.batch:
+            raise TypeError("an unbatched Op cannot be indexed")
+        out = object.__new__(Op)    # entries of a checked family: no recheck
+        out.blocks, out.algebra = self.blocks[i], self.algebra
+        return out
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def sum(self) -> "Op":
+        """Sum over the first batch axis."""
+        return Op(self.blocks.sum(axis=0), self.algebra)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "Op") -> "Op":
@@ -104,26 +135,35 @@ class Op:
 
     @property
     def H(self) -> "Op":
-        return Op(self.blocks.conj().transpose(0, 2, 1), self.algebra)
+        return Op(self.blocks.conj().swapaxes(-1, -2), self.algebra)
 
     # -- scalars ----------------------------------------------------------
-    def trace(self) -> complex:
-        tr = np.einsum("bii->b", self.blocks)
-        val = complex(np.dot(self.algebra.weights, tr))
-        return val
+    def trace(self):
+        return _per_entry(np.dot(np.einsum("...bii->...b", self.blocks),
+                                 self.algebra.weights))
 
     def is_hermitian(self, tol: float = HERMITIAN_TOL) -> bool:
-        scale = max(np.abs(self.blocks).max(), 1e-300)
-        return np.abs(self.blocks - self.H.blocks).max() <= tol * scale + 1e-300
+        """Every entry Hermitian, relative to its own largest entry."""
+        scale = np.maximum(np.abs(self.blocks).max(axis=_BLOCK_AXES), 1e-300)
+        dev = np.abs(self.blocks - self.H.blocks).max(axis=_BLOCK_AXES)
+        return bool(np.all(dev <= tol * scale + 1e-300))
 
     def hermitize(self) -> "Op":
         return Op(0.5 * (self.blocks + self.H.blocks), self.algebra)
 
     def max_abs(self) -> float:
-        return float(np.abs(self.blocks).max())
+        return float(np.abs(self.blocks).max(initial=0.0))
 
     def copy(self) -> "Op":
         return Op(self.blocks.copy(), self.algebra)
+
+
+_BLOCK_AXES = (-3, -2, -1)
+
+
+def _per_entry(x):
+    """One value per batch entry; a Python scalar for an unbatched Op."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 # ---------------------------------------------------------------------------
@@ -204,22 +244,22 @@ def spectral_projection(h: Op, interval: Interval) -> Op:
     if not h.is_hermitian():
         raise ContractViolation("spectral_projection requires a Hermitian operator")
     w, v = _eigh(h)
-    keep = interval.contains(w)  # (nblocks, d) boolean
-    sel = np.where(keep[:, None, :], v, 0.0)
-    blocks = sel @ sel.conj().transpose(0, 2, 1)
-    return Op(blocks, h.algebra)
+    keep = interval.contains(w)  # (*batch, nblocks, d) boolean
+    sel = np.where(keep[..., None, :], v, 0.0)
+    return Op(sel @ sel.conj().swapaxes(-1, -2), h.algebra)
 
 
 def abs_op(a: Op) -> Op:
     """|a| = (a* a)^{1/2}."""
     w, v = _eigh((a.H @ a).hermitize())
     w = np.clip(w, 0.0, None)
-    blocks = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    blocks = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
     return Op(blocks, a.algebra)
 
 
 def singular_values(a: Op):
-    """Per-block singular values (nblocks, d), each carrying its block weight."""
+    """Per-block singular values (*batch, nblocks, d), each carrying its
+    block weight."""
     try:
         s = np.linalg.svd(a.blocks, compute_uv=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -289,14 +329,15 @@ def mu_function(a: Op) -> MuFunction:
 
 
 def schatten_norm(a: Op, p: float) -> float:
-    """||a||_p = tau(|a|^p)^{1/p}; p = inf gives the operator norm."""
+    """||a||_p = tau(|a|^p)^{1/p} per entry; p = inf gives the operator
+    norm."""
     if p < 1:
         raise ContractViolation("schatten_norm requires p >= 1")
     s = singular_values(a)
     if np.isinf(p):
-        return float(s.max(initial=0.0))
-    w = a.algebra.weights
-    return float(np.dot(w, (s ** p).sum(axis=1)) ** (1.0 / p))
+        return _per_entry(s.max(axis=(-2, -1), initial=0.0))
+    return _per_entry(np.dot((s ** p).sum(axis=-1), a.algebra.weights)
+                      ** (1.0 / p))
 
 
 def op_norm(a: Op) -> float:
@@ -323,42 +364,31 @@ def is_projection(p: Op, tol: float = 1e-10) -> bool:
     return bool(herm and idem)
 
 
-def proj_meet(ps: list[Op]) -> Op:
-    """Meet of projections: range = intersection of ranges.
-
-    Computed from the null space of sum(1 - p_i) with the documented
-    eigenvalue cut MEET_NULL_TOL.
-    """
-    if not ps:
-        raise ContractViolation("proj_meet of an empty list")
-    alg = ps[0].algebra
-    for p in ps:
-        if p.algebra.nblocks != alg.nblocks or p.algebra.d != alg.d:
-            raise ContractViolation("projection dimension mismatch")
-    acc = alg.zero()
-    one = alg.unit()
-    for p in ps:
-        acc = acc + (one - p)
-    acc = acc.hermitize()
-    return spectral_projection(acc, Interval(None, MEET_NULL_TOL,
-                                             closed_hi=True))
+def null_projection(h: Op) -> Op:
+    """Projection onto the null space of a positive h, with the documented
+    eigenvalue cut MEET_NULL_TOL."""
+    return spectral_projection(h.hermitize(), Interval(None, MEET_NULL_TOL,
+                                                       closed_hi=True))
 
 
-def proj_join(ps: list[Op]) -> Op:
+def proj_meet(ps: Op) -> Op:
+    """Meet of the projections along the first batch axis of ps (range =
+    intersection of ranges): the null space of sum_i (1 - p_i)."""
+    if not ps.batch or len(ps) == 0:
+        raise ContractViolation("proj_meet needs a non-empty batch")
+    return null_projection((ps.algebra.unit() - ps).sum())
+
+
+def proj_join(ps: Op) -> Op:
     """Join of projections: 1 - meet(1 - p_i)."""
-    one = ps[0].algebra.unit()
-    return one - proj_meet([one - p for p in ps])
+    one = ps.algebra.unit()
+    return one - proj_meet(one - ps)
 
 
-def annihilation_check(p: Op, f: Op, tol: float = 1e-10) -> bool:
-    """True iff ||p f p||_inf <= tol * ||f||_inf (certifies supp* f <= 1-p)."""
+def annihilation_check(p: Op, f: Op, tol: float = 1e-10):
+    """Per entry, ||p f p||_inf <= tol * ||f||_inf (certifies
+    supp* f <= 1-p)."""
     if p.algebra.dim != f.algebra.dim:
         raise ContractViolation("dimension mismatch")
-    scale = max(op_norm(f), 1e-300)
-    return op_norm(p @ f @ p) <= tol * scale
-
-
-def positive_part_floor(a: Op) -> float:
-    """Smallest eigenvalue of a Hermitian operator (positivity diagnostic)."""
-    w, _ = _eigh(a.hermitize())
-    return float(w.min())
+    return _per_entry(np.asarray(op_norm(p @ f @ p))
+                      <= tol * np.maximum(op_norm(f), 1e-300))

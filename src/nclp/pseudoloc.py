@@ -12,8 +12,7 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import (MEET_NULL_TOL, Interval, Op, annihilation_check, l2_norm,
-                     spectral_projection)
+from .opcore import Op, annihilation_check, l2_norm, null_projection
 
 # ---------------------------------------------------------------------------
 # dyadic averaging on the scalar grid
@@ -299,6 +298,18 @@ def psi_s(T: DiscOp, s: int) -> DiscOp:
     return replace(T, mats=_from_haar(hat, T.N, T.N - hat.shape[-1]))
 
 
+def phi_psi_apply(T: DiscOp, s: int, x: np.ndarray) -> np.ndarray:
+    """(Phi_s + Psi_s) x, shaped (M, N, ...), for x with cells on axis 0
+    (scalar or matrix-valued), applied through the Haar blocks instead of
+    the dense kernel matrices of ``phi_s`` and ``psi_s``."""
+    c = _on_rows(haar, x.reshape(T.N, -1))          # (N, cols) coefficients
+    psi = psi_s_hat(T, s)
+    y = psi @ c[T.N - psi.shape[-1]:]
+    phi = phi_s_hat(haar2(T.mats), s)
+    y[:, :phi.shape[-2]] += phi @ c
+    return _on_rows(ihaar, y, T.N).reshape((T.M,) + x.shape)
+
+
 def lambda_family(T: DiscOp, s: int) -> list[np.ndarray]:
     """The Cotlar family Lambda_{s,k} = E_k T Delta_{k+s}."""
     _check_s(T.K, s)
@@ -523,7 +534,7 @@ def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int) -> float:
     if not out.any():
         return 0.0
     lhs = T.apply(f)
-    rhs = phi_s(T, s).apply(f) + psi_s(T, s).apply(f)
+    rhs = phi_psi_apply(T, s, f)
     scale = max(np.abs(lhs).max(), 1e-300)
     return float(np.abs((lhs - rhs)[:, out]).max() / scale)
 
@@ -549,32 +560,31 @@ def localization_check(T: DiscOp, x0: float, r1: float, r2: float) -> dict:
 # semicommutative localization (matrix-valued f)
 # ---------------------------------------------------------------------------
 
-def zeta_fs(filt: GridFiltration, q_list: list[Op], levels: list[int]) -> Op:
+def zeta_fs(filt: GridFiltration, q_list: Op, levels: list[int]) -> Op:
     """zeta_{f,s} = meet_k ( 1 - join_Q (1 - xi_Q) 1_{9Q} ) from the supplied
-    level projections q_k = sum_Q xi_Q 1_Q.
+    level projections q_k = sum_Q xi_Q 1_Q (batched over ``levels``).
 
     On each cell the meet of the projections xi_Q over the 9Q that contain
-    it is the null space of S = sum (1 - xi_Q), and S is one incidence
-    product per level."""
+    it is the null space of S = sum (1 - xi_Q), and S is one product with
+    the (cube, cell) incidence of every level's cubes."""
     d = filt.d
-    S = np.zeros((filt.algebra.nblocks, d * d), dtype=complex)
-    for k, q in zip(levels, q_list):
-        comp = np.eye(d) - q.blocks[filt.first_cells(k)]
-        comp[np.abs(comp).max(axis=(1, 2)) <= 1e-14] = 0.0
-        S += filt.dilation_masks(k, 9).T @ comp.reshape(len(comp), -1)
-    lost = Op(S.reshape(-1, d, d), filt.algebra).hermitize()
-    return spectral_projection(lost, Interval(None, MEET_NULL_TOL,
-                                              closed_hi=True))
+    first = [filt.first_cells(k) for k in levels]
+    pos = np.repeat(np.arange(len(levels)), [len(c) for c in first])
+    comp = np.eye(d) - q_list.blocks[pos, np.concatenate(first)]
+    comp[np.abs(comp).max(axis=(1, 2)) <= 1e-14] = 0.0
+    masks = np.concatenate([filt.dilation_masks(k, 9) for k in levels])
+    S = masks.T @ comp.reshape(len(comp), -1)
+    return null_projection(Op(S.reshape(-1, d, d), filt.algebra))
 
 
-def apply_disc_to_matrix(T: DiscOp, f: Op) -> list[Op]:
-    """Apply the scalar operator (tensored with id on M_d) to matrix-valued f."""
-    vals = np.einsum("mij,jab->miab", T.mats, f.blocks)
-    return [Op(vals[m], f.algebra) for m in range(T.M)]
+def apply_disc_to_matrix(T: DiscOp, f: Op) -> Op:
+    """Apply the scalar operator (tensored with id on M_d) to matrix-valued
+    f: the family (T_m f)_m batched over the M components."""
+    return Op(np.einsum("mij,jab->miab", T.mats, f.blocks), f.algebra)
 
 
 def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
-                       q_list: list[Op], identity_check: bool = False) -> dict:
+                       q_list: Op, identity_check: bool = False) -> dict:
     """Compressed-norm localization for matrix-valued f.
 
     Preconditions: T normalized; q_list[k] in the level-k subalgebra with
@@ -582,29 +592,25 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
     """
     _check_s(T.K, s)
     gamma = T.kernel.gamma if T.kernel else 1.0
-    mart = Martingale(filt, f)
-    levels = list(range(0, filt.K - s + 1))
-    for k in levels:
-        df = mart.diffs[k + s]
-        if df.max_abs() > 1e-13 and not annihilation_check(
-                q_list[k], df, tol=1e-9):
-            raise ContractViolation(
-                f"q_{k} does not annihilate df_{k + s}: containment uncertified")
-    z = zeta_fs(filt, [q_list[k] for k in levels], levels)
+    dfs = Martingale(filt, f).diffs[s:]             # df_{k+s}, k = 0..K-s
+    levels = list(range(len(dfs)))
+    q = q_list[:len(levels)]
+    bad = (np.abs(dfs.blocks).max(axis=(1, 2, 3)) > 1e-13) \
+        & ~annihilation_check(q, dfs, tol=1e-9)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ContractViolation(
+            f"q_{k} does not annihilate df_{k + s}: containment uncertified")
+    z = zeta_fs(filt, q, levels)
     tf = apply_disc_to_matrix(T, f)
-    comp = [z @ g @ z for g in tf]
-    val = float(np.sqrt(sum(l2_norm(g) ** 2 for g in comp)))
+    comp = z @ tf @ z
+    val = float(np.sqrt((l2_norm(comp) ** 2).sum()))
     f2 = l2_norm(f)
     denom = s * 2.0 ** (-gamma * s / 2.0) * max(f2, 1e-300)
     out = {"compressed_norm": val, "ratio": val / denom,
            "zeta_trace": float(z.trace().real)}
     if identity_check:
-        mats = phi_s(T, s).mats + psi_s(T, s).mats
-        rhs_vals = np.einsum("mij,jab->miab", mats, f.blocks)
-        resid = 0.0
-        scale = max(max(g.max_abs() for g in tf), 1e-300)
-        for m, g in enumerate(comp):
-            rhs = z @ Op(rhs_vals[m], f.algebra) @ z
-            resid = max(resid, (g - rhs).max_abs())
-        out["identity_residual"] = resid / scale
+        rhs = z @ Op(phi_psi_apply(T, s, f.blocks), f.algebra) @ z
+        out["identity_residual"] = (comp - rhs).max_abs() / max(
+            tf.max_abs(), 1e-300)
     return out

@@ -169,10 +169,10 @@ def test_criterion_10_kernel_oracle(capsys):
 
 def test_criterion_11_pseudoloc_decay(capsys, decay_report):
     ok = all_pass(decay_report)
-    agg = decay_report["aggregate"]
+    agg, summary = decay_report["aggregate"], decay_report["summary"]
     _emit(capsys, 11, ok,
-          f"depth-10 decay: phi slope {agg['phi_slope']['max']:.3g}, psi "
-          f"slope {agg['psi_slope']['max']:.3g} (window [-0.65, -0.35]), "
+          f"depth-10 decay: phi slope {summary['phi_slope']:.3g}, psi "
+          f"slope {summary['psi_slope']:.3g} (window [-0.65, -0.35]), "
           f"end-to-end ratio {agg['comm_ratio']['max']:.3g} <= 64")
 
 
@@ -215,7 +215,7 @@ def test_criterion_14_nc_pseudoloc(capsys):
     _emit(capsys, 14, ok,
           f"compressed-norm ratio {agg['ratio']['max']:.3g} <= 64 for s in "
           f"[2,4]; d=1 reduction residual "
-          f"{agg['reduction_residual']['max']:.3g} <= 1e-9")
+          f"{rep['summary']['reduction_residual']:.3g} <= 1e-9")
 
 
 def test_criterion_15_ergodic_coefficients(capsys):

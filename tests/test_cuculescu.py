@@ -62,7 +62,7 @@ def per_block_cuculescu(f, lam, convention):
 def delta_trunc_oracle(x, pi, ell):
     """Delta_{r,ell}(x) as the double loop over pairs j <= i <= ell."""
     out = x.algebra.zero()
-    idx = [k for k in pi.indices() if k <= ell]
+    idx = [i for i, k in enumerate(pi.indices()) if k <= ell]
     for i in idx:
         for j in idx:
             if i >= j:
@@ -179,7 +179,8 @@ def test_compression_excess_sees_a_projection_above_lambda():
     f = random_positive_martingale(filt, trial_rng(23, 0))
     w = np.linalg.eigvalsh(f.top.blocks)
     lam = 0.5 * (w.min() + w.max())
-    bad = CuculescuSequence(lam, "closed", [f.algebra.unit()] * len(f.seq), f)
+    units = np.broadcast_to(f.algebra.unit().blocks, f.seq.blocks.shape)
+    bad = CuculescuSequence(lam, "closed", Op(units, f.algebra), f)
     excess = cuculescu_report(bad)["compression_excess"]
     assert excess >= w.max() - lam - 1e-12 > 0.0
     suite = Suite(ExperimentConfig("cuculescu").resolved())
@@ -258,9 +259,9 @@ def test_pi_family_partitions_unity():
     filt = TensorDyadicFiltration(3)
     f = random_positive_martingale(filt, trial_rng(15, 0))
     pi = pi_family(f, (-2, 3))
+    assert len(pi.blocks) == len(pi.indices())
     total = f.algebra.zero()
-    for ell in pi.indices():
-        b = pi.blocks[ell]
+    for b in pi.blocks:
         total = total + b
         assert is_projection(b, tol=1e-8)
     assert (total - f.algebra.unit()).max_abs() < 1e-8
@@ -321,3 +322,27 @@ def test_delta_trunc_matches_pair_loop_oracle(spec):
         assert (got - delta_trunc_oracle(x, pi, ell)).max_abs() <= 1e-12
     r, _ = delta_split(x, pi)
     assert (r - delta_trunc_oracle(x, pi, pi.l_max)).max_abs() <= 1e-12
+
+
+def meet_ladder_pairwise_oracle(qs):
+    """The meet ladder W_l = meet(W_{l+1}, q_l) built one pair at a time
+    down from W_{l_max} = q_{l_max}, and its increments."""
+    w = [qs[-1]]
+    for q in list(qs)[-2::-1]:
+        w.insert(0, proj_meet(Op(np.stack([w[0].blocks, q.blocks]),
+                                 q.algebra)))
+    return w, [w[0]] + [w[i] - w[i - 1] for i in range(1, len(w))]
+
+
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,2"])
+def test_meet_ladder_matches_pairwise_oracle(spec):
+    f = random_positive_martingale(build_filtration(spec), trial_rng(30, 0))
+    pi = pi_family(f, (-4, 3))
+    qs = Op(np.stack([q_lambda(s).blocks for s in cuculescu(
+        f, 2.0 ** np.arange(-4, 4))]), f.algebra)
+    w, blocks = meet_ladder_pairwise_oracle(qs)
+    assert pi.l_max == 3 and len(pi.w) == len(w) == 8
+    for got, ref in zip(pi.w, w, strict=True):
+        assert (got - ref).max_abs() <= 1e-12
+    for got, ref in zip(pi.blocks, blocks, strict=True):
+        assert (got - ref).max_abs() <= 1e-12

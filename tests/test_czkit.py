@@ -8,10 +8,10 @@ from nclp.czkit import (ZetaData, cz_decompose, cz_report, g_off_layer_report,
                         zeta_report)
 from nclp.errors import ContractViolation
 from nclp.filtration import GridFiltration, TensorDyadicFiltration, dyadic_father
-from nclp.harness import random_positive_martingale, trial_rng
-from nclp.martingale import Martingale, OperatorFamily
-from nclp.opcore import (Interval, Op, is_projection, l2_norm, proj_meet,
-                         schatten_norm, spectral_projection)
+from nclp.harness import random_coeffs, random_positive_martingale, trial_rng
+from nclp.martingale import Martingale, transform_family
+from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
+                         proj_meet, schatten_norm, spectral_projection)
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -45,10 +45,10 @@ def pair_sum_oracle(parts):
 
 def thmB1_pair_loop_oracle(tf_family, split):
     """The A and B parts of thmB1_decompose as double loops over the block
-    pairs above psi."""
-    psi, blocks = split.psi, split.pi_blocks
+    pairs above psi, one family member at a time."""
+    psi, blocks = split.pi.w[0], split.pi.blocks
     one = psi.algebra.unit()
-    idx = list(range(split.l_min + 1, split.l_max + 1))
+    idx = list(range(1, len(blocks)))
     a_ops, b_ops = [], []
     for g in tf_family:
         a = (one - psi) @ g @ psi
@@ -106,7 +106,8 @@ def zeta_per_cube_oracle(parts):
         supp = spectral_projection(psi[-1].hermitize(),
                                    Interval(1e-9, None, closed_lo=False))
         zeta_k.append(alg.unit() - supp)
-    return xi, psi, zeta_k, proj_meet(zeta_k)
+    return xi, psi, zeta_k, proj_meet(Op(np.stack([z.blocks for z in zeta_k]),
+                                         alg))
 
 
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 6, 2)])
@@ -311,21 +312,21 @@ def test_g_off_layers_sum_and_support():
 
 def test_thmB1_split_reassembles():
     f = _grid_mart(58, K=3)
-    fam = OperatorFamily([f.diffs[1], f.diffs[2]])
+    fam = f.diffs[1:3]
     split = thmB1_decompose(fam, f, (-2, 4))
     one = f.algebra.unit()
     for g, c, a, b in zip(fam, split.center, split.a_part, split.b_part):
         assert (c + a + b - g).max_abs() < 1e-8
-    assert is_projection(split.psi, tol=1e-8)
-    # the cumulative projections rho(i) increase to the unit
-    total = split.rho(split.l_max)
-    assert (total - one).max_abs() < 1e-8
+    assert is_projection(split.pi.w[0], tol=1e-8)
+    # the meet ladder increases to the unit at l_max
+    assert split.pi.l_max == 4
+    assert (split.pi.w[-1] - one).max_abs() < 1e-8
 
 
 @pytest.mark.parametrize("K,l_range", [(3, (-2, 4)), (4, (-3, 3))])
 def test_thmB1_telescoped_parts_match_pair_loop_oracle(K, l_range):
     f = _grid_mart(64, K=K)
-    fam = OperatorFamily(f.diffs[1:])
+    fam = f.diffs[1:]
     split = thmB1_decompose(fam, f, l_range)
     a_ref, b_ref = thmB1_pair_loop_oracle(fam, split)
     for got, ref in zip(split.a_part, a_ref, strict=True):
@@ -336,6 +337,80 @@ def test_thmB1_telescoped_parts_match_pair_loop_oracle(K, l_range):
 
 def test_thmB1_range_check():
     f = _grid_mart(59, K=3)
-    fam = OperatorFamily([f.diffs[1]])
+    fam = f.diffs[1:2]
     with pytest.raises(ContractViolation):
         thmB1_decompose(fam, f, (-2, -1))
+
+
+# -- loop oracles for the batched layers --------------------------------------
+
+def g_off_layers_loop_oracle(parts):
+    """The layers g_(s) and their terms one (s, k) pair at a time, plus the
+    layer report computed term by term."""
+    f = parts.martingale
+    npos = len(f.levels)
+    layers, terms = {}, {}
+    for s in range(1, npos):
+        acc, row = f.algebra.zero(), []
+        for k in range(npos - s):
+            if f.levels[k] <= parts.m_lambda:
+                continue
+            p, df, qp = parts.ps[k], f.diffs[k + s], parts.qs[k + s - 1]
+            t = p @ df @ qp + qp @ df @ p
+            row.append((k, t))
+            acc = acc + t
+        layers[s], terms[s] = acc, row
+    l1 = schatten_norm(f.top, 1)
+    one = f.algebra.unit()
+    total = f.algebra.zero()
+    sup_ratio = orth = supp = 0.0
+    for s, g in layers.items():
+        total = total + g
+        nsq = l2_norm(g) ** 2
+        sup_ratio = max(sup_ratio, nsq / max(parts.lam * l1, 1e-300))
+        orth = max(orth, abs(nsq - sum(l2_norm(t) ** 2 for _, t in terms[s])))
+        for k, t in terms[s]:
+            rest = one - parts.ps[k]
+            supp = max(supp, (rest @ t @ rest).max_abs())
+    report = {"sum_residual": (total - parts.g_off).max_abs(),
+              "sup_layer_ratio": sup_ratio,
+              "layer_orthogonality_residual": orth,
+              "support_residual": supp}
+    return layers, terms, report
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2)])
+def test_g_off_layers_match_loop_oracle(n, K, d):
+    f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(68, 0))
+    seen_terms = 0
+    for parts in cz_decompose(f, 2.0 ** np.arange(-2, 5)):
+        lay = g_off_layers(parts)
+        layers, terms, report = g_off_layers_loop_oracle(parts)
+        assert len(lay["layers"]) == len(layers)
+        for s, ref in layers.items():
+            assert (lay["layers"][s - 1] - ref).max_abs() <= 1e-12
+        pairs = [(s, k, t) for s, row in terms.items() for k, t in row]
+        assert [(s, k) for s, k, _ in pairs] == list(zip(lay["s"], lay["k"]))
+        for got, (_, _, ref) in zip(lay["terms"], pairs):
+            assert (got - ref).max_abs() <= 1e-12
+        seen_terms += len(pairs)
+        got = g_off_layer_report(parts, lay)
+        for key, ref in report.items():
+            assert abs(got[key] - ref) <= 1e-12 * abs(ref) + 1e-15
+    assert seen_terms > 0
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2)])
+def test_thmB1_parts_match_pair_loop_oracle_on_grids(n, K, d):
+    f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(69, 0))
+    fam = transform_family(f, random_coeffs(len(f.levels), 3,
+                                            trial_rng(69, 1), "row-eq-one"))
+    l_max = int(np.ceil(np.log2(op_norm(f.top)))) + 1
+    split = thmB1_decompose(fam, f, (l_max - 6, l_max))
+    a_ref, b_ref = thmB1_pair_loop_oracle(fam, split)
+    psi = split.pi.w[0]
+    for g, c, a, b, a0, b0 in zip(fam, split.center, split.a_part,
+                                  split.b_part, a_ref, b_ref, strict=True):
+        assert (c - psi @ g @ psi).max_abs() <= 1e-12
+        assert (a - a0).max_abs() <= 1e-12
+        assert (b - b0).max_abs() <= 1e-12

@@ -167,3 +167,19 @@ def test_dilation_masks_match_concentric_mask(n, K):
                                   concentric_mask_oracle(filt, Q, 9))
     with pytest.raises(ContractViolation):
         filt.dilation_masks(1, 4)
+
+
+@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2", "grid:2,2,2",
+                                  "corner:4"])
+def test_expect_passes_batch_axes_through(spec):
+    filt = build_filtration(spec)
+    alg = filt.algebra
+    x = Op(np.stack([[rand(filt, 10 + 3 * i + j).blocks for j in range(3)]
+                     for i in range(2)]), alg)
+    for k in filt.levels:
+        got = filt.expect(x, k)
+        assert got.batch == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got.blocks[i, j],
+                                      filt.expect(x[i][j], k).blocks)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from nclp.cuculescu import cuculescu, delta_split, q_lambda
 from nclp.errors import ContractViolation
 from nclp.gundy import (cross_experiment, ergodic_coeffs, ergodic_row_bound,
                         gundy, gundy_verify, thmA1_decompose,
                         weak11_experiment)
 from nclp.harness import (random_coeffs, random_positive_martingale,
                           trial_rng)
-from nclp.filtration import GridFiltration, TensorDyadicFiltration
-from nclp.martingale import CoeffMatrix, Martingale
-from nclp.opcore import annihilation_check, l2_norm
+from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
+                             build_filtration)
+from nclp.martingale import CoeffMatrix, Martingale, transform_family
+from nclp.opcore import annihilation_check, l2_norm, op_norm, schatten_norm
 
 
 def _mart(seed, filt=None):
@@ -28,8 +30,7 @@ def test_parts_sum_to_differences():
 def test_alpha_is_conditionally_centered():
     f = _mart(31)
     parts = gundy(f, 1.0)
-    for i, da in enumerate(parts.d_alpha):
-        assert f.expect_before(i, da).max_abs() < 1e-10
+    assert f.expect_each(parts.d_alpha, lag=1).max_abs() < 1e-10
 
 
 def test_gamma_annihilated_by_final_projection():
@@ -138,3 +139,108 @@ def test_cross_experiment_rank_one_oracle():
     from nclp.martingale import row_square
     direct = schatten_norm(f.diffs[0], 4)
     assert rep["lhs"] == pytest.approx(direct, rel=1e-9)
+
+
+# -- loop oracles for the batched families ------------------------------------
+
+SPECS = ["tensor:4", "grid:1,4,2", "grid:2,3,2"]
+
+
+def gundy_loop_oracle(f, lam):
+    """The three difference sequences one level at a time."""
+    qs = list(cuculescu(f, lam).qs)
+    alpha, beta, gamma = [], [], []
+    for i, df in enumerate(f.diffs):
+        qk = qs[i]
+        qp = qs[i - 1] if i else f.algebra.unit()
+        core = qk @ df @ qk
+        comp = f.filtration.expect(core, f.levels[i - 1]) if i \
+            else f.algebra.zero()
+        alpha.append(core - comp)
+        beta.append(qp @ df @ qp - core + comp)
+        gamma.append(df - qp @ df @ qp)
+    return alpha, beta, gamma
+
+
+def gundy_verify_loop_oracle(parts):
+    f, lam = parts.martingale, parts.seq.lam
+    acc, alpha = f.algebra.zero(), 0.0
+    for a in parts.d_alpha:
+        acc = acc + a
+        alpha = max(alpha, l2_norm(acc) ** 2)
+    beta = sum(schatten_norm(d, 1) for d in parts.d_beta)
+    q = q_lambda(parts.seq)
+    scale = max(max(op_norm(df) for df in f.diffs), 1e-300)
+    annihilated = all(annihilation_check(q, dg, tol=1e-10)
+                      for dg in parts.d_gamma if op_norm(dg) > 1e-12 * scale)
+    denom = max(f.sup_l1, 1e-300)
+    return {"alpha": alpha / lam / denom, "beta": beta / denom,
+            "gamma_annihilated": annihilated}
+
+
+def thmA1_loop_oracle(f, xi, pi):
+    """A_m and B_m split one difference and one coefficient at a time."""
+    splits = [delta_split(df, pi) for df in list(f.diffs)[:xi.k_max]]
+    a_ops, b_ops = [], []
+    for m in range(xi.m_max):
+        am = bm = f.algebra.zero()
+        for k in range(xi.k_max):
+            am = am + xi.entries[k, m] * splits[k][0]
+            bm = bm + xi.entries[k, m] * splits[k][1]
+        a_ops.append(am)
+        b_ops.append(bm)
+    return a_ops, b_ops
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_gundy_parts_match_loop_oracle(spec):
+    f = _mart(70, build_filtration(spec))
+    for lam in (0.5, 1.0, 2.0, 4.0):
+        parts = gundy(f, lam)
+        for got, ref in zip((parts.d_alpha, parts.d_beta, parts.d_gamma),
+                            gundy_loop_oracle(f, lam)):
+            assert len(got) == len(ref) == len(f.levels)
+            for g, r in zip(got, ref):
+                assert (g - r).max_abs() <= 1e-12
+        rep = gundy_verify(parts)
+        ref = gundy_verify_loop_oracle(parts)
+        assert rep["gamma_annihilated"] is ref["gamma_annihilated"]
+        for key in ("alpha", "beta"):
+            assert abs(rep[key] - ref[key]) <= 1e-12 * abs(ref[key]) + 1e-15
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_thmA1_parts_match_loop_oracle(spec):
+    f = _mart(71, build_filtration(spec))
+    xi = random_coeffs(len(f.levels), 3, trial_rng(72, 0), "row-eq-one")
+    a_fam, b_fam, pi, _ = thmA1_decompose(f, xi)
+    a_ref, b_ref = thmA1_loop_oracle(f, xi, pi)
+    for got, ref in zip(a_fam, a_ref, strict=True):
+        assert (got - ref).max_abs() <= 1e-12
+    for got, ref in zip(b_fam, b_ref, strict=True):
+        assert (got - ref).max_abs() <= 1e-12
+
+
+def cross_lhs_per_block_oracle(f, rho, eta):
+    """||sum T_mn (x) e_{m,n}||_4 assembled one block at a time."""
+    k = min(rho.k_max, eta.k_max, len(f.diffs))
+    flat = np.einsum("km,kn->kmn", rho.entries[:k], eta.entries[:k])
+    fam = list(transform_family(f, CoeffMatrix(flat.reshape(k, -1))))
+    alg, M_m, M_n = f.algebra, rho.m_max, eta.m_max
+    val4 = 0.0
+    for b in range(alg.nblocks):
+        tb = np.array([g.blocks[b] for g in fam]).reshape(M_m, M_n, alg.d,
+                                                          alg.d)
+        bstar = np.einsum("mnab,mqac->nqbc", tb.conj(), tb)
+        big = bstar.transpose(0, 2, 1, 3).reshape(M_n * alg.d, M_n * alg.d)
+        val4 += alg.weights[b] * float(np.trace(big @ big).real)
+    return val4 ** 0.25
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_cross_experiment_matches_per_block_oracle(spec):
+    f = _mart(73, build_filtration(spec))
+    rho = random_coeffs(len(f.levels), 3, trial_rng(74, 0), "row-eq-one")
+    eta = random_coeffs(len(f.levels), 2, trial_rng(74, 1), "row-eq-one")
+    ref = cross_lhs_per_block_oracle(f, rho, eta)
+    assert abs(cross_experiment(f, rho, eta)["lhs"] - ref) <= 1e-12 * ref

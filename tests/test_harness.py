@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nclp
 from nclp.errors import ContractViolation
 from nclp.filtration import GridFiltration, TensorDyadicFiltration
 from nclp.harness import (EXPERIMENTS, ExperimentConfig, Suite, digest,
@@ -133,7 +135,7 @@ def test_report_structure_and_determinism():
     rep2 = run(ExperimentConfig("norms", trials=3, seed=1))
     for rep in (rep1, rep2):
         assert set(rep) == {"experiment", "config", "trials", "aggregate",
-                            "assertions", "timestamp"}
+                            "summary", "assertions", "timestamp"}
         assert len(rep["trials"]) == 3
         for t in rep["trials"]:
             assert set(t) == {"id", "inputs_digest", "metrics", "pass"}
@@ -163,8 +165,12 @@ def test_every_experiment_is_runnable():
 # -- command line --------------------------------------------------------
 
 def _cli(*args):
+    # the child imports the same nclp as this process, installed or not
+    src = os.path.dirname(os.path.dirname(nclp.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "nclp.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 def test_cli_pass_exit_zero(tmp_path):
@@ -217,3 +223,58 @@ def test_cli_rejects_empty_or_malformed_range(argv, capsys):
     assert main(argv + ["--trials", "1", "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("nclp: config/contract error:")
+
+
+@pytest.mark.parametrize("argv,bad", [
+    (["cuculescu", "--seed", "-1"], "seed must be >= 0, got -1"),
+    (["transform-weak11", "--lambda-exp", "1100..1100"], "exponent 1100"),
+    (["ergodic", "--lambda-exp", "1100..1100"], "exponent 1100"),
+    (["gundy", "--lambda-exp", "1100..1100"], "exponent 1100"),
+    (["cuculescu", "--lambda-exp=-1100..-1100"], "exponent -1100"),
+    (["pseudoloc-decay", "--gamma", "nan"], "got nan"),
+    (["pseudoloc-decay", "--gamma", "0"], "got 0.0"),
+], ids=["negative-seed", "weak11-overflow", "ergodic-overflow",
+        "gundy-overflow", "underflow", "gamma-nan", "gamma-zero"])
+def test_cli_rejects_bad_seed_lambda_exponent_and_gamma(argv, bad, capsys):
+    from nclp.cli import main
+    assert main(argv + ["--trials", "1", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nclp: config/contract error:")
+    assert bad in err
+
+
+# -- suite-level numbers -----------------------------------------------------
+
+def test_trial_missing_a_rule_metric_fails():
+    suite = Suite(ExperimentConfig("norms").resolved())
+    suite.add_trial("x", {"residual": 0.0})
+    suite.add_trial("y", {"other": 0.0})
+    suite.rule("check", "residual", 1e-8)
+    rep = suite.report()
+    assert [t["pass"] for t in rep["trials"]] == [True, False]
+
+
+def test_rule_reads_summary_before_trials():
+    suite = Suite(ExperimentConfig("norms").resolved())
+    suite.add_trial("x", {"residual": 0.0})
+    suite.summary["slope"] = -0.5
+    suite.rule("check", "residual", 1e-8)
+    suite.rule("slope_upper", "slope", -0.35)
+    suite.rule("slope_lower", "slope", -0.6)
+    rep = suite.report()
+    assert rep["summary"] == {"slope": -0.5}
+    result = {a["name"]: a for a in rep["assertions"]}
+    assert result["slope_upper"]["measured"] == -0.5
+    assert result["slope_upper"]["pass"] is True
+    assert result["slope_lower"]["pass"] is False
+    # a trial answers only for the trial-level rule
+    assert rep["trials"][0]["pass"] is True
+
+
+def test_decay_slopes_live_in_the_summary():
+    rep = run(ExperimentConfig("pseudoloc-decay", depth=6, s_range=(2, 4)))
+    assert {"phi_slope", "psi_slope", "phi_slope_neg", "psi_slope_neg",
+            "psi_zero_count"} <= rep["summary"].keys()
+    assert all("phi_slope" not in t["metrics"] for t in rep["trials"])
+    result = {a["name"]: a for a in rep["assertions"]}
+    assert result["phi_slope_upper"]["measured"] == rep["summary"]["phi_slope"]

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclp.errors import ContractViolation
-from nclp.filtration import GridFiltration, TensorDyadicFiltration
+from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
+                             build_filtration)
 from nclp.martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
                              dirac_coeffs, function_bmo, l2_identity_check,
                              lp_rc_norm, partition_coeffs, row_square,
@@ -43,8 +44,7 @@ def test_differences_are_orthogonal():
             inner = (f.diffs[i] @ f.diffs[j].H).trace()
             assert abs(inner) < 1e-12
     # and each is conditionally centered
-    for i, d in enumerate(f.diffs):
-        assert f.expect_before(i, d).max_abs() < 1e-12
+    assert f.expect_each(f.diffs, lag=1).max_abs() < 1e-12
 
 
 def test_energy_identity():
@@ -142,3 +142,120 @@ def test_function_bmo_constant_zero_and_haar_oracle():
     br, bc = function_bmo(filt, h)
     assert br == pytest.approx(1.0, abs=1e-12)
     assert bc == pytest.approx(br, abs=1e-12)
+
+
+# -- loop oracles for the batched families ------------------------------------
+
+SPECS = ["tensor:4", "grid:1,4,2", "grid:2,3,2"]
+
+
+def _spec_mart(spec, seed, hermitian=False):
+    return rand_mart(seed, build_filtration(spec), hermitian=hermitian)
+
+
+def transform_family_loop_oracle(f, xi):
+    """T_m f accumulated one coefficient at a time."""
+    out = []
+    for m in range(xi.m_max):
+        acc = f.algebra.zero()
+        for k in range(xi.k_max):
+            if xi.entries[k, m] != 0:
+                acc = acc + xi.entries[k, m] * f.diffs[k]
+        out.append(acc)
+    return out
+
+
+def bmo_loop_oracle(f):
+    """bmo_norms with each tail summed level by level."""
+    bmo_r = bmo_c = 0.0
+    npos = len(f.levels)
+    for i in range(min(1, npos - 1), npos):
+        tail_r = tail_c = f.algebra.zero()
+        for k in range(i, npos):
+            d = f.diffs[k]
+            tail_r = tail_r + d @ d.H
+            tail_c = tail_c + d.H @ d
+        bmo_r = max(bmo_r, np.sqrt(max(op_norm(
+            f.filtration.expect(tail_r, f.levels[i])), 0.0)))
+        bmo_c = max(bmo_c, np.sqrt(max(op_norm(
+            f.filtration.expect(tail_c, f.levels[i])), 0.0)))
+    return bmo_r, bmo_c, max(bmo_r, bmo_c)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_transform_family_matches_loop_oracle(spec):
+    f = _spec_mart(spec, 40)
+    rng = np.random.default_rng(41)
+    xi = CoeffMatrix(rng.standard_normal((len(f.diffs), 3))
+                     + 1j * rng.standard_normal((len(f.diffs), 3)))
+    xi.entries[1, 2] = 0.0
+    fam = transform_family(f, xi)
+    ref = transform_family_loop_oracle(f, xi)
+    assert len(fam) == len(ref) == 3
+    for got, want in zip(fam, ref):
+        assert (got - want).max_abs() <= 1e-12 * want.max_abs()
+    # the squares sum over the family axis
+    r = row_square(fam)
+    c = col_square(fam)
+    acc_r = acc_c = f.algebra.zero()
+    for g in ref:
+        acc_r = acc_r + g @ g.H
+        acc_c = acc_c + g.H @ g
+    assert ((r @ r) - acc_r).max_abs() <= 1e-12 * acc_r.max_abs()
+    assert ((c @ c) - acc_c).max_abs() <= 1e-12 * acc_c.max_abs()
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_bmo_tails_match_loop_oracle(spec):
+    for seed in (42, 43):
+        f = _spec_mart(spec, seed)
+        for got, want in zip(bmo_norms(f), bmo_loop_oracle(f)):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def function_bmo_loop_oracle(filt, members):
+    """function_bmo summing the cube oscillations one member at a time."""
+    n, K, d, side = filt.n, filt.K, filt.d, filt.side
+    bmo_r = bmo_c = 0.0
+    for k in filt.levels:
+        L = 2 ** (K - k)
+        for shift in [0] if L == 1 else [0, L // 2]:
+            acc_r = acc_c = 0.0
+            for g in members:
+                sp = np.roll(g.blocks.reshape((side,) * n + (d, d)),
+                             shift=(-shift,) * n, axis=tuple(range(n)))
+                if n == 1:
+                    resh = sp.reshape(2 ** k, L, d, d)
+                    dev = resh - resh.mean(axis=1, keepdims=True)
+                    g_r = np.einsum("qlab,qlcb->qac", dev, dev.conj()) / L
+                    g_c = np.einsum("qlba,qlbc->qac", dev.conj(), dev) / L
+                else:
+                    resh = sp.reshape(2 ** k, L, 2 ** k, L, d, d)
+                    dev = resh - resh.mean(axis=(1, 3), keepdims=True)
+                    g_r = np.einsum("qlrmab,qlrmcb->qrac", dev,
+                                    dev.conj()) / L ** 2
+                    g_c = np.einsum("qlrmba,qlrmbc->qrac", dev.conj(),
+                                    dev) / L ** 2
+                acc_r = acc_r + g_r.reshape(-1, d, d)
+                acc_c = acc_c + g_c.reshape(-1, d, d)
+            bmo_r = max(bmo_r, np.sqrt(np.linalg.norm(
+                acc_r, ord=2, axis=(1, 2)).max()))
+            bmo_c = max(bmo_c, np.sqrt(np.linalg.norm(
+                acc_c, ord=2, axis=(1, 2)).max()))
+    return bmo_r, bmo_c
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 5, 1)])
+def test_function_bmo_of_a_family_matches_loop_oracle(n, K, d):
+    filt = GridFiltration(n, K, d)
+    rng = np.random.default_rng(44)
+    fam = Op(rng.standard_normal((3, filt.algebra.nblocks, d, d))
+             + 1j * rng.standard_normal((3, filt.algebra.nblocks, d, d)),
+             filt.algebra)
+    for got, want in zip(function_bmo(filt, fam),
+                         function_bmo_loop_oracle(filt, list(fam))):
+        assert abs(got - want) <= 1e-12 * want
+    # an unbatched Op is the family of one
+    for got, want in zip(function_bmo(filt, fam[1]),
+                         function_bmo_loop_oracle(filt, [fam[1]])):
+        assert abs(got - want) <= 1e-12 * want

@@ -156,8 +156,9 @@ def test_meet_join_against_subspace_oracle():
     v = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     p = _proj_from(v[:, :2], alg)
     q = _proj_from(v[:, 1:], alg)
-    m = proj_meet([p, q])
-    j = proj_join([p, q])
+    pq = Op(np.concatenate([p.blocks, q.blocks])[:, None], alg)
+    m = proj_meet(pq)
+    j = proj_join(pq)
     assert is_projection(m) and is_projection(j)
     # shared column v[:,1]: intersection rank 1, span rank 3
     assert m.trace().real * 4 == pytest.approx(1.0, abs=1e-8)
@@ -173,3 +174,91 @@ def test_annihilation_check():
     f = Op(np.diag([0.0, 5.0]).astype(complex)[None], alg)
     assert annihilation_check(p, f)
     assert not annihilation_check(p, alg.unit())
+
+
+# -- batched Ops ---------------------------------------------------------------
+
+def _batch(alg, seed, shape=(3,), hermitian=False):
+    rng = np.random.default_rng(seed)
+    b = rng.standard_normal(shape + (alg.nblocks, alg.d, alg.d)) \
+        + 1j * rng.standard_normal(shape + (alg.nblocks, alg.d, alg.d))
+    a = Op(b, alg)
+    return a.hermitize() if hermitian else a
+
+
+def test_batched_indexing_iteration_and_arithmetic():
+    a = _batch(BLOCKY, 30)
+    b = rand_op(BLOCKY, 31)
+    assert a.batch == (3,) and len(a) == 3 and b.batch == ()
+    assert isinstance(a[1], Op) and a[1].batch == ()
+    assert a[1:].batch == (2,)
+    assert [m.blocks.tolist() for m in a] == [a.blocks[i].tolist()
+                                              for i in range(3)]
+    # arithmetic broadcasts an unbatched operand over the batch
+    for got, m in zip(a @ b + b, a):
+        assert np.array_equal(got.blocks, (m @ b + b).blocks)
+    assert np.array_equal(a.sum().blocks, (a[0] + a[1] + a[2]).blocks)
+    with pytest.raises(TypeError):
+        len(b)
+    with pytest.raises(TypeError):
+        b[0]
+
+
+def test_batched_nonfinite_rejected_once_per_family():
+    bad = np.zeros((2, 1, 4, 4), dtype=complex)
+    bad[1, 0, 2, 3] = np.nan
+    with pytest.raises(NumericError):
+        Op(bad, ALG)
+    with pytest.raises(ContractViolation):
+        Op(np.zeros((2, 4, 4)), ALG)
+
+
+def test_batched_scalars_are_per_entry():
+    a = _batch(BLOCKY, 32, shape=(2, 3))
+    for fn in (lambda x: x.trace(), l2_norm, op_norm,
+               lambda x: schatten_norm(x, 1), lambda x: schatten_norm(x, 3)):
+        got = fn(a)
+        assert got.shape == (2, 3)
+        for i in range(2):
+            for j in range(3):
+                want = fn(a[i][j])
+                assert np.isscalar(want)
+                assert got[i, j] == pytest.approx(want, rel=1e-14, abs=1e-300)
+    assert singular_values(a).shape == (2, 3, BLOCKY.nblocks, BLOCKY.d)
+    assert a.max_abs() == max(m.max_abs() for row in a for m in row)
+
+
+def test_batched_hermitian_checks_and_projections_per_entry():
+    h = _batch(BLOCKY, 33, hermitian=True)
+    assert h.is_hermitian()
+    # one non-Hermitian entry makes the batch non-Hermitian
+    assert not Op(np.concatenate([h.blocks, _batch(BLOCKY, 34).blocks[:1]]),
+                  BLOCKY).is_hermitian()
+    iv = Interval(0.0, None)
+    p = spectral_projection(h, iv)
+    for got, m in zip(p, h):
+        assert (got - spectral_projection(m, iv)).max_abs() <= 1e-14
+    for got, m in zip(abs_op(h), h):
+        assert (got - abs_op(m)).max_abs() <= 1e-12
+
+
+def test_proj_meet_runs_over_the_first_axis():
+    # a (2, 3) batch: meets of the two projections in each of 3 columns
+    h = _batch(ALG, 35, shape=(2, 3), hermitian=True)
+    ps = spectral_projection(h, Interval(0.0, None))
+    meets = proj_meet(ps)
+    assert meets.batch == (3,)
+    for j in range(3):
+        pair = Op(ps.blocks[:, j], ALG)
+        assert (meets[j] - proj_meet(pair)).max_abs() <= 1e-14
+        assert is_projection(meets[j])
+    with pytest.raises(ContractViolation):
+        proj_meet(ps[0][0])
+
+
+def test_annihilation_check_per_entry():
+    alg = dense_algebra(2)
+    p = Op(np.diag([1.0, 0.0]).astype(complex)[None], alg)
+    f = Op(np.stack([np.diag([0.0, 5.0]), np.eye(2)]).astype(complex)[:, None],
+           alg)
+    assert annihilation_check(p, f).tolist() == [True, False]

@@ -15,7 +15,8 @@ from nclp.pseudoloc import (DiscOp, _circulant_index, _torus_offsets,
                             localization_check, lp_bumps_kernel,
                             nc_pseudoloc_check, normalized, paraproduct,
                             paraproduct_adjoint, paraproduct_adjoint_mats,
-                            paraproduct_correction, phi_s, phi_s_hat, psi_s,
+                            paraproduct_correction, phi_psi_apply, phi_s,
+                            phi_s_hat, psi_s,
                             psi_s_hat, restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, truncated_mats,
                             zeta_fs)
@@ -483,8 +484,8 @@ def test_zeta_fs_scalar_complement():
     N = 64
     good = np.ones(N)
     good[12:16] = 0.0                 # cube 3 at level 4 (width 4)
-    q = Op(good.astype(complex)[:, None, None], filt.algebra)
-    z = zeta_fs(filt, [q], [4])
+    q = Op(good[None, :, None, None], filt.algebra)
+    z = zeta_fs(filt, q, [4])
     expect = np.ones(N)
     L = 4
     idx = np.arange((3 - 4) * L, (3 + 5) * L) % N
@@ -506,7 +507,7 @@ def zeta_fs_per_cell_join_oracle(filt, q_list, levels):
                 lost[cell].append(comp)
     blocks = np.empty((filt.algebra.nblocks, d, d), dtype=complex)
     for cell, comps in enumerate(lost):
-        join = proj_join([Op(c[None], dense_algebra(d)) for c in comps]) \
+        join = proj_join(Op(np.array(comps)[:, None], dense_algebra(d))) \
             if comps else Op(np.zeros((1, d, d)), dense_algebra(d))
         blocks[cell] = np.eye(d) - join.blocks[0]
     return blocks, np.array([not comps for comps in lost])
@@ -516,13 +517,12 @@ def support_q_list(f, K, s, filt1):
     """The support-driven projections of the d = 1 scalar reduction: q_k
     drops the level-k cubes on which df_{k+s} does not vanish."""
     scale = max(np.abs(f).max(), 1e-300)
-    q_list = []
+    good = []
     for k in range(0, K - s + 1):
         bad = np.abs(delta_level(f, k + s)) > 1e-12 * scale
         cube_bad = bad.reshape(1 << k, -1).any(axis=1)
-        good = np.repeat(~cube_bad, 2 ** (K - k)).astype(complex)
-        q_list.append(Op(good[:, None, None], filt1.algebra))
-    return q_list
+        good.append(np.repeat(~cube_bad, 2 ** (K - k)))
+    return Op(np.array(good)[..., None, None], filt1.algebra)
 
 
 def _check_zeta_fs(filt, q_list, levels):
@@ -545,8 +545,8 @@ def test_zeta_fs_matches_per_cell_join_oracle(n, K, d):
         for parts in cz_decompose(f, 2.0 ** np.arange(0, 4)):
             for s in (1, 2):
                 levels = list(range(0, K - s + 1))
-                untouched = _check_zeta_fs(
-                    filt, [parts.qs[k] for k in levels], levels)
+                untouched = _check_zeta_fs(filt, parts.qs[:len(levels)],
+                                           levels)
                 touched += int((~untouched).sum())
     assert touched > 0
 
@@ -567,6 +567,22 @@ def test_nc_pseudoloc_rejects_uncertified_projection():
     filt = GridFiltration(1, 4, 2)
     f = random_positive_martingale(filt, trial_rng(65, 0)).top
     T = normalized(_T(4, 2))
-    one = filt.algebra.unit()
+    ones = np.broadcast_to(filt.algebra.unit().blocks, (4, 16, 2, 2))
     with pytest.raises(ContractViolation):
-        nc_pseudoloc_check(T, f, 1, filt, [one] * 4)
+        nc_pseudoloc_check(T, f, 1, filt, Op(ones, filt.algebra))
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [5, 7])
+def test_phi_psi_apply_matches_dense_oracle(K, kernel):
+    T = normalized(assemble(_kernel(kernel, K), K))
+    rng = np.random.default_rng(62)
+    x = rng.standard_normal(T.N)
+    xm = rng.standard_normal((T.N, 2, 2)) + 1j * rng.standard_normal((T.N, 2, 2))
+    for s in range(1, K):
+        mats = phi_s(T, s).mats + psi_s(T, s).mats
+        for v in (x, xm):
+            ref = np.einsum("mij,j...->mi...", mats, v)
+            got = phi_psi_apply(T, s, v)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
