@@ -53,22 +53,25 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
         raise ContractViolation(f"unknown endpoint convention {convention!r}")
     if not f.is_positive():
         raise ContractViolation("cuculescu requires a positive martingale")
-    alg = f.algebra
+    alg, filt = f.algebra, f.filtration
     # q f_n q + (lam+1)(1 - q) has the spectrum of the compression on
     # range(q) and lam + 1 on its complement, so one stacked eigh per level
-    # keeps exactly the directions of range(q) at or below lam.
-    one = np.eye(alg.d)
+    # keeps exactly the directions of range(q) at or below lam.  q_{n-1} and
+    # f_n lie in M_n, so the solve runs in M_n's coordinates.
     cut = lams[:, None, None]
-    q = np.broadcast_to(one, (lams.size, alg.nblocks, alg.d, alg.d))
+    q = alg.unit()
     qs = np.empty((lams.size,) + f.seq.blocks.shape, dtype=complex)
-    for n, fn in enumerate(f.seq.blocks):
-        h = q @ fn @ q + (cut[..., None] + 1.0) * (one - q)
+    for n, k in enumerate(f.levels):
+        fk, qk = f.restricted[n].blocks, filt.restrict(q, k).blocks
+        h = qk @ fk @ qk + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
         w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         keep = w <= cut + ENDPOINT_TOL
         if convention == "half-open":
             keep &= w > ENDPOINT_TOL
         u = u * keep[..., None, :]
-        q = qs[:, n] = u @ u.conj().swapaxes(-1, -2)
+        q = filt.extend(Op(u @ u.conj().swapaxes(-1, -2),
+                           filt.level_algebra(k)), k)
+        qs[:, n] = q.blocks
     qs = Op(qs, alg)
     seqs = [CuculescuSequence(float(lv), convention, qs[i], f)
             for i, lv in enumerate(lams)]
@@ -83,26 +86,33 @@ def q_lambda(seq: CuculescuSequence) -> Op:
 
 def cuculescu_report(seqs):
     """Measured versions of the three classical properties: one report per
-    sequence of a list (all of one martingale, one batched svd and eigvalsh
-    over every threshold and level), or one for a single sequence."""
+    sequence of a list (all of one martingale, one batched eigvalsh per
+    level over every threshold), or one for a single sequence."""
     batch = [seqs] if isinstance(seqs, CuculescuSequence) else list(seqs)
     f = batch[0].martingale
     if any(s.martingale is not f for s in batch):
         raise ContractViolation("cuculescu_report needs one martingale")
-    lams = np.array([s.lam for s in batch])[:, None, None, None, None]
-    fs = f.seq.blocks
-    qs = np.stack([s.qs.blocks for s in batch])
-    unit = np.broadcast_to(f.algebra.unit().blocks, qs[:, :1].shape)
-    qprev = np.concatenate([unit, qs[:, :-1]], axis=1)
-    comp = qprev @ fs @ qprev
-    comm = np.linalg.svd(qs @ comp - comp @ qs, compute_uv=False)
-    # largest eigenvalue of q_n f_n q_n - lam q_n over all levels
-    h = qs @ fs @ qs - lams * qs
-    excess = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
-    tails = 1.0 - np.einsum("b,lbii->l", f.algebra.weights, qs[:, -1]).real
+    lams = np.array([s.lam for s in batch])[:, None, None, None]
+    filt, alg = f.filtration, f.algebra
+    qs = Op(np.stack([s.qs.blocks for s in batch], axis=1), alg)
+    qprev = alg.unit()
+    comm = excess = -np.inf
+    # q_{n-1}, q_n and f_n lie in M_n: both checks run in M_n's coordinates
+    for n, k in enumerate(f.levels):
+        q, qp = (filt.restrict(x, k).blocks for x in (qs[n], qprev))
+        fk = f.restricted[n].blocks
+        comp = qp @ fk @ qp
+        # i[q_n, comp] is Hermitian, so its eigenvalues give the commutator's
+        # singular values; with q_n f_n q_n - lam q_n it is one eigvalsh
+        h = np.stack([1j * (q @ comp - comp @ q), q @ fk @ q - lams * q])
+        w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+        comm = np.maximum(comm, np.abs(w[0]).max(axis=(-2, -1)))
+        excess = np.maximum(excess, w[1].max(axis=(-2, -1)))
+        qprev = qs[n]
+    tails = 1.0 - qs[-1].trace().real
     reports = [{
-        "commutator": float(comm[i].max(initial=0.0)),
-        "compression_excess": float(excess[i].max()),
+        "commutator": float(comm[i]),
+        "compression_excess": float(excess[i]),
         "tail_trace": float(tails[i]),
         "tail_bound_ratio": float(s.lam * tails[i] / max(f.sup_l1, 1e-300)),
     } for i, s in enumerate(batch)]

@@ -40,6 +40,10 @@ def m_lambda_of(qs: Op, levels: list[int]) -> int:
     return max((lev for lev, d in zip(levels, dev) if d <= 1e-10), default=-1)
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
 def cz_decompose(f: Martingale, lam):
     """f = g_d + g_off + b_d + b_off through the recursion projections, one
     CZParts per entry of a 1-D threshold vector (one for a scalar).
@@ -63,11 +67,17 @@ def cz_decompose(f: Martingale, lam):
     # f_{i v j} = f_j for i < j, so sum_{i != j} p_i X_{i v j} p_j is
     # sum_j u_j X_j p_j + p_j X_j u_j: one product per level
     u = one - Qprev
-    good_off = (u @ F @ P + P @ F @ u).sum(axis=1)
-    b_off = (u @ (top - F) @ P + P @ (top - F) @ u).sum(axis=1)
-    g_d = q @ top @ q + (P @ F @ P).sum(axis=1)
-    g_off = q @ top @ (one - q) + (one - q) @ top @ q + good_off
-    bad = Op(P @ (top - F) @ P, alg)
+    # f, f_j, u_j and p_j are Hermitian, so p_j X u_j = (u_j X p_j)*: with
+    # A = sum_j u_j f_j p_j and B = sum_j u_j f p_j the good pair sum is
+    # A + A* and the bad one (B - A) + (B - A)*, and
+    # q f (1 - q) + (1 - q) f q = q f + (q f)* - 2 q f q
+    FP, fP, qf = F @ P, top @ P, q @ top
+    A, B = (u @ FP).sum(axis=1), (u @ fP).sum(axis=1)
+    PFP, qfq = P @ FP, qf @ q
+    g_d = qfq + PFP.sum(axis=1)
+    g_off = qf + _adjoint(qf) - 2.0 * qfq + A + _adjoint(A)
+    b_off = B - A + _adjoint(B - A)
+    bad = Op(P @ fP - PFP, alg)
     g_d, g_off, b_d, b_off, P = (Op(x, alg) for x in (
         g_d, g_off, bad.blocks.sum(axis=1), b_off, P))
     parts = [CZParts(g_d[i], g_off[i], b_d[i], b_off[i], bad[i], s.qs, P[i],
@@ -78,20 +88,32 @@ def cz_decompose(f: Martingale, lam):
     return parts if np.ndim(lam) else parts[0]
 
 
-def cz_report(parts: CZParts) -> dict:
-    f = parts.martingale
-    n = parts.filtration.n
-    lam = parts.lam
+def cz_report(parts):
+    """Reconstruction residual and the diagonal-part bounds: one report per
+    CZParts of a list (all of one martingale, with one stacked SVD over
+    every threshold and level), or one for a single CZParts."""
+    batch = [parts] if isinstance(parts, CZParts) else list(parts)
+    f = batch[0].martingale
+    if any(p.martingale is not f for p in batch):
+        raise ContractViolation("cz_report needs one martingale")
+    n = batch[0].filtration.n
     l1 = schatten_norm(f.top, 1)
-    recon = parts.g_d + parts.g_off + parts.b_d + parts.b_off - f.top
-    return {
-        "reconstruction_residual": recon.max_abs(),
-        "g_d_l2sq": l2_norm(parts.g_d) ** 2,
-        "g_d_bound": (2.0 ** n) * lam * l1,
-        "b_d_l1_sum": float(schatten_norm(parts.b_d_terms, 1).sum()),
+    g_d, g_off, b_d, b_off, terms = (
+        Op(np.stack([getattr(p, name).blocks for p in batch]), f.algebra)
+        for name in ("g_d", "g_off", "b_d", "b_off", "b_d_terms"))
+    recon = np.abs((g_d + g_off + b_d + b_off).blocks - f.top.blocks)
+    recon = recon.max(axis=(-3, -2, -1))
+    g_d_l2sq = l2_norm(g_d) ** 2
+    b_d_l1_sum = schatten_norm(terms, 1).sum(axis=-1)
+    reports = [{
+        "reconstruction_residual": float(recon[i]),
+        "g_d_l2sq": float(g_d_l2sq[i]),
+        "g_d_bound": (2.0 ** n) * p.lam * l1,
+        "b_d_l1_sum": float(b_d_l1_sum[i]),
         "b_d_bound": 2.0 * l1,
-        "m_lambda": parts.m_lambda,
-    }
+        "m_lambda": p.m_lambda,
+    } for i, p in enumerate(batch)]
+    return reports[0] if isinstance(parts, CZParts) else reports
 
 
 # ---------------------------------------------------------------------------

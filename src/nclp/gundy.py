@@ -106,11 +106,10 @@ def weak11_experiment(f: Martingale, xi: CoeffMatrix,
     denom = max(f.sup_l1, 1e-300)
     row = row_square(a_fam)
     col = col_square(b_fam)
-    best_row = max(2.0 ** e * tail_trace(row, 2.0 ** e) for e in lambda_exps)
-    best_col = max(2.0 ** e * tail_trace(col, 2.0 ** e) for e in lambda_exps)
+    lams = 2.0 ** np.asarray(lambda_exps, dtype=float)
     return {
-        "row_ratio": best_row / denom,
-        "col_ratio": best_col / denom,
+        "row_ratio": float(np.max(lams * tail_trace(row, lams))) / denom,
+        "col_ratio": float(np.max(lams * tail_trace(col, lams))) / denom,
         "row_weak_l1": weak_l1(row) / denom,
         "col_weak_l1": weak_l1(col) / denom,
     }

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import platform
 import time
 from dataclasses import dataclass, field, asdict
 
@@ -325,14 +326,15 @@ def run_gundy(cfg, suite):
         m = {"recon_residual": 0.0, "mart_residual": 0.0,
              "gamma_annihilation": 0.0, "trunc_residual": 0.0,
              "alpha_ratio": 0.0, "beta_ratio": 0.0, "gamma_ratio": 0.0}
-        pi = pi_family(f, (min(cfg.lambda_exps) - 1,
-                           max(2, int(np.ceil(np.log2(
-                               max(op_norm(f.top), 1e-9)))) + 1)))
+        # the pi range covers every requested exponent, so each one's
+        # truncation is measured
+        pi = pi_family(f, (min(cfg.lambda_exps) - 1, max(
+            max(cfg.lambda_exps),
+            int(np.ceil(np.log2(max(op_norm(f.top), 1e-9)))) + 1)))
         for e in cfg.lambda_exps:
             parts = gundy(f, 2.0 ** e)
             dg, q = parts.d_gamma, q_lambda(parts.seq)
-            trunc = delta_trunc(dg, pi, e).max_abs() \
-                if pi.l_min < e <= pi.l_max else 0.0
+            trunc = delta_trunc(dg, pi, e).max_abs()
             # running maxima use np.maximum, which keeps a NaN: the builtin
             # max(0.0, nan) is 0.0 and would turn a failed check into a PASS
             for key, val in (
@@ -446,7 +448,7 @@ def run_cz(cfg, suite):
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         f = random_positive_martingale(filt, rng)
-        reps = [cz_report(parts) for parts in cz_decompose(f, lams)]
+        reps = cz_report(cz_decompose(f, lams))
         suite.add_trial(digest(f.top, cfg.lambda_exps), {
             "reconstruction_residual": max(r["reconstruction_residual"]
                                            for r in reps),
@@ -623,14 +625,15 @@ def run_vanish(cfg, suite):
     K = cfg.depth
     T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
     s_lo, s_hi = cfg.s_range
+    hats = {s: pl.phi_psi_hat(T, s) for s in range(s_lo, s_hi + 1)}
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         worst = worst_rest = 0.0
         for s in range(s_lo, s_hi + 1):
             f = _localized_scalar(T.N, T.K, s, rng)
             worst = np.maximum(worst, pl.vanish_check(T, f, s))
-            worst_rest = np.maximum(
-                worst_rest, pl.restriction_identity_residual(T, f, s))
+            rest = pl.restriction_identity_residual(T, f, s, hats[s])
+            worst_rest = np.maximum(worst_rest, rest)
         suite.add_trial(digest(np.array([t]), T.mats[0, 0]), {
             "vanish_residual": worst,
             "restriction_residual": worst_rest,
@@ -663,6 +666,7 @@ def run_nc_pseudoloc(cfg, suite):
     K = filt.K
     T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
     s_lo, s_hi = cfg.s_range
+    hats = {}    # Phi_s + Psi_s blocks for the first trial's identity check
     for t in range(cfg.trials):
         rng = trial_rng(cfg.seed, t)
         f = random_positive_martingale(filt, rng)
@@ -673,8 +677,10 @@ def run_nc_pseudoloc(cfg, suite):
                 g_s = layers[s - 1]
                 if g_s.max_abs() < 1e-13:
                     continue
+                if t == 0 and s not in hats:
+                    hats[s] = pl.phi_psi_hat(T, s)
                 rep = pl.nc_pseudoloc_check(T, g_s, s, filt, parts.qs,
-                                            identity_check=(t == 0))
+                                            hats[s] if t == 0 else None)
                 m["ratio"] = np.maximum(m["ratio"], rep["ratio"])
                 m["zeta_trace"] = np.maximum(m["zeta_trace"],
                                              rep["zeta_trace"])
@@ -764,11 +770,25 @@ RUNNERS = {
 }
 
 
+def environment() -> dict:
+    """The interpreter, numpy, and the BLAS numpy was built against."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        name, version = blas["name"], blas.get("version", "unknown")
+    except (AttributeError, KeyError):
+        name = version = "unknown"
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": name, "blas_version": version}
+
+
 def run(config: ExperimentConfig) -> dict:
     config.resolved()
     suite = Suite(config)
+    start = time.perf_counter()
     RUNNERS[config.experiment](config, suite)
     report = suite.report()
+    report["timing"] = {"wall_s": time.perf_counter() - start}
+    report["env"] = environment()
     if config.out:
         write_report(report, config.out, config.format)
     return report

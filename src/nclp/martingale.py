@@ -14,16 +14,19 @@ from .opcore import Op, l2_norm, op_norm, schatten_norm
 class Martingale:
     """Finite adapted sequence f_k = E_k(f) over the filtration levels.
 
-    ``seq`` and ``diffs`` are Ops batched over the levels.  The convention
-    f_{before first level} = 0 makes the first difference equal to the
-    first conditional expectation, so sum(df) = f_top.
+    ``seq`` and ``diffs`` are Ops batched over the levels; ``restricted``
+    holds each f_k in the coordinates of M_k (``Filtration.restrict``).
+    The convention f_{before first level} = 0 makes the first difference
+    equal to the first conditional expectation, so sum(df) = f_top.
     """
 
     def __init__(self, filtration: Filtration, top: Op):
         self.filtration = filtration
         self.levels = list(filtration.levels)
-        self.seq = Op(np.stack([filtration.expect(top, k).blocks
-                                for k in self.levels]), filtration.algebra)
+        self.restricted = [filtration.restrict(top, k) for k in self.levels]
+        self.seq = Op(np.stack([filtration.extend(y, k).blocks for k, y in
+                                zip(self.levels, self.restricted)]),
+                      filtration.algebra)
         self.diffs = Op(np.diff(self.seq.blocks, axis=0, prepend=0.0),
                         filtration.algebra)
 

@@ -154,9 +154,6 @@ class Op:
     def max_abs(self) -> float:
         return float(np.abs(self.blocks).max(initial=0.0))
 
-    def copy(self) -> "Op":
-        return Op(self.blocks.copy(), self.algebra)
-
 
 _BLOCK_AXES = (-3, -2, -1)
 
@@ -267,13 +264,18 @@ def singular_values(a: Op):
     return s
 
 
-def tail_trace(f: Op, lam: float) -> float:
-    """tau( chi_(lam, inf)(|f|) ), the distribution function of |f|."""
-    if lam <= 0:
-        raise ContractViolation("tail_trace requires lambda > 0")
-    s = singular_values(f)
-    counts = (s > lam + ENDPOINT_TOL).sum(axis=1)
-    return float(np.dot(f.algebra.weights, counts))
+def tail_trace(f: Op, lam):
+    """tau( chi_(lam, inf)(|f|) ), the distribution function of |f|, per
+    entry of f and per threshold of a 1-D lam (from one SVD); a scalar lam
+    gives one value per entry."""
+    lams = np.asarray(lam, dtype=float)
+    if lams.ndim > 1 or not np.all(lams > 0):
+        raise ContractViolation("tail_trace requires lambda > 0, a number or "
+                                f"a 1-D vector, got {lam!r}")
+    s = singular_values(f)                              # (*batch, nblocks, d)
+    counts = (s[..., None] > lams.reshape(-1) + ENDPOINT_TOL).sum(axis=-2)
+    tails = np.einsum("...bl,b->...l", counts, f.algebra.weights)
+    return _per_entry(tails.reshape(f.batch + lams.shape))
 
 
 def weak_l1(f: Op) -> float:
@@ -345,7 +347,9 @@ def op_norm(a: Op) -> float:
 
 
 def l2_norm(a: Op) -> float:
-    return schatten_norm(a, 2)
+    """||a||_2 = tau(a* a)^{1/2} per entry: the weighted Frobenius sum."""
+    sq = (a.blocks.real ** 2 + a.blocks.imag ** 2).sum(axis=(-2, -1))
+    return _per_entry(np.sqrt(np.dot(sq, a.algebra.weights)))
 
 
 def l2_inner(a: Op, b: Op) -> complex:

@@ -298,16 +298,24 @@ def psi_s(T: DiscOp, s: int) -> DiscOp:
     return replace(T, mats=_from_haar(hat, T.N, T.N - hat.shape[-1]))
 
 
-def phi_psi_apply(T: DiscOp, s: int, x: np.ndarray) -> np.ndarray:
+def phi_psi_hat(T: DiscOp, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Haar blocks (``phi_s_hat``, ``psi_s_hat``) of Phi_s and Psi_s,
+    computed once per (T, s) for any number of ``phi_psi_apply`` calls."""
+    return phi_s_hat(haar2(T.mats), s), psi_s_hat(T, s)
+
+
+def phi_psi_apply(hat: tuple[np.ndarray, np.ndarray],
+                  x: np.ndarray) -> np.ndarray:
     """(Phi_s + Psi_s) x, shaped (M, N, ...), for x with cells on axis 0
-    (scalar or matrix-valued), applied through the Haar blocks instead of
-    the dense kernel matrices of ``phi_s`` and ``psi_s``."""
-    c = _on_rows(haar, x.reshape(T.N, -1))          # (N, cols) coefficients
-    psi = psi_s_hat(T, s)
-    y = psi @ c[T.N - psi.shape[-1]:]
-    phi = phi_s_hat(haar2(T.mats), s)
+    (scalar or matrix-valued), applied through the Haar blocks ``hat`` of
+    ``phi_psi_hat`` instead of the dense kernel matrices of ``phi_s`` and
+    ``psi_s``."""
+    phi, psi = hat
+    M, N = phi.shape[0], phi.shape[-1]
+    c = _on_rows(haar, x.reshape(N, -1))            # (N, cols) coefficients
+    y = psi @ c[N - psi.shape[-1]:]
     y[:, :phi.shape[-2]] += phi @ c
-    return _on_rows(ihaar, y, T.N).reshape((T.M,) + x.shape)
+    return _on_rows(ihaar, y, N).reshape((M,) + x.shape)
 
 
 def lambda_family(T: DiscOp, s: int) -> list[np.ndarray]:
@@ -523,8 +531,10 @@ def vanish_check(T: DiscOp, f: np.ndarray, s: int) -> float:
     return float(np.abs(total[out]).max() / max(f2, 1e-300))
 
 
-def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int) -> float:
-    """Residual of 1_outside * Tf = 1_outside * (Phi_s + Psi_s) f.
+def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int,
+                                  hat: tuple[np.ndarray, np.ndarray]) -> float:
+    """Residual of 1_outside * Tf = 1_outside * (Phi_s + Psi_s) f, with
+    ``hat = phi_psi_hat(T, s)``.
 
     Meaningful when the differences of f below level s vanish (the finite
     grid truncates the bi-infinite telescope at level 0).
@@ -534,7 +544,7 @@ def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int) -> float:
     if not out.any():
         return 0.0
     lhs = T.apply(f)
-    rhs = phi_psi_apply(T, s, f)
+    rhs = phi_psi_apply(hat, f)
     scale = max(np.abs(lhs).max(), 1e-300)
     return float(np.abs((lhs - rhs)[:, out]).max() / scale)
 
@@ -584,8 +594,10 @@ def apply_disc_to_matrix(T: DiscOp, f: Op) -> Op:
 
 
 def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
-                       q_list: Op, identity_check: bool = False) -> dict:
-    """Compressed-norm localization for matrix-valued f.
+                       q_list: Op, hat: tuple | None = None) -> dict:
+    """Compressed-norm localization for matrix-valued f; given
+    ``hat = phi_psi_hat(T, s)``, also the residual of the restriction
+    identity zeta T f zeta = zeta (Phi_s + Psi_s) f zeta.
 
     Preconditions: T normalized; q_list[k] in the level-k subalgebra with
     q_k df_{k+s} q_k = 0 (certified here; violations raise).
@@ -609,8 +621,8 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
     denom = s * 2.0 ** (-gamma * s / 2.0) * max(f2, 1e-300)
     out = {"compressed_norm": val, "ratio": val / denom,
            "zeta_trace": float(z.trace().real)}
-    if identity_check:
-        rhs = z @ Op(phi_psi_apply(T, s, f.blocks), f.algebra) @ z
+    if hat is not None:
+        rhs = z @ Op(phi_psi_apply(hat, f.blocks), f.algebra) @ z
         out["identity_residual"] = (comp - rhs).max_abs() / max(
             tf.max_abs(), 1e-300)
     return out

@@ -346,3 +346,72 @@ def test_meet_ladder_matches_pairwise_oracle(spec):
         assert (got - ref).max_abs() <= 1e-12
     for got, ref in zip(pi.blocks, blocks, strict=True):
         assert (got - ref).max_abs() <= 1e-12
+
+
+# -- the level-size recursion against the full-size one ---------------------
+
+LEVEL_SPECS = ["tensor:3", "tensor:4", "grid:1,4,2", "grid:2,3,2", "corner:4"]
+
+
+def full_size_cuculescu(f, lams, convention):
+    """The recursion with every level diagonalized at full size, as it ran
+    before the level subalgebras had their own coordinates: (lambda,
+    position, block, d, d) projections."""
+    alg = f.algebra
+    one = np.eye(alg.d)
+    cut = lams[:, None, None]
+    q = np.broadcast_to(one, (lams.size, alg.nblocks, alg.d, alg.d))
+    qs = np.empty((lams.size,) + f.seq.blocks.shape, dtype=complex)
+    for n, fn in enumerate(f.seq.blocks):
+        h = q @ fn @ q + (cut[..., None] + 1.0) * (one - q)
+        w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+        keep = w <= cut + ENDPOINT_TOL
+        if convention == "half-open":
+            keep &= w > ENDPOINT_TOL
+        u = u * keep[..., None, :]
+        q = qs[:, n] = u @ u.conj().swapaxes(-1, -2)
+    return qs
+
+
+def full_size_report(seqs):
+    """cuculescu_report at full size: one SVD of every commutator and one
+    eigvalsh of every q_n f_n q_n - lam q_n."""
+    f = seqs[0].martingale
+    lams = np.array([s.lam for s in seqs])[:, None, None, None, None]
+    fs = f.seq.blocks
+    qs = np.stack([s.qs.blocks for s in seqs])
+    unit = np.broadcast_to(f.algebra.unit().blocks, qs[:, :1].shape)
+    qprev = np.concatenate([unit, qs[:, :-1]], axis=1)
+    comp = qprev @ fs @ qprev
+    comm = np.linalg.svd(qs @ comp - comp @ qs, compute_uv=False)
+    h = qs @ fs @ qs - lams * qs
+    excess = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    return [{"commutator": comm[i].max(),
+             "compression_excess": excess[i].max()} for i in range(len(seqs))]
+
+
+@pytest.mark.parametrize("convention", ["closed", "half-open"])
+@pytest.mark.parametrize("spec", LEVEL_SPECS)
+def test_level_size_recursion_matches_full_size_oracle(spec, convention):
+    lams = 2.0 ** np.arange(-2, 5)
+    f = random_positive_martingale(build_filtration(spec), trial_rng(31, 0))
+    seqs = cuculescu(f, lams, convention)
+    ref = full_size_cuculescu(f, lams, convention)
+    for i, seq in enumerate(seqs):
+        assert np.abs(seq.qs.blocks - ref[i]).max() <= 1e-12
+    for got, want in zip(cuculescu_report(seqs), full_size_report(seqs),
+                         strict=True):
+        for key, val in want.items():
+            assert abs(got[key] - val) <= 1e-12
+
+
+@pytest.mark.parametrize("spec", LEVEL_SPECS)
+def test_q_n_lies_in_its_level(spec):
+    filt = build_filtration(spec)
+    f = random_positive_martingale(filt, trial_rng(32, 0))
+    # a corner level is solved at full size, so the rounding of its
+    # eigenvectors outside M_k remains
+    tol = 1e-15 if filt.spec.kind == "corner" else 0.0
+    for seq in cuculescu(f, 2.0 ** np.arange(-2, 5)):
+        for k, q in zip(f.levels, seq.qs):
+            assert np.abs(filt.expect(q, k).blocks - q.blocks).max() <= tol

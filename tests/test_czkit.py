@@ -11,7 +11,8 @@ from nclp.filtration import GridFiltration, TensorDyadicFiltration, dyadic_fathe
 from nclp.harness import random_coeffs, random_positive_martingale, trial_rng
 from nclp.martingale import Martingale, transform_family
 from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
-                         proj_meet, schatten_norm, spectral_projection)
+                         proj_meet, schatten_norm, singular_values,
+                         spectral_projection)
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -414,3 +415,69 @@ def test_thmB1_parts_match_pair_loop_oracle_on_grids(n, K, d):
         assert (c - psi @ g @ psi).max_abs() <= 1e-12
         assert (a - a0).max_abs() <= 1e-12
         assert (b - b0).max_abs() <= 1e-12
+
+
+# -- the 8-product split and the batched report against the earlier code ----
+
+def eighteen_product_oracle(f, parts):
+    """g_d, g_off, b_d, b_off and the b_d terms from the 18 stacked products
+    the split used before it relied on Hermitian factors."""
+    one = np.eye(f.algebra.d)
+    Q = np.stack([p.qs.blocks for p in parts])
+    Qprev = np.concatenate([np.broadcast_to(one, Q[:, :1].shape), Q[:, :-1]],
+                           axis=1)
+    P, F = Qprev - Q, f.seq.blocks
+    q, top, u = Q[:, -1], F[-1], one - Qprev
+    good_off = (u @ F @ P + P @ F @ u).sum(axis=1)
+    b_off = (u @ (top - F) @ P + P @ (top - F) @ u).sum(axis=1)
+    g_d = q @ top @ q + (P @ F @ P).sum(axis=1)
+    g_off = q @ top @ (one - q) + (one - q) @ top @ q + good_off
+    bad = P @ (top - F) @ P
+    return g_d, g_off, bad.sum(axis=1), b_off, bad
+
+
+def per_lambda_cz_report(parts):
+    """cz_report one threshold at a time, with its own SVDs."""
+    f, lam = parts.martingale, parts.lam
+    l1 = schatten_norm(f.top, 1)
+    recon = parts.g_d + parts.g_off + parts.b_d + parts.b_off - f.top
+    return {
+        "reconstruction_residual": recon.max_abs(),
+        "g_d_l2sq": float(np.sum(singular_values(parts.g_d) ** 2
+                                 * f.algebra.weights[:, None])),
+        "g_d_bound": (2.0 ** parts.filtration.n) * lam * l1,
+        "b_d_l1_sum": float(sum(schatten_norm(t, 1)
+                                for t in parts.b_d_terms)),
+        "b_d_bound": 2.0 * l1,
+        "m_lambda": parts.m_lambda,
+    }
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
+def test_split_matches_eighteen_product_oracle(n, K, d):
+    # CZ lives on the grid algebra only: tensor:N and corner:n are rejected
+    for t in range(2):
+        f = random_positive_martingale(GridFiltration(n, K, d),
+                                       trial_rng(66, t))
+        parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
+        g_d, g_off, b_d, b_off, terms = eighteen_product_oracle(f, parts)
+        for i, p in enumerate(parts):
+            for got, want in ((p.g_d, g_d[i]), (p.g_off, g_off[i]),
+                              (p.b_d, b_d[i]), (p.b_off, b_off[i]),
+                              (p.b_d_terms, terms[i])):
+                assert np.abs(got.blocks - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
+def test_batched_report_matches_per_lambda_oracle(n, K, d):
+    f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(67, 0))
+    parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
+    reports = cz_report(parts)
+    assert len(reports) == len(parts)
+    for p, got in zip(parts, reports):
+        want = per_lambda_cz_report(p)
+        assert got.keys() == want.keys()
+        one = cz_report(p)
+        for key, val in want.items():
+            assert abs(got[key] - val) <= 1e-12 * abs(val) + 1e-14
+            assert abs(one[key] - val) <= 1e-12 * abs(val) + 1e-14

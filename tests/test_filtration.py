@@ -183,3 +183,73 @@ def test_expect_passes_batch_axes_through(spec):
             for j in range(3):
                 assert np.array_equal(got.blocks[i, j],
                                       filt.expect(x[i][j], k).blocks)
+
+
+# -- level subalgebras in their own coordinates ----------------------------
+
+SPECS = ["tensor:3", "tensor:4", "grid:1,4,2", "grid:2,3,2", "corner:4"]
+
+
+def full_size_expect_oracle(filt, x, k):
+    """E_k at full size, as the filtrations computed it before the level
+    subalgebras had their own coordinates: a partial-trace einsum times
+    the identity on tensor:N, a cube mean broadcast back on the grid."""
+    if isinstance(filt, TensorDyadicFiltration):
+        a, b = 2 ** k, 2 ** (filt.N - k)
+        m = x.blocks[..., 0, :, :].reshape(x.batch + (a, b, a, b))
+        small = np.einsum("...ibjb->...ij", m) / b
+        out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
+        return Op(out.reshape(x.batch + (1, a * b, a * b)), filt.algebra)
+    if isinstance(filt, GridFiltration):
+        cubes = filt.cubes(x.blocks, k)
+        axes = (-3,) if filt.n == 1 else (-5, -3)
+        m = np.broadcast_to(cubes.mean(axis=axes, keepdims=True), cubes.shape)
+        return Op(m.reshape(x.blocks.shape), filt.algebra)
+    return filt.expect(x, k)        # corner keeps every level at full size
+
+
+def rand_level(filt, k, seed):
+    alg = filt.level_algebra(k)
+    rng = np.random.default_rng(seed)
+    return Op(rng.standard_normal((2, alg.nblocks, alg.d, alg.d))
+              + 1j * rng.standard_normal((2, alg.nblocks, alg.d, alg.d)), alg)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_restrict_of_extend_is_exact(spec):
+    filt = build_filtration(spec)
+    for k in filt.levels:
+        # a corner level is the full algebra: its elements are E_k's range
+        y = rand_level(filt, k, 40 + k)
+        if isinstance(filt, CornerFiltration):
+            y = filt.restrict(y, k)
+        z = filt.extend(y, k)
+        assert z.algebra is filt.algebra
+        assert np.array_equal(filt.restrict(z, k).blocks, y.blocks)
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_extend_of_restrict_is_expect(spec):
+    filt = build_filtration(spec)
+    x = Op(np.stack([rand(filt, 50 + i).blocks for i in range(3)]),
+           filt.algebra)
+    for k in filt.levels:
+        got = filt.extend(filt.restrict(x, k), k)
+        assert np.array_equal(got.blocks, filt.expect(x, k).blocks)
+        ref = full_size_expect_oracle(filt, x, k)
+        assert (got - ref).max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_level_algebra_trace_agrees_with_tau(spec):
+    filt = build_filtration(spec)
+    x = rand(filt, 60)
+    sizes = {"tensor": lambda k: (1, 2 ** k),
+             "grid": lambda k: (2 ** (filt.n * k), filt.d),
+             "corner": lambda k: (1, filt.n)}[filt.spec.kind]
+    for k in filt.levels:
+        alg = filt.level_algebra(k)
+        assert (alg.nblocks, alg.d) == sizes(k)
+        small = filt.restrict(x, k)
+        assert small.algebra is alg
+        assert small.trace() == pytest.approx(x.trace(), abs=1e-12)

@@ -135,11 +135,15 @@ def test_report_structure_and_determinism():
     rep2 = run(ExperimentConfig("norms", trials=3, seed=1))
     for rep in (rep1, rep2):
         assert set(rep) == {"experiment", "config", "trials", "aggregate",
-                            "summary", "assertions", "timestamp"}
+                            "summary", "assertions", "timestamp", "timing",
+                            "env"}
         assert len(rep["trials"]) == 3
         for t in rep["trials"]:
             assert set(t) == {"id", "inputs_digest", "metrics", "pass"}
-    strip = lambda r: {k: v for k, v in r.items() if k != "timestamp"}
+        assert rep["timing"]["wall_s"] > 0.0
+        assert set(rep["env"]) == {"python", "numpy", "blas", "blas_version"}
+    strip = lambda r: {k: v for k, v in r.items()
+                       if k not in ("timestamp", "timing")}
     assert json.dumps(strip(rep1), sort_keys=True) == \
         json.dumps(strip(rep2), sort_keys=True)
 
@@ -278,3 +282,25 @@ def test_decay_slopes_live_in_the_summary():
     assert all("phi_slope" not in t["metrics"] for t in rep["trials"])
     result = {a["name"]: a for a in rep["assertions"]}
     assert result["phi_slope_upper"]["measured"] == rep["summary"]["phi_slope"]
+
+
+@pytest.mark.parametrize("lam_exp,exps",
+                         [("5..5", [5]), ("1..6", range(1, 7))])
+def test_cli_gundy_measures_the_truncation_at_every_lambda(
+        lam_exp, exps, monkeypatch, capsys):
+    # thresholds above the default pi range once exited 2 ("empty
+    # ell-range") or read a truncation residual of 0.0 that nothing measured
+    import nclp.harness as harness
+    from nclp.cli import main
+    seen, real = [], harness.delta_trunc
+
+    def spy(x, pi, ell):
+        seen.append((pi.l_min, ell, pi.l_max))
+        return real(x, pi, ell)
+
+    monkeypatch.setattr(harness, "delta_trunc", spy)
+    assert main(["gundy", "--lambda-exp", lam_exp, "--trials", "1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [ell for _, ell, _ in seen] == list(exps)
+    assert all(lo < ell <= hi for lo, ell, hi in seen)
+    assert 0.0 <= rep["trials"][0]["metrics"]["trunc_residual"] <= 1e-10

@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclp.errors import ContractViolation, NumericError
-from nclp.opcore import (Algebra, Interval, Op, abs_op, annihilation_check,
-                         dense_algebra, is_projection, l2_inner, l2_norm,
-                         mu_function, op_norm, proj_join, proj_meet,
-                         schatten_norm, singular_values, spectral_decompose,
-                         spectral_projection, tail_trace, weak_l1)
+from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op, abs_op,
+                         annihilation_check, dense_algebra, is_projection,
+                         l2_inner, l2_norm, mu_function, op_norm, proj_join,
+                         proj_meet, schatten_norm, singular_values,
+                         spectral_decompose, spectral_projection, tail_trace,
+                         weak_l1)
 
 ALG = dense_algebra(4)
 BLOCKY = Algebra(3, 2, np.array([1.0 / 8, 1.0 / 4, 1.0 / 8]))
@@ -262,3 +263,39 @@ def test_annihilation_check_per_entry():
     f = Op(np.stack([np.diag([0.0, 5.0]), np.eye(2)]).astype(complex)[:, None],
            alg)
     assert annihilation_check(p, f).tolist() == [True, False]
+
+
+def test_l2_norm_is_the_svd_value():
+    for alg in (ALG, BLOCKY):
+        a = Op(np.stack([rand_op(alg, 30 + i).blocks for i in range(4)]), alg)
+        s = singular_values(a)
+        ref = np.sqrt(((s ** 2).sum(axis=-1) * alg.weights).sum(axis=-1))
+        assert np.all(np.abs(l2_norm(a) - ref) <= 1e-12 * ref)
+        assert isinstance(l2_norm(a[0]), float)
+        assert abs(l2_norm(a[0]) - ref[0]) <= 1e-12 * ref[0]
+
+
+def tail_trace_oracle(a, lam):
+    """tau(chi_(lam, inf)(|a|)) of one unbatched Op, one threshold."""
+    s = np.linalg.svd(a.blocks, compute_uv=False)
+    return float(np.dot(a.algebra.weights,
+                        (s > lam + ENDPOINT_TOL).sum(axis=1)))
+
+
+def test_tail_trace_vector_matches_per_lambda_loop():
+    # thresholds on and off the singular values, batched and unbatched
+    for alg in (ALG, BLOCKY):
+        a = Op(np.stack([rand_op(alg, 40 + i).blocks for i in range(3)]), alg)
+        s = singular_values(a)
+        lams = np.concatenate([[0.1, 1.0, 2.5, 100.0], s[0, 0, :2]])
+        got = tail_trace(a, lams)
+        assert got.shape == (3, lams.size)
+        for i, entry in enumerate(a):
+            assert isinstance(tail_trace(entry, lams[0]), float)
+            ref = [tail_trace_oracle(entry, lam) for lam in lams]
+            assert [tail_trace(entry, lam) for lam in lams] == ref
+            assert np.array_equal(got[i], ref)
+            assert np.array_equal(tail_trace(entry, lams), ref)
+            assert np.array_equal(tail_trace(a, lams[1])[i], ref[1])
+    with pytest.raises(ContractViolation):
+        tail_trace(a, [1.0, 0.0])

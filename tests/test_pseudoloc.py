@@ -7,17 +7,17 @@ from nclp.czkit import cz_decompose
 from nclp.harness import (_localized_scalar, random_positive_martingale,
                           trial_rng)
 from nclp.opcore import Op, dense_algebra, proj_join
-from nclp.pseudoloc import (DiscOp, _circulant_index, _torus_offsets,
-                            adjoint_one, annuli_kernel, assemble,
-                            cotlar_bound, delta_level, e_level, ekt_delta,
-                            estimate_norm, family_gram, grid_l2, haar, haar2,
-                            hilbert_kernel, ihaar, ksk_check, lambda_family,
-                            localization_check, lp_bumps_kernel,
-                            nc_pseudoloc_check, normalized, paraproduct,
-                            paraproduct_adjoint, paraproduct_adjoint_mats,
-                            paraproduct_correction, phi_psi_apply, phi_s,
-                            phi_s_hat, psi_s,
-                            psi_s_hat, restriction_identity_residual,
+from nclp.pseudoloc import (DiscOp, _circulant_index, _on_rows,
+                            _torus_offsets, adjoint_one, annuli_kernel,
+                            assemble, cotlar_bound, delta_level, e_level,
+                            ekt_delta, estimate_norm, family_gram, grid_l2,
+                            haar, haar2, hilbert_kernel, ihaar, ksk_check,
+                            lambda_family, localization_check,
+                            lp_bumps_kernel, nc_pseudoloc_check, normalized,
+                            paraproduct, paraproduct_adjoint,
+                            paraproduct_adjoint_mats, paraproduct_correction,
+                            phi_psi_apply, phi_psi_hat, phi_s, phi_s_hat,
+                            psi_s, psi_s_hat, restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, truncated_mats,
                             zeta_fs)
 
@@ -352,7 +352,7 @@ def test_restriction_identity():
     s = 2
     # make the differences below level s vanish so the telescope is exact
     f = f - e_level(f, s - 1)
-    assert restriction_identity_residual(T, f, s) < 1e-10
+    assert restriction_identity_residual(T, f, s, phi_psi_hat(T, s)) < 1e-10
 
 
 def test_lambda_family_sums_to_phi():
@@ -581,8 +581,48 @@ def test_phi_psi_apply_matches_dense_oracle(K, kernel):
     xm = rng.standard_normal((T.N, 2, 2)) + 1j * rng.standard_normal((T.N, 2, 2))
     for s in range(1, K):
         mats = phi_s(T, s).mats + psi_s(T, s).mats
+        hat = phi_psi_hat(T, s)
         for v in (x, xm):
             ref = np.einsum("mij,j...->mi...", mats, v)
-            got = phi_psi_apply(T, s, v)
+            got = phi_psi_apply(hat, v)
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def phi_psi_apply_per_call(T, s, x):
+    """(Phi_s + Psi_s) x with both Haar blocks recomputed on every call."""
+    c = _on_rows(haar, x.reshape(T.N, -1))
+    psi = psi_s_hat(T, s)
+    y = psi @ c[T.N - psi.shape[-1]:]
+    phi = phi_s_hat(haar2(T.mats), s)
+    y[:, :phi.shape[-2]] += phi @ c
+    return _on_rows(ihaar, y, T.N).reshape((T.M,) + x.shape)
+
+
+def test_shared_phi_psi_hat_gives_identical_output():
+    T = normalized(_T(6, 3))
+    rng = np.random.default_rng(63)
+    for s in range(1, 6):
+        hat = phi_psi_hat(T, s)
+        for _ in range(3):
+            x = rng.standard_normal((T.N, 2, 2))
+            assert np.array_equal(phi_psi_apply(hat, x),
+                                  phi_psi_apply_per_call(T, s, x))
+
+
+@pytest.mark.parametrize("experiment,fields", [
+    ("vanish", dict(trials=4, depth=7, s_range=(2, 4))),
+    ("nc-pseudoloc", dict(algebra="grid:1,6,2", trials=2, s_range=(2, 4)))])
+def test_runners_build_phi_psi_once_per_shift(experiment, fields,
+                                              monkeypatch):
+    import nclp.harness as harness
+    calls, real = [], harness.pl.phi_psi_hat
+
+    def counted(T, s):
+        calls.append(s)
+        return real(T, s)
+
+    monkeypatch.setattr(harness.pl, "phi_psi_hat", counted)
+    rep = harness.run(harness.ExperimentConfig(experiment, **fields))
+    assert calls and len(calls) == len(set(calls))
+    assert all(a["pass"] for a in rep["assertions"])
