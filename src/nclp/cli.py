@@ -5,7 +5,8 @@ import argparse
 import sys
 
 from .errors import ContractViolation, NumericError
-from .harness import EXPERIMENTS, ExperimentConfig, all_pass, report_json, run
+from .harness import (EXPERIMENTS, KERNELS, ExperimentConfig, all_pass,
+                      report_json, run)
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -37,8 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "lambda grid")
     p.add_argument("--s", default=None, metavar="a..b",
                    help="inclusive shift range")
-    p.add_argument("--kernel", default="lp-bumps",
-                   choices=["lp-bumps", "hilbert", "annuli"])
+    p.add_argument("--kernel", default=None, choices=sorted(KERNELS))
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--depth", type=int, default=None,
                    help="grid depth K (pseudo-localization suites)")
@@ -56,8 +56,7 @@ def main(argv=None) -> int:
         if args.lambda_exp is not None:
             a, b = _range_pair(args.lambda_exp)
             lam = list(range(a, b + 1))
-        cfg = ExperimentConfig(
-            experiment=args.experiment,
+        fields = dict(
             algebra=args.algebra,
             trials=args.trials,
             seed=args.seed,
@@ -69,7 +68,9 @@ def main(argv=None) -> int:
             out=args.out,
             format=args.format,
         )
-        report = run(cfg)
+        # an option left out takes its default from ExperimentConfig
+        report = run(ExperimentConfig(args.experiment, **{
+            k: v for k, v in fields.items() if v is not None}))
     except ContractViolation as exc:
         print(f"nclp: config/contract error: {exc}", file=sys.stderr)
         return EXIT_USAGE

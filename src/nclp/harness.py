@@ -9,6 +9,7 @@ import json
 import platform
 import time
 from dataclasses import dataclass, field, asdict
+from typing import Callable
 
 import numpy as np
 
@@ -26,11 +27,6 @@ from .opcore import (Op, l2_norm, mu_function, op_norm, schatten_norm,
                      weak_l1)
 
 ENVELOPE = 64.0
-
-EXPERIMENTS = ("norms", "cuculescu", "gundy", "transform-weak11",
-               "transform-l2", "bmo", "ergodic", "cross", "cz", "zeta",
-               "thmB1", "pseudoloc-decay", "ksk", "paraproduct", "vanish",
-               "localization", "nc-pseudoloc", "bmo-czo")
 
 
 @dataclass
@@ -50,14 +46,14 @@ class ExperimentConfig:
     def resolved(self) -> "ExperimentConfig":
         if self.experiment not in EXPERIMENTS:
             raise ContractViolation(f"unknown experiment {self.experiment!r}")
-        d = DEFAULTS.get(self.experiment, {})
-        for key, val in d.items():
+        exp = EXPERIMENTS[self.experiment]
+        for key, val in exp.defaults.items():
             if getattr(self, key) is None:
                 setattr(self, key, val)
-        if self.trials is None:
-            self.trials = 8
-        if self.trials < 1:
+        if self.trials is not None and self.trials < 1:
             raise ContractViolation("trials >= 1 required")
+        if self.kernel not in KERNELS:
+            raise ContractViolation(f"unknown kernel {self.kernel!r}")
         if self.seed < 0:
             raise ContractViolation(f"seed must be >= 0, got {self.seed}")
         if self.lambda_exps is not None and len(self.lambda_exps) == 0:
@@ -75,36 +71,9 @@ class ExperimentConfig:
                 len(self.s_range) != 2 or self.s_range[0] > self.s_range[1]):
             raise ContractViolation(f"bad shift range {self.s_range!r}: "
                                     "need a..b with a <= b")
+        if exp.per_shift:
+            self.trials = self.s_range[1] - self.s_range[0] + 1
         return self
-
-
-DEFAULTS = {
-    "norms": {"algebra": "tensor:3", "trials": 16},
-    "cuculescu": {"algebra": "tensor:4", "trials": 100,
-                  "lambda_exps": list(range(-2, 5))},
-    "gundy": {"algebra": "tensor:4", "trials": 12,
-              "lambda_exps": [-1, 0, 1, 2]},
-    "transform-weak11": {"algebra": "tensor:4", "trials": 12,
-                         "lambda_exps": list(range(-8, 9))},
-    "transform-l2": {"algebra": "tensor:4", "trials": 16},
-    "bmo": {"algebra": "tensor:4", "trials": 12},
-    "ergodic": {"algebra": "tensor:4", "trials": 8,
-                "lambda_exps": list(range(-8, 9))},
-    "cross": {"algebra": "tensor:3", "trials": 8},
-    "cz": {"algebra": "grid:1,4,2", "trials": 100,
-           "lambda_exps": list(range(0, 5))},
-    "zeta": {"algebra": "grid:1,4,2", "trials": 25,
-             "lambda_exps": list(range(0, 5))},
-    "thmB1": {"algebra": "grid:1,4,2", "trials": 8},
-    "pseudoloc-decay": {"trials": 1, "depth": 8, "s_range": (3, 6)},
-    "ksk": {"trials": 3, "s_range": (2, 2)},
-    "paraproduct": {"trials": 16, "depth": 7},
-    "vanish": {"trials": 12, "depth": 7, "s_range": (2, 4)},
-    "localization": {"trials": 16, "depth": 8},
-    "nc-pseudoloc": {"algebra": "grid:1,6,2", "trials": 6,
-                     "s_range": (2, 4)},
-    "bmo-czo": {"trials": 12, "depth": 7},
-}
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +150,6 @@ class Suite:
         self.trials.append({"id": len(self.trials),
                             "inputs_digest": inputs_digest,
                             "metrics": clean})
-
-    def rule(self, name: str, metric: str, threshold: float):
-        self.rules.append((name, metric, float(threshold)))
 
     def report(self) -> dict:
         agg = {}
@@ -267,264 +233,196 @@ def all_pass(report: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies
+# experiment bodies: each trial function returns (inputs to digest, metrics)
 # ---------------------------------------------------------------------------
 
 def _filtration(cfg):
     return build_filtration(cfg.algebra)
 
 
-def run_norms(cfg, suite):
-    filt = _filtration(cfg)
+def _norms(cfg, filt, rng, t):
     alg = filt.algebra
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        a = random_op(alg, rng)
-        b = random_op(alg, rng)
-        mu = mu_function(a)
-        holder = 0.0
-        for p, q in ((2.0, 2.0), (4.0, 4.0 / 3.0), (1.0, np.inf)):
-            lhs = abs((a @ b).trace())
-            holder = max(holder, lhs - schatten_norm(a, p) * schatten_norm(b, q))
-        metrics = {
-            "holder_excess": max(holder, 0.0),
-            "l1_mu_residual": abs(schatten_norm(a, 1) - mu.integral()),
-            "weak_sup_residual": abs(weak_l1(a) - mu.sup_t_mu()),
-            "l2_inner_residual": abs(l2_norm(a) ** 2
-                                     - float((a @ a.H).trace().real)),
-        }
-        suite.add_trial(digest(a, b), metrics)
-    suite.rule("holder", "holder_excess", 1e-8)
-    suite.rule("l1_equals_mu_integral", "l1_mu_residual", 1e-8)
-    suite.rule("weak_l1_equals_sup_t_mu", "weak_sup_residual", 1e-8)
-    suite.rule("l2_inner", "l2_inner_residual", 1e-8)
+    a = random_op(alg, rng)
+    b = random_op(alg, rng)
+    mu = mu_function(a)
+    holder = 0.0
+    for p, q in ((2.0, 2.0), (4.0, 4.0 / 3.0), (1.0, np.inf)):
+        lhs = abs((a @ b).trace())
+        holder = max(holder, lhs - schatten_norm(a, p) * schatten_norm(b, q))
+    return (a, b), {
+        "holder_excess": max(holder, 0.0),
+        "l1_mu_residual": abs(schatten_norm(a, 1) - mu.integral()),
+        "weak_sup_residual": abs(weak_l1(a) - mu.sup_t_mu()),
+        "l2_inner_residual": abs(l2_norm(a) ** 2
+                                 - float((a @ a.H).trace().real)),
+    }
 
 
-def run_cuculescu(cfg, suite):
-    filt = _filtration(cfg)
+def _cuculescu(cfg, filt, rng, t):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        reps = cuculescu_report(cuculescu(f, lams))
-        suite.add_trial(digest(f.top, cfg.lambda_exps), {
-            "commutator": max(r["commutator"] for r in reps),
-            "compression_excess": max(r["compression_excess"] for r in reps),
-            "tail_excess": max(lam * r["tail_trace"] - f.sup_l1
-                               for lam, r in zip(lams, reps)),
-        })
-    suite.rule("commutation", "commutator", 1e-8)
-    suite.rule("compression_below_lambda", "compression_excess", 1e-8)
-    suite.rule("maximal_weak_l1_constant_one", "tail_excess", 1e-8)
+    f = random_positive_martingale(filt, rng)
+    reps = cuculescu_report(cuculescu(f, lams))
+    return (f.top, cfg.lambda_exps), {
+        "commutator": max(r["commutator"] for r in reps),
+        "compression_excess": max(r["compression_excess"] for r in reps),
+        "tail_excess": max(lam * r["tail_trace"] - f.sup_l1
+                           for lam, r in zip(lams, reps)),
+    }
 
 
-def run_gundy(cfg, suite):
-    filt = _filtration(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        m = {"recon_residual": 0.0, "mart_residual": 0.0,
-             "gamma_annihilation": 0.0, "trunc_residual": 0.0,
-             "alpha_ratio": 0.0, "beta_ratio": 0.0, "gamma_ratio": 0.0}
-        # the pi range covers every requested exponent, so each one's
-        # truncation is measured
-        pi = pi_family(f, (min(cfg.lambda_exps) - 1, max(
-            max(cfg.lambda_exps),
-            int(np.ceil(np.log2(max(op_norm(f.top), 1e-9)))) + 1)))
-        for e in cfg.lambda_exps:
-            parts = gundy(f, 2.0 ** e)
-            dg, q = parts.d_gamma, q_lambda(parts.seq)
-            trunc = delta_trunc(dg, pi, e).max_abs()
-            # running maxima use np.maximum, which keeps a NaN: the builtin
-            # max(0.0, nan) is 0.0 and would turn a failed check into a PASS
-            for key, val in (
-                    ("recon_residual", (parts.d_alpha + parts.d_beta + dg
-                                        - f.diffs).max_abs()),
-                    ("mart_residual", np.max([
-                        f.expect_each(x, lag=1).max_abs()
-                        for x in (parts.d_alpha, parts.d_beta, dg)])),
-                    ("gamma_annihilation", (q @ dg @ q).max_abs()),
-                    ("trunc_residual", trunc)):
-                m[key] = np.maximum(m[key], val)
-            rep = gundy_verify(parts)
-            m["alpha_ratio"] = np.maximum(m["alpha_ratio"], rep["alpha"])
-            m["beta_ratio"] = np.maximum(m["beta_ratio"], rep["beta"])
-            m["gamma_ratio"] = np.maximum(m["gamma_ratio"], rep["gamma"])
-        suite.add_trial(digest(f.top, cfg.lambda_exps), m)
-    suite.rule("reconstruction", "recon_residual", 1e-10)
-    suite.rule("parts_are_martingales", "mart_residual", 1e-10)
-    suite.rule("gamma_annihilated", "gamma_annihilation", 1e-10)
-    suite.rule("gamma_triangular_truncation_vanishes", "trunc_residual", 1e-10)
-    suite.rule("alpha_envelope", "alpha_ratio", ENVELOPE)
-    suite.rule("beta_envelope", "beta_ratio", ENVELOPE)
-    suite.rule("gamma_constant_one", "gamma_ratio", 1.0 + 1e-8)
+def _gundy(cfg, filt, rng, t):
+    f = random_positive_martingale(filt, rng)
+    m = {"recon_residual": 0.0, "mart_residual": 0.0,
+         "gamma_annihilation": 0.0, "trunc_residual": 0.0,
+         "alpha_ratio": 0.0, "beta_ratio": 0.0, "gamma_ratio": 0.0}
+    # the pi range covers every requested exponent, so each one's
+    # truncation is measured
+    pi = pi_family(f, (min(cfg.lambda_exps) - 1, max(
+        max(cfg.lambda_exps),
+        int(np.ceil(np.log2(max(op_norm(f.top), 1e-9)))) + 1)))
+    for e in cfg.lambda_exps:
+        parts = gundy(f, 2.0 ** e)
+        dg, q = parts.d_gamma, q_lambda(parts.seq)
+        trunc = delta_trunc(dg, pi, e).max_abs()
+        # running maxima use np.maximum, which keeps a NaN: the builtin
+        # max(0.0, nan) is 0.0 and would turn a failed check into a PASS
+        for key, val in (
+                ("recon_residual", (parts.d_alpha + parts.d_beta + dg
+                                    - f.diffs).max_abs()),
+                ("mart_residual", np.max([
+                    f.expect_each(x, lag=1).max_abs()
+                    for x in (parts.d_alpha, parts.d_beta, dg)])),
+                ("gamma_annihilation", (q @ dg @ q).max_abs()),
+                ("trunc_residual", trunc)):
+            m[key] = np.maximum(m[key], val)
+        rep = gundy_verify(parts)
+        m["alpha_ratio"] = np.maximum(m["alpha_ratio"], rep["alpha"])
+        m["beta_ratio"] = np.maximum(m["beta_ratio"], rep["beta"])
+        m["gamma_ratio"] = np.maximum(m["gamma_ratio"], rep["gamma"])
+    return (f.top, cfg.lambda_exps), m
 
 
-def run_transform_weak11(cfg, suite, coeffs=None):
-    filt = _filtration(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        xi = coeffs if coeffs is not None else random_coeffs(
-            len(f.diffs), 4, rng, "row-eq-one")
-        rep = weak11_experiment(f, xi, cfg.lambda_exps)
-        suite.add_trial(digest(f.top, xi.entries), rep)
-    suite.rule("row_weak11_envelope", "row_ratio", ENVELOPE)
-    suite.rule("col_weak11_envelope", "col_ratio", ENVELOPE)
+def _transform_weak11(cfg, filt, rng, t):
+    f = random_positive_martingale(filt, rng)
+    xi = random_coeffs(len(f.diffs), 4, rng, "row-eq-one")
+    return (f.top, xi.entries), weak11_experiment(f, xi, cfg.lambda_exps)
 
 
-def run_transform_l2(cfg, suite, coeffs=None):
-    filt = _filtration(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = Martingale(filt, random_op(filt.algebra, rng))
-        nsq = max(l2_norm(f.top) ** 2, 1e-300)
-        unit = random_coeffs(len(f.diffs), 4, rng, "row-eq-one")
-        gen = coeffs if coeffs is not None else random_coeffs(
-            len(f.diffs), 4, rng, "row-le-one")
-        suite.add_trial(digest(f.top, unit.entries, gen.entries), {
-            "unit_row_residual": l2_identity_check(f, unit) / nsq,
-            "weighted_residual": l2_identity_check(f, gen) / nsq,
-        })
-    suite.rule("isometry_unit_rows", "unit_row_residual", 1e-10)
-    suite.rule("weighted_identity", "weighted_residual", 1e-10)
+def _transform_l2(cfg, filt, rng, t):
+    f = Martingale(filt, random_op(filt.algebra, rng))
+    nsq = max(l2_norm(f.top) ** 2, 1e-300)
+    unit = random_coeffs(len(f.diffs), 4, rng, "row-eq-one")
+    gen = random_coeffs(len(f.diffs), 4, rng, "row-le-one")
+    return (f.top, unit.entries, gen.entries), {
+        "unit_row_residual": l2_identity_check(f, unit) / nsq,
+        "weighted_residual": l2_identity_check(f, gen) / nsq,
+    }
 
 
-def run_bmo(cfg, suite):
-    filt = _filtration(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = Martingale(filt, random_op(filt.algebra, rng))
-        xi = CoeffMatrix(rng.uniform(-1.0, 1.0, size=(len(f.diffs), 1)))
-        g = Martingale(filt, transform_family(f, xi)[0])
-        _, _, bf = bmo_norms(f)
-        _, _, bg = bmo_norms(g)
-        suite.add_trial(digest(f.top, xi.entries), {
-            "bmo_f": bf, "bmo_transform": bg,
-            "transform_bmo_excess": max(bg - bf, 0.0),
-        })
-    suite.rule("contractive_transform_bmo", "transform_bmo_excess", 1e-8)
+def _bmo(cfg, filt, rng, t):
+    f = Martingale(filt, random_op(filt.algebra, rng))
+    xi = CoeffMatrix(rng.uniform(-1.0, 1.0, size=(len(f.diffs), 1)))
+    g = Martingale(filt, transform_family(f, xi)[0])
+    _, _, bf = bmo_norms(f)
+    _, _, bg = bmo_norms(g)
+    return (f.top, xi.entries), {
+        "bmo_f": bf, "bmo_transform": bg,
+        "transform_bmo_excess": max(bg - bf, 0.0),
+    }
 
 
-def run_ergodic(cfg, suite):
-    filt = _filtration(cfg)
-    bound = ergodic_row_bound(10_000)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        k_max = len(f.diffs)
-        xi = ergodic_coeffs(m_max=k_max + 4)
-        xi = CoeffMatrix(xi.entries[:k_max])
-        rep = weak11_experiment(f, xi, cfg.lambda_exps)
-        nsq = max(l2_norm(f.top) ** 2, 1e-300)
-        suite.add_trial(digest(f.top, xi.entries), {
-            "row_ratio": rep["row_ratio"],
-            "col_ratio": rep["col_ratio"],
-            "weighted_residual": l2_identity_check(f, xi) / nsq,
-            "row_bound_10k": bound,
-        })
-    suite.rule("coefficient_rows_at_most_one", "row_bound_10k", 1.0 + 1e-12)
-    suite.rule("row_weak11_envelope", "row_ratio", ENVELOPE)
-    suite.rule("col_weak11_envelope", "col_ratio", ENVELOPE)
-    suite.rule("weighted_identity", "weighted_residual", 1e-10)
+def _ergodic(cfg, filt, rng, t):
+    f = random_positive_martingale(filt, rng)
+    k_max = len(f.diffs)
+    xi = ergodic_coeffs(m_max=k_max + 4)
+    xi = CoeffMatrix(xi.entries[:k_max])
+    rep = weak11_experiment(f, xi, cfg.lambda_exps)
+    nsq = max(l2_norm(f.top) ** 2, 1e-300)
+    return (f.top, xi.entries), {
+        "row_ratio": rep["row_ratio"],
+        "col_ratio": rep["col_ratio"],
+        "weighted_residual": l2_identity_check(f, xi) / nsq,
+        "row_bound_10k": ergodic_row_bound(10_000),
+    }
 
 
-def run_cross(cfg, suite):
-    filt = _filtration(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        k = len(f.diffs)
-        rho = random_coeffs(k, 3, rng, "row-eq-one")
-        eta = random_coeffs(k, 3, rng, "row-eq-one")
-        rep = cross_experiment(f, rho, eta, p=4)
-        suite.add_trial(digest(f.top, rho.entries, eta.entries), rep)
-    suite.rule("cross_term_envelope", "ratio", ENVELOPE)
+def _cross(cfg, filt, rng, t):
+    f = random_positive_martingale(filt, rng)
+    k = len(f.diffs)
+    rho = random_coeffs(k, 3, rng, "row-eq-one")
+    eta = random_coeffs(k, 3, rng, "row-eq-one")
+    return (f.top, rho.entries, eta.entries), cross_experiment(f, rho, eta,
+                                                               p=4)
 
 
-def run_cz(cfg, suite):
-    filt = _filtration(cfg)
+def _cz(cfg, filt, rng, t):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        reps = cz_report(cz_decompose(f, lams))
-        suite.add_trial(digest(f.top, cfg.lambda_exps), {
-            "reconstruction_residual": max(r["reconstruction_residual"]
-                                           for r in reps),
-            "g_d_excess": max(r["g_d_l2sq"] - r["g_d_bound"] for r in reps),
-            "b_d_excess": max(r["b_d_l1_sum"] - r["b_d_bound"] for r in reps),
-        })
-    suite.rule("reconstruction", "reconstruction_residual", 1e-10)
-    suite.rule("diagonal_good_part_l2", "g_d_excess", 1e-8)
-    suite.rule("diagonal_bad_part_l1", "b_d_excess", 1e-8)
+    f = random_positive_martingale(filt, rng)
+    reps = cz_report(cz_decompose(f, lams))
+    return (f.top, cfg.lambda_exps), {
+        "reconstruction_residual": max(r["reconstruction_residual"]
+                                       for r in reps),
+        "g_d_excess": max(r["g_d_l2sq"] - r["g_d_bound"] for r in reps),
+        "b_d_excess": max(r["b_d_l1_sum"] - r["b_d_bound"] for r in reps),
+    }
 
 
-def run_zeta(cfg, suite):
-    filt = _filtration(cfg)
+def _zeta(cfg, filt, rng, t):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        m = {}
-        for parts in cz_decompose(f, lams):
-            zd = zeta(f, parts.lam, parts)
-            ineq = zeta_cube_inequalities(zd)
-            lay = g_off_layer_report(parts, g_off_layers(parts))
-            for key, val in (
-                    ("excised_mass_ratio",
-                     zeta_report(zd)["excised_mass_ratio"]),
-                    ("cube_ineq_violation", -np.minimum(
-                        ineq["strong_min_eig"], ineq["weak_min_eig"])),
-                    ("layer_sum_residual", lay["sum_residual"]),
-                    ("layer_support_residual", lay["support_residual"]),
-                    ("layer_orthogonality_residual",
-                     lay["layer_orthogonality_residual"]),
-                    ("layer_ratio", lay["sup_layer_ratio"])):
-                m[key] = np.maximum(m.get(key, 0.0), val)
-        suite.add_trial(digest(f.top, cfg.lambda_exps), m)
-    suite.rule("excised_mass_9n", "excised_mass_ratio", 1.0 + 1e-8)
-    suite.rule("cube_operator_inequalities", "cube_ineq_violation", 1e-8)
-    suite.rule("off_diagonal_layer_sum", "layer_sum_residual", 1e-10)
-    suite.rule("layer_support", "layer_support_residual", 1e-10)
-    suite.rule("layer_orthogonality", "layer_orthogonality_residual", 1e-8)
-    suite.rule("layer_l2_envelope", "layer_ratio", ENVELOPE)
+    f = random_positive_martingale(filt, rng)
+    m = {}
+    for parts in cz_decompose(f, lams):
+        zd = zeta(f, parts.lam, parts)
+        ineq = zeta_cube_inequalities(zd)
+        lay = g_off_layer_report(parts, g_off_layers(parts))
+        for key, val in (
+                ("excised_mass_ratio",
+                 zeta_report(zd)["excised_mass_ratio"]),
+                ("cube_ineq_violation", -np.minimum(
+                    ineq["strong_min_eig"], ineq["weak_min_eig"])),
+                ("layer_sum_residual", lay["sum_residual"]),
+                ("layer_support_residual", lay["support_residual"]),
+                ("layer_orthogonality_residual",
+                 lay["layer_orthogonality_residual"]),
+                ("layer_ratio", lay["sup_layer_ratio"])):
+            m[key] = np.maximum(m.get(key, 0.0), val)
+    return (f.top, cfg.lambda_exps), m
 
 
-def run_thmB1(cfg, suite):
-    filt = _filtration(cfg)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        xi = random_coeffs(len(f.diffs), 3, rng, "row-eq-one")
-        fam = transform_family(f, xi)
-        l_max = int(np.ceil(np.log2(max(op_norm(f.top), 1e-9)))) + 1
-        split = thmB1_decompose(fam, f, (l_max - 6, l_max))
-        recon = split.center + split.a_part + split.b_part - fam
-        suite.add_trial(digest(f.top, xi.entries), {
-            "reconstruction_residual": recon.max_abs(),
-            "center_l2": l2_norm(split.center).max(),
-            "a_l2": l2_norm(split.a_part).max(),
-            "b_l2": l2_norm(split.b_part).max(),
-        })
-    suite.rule("reconstruction", "reconstruction_residual", 1e-10)
+def _thmB1(cfg, filt, rng, t):
+    f = random_positive_martingale(filt, rng)
+    xi = random_coeffs(len(f.diffs), 3, rng, "row-eq-one")
+    fam = transform_family(f, xi)
+    l_max = int(np.ceil(np.log2(max(op_norm(f.top), 1e-9)))) + 1
+    split = thmB1_decompose(fam, f, (l_max - 6, l_max))
+    recon = split.center + split.a_part + split.b_part - fam
+    return (f.top, xi.entries), {
+        "reconstruction_residual": recon.max_abs(),
+        "center_l2": l2_norm(split.center).max(),
+        "a_l2": l2_norm(split.a_part).max(),
+        "b_l2": l2_norm(split.b_part).max(),
+    }
 
 
 # -- pseudo-localization suites ---------------------------------------------
 
+# kernel name -> its constructor at depth K
+KERNELS = {"lp-bumps": lambda K: pl.lp_bumps_kernel(M=K),
+           "hilbert": lambda K: pl.hilbert_kernel(),
+           "annuli": lambda K: pl.annuli_kernel(K)}
+
+
 def _make_kernel(cfg, K):
-    if cfg.kernel == "lp-bumps":
-        k = pl.lp_bumps_kernel(M=K)
-    elif cfg.kernel == "hilbert":
-        k = pl.hilbert_kernel()
-    elif cfg.kernel == "annuli":
-        k = pl.annuli_kernel(K)
-    else:
-        raise ContractViolation(f"unknown kernel {cfg.kernel!r}")
+    k = KERNELS[cfg.kernel](K)
     if cfg.gamma is not None:
         k = pl.HilbertKernel(k.family, k.M, float(cfg.gamma), k.C1, k.C2,
                              k.cutoff)
     return k
+
+
+def _operator(cfg):
+    """The normalized operator of the configured kernel at cfg.depth."""
+    return pl.normalized(pl.assemble(_make_kernel(cfg, cfg.depth), cfg.depth))
 
 
 def _localized_scalar(N, K, s, rng):
@@ -545,165 +443,154 @@ def _localized_scalar(N, K, s, rng):
     return f
 
 
-def run_pseudoloc_decay(cfg, suite):
-    K = cfg.depth
-    T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
+def _decay_setup(cfg):
+    T = _operator(cfg)
     # H is orthogonal: ||Phi_s||, ||Psi_s|| are norms of their Haar blocks
-    t0_hat = pl.haar2(pl.paraproduct_correction(T)[0].mats)
-    s_lo, s_hi = cfg.s_range
-    rng = trial_rng(cfg.seed, 0)
-    svals, phin, psin = [], [], []
-    for s in range(s_lo, s_hi + 1):
-        phi = pl.estimate_norm(pl.phi_s_hat(t0_hat, s))
-        psi = pl.estimate_norm(pl.psi_s_hat(T, s))
-        svals.append(s)
-        phin.append(phi)
-        psin.append(psi)
-        f = _localized_scalar(T.N, T.K, s, rng)
-        chk = pl.commutative_pseudoloc_check(T, f, s)
-        suite.add_trial(digest(np.array([s]), T.mats[0, 0]), {
-            "s": float(s), "phi_norm": phi, "psi_norm": psi,
-            "comm_ratio": chk["ratio"],
-        })
-    def _fit(xs, ys):
-        # identically-zero entries (the torus truncation empties the far
-        # truncated pieces) carry no slope information
-        pts = [(x, np.log2(y)) for x, y in zip(xs, ys) if y > 0]
-        if len(pts) < 2:    # no slope: NaN fails every rule that reads it
-            return float("nan")
-        return float(np.polyfit([p[0] for p in pts],
-                                [p[1] for p in pts], 1)[0])
-
-    sl_phi = _fit(svals, phin)
-    sl_psi = _fit(svals, psin)
-    suite.summary.update(psi_zero_count=float(sum(v == 0.0 for v in psin)),
-                         phi_slope=sl_phi, psi_slope=sl_psi,
-                         phi_slope_neg=-sl_phi, psi_slope_neg=-sl_psi)
-    suite.rule("phi_slope_upper", "phi_slope", -0.35)
-    suite.rule("phi_slope_lower", "phi_slope_neg", 0.65)
-    suite.rule("psi_slope_upper", "psi_slope", -0.35)
-    suite.rule("psi_slope_lower", "psi_slope_neg", 0.65)
-    suite.rule("pseudoloc_envelope", "comm_ratio", ENVELOPE)
+    return T, pl.haar2(pl.paraproduct_correction(T)[0].mats)
 
 
-def run_ksk(cfg, suite):
-    depths = [cfg.depth] if cfg.depth else [6, 7, 8]
+def _decay(cfg, ctx, rng, t):
+    T, t0_hat = ctx
+    s = cfg.s_range[0] + t
+    phi = pl.estimate_norm(pl.phi_s_hat(t0_hat, s))
+    psi = pl.estimate_norm(pl.psi_s_hat(T, s))
+    f = _localized_scalar(T.N, T.K, s, rng)
+    chk = pl.commutative_pseudoloc_check(T, f, s)
+    return (np.array([s]), T.mats[0, 0]), {
+        "s": float(s), "phi_norm": phi, "psi_norm": psi,
+        "comm_ratio": chk["ratio"],
+    }
+
+
+def _slope(xs, ys):
+    """Least-squares slope of log2(y) against x."""
+    # identically-zero entries (the torus truncation empties the far
+    # truncated pieces) carry no slope information
+    pts = [(x, np.log2(y)) for x, y in zip(xs, ys) if y > 0]
+    if len(pts) < 2:    # no slope: NaN fails every rule that reads it
+        return float("nan")
+    return float(np.polyfit([p[0] for p in pts], [p[1] for p in pts], 1)[0])
+
+
+def _decay_summary(cfg, ctx, trials):
+    svals = [m["s"] for m in trials]
+    psin = [m["psi_norm"] for m in trials]
+    sl_phi = _slope(svals, [m["phi_norm"] for m in trials])
+    sl_psi = _slope(svals, psin)
+    return dict(psi_zero_count=float(sum(v == 0.0 for v in psin)),
+                phi_slope=sl_phi, psi_slope=sl_psi,
+                phi_slope_neg=-sl_phi, psi_slope_neg=-sl_psi)
+
+
+def _ksk_setup(cfg):
     s = cfg.s_range[0]
-    if min(depths) <= s:    # no level k with k + s < depth: nothing to check
+    if cfg.depth <= s:    # no level k with k + s < depth: nothing to check
         raise ContractViolation(f"ksk needs depth > s, got depth "
-                                f"{min(depths)} and s = {s}")
-    for t, K in enumerate(depths[:max(cfg.trials, len(depths))]):
-        rng = trial_rng(cfg.seed, t)
-        T = pl.assemble(_make_kernel(cfg, K), K)
-        resid = size_c = 0.0
-        for k in range(0, min(3, K - s)):
-            rep = pl.ksk_check(T, s, k, n_pairs=70, rng=rng)
-            resid = np.maximum(resid, rep["max_residual"])
-            size_c = np.maximum(size_c, rep["size_constant"])
-        suite.add_trial(digest(np.array([K, s]), T.mats[0, 0]), {
-            "max_residual": resid, "size_constant": size_c,
-        })
-    suite.rule("two_bump_kernel_identity", "max_residual", 1e-8)
-    suite.rule("kernel_size_envelope", "size_constant", ENVELOPE)
+                                f"{cfg.depth} and s = {s}")
 
 
-def run_paraproduct(cfg, suite):
-    K = cfg.depth
-    T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = rng.standard_normal(T.N)
-        rep = pl.paraproduct_bound_report(T, f)
-        suite.add_trial(digest(f, T.mats[0, 0]), {
-            "lhs": rep["lhs"], "bound": rep["bound"],
-            "excess": max(rep["lhs"] - rep["bound"], 0.0),
-        })
-    suite.rule("paraproduct_bmo_bound", "excess", 1e-8)
+def _ksk(cfg, ctx, rng, t):
+    K, s = cfg.depth + t, cfg.s_range[0]
+    T = pl.assemble(_make_kernel(cfg, K), K)
+    resid = size_c = 0.0
+    for k in range(0, min(3, K - s)):
+        rep = pl.ksk_check(T, s, k, n_pairs=70, rng=rng)
+        resid = np.maximum(resid, rep["max_residual"])
+        size_c = np.maximum(size_c, rep["size_constant"])
+    return ((np.array([K, s]), T.mats[0, 0]),
+            {"max_residual": resid, "size_constant": size_c})
 
 
-def run_vanish(cfg, suite):
-    K = cfg.depth
-    T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
+def _paraproduct(cfg, T, rng, t):
+    f = rng.standard_normal(T.N)
+    rep = pl.paraproduct_bound_report(T, f)
+    return (f, T.mats[0, 0]), {
+        "lhs": rep["lhs"], "bound": rep["bound"],
+        "excess": max(rep["lhs"] - rep["bound"], 0.0),
+    }
+
+
+def _vanish_setup(cfg):
+    T = _operator(cfg)
     s_lo, s_hi = cfg.s_range
-    hats = {s: pl.phi_psi_hat(T, s) for s in range(s_lo, s_hi + 1)}
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        worst = worst_rest = 0.0
-        for s in range(s_lo, s_hi + 1):
-            f = _localized_scalar(T.N, T.K, s, rng)
-            worst = np.maximum(worst, pl.vanish_check(T, f, s))
-            rest = pl.restriction_identity_residual(T, f, s, hats[s])
-            worst_rest = np.maximum(worst_rest, rest)
-        suite.add_trial(digest(np.array([t]), T.mats[0, 0]), {
-            "vanish_residual": worst,
-            "restriction_residual": worst_rest,
-        })
-    suite.rule("paraproduct_term_vanishes_outside", "vanish_residual", 1e-10)
-    suite.rule("restriction_identity", "restriction_residual", 1e-9)
+    return T, {s: pl.phi_psi_hat(T, s) for s in range(s_lo, s_hi + 1)}
 
 
-def run_localization(cfg, suite):
-    K = cfg.depth
-    if K < 7:   # r1 is drawn from [4/N, 0.05], which needs N >= 80
-        raise ContractViolation(f"localization needs depth >= 7, got {K}")
-    T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        x0 = float(rng.uniform(0, 1))
-        r1 = float(rng.uniform(4.0 / T.N, 0.05))
-        r2 = float(rng.uniform(2.2 * r1, 0.45))
-        rep = pl.localization_check(T, x0, r1, r2)
-        suite.add_trial(digest(np.array([x0, r1, r2])), {
-            "value": rep["value"], "ratio": rep["ratio"],
-        })
-    suite.rule("ball_pairing_log_envelope", "ratio", ENVELOPE)
+def _vanish(cfg, ctx, rng, t):
+    T, hats = ctx
+    worst = worst_rest = 0.0
+    for s, hat in hats.items():
+        f = _localized_scalar(T.N, T.K, s, rng)
+        worst = np.maximum(worst, pl.vanish_check(T, f, s))
+        rest = pl.restriction_identity_residual(T, f, s, hat)
+        worst_rest = np.maximum(worst_rest, rest)
+    return (np.array([t]), T.mats[0, 0]), {
+        "vanish_residual": worst,
+        "restriction_residual": worst_rest,
+    }
 
 
-def run_nc_pseudoloc(cfg, suite):
+def _localization_setup(cfg):
+    if cfg.depth < 7:   # r1 is drawn from [4/N, 0.05], which needs N >= 80
+        raise ContractViolation(f"localization needs depth >= 7, "
+                                f"got {cfg.depth}")
+    return _operator(cfg)
+
+
+def _localization(cfg, T, rng, t):
+    x0 = float(rng.uniform(0, 1))
+    r1 = float(rng.uniform(4.0 / T.N, 0.05))
+    r2 = float(rng.uniform(2.2 * r1, 0.45))
+    rep = pl.localization_check(T, x0, r1, r2)
+    return (np.array([x0, r1, r2]),), {
+        "value": rep["value"], "ratio": rep["ratio"],
+    }
+
+
+def _nc_pseudoloc_setup(cfg):
     filt = _filtration(cfg)
     if not isinstance(filt, GridFiltration) or filt.n != 1:
         raise ContractViolation("nc-pseudoloc needs a grid:1,K,d algebra")
-    K = filt.K
-    T = pl.normalized(pl.assemble(_make_kernel(cfg, K), K))
+    T = pl.normalized(pl.assemble(_make_kernel(cfg, filt.K), filt.K))
+    return filt, T, {}   # Phi_s + Psi_s blocks, built for trial 0's check
+
+
+def _nc_pseudoloc(cfg, ctx, rng, t):
+    filt, T, hats = ctx
     s_lo, s_hi = cfg.s_range
-    hats = {}    # Phi_s + Psi_s blocks for the first trial's identity check
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = random_positive_martingale(filt, rng)
-        m = {"ratio": 0.0, "identity_residual": 0.0, "zeta_trace": 0.0}
-        for parts in cz_decompose(f, [1.0, 2.0, 4.0]):
-            layers = g_off_layers(parts)["layers"]
-            for s in range(max(s_lo, 1), min(s_hi, len(layers)) + 1):
-                g_s = layers[s - 1]
-                if g_s.max_abs() < 1e-13:
-                    continue
-                if t == 0 and s not in hats:
-                    hats[s] = pl.phi_psi_hat(T, s)
-                rep = pl.nc_pseudoloc_check(T, g_s, s, filt, parts.qs,
-                                            hats[s] if t == 0 else None)
-                m["ratio"] = np.maximum(m["ratio"], rep["ratio"])
-                m["zeta_trace"] = np.maximum(m["zeta_trace"],
-                                             rep["zeta_trace"])
-                if "identity_residual" in rep:
-                    m["identity_residual"] = np.maximum(
-                        m["identity_residual"], rep["identity_residual"])
-        suite.add_trial(digest(f.top), m)
-    # d = 1 reduction against the plain scalar masked norm
-    suite.summary["reduction_residual"] = _nc_scalar_reduction(cfg, T, K)
-    suite.rule("compressed_norm_envelope", "ratio", ENVELOPE)
-    suite.rule("restriction_identity", "identity_residual", 1e-9)
-    suite.rule("scalar_reduction", "reduction_residual", 1e-9)
+    f = random_positive_martingale(filt, rng)
+    m = {"ratio": 0.0, "identity_residual": 0.0, "zeta_trace": 0.0}
+    for parts in cz_decompose(f, [1.0, 2.0, 4.0]):
+        layers = g_off_layers(parts)["layers"]
+        for s in range(max(s_lo, 1), min(s_hi, len(layers)) + 1):
+            g_s = layers[s - 1]
+            if g_s.max_abs() < 1e-13:
+                continue
+            if t == 0 and s not in hats:
+                hats[s] = pl.phi_psi_hat(T, s)
+            rep = pl.nc_pseudoloc_check(T, g_s, s, filt, parts.qs,
+                                        hats[s] if t == 0 else None)
+            m["ratio"] = np.maximum(m["ratio"], rep["ratio"])
+            m["zeta_trace"] = np.maximum(m["zeta_trace"], rep["zeta_trace"])
+            if "identity_residual" in rep:
+                m["identity_residual"] = np.maximum(
+                    m["identity_residual"], rep["identity_residual"])
+    return (f.top,), m
 
 
-def _nc_scalar_reduction(cfg, T, K):
-    """d = 1: commuting projections built from the difference supports make
-    zeta_{f,s} the indicator of the commutative complement-of-Sigma mask, so
-    the compressed norm must reproduce the scalar outside norm.
+def _nc_scalar_reduction(cfg, ctx, trials):
+    """nc-pseudoloc's summary, the d = 1 reduction: commuting projections
+    built from the difference supports make zeta_{f,s} the indicator of the
+    commutative complement-of-Sigma mask, so the compressed norm must
+    reproduce the scalar outside norm.
 
     The CZ layers themselves are vacuous at d = 1 (q df p = 0 pointwise for
     commuting 0/1 projections), hence the support-driven construction here.
     """
-    K = max(K, cfg.s_range[1] + 5)   # keep coarse bad sets empty
+    # the trials' kernel keeps M at the algebra's depth; a kernel rebuilt
+    # from the config at the larger K below would not
+    T = ctx[1]
+    K = max(T.K, cfg.s_range[1] + 5)   # keep coarse bad sets empty
     T = pl.normalized(pl.assemble(T.kernel, K))
     filt1 = GridFiltration(1, K, 1)
     rng = trial_rng(cfg.seed, 10_000)
@@ -723,50 +610,141 @@ def _nc_scalar_reduction(cfg, T, K):
         chk = pl.commutative_pseudoloc_check(T, f, s)
         worst = np.maximum(worst,
                            abs(rep["compressed_norm"] - chk["outside_norm"]))
-    return float(worst)
+    return {"reduction_residual": float(worst)}
 
 
-def run_bmo_czo(cfg, suite):
+def _bmo_czo_setup(cfg):
     K = cfg.depth
-    N = 2 ** K
-    T = pl.assemble(pl.annuli_kernel(K), K)
-    filt = GridFiltration(1, K, 1)
-    for t in range(cfg.trials):
-        rng = trial_rng(cfg.seed, t)
-        f = rng.uniform(-1.0, 1.0, size=N)
-        tf = T.apply(f)
-        lhs = T.measure * (np.abs(tf) ** 2).sum()
-        rhs = T.measure * (np.abs(f - f.mean()) ** 2).sum()
-        br, bc = function_bmo(filt, Op(tf[..., None, None], filt.algebra))
-        ratio = max(br, bc) / max(np.abs(f).max(), 1e-300)
-        suite.add_trial(digest(f), {
-            "annuli_identity_residual": abs(lhs - rhs) / max(rhs, 1e-300),
-            "linf_to_bmo_ratio": ratio,
-        })
-    suite.rule("annuli_square_function_identity",
-               "annuli_identity_residual", 1e-10)
-    suite.rule("linf_to_bmo_envelope", "linf_to_bmo_ratio", ENVELOPE)
+    return pl.assemble(pl.annuli_kernel(K), K), GridFiltration(1, K, 1)
 
 
-RUNNERS = {
-    "norms": run_norms,
-    "cuculescu": run_cuculescu,
-    "gundy": run_gundy,
-    "transform-weak11": run_transform_weak11,
-    "transform-l2": run_transform_l2,
-    "bmo": run_bmo,
-    "ergodic": run_ergodic,
-    "cross": run_cross,
-    "cz": run_cz,
-    "zeta": run_zeta,
-    "thmB1": run_thmB1,
-    "pseudoloc-decay": run_pseudoloc_decay,
-    "ksk": run_ksk,
-    "paraproduct": run_paraproduct,
-    "vanish": run_vanish,
-    "localization": run_localization,
-    "nc-pseudoloc": run_nc_pseudoloc,
-    "bmo-czo": run_bmo_czo,
+def _bmo_czo(cfg, ctx, rng, t):
+    T, filt = ctx
+    f = rng.uniform(-1.0, 1.0, size=T.N)
+    tf = T.apply(f)
+    lhs = T.measure * (np.abs(tf) ** 2).sum()
+    rhs = T.measure * (np.abs(f - f.mean()) ** 2).sum()
+    br, bc = function_bmo(filt, Op(tf[..., None, None], filt.algebra))
+    ratio = max(br, bc) / max(np.abs(f).max(), 1e-300)
+    return (f,), {
+        "annuli_identity_residual": abs(lhs - rhs) / max(rhs, 1e-300),
+        "linf_to_bmo_ratio": ratio,
+    }
+
+
+# ---------------------------------------------------------------------------
+# the registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment as ``run`` executes it.
+
+    ``trial(cfg, ctx, rng, t)`` returns the inputs to digest and the trial's
+    metrics; ``defaults`` fills the config fields left at None; ``rules``
+    are (assertion, metric, threshold) triples.  ``setup(cfg)`` builds the
+    ``ctx`` the trials share and rejects options they cannot run with, and
+    ``summary(cfg, ctx, trials)`` maps the trials' metrics to suite-level
+    numbers.  With ``per_shift`` the trials are the shifts s_lo..s_hi, and
+    all of them draw from the one generator of trial 0.
+    """
+    trial: Callable
+    defaults: dict
+    rules: tuple
+    setup: Callable = _filtration
+    summary: Callable = lambda cfg, ctx, trials: {}
+    per_shift: bool = False
+
+
+EXPERIMENTS = {
+    "norms": Experiment(_norms, {"algebra": "tensor:3", "trials": 16}, (
+        ("holder", "holder_excess", 1e-8),
+        ("l1_equals_mu_integral", "l1_mu_residual", 1e-8),
+        ("weak_l1_equals_sup_t_mu", "weak_sup_residual", 1e-8),
+        ("l2_inner", "l2_inner_residual", 1e-8))),
+    "cuculescu": Experiment(_cuculescu, {
+        "algebra": "tensor:4", "trials": 100,
+        "lambda_exps": list(range(-2, 5))}, (
+        ("commutation", "commutator", 1e-8),
+        ("compression_below_lambda", "compression_excess", 1e-8),
+        ("maximal_weak_l1_constant_one", "tail_excess", 1e-8))),
+    "gundy": Experiment(_gundy, {
+        "algebra": "tensor:4", "trials": 12, "lambda_exps": [-1, 0, 1, 2]}, (
+        ("reconstruction", "recon_residual", 1e-10),
+        ("parts_are_martingales", "mart_residual", 1e-10),
+        ("gamma_annihilated", "gamma_annihilation", 1e-10),
+        ("gamma_triangular_truncation_vanishes", "trunc_residual", 1e-10),
+        ("alpha_envelope", "alpha_ratio", ENVELOPE),
+        ("beta_envelope", "beta_ratio", ENVELOPE),
+        ("gamma_constant_one", "gamma_ratio", 1.0 + 1e-8))),
+    "transform-weak11": Experiment(_transform_weak11, {
+        "algebra": "tensor:4", "trials": 12,
+        "lambda_exps": list(range(-8, 9))}, (
+        ("row_weak11_envelope", "row_ratio", ENVELOPE),
+        ("col_weak11_envelope", "col_ratio", ENVELOPE))),
+    "transform-l2": Experiment(_transform_l2, {
+        "algebra": "tensor:4", "trials": 16}, (
+        ("isometry_unit_rows", "unit_row_residual", 1e-10),
+        ("weighted_identity", "weighted_residual", 1e-10))),
+    "bmo": Experiment(_bmo, {"algebra": "tensor:4", "trials": 12}, (
+        ("contractive_transform_bmo", "transform_bmo_excess", 1e-8),)),
+    "ergodic": Experiment(_ergodic, {
+        "algebra": "tensor:4", "trials": 8,
+        "lambda_exps": list(range(-8, 9))}, (
+        ("coefficient_rows_at_most_one", "row_bound_10k", 1.0 + 1e-12),
+        ("row_weak11_envelope", "row_ratio", ENVELOPE),
+        ("col_weak11_envelope", "col_ratio", ENVELOPE),
+        ("weighted_identity", "weighted_residual", 1e-10))),
+    "cross": Experiment(_cross, {"algebra": "tensor:3", "trials": 8}, (
+        ("cross_term_envelope", "ratio", ENVELOPE),)),
+    "cz": Experiment(_cz, {
+        "algebra": "grid:1,4,2", "trials": 100,
+        "lambda_exps": list(range(0, 5))}, (
+        ("reconstruction", "reconstruction_residual", 1e-10),
+        ("diagonal_good_part_l2", "g_d_excess", 1e-8),
+        ("diagonal_bad_part_l1", "b_d_excess", 1e-8))),
+    "zeta": Experiment(_zeta, {
+        "algebra": "grid:1,4,2", "trials": 25,
+        "lambda_exps": list(range(0, 5))}, (
+        ("excised_mass_9n", "excised_mass_ratio", 1.0 + 1e-8),
+        ("cube_operator_inequalities", "cube_ineq_violation", 1e-8),
+        ("off_diagonal_layer_sum", "layer_sum_residual", 1e-10),
+        ("layer_support", "layer_support_residual", 1e-10),
+        ("layer_orthogonality", "layer_orthogonality_residual", 1e-8),
+        ("layer_l2_envelope", "layer_ratio", ENVELOPE))),
+    "thmB1": Experiment(_thmB1, {"algebra": "grid:1,4,2", "trials": 8}, (
+        ("reconstruction", "reconstruction_residual", 1e-10),)),
+    "pseudoloc-decay": Experiment(_decay, {"depth": 8, "s_range": (3, 6)}, (
+        ("phi_slope_upper", "phi_slope", -0.35),
+        ("phi_slope_lower", "phi_slope_neg", 0.65),
+        ("psi_slope_upper", "psi_slope", -0.35),
+        ("psi_slope_lower", "psi_slope_neg", 0.65),
+        ("pseudoloc_envelope", "comm_ratio", ENVELOPE)),
+        _decay_setup, _decay_summary, per_shift=True),
+    "ksk": Experiment(_ksk, {"trials": 3, "depth": 6, "s_range": (2, 2)}, (
+        ("two_bump_kernel_identity", "max_residual", 1e-8),
+        ("kernel_size_envelope", "size_constant", ENVELOPE)), _ksk_setup),
+    "paraproduct": Experiment(_paraproduct, {"trials": 16, "depth": 7}, (
+        ("paraproduct_bmo_bound", "excess", 1e-8),), _operator),
+    "vanish": Experiment(_vanish, {
+        "trials": 12, "depth": 7, "s_range": (2, 4)}, (
+        ("paraproduct_term_vanishes_outside", "vanish_residual", 1e-10),
+        ("restriction_identity", "restriction_residual", 1e-9)),
+        _vanish_setup),
+    "localization": Experiment(_localization, {"trials": 16, "depth": 8}, (
+        ("ball_pairing_log_envelope", "ratio", ENVELOPE),),
+        _localization_setup),
+    "nc-pseudoloc": Experiment(_nc_pseudoloc, {
+        "algebra": "grid:1,6,2", "trials": 6, "s_range": (2, 4)}, (
+        ("compressed_norm_envelope", "ratio", ENVELOPE),
+        ("restriction_identity", "identity_residual", 1e-9),
+        ("scalar_reduction", "reduction_residual", 1e-9)),
+        _nc_pseudoloc_setup, _nc_scalar_reduction),
+    "bmo-czo": Experiment(_bmo_czo, {"trials": 12, "depth": 7}, (
+        ("annuli_square_function_identity", "annuli_identity_residual",
+         1e-10),
+        ("linf_to_bmo_envelope", "linf_to_bmo_ratio", ENVELOPE)),
+        _bmo_czo_setup),
 }
 
 
@@ -782,12 +760,29 @@ def environment() -> dict:
 
 
 def run(config: ExperimentConfig) -> dict:
-    config.resolved()
-    suite = Suite(config)
+    """Set up, run the trials with their own generators, summarize, and
+    judge the rules; ``timing`` holds the wall time of each phase."""
+    exp = EXPERIMENTS[config.resolved().experiment]
+    suite = Suite(config, rules=list(exp.rules))
     start = time.perf_counter()
-    RUNNERS[config.experiment](config, suite)
+    ctx = exp.setup(config)
+    set_up = time.perf_counter()
+    rng = None
+    for t in range(config.trials):
+        # with per_shift, every shift draws from trial 0's generator
+        if rng is None or not exp.per_shift:
+            rng = trial_rng(config.seed, t)
+        inputs, metrics = exp.trial(config, ctx, rng, t)
+        suite.add_trial(digest(*inputs), metrics)
+    trials_done = time.perf_counter()
+    suite.summary.update(exp.summary(config, ctx,
+                                     [t["metrics"] for t in suite.trials]))
+    summarized = time.perf_counter()
     report = suite.report()
-    report["timing"] = {"wall_s": time.perf_counter() - start}
+    report["timing"] = {"setup_s": set_up - start,
+                        "trials_s": trials_done - set_up,
+                        "summary_s": summarized - trials_done,
+                        "wall_s": time.perf_counter() - start}
     report["env"] = environment()
     if config.out:
         write_report(report, config.out, config.format)

@@ -183,9 +183,9 @@ def test_compression_excess_sees_a_projection_above_lambda():
     bad = CuculescuSequence(lam, "closed", Op(units, f.algebra), f)
     excess = cuculescu_report(bad)["compression_excess"]
     assert excess >= w.max() - lam - 1e-12 > 0.0
-    suite = Suite(ExperimentConfig("cuculescu").resolved())
+    suite = Suite(ExperimentConfig("cuculescu").resolved(), rules=[
+        ("compression_below_lambda", "compression_excess", 1e-8)])
     suite.add_trial("x", {"compression_excess": excess})
-    suite.rule("compression_below_lambda", "compression_excess", 1e-8)
     assert suite.report()["assertions"][0]["pass"] is False
 
 

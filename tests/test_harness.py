@@ -9,14 +9,23 @@ import pytest
 import nclp
 from nclp.errors import ContractViolation
 from nclp.filtration import GridFiltration, TensorDyadicFiltration
-from nclp.harness import (EXPERIMENTS, ExperimentConfig, Suite, digest,
-                          random_coeffs, random_positive_martingale,
-                          report_csv, report_json, run, trial_rng)
+from nclp import pseudoloc as pl
+from nclp.harness import (EXPERIMENTS, ExperimentConfig, Suite,
+                          _localized_scalar, digest, random_coeffs,
+                          random_positive_martingale, report_csv, report_json,
+                          run, trial_rng)
 
 
 def test_config_rejects_unknown_experiment():
     with pytest.raises(ContractViolation):
         ExperimentConfig("nonsense").resolved()
+
+
+@pytest.mark.parametrize("experiment", ["norms", "pseudoloc-decay"])
+def test_config_rejects_zero_trials(experiment):
+    # pseudoloc-decay runs one trial per shift, but a bad count is still bad
+    with pytest.raises(ContractViolation, match="trials >= 1"):
+        ExperimentConfig(experiment, trials=0).resolved()
 
 
 @pytest.mark.parametrize("field,value", [
@@ -27,10 +36,10 @@ def test_config_rejects_empty_or_malformed_ranges(field, value):
 
 
 def _single_rule_suite(trial_metrics):
-    suite = Suite(ExperimentConfig("norms").resolved())
+    suite = Suite(ExperimentConfig("norms").resolved(),
+                  rules=[("check", "residual", 1e-8)])
     for m in trial_metrics:
         suite.add_trial("x", m)
-    suite.rule("check", "residual", 1e-8)
     (assertion,) = suite.report()["assertions"]
     return assertion
 
@@ -58,9 +67,9 @@ def _refuse_constant(token):
 
 
 def test_report_json_is_strict_for_a_missing_metric():
-    suite = Suite(ExperimentConfig("norms").resolved())
+    suite = Suite(ExperimentConfig("norms").resolved(),
+                  rules=[("check", "residual", 1e-8)])
     suite.add_trial("x", {"other": 0.0, "low": -np.inf, "high": np.inf})
-    suite.rule("check", "residual", 1e-8)
     rep = suite.report()
     parsed = json.loads(report_json(rep), parse_constant=_refuse_constant)
     (assertion,) = parsed["assertions"]
@@ -140,7 +149,11 @@ def test_report_structure_and_determinism():
         assert len(rep["trials"]) == 3
         for t in rep["trials"]:
             assert set(t) == {"id", "inputs_digest", "metrics", "pass"}
-        assert rep["timing"]["wall_s"] > 0.0
+        assert set(rep["timing"]) == {"setup_s", "trials_s", "summary_s",
+                                      "wall_s"}
+        assert rep["timing"]["wall_s"] >= sum(
+            rep["timing"][k] for k in ("setup_s", "trials_s", "summary_s"))
+        assert rep["timing"]["trials_s"] > 0.0
         assert set(rep["env"]) == {"python", "numpy", "blas", "blas_version"}
     strip = lambda r: {k: v for k, v in r.items()
                        if k not in ("timestamp", "timing")}
@@ -162,8 +175,107 @@ def test_report_csv_header_and_rows():
     assert len(lines) == 3
 
 
-def test_every_experiment_is_runnable():
-    assert len(EXPERIMENTS) == 18
+# name -> (tiny config, trial digests at seed 0, assertion names).  The
+# digests were recorded before the experiments became registry records, so
+# a remapping of generators to trials changes them.
+TINY = {
+    "norms": (dict(algebra="tensor:2", trials=2),
+              ["e18c585ff6390f4d", "1dedc89541f45b41"],
+              ["holder", "l1_equals_mu_integral", "weak_l1_equals_sup_t_mu",
+               "l2_inner"]),
+    "cuculescu": (dict(algebra="tensor:2", trials=2, lambda_exps=[0, 1]),
+                  ["19344ecd20fe08f3", "e7405d04e47d02ea"],
+                  ["commutation", "compression_below_lambda",
+                   "maximal_weak_l1_constant_one"]),
+    "gundy": (dict(algebra="tensor:2", trials=2, lambda_exps=[0, 1]),
+              ["19344ecd20fe08f3", "e7405d04e47d02ea"],
+              ["reconstruction", "parts_are_martingales", "gamma_annihilated",
+               "gamma_triangular_truncation_vanishes", "alpha_envelope",
+               "beta_envelope", "gamma_constant_one"]),
+    "transform-weak11": (dict(algebra="tensor:2", trials=2,
+                              lambda_exps=[-1, 0, 1]),
+                         ["96190b37adb3ae72", "7c79aa54066ed62e"],
+                         ["row_weak11_envelope", "col_weak11_envelope"]),
+    "transform-l2": (dict(algebra="tensor:2", trials=2),
+                     ["c5f60cd9a501ad72", "51d4facdfcdaff73"],
+                     ["isometry_unit_rows", "weighted_identity"]),
+    "bmo": (dict(algebra="tensor:2", trials=2),
+            ["4246126c026a18f6", "b5fccb59b57a12e7"],
+            ["contractive_transform_bmo"]),
+    "ergodic": (dict(algebra="tensor:2", trials=2, lambda_exps=[0, 1]),
+                ["baa1ec6d386f93c5", "1f4298d254a3b0e2"],
+                ["coefficient_rows_at_most_one", "row_weak11_envelope",
+                 "col_weak11_envelope", "weighted_identity"]),
+    "cross": (dict(algebra="tensor:2", trials=2),
+              ["ca68eefd59040563", "cc26d42f2646aed8"],
+              ["cross_term_envelope"]),
+    "cz": (dict(algebra="grid:1,3,2", trials=2, lambda_exps=[0, 1]),
+           ["405087ebfa1f01d7", "f97108ab20f9719a"],
+           ["reconstruction", "diagonal_good_part_l2",
+            "diagonal_bad_part_l1"]),
+    "zeta": (dict(algebra="grid:1,3,2", trials=2, lambda_exps=[0, 1]),
+             ["405087ebfa1f01d7", "f97108ab20f9719a"],
+             ["excised_mass_9n", "cube_operator_inequalities",
+              "off_diagonal_layer_sum", "layer_support",
+              "layer_orthogonality", "layer_l2_envelope"]),
+    "thmB1": (dict(algebra="grid:1,3,2", trials=2),
+              ["7a4f758005c35e57", "910358bbd344550e"],
+              ["reconstruction"]),
+    # one trial per shift, whatever trials asks for
+    "pseudoloc-decay": (dict(depth=6, s_range=(1, 3), trials=1),
+                        ["f93e6debaf4a0f2c", "5e5fb28ab53ddcc1",
+                         "82da173c35af67dc"],
+                        ["phi_slope_upper", "phi_slope_lower",
+                         "psi_slope_upper", "psi_slope_lower",
+                         "pseudoloc_envelope"]),
+    "ksk": (dict(trials=3, s_range=(2, 2)),
+            ["5dc94a2050fc7a68", "15fde960dde4ef0a", "a2dfcb559646eb2a"],
+            ["two_bump_kernel_identity", "kernel_size_envelope"]),
+    "paraproduct": (dict(trials=2, depth=5),
+                    ["642391ac0d1e6f4e", "f3bc85b70d66fcc6"],
+                    ["paraproduct_bmo_bound"]),
+    "vanish": (dict(trials=2, depth=6, s_range=(2, 3)),
+               ["d4b2c4402930649c", "f93e6debaf4a0f2c"],
+               ["paraproduct_term_vanishes_outside", "restriction_identity"]),
+    "localization": (dict(trials=2, depth=7),
+                     ["de812bc82cb214e7", "6a81fdeb53d57c7c"],
+                     ["ball_pairing_log_envelope"]),
+    "nc-pseudoloc": (dict(algebra="grid:1,5,2", trials=2, s_range=(2, 3)),
+                     ["9f02a6e609872cb9", "d5a08191be332d7f"],
+                     ["compressed_norm_envelope", "restriction_identity",
+                      "scalar_reduction"]),
+    "bmo-czo": (dict(trials=2, depth=5),
+                ["8183bc22ef203fb2", "ea432f4917d7ebc5"],
+                ["annuli_square_function_identity", "linf_to_bmo_envelope"]),
+}
+
+
+def test_tiny_table_covers_every_experiment():
+    assert sorted(TINY) == sorted(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("experiment", sorted(TINY))
+def test_every_experiment_is_runnable(experiment):
+    fields, digests, names = TINY[experiment]
+    rep = run(ExperimentConfig(experiment, **fields))
+    assert [a["name"] for a in rep["assertions"]] == names
+    for a in rep["assertions"]:     # measured, in a trial or the summary
+        assert np.isfinite(a["measured"]), a
+    assert rep["config"]["trials"] == len(rep["trials"])
+    assert [t["inputs_digest"] for t in rep["trials"]] == digests
+
+
+def test_decay_shifts_draw_from_one_generator():
+    # trial t is the shift s_lo + t, and every shift's f continues the
+    # stream of trial 0's generator
+    rep = run(ExperimentConfig("pseudoloc-decay", depth=6, s_range=(1, 3)))
+    T = pl.normalized(pl.assemble(pl.lp_bumps_kernel(M=6), 6))
+    rng = trial_rng(0, 0)
+    for t, s in zip(rep["trials"], (1, 2, 3)):
+        f = _localized_scalar(T.N, T.K, s, rng)
+        assert t["metrics"]["s"] == s
+        assert t["metrics"]["comm_ratio"] \
+            == pl.commutative_pseudoloc_check(T, f, s)["ratio"]
 
 
 # -- command line --------------------------------------------------------
@@ -208,6 +320,30 @@ def test_cli_localization_rejects_shallow_depth(depth, capsys):
     assert "localization needs depth >= 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv,depths", [
+    (["--trials", "1"], [6]), (["--depth", "7", "--trials", "2"], [7, 8]),
+    ([], [6, 7, 8])], ids=["one-trial", "depth-7", "defaults"])
+def test_cli_ksk_runs_one_depth_per_trial(argv, depths, capsys):
+    # trial t runs at depth --depth + t; the digest holds (K, s)
+    from nclp.cli import main
+    assert main(["ksk"] + argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["config"]["trials"] == len(depths)
+    assert [t["inputs_digest"] for t in rep["trials"]] == [
+        digest(np.array([K, 2]), pl.assemble(pl.lp_bumps_kernel(M=K),
+                                             K).mats[0, 0])
+        for K in depths]
+
+
+def test_unknown_kernel_is_a_contract_violation(capsys):
+    from nclp.cli import main
+    with pytest.raises(ContractViolation, match="unknown kernel"):
+        ExperimentConfig("ksk", kernel="nonsense").resolved()
+    with pytest.raises(SystemExit) as exc:
+        main(["ksk", "--kernel", "nonsense"])
+    assert exc.value.code == 2
+
+
 def test_cli_localization_smallest_depth_runs():
     from nclp.cli import main
     assert main(["localization", "--depth", "7", "--trials", "2",
@@ -250,21 +386,21 @@ def test_cli_rejects_bad_seed_lambda_exponent_and_gamma(argv, bad, capsys):
 # -- suite-level numbers -----------------------------------------------------
 
 def test_trial_missing_a_rule_metric_fails():
-    suite = Suite(ExperimentConfig("norms").resolved())
+    suite = Suite(ExperimentConfig("norms").resolved(),
+                  rules=[("check", "residual", 1e-8)])
     suite.add_trial("x", {"residual": 0.0})
     suite.add_trial("y", {"other": 0.0})
-    suite.rule("check", "residual", 1e-8)
     rep = suite.report()
     assert [t["pass"] for t in rep["trials"]] == [True, False]
 
 
 def test_rule_reads_summary_before_trials():
-    suite = Suite(ExperimentConfig("norms").resolved())
+    suite = Suite(ExperimentConfig("norms").resolved(),
+                  rules=[("check", "residual", 1e-8),
+                         ("slope_upper", "slope", -0.35),
+                         ("slope_lower", "slope", -0.6)])
     suite.add_trial("x", {"residual": 0.0})
     suite.summary["slope"] = -0.5
-    suite.rule("check", "residual", 1e-8)
-    suite.rule("slope_upper", "slope", -0.35)
-    suite.rule("slope_lower", "slope", -0.6)
     rep = suite.report()
     assert rep["summary"] == {"slope": -0.5}
     result = {a["name"]: a for a in rep["assertions"]}
