@@ -438,9 +438,9 @@ def _localized_scalar(N, K, s, rng):
     idx = (start + np.arange(width)) % N
     f[idx] = rng.standard_normal(width)
     j0 = max(min(s + 3, K - 1), s - 1)
-    if j0 > 0:
-        f = f - pl.e_level(f, j0)
-    return f
+    c = pl.haar(f)
+    c[:1 << j0] = 0.0                   # f - E_{j0} f
+    return pl.ihaar(c, N)
 
 
 def _decay_setup(cfg):
@@ -552,29 +552,24 @@ def _nc_pseudoloc_setup(cfg):
     if not isinstance(filt, GridFiltration) or filt.n != 1:
         raise ContractViolation("nc-pseudoloc needs a grid:1,K,d algebra")
     T = pl.normalized(pl.assemble(_make_kernel(cfg, filt.K), filt.K))
-    return filt, T, {}   # Phi_s + Psi_s blocks, built for trial 0's check
+    s_lo, s_hi = cfg.s_range           # a shift >= K is a contract violation
+    return filt, T, {s: pl.phi_psi_hat(T, s)
+                     for s in range(max(s_lo, 1), s_hi + 1)}
 
 
 def _nc_pseudoloc(cfg, ctx, rng, t):
     filt, T, hats = ctx
-    s_lo, s_hi = cfg.s_range
     f = random_positive_martingale(filt, rng)
     m = {"ratio": 0.0, "identity_residual": 0.0, "zeta_trace": 0.0}
     for parts in cz_decompose(f, [1.0, 2.0, 4.0]):
         layers = g_off_layers(parts)["layers"]
-        for s in range(max(s_lo, 1), min(s_hi, len(layers)) + 1):
+        for s, hat in hats.items():
             g_s = layers[s - 1]
             if g_s.max_abs() < 1e-13:
                 continue
-            if t == 0 and s not in hats:
-                hats[s] = pl.phi_psi_hat(T, s)
-            rep = pl.nc_pseudoloc_check(T, g_s, s, filt, parts.qs,
-                                        hats[s] if t == 0 else None)
-            m["ratio"] = np.maximum(m["ratio"], rep["ratio"])
-            m["zeta_trace"] = np.maximum(m["zeta_trace"], rep["zeta_trace"])
-            if "identity_residual" in rep:
-                m["identity_residual"] = np.maximum(
-                    m["identity_residual"], rep["identity_residual"])
+            rep = pl.nc_pseudoloc_check(T, g_s, s, filt, parts.qs, hat)
+            for key in m:
+                m[key] = np.maximum(m[key], rep[key])
     return (f.top,), m
 
 
@@ -594,16 +589,11 @@ def _nc_scalar_reduction(cfg, ctx, trials):
     T = pl.normalized(pl.assemble(T.kernel, K))
     filt1 = GridFiltration(1, K, 1)
     rng = trial_rng(cfg.seed, 10_000)
-    N = 2 ** K
     worst = 0.0
     for s in range(cfg.s_range[0], cfg.s_range[1] + 1):
-        f = _localized_scalar(N, K, s, rng)
-        scale = max(np.abs(f).max(), 1e-300)
-        good = []
-        for k in range(0, K - s + 1):
-            bad = np.abs(pl.delta_level(f, k + s)) > 1e-12 * scale
-            L = N // (1 << k)
-            good.append(~np.repeat(bad.reshape(1 << k, L).any(axis=1), L))
+        f = _localized_scalar(T.N, K, s, rng)
+        good = [np.repeat(~bad, T.N >> k)
+                for k, bad in enumerate(pl.support_cubes(f, s, K))]
         q_list = Op(np.array(good)[..., None, None], filt1.algebra)
         fop = Op(f.astype(complex)[:, None, None], filt1.algebra)
         rep = pl.nc_pseudoloc_check(T, fop, s, filt1, q_list)

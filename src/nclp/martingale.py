@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .filtration import Filtration, GridFiltration
-from .opcore import Op, l2_norm, op_norm, schatten_norm
+from .opcore import Op, l2_norm, op_norm, psd_sqrt, schatten_norm
 
 
 class Martingale:
@@ -116,18 +116,11 @@ def transform_family(f: Martingale, xi: CoeffMatrix) -> Op:
 
 def row_square(g: Op) -> Op:
     """(sum_m g_m g_m*)^{1/2} of a family g batched over m."""
-    return _psd_sqrt((g @ g.H).sum())
+    return psd_sqrt((g @ g.H).sum())
 
 
 def col_square(g: Op) -> Op:
-    return _psd_sqrt((g.H @ g).sum())
-
-
-def _psd_sqrt(a: Op) -> Op:
-    w, v = np.linalg.eigh(a.hermitize().blocks)
-    w = np.clip(w, 0.0, None)
-    return Op((v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2),
-              a.algebra)
+    return psd_sqrt((g.H @ g).sum())
 
 
 def lp_rc_norm(g: Op, p: float) -> float:

@@ -246,12 +246,17 @@ def spectral_projection(h: Op, interval: Interval) -> Op:
     return Op(sel @ sel.conj().swapaxes(-1, -2), h.algebra)
 
 
+def psd_sqrt(h: Op) -> Op:
+    """h^{1/2} for a positive h, from its Hermitian part (eigenvalues below
+    zero, rounding, are clipped)."""
+    w, v = _eigh(h.hermitize())
+    return Op((v * np.sqrt(np.clip(w, 0.0, None))[..., None, :])
+              @ v.conj().swapaxes(-1, -2), h.algebra)
+
+
 def abs_op(a: Op) -> Op:
     """|a| = (a* a)^{1/2}."""
-    w, v = _eigh((a.H @ a).hermitize())
-    w = np.clip(w, 0.0, None)
-    blocks = (v * np.sqrt(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return Op(blocks, a.algebra)
+    return psd_sqrt(a.H @ a)
 
 
 def singular_values(a: Op):

@@ -12,23 +12,12 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import Op, annihilation_check, l2_norm, null_projection
+from .opcore import (Op, annihilation_check, dense_algebra, l2_norm,
+                     null_projection, psd_sqrt)
 
 # ---------------------------------------------------------------------------
-# dyadic averaging on the scalar grid
+# grid functions and the Haar transform
 # ---------------------------------------------------------------------------
-
-
-def e_level(f: np.ndarray, k: int) -> np.ndarray:
-    """Average a grid function (cells along axis 0) over level-k cubes."""
-    L = f.shape[0] >> k
-    return np.repeat(f.reshape((1 << k, L) + f.shape[1:]).mean(axis=1), L, 0)
-
-
-def delta_level(f: np.ndarray, j: int) -> np.ndarray:
-    """Martingale difference at level j >= 1 (level 0 differences from zero)."""
-    return e_level(f, j) - e_level(f, j - 1) if j else e_level(f, 0)
-
 
 def grid_l2(f: np.ndarray, K: int) -> float:
     """L2 norm with the cell measure 2^{-K} (all axes summed)."""
@@ -83,6 +72,50 @@ def _from_haar(block: np.ndarray, N: int, col_start: int = 0) -> np.ndarray:
     ``block`` from row 0 and column ``col_start`` on, and zeros elsewhere."""
     pad = [(0, 0)] * (block.ndim - 1) + [(col_start, 0)]
     return _on_rows(ihaar, ihaar(np.pad(block, pad), N), N)
+
+
+# -- coefficients as cubes ---------------------------------------------------
+# Coefficient i >= 1 belongs to the cube Q_i of its wavelet (#Q_i = N >> l
+# cells at level l); the cubes of 2i and 2i + 1 are the halves of Q_i.
+
+def _haar_levels(K: int) -> np.ndarray:
+    """The level of each Haar coefficient (the constant's: -1)."""
+    return np.repeat(np.arange(-1, K), np.r_[1, 1 << np.arange(K)])
+
+
+def _cube_cells(K: int) -> np.ndarray:
+    """#Q_i of each Haar coefficient (the constant's: all 2^K cells)."""
+    return 1 << (K - np.maximum(_haar_levels(K), 0))
+
+
+def _subtree_sums(w: np.ndarray) -> np.ndarray:
+    """For i >= 1 along the last axis, the sum of w over the cubes in Q_i."""
+    S = w.copy()
+    for lev in range(w.shape[-1].bit_length() - 3, -1, -1):
+        below = S[..., 2 << lev:4 << lev]
+        S[..., 1 << lev:2 << lev] += below[..., 0::2] + below[..., 1::2]
+    return S
+
+
+def _ancestor_sums(a: np.ndarray) -> np.ndarray:
+    """x -> the sum of a_i over the cubes Q_i containing x, with i (in, from
+    1) and x (out) on axis -2."""
+    N = a.shape[-2]
+    out = np.zeros_like(a)
+    for lev in range(N.bit_length() - 1):
+        L = N >> lev            # a level-lev cube's sum so far is on its row 0
+        out[..., ::L, :] += a[..., 1 << lev:2 << lev, :]
+        out[..., L // 2::L, :] = out[..., ::L, :]     # copied to its halves
+    return out
+
+
+def support_cubes(f: np.ndarray, s: int, K: int) -> list[np.ndarray]:
+    """For k = 0..K-s, the level-k cubes on which Delta_{k+s} f is nonzero:
+    those over a level-(k+s-1) Q with |f_Q| / sqrt(#Q) > 1e-12 max|f|."""
+    scale = max(np.abs(f).max(), 1e-300)
+    big = np.abs(haar(f)) / np.sqrt(_cube_cells(K)) > 1e-12 * scale
+    return [big[1 << (k + s - 1):2 << (k + s - 1)].reshape(1 << k, -1)
+            .any(axis=1) for k in range(K - s + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +298,7 @@ def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
     returned."""
     K = t_hat.shape[-1].bit_length() - 1
     _check_s(K, s)
-    lev = np.array([i.bit_length() - 1 for i in range(1 << K)])  # const: -1
+    lev = _haar_levels(K)
     rows = 1 << (K - s)
     return np.where(lev[:rows, None] <= lev[None, :] - s,
                     t_hat[..., :rows, :], 0.0)
@@ -388,10 +421,8 @@ def cotlar_bound(family: list[np.ndarray]) -> float:
     N = family[0].shape[-1]
     stack = np.concatenate([A.reshape(-1, N) for A in family], axis=1)
     x = family_gram(stack).reshape(F, N, F, N)    # x[i, :, j] = L_i* L_j
-    roots = []
-    for i in range(F):
-        w, V = np.linalg.eigh(x[i, :, i])
-        roots.append((V * np.sqrt(np.clip(w, 0.0, None))) @ V.conj().T)
+    diag = Op(x[np.arange(F), :, np.arange(F)][:, None], dense_algebra(N))
+    roots = psd_sqrt(diag).blocks[:, 0]           # G_i^{1/2}
     best: dict[int, float] = {}
     for i in range(F):
         for j in range(F):
@@ -429,76 +460,59 @@ def adjoint_one(T: DiscOp) -> np.ndarray:
 
 
 def paraproduct(rho: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
-    """Pi_rho(f) = sum_j Delta_j(rho) E_{j-1}(f), H-valued output (N, M)."""
-    out = np.zeros_like(rho)
-    for j in range(1, K + 1):
-        out += delta_level(rho, j) * e_level(f, j - 1)[:, None]
-    return out
+    """Pi_rho(f) = sum_j Delta_j(rho) E_{j-1}(f), H-valued output (N, M):
+    its Haar coefficient at Q is rho_Q <f>_Q, and 0 for the constant."""
+    N = 1 << K
+    heap = np.concatenate([np.zeros_like(f), f])      # cells below the cubes
+    means = _subtree_sums(heap)[:N] / _cube_cells(K)
+    return ihaar(haar(rho.T) * means, N).T
 
 
-def paraproduct_adjoint(rho: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
-    """Pi_rho*(f) = sum_j E_{j-1}( conj(Delta_j rho) f ) per component."""
-    out = np.zeros_like(rho)
-    for j in range(1, K + 1):
-        out += e_level(delta_level(rho, j).conj() * f[:, None], j - 1)
-    return out
+def paraproduct_adjoint(rho: np.ndarray, g: np.ndarray, K: int) -> np.ndarray:
+    """Pi_rho*(g) = sum_j E_{j-1}( conj(Delta_j rho) g ), shaped (N, ..., M)
+    for g with cells on axis 0: the sum of conj(rho_Q) g_Q / #Q over Q."""
+    # (N, columns of g), row-major: the cube sums run over whole rows
+    c = np.ascontiguousarray(_on_rows(haar, g.reshape(len(g), -1)))
+    w = haar(rho.T).conj() / _cube_cells(K)           # (M, N)
+    out = _ancestor_sums(w[..., None] * c)
+    return np.moveaxis(out.reshape(w.shape[:1] + g.shape), 0, -1)
 
 
 def paraproduct_adjoint_mats(rho: np.ndarray, K: int) -> np.ndarray:
-    """Matrix realization of Pi_rho* as a map L2 -> L2 (x) C^M."""
-    N, M = rho.shape
-    out = np.zeros((M, N, N), dtype=rho.dtype)
-    for j in range(1, K + 1):
-        d = delta_level(rho, j).conj()       # (N, M)
-        L = N // (1 << (j - 1))
-        for b in range(0, N, L):
-            out[:, b:b + L, b:b + L] += d[b:b + L].T[:, None, :] / L
-    return out
+    """Pi_rho* : L2 -> L2 (x) C^M applied to the identity, (M, N, N)."""
+    return np.moveaxis(paraproduct_adjoint(rho, np.eye(1 << K), K), -1, 0)
 
 
 def paraproduct_correction(T: DiscOp) -> tuple[DiscOp, np.ndarray]:
     """T0 = T - Pi_rho* with rho = T*1; returns (T0, rho)."""
     rho = adjoint_one(T)
-    pi = paraproduct_adjoint_mats(rho, T.K)
-    return replace(T, mats=T.mats - pi), rho
+    return replace(T, mats=T.mats - paraproduct_adjoint_mats(rho, T.K)), rho
 
 
 def rho_bmo(rho: np.ndarray, K: int) -> float:
-    """Dyadic BMO of the scalarized R = sum_j ||d_j rho(x)|| r_j."""
-    best = 0.0
-    tail = np.zeros(rho.shape[0])        # sum_{j > lev} ||d_j rho||^2
-    for lev in range(K, -1, -1):
-        best = max(best, float(e_level(tail, lev).max()))
-        tail = tail + (np.abs(delta_level(rho, lev)) ** 2).sum(axis=1)
-    return float(np.sqrt(best))
+    """Dyadic BMO of the scalarized R = sum_j ||d_j rho(x)|| r_j: the square
+    root of the max over cubes R of (1/#R) sum_{Q in R} sum_m |rho_{Q,m}|^2."""
+    w = (np.abs(haar(rho.T)) ** 2).sum(axis=0)
+    return float(np.sqrt((_subtree_sums(w) / _cube_cells(K))[1:].max()))
 
 
 def paraproduct_bound_report(T: DiscOp, f: np.ndarray) -> dict:
     rho = adjoint_one(T)
-    out = paraproduct(rho, f, T.K)
-    lhs = grid_l2(out, T.K)
-    bmo = rho_bmo(rho, T.K)
-    f2 = grid_l2(f, T.K)
-    return {"lhs": lhs, "bound": bmo * f2, "slack": bmo * f2 - lhs}
+    lhs = grid_l2(paraproduct(rho, f, T.K), T.K)
+    bound = rho_bmo(rho, T.K) * grid_l2(f, T.K)
+    return {"lhs": lhs, "bound": bound, "slack": bound - lhs}
 
 
 # ---------------------------------------------------------------------------
 # localization sets and checks
 # ---------------------------------------------------------------------------
 
-def sigma_set(f: np.ndarray, s: int, K: int,
-              tol: float = 1e-12) -> np.ndarray:
-    """Cell mask of Sigma_{f,s}: Omega_k = smallest level-k cube set
-    containing supp Delta_{k+s} f; Sigma = union of the 9-fold dilations."""
-    N = f.shape[0]
-    scale = max(np.abs(f).max(), 1e-300)
-    mask = np.zeros(N, dtype=bool)
-    for k in range(0, K - s + 1):
-        supp = np.abs(delta_level(f, k + s)) > tol * scale
-        L = N >> k
-        cubes = np.unique(np.nonzero(supp)[0] // L)
-        mask[(cubes[:, None] * L + np.arange(-4 * L, 5 * L)) % N] = True
-    return mask
+def sigma_set(f: np.ndarray, s: int, K: int) -> np.ndarray:
+    """Cell mask of Sigma_{f,s}: the union over k of the 9-fold dilations
+    of the level-k cubes that carry Delta_{k+s} f (``support_cubes``)."""
+    filt = GridFiltration(1, K, 1)
+    return np.any([filt.dilation_masks(k, 9)[bad].any(axis=0) for k, bad
+                   in enumerate(support_cubes(f, s, K))], axis=0)
 
 
 def commutative_pseudoloc_check(T: DiscOp, f: np.ndarray, s: int) -> dict:
@@ -514,21 +528,24 @@ def commutative_pseudoloc_check(T: DiscOp, f: np.ndarray, s: int) -> dict:
             "outside_fraction": float(out.mean())}
 
 
+def vanish_sum(rho: np.ndarray, f: np.ndarray, s: int, K: int) -> np.ndarray:
+    """sum_{k=0}^{K-s} E_k Pi_rho* Delta_{k+s} f, shaped (N, M): on a
+    level-k cube R the k-th term is (1/#R) sum conj(rho_Q) f_Q over the
+    level-(k+s-1) cubes Q in R, a run of 2^{s-1} coefficients."""
+    run = 1 << (s - 1)
+    prod = haar(rho.T).conj().T * haar(f)[:, None]   # (N, M)
+    a = np.zeros_like(prod)
+    a[1:(1 << K) // run] = prod[run:].reshape(-1, run, prod.shape[1]).sum(1)
+    return _ancestor_sums(a / _cube_cells(K)[:, None])
+
+
 def vanish_check(T: DiscOp, f: np.ndarray, s: int) -> float:
     """sup outside Sigma_{f,s} of | sum_k E_k Pi_rho* Delta_{k+s} f |,
-    normalized by ||f||_2."""
+    normalized by ||f||_2 (0.0 on an empty outside)."""
     _check_s(T.K, s)
-    rho = adjoint_one(T)
-    N = T.N
-    total = np.zeros((N, rho.shape[1]), dtype=complex)
-    for k in range(0, T.K - s + 1):
-        g = delta_level(f, k + s)
-        total += e_level(paraproduct_adjoint(rho, g, T.K), k)
-    out = ~sigma_set(f, s, T.K)
-    f2 = grid_l2(f, T.K)
-    if not out.any():
-        return 0.0
-    return float(np.abs(total[out]).max() / max(f2, 1e-300))
+    outside = vanish_sum(adjoint_one(T), f, s, T.K)[~sigma_set(f, s, T.K)]
+    return float(np.abs(outside).max(initial=0.0)
+                 / max(grid_l2(f, T.K), 1e-300))
 
 
 def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int,
@@ -537,16 +554,14 @@ def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int,
     ``hat = phi_psi_hat(T, s)``.
 
     Meaningful when the differences of f below level s vanish (the finite
-    grid truncates the bi-infinite telescope at level 0).
+    grid truncates the bi-infinite telescope at level 0).  An empty
+    outside gives 0.0.
     """
     _check_s(T.K, s)
-    out = ~sigma_set(f, s, T.K)
-    if not out.any():
-        return 0.0
     lhs = T.apply(f)
-    rhs = phi_psi_apply(hat, f)
-    scale = max(np.abs(lhs).max(), 1e-300)
-    return float(np.abs((lhs - rhs)[:, out]).max() / scale)
+    resid = (lhs - phi_psi_apply(hat, f))[:, ~sigma_set(f, s, T.K)]
+    return float(np.abs(resid).max(initial=0.0)
+                 / max(np.abs(lhs).max(), 1e-300))
 
 
 def localization_check(T: DiscOp, x0: float, r1: float, r2: float) -> dict:
@@ -587,12 +602,6 @@ def zeta_fs(filt: GridFiltration, q_list: Op, levels: list[int]) -> Op:
     return null_projection(Op(S.reshape(-1, d, d), filt.algebra))
 
 
-def apply_disc_to_matrix(T: DiscOp, f: Op) -> Op:
-    """Apply the scalar operator (tensored with id on M_d) to matrix-valued
-    f: the family (T_m f)_m batched over the M components."""
-    return Op(np.einsum("mij,jab->miab", T.mats, f.blocks), f.algebra)
-
-
 def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
                        q_list: Op, hat: tuple | None = None) -> dict:
     """Compressed-norm localization for matrix-valued f; given
@@ -614,7 +623,7 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
         raise ContractViolation(
             f"q_{k} does not annihilate df_{k + s}: containment uncertified")
     z = zeta_fs(filt, q, levels)
-    tf = apply_disc_to_matrix(T, f)
+    tf = Op(T.apply(f.blocks), f.algebra)          # (T_m f)_m, batched
     comp = z @ tf @ z
     val = float(np.sqrt((l2_norm(comp) ** 2).sum()))
     f2 = l2_norm(f)

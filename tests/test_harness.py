@@ -28,6 +28,15 @@ def test_config_rejects_zero_trials(experiment):
         ExperimentConfig(experiment, trials=0).resolved()
 
 
+@pytest.mark.parametrize("experiment", ["vanish", "nc-pseudoloc"])
+def test_shift_at_the_depth_is_a_contract_violation(experiment):
+    # Phi_s and Psi_s need 1 <= s < K; both experiments build them in setup
+    fields = dict(algebra="grid:1,4,2") if experiment == "nc-pseudoloc" \
+        else dict(depth=4)
+    with pytest.raises(ContractViolation, match="shift s = 4"):
+        run(ExperimentConfig(experiment, trials=1, s_range=(2, 4), **fields))
+
+
 @pytest.mark.parametrize("field,value", [
     ("lambda_exps", []), ("s_range", (4, 1)), ("s_range", (1, 2, 3))])
 def test_config_rejects_empty_or_malformed_ranges(field, value):

@@ -6,7 +6,7 @@ from nclp.errors import ContractViolation, NumericError
 from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op, abs_op,
                          annihilation_check, dense_algebra, is_projection,
                          l2_inner, l2_norm, mu_function, op_norm, proj_join,
-                         proj_meet, schatten_norm, singular_values,
+                         proj_meet, psd_sqrt, schatten_norm, singular_values,
                          spectral_decompose, spectral_projection, tail_trace,
                          weak_l1)
 
@@ -142,6 +142,18 @@ def test_abs_and_singular_values():
     s = singular_values(a)
     assert np.all(np.diff(s[0]) <= 1e-12) or s[0].ndim == 1
     assert op_norm(abs_op(a)) == pytest.approx(op_norm(a), abs=1e-10)
+
+
+def test_psd_sqrt_squares_back_and_clips_rounding_negatives():
+    a = rand_op(BLOCKY, 10)
+    h = a.H @ a
+    r = psd_sqrt(h)
+    assert (r @ r - h).max_abs() <= 1e-12 * h.max_abs()
+    assert np.array_equal(r.blocks, abs_op(a).blocks)
+    # an eigenvalue a rounding below zero gives a zero root, not 1e-7
+    tiny = Op(np.diag([4.0, -1e-14, 1.0, 0.0])[None], ALG)
+    assert np.allclose(psd_sqrt(tiny).blocks[0], np.diag([2.0, 0, 1.0, 0]),
+                       rtol=0, atol=1e-15)
 
 
 def _proj_from(vs, alg):

@@ -9,8 +9,7 @@ from nclp.harness import (_localized_scalar, random_positive_martingale,
 from nclp.opcore import Op, dense_algebra, proj_join
 from nclp.pseudoloc import (DiscOp, _circulant_index, _on_rows,
                             _torus_offsets, adjoint_one, annuli_kernel,
-                            assemble, cotlar_bound, delta_level, e_level,
-                            ekt_delta, estimate_norm, family_gram, grid_l2,
+                            assemble, cotlar_bound, ekt_delta, estimate_norm, family_gram, grid_l2,
                             haar, haar2, hilbert_kernel, ihaar, ksk_check,
                             lambda_family, localization_check,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
@@ -18,8 +17,8 @@ from nclp.pseudoloc import (DiscOp, _circulant_index, _on_rows,
                             paraproduct_adjoint_mats, paraproduct_correction,
                             phi_psi_apply, phi_psi_hat, phi_s, phi_s_hat,
                             psi_s, psi_s_hat, restriction_identity_residual,
-                            rho_bmo, schur_bound, sigma_set, truncated_mats,
-                            zeta_fs)
+                            rho_bmo, schur_bound, sigma_set, support_cubes,
+                            truncated_mats, vanish_check, vanish_sum, zeta_fs)
 
 
 def _T(K=5, M=3, eps=0.0):
@@ -66,6 +65,84 @@ def oracle_psi_s(T, s):
         cols = avg_cols(tk, k + s) - avg_cols(tk, k + s - 1)
         acc += cols - avg_rows(cols, k)
     return acc
+
+
+# -- loop oracles for the scalar dyadic quantities ---------------------------
+# The reshape-average-repeat loops that ``pseudoloc`` replaced by sums over
+# Haar coefficients, kept here as independent references.
+
+def e_level(f, k):
+    """Average a grid function (cells along axis 0) over level-k cubes."""
+    L = f.shape[0] >> k
+    return np.repeat(f.reshape((1 << k, L) + f.shape[1:]).mean(axis=1), L, 0)
+
+
+def delta_level(f, j):
+    """Martingale difference at level j >= 1 (level 0 differences from zero)."""
+    return e_level(f, j) - e_level(f, j - 1) if j else e_level(f, 0)
+
+
+def oracle_paraproduct(rho, f, K):
+    out = np.zeros_like(rho)
+    for j in range(1, K + 1):
+        out += delta_level(rho, j) * e_level(f, j - 1)[:, None]
+    return out
+
+
+def oracle_paraproduct_adjoint(rho, f, K):
+    out = np.zeros_like(rho)
+    for j in range(1, K + 1):
+        out += e_level(delta_level(rho, j).conj() * f[:, None], j - 1)
+    return out
+
+
+def oracle_paraproduct_adjoint_mats(rho, K):
+    N, M = rho.shape
+    out = np.zeros((M, N, N), dtype=rho.dtype)
+    for j in range(1, K + 1):
+        d = delta_level(rho, j).conj()       # (N, M)
+        L = N // (1 << (j - 1))
+        for b in range(0, N, L):
+            out[:, b:b + L, b:b + L] += d[b:b + L].T[:, None, :] / L
+    return out
+
+
+def oracle_rho_bmo(rho, K):
+    best = 0.0
+    tail = np.zeros(rho.shape[0])        # sum_{j > lev} ||d_j rho||^2
+    for lev in range(K, -1, -1):
+        best = max(best, float(e_level(tail, lev).max()))
+        tail = tail + (np.abs(delta_level(rho, lev)) ** 2).sum(axis=1)
+    return float(np.sqrt(best))
+
+
+def oracle_sigma_set(f, s, K, tol=1e-12):
+    N = f.shape[0]
+    scale = max(np.abs(f).max(), 1e-300)
+    mask = np.zeros(N, dtype=bool)
+    for k in range(0, K - s + 1):
+        supp = np.abs(delta_level(f, k + s)) > tol * scale
+        L = N >> k
+        cubes = np.unique(np.nonzero(supp)[0] // L)
+        mask[(cubes[:, None] * L + np.arange(-4 * L, 5 * L)) % N] = True
+    return mask
+
+
+def oracle_vanish_sum(rho, f, s, K):
+    total = np.zeros((2 ** K, rho.shape[1]), dtype=complex)
+    for k in range(0, K - s + 1):
+        g = delta_level(f, k + s)
+        total += e_level(oracle_paraproduct_adjoint(rho, g, K), k)
+    return total
+
+
+def oracle_vanish_check(T, f, s):
+    total = oracle_vanish_sum(adjoint_one(T), f, s, T.K)
+    out = ~oracle_sigma_set(f, s, T.K)
+    f2 = grid_l2(f, T.K)
+    if not out.any():
+        return 0.0
+    return float(np.abs(total[out]).max() / max(f2, 1e-300))
 
 
 def _kernel(name, K):
@@ -440,6 +517,64 @@ def test_rho_bmo_constant_is_zero():
     assert rho_bmo(rho, K) == 0.0
 
 
+def _complex(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("M", [1, 3])
+@pytest.mark.parametrize("K", [4, 7])
+def test_paraproduct_and_bmo_match_loop_oracles(K, M):
+    N = 2 ** K
+    rng = np.random.default_rng(68 + K + M)
+    rho = _complex(rng, N, M)
+    f = _complex(rng, N)
+    assert _rel_err(paraproduct(rho, f, K),
+                    oracle_paraproduct(rho, f, K)) <= 1e-12
+    assert _rel_err(paraproduct_adjoint(rho, f, K),
+                    oracle_paraproduct_adjoint(rho, f, K)) <= 1e-12
+    assert _rel_err(paraproduct_adjoint_mats(rho, K),
+                    oracle_paraproduct_adjoint_mats(rho, K)) <= 1e-12
+    assert rho_bmo(rho, K) == pytest.approx(oracle_rho_bmo(rho, K),
+                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("M", [1, 3])
+@pytest.mark.parametrize("K", [4, 7])
+def test_vanish_matches_loop_oracle(K, M):
+    N = 2 ** K
+    rng = np.random.default_rng(70 + K + M)
+    rho = _complex(rng, N, M)
+    f = rng.standard_normal(N)
+    for s in range(1, K):
+        assert _rel_err(vanish_sum(rho, f, s, K),
+                        oracle_vanish_sum(rho, f, s, K)) <= 1e-12
+    # outside Sigma_{f,s} both sums vanish up to rounding
+    T = DiscOp(_complex(rng, M, N, N), K, None, 0.0)
+    for s in range(1, K):
+        g = _localized_scalar(N, K, s, rng)
+        got, ref = vanish_check(T, g, s), oracle_vanish_check(T, g, s)
+        assert got <= 1e-13 and ref <= 1e-13
+
+
+@pytest.mark.parametrize("K", [4, 7])
+def test_sigma_set_matches_cube_loop_oracle(K):
+    N = 2 ** K
+    rng = np.random.default_rng(72 + K)
+    partial = 0
+    for s in range(1, K):
+        for f in (_localized_scalar(N, K, s, rng), np.eye(N)[rng.integers(N)],
+                  rng.standard_normal(N)):
+            mask = sigma_set(f, s, K)
+            assert np.array_equal(mask, oracle_sigma_set(f, s, K))
+            partial += not mask.all()
+    # at K = 4 the 9-fold dilation of any cube of level <= 3 is the torus
+    assert (partial > 0) == (K > 4)
+
+
 # -- localization ------------------------------------------------------------
 
 def test_sigma_set_scalar_oracle():
@@ -523,6 +658,18 @@ def support_q_list(f, K, s, filt1):
         cube_bad = bad.reshape(1 << k, -1).any(axis=1)
         good.append(np.repeat(~cube_bad, 2 ** (K - k)))
     return Op(np.array(good)[..., None, None], filt1.algebra)
+
+
+def test_support_cubes_match_support_q_list():
+    K = 7
+    filt1 = GridFiltration(1, K, 1)
+    rng = trial_rng(69, 0)
+    for s in range(1, K):
+        f = _localized_scalar(2 ** K, K, s, rng)
+        good = [np.repeat(~bad, 2 ** (K - k))
+                for k, bad in enumerate(support_cubes(f, s, K))]
+        ref = support_q_list(f, K, s, filt1).blocks[..., 0, 0]
+        assert np.array_equal(np.array(good, dtype=float), ref)
 
 
 def _check_zeta_fs(filt, q_list, levels):
@@ -626,3 +773,22 @@ def test_runners_build_phi_psi_once_per_shift(experiment, fields,
     rep = harness.run(harness.ExperimentConfig(experiment, **fields))
     assert calls and len(calls) == len(set(calls))
     assert all(a["pass"] for a in rep["assertions"])
+
+
+def test_nc_pseudoloc_checks_the_identity_on_every_trial(monkeypatch):
+    import nclp.harness as harness
+    calls, real = [], harness.pl.nc_pseudoloc_check
+
+    def recorded(T, f, s, filt, q_list, hat=None):
+        calls.append((filt.d, hat is not None))
+        return real(T, f, s, filt, q_list, hat)
+
+    monkeypatch.setattr(harness.pl, "nc_pseudoloc_check", recorded)
+    rep = harness.run(harness.ExperimentConfig(
+        "nc-pseudoloc", algebra="grid:1,6,2", trials=3, s_range=(2, 4)))
+    # the trials run on the d = 2 algebra; the d = 1 scalar reduction of
+    # the summary has no Phi_s + Psi_s blocks
+    trial_calls = [has_hat for d, has_hat in calls if d == 2]
+    assert len(trial_calls) > 3 and all(trial_calls)
+    assert all(t["metrics"]["identity_residual"] > 0.0
+               for t in rep["trials"])
