@@ -11,7 +11,7 @@ keeps the spectral part at or below lambda.  Two endpoint conventions exist:
 * ``"half-open"``: chi_{(0,lambda]} taken literally, which expels those
   kernel directions.
 
-The threshold is a leading batch axis (a scalar is the length-1 batch): one
+The threshold is a leading batch axis (a scalar lambda adds none): one
 stacked eigen-solve per level diagonalizes q_{n-1} f_n q_{n-1}, shifted to
 lambda + 1 on the complement of range(q_{n-1}), for every (lambda, block)
 pair.  q_n <= q_{n-1} holds up to rounding, so q(lambda) is the last q_n.
@@ -29,24 +29,30 @@ from .opcore import ENDPOINT_TOL, Op, null_projection, op_norm
 
 @dataclass
 class CuculescuSequence:
-    lam: float
+    """The recursion at every threshold of ``lam``: ``qs`` has shape
+    (*lam.shape, levels, nblocks, d, d), so a scalar lam adds no axis."""
+
+    lam: np.ndarray | float
     convention: str
-    qs: Op                 # batched over the martingale positions
+    qs: Op
     martingale: Martingale
 
     @property
     def q_prev(self) -> Op:
         """q_{n-1} at each position n, the unit before the first level."""
-        unit = self.martingale.algebra.unit().blocks[None]
-        return Op(np.concatenate([unit, self.qs.blocks[:-1]]), self.qs.algebra)
+        qs = self.qs.blocks
+        unit = np.broadcast_to(self.martingale.algebra.unit().blocks,
+                               qs[..., :1, :, :, :].shape)
+        return Op(np.concatenate([unit, qs[..., :-1, :, :, :]], axis=-4),
+                  self.qs.algebra)
 
 
 def cuculescu(f: Martingale, lam, convention: str = "closed"):
-    """Run the recursion along all levels of a positive martingale, one
-    sequence per entry of a 1-D threshold vector (one for a scalar)."""
-    lams = np.asarray(lam, dtype=float).reshape(-1)
-    if np.ndim(lam) > 1 or not np.all(np.isfinite(lams) & (lams > 0)) \
-            or lams.size == 0:
+    """Run the recursion along all levels of a positive martingale at a
+    threshold or at each entry of a 1-D threshold vector."""
+    lam = np.asarray(lam, dtype=float)[()]      # a 0-d lam: np.float64
+    if np.ndim(lam) > 1 or np.size(lam) == 0 \
+            or not np.all(np.isfinite(lam) & (lam > 0)):
         raise ContractViolation("lambda must be a positive number or a "
                                 f"non-empty 1-D vector of them, got {lam!r}")
     if convention not in ("closed", "half-open"):
@@ -58,9 +64,9 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
     # range(q) and lam + 1 on its complement, so one stacked eigh per level
     # keeps exactly the directions of range(q) at or below lam.  q_{n-1} and
     # f_n lie in M_n, so the solve runs in M_n's coordinates.
-    cut = lams[:, None, None]
+    cut = np.asarray(lam)[..., None, None]
     q = alg.unit()
-    qs = np.empty((lams.size,) + f.seq.blocks.shape, dtype=complex)
+    qs = np.empty(np.shape(lam) + f.seq.blocks.shape, dtype=complex)
     for n, k in enumerate(f.levels):
         fk, qk = f.restricted[n].blocks, filt.restrict(q, k).blocks
         h = qk @ fk @ qk + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
@@ -71,35 +77,28 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
         u = u * keep[..., None, :]
         q = filt.extend(Op(u @ u.conj().swapaxes(-1, -2),
                            filt.level_algebra(k)), k)
-        qs[:, n] = q.blocks
-    qs = Op(qs, alg)
-    seqs = [CuculescuSequence(float(lv), convention, qs[i], f)
-            for i, lv in enumerate(lams)]
-    return seqs if np.ndim(lam) else seqs[0]
+        qs[..., n, :, :, :] = q.blocks
+    return CuculescuSequence(lam, convention, Op(qs, alg), f)
 
 
 def q_lambda(seq: CuculescuSequence) -> Op:
     """q(lambda) = meet of all q_n, which is the last q_n because the chain
     decreases (the tests check it against ``proj_meet``)."""
-    return seq.qs[-1]
+    return seq.qs[..., -1, :, :, :]
 
 
-def cuculescu_report(seqs):
-    """Measured versions of the three classical properties: one report per
-    sequence of a list (all of one martingale, one batched eigvalsh per
-    level over every threshold), or one for a single sequence."""
-    batch = [seqs] if isinstance(seqs, CuculescuSequence) else list(seqs)
-    f = batch[0].martingale
-    if any(s.martingale is not f for s in batch):
-        raise ContractViolation("cuculescu_report needs one martingale")
-    lams = np.array([s.lam for s in batch])[:, None, None, None]
-    filt, alg = f.filtration, f.algebra
-    qs = Op(np.stack([s.qs.blocks for s in batch], axis=1), alg)
-    qprev = alg.unit()
+def cuculescu_report(seq: CuculescuSequence) -> dict:
+    """Measured versions of the three classical properties, each shaped
+    like ``seq.lam``, from one eigvalsh per level over every threshold."""
+    f = seq.martingale
+    filt = f.filtration
+    lams = np.asarray(seq.lam)[..., None, None, None]
+    qprev = f.algebra.unit()
     comm = excess = -np.inf
     # q_{n-1}, q_n and f_n lie in M_n: both checks run in M_n's coordinates
     for n, k in enumerate(f.levels):
-        q, qp = (filt.restrict(x, k).blocks for x in (qs[n], qprev))
+        qn = seq.qs[..., n, :, :, :]
+        q, qp = (filt.restrict(x, k).blocks for x in (qn, qprev))
         fk = f.restricted[n].blocks
         comp = qp @ fk @ qp
         # i[q_n, comp] is Hermitian, so its eigenvalues give the commutator's
@@ -108,15 +107,11 @@ def cuculescu_report(seqs):
         w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         comm = np.maximum(comm, np.abs(w[0]).max(axis=(-2, -1)))
         excess = np.maximum(excess, w[1].max(axis=(-2, -1)))
-        qprev = qs[n]
-    tails = 1.0 - qs[-1].trace().real
-    reports = [{
-        "commutator": float(comm[i]),
-        "compression_excess": float(excess[i]),
-        "tail_trace": float(tails[i]),
-        "tail_bound_ratio": float(s.lam * tails[i] / max(f.sup_l1, 1e-300)),
-    } for i, s in enumerate(batch)]
-    return reports[0] if isinstance(seqs, CuculescuSequence) else reports
+        qprev = qn
+    tails = 1.0 - q_lambda(seq).trace().real
+    return {"commutator": comm, "compression_excess": excess,
+            "tail_trace": tails,
+            "tail_bound_ratio": seq.lam * tails / max(f.sup_l1, 1e-300)}
 
 
 @dataclass
@@ -161,8 +156,7 @@ def pi_family(f: Martingale, l_range: tuple[int, int],
         raise ContractViolation(
             f"l_max too small: 2^{l_max} <= sup ||f_n||_inf = {sup:.6g}")
     lams = 2.0 ** np.arange(l_min, l_max + 1, dtype=float)
-    return meet_ladder(Op(np.stack([q_lambda(s).blocks for s in cuculescu(
-        f, lams, convention)]), f.algebra), l_min)
+    return meet_ladder(q_lambda(cuculescu(f, lams, convention)), l_min)
 
 
 def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:
@@ -176,10 +170,16 @@ def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:
     return dr, x - dr
 
 
-def delta_trunc(x: Op, pi: PiFamily, ell: int) -> Op:
+def delta_trunc(x: Op, pi: PiFamily, ell) -> Op:
     """Delta_{r,ell}(x) = sum_{j <= i <= ell} pi_i x pi_j, which is
     sum_{i <= ell} pi_i x w_i because sum_{j <= i} pi_j = w_i; each entry
-    of a batched x is truncated."""
-    n = min(max(ell - pi.l_min + 1, 0), len(pi.w))
-    sel = (slice(None, n),) + (None,) * len(x.batch)
-    return (pi.blocks[sel] @ x @ pi.w[sel]).sum()
+    of a batched x is truncated, at the one ell or, for a 1-D ell, at the
+    ell of its index along the first batch axis."""
+    ell = np.asarray(ell)
+    sel = (slice(None),) + (None,) * len(x.batch)
+    # the terms above ell are exact zeros, and adding them changes nothing
+    keep = np.arange(pi.l_min, pi.l_max + 1).reshape(
+        (-1,) + (1,) * ell.ndim) <= ell
+    keep = keep.reshape(keep.shape + (1,) * (len(x.batch) - ell.ndim + 3))
+    terms = (pi.blocks[sel] @ x @ pi.w[sel]).blocks
+    return Op(np.where(keep, terms, 0.0).sum(axis=0), x.algebra)

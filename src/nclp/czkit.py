@@ -11,12 +11,17 @@ from .cuculescu import PiFamily, cuculescu, meet_ladder, q_lambda
 from .errors import ContractViolation
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import (Interval, Op, is_projection, l2_norm, op_norm, proj_join,
-                     proj_meet, schatten_norm, spectral_projection)
+# proj_join is not called here; perfbench's self-test checks that the tracer
+# rebinds it in this module
+from .opcore import (Interval, Op, is_projection, l2_norm, null_projection,
+                     op_norm, proj_join, schatten_norm, spectral_projection)
 
 
 @dataclass
 class CZParts:
+    """The four parts at every threshold of ``lam``; each Op carries lam's
+    shape in front of its own axes, as do ``m_lambda`` and ``lam``."""
+
     g_d: Op
     g_off: Op
     b_d: Op
@@ -25,8 +30,8 @@ class CZParts:
     qs: Op                       # Cuculescu projections, batched likewise
     ps: Op                       # p_k = q_{k-1} - q_k
     q: Op                        # final meet
-    m_lambda: int
-    lam: float
+    m_lambda: np.ndarray | int
+    lam: np.ndarray | float
     martingale: Martingale
 
     @property
@@ -34,19 +39,20 @@ class CZParts:
         return self.martingale.filtration
 
 
-def m_lambda_of(qs: Op, levels: list[int]) -> int:
-    """Largest level with q = 1; -1 if no level qualifies at finite depth."""
-    dev = np.abs(qs.blocks - qs.algebra.unit().blocks).max(axis=(1, 2, 3))
-    return max((lev for lev, d in zip(levels, dev) if d <= 1e-10), default=-1)
+def m_lambda_of(qs: Op, levels: list[int]):
+    """Largest level with q = 1, per threshold; -1 if no level qualifies at
+    finite depth."""
+    dev = np.abs(qs.blocks - qs.algebra.unit().blocks).max(axis=(-3, -2, -1))
+    return np.where(dev <= 1e-10, levels, -1).max(axis=-1)
 
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def cz_decompose(f: Martingale, lam):
-    """f = g_d + g_off + b_d + b_off through the recursion projections, one
-    CZParts per entry of a 1-D threshold vector (one for a scalar).
+def cz_decompose(f: Martingale, lam) -> CZParts:
+    """f = g_d + g_off + b_d + b_off through the recursion projections, at
+    a threshold or at each entry of a 1-D threshold vector.
 
     g_d   = q f q + sum_k p_k f_k p_k
     g_off = sum_{i != j} p_i f_{i v j} p_j + q f q^perp + q^perp f q
@@ -55,65 +61,50 @@ def cz_decompose(f: Martingale, lam):
     """
     if not isinstance(f.filtration, GridFiltration):
         raise ContractViolation("cz_decompose lives on the grid algebra")
-    seqs = cuculescu(f, np.atleast_1d(lam))
+    seq = cuculescu(f, lam)
     alg = f.algebra
-    one = np.eye(alg.d)
-    Q = np.stack([s.qs.blocks for s in seqs])
-    Qprev = np.concatenate([np.broadcast_to(one, Q[:, :1].shape), Q[:, :-1]],
-                           axis=1)
+    Q, Qprev = seq.qs.blocks, seq.q_prev.blocks
     P, F = Qprev - Q, f.seq.blocks
-    q, top = Q[:, -1], F[-1]
+    q, top = Q[..., -1, :, :, :], F[-1]
     # the pair sums telescope: u_j = sum_{i<j} p_i = 1 - q_{j-1} and
     # f_{i v j} = f_j for i < j, so sum_{i != j} p_i X_{i v j} p_j is
     # sum_j u_j X_j p_j + p_j X_j u_j: one product per level
-    u = one - Qprev
+    u = np.eye(alg.d) - Qprev
     # f, f_j, u_j and p_j are Hermitian, so p_j X u_j = (u_j X p_j)*: with
     # A = sum_j u_j f_j p_j and B = sum_j u_j f p_j the good pair sum is
     # A + A* and the bad one (B - A) + (B - A)*, and
     # q f (1 - q) + (1 - q) f q = q f + (q f)* - 2 q f q
     FP, fP, qf = F @ P, top @ P, q @ top
-    A, B = (u @ FP).sum(axis=1), (u @ fP).sum(axis=1)
+    A, B = (u @ FP).sum(axis=-4), (u @ fP).sum(axis=-4)
     PFP, qfq = P @ FP, qf @ q
-    g_d = qfq + PFP.sum(axis=1)
+    g_d = qfq + PFP.sum(axis=-4)
     g_off = qf + _adjoint(qf) - 2.0 * qfq + A + _adjoint(A)
     b_off = B - A + _adjoint(B - A)
-    bad = Op(P @ fP - PFP, alg)
-    g_d, g_off, b_d, b_off, P = (Op(x, alg) for x in (
-        g_d, g_off, bad.blocks.sum(axis=1), b_off, P))
-    parts = [CZParts(g_d[i], g_off[i], b_d[i], b_off[i], bad[i], s.qs, P[i],
-                     q_lambda(s), m_lambda_of(s.qs, f.levels), s.lam, f)
-             for i, s in enumerate(seqs)]
+    bad = P @ fP - PFP
     # the q f p_j and p_i f q cross terms sit in q f q^perp + q^perp f q, so
     # the four parts reassemble f; cz_report measures the residual
-    return parts if np.ndim(lam) else parts[0]
+    g_d, g_off, b_d, b_off, bad, P = (Op(x, alg) for x in (
+        g_d, g_off, bad.sum(axis=-4), b_off, bad, P))
+    return CZParts(g_d, g_off, b_d, b_off, bad, seq.qs, P, q_lambda(seq),
+                   m_lambda_of(seq.qs, f.levels), seq.lam, f)
 
 
-def cz_report(parts):
-    """Reconstruction residual and the diagonal-part bounds: one report per
-    CZParts of a list (all of one martingale, with one stacked SVD over
-    every threshold and level), or one for a single CZParts."""
-    batch = [parts] if isinstance(parts, CZParts) else list(parts)
-    f = batch[0].martingale
-    if any(p.martingale is not f for p in batch):
-        raise ContractViolation("cz_report needs one martingale")
-    n = batch[0].filtration.n
+def cz_report(parts: CZParts) -> dict:
+    """Reconstruction residual and the diagonal-part bounds, each shaped
+    like ``parts.lam`` (the b_d bound does not depend on lambda), with one
+    stacked SVD over every threshold and level."""
+    f = parts.martingale
     l1 = schatten_norm(f.top, 1)
-    g_d, g_off, b_d, b_off, terms = (
-        Op(np.stack([getattr(p, name).blocks for p in batch]), f.algebra)
-        for name in ("g_d", "g_off", "b_d", "b_off", "b_d_terms"))
-    recon = np.abs((g_d + g_off + b_d + b_off).blocks - f.top.blocks)
-    recon = recon.max(axis=(-3, -2, -1))
-    g_d_l2sq = l2_norm(g_d) ** 2
-    b_d_l1_sum = schatten_norm(terms, 1).sum(axis=-1)
-    reports = [{
-        "reconstruction_residual": float(recon[i]),
-        "g_d_l2sq": float(g_d_l2sq[i]),
-        "g_d_bound": (2.0 ** n) * p.lam * l1,
-        "b_d_l1_sum": float(b_d_l1_sum[i]),
+    recon = (parts.g_d + parts.g_off + parts.b_d + parts.b_off).blocks
+    return {
+        "reconstruction_residual": np.abs(recon - f.top.blocks).max(
+            axis=(-3, -2, -1)),
+        "g_d_l2sq": l2_norm(parts.g_d) ** 2,
+        "g_d_bound": (2.0 ** parts.filtration.n) * parts.lam * l1,
+        "b_d_l1_sum": schatten_norm(parts.b_d_terms, 1).sum(axis=-1),
         "b_d_bound": 2.0 * l1,
-        "m_lambda": p.m_lambda,
-    } for i, p in enumerate(batch)]
-    return reports[0] if isinstance(parts, CZParts) else reports
+        "m_lambda": parts.m_lambda,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -122,49 +113,44 @@ def cz_report(parts):
 
 @dataclass
 class ZetaData:
-    lam: float
-    psi: Op                      # psi_k, batched over levels
+    psi: Op                      # psi_k, batched over lambda and levels
     zeta_k: Op                   # 1 - supp psi_k
-    zeta: Op
-    xi: dict                     # (level, cube corner) -> d x d projection block
+    zeta: Op                     # batched over lambda
     parts: CZParts
 
 
-def zeta(f: Martingale, lam: float, parts: CZParts | None = None) -> ZetaData:
-    """Bad-set excision: psi_k sums the lost cube blocks smeared over the
-    9-fold dilations; zeta(lambda) is the meet of their complements."""
-    if parts is None:
-        parts = cz_decompose(f, lam)
-    filt = parts.filtration
-    alg = f.algebra
+def zeta(parts: CZParts) -> ZetaData:
+    """Bad-set excision at every threshold of ``parts``: psi_k sums the lost
+    cube blocks smeared over the 9-fold dilations; zeta(lambda) is the meet
+    of their complements."""
+    filt, levels = parts.filtration, parts.martingale.levels
+    alg = filt.algebra
     d = alg.d
-    m_lam = parts.m_lambda
-    # xi_Q is the block of q_k on the first cell of the level-k cube Q
-    xi = {(k, c): b for pos, k in enumerate(f.levels)
-          for c, b in zip(np.ndindex(*(2 ** k,) * filt.n),
-                          parts.qs.blocks[pos, filt.first_cells(k)])}
-    # the lost blocks q_{k-1} - q_k = p_k of each level, spread over the 9Q
-    lost = np.zeros((len(f.levels), alg.nblocks, d * d), dtype=complex)
-    for pos, k in enumerate(f.levels):
-        if k > m_lam:
-            diff = parts.ps.blocks[pos, filt.first_cells(k)]
-            diff[np.abs(diff).max(axis=(1, 2)) <= 1e-14] = 0.0
-            lost[pos] = filt.dilation_masks(k, 9).T @ diff.reshape(
-                len(diff), -1)
-    psi = Op(np.cumsum(lost, axis=0).reshape(lost.shape[:2] + (d, d)), alg)
+    # the lost blocks q_{k-1} - q_k = p_k of each level above m_lambda,
+    # spread over the 9Q
+    lost = np.zeros(parts.ps.batch + (alg.nblocks, d * d), dtype=complex)
+    for pos, k in enumerate(levels):
+        diff = parts.ps.blocks[..., pos, filt.first_cells(k), :, :]
+        live = (np.abs(diff).max(axis=(-2, -1)) > 1e-14) \
+            & (k > np.asarray(parts.m_lambda)[..., None])
+        diff = np.where(live[..., None, None], diff, 0.0)
+        lost[..., pos, :, :] = filt.dilation_masks(k, 9).T @ diff.reshape(
+            diff.shape[:-2] + (-1,))
+    psi = Op(np.cumsum(lost, axis=-3).reshape(lost.shape[:-1] + (d, d)), alg)
     zeta_k = alg.unit() - spectral_projection(
         psi.hermitize(), Interval(1e-9, None, closed_lo=False))
-    return ZetaData(float(lam), psi, zeta_k, proj_meet(zeta_k), xi, parts)
+    # the meet along the level axis: the null space of sum_k (1 - zeta_k)
+    meet = null_projection(Op((alg.unit() - zeta_k).blocks.sum(axis=-4), alg))
+    return ZetaData(psi, zeta_k, meet, parts)
 
 
 def zeta_report(zd: ZetaData) -> dict:
-    f = zd.parts.martingale
-    filt = zd.parts.filtration
-    n = filt.n
-    one = f.algebra.unit()
-    lost = float((one - zd.zeta).trace().real)
+    """The excised mass against its 9^n bound and the projection check, per
+    threshold."""
+    f, n = zd.parts.martingale, zd.parts.filtration.n
+    lost = (f.algebra.unit() - zd.zeta).trace().real
     return {
-        "excised_mass_ratio": zd.lam * lost /
+        "excised_mass_ratio": zd.parts.lam * lost /
                               max(9.0 ** n * schatten_norm(f.top, 1), 1e-300),
         "is_projection": is_projection(zd.zeta, tol=1e-8),
     }
@@ -172,12 +158,13 @@ def zeta_report(zd: ZetaData) -> dict:
 
 def zeta_cube_inequalities(zd: ZetaData) -> dict:
     """Property ii): on each 9Q0, zeta <= (1 - xi_{Q0hat} + xi_{Q0}) and
-    zeta <= xi_{Q0}, as blockwise operator inequalities.
+    zeta <= xi_{Q0}, as blockwise operator inequalities, where xi_Q is the
+    block of q_k on the first cell of the level-k cube Q.
 
-    Returns the most negative eigenvalue seen for each difference (>= -1e-8
-    means the inequality holds).
+    Returns the most negative eigenvalue seen for each difference, per
+    threshold (>= -1e-8 means the inequality holds).
     """
-    filt, qs = zd.parts.filtration, zd.parts.qs
+    filt, qs = zd.parts.filtration, zd.parts.qs.blocks
     strong, weak = [], []
     for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
         # one (cube, cell) pair per cell of each 9Q; the father of the cube
@@ -186,15 +173,16 @@ def zeta_cube_inequalities(zd: ZetaData) -> dict:
         corner = np.unravel_index(cube, (2 ** k,) * filt.n)
         father = np.ravel_multi_index(tuple(c // 2 for c in corner),
                                       (2 ** (k - 1),) * filt.n)
-        xi_q = qs[pos].blocks[filt.first_cells(k)[cube]]
-        xi_hat = qs[pos - 1].blocks[filt.first_cells(k - 1)[father]]
-        zb = zd.zeta.blocks[cell]
+        xi_q = qs[..., pos, filt.first_cells(k)[cube], :, :]
+        xi_hat = qs[..., pos - 1, filt.first_cells(k - 1)[father], :, :]
+        zb = zd.zeta.blocks[..., cell, :, :]
         strong.append(np.eye(filt.d) - xi_hat + xi_q - zb)
         weak.append(xi_q - zb)
-    h = np.stack([np.concatenate(strong), np.concatenate(weak)])
+    h = np.stack([np.concatenate(strong, axis=-3),
+                  np.concatenate(weak, axis=-3)])
     w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
-    return {"strong_min_eig": float(w[0].min()),
-            "weak_min_eig": float(w[1].min())}
+    return {"strong_min_eig": w[0].min(axis=(-2, -1)),
+            "weak_min_eig": w[1].min(axis=(-2, -1))}
 
 
 # ---------------------------------------------------------------------------
@@ -205,35 +193,47 @@ def g_off_layers(parts: CZParts) -> dict:
     """g_off = sum_s g_(s) with g_(s) = sum_k p_k df_{k+s} q_{k+s-1}
     + q_{k+s-1} df_{k+s} p_k, the k-sum over levels above m_lambda.
 
-    ``layers`` is batched over s = 1, 2, ...; ``terms`` over every (s, k)
-    pair, in the order of the arrays ``s`` and ``k`` (positions)."""
+    ``layers`` is batched over lambda and s = 1, 2, ...; ``terms`` over
+    lambda and every (s, k) pair, in the order of the arrays ``s`` and
+    ``k`` (positions).  The terms with k <= m_lambda are exact zeros."""
     f = parts.martingale
     npos = len(f.levels)
-    lo = sum(lev <= parts.m_lambda for lev in f.levels)
     s, k = np.array([(s, k) for s in range(1, npos)
-                     for k in range(lo, npos - s)], dtype=int).reshape(-1, 2).T
-    p, df, qprev = parts.ps[k], f.diffs[k + s], parts.qs[k + s - 1]
-    terms = p @ df @ qprev + qprev @ df @ p
-    layers = np.zeros((npos - 1,) + f.seq.blocks.shape[1:], dtype=complex)
-    np.add.at(layers, s - 1, terms.blocks)     # in order: k ascending per s
+                     for k in range(npos - s)], dtype=int).reshape(-1, 2).T
+    p, df = parts.ps[..., k, :, :, :], f.diffs[k + s]
+    qprev = parts.qs[..., k + s - 1, :, :, :]
+    live = np.asarray(f.levels)[k] > np.asarray(parts.m_lambda)[..., None]
+    terms = Op(np.where(live[..., None, None, None],
+                        (p @ df @ qprev + qprev @ df @ p).blocks, 0.0),
+               f.algebra)
+    layers = np.zeros(parts.ps.batch[:-1] + (npos - 1,)
+                      + f.seq.blocks.shape[1:], dtype=complex)
+    # in order, k ascending per s; a masked zero leaves a sum unchanged
+    np.add.at(np.moveaxis(layers, -4, 0), s - 1,
+              np.moveaxis(terms.blocks, -4, 0))
     return {"layers": Op(layers, f.algebra), "terms": terms, "s": s, "k": k}
 
 
 def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
+    """Sum, orthogonality and support residuals of the layers and their
+    largest L2 ratio, per threshold."""
     f = parts.martingale
     g, terms = layers["layers"], layers["terms"]
     l1 = schatten_norm(f.top, 1)
     nsq = l2_norm(g) ** 2
-    termsum = np.zeros(len(g))
-    np.add.at(termsum, layers["s"] - 1, l2_norm(terms) ** 2)
-    rest = f.algebra.unit() - parts.ps[layers["k"]]
+    termsum = np.zeros(nsq.shape)
+    np.add.at(np.moveaxis(termsum, -1, 0), layers["s"] - 1,
+              np.moveaxis(l2_norm(terms) ** 2, -1, 0))
+    rest = f.algebra.unit() - parts.ps[..., layers["k"], :, :, :]
+    resid = np.abs(g.blocks.sum(axis=-4) - parts.g_off.blocks)
     return {
-        "sum_residual": (g.sum() - parts.g_off).max_abs(),
-        "sup_layer_ratio": float((nsq / max(parts.lam * l1, 1e-300)).max(
-            initial=0.0)),
-        "layer_orthogonality_residual": float(np.abs(nsq - termsum).max(
-            initial=0.0)),
-        "support_residual": (rest @ terms @ rest).max_abs(),
+        "sum_residual": resid.max(axis=(-3, -2, -1)),
+        "sup_layer_ratio": (nsq / np.maximum(parts.lam * l1, 1e-300)[
+            ..., None]).max(axis=-1, initial=0.0),
+        "layer_orthogonality_residual": np.abs(nsq - termsum).max(
+            axis=-1, initial=0.0),
+        "support_residual": np.abs((rest @ terms @ rest).blocks).max(
+            axis=(-4, -3, -2, -1), initial=0.0),
     }
 
 
@@ -262,9 +262,7 @@ def thmB1_decompose(tf_family: Op, f: Martingale, l_range: tuple[int, int]):
     if 2.0 ** l_max <= sup:
         raise ContractViolation(f"l_max too small: 2^{l_max} <= {sup:.6g}")
     lams = 2.0 ** np.arange(l_min, l_max + 1, dtype=float)
-    pi = meet_ladder(Op(np.stack([zeta(f, parts.lam, parts).zeta.blocks
-                                  for parts in cz_decompose(f, lams)]),
-                        f.algebra), l_min)
+    pi = meet_ladder(zeta(cz_decompose(f, lams)).zeta, l_min)
     g, psi, one = tf_family, pi.w[0], f.algebra.unit()
     # the blocks above psi telescope: sum_{l_min < j <= i} pi_j = w_i - psi,
     # so the lower triangle is sum_i pi_i g (w_i - psi) and the strict upper

@@ -12,13 +12,13 @@ from .cuculescu import (CuculescuSequence, PiFamily, cuculescu, delta_split,
 from .errors import ContractViolation
 from .martingale import (CoeffMatrix, Martingale, col_square, row_square,
                          transform_family)
-from .opcore import (Op, annihilation_check, l2_norm, op_norm, schatten_norm,
-                     tail_trace, weak_l1)
+from .opcore import (Op, _per_entry, annihilation_check, l2_norm, op_norm,
+                     schatten_norm, tail_trace, weak_l1)
 
 
 @dataclass
 class GundyParts:
-    d_alpha: Op                  # each batched over the martingale positions
+    d_alpha: Op                  # each batched over lambda and the levels
     d_beta: Op
     d_gamma: Op
     seq: CuculescuSequence
@@ -28,15 +28,14 @@ class GundyParts:
         return self.seq.martingale
 
 
-def gundy(f: Martingale, lam: float) -> GundyParts:
-    """Split f = alpha + beta + gamma at threshold lam.
+def gundy(f: Martingale, lam) -> GundyParts:
+    """Split f = alpha + beta + gamma at a threshold or at each entry of a
+    1-D threshold vector.
 
     d_alpha_k = q_k df_k q_k - E_{k-1}(q_k df_k q_k)
     d_beta_k  = q_{k-1} df_k q_{k-1} - q_k df_k q_k + E_{k-1}(q_k df_k q_k)
     d_gamma_k = df_k - q_{k-1} df_k q_{k-1}
     """
-    if lam <= 0:
-        raise ContractViolation("gundy requires lambda > 0")
     seq = cuculescu(f, lam)
     qk, qp, df = seq.qs, seq.q_prev, f.diffs
     core = qk @ df @ qk
@@ -46,7 +45,7 @@ def gundy(f: Martingale, lam: float) -> GundyParts:
 
 
 def gundy_verify(parts: GundyParts) -> dict:
-    """The three normalized quantities of the decomposition.
+    """The three normalized quantities of the decomposition, per threshold.
 
     The gamma term uses the certified dominating bound lam*tau(1 - q(lam)):
     supp* d_gamma_k <= 1 - q_{k-1} <= 1 - q(lam), certified via annihilation.
@@ -54,19 +53,20 @@ def gundy_verify(parts: GundyParts) -> dict:
     f = parts.martingale
     lam = parts.seq.lam
     denom = max(f.sup_l1, 1e-300)
-    alpha_sums = Op(np.cumsum(parts.d_alpha.blocks, axis=0), f.algebra)
-    alpha_term = float((l2_norm(alpha_sums) ** 2).max()) / lam
-    beta_term = float(schatten_norm(parts.d_beta, 1).sum())
+    alpha_sums = Op(np.cumsum(parts.d_alpha.blocks, axis=-4), f.algebra)
+    alpha_term = (l2_norm(alpha_sums) ** 2).max(axis=-1) / lam
+    beta_term = schatten_norm(parts.d_beta, 1).sum(axis=-1)
     q = q_lambda(parts.seq)
     scale = max(float(op_norm(f.diffs).max()), 1e-300)
-    live = parts.d_gamma[op_norm(parts.d_gamma) > 1e-12 * scale]
-    gamma_annihilated = bool(np.all(annihilation_check(q, live, tol=1e-10)))
-    gamma_term = lam * float((f.algebra.unit() - q).trace().real)
+    dead = op_norm(parts.d_gamma) <= 1e-12 * scale
+    annihilated = annihilation_check(Op(q.blocks[..., None, :, :, :],
+                                        f.algebra), parts.d_gamma, tol=1e-10)
+    gamma_term = lam * (f.algebra.unit() - q).trace().real
     return {
         "alpha": alpha_term / denom,
         "beta": beta_term / denom,
         "gamma": gamma_term / denom,
-        "gamma_annihilated": gamma_annihilated,
+        "gamma_annihilated": _per_entry(np.all(annihilated | dead, axis=-1)),
     }
 
 

@@ -40,10 +40,12 @@ class Martingale:
 
     def expect_each(self, x: Op, lag: int = 0) -> Op:
         """E at the level ``lag`` positions before i, applied to the entry
-        x_i of a family aligned with the levels (zero for i < lag)."""
+        x_i of a family aligned with the levels on axis -4 (zero for
+        i < lag); leading batch axes pass through."""
         out = np.zeros_like(x.blocks)
         for i in range(lag, len(self.levels)):
-            out[i] = self.filtration.expect(x[i], self.levels[i - lag]).blocks
+            out[..., i, :, :, :] = self.filtration.expect(
+                x[..., i, :, :, :], self.levels[i - lag]).blocks
         return Op(out, self.algebra)
 
     @cached_property

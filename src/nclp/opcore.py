@@ -366,11 +366,12 @@ def l2_inner(a: Op, b: Op) -> complex:
 # projection lattice
 # ---------------------------------------------------------------------------
 
-def is_projection(p: Op, tol: float = 1e-10) -> bool:
-    scale = max(1.0, p.max_abs())
-    herm = np.abs(p.blocks - p.H.blocks).max() <= tol * scale
-    idem = np.abs((p @ p).blocks - p.blocks).max() <= tol * scale
-    return bool(herm and idem)
+def is_projection(p: Op, tol: float = 1e-10):
+    """Per entry, p = p* = p^2 up to tol times max(1, its largest entry)."""
+    cut = tol * np.maximum(np.abs(p.blocks).max(axis=_BLOCK_AXES), 1.0)
+    herm = np.abs(p.blocks - p.H.blocks).max(axis=_BLOCK_AXES) <= cut
+    idem = np.abs((p @ p).blocks - p.blocks).max(axis=_BLOCK_AXES) <= cut
+    return _per_entry(herm & idem)
 
 
 def null_projection(h: Op) -> Op:

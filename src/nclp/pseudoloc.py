@@ -142,8 +142,6 @@ class HilbertKernel:
     family: str                  # "lp-bumps" | "hilbert" | "annuli"
     M: int
     gamma: float
-    C1: float
-    C2: float
     cutoff: float = 0.0          # only used by the Hilbert-type family
 
     def column(self, N: int) -> np.ndarray:
@@ -171,18 +169,17 @@ class HilbertKernel:
 
 def lp_bumps_kernel(M: int) -> HilbertKernel:
     """Mean-zero dilated odd bumps k_m = 2^m phi(2^m t), gamma = 1."""
-    return HilbertKernel("lp-bumps", M, gamma=1.0, C1=1.0, C2=16.0)
+    return HilbertKernel("lp-bumps", M, gamma=1.0)
 
 
 def hilbert_kernel(cutoff: float = 0.25) -> HilbertKernel:
     """Single-component truncated odd 1/t kernel with a Lipschitz taper."""
-    return HilbertKernel("hilbert", 1, gamma=1.0, C1=1.0, C2=12.0,
-                         cutoff=cutoff)
+    return HilbertKernel("hilbert", 1, gamma=1.0, cutoff=cutoff)
 
 
 def annuli_kernel(K: int) -> HilbertKernel:
     """Dyadic frequency multipliers, one per annulus 2^k <= |xi| < 2^{k+1}."""
-    return HilbertKernel("annuli", K, gamma=1.0, C1=np.nan, C2=np.nan)
+    return HilbertKernel("annuli", K, gamma=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +197,6 @@ class DiscOp:
     mats: np.ndarray             # (M, N, N)
     K: int
     kernel: HilbertKernel | None
-    eps: float
-    normalization: float = 1.0   # divisor applied to the raw assembly
 
     @property
     def N(self) -> int:
@@ -236,8 +231,7 @@ def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
         col *= 2.0 ** (-K)
         col[:, np.abs(_torus_offsets(N)) <= eps] = 0.0
         col[:, 0] = 0.0
-    return DiscOp(np.take(col, _circulant_index(N), axis=1), K, kernel,
-                  float(eps))
+    return DiscOp(np.take(col, _circulant_index(N), axis=1), K, kernel)
 
 
 def truncated_mats(T: DiscOp, eps: float) -> np.ndarray:
@@ -271,7 +265,7 @@ def normalized(T: DiscOp) -> DiscOp:
     est = estimate_norm(T.mats)
     if est <= 0:
         raise NumericError("cannot normalize a zero operator")
-    return replace(T, mats=T.mats / est, normalization=T.normalization * est)
+    return replace(T, mats=T.mats / est)
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +472,21 @@ def paraproduct_adjoint(rho: np.ndarray, g: np.ndarray, K: int) -> np.ndarray:
     return np.moveaxis(out.reshape(w.shape[:1] + g.shape), 0, -1)
 
 
-def paraproduct_adjoint_mats(rho: np.ndarray, K: int) -> np.ndarray:
-    """Pi_rho* : L2 -> L2 (x) C^M applied to the identity, (M, N, N)."""
-    return np.moveaxis(paraproduct_adjoint(rho, np.eye(1 << K), K), -1, 0)
+def paraproduct_correction(T: DiscOp) -> np.ndarray:
+    """The Haar-coefficient matrices (``haar2``) of T0 = T - Pi_rho* with
+    rho = T*1, read off those of T without forming Pi_rho*.
 
-
-def paraproduct_correction(T: DiscOp) -> tuple[DiscOp, np.ndarray]:
-    """T0 = T - Pi_rho* with rho = T*1; returns (T0, rho)."""
-    rho = adjoint_one(T)
-    return replace(T, mats=T.mats - paraproduct_adjoint_mats(rho, T.K)), rho
+    Row 0 of H is the constant N^{-1/2}, so conj(rho_i) = sqrt(N) t[0, i]
+    for t = haar2(T.mats), and column i >= 1 of H Pi_rho* H^T is
+    conj(rho_i) / #Q_i times the Haar coefficients of 1_{Q_i}.  With
+    a[r, i] = sqrt(N) <1_{Q_i} / #Q_i, h_r>, nonzero on row 0 and on the
+    cubes strictly containing Q_i, T0 has the coefficients t - t[0] a."""
+    t_hat = haar2(T.mats)
+    w = 1.0 / _cube_cells(T.K)
+    w[0] = 0.0                  # the paraproduct drops the constant
+    a = np.sqrt(T.N) * _on_rows(haar, _ancestor_sums(np.diag(w)))
+    t_hat -= t_hat[..., :1, :] * a
+    return t_hat
 
 
 def rho_bmo(rho: np.ndarray, K: int) -> float:

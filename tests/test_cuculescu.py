@@ -12,6 +12,8 @@ from nclp.martingale import Martingale
 from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
                          l2_norm, op_norm, proj_meet, schatten_norm)
 
+from batch_entries import assert_entries_match_scalar_calls
+
 
 def naive_cuculescu(f, lam):
     """Independent oracle: project out eigenvectors of q f q above lam,
@@ -116,18 +118,19 @@ def test_lambda_batch_matches_per_lambda_calls(spec, convention):
     for f in _batch_martingales(spec):
         seqs = cuculescu(f, lams, convention)
         reports = cuculescu_report(seqs)
-        assert len(seqs) == len(reports) == len(lams)
-        for lam, seq, rep in zip(lams, seqs, reports):
+        assert seqs.qs.batch == lams.shape + (len(f.levels),)
+        assert all(np.shape(v) == lams.shape for v in reports.values())
+        for i, lam in enumerate(lams):
             one = cuculescu(f, lam, convention)
             assert isinstance(one, CuculescuSequence)
-            assert seq.lam == one.lam == lam
-            assert seq.convention == convention
-            for q, q_ref in zip(seq.qs, one.qs, strict=True):
+            assert seqs.lam[i] == one.lam == lam
+            assert seqs.convention == convention
+            for q, q_ref in zip(seqs.qs[i], one.qs, strict=True):
                 assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
             ref = cuculescu_report(one)
-            assert rep.keys() == ref.keys()
-            for key in rep:
-                assert abs(rep[key] - ref[key]) <= 1e-12
+            assert reports.keys() == ref.keys()
+            for key in ref:
+                assert abs(reports[key][i] - ref[key]) <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [[], [[1.0, 2.0]], [1.0, 0.0], [-1.0, 2.0],
@@ -144,8 +147,9 @@ def test_bad_lambda_batch_raises(lam):
 def test_q_lambda_equals_proj_meet_oracle(spec):
     for f in _batch_martingales(spec):
         for convention in ("closed", "half-open"):
-            for seq in cuculescu(f, 2.0 ** np.arange(-2, 5), convention):
-                diff = q_lambda(seq).blocks - proj_meet(seq.qs).blocks
+            seq = cuculescu(f, 2.0 ** np.arange(-2, 5), convention)
+            for i in range(len(seq.lam)):
+                diff = q_lambda(seq)[i].blocks - proj_meet(seq.qs[i]).blocks
                 assert np.abs(diff).max() <= 1e-12
 
 
@@ -338,8 +342,7 @@ def meet_ladder_pairwise_oracle(qs):
 def test_meet_ladder_matches_pairwise_oracle(spec):
     f = random_positive_martingale(build_filtration(spec), trial_rng(30, 0))
     pi = pi_family(f, (-4, 3))
-    qs = Op(np.stack([q_lambda(s).blocks for s in cuculescu(
-        f, 2.0 ** np.arange(-4, 4))]), f.algebra)
+    qs = q_lambda(cuculescu(f, 2.0 ** np.arange(-4, 4)))
     w, blocks = meet_ladder_pairwise_oracle(qs)
     assert pi.l_max == 3 and len(pi.w) == len(w) == 8
     for got, ref in zip(pi.w, w, strict=True):
@@ -376,10 +379,10 @@ def full_size_cuculescu(f, lams, convention):
 def full_size_report(seqs):
     """cuculescu_report at full size: one SVD of every commutator and one
     eigvalsh of every q_n f_n q_n - lam q_n."""
-    f = seqs[0].martingale
-    lams = np.array([s.lam for s in seqs])[:, None, None, None, None]
+    f = seqs.martingale
+    lams = seqs.lam[:, None, None, None, None]
     fs = f.seq.blocks
-    qs = np.stack([s.qs.blocks for s in seqs])
+    qs = seqs.qs.blocks
     unit = np.broadcast_to(f.algebra.unit().blocks, qs[:, :1].shape)
     qprev = np.concatenate([unit, qs[:, :-1]], axis=1)
     comp = qprev @ fs @ qprev
@@ -387,7 +390,8 @@ def full_size_report(seqs):
     h = qs @ fs @ qs - lams * qs
     excess = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
     return [{"commutator": comm[i].max(),
-             "compression_excess": excess[i].max()} for i in range(len(seqs))]
+             "compression_excess": excess[i].max()}
+            for i in range(len(seqs.lam))]
 
 
 @pytest.mark.parametrize("convention", ["closed", "half-open"])
@@ -397,12 +401,12 @@ def test_level_size_recursion_matches_full_size_oracle(spec, convention):
     f = random_positive_martingale(build_filtration(spec), trial_rng(31, 0))
     seqs = cuculescu(f, lams, convention)
     ref = full_size_cuculescu(f, lams, convention)
-    for i, seq in enumerate(seqs):
-        assert np.abs(seq.qs.blocks - ref[i]).max() <= 1e-12
-    for got, want in zip(cuculescu_report(seqs), full_size_report(seqs),
-                         strict=True):
+    for i in range(len(lams)):
+        assert np.abs(seqs.qs[i].blocks - ref[i]).max() <= 1e-12
+    got = cuculescu_report(seqs)
+    for i, want in enumerate(full_size_report(seqs)):
         for key, val in want.items():
-            assert abs(got[key] - val) <= 1e-12
+            assert abs(got[key][i] - val) <= 1e-12
 
 
 @pytest.mark.parametrize("spec", LEVEL_SPECS)
@@ -412,6 +416,30 @@ def test_q_n_lies_in_its_level(spec):
     # a corner level is solved at full size, so the rounding of its
     # eigenvectors outside M_k remains
     tol = 1e-15 if filt.spec.kind == "corner" else 0.0
-    for seq in cuculescu(f, 2.0 ** np.arange(-2, 5)):
-        for k, q in zip(f.levels, seq.qs):
+    seq = cuculescu(f, 2.0 ** np.arange(-2, 5))
+    for qs in seq.qs:
+        for k, q in zip(f.levels, qs):
             assert np.abs(filt.expect(q, k).blocks - q.blocks).max() <= tol
+
+
+# -- the lambda batch against one call per threshold -------------------------
+
+BATCH_LAMS = 2.0 ** np.arange(-2, 5)
+
+
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,2"])
+def test_batch_entries_equal_scalar_calls(spec):
+    f = random_positive_martingale(build_filtration(spec), trial_rng(33, 0))
+    # the thresholds in a shuffled order: no entry may lean on its place
+    for lams in (BATCH_LAMS, BATCH_LAMS[[3, 0, 6, 2, 5, 1, 4]]):
+        seq = cuculescu(f, lams)
+        assert seq.qs.batch == lams.shape + (len(f.levels),)
+        assert_entries_match_scalar_calls(
+            seq, lams, lambda lam: cuculescu(f, lam))
+        assert_entries_match_scalar_calls(
+            cuculescu_report(seq), lams,
+            lambda lam: cuculescu_report(cuculescu(f, lam)))
+        for i, lam in enumerate(lams):
+            one = cuculescu(f, lam)
+            assert (q_lambda(seq)[i] - q_lambda(one)).max_abs() <= 1e-12
+            assert (seq.q_prev[i] - one.q_prev).max_abs() <= 1e-12

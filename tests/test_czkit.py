@@ -14,6 +14,8 @@ from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
                          proj_meet, schatten_norm, singular_values,
                          spectral_projection)
 
+from batch_entries import assert_entries_match_scalar_calls, entry
+
 
 def _grid_mart(seed, n=1, K=4, d=2):
     filt = GridFiltration(n, K, d)
@@ -66,14 +68,24 @@ def thmB1_pair_loop_oracle(tf_family, split):
     return a_ops, b_ops
 
 
+def cube_xi(parts):
+    """xi_Q, the block of q_k on the first cell of each level-k cube Q,
+    keyed by (level, cube corner), for the parts at one threshold."""
+    filt = parts.filtration
+    return {(k, Q.corner): b for pos, k in enumerate(parts.martingale.levels)
+            for Q, b in zip(filt.cubes_at_level(k),
+                            parts.qs.blocks[pos, filt.first_cells(k)])}
+
+
 def cube_inequality_oracle(zd):
     """zeta_cube_inequalities with one eigvalsh per 2x2 block."""
     filt = zd.parts.filtration
+    xi = cube_xi(zd.parts)
     worst_strong = worst_weak = np.inf
     for k in zd.parts.martingale.levels[1:]:
         for Q in filt.cubes_at_level(k):
-            xi_q = zd.xi[(k, Q.corner)]
-            xi_hat = zd.xi[(k - 1, dyadic_father(Q).corner)]
+            xi_q = xi[(k, Q.corner)]
+            xi_hat = xi[(k - 1, dyadic_father(Q).corner)]
             strong_cap = np.eye(filt.d) - xi_hat + xi_q
             for blk in zd.zeta.blocks[filt.concentric_mask(Q, 9)]:
                 h1 = strong_cap - blk
@@ -116,11 +128,13 @@ def test_zeta_matches_per_cube_oracle(n, K, d):
     for t in range(3):
         f = random_positive_martingale(GridFiltration(n, K, d),
                                        trial_rng(63, t))
-        for parts in cz_decompose(f, 2.0 ** np.arange(0, 5)):
-            zd = zeta(f, parts.lam, parts)
-            xi, psi, zeta_k, z = zeta_per_cube_oracle(parts)
-            assert zd.xi.keys() == xi.keys()
-            assert all(np.array_equal(zd.xi[key], xi[key]) for key in xi)
+        batch = zeta(cz_decompose(f, 2.0 ** np.arange(0, 5)))
+        for i in range(len(batch.parts.lam)):
+            zd = entry(batch, i)
+            xi, psi, zeta_k, z = zeta_per_cube_oracle(zd.parts)
+            assert cube_xi(zd.parts).keys() == xi.keys()
+            assert all(np.array_equal(cube_xi(zd.parts)[key], xi[key])
+                       for key in xi)
             for got, ref in zip(zd.psi, psi):
                 assert (got - ref).max_abs() <= 1e-12
                 # a cell no kept 9Q covers stays exactly zero
@@ -151,7 +165,7 @@ def test_stacked_pair_sums_match_oracle(n, K, d):
 def test_stacked_cube_inequalities_match_oracle(n, K, d):
     f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(61, 0))
     for e in range(0, 5):
-        zd = zeta(f, 2.0 ** e)
+        zd = zeta(cz_decompose(f, 2.0 ** e))
         got = zeta_cube_inequalities(zd)
         ref = cube_inequality_oracle(zd)
         for key in ("strong_min_eig", "weak_min_eig"):
@@ -168,13 +182,10 @@ def test_cube_inequalities_reach_the_rim_of_9Q():
     one = filt.algebra.unit()
     dead = np.ones((32, 1, 1), dtype=complex)
     dead[20] = 0.0
-    qs = [one] * 5 + [Op(dead, filt.algebra)]
+    qs = Op(np.stack([one.blocks] * 5 + [dead]), filt.algebra)
     z = np.zeros((32, 1, 1), dtype=complex)
     z[24] = 1.0
-    zd = ZetaData(1.0, [], [], Op(z, filt.algebra), {},
-                  replace(parts, qs=qs))
-    zd.xi = {(k, Q.corner): qs[k].blocks[filt.cube_cells(Q)[0]]
-             for k in filt.levels for Q in filt.cubes_at_level(k)}
+    zd = ZetaData([], [], Op(z, filt.algebra), replace(parts, qs=qs))
     for rep in (zeta_cube_inequalities(zd), cube_inequality_oracle(zd)):
         assert rep["weak_min_eig"] == pytest.approx(-1.0)
         assert rep["strong_min_eig"] == pytest.approx(-1.0)
@@ -187,9 +198,9 @@ def test_lambda_batch_matches_per_lambda_calls(n, K, d):
         f = random_positive_martingale(GridFiltration(n, K, d),
                                        trial_rng(62, t))
         batch = cz_decompose(f, lams)
-        assert len(batch) == len(lams)
-        for lam, parts in zip(lams, batch):
-            ref = cz_decompose(f, lam)
+        assert batch.lam.shape == batch.m_lambda.shape == lams.shape
+        for i, lam in enumerate(lams):
+            parts, ref = entry(batch, i), cz_decompose(f, lam)
             assert parts.lam == ref.lam == lam
             assert parts.m_lambda == ref.m_lambda
             for got, want in [(parts.g_d, ref.g_d), (parts.g_off, ref.g_off),
@@ -227,9 +238,9 @@ def test_good_part_bounds():
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
 def test_b_d_l1_sum_matches_per_term_norms(n, K, d):
     f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(54, 0))
-    for parts in cz_decompose(f, 2.0 ** np.arange(0, 5)):
-        ref = sum(schatten_norm(t, 1) for t in parts.b_d_terms)
-        got = cz_report(parts)["b_d_l1_sum"]
+    parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
+    for i, got in enumerate(cz_report(parts)["b_d_l1_sum"]):
+        ref = sum(schatten_norm(t, 1) for t in parts.b_d_terms[i])
         assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15
 
 
@@ -265,7 +276,7 @@ def test_high_threshold_everything_good():
 def test_zeta_is_projection_with_mass_bound():
     f = _grid_mart(55)
     for lam in (1.0, 2.0):
-        rep = zeta_report(zeta(f, lam))
+        rep = zeta_report(zeta(cz_decompose(f, lam)))
         assert rep["is_projection"]
         assert rep["excised_mass_ratio"] <= 1.0 + 1e-9
 
@@ -278,7 +289,7 @@ def test_zeta_scalar_dilation_oracle():
     vals[3] = 4.5
     f = Martingale(filt, Op(vals.astype(complex)[:, None, None],
                             filt.algebra))
-    zd = zeta(f, 2.0)
+    zd = zeta(cz_decompose(f, 2.0))
     mask = zd.zeta.blocks[:, 0, 0].real
     # averages exceed 2 on: level-2 cube {2,3} and level-3 cell {3}; their
     # 9-dilations at the respective levels cover cells 0..7? level-2 cube
@@ -296,7 +307,7 @@ def test_zeta_scalar_dilation_oracle():
 
 def test_zeta_cube_inequalities_hold():
     f = _grid_mart(56)
-    rep = zeta_cube_inequalities(zeta(f, 2.0))
+    rep = zeta_cube_inequalities(zeta(cz_decompose(f, 2.0)))
     assert rep["strong_min_eig"] >= -1e-8
     assert rep["weak_min_eig"] >= -1e-8
 
@@ -384,18 +395,28 @@ def g_off_layers_loop_oracle(parts):
 def test_g_off_layers_match_loop_oracle(n, K, d):
     f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(68, 0))
     seen_terms = 0
-    for parts in cz_decompose(f, 2.0 ** np.arange(-2, 5)):
-        lay = g_off_layers(parts)
+    batch = cz_decompose(f, 2.0 ** np.arange(-2, 5))
+    batch_lay = g_off_layers(batch)
+    batch_report = g_off_layer_report(batch, batch_lay)
+    for i in range(len(batch.lam)):
+        parts = entry(batch, i)
+        lay = dict(batch_lay, layers=batch_lay["layers"][i],
+                   terms=batch_lay["terms"][i])
         layers, terms, report = g_off_layers_loop_oracle(parts)
         assert len(lay["layers"]) == len(layers)
         for s, ref in layers.items():
             assert (lay["layers"][s - 1] - ref).max_abs() <= 1e-12
+        # the batch keeps every (s, k) pair; the oracle's are those above
+        # m_lambda, and the others are exact zeros
         pairs = [(s, k, t) for s, row in terms.items() for k, t in row]
-        assert [(s, k) for s, k, _ in pairs] == list(zip(lay["s"], lay["k"]))
-        for got, (_, _, ref) in zip(lay["terms"], pairs):
-            assert (got - ref).max_abs() <= 1e-12
+        live = [j for j, k in enumerate(batch_lay["k"])
+                if f.levels[k] > parts.m_lambda]
+        assert [(s, k) for s, k, _ in pairs] == [
+            (batch_lay["s"][j], batch_lay["k"][j]) for j in live]
+        for j, (_, _, ref) in zip(live, pairs):
+            assert (lay["terms"][j] - ref).max_abs() <= 1e-12
         seen_terms += len(pairs)
-        got = g_off_layer_report(parts, lay)
+        got = entry(batch_report, i)
         for key, ref in report.items():
             assert abs(got[key] - ref) <= 1e-12 * abs(ref) + 1e-15
     assert seen_terms > 0
@@ -423,7 +444,7 @@ def eighteen_product_oracle(f, parts):
     """g_d, g_off, b_d, b_off and the b_d terms from the 18 stacked products
     the split used before it relied on Hermitian factors."""
     one = np.eye(f.algebra.d)
-    Q = np.stack([p.qs.blocks for p in parts])
+    Q = parts.qs.blocks
     Qprev = np.concatenate([np.broadcast_to(one, Q[:, :1].shape), Q[:, :-1]],
                            axis=1)
     P, F = Qprev - Q, f.seq.blocks
@@ -461,7 +482,8 @@ def test_split_matches_eighteen_product_oracle(n, K, d):
                                        trial_rng(66, t))
         parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
         g_d, g_off, b_d, b_off, terms = eighteen_product_oracle(f, parts)
-        for i, p in enumerate(parts):
+        for i in range(len(parts.lam)):
+            p = entry(parts, i)
             for got, want in ((p.g_d, g_d[i]), (p.g_off, g_off[i]),
                               (p.b_d, b_d[i]), (p.b_off, b_off[i]),
                               (p.b_d_terms, terms[i])):
@@ -473,11 +495,50 @@ def test_batched_report_matches_per_lambda_oracle(n, K, d):
     f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(67, 0))
     parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
     reports = cz_report(parts)
-    assert len(reports) == len(parts)
-    for p, got in zip(parts, reports):
+    assert all(np.shape(v) in ((), parts.lam.shape) for v in reports.values())
+    for i in range(len(parts.lam)):
+        p, got = entry(parts, i), entry(reports, i)
         want = per_lambda_cz_report(p)
         assert got.keys() == want.keys()
         one = cz_report(p)
         for key, val in want.items():
             assert abs(got[key] - val) <= 1e-12 * abs(val) + 1e-14
             assert abs(one[key] - val) <= 1e-12 * abs(val) + 1e-14
+
+
+# -- the lambda batch against one call per threshold -------------------------
+
+@pytest.mark.parametrize("spec", ["grid:1,4,2", "grid:2,3,2"])
+def test_batch_entries_equal_scalar_calls(spec):
+    # CZ lives on the grid algebra only, so tensor:4 has no entry here
+    n, K, d = (int(p) for p in spec.split(":")[1].split(","))
+    f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(70, 0))
+    lams = 2.0 ** np.arange(-2, 5)
+    parts = cz_decompose(f, lams)
+    zd = zeta(parts)
+    lay = g_off_layers(parts)
+    pairs = {"s": lay["s"], "k": lay["k"]}
+    for got, call in (
+            (parts, lambda lam: cz_decompose(f, lam)),
+            (cz_report(parts), lambda lam: cz_report(cz_decompose(f, lam))),
+            (zd, lambda lam: zeta(cz_decompose(f, lam))),
+            (zeta_report(zd), lambda lam: zeta_report(zeta(cz_decompose(
+                f, lam)))),
+            (zeta_cube_inequalities(zd), lambda lam: zeta_cube_inequalities(
+                zeta(cz_decompose(f, lam)))),
+            (dict(lay, **{key: None for key in pairs}), lambda lam: dict(
+                g_off_layers(cz_decompose(f, lam)), **{key: None
+                                                       for key in pairs})),
+            (g_off_layer_report(parts, lay), lambda lam: g_off_layer_report(
+                cz_decompose(f, lam), g_off_layers(cz_decompose(f, lam))))):
+        assert_entries_match_scalar_calls(got, lams, call)
+    # the (s, k) pairs are the same at every threshold; those at or below
+    # m_lambda are masked to exact zeros, and the layers keep their sums
+    one = g_off_layers(cz_decompose(f, lams[-1]))
+    assert all(np.array_equal(one[key], pairs[key]) for key in pairs)
+    masked = np.asarray(f.levels)[lay["k"]] <= parts.m_lambda[:, None]
+    assert masked.any() and not masked.all()
+    assert not lay["terms"].blocks[masked].any()
+    for i in range(len(lams)):
+        one = g_off_layers(cz_decompose(f, lams[i]))
+        assert np.array_equal(lay["layers"].blocks[i], one["layers"].blocks)

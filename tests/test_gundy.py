@@ -13,6 +13,8 @@ from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
 from nclp.martingale import CoeffMatrix, Martingale, transform_family
 from nclp.opcore import annihilation_check, l2_norm, op_norm, schatten_norm
 
+from batch_entries import assert_entries_match_scalar_calls
+
 
 def _mart(seed, filt=None):
     filt = filt or TensorDyadicFiltration(3)
@@ -244,3 +246,25 @@ def test_cross_experiment_matches_per_block_oracle(spec):
     eta = random_coeffs(len(f.levels), 2, trial_rng(74, 1), "row-eq-one")
     ref = cross_lhs_per_block_oracle(f, rho, eta)
     assert abs(cross_experiment(f, rho, eta)["lhs"] - ref) <= 1e-12 * ref
+
+
+# -- the lambda batch against one call per threshold -------------------------
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_batch_entries_equal_scalar_calls(spec):
+    f = _mart(75, build_filtration(spec))
+    lams = 2.0 ** np.arange(-2, 5)
+    # descending too: an entry that read another threshold's q would see a
+    # larger projection that does not annihilate its d_gamma
+    for order in (lams, lams[::-1]):
+        parts = gundy(f, order)
+        assert parts.d_alpha.batch == order.shape + (len(f.levels),)
+        assert_entries_match_scalar_calls(parts, order,
+                                          lambda lam: gundy(f, lam))
+        rep = gundy_verify(parts)
+        assert_entries_match_scalar_calls(
+            rep, order, lambda lam: gundy_verify(gundy(f, lam)))
+        assert all(rep["gamma_annihilated"])
+        assert_entries_match_scalar_calls(
+            f.expect_each(parts.d_alpha, lag=1), order,
+            lambda lam: f.expect_each(gundy(f, lam).d_alpha, lag=1))

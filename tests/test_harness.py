@@ -440,7 +440,8 @@ def test_cli_gundy_measures_the_truncation_at_every_lambda(
     seen, real = [], harness.delta_trunc
 
     def spy(x, pi, ell):
-        seen.append((pi.l_min, ell, pi.l_max))
+        # one call truncates every threshold's d_gamma at its own ell
+        seen.extend((pi.l_min, e, pi.l_max) for e in np.atleast_1d(ell))
         return real(x, pi, ell)
 
     monkeypatch.setattr(harness, "delta_trunc", spy)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from nclp.pseudoloc import (DiscOp, _circulant_index, _on_rows,
                             lambda_family, localization_check,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
                             paraproduct, paraproduct_adjoint,
-                            paraproduct_adjoint_mats, paraproduct_correction,
+                            paraproduct_correction,
                             phi_psi_apply, phi_psi_hat, phi_s, phi_s_hat,
                             psi_s, psi_s_hat, restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
@@ -105,6 +107,18 @@ def oracle_paraproduct_adjoint_mats(rho, K):
         for b in range(0, N, L):
             out[:, b:b + L, b:b + L] += d[b:b + L].T[:, None, :] / L
     return out
+
+
+def paraproduct_adjoint_mats(rho, K):
+    """Pi_rho* : L2 -> L2 (x) C^M applied to the identity, (M, N, N)."""
+    return np.moveaxis(paraproduct_adjoint(rho, np.eye(1 << K), K), -1, 0)
+
+
+def dense_paraproduct_correction(T):
+    """T0 = T - Pi_rho* with rho = T*1 as kernel matrices; returns
+    (T0, rho)."""
+    rho = adjoint_one(T)
+    return replace(T, mats=T.mats - paraproduct_adjoint_mats(rho, T.K)), rho
 
 
 def oracle_rho_bmo(rho, K):
@@ -348,7 +362,7 @@ def test_non_finite_mats_raise_numeric_error(bad):
     with pytest.raises(NumericError):
         estimate_norm(mats)
     with pytest.raises(NumericError):
-        normalized(DiscOp(mats, T.K, T.kernel, T.eps))
+        normalized(DiscOp(mats, T.K, T.kernel))
     with pytest.raises(NumericError):
         cotlar_bound([mats, T.mats])
 
@@ -363,9 +377,13 @@ def test_estimate_norm_vs_svd_oracle():
 
 
 def test_normalized_has_unit_norm():
-    Tn = normalized(_T(4, 3))
+    T = _T(4, 3)
+    Tn = normalized(T)
     assert estimate_norm(Tn.mats) == pytest.approx(1.0, rel=1e-8)
-    assert Tn.normalization > 1e-12
+    # the divisor is the norm of the raw assembly
+    est = estimate_norm(T.mats)
+    assert est > 1e-12
+    assert np.array_equal(Tn.mats, T.mats / est)
 
 
 # -- shifted pieces ----------------------------------------------------------
@@ -386,7 +404,7 @@ def test_ekt_delta_annihilates_coarse_functions():
 def test_haar_pieces_match_oracle(K, kernel, corrected):
     T = normalized(assemble(_kernel(kernel, K), K))
     if corrected:
-        T = paraproduct_correction(T)[0]
+        T = dense_paraproduct_correction(T)[0]
     tol = 1e-12 * np.abs(T.mats).max()
     for s in range(1, K):
         assert np.abs(phi_s(T, s).mats - oracle_phi_s(T, s)).max() <= tol
@@ -506,9 +524,28 @@ def test_paraproduct_adjoint_mats_match_direct():
 
 def test_paraproduct_correction_kills_adjoint_one():
     T = _T(5, 2)
-    T0, rho = paraproduct_correction(T)
+    T0, rho = dense_paraproduct_correction(T)
     assert np.allclose(rho, adjoint_one(T))
     assert np.abs(adjoint_one(T0)).max() < 1e-12 * np.abs(rho).max() + 1e-15
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli",
+                                    "random"])
+@pytest.mark.parametrize("K", [4, 7])
+def test_t0_haar_matrix_matches_dense_correction(K, kernel):
+    # the three kernels are circulants, so rho = T*1 is constant and
+    # Pi_rho* is rounding; a random T makes the correction of full size
+    if kernel == "random":
+        rng = np.random.default_rng(80 + K)
+        T = DiscOp(_complex(rng, 2, 1 << K, 1 << K), K, None)
+    else:
+        T = normalized(assemble(_kernel(kernel, K), K))
+    ref = haar2(dense_paraproduct_correction(T)[0].mats)
+    assert _rel_err(paraproduct_correction(T), ref) <= 1e-12
+    if kernel == "random":
+        assert _rel_err(haar2(T.mats), ref) > 1e-3
+    # T0* 1 is constant: row 0 of its Haar matrix vanishes past column 0
+    assert np.abs(ref[:, 0, 1:]).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_rho_bmo_constant_is_zero():
@@ -553,7 +590,7 @@ def test_vanish_matches_loop_oracle(K, M):
         assert _rel_err(vanish_sum(rho, f, s, K),
                         oracle_vanish_sum(rho, f, s, K)) <= 1e-12
     # outside Sigma_{f,s} both sums vanish up to rounding
-    T = DiscOp(_complex(rng, M, N, N), K, None, 0.0)
+    T = DiscOp(_complex(rng, M, N, N), K, None)
     for s in range(1, K):
         g = _localized_scalar(N, K, s, rng)
         got, ref = vanish_check(T, g, s), oracle_vanish_check(T, g, s)
@@ -689,11 +726,11 @@ def test_zeta_fs_matches_per_cell_join_oracle(n, K, d):
     touched = 0
     for t in range(2):
         f = random_positive_martingale(filt, trial_rng(66, t))
-        for parts in cz_decompose(f, 2.0 ** np.arange(0, 4)):
+        parts = cz_decompose(f, 2.0 ** np.arange(0, 4))
+        for qs in parts.qs:
             for s in (1, 2):
                 levels = list(range(0, K - s + 1))
-                untouched = _check_zeta_fs(filt, parts.qs[:len(levels)],
-                                           levels)
+                untouched = _check_zeta_fs(filt, qs[:len(levels)], levels)
                 touched += int((~untouched).sum())
     assert touched > 0
 
