@@ -6,8 +6,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
@@ -88,6 +90,13 @@ def _cube_cells(K: int) -> np.ndarray:
     return 1 << (K - np.maximum(_haar_levels(K), 0))
 
 
+def _cube_starts(K: int) -> np.ndarray:
+    """The first cell of Q_i for each Haar coefficient (the constant's: 0)."""
+    i = np.arange(1 << K)
+    first = (i - (1 << np.maximum(_haar_levels(K), 0))) * _cube_cells(K)
+    return np.where(i > 0, first, 0)
+
+
 def _subtree_sums(w: np.ndarray) -> np.ndarray:
     """For i >= 1 along the last axis, the sum of w over the cubes in Q_i."""
     S = w.copy()
@@ -116,6 +125,52 @@ def support_cubes(f: np.ndarray, s: int, K: int) -> list[np.ndarray]:
     big = np.abs(haar(f)) / np.sqrt(_cube_cells(K)) > 1e-12 * scale
     return [big[1 << (k + s - 1):2 << (k + s - 1)].reshape(1 << k, -1)
             .any(axis=1) for k in range(K - s + 1)]
+
+
+# -- Haar coefficients of a circulant ----------------------------------------
+# Row i of C[i, j] = c[(i - j) mod N] read along j from a is the reversed
+# column read from (a - i) mod N, so its coefficient over the cube Q at a
+# depends on (a - i) mod N only.  Read along i from a', that sequence is
+# in turn reversed, and the (row cube a', column cube a) coefficient
+# depends on (a' - a) mod N only: a column level's block of H C H^T is
+# one ``np.take`` from an (M, K+1, N) table of window sums, added in the
+# order ``haar`` adds them.
+
+def _reversed(x: np.ndarray) -> np.ndarray:
+    """x[(-t) mod N] along the last axis."""
+    return np.roll(x[..., ::-1], 1, axis=-1)
+
+
+def _haar_table(x: np.ndarray) -> np.ndarray:
+    """(..., K+1, N): entry [r, u] is the coefficient of level r - 1 (r = 0:
+    the constant) of x read from u on, x[u], x[u+1], ... (indices mod N),
+    equal bit for bit to ``haar`` of that sequence."""
+    N = x.shape[-1]
+    K = N.bit_length() - 1
+    W = [x]              # W[e][u] = x[u] + ... + x[u + 2^e - 1], as paired
+    for e in range(K):   # by haar: first half + second half
+        W.append(W[-1] + np.roll(W[-1], -(1 << e), axis=-1))
+    rows = [W[K] / np.sqrt(N)]
+    for lev in range(K):
+        half = W[K - lev - 1]
+        rows.append((half - np.roll(half, -(N >> (lev + 1)), axis=-1))
+                    / np.sqrt(N >> lev))
+    return np.stack(rows, axis=-2)
+
+
+def circulant_haar(col: np.ndarray, lo: int, hi: int,
+                   row0: int = 0) -> np.ndarray:
+    """Rows row0.. and columns lo..hi-1 of ``haar2`` of the circulants
+    C[m, i, j] = col[m, (i - j) mod N], bit for bit, without forming C."""
+    N = col.shape[-1]
+    K = N.bit_length() - 1
+    lev, start = _haar_levels(K) + 1, _cube_starts(K)
+    r, q = np.arange(row0, N)[:, None], np.arange(lo, hi)
+    rows = _haar_table(_reversed(col))[..., lev[lo]:lev[hi - 1] + 1, :]
+    table = _haar_table(_reversed(rows))
+    idx = (((lev[q] - lev[lo]) * (K + 1) + lev[r]) * N
+           + (start[r] - start[q]) % N)
+    return np.take(table.reshape(col.shape[:-1] + (-1,)), idx, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +265,19 @@ class DiscOp:
     def measure(self) -> float:
         return 2.0 ** (-self.K)
 
+    @cached_property
+    def column(self) -> np.ndarray:
+        """(M, N) first column c of the circulant ``mats``; raises
+        ContractViolation unless mats[m, i, j] == c[m, (i - j) mod N]
+        exactly."""
+        N = self.N
+        c = self.mats[:, :, 0].copy()
+        # row i is the window of the twice-repeated reversed c from N - 1 - i
+        rows = sliding_window_view(np.tile(c[:, ::-1], 2), N, axis=-1)
+        if not np.array_equal(self.mats, rows[:, N - 1::-1]):
+            raise ContractViolation("the operator is not a circulant")
+        return c
+
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(M, N, ...) result of T f for cellwise data f of shape (N, ...)."""
         return np.einsum("mij,j...->mi...", self.mats, f)
@@ -234,18 +302,13 @@ def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
     return DiscOp(np.take(col, _circulant_index(N), axis=1), K, kernel)
 
 
-def truncated_mats(T: DiscOp, eps: float) -> np.ndarray:
-    """Entries of T_eps: zero where torus distance <= eps."""
-    far = np.abs(_torus_offsets(T.N)) > eps
-    return np.where(far[_circulant_index(T.N)], T.mats, 0.0)
-
-
 # -- operator norms ----------------------------------------------------------
 
 def family_gram(mats: np.ndarray) -> np.ndarray:
     """T*T for T: L2 -> L2(C^M), one BLAS product of the stacked (M*N, N)."""
     A = mats.reshape(math.prod(mats.shape[:-1]), mats.shape[-1])
-    G = A.conj().T @ A
+    with np.errstate(invalid="ignore", over="ignore"):   # checked below
+        G = A.conj().T @ A
     if not np.all(np.isfinite(G)):
         raise NumericError("Gram matrix of non-finite operator matrices")
     return G
@@ -257,7 +320,11 @@ def _top_eigenvalue(G: np.ndarray) -> float:
 
 
 def estimate_norm(mats: np.ndarray) -> float:
-    """||T||: the top singular value of the stacked (M*N, N) matrix."""
+    """||T||: the top singular value of the stacked (M*N, N) matrix A,
+    from the smaller of the Grams A^H A and A A^H."""
+    rows, cols = math.prod(mats.shape[:-1]), mats.shape[-1]
+    if rows < cols:     # A A^H is the Gram of the one-component A^H
+        mats = mats.reshape(rows, cols).conj().T[None]
     return float(np.sqrt(_top_eigenvalue(family_gram(mats))))
 
 
@@ -305,18 +372,22 @@ def phi_s(T: DiscOp, s: int) -> DiscOp:
 
 def psi_s_hat(T: DiscOp, s: int) -> np.ndarray:
     """Haar coefficients of Psi_s: for each k the level-(k+s-1) column block
-    of H T_{4*2^{-k}} H^T, on rows at level >= k.  For k < 4 the truncation
-    radius 4*2^{-k} reaches the torus diameter 1/2 and empties T, so only
-    the columns from level s + 3 on are returned (none when K - s < 4)."""
+    of H T_{4*2^{-k}} H^T, on rows at level >= k, read off the truncated
+    first column of the circulant T (``DiscOp.column``).  For k < 4 the
+    truncation radius 4*2^{-k} reaches the torus diameter 1/2 and empties
+    T, so only the columns from level s + 3 on are returned (none when
+    K - s < 4)."""
     _check_s(T.K, s)
-    blocks = [np.zeros(T.mats.shape[:-1] + (0,), dtype=T.mats.dtype)]
+    col, N = T.column, T.N
+    start = min(8 << s, N)
+    out = np.zeros(col.shape + (N - start,), dtype=np.result_type(col, float))
+    dist = np.abs(_torus_offsets(N))
     for k in range(4, T.K - s + 1):
-        lev = k + s - 1
-        tk = truncated_mats(T, 4.0 * 2.0 ** (-k))
-        block = _on_rows(haar, haar(tk, lev + 1)[..., 1 << lev:])
-        block[..., :1 << k, :] = 0.0
-        blocks.append(block)
-    return np.concatenate(blocks, axis=-1)
+        lo = 1 << (k + s - 1)
+        tk = np.where(dist > 4.0 * 2.0 ** (-k), col, 0.0)
+        out[..., 1 << k:, lo - start:2 * lo - start] = circulant_haar(
+            tk, lo, 2 * lo, 1 << k)
+    return out
 
 
 def psi_s(T: DiscOp, s: int) -> DiscOp:

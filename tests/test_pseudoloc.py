@@ -11,7 +11,8 @@ from nclp.harness import (_localized_scalar, random_positive_martingale,
 from nclp.opcore import Op, dense_algebra, proj_join
 from nclp.pseudoloc import (DiscOp, _circulant_index, _on_rows,
                             _torus_offsets, adjoint_one, annuli_kernel,
-                            assemble, cotlar_bound, ekt_delta, estimate_norm, family_gram, grid_l2,
+                            assemble, circulant_haar, cotlar_bound,
+                            ekt_delta, estimate_norm, family_gram, grid_l2,
                             haar, haar2, hilbert_kernel, ihaar, ksk_check,
                             lambda_family, localization_check,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
@@ -20,7 +21,7 @@ from nclp.pseudoloc import (DiscOp, _circulant_index, _on_rows,
                             phi_psi_apply, phi_psi_hat, phi_s, phi_s_hat,
                             psi_s, psi_s_hat, restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
-                            truncated_mats, vanish_check, vanish_sum, zeta_fs)
+                            vanish_check, vanish_sum, zeta_fs)
 
 
 def _T(K=5, M=3, eps=0.0):
@@ -55,6 +56,25 @@ def oracle_ekt_delta(mats, k, j):
 def oracle_phi_s(T, s):
     return sum(oracle_ekt_delta(T.mats, k, k + s)
                for k in range(0, T.K - s + 1))
+
+
+def truncated_mats(T, eps):
+    """Entries of T_eps: zero where torus distance <= eps."""
+    far = np.abs(_torus_offsets(T.N)) > eps
+    return np.where(far[_circulant_index(T.N)], T.mats, 0.0)
+
+
+def dense_psi_s_hat(T, s):
+    """``psi_s_hat`` from the Haar transforms of the dense truncated stacks
+    T_{4*2^{-k}}, one per k (no circulant structure used)."""
+    blocks = [np.zeros(T.mats.shape[:-1] + (0,), dtype=T.mats.dtype)]
+    for k in range(4, T.K - s + 1):
+        lev = k + s - 1
+        tk = truncated_mats(T, 4.0 * 2.0 ** (-k))
+        block = _on_rows(haar, haar(tk, lev + 1)[..., 1 << lev:])
+        block[..., :1 << k, :] = 0.0
+        blocks.append(block)
+    return np.concatenate(blocks, axis=-1)
 
 
 def oracle_psi_s(T, s):
@@ -354,6 +374,7 @@ def test_family_gram_is_stacked_product():
     assert np.allclose(G, G.conj().T, atol=0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_mats_raise_numeric_error(bad):
     T = _T(4, 2)
@@ -374,6 +395,30 @@ def test_estimate_norm_vs_svd_oracle():
     stacked = T.mats.reshape(-1, T.N)
     top = float(np.linalg.svd(stacked, compute_uv=False)[0])
     assert estimate_norm(T.mats) == pytest.approx(top, rel=1e-8)
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 16), (2, 4, 16), (3, 8, 0)],
+                         ids=["tall", "wide", "empty"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_estimate_norm_from_smaller_gram_vs_svd(shape, dtype, monkeypatch):
+    import nclp.pseudoloc as pl
+    rng = np.random.default_rng(64)
+    mats = rng.standard_normal(shape)
+    if dtype is complex:
+        mats = mats + 1j * rng.standard_normal(shape)
+    A = mats.reshape(shape[0] * shape[1], shape[2])
+    top = np.linalg.svd(A, compute_uv=False).max(initial=0.0)
+    grams, real = [], pl.family_gram
+
+    def recorded(x):
+        grams.append(x.shape)
+        return real(x)
+
+    monkeypatch.setattr(pl, "family_gram", recorded)
+    assert estimate_norm(mats) == pytest.approx(top, rel=1e-12, abs=0.0)
+    # one Gram of a 3-D stack, of side min(rows, cols) of A
+    assert len(grams) == 1 and len(grams[0]) == 3
+    assert grams[0][-1] == min(A.shape)
 
 
 def test_normalized_has_unit_norm():
@@ -408,12 +453,55 @@ def test_haar_pieces_match_oracle(K, kernel, corrected):
     tol = 1e-12 * np.abs(T.mats).max()
     for s in range(1, K):
         assert np.abs(phi_s(T, s).mats - oracle_phi_s(T, s)).max() <= tol
-        assert np.abs(psi_s(T, s).mats - oracle_psi_s(T, s)).max() <= tol
+        if not corrected:   # Psi_s needs a circulant; T0 is one up to rounding
+            assert np.abs(psi_s(T, s).mats - oracle_psi_s(T, s)).max() <= tol
     for j in range(1, K + 1):
         cols = avg_cols(T.mats, j) - avg_cols(T.mats, j - 1)
         for k in range(0, K + 1):   # oracle_ekt_delta(T.mats, k, j)
             assert np.abs(ekt_delta(T.mats, k, j)
                           - avg_rows(cols, k)).max() <= tol
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [4, 7, 9])
+def test_circulant_haar_matches_haar2(K, kernel):
+    T = normalized(assemble(_kernel(kernel, K), K))
+    ref = haar2(T.mats)
+    tol = 1e-14 * np.abs(ref).max()
+    N = T.N
+    whole = circulant_haar(T.column, 0, N)
+    assert whole.shape == ref.shape and whole.dtype == ref.dtype
+    assert np.abs(whole - ref).max() <= tol
+    # column ranges inside one level and across levels, from row row0 on
+    for lo, hi, row0 in [(0, 1, 0), (1, 2, 1), (N // 4, N // 2, N // 8),
+                         (3, N // 2 + 5, 5), (N - 3, N, N - 1)]:
+        got = circulant_haar(T.column, lo, hi, row0)
+        assert np.abs(got - ref[..., row0:, lo:hi]).max() <= tol
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [4, 6, 8])
+def test_psi_s_hat_equals_dense_truncated_stacks(K, kernel):
+    # the column read-off adds in the order of the dense transforms
+    T = normalized(assemble(_kernel(kernel, K), K))
+    for s in range(1, K):
+        got, ref = psi_s_hat(T, s), dense_psi_s_hat(T, s)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+def test_column_requires_an_exact_circulant():
+    T = normalized(_T(5, 3, eps=0.1))
+    assert np.array_equal(T.column, T.mats[:, :, 0])
+    rng = np.random.default_rng(65)
+    near = T.mats.copy()
+    near[1, 7, 3] = np.nextafter(near[1, 7, 3], 1.0)   # one ulp off
+    for op in (DiscOp(rng.standard_normal(T.mats.shape), T.K, None),
+               phi_s(T, 3), replace(T, mats=near)):
+        with pytest.raises(ContractViolation):
+            op.column
+        with pytest.raises(ContractViolation):
+            psi_s_hat(op, 2)
 
 
 @pytest.mark.parametrize("kernel", ["lp-bumps", "annuli"])
