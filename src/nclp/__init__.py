@@ -29,9 +29,8 @@ from .pseudoloc import (DiscOp, HilbertKernel, annuli_kernel, assemble,
                         estimate_norm, hilbert_kernel, ksk_check,
                         localization_check, lp_bumps_kernel,
                         nc_pseudoloc_check, normalized, paraproduct,
-                        paraproduct_adjoint, paraproduct_correction, phi_s,
-                        psi_s, schur_bound, schur_integrals_decay, sigma_set,
-                        vanish_check)
+                        paraproduct_correction, schur_bound,
+                        schur_integrals_decay, sigma_set, vanish_check)
 from .harness import (ExperimentConfig, random_coeffs,
                       random_positive_martingale, run)
 

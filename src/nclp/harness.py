@@ -23,8 +23,8 @@ from .gundy import (cross_experiment, ergodic_coeffs, ergodic_row_bound,
                     gundy, gundy_verify, weak11_experiment)
 from .martingale import (CoeffMatrix, Martingale, bmo_norms, function_bmo,
                          l2_identity_check, transform_family)
-from .opcore import (Op, l2_norm, mu_function, op_norm, schatten_norm,
-                     weak_l1)
+from .opcore import (Op, l2_inner, l2_norm, mu_function, op_norm,
+                     schatten_norm, weak_l1)
 
 ENVELOPE = 64.0
 
@@ -253,8 +253,7 @@ def _norms(cfg, filt, rng, t):
         "holder_excess": max(holder, 0.0),
         "l1_mu_residual": abs(schatten_norm(a, 1) - mu.integral()),
         "weak_sup_residual": abs(weak_l1(a) - mu.sup_t_mu()),
-        "l2_inner_residual": abs(l2_norm(a) ** 2
-                                 - float((a @ a.H).trace().real)),
+        "l2_inner_residual": abs(l2_inner(a, a) - l2_norm(a) ** 2),
     }
 
 
@@ -432,10 +431,15 @@ def _localized_scalar(N, K, s, rng):
     return pl.ihaar(c, N)
 
 
+def _row0(T):
+    """Row 0 of T's first kernel matrix: c[(-j) mod N] of its column c."""
+    return np.roll(T.column[0, ::-1], 1)
+
+
 def _decay_setup(cfg):
     T = _operator(cfg)
     # H is orthogonal: ||Phi_s||, ||Psi_s|| are norms of their Haar blocks
-    return T, pl.paraproduct_correction(T)
+    return T, pl.paraproduct_correction(pl.circulant_haar(T.column, 0, T.N))
 
 
 def _decay(cfg, ctx, rng, t):
@@ -445,7 +449,7 @@ def _decay(cfg, ctx, rng, t):
     psi = pl.estimate_norm(pl.psi_s_hat(T, s))
     f = _localized_scalar(T.N, T.K, s, rng)
     chk = pl.commutative_pseudoloc_check(T, f, s)
-    return (np.array([s]), T.mats[0, 0]), {
+    return (np.array([s]), _row0(T)), {
         "s": float(s), "phi_norm": phi, "psi_norm": psi,
         "comm_ratio": chk["ratio"],
     }
@@ -486,14 +490,14 @@ def _ksk(cfg, ctx, rng, t):
         rep = pl.ksk_check(T, s, k, n_pairs=70, rng=rng)
         resid = np.maximum(resid, rep["max_residual"])
         size_c = np.maximum(size_c, rep["size_constant"])
-    return ((np.array([K, s]), T.mats[0, 0]),
+    return ((np.array([K, s]), _row0(T)),
             {"max_residual": resid, "size_constant": size_c})
 
 
 def _paraproduct(cfg, T, rng, t):
     f = rng.standard_normal(T.N)
     rep = pl.paraproduct_bound_report(T, f)
-    return (f, T.mats[0, 0]), {
+    return (f, _row0(T)), {
         "lhs": rep["lhs"], "bound": rep["bound"],
         "excess": max(rep["lhs"] - rep["bound"], 0.0),
     }
@@ -502,18 +506,19 @@ def _paraproduct(cfg, T, rng, t):
 def _vanish_setup(cfg):
     T = _operator(cfg)
     s_lo, s_hi = cfg.s_range
-    return T, {s: pl.phi_psi_hat(T, s) for s in range(s_lo, s_hi + 1)}
+    return T, pl.adjoint_one(T), {s: pl.phi_psi_hat(T, s)
+                                  for s in range(s_lo, s_hi + 1)}
 
 
 def _vanish(cfg, ctx, rng, t):
-    T, hats = ctx
+    T, rho, hats = ctx
     worst = worst_rest = 0.0
     for s, hat in hats.items():
         f = _localized_scalar(T.N, T.K, s, rng)
-        worst = np.maximum(worst, pl.vanish_check(T, f, s))
+        worst = np.maximum(worst, pl.vanish_check(rho, f, s))
         rest = pl.restriction_identity_residual(T, f, s, hat)
         worst_rest = np.maximum(worst_rest, rest)
-    return (np.array([t]), T.mats[0, 0]), {
+    return (np.array([t]), _row0(T)), {
         "vanish_residual": worst,
         "restriction_residual": worst_rest,
     }

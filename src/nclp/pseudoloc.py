@@ -5,11 +5,9 @@ and the commutative and semicommutative localization checks."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
@@ -62,11 +60,6 @@ def ihaar(c: np.ndarray, N: int) -> np.ndarray:
 
 def _on_rows(f, x: np.ndarray, *args) -> np.ndarray:
     return f(x.swapaxes(-1, -2), *args).swapaxes(-1, -2)
-
-
-def haar2(mats: np.ndarray) -> np.ndarray:
-    """Haar-coefficient matrices H T H^T of kernel matrices (..., N, N)."""
-    return _on_rows(haar, haar(mats))
 
 
 def _from_haar(block: np.ndarray, N: int, col_start: int = 0) -> np.ndarray:
@@ -158,14 +151,17 @@ def _haar_table(x: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-def circulant_haar(col: np.ndarray, lo: int, hi: int,
-                   row0: int = 0) -> np.ndarray:
-    """Rows row0.. and columns lo..hi-1 of ``haar2`` of the circulants
-    C[m, i, j] = col[m, (i - j) mod N], bit for bit, without forming C."""
+def circulant_haar(col: np.ndarray, lo: int, hi: int, row0: int = 0,
+                   row1: int | None = None) -> np.ndarray:
+    """Rows row0..row1-1 (default: to the end) and columns lo..hi-1 of the
+    Haar-coefficient matrices H C H^T of the circulants C[m, i, j] =
+    col[m, (i - j) mod N], equal bit for bit to transforming the columns of
+    the dense C with ``haar`` and then its rows, without forming C."""
     N = col.shape[-1]
     K = N.bit_length() - 1
     lev, start = _haar_levels(K) + 1, _cube_starts(K)
-    r, q = np.arange(row0, N)[:, None], np.arange(lo, hi)
+    r = np.arange(row0, N if row1 is None else row1)[:, None]
+    q = np.arange(lo, hi)
     rows = _haar_table(_reversed(col))[..., lev[lo]:lev[hi - 1] + 1, :]
     table = _haar_table(_reversed(rows))
     idx = (((lev[q] - lev[lo]) * (K + 1) + lev[r]) * N
@@ -243,13 +239,14 @@ def annuli_kernel(K: int) -> HilbertKernel:
 
 @dataclass
 class DiscOp:
-    """Matrix realization of L2(grid) -> L2(grid) (x) C^M.
+    """Circulant realization of L2(grid) -> L2(grid) (x) C^M: the kernel
+    matrices are C[m, i, j] = column[m, (i - j) mod N].
 
-    ``mats[m, i, j]`` includes the quadrature measure 2^{-K}; the kernel
-    value at (x_i, y_j) is mats[m, i, j] * 2^K.
+    ``column`` includes the quadrature measure 2^{-K}; the kernel value at
+    (x_i, y_j) is C[m, i, j] * 2^K.
     """
 
-    mats: np.ndarray             # (M, N, N)
+    column: np.ndarray           # (M, N)
     K: int
     kernel: HilbertKernel | None
 
@@ -259,28 +256,29 @@ class DiscOp:
 
     @property
     def M(self) -> int:
-        return self.mats.shape[0]
+        return self.column.shape[0]
 
     @property
     def measure(self) -> float:
         return 2.0 ** (-self.K)
 
-    @cached_property
-    def column(self) -> np.ndarray:
-        """(M, N) first column c of the circulant ``mats``; raises
-        ContractViolation unless mats[m, i, j] == c[m, (i - j) mod N]
-        exactly."""
-        N = self.N
-        c = self.mats[:, :, 0].copy()
-        # row i is the window of the twice-repeated reversed c from N - 1 - i
-        rows = sliding_window_view(np.tile(c[:, ::-1], 2), N, axis=-1)
-        if not np.array_equal(self.mats, rows[:, N - 1::-1]):
-            raise ContractViolation("the operator is not a circulant")
-        return c
+    @property
+    def mats(self) -> np.ndarray:
+        """The dense (M, N, N) kernel matrices, built on every read."""
+        return np.take(self.column, _circulant_index(self.N), axis=1)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
-        """(M, N, ...) result of T f for cellwise data f of shape (N, ...)."""
-        return np.einsum("mij,j...->mi...", self.mats, f)
+        """(M, N, ...) result of T f for cellwise data f of shape (N, ...):
+        the circular convolution of each component with f, by FFT."""
+        dtype = np.result_type(self.column, f)
+        c = self.column[(...,) + (None,) * (np.ndim(f) - 1)]
+        if dtype.kind == "c":
+            out = np.fft.ifft(np.fft.fft(c, axis=1) * np.fft.fft(f, axis=0),
+                              axis=1)
+        else:
+            out = np.fft.irfft(np.fft.rfft(c, axis=1)
+                               * np.fft.rfft(f, axis=0), self.N, axis=1)
+        return out.astype(dtype, copy=False)
 
 
 def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
@@ -299,7 +297,7 @@ def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
         col *= 2.0 ** (-K)
         col[:, np.abs(_torus_offsets(N)) <= eps] = 0.0
         col[:, 0] = 0.0
-    return DiscOp(np.take(col, _circulant_index(N), axis=1), K, kernel)
+    return DiscOp(col, K, kernel)
 
 
 # -- operator norms ----------------------------------------------------------
@@ -329,10 +327,12 @@ def estimate_norm(mats: np.ndarray) -> float:
 
 
 def normalized(T: DiscOp) -> DiscOp:
+    """T / ||T||, the norm from the dense stack, which lives only during
+    this call."""
     est = estimate_norm(T.mats)
     if est <= 0:
         raise NumericError("cannot normalize a zero operator")
-    return replace(T, mats=T.mats / est)
+    return DiscOp(T.column / est, T.K, T.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -344,19 +344,20 @@ def _check_s(K: int, s: int):
         raise ContractViolation(f"shift s = {s} outside 1..{K - 1}")
 
 
-def ekt_delta(mats: np.ndarray, k: int, j: int) -> np.ndarray:
+def ekt_delta(T: DiscOp, k: int, j: int) -> np.ndarray:
     """E_k T Delta_j (j >= 1) as kernel matrices: the Haar block with rows
     at level < k and columns at level j - 1."""
     half = 1 << (j - 1)
-    cols = haar(mats, j)[..., half:]
-    return _from_haar(_on_rows(haar, cols, k), mats.shape[-1], half)
+    block = circulant_haar(T.column, half, 2 * half, 0, 1 << k)
+    return _from_haar(block, T.N, half)
 
 
 def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
-    """Haar coefficients of Phi_s from those of T (``haar2(T.mats)``): the
-    entries with row level <= column level - s.  Phi_s maps into E_{K-s},
-    so only the first 2^{K-s} rows, the ones that can be nonzero, are
-    returned."""
+    """Haar coefficients of Phi_s from those of T (``circulant_haar`` of
+    its column, or any Haar-coefficient matrices with at least 2^{K-s}
+    rows): the entries with row level <= column level - s.  Phi_s maps
+    into E_{K-s}, so only the first 2^{K-s} rows, the ones that can be
+    nonzero, are returned."""
     K = t_hat.shape[-1].bit_length() - 1
     _check_s(K, s)
     lev = _haar_levels(K)
@@ -365,18 +366,12 @@ def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
                     t_hat[..., :rows, :], 0.0)
 
 
-def phi_s(T: DiscOp, s: int) -> DiscOp:
-    """sum_{k=0}^{K-s} E_k T Delta_{k+s}."""
-    return replace(T, mats=_from_haar(phi_s_hat(haar2(T.mats), s), T.N))
-
-
 def psi_s_hat(T: DiscOp, s: int) -> np.ndarray:
     """Haar coefficients of Psi_s: for each k the level-(k+s-1) column block
     of H T_{4*2^{-k}} H^T, on rows at level >= k, read off the truncated
-    first column of the circulant T (``DiscOp.column``).  For k < 4 the
-    truncation radius 4*2^{-k} reaches the torus diameter 1/2 and empties
-    T, so only the columns from level s + 3 on are returned (none when
-    K - s < 4)."""
+    column of T.  For k < 4 the truncation radius 4*2^{-k} reaches the
+    torus diameter 1/2 and empties T, so only the columns from level s + 3
+    on are returned (none when K - s < 4)."""
     _check_s(T.K, s)
     col, N = T.column, T.N
     start = min(8 << s, N)
@@ -390,24 +385,20 @@ def psi_s_hat(T: DiscOp, s: int) -> np.ndarray:
     return out
 
 
-def psi_s(T: DiscOp, s: int) -> DiscOp:
-    """sum_{k=0}^{K-s} (id - E_k) T_{4*2^{-k}} Delta_{k+s}."""
-    hat = psi_s_hat(T, s)
-    return replace(T, mats=_from_haar(hat, T.N, T.N - hat.shape[-1]))
-
-
 def phi_psi_hat(T: DiscOp, s: int) -> tuple[np.ndarray, np.ndarray]:
     """The Haar blocks (``phi_s_hat``, ``psi_s_hat``) of Phi_s and Psi_s,
     computed once per (T, s) for any number of ``phi_psi_apply`` calls."""
-    return phi_s_hat(haar2(T.mats), s), psi_s_hat(T, s)
+    _check_s(T.K, s)
+    t_hat = circulant_haar(T.column, 0, T.N, 0, 1 << (T.K - s))
+    return phi_s_hat(t_hat, s), psi_s_hat(T, s)
 
 
 def phi_psi_apply(hat: tuple[np.ndarray, np.ndarray],
                   x: np.ndarray) -> np.ndarray:
     """(Phi_s + Psi_s) x, shaped (M, N, ...), for x with cells on axis 0
     (scalar or matrix-valued), applied through the Haar blocks ``hat`` of
-    ``phi_psi_hat`` instead of the dense kernel matrices of ``phi_s`` and
-    ``psi_s``."""
+    ``phi_psi_hat`` instead of the dense kernel matrices of Phi_s and
+    Psi_s."""
     phi, psi = hat
     M, N = phi.shape[0], phi.shape[-1]
     c = _on_rows(haar, x.reshape(N, -1))            # (N, cols) coefficients
@@ -419,7 +410,7 @@ def phi_psi_apply(hat: tuple[np.ndarray, np.ndarray],
 def lambda_family(T: DiscOp, s: int) -> list[np.ndarray]:
     """The Cotlar family Lambda_{s,k} = E_k T Delta_{k+s}."""
     _check_s(T.K, s)
-    return [ekt_delta(T.mats, k, k + s) for k in range(0, T.K - s + 1)]
+    return [ekt_delta(T, k, k + s) for k in range(0, T.K - s + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +423,7 @@ def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
     <T psi_{Qhat_y}, phi_{R_x}> on sampled pairs."""
     _check_s(T.K, s)
     N = T.N
-    A = ekt_delta(T.mats, k, k + s)
+    A = ekt_delta(T, k, k + s)
     Lr = N // (1 << k)            # cells per level-k cube
     Lq = N // (1 << (k + s))      # cells per level-(k+s) cube
     resid = 0.0
@@ -468,9 +459,9 @@ def _schur_integrals(mats: np.ndarray) -> tuple[float, float]:
     return float(norms.sum(axis=1).max()), float(norms.sum(axis=0).max())
 
 
-def schur_bound(T: DiscOp | np.ndarray) -> float:
-    """sqrt(||S1||_inf ||S2||_inf)."""
-    s1, s2 = _schur_integrals(T.mats if isinstance(T, DiscOp) else T)
+def schur_bound(mats: np.ndarray) -> float:
+    """sqrt(||S1||_inf ||S2||_inf) of kernel matrices (M, N, N)."""
+    s1, s2 = _schur_integrals(mats)
     return float(np.sqrt(s1 * s2))
 
 
@@ -505,7 +496,7 @@ def schur_integrals_decay(T: DiscOp, s_range, k_range) -> dict:
         for k in k_range:
             if k + s > T.K:
                 continue
-            s1, s2 = _schur_integrals(ekt_delta(T.mats, k, k + s))
+            s1, s2 = _schur_integrals(ekt_delta(T, k, k + s))
             rows.append({"s": s, "k": k,
                          "S1": s1, "S2": s2,
                          "S1_normalized": (2.0 ** (gamma * s)) * s1 / s,
@@ -520,8 +511,9 @@ def schur_integrals_decay(T: DiscOp, s_range, k_range) -> dict:
 # ---------------------------------------------------------------------------
 
 def adjoint_one(T: DiscOp) -> np.ndarray:
-    """rho = T*1 componentwise: rho[y, m] = int conj(k_m(x, y)) dx."""
-    return T.mats.conj().sum(axis=1).T.copy()    # (N, M)
+    """rho = T*1 componentwise, (N, M): rho[y, m] = int conj(k_m(x, y)) dx,
+    the conjugate column sum, the same at every y."""
+    return np.tile(T.column.sum(axis=-1).conj(), (T.N, 1))
 
 
 def paraproduct(rho: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
@@ -533,29 +525,20 @@ def paraproduct(rho: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
     return ihaar(haar(rho.T) * means, N).T
 
 
-def paraproduct_adjoint(rho: np.ndarray, g: np.ndarray, K: int) -> np.ndarray:
-    """Pi_rho*(g) = sum_j E_{j-1}( conj(Delta_j rho) g ), shaped (N, ..., M)
-    for g with cells on axis 0: the sum of conj(rho_Q) g_Q / #Q over Q."""
-    # (N, columns of g), row-major: the cube sums run over whole rows
-    c = np.ascontiguousarray(_on_rows(haar, g.reshape(len(g), -1)))
-    w = haar(rho.T).conj() / _cube_cells(K)           # (M, N)
-    out = _ancestor_sums(w[..., None] * c)
-    return np.moveaxis(out.reshape(w.shape[:1] + g.shape), 0, -1)
+def paraproduct_correction(t_hat: np.ndarray) -> np.ndarray:
+    """The Haar-coefficient matrices of T0 = T - Pi_rho* with rho = T*1,
+    read off those of T, t_hat = H T H^T (..., N, N), without forming
+    Pi_rho*; t_hat is overwritten.
 
-
-def paraproduct_correction(T: DiscOp) -> np.ndarray:
-    """The Haar-coefficient matrices (``haar2``) of T0 = T - Pi_rho* with
-    rho = T*1, read off those of T without forming Pi_rho*.
-
-    Row 0 of H is the constant N^{-1/2}, so conj(rho_i) = sqrt(N) t[0, i]
-    for t = haar2(T.mats), and column i >= 1 of H Pi_rho* H^T is
-    conj(rho_i) / #Q_i times the Haar coefficients of 1_{Q_i}.  With
-    a[r, i] = sqrt(N) <1_{Q_i} / #Q_i, h_r>, nonzero on row 0 and on the
-    cubes strictly containing Q_i, T0 has the coefficients t - t[0] a."""
-    t_hat = haar2(T.mats)
-    w = 1.0 / _cube_cells(T.K)
+    Row 0 of H is the constant N^{-1/2}, so conj(rho_i) = sqrt(N) t[0, i],
+    and column i >= 1 of H Pi_rho* H^T is conj(rho_i) / #Q_i times the Haar
+    coefficients of 1_{Q_i}.  With a[r, i] = sqrt(N) <1_{Q_i} / #Q_i, h_r>,
+    nonzero on row 0 and on the cubes strictly containing Q_i, T0 has the
+    coefficients t - t[0] a."""
+    N = t_hat.shape[-1]
+    w = 1.0 / _cube_cells(N.bit_length() - 1)
     w[0] = 0.0                  # the paraproduct drops the constant
-    a = np.sqrt(T.N) * _on_rows(haar, _ancestor_sums(np.diag(w)))
+    a = np.sqrt(N) * _on_rows(haar, _ancestor_sums(np.diag(w)))
     t_hat -= t_hat[..., :1, :] * a
     return t_hat
 
@@ -610,13 +593,15 @@ def vanish_sum(rho: np.ndarray, f: np.ndarray, s: int, K: int) -> np.ndarray:
     return _ancestor_sums(a / _cube_cells(K)[:, None])
 
 
-def vanish_check(T: DiscOp, f: np.ndarray, s: int) -> float:
-    """sup outside Sigma_{f,s} of | sum_k E_k Pi_rho* Delta_{k+s} f |,
-    normalized by ||f||_2 (0.0 on an empty outside)."""
-    _check_s(T.K, s)
-    outside = vanish_sum(adjoint_one(T), f, s, T.K)[~sigma_set(f, s, T.K)]
+def vanish_check(rho: np.ndarray, f: np.ndarray, s: int) -> float:
+    """sup outside Sigma_{f,s} of | sum_k E_k Pi_rho* Delta_{k+s} f | for
+    rho (N, M) and f (N,), normalized by ||f||_2 (0.0 on an empty
+    outside)."""
+    K = len(f).bit_length() - 1
+    _check_s(K, s)
+    outside = vanish_sum(rho, f, s, K)[~sigma_set(f, s, K)]
     return float(np.abs(outside).max(initial=0.0)
-                 / max(grid_l2(f, T.K), 1e-300))
+                 / max(grid_l2(f, K), 1e-300))
 
 
 def restriction_identity_residual(T: DiscOp, f: np.ndarray, s: int,

@@ -117,6 +117,21 @@ def test_nan_vanish_check_on_one_shift_fails(monkeypatch):
     assert result["restriction_identity"]["pass"] is True
 
 
+def test_norms_rule_l2_inner_runs_l2_inner(monkeypatch):
+    # the metric compares l2_inner(a, a) with the Frobenius-sum l2_norm(a)^2
+    import nclp.harness as harness
+    calls, real = [], harness.l2_inner
+
+    def recorded(a, b):
+        calls.append(a is b)
+        return real(a, b)
+
+    monkeypatch.setattr(harness, "l2_inner", recorded)
+    rep = run(ExperimentConfig("norms", algebra="tensor:2", trials=3))
+    assert calls == [True] * 3
+    assert {a["name"]: a["pass"] for a in rep["assertions"]}["l2_inner"]
+
+
 def test_trial_rng_reproducible_and_independent():
     a = trial_rng(5, 0).standard_normal(4)
     b = trial_rng(5, 0).standard_normal(4)
