@@ -6,8 +6,7 @@ from .errors import ContractViolation, NumericError
 from .opcore import (Algebra, Interval, MuFunction, Op, dense_algebra,
                      l2_inner, l2_norm, mu_function, op_norm, proj_join,
                      proj_meet, schatten_norm, singular_values,
-                     spectral_decompose, spectral_projection, tail_trace,
-                     weak_l1)
+                     spectral_projection, tail_trace, weak_l1)
 from .filtration import (AlgebraSpec, CornerFiltration, DyadicCube,
                          Filtration, GridFiltration, TensorDyadicFiltration,
                          build_filtration, parse_spec)
@@ -17,7 +16,7 @@ from .martingale import (CoeffMatrix, Martingale, bmo_norms,
                          row_square, transform_family)
 from .cuculescu import (CuculescuSequence, PiFamily, cuculescu,
                         cuculescu_report, delta_split, delta_trunc,
-                        pi_family, q_lambda)
+                        ladder_top, pi_family, q_lambda)
 from .gundy import (GundyParts, cross_experiment, ergodic_coeffs,
                     ergodic_row_bound, gundy, gundy_verify, thmA1_decompose,
                     weak11_experiment)

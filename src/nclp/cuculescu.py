@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .martingale import Martingale
-from .opcore import ENDPOINT_TOL, Op, null_projection, op_norm
+from .opcore import ENDPOINT_TOL, Op, null_projection
 
 
 @dataclass
@@ -45,6 +45,12 @@ class CuculescuSequence:
                                qs[..., :1, :, :, :].shape)
         return Op(np.concatenate([unit, qs[..., :-1, :, :, :]], axis=-4),
                   self.qs.algebra)
+
+    def __getitem__(self, i) -> "CuculescuSequence":
+        """The recursion at the thresholds lam[i]: lam and qs are indexed
+        together along the threshold axis."""
+        return CuculescuSequence(np.asarray(self.lam)[i], self.convention,
+                                 self.qs[i], self.martingale)
 
 
 def cuculescu(f: Martingale, lam, convention: str = "closed"):
@@ -108,10 +114,8 @@ def cuculescu_report(seq: CuculescuSequence) -> dict:
         comm = np.maximum(comm, np.abs(w[0]).max(axis=(-2, -1)))
         excess = np.maximum(excess, w[1].max(axis=(-2, -1)))
         qprev = qn
-    tails = 1.0 - q_lambda(seq).trace().real
     return {"commutator": comm, "compression_excess": excess,
-            "tail_trace": tails,
-            "tail_bound_ratio": seq.lam * tails / max(f.sup_l1, 1e-300)}
+            "tail_trace": 1.0 - q_lambda(seq).trace().real}
 
 
 @dataclass
@@ -146,17 +150,31 @@ def meet_ladder(qs: Op, l_min: int) -> PiFamily:
                               qs.algebra), w)
 
 
-def pi_family(f: Martingale, l_range: tuple[int, int],
-              convention: str = "closed") -> PiFamily:
-    l_min, l_max = l_range
-    if l_min > l_max:
-        raise ContractViolation("empty ell-range")
-    sup = op_norm(f.seq).max()
+def ladder_top(f: Martingale, l_max: int | None = None) -> int:
+    """The top level l_max of a dyadic threshold ladder 2^l for f.  Above
+    sup_n ||f_n||_inf every q_n is 1, so the ladder is complete only when
+    2^{l_max} exceeds it; by default l_max is the level
+    ceil(log2 sup_n ||f_n||_inf) + 1, and a given l_max is checked."""
+    sup = f.sup_linf
+    if l_max is None:
+        l_max = int(np.ceil(np.log2(max(sup, 1e-12)))) + 1
     if 2.0 ** l_max <= sup:
         raise ContractViolation(
             f"l_max too small: 2^{l_max} <= sup ||f_n||_inf = {sup:.6g}")
-    lams = 2.0 ** np.arange(l_min, l_max + 1, dtype=float)
-    return meet_ladder(q_lambda(cuculescu(f, lams, convention)), l_min)
+    return l_max
+
+
+def pi_family(seq: CuculescuSequence) -> PiFamily:
+    """The pi blocks of a recursion solved at the ladder 2^l,
+    l = l_min..l_max, whose top ``ladder_top`` accepts."""
+    lam = np.atleast_1d(seq.lam)
+    l_min = int(np.log2(lam[0]))
+    if np.ndim(seq.lam) != 1 or not np.array_equal(
+            lam, 2.0 ** np.arange(l_min, l_min + len(lam), dtype=float)):
+        raise ContractViolation("pi_family needs the thresholds 2^l of "
+                                f"consecutive levels l, got {seq.lam!r}")
+    ladder_top(seq.martingale, l_min + len(lam) - 1)
+    return meet_ladder(q_lambda(seq), l_min)
 
 
 def delta_split(x: Op, pi: PiFamily) -> tuple[Op, Op]:

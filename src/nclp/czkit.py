@@ -7,14 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuculescu import PiFamily, cuculescu, meet_ladder, q_lambda
+from .cuculescu import (PiFamily, cuculescu, ladder_top, meet_ladder,
+                        q_lambda)
 from .errors import ContractViolation
 from .filtration import GridFiltration
 from .martingale import Martingale
 # proj_join is not called here; perfbench's self-test checks that the tracer
 # rebinds it in this module
 from .opcore import (Interval, Op, is_projection, l2_norm, null_projection,
-                     op_norm, proj_join, schatten_norm, spectral_projection)
+                     proj_join, schatten_norm, spectral_projection)
 
 
 @dataclass
@@ -258,10 +259,7 @@ def thmB1_decompose(tf_family: Op, f: Martingale, l_range: tuple[int, int]):
     triangle and B the rest.
     """
     l_min, l_max = l_range
-    sup = op_norm(f.top)
-    if 2.0 ** l_max <= sup:
-        raise ContractViolation(f"l_max too small: 2^{l_max} <= {sup:.6g}")
-    lams = 2.0 ** np.arange(l_min, l_max + 1, dtype=float)
+    lams = 2.0 ** np.arange(l_min, ladder_top(f, l_max) + 1, dtype=float)
     pi = meet_ladder(zeta(cz_decompose(f, lams)).zeta, l_min)
     g, psi, one = tf_family, pi.w[0], f.algebra.unit()
     # the blocks above psi telescope: sum_{l_min < j <= i} pi_j = w_i - psi,

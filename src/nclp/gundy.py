@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuculescu import (CuculescuSequence, PiFamily, cuculescu, delta_split,
-                        pi_family, q_lambda)
+from .cuculescu import (CuculescuSequence, cuculescu, delta_split,
+                        ladder_top, pi_family, q_lambda)
 from .errors import ContractViolation
 from .martingale import (CoeffMatrix, Martingale, col_square, row_square,
                          transform_family)
@@ -28,15 +28,15 @@ class GundyParts:
         return self.seq.martingale
 
 
-def gundy(f: Martingale, lam) -> GundyParts:
-    """Split f = alpha + beta + gamma at a threshold or at each entry of a
-    1-D threshold vector.
+def gundy(seq: CuculescuSequence) -> GundyParts:
+    """Split f = alpha + beta + gamma along the recursion ``seq`` of f, at
+    its threshold or at each entry of its threshold vector.
 
     d_alpha_k = q_k df_k q_k - E_{k-1}(q_k df_k q_k)
     d_beta_k  = q_{k-1} df_k q_{k-1} - q_k df_k q_k + E_{k-1}(q_k df_k q_k)
     d_gamma_k = df_k - q_{k-1} df_k q_{k-1}
     """
-    seq = cuculescu(f, lam)
+    f = seq.martingale
     qk, qp, df = seq.qs, seq.q_prev, f.diffs
     core = qk @ df @ qk
     comp = f.expect_each(core, lag=1)
@@ -70,29 +70,23 @@ def gundy_verify(parts: GundyParts) -> dict:
     }
 
 
-def default_l_range(f: Martingale) -> tuple[int, int]:
-    sup = op_norm(f.seq).max()
-    l_max = int(np.ceil(np.log2(max(sup, 1e-12)))) + 1
-    return (min(-2, l_max - 8), l_max)
-
-
-def thmA1_decompose(f: Martingale, xi: CoeffMatrix,
-                    l_range: tuple[int, int] | None = None,
-                    pi: PiFamily | None = None):
+def thmA1_decompose(f: Martingale, xi: CoeffMatrix):
     """Row/column split of the transform family, batched over m.
 
     A_m = sum_k xi[k,m] Delta_r(df_k),  B_m = sum_k xi[k,m] Delta_c(df_k),
-    so A_m + B_m = T_m exactly.  The martingale must be positive (callers
-    with signed martingales shift by a multiple of the identity first; the
-    applied shift is returned).
+    so A_m + B_m = T_m exactly.  The pi family runs on the ladder from
+    min(-2, top - 8) to the top level of ``ladder_top``.  The martingale
+    must be positive (callers with signed martingales shift by a multiple
+    of the identity first; the applied shift is returned).
     """
     shift = 0.0
     work = f
     if not f.is_positive():
         shift = -f.spectral_floor + 1e-6
         work = Martingale(f.filtration, f.top + shift * f.algebra.unit())
-    if pi is None:
-        pi = pi_family(work, l_range or default_l_range(work))
+    top = ladder_top(work)
+    pi = pi_family(cuculescu(work, 2.0 ** np.arange(
+        min(-2, top - 8), top + 1, dtype=float)))
     row, col = delta_split(f.diffs[:xi.k_max], pi)
     return xi.apply(row), xi.apply(col), pi, shift
 
@@ -125,29 +119,26 @@ def ergodic_coeffs(m_max: int) -> CoeffMatrix:
     return CoeffMatrix(xi.astype(complex))
 
 
-def ergodic_row_bound(k_max: int, m_max: int | None = None) -> float:
-    """sup_{k <= k_max} sum_{m=k}^{m_max} k^2/(m (m+1)^2) by direct summation."""
-    if m_max is None:
-        m_max = k_max
-    m = np.arange(1, m_max + 1).astype(float)
+def ergodic_row_bound(k_max: int) -> float:
+    """sup_{k <= k_max} sum_{m=k}^{k_max} k^2/(m (m+1)^2) by direct
+    summation."""
+    m = np.arange(1, k_max + 1).astype(float)
     w = 1.0 / (m * (m + 1.0) ** 2)
     suffix = np.cumsum(w[::-1])[::-1]
     k = np.arange(1, k_max + 1).astype(float)
     return float((k ** 2 * suffix[:k_max]).max())
 
 
-def cross_experiment(f: Martingale, rho: CoeffMatrix, eta: CoeffMatrix,
-                     p: int = 4) -> dict:
+def cross_experiment(f: Martingale, rho: CoeffMatrix,
+                     eta: CoeffMatrix) -> dict:
     """Cross-term transform T_{mn} f = sum_k rho[k,m] eta[k,n] df_k.
 
-    Measures ||sum T_{mn} f (x) e_{m,n}||_p against the flattened row/column
+    Measures ||sum T_{mn} f (x) e_{m,n}||_4 against the flattened row/column
     square-function norms (the flattening index is (m, n)).
     """
     for c in (rho, eta):
         if np.abs(c.row_sums() - 1.0).max() > 1e-10:
             raise ContractViolation("cross_experiment requires unit rows")
-    if p != 4:
-        raise ContractViolation("cross experiment is exercised at p = 4")
     kmax = min(rho.k_max, eta.k_max, len(f.diffs))
     flat = np.einsum("km,kn->kmn", rho.entries[:kmax], eta.entries[:kmax])
     flat = flat.reshape(kmax, -1)
@@ -160,8 +151,8 @@ def cross_experiment(f: Martingale, rho: CoeffMatrix, eta: CoeffMatrix,
     big = np.einsum("mnkab,mqkac->knbqc", t.conj(), t).reshape(
         alg.nblocks, M_n * alg.d, M_n * alg.d)
     lhs = float(alg.weights @ np.einsum("kij,kji->k", big, big).real) ** 0.25
-    row = schatten_norm(row_square(fam), p)
-    col = schatten_norm(col_square(fam), p)
+    row = schatten_norm(row_square(fam), 4)
+    col = schatten_norm(col_square(fam), 4)
     return {
         "lhs": lhs,
         "row": row,

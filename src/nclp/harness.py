@@ -14,7 +14,8 @@ from typing import Callable
 import numpy as np
 
 from . import pseudoloc as pl
-from .cuculescu import cuculescu, cuculescu_report, pi_family, delta_trunc, q_lambda
+from .cuculescu import (cuculescu, cuculescu_report, delta_trunc, ladder_top,
+                        pi_family, q_lambda)
 from .czkit import (cz_decompose, cz_report, g_off_layer_report, g_off_layers,
                     thmB1_decompose, zeta, zeta_cube_inequalities, zeta_report)
 from .errors import ContractViolation
@@ -23,8 +24,8 @@ from .gundy import (cross_experiment, ergodic_coeffs, ergodic_row_bound,
                     gundy, gundy_verify, weak11_experiment)
 from .martingale import (CoeffMatrix, Martingale, bmo_norms, function_bmo,
                          l2_identity_check, transform_family)
-from .opcore import (Op, l2_inner, l2_norm, mu_function, op_norm,
-                     schatten_norm, weak_l1)
+from .opcore import (Op, l2_inner, l2_norm, mu_function, schatten_norm,
+                     weak_l1)
 
 ENVELOPE = 64.0
 
@@ -93,11 +94,8 @@ def random_op(algebra, rng, hermitian: bool = True) -> Op:
 
 def random_positive_martingale(filtration, rng) -> Martingale:
     """f_k = E_k(h) for h = g g* normalized to tau(h) = 1."""
-    alg = filtration.algebra
-    g = rng.standard_normal((alg.nblocks, alg.d, alg.d)) \
-        + 1j * rng.standard_normal((alg.nblocks, alg.d, alg.d))
-    h = np.einsum("bij,bkj->bik", g, g.conj())
-    top = Op(h, alg)
+    g = random_op(filtration.algebra, rng, hermitian=False).blocks
+    top = Op(np.einsum("bij,bkj->bik", g, g.conj()), filtration.algebra)
     top = (1.0 / top.trace().real) * top
     return Martingale(filtration, top)
 
@@ -275,12 +273,13 @@ def _cuculescu(cfg, filt, rng, t):
 def _gundy(cfg, filt, rng, t):
     exps = np.asarray(cfg.lambda_exps)
     f = random_positive_martingale(filt, rng)
-    # the pi range covers every requested exponent, so each one's
-    # truncation is measured
-    pi = pi_family(f, (min(cfg.lambda_exps) - 1, max(
-        max(cfg.lambda_exps),
-        int(np.ceil(np.log2(max(op_norm(f.top), 1e-9)))) + 1)))
-    parts = gundy(f, 2.0 ** exps)
+    # one recursion on a pi ladder that covers every requested exponent, so
+    # each one's truncation is measured; the Gundy split runs on its slice
+    l_min = exps.min() - 1
+    seq = cuculescu(f, 2.0 ** np.arange(
+        l_min, max(exps.max(), ladder_top(f)) + 1, dtype=float))
+    pi = pi_family(seq)
+    parts = gundy(seq[exps - l_min])
     dg, q = parts.d_gamma, q_lambda(parts.seq)[:, None]
     rep = gundy_verify(parts)
     # max_abs over the whole batch is the max over every threshold
@@ -346,8 +345,7 @@ def _cross(cfg, filt, rng, t):
     k = len(f.diffs)
     rho = random_coeffs(k, 3, rng, "row-eq-one")
     eta = random_coeffs(k, 3, rng, "row-eq-one")
-    return (f.top, rho.entries, eta.entries), cross_experiment(f, rho, eta,
-                                                               p=4)
+    return (f.top, rho.entries, eta.entries), cross_experiment(f, rho, eta)
 
 
 def _cz(cfg, filt, rng, t):
@@ -384,7 +382,7 @@ def _thmB1(cfg, filt, rng, t):
     f = random_positive_martingale(filt, rng)
     xi = random_coeffs(len(f.diffs), 3, rng, "row-eq-one")
     fam = transform_family(f, xi)
-    l_max = int(np.ceil(np.log2(max(op_norm(f.top), 1e-9)))) + 1
+    l_max = ladder_top(f)
     split = thmB1_decompose(fam, f, (l_max - 6, l_max))
     recon = split.center + split.a_part + split.b_part - fam
     return (f.top, xi.entries), {
@@ -437,9 +435,14 @@ def _row0(T):
 
 
 def _decay_setup(cfg):
+    s_lo, s_hi = cfg.s_range
+    for s in (s_lo, s_hi):         # before any shift sizes an index
+        pl._check_s(cfg.depth, s)
     T = _operator(cfg)
-    # H is orthogonal: ||Phi_s||, ||Psi_s|| are norms of their Haar blocks
-    return T, pl.paraproduct_correction(pl.circulant_haar(T.column, 0, T.N))
+    # H is orthogonal: ||Phi_s||, ||Psi_s|| are norms of their Haar blocks;
+    # Phi_s reads only the rows below 2^{K-s}
+    return T, pl.paraproduct_correction(
+        pl.circulant_haar(T.column, 0, T.N, 0, 1 << (T.K - s_lo)))
 
 
 def _decay(cfg, ctx, rng, t):

@@ -54,6 +54,11 @@ class Martingale:
         return float(schatten_norm(self.seq, 1).max())
 
     @cached_property
+    def sup_linf(self) -> float:
+        """max_k ||f_k||_inf, computed once like ``sup_l1``."""
+        return float(op_norm(self.seq).max())
+
+    @cached_property
     def spectral_floor(self) -> float:
         """Smallest eigenvalue of the Hermitian parts of all f_k, from one
         stacked eigen-solve; ``seq`` never changes, so it is computed once."""

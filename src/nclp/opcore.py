@@ -17,7 +17,6 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 
 # Tolerances, fixed once so every test is reproducible.
-EIG_MERGE_TOL = 1e-9     # eigenvalues closer than this share one projection
 ENDPOINT_TOL = 1e-9      # interval-endpoint snapping for spectral projections
 MEET_NULL_TOL = 1e-8     # null-space eigenvalue cut in proj_meet
 HERMITIAN_TOL = 1e-12
@@ -176,38 +175,6 @@ def _eigh(op: Op):
     return w, v
 
 
-def spectral_decompose(h: Op, merge_tol: float = EIG_MERGE_TOL):
-    """Return the spectral resolution of a Hermitian operator.
-
-    Gives a list of (eigenvalue, projection) pairs sorted ascending, with
-    eigenvalues within ``merge_tol`` of each other merged into a single
-    spectral projection.  The projections are mutually orthogonal and sum to
-    the identity.
-    """
-    if not h.is_hermitian():
-        raise ContractViolation("spectral_decompose requires a Hermitian operator")
-    w, v = _eigh(h)
-    flat = sorted((w[b, i], b, i) for b in range(h.algebra.nblocks)
-                  for i in range(h.algebra.d))
-    groups: list[list[tuple]] = []
-    for item in flat:
-        if groups and item[0] - groups[-1][-1][0] <= merge_tol:
-            groups[-1].append(item)
-        else:
-            groups.append([item])
-    out = []
-    for group in groups:
-        blocks = np.zeros((h.algebra.nblocks, h.algebra.d, h.algebra.d),
-                          dtype=complex)
-        vals = []
-        for glam, gb, gi in group:
-            vec = v[gb][:, gi]
-            blocks[gb] += np.outer(vec, vec.conj())
-            vals.append(glam)
-        out.append((float(np.mean(vals)), Op(blocks, h.algebra)))
-    return out
-
-
 @dataclass(frozen=True)
 class Interval:
     """Real interval with explicit endpoint conventions.
@@ -307,12 +274,6 @@ class MuFunction:
 
     breakpoints: np.ndarray  # increasing cumulative weights, ends at tau(1)
     values: np.ndarray       # value on [break_{i-1}, break_i)
-
-    def __call__(self, t: float) -> float:
-        idx = np.searchsorted(self.breakpoints, t, side="right")
-        if idx >= len(self.values):
-            return 0.0
-        return float(self.values[idx])
 
     def integral(self) -> float:
         widths = np.diff(np.concatenate([[0.0], self.breakpoints]))

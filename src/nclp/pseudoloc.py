@@ -31,18 +31,14 @@ def grid_l2(f: np.ndarray, K: int) -> float:
 # so E_k T Delta_j is a block of H T H^T (Beylkin-Coifman-Rokhlin's
 # non-standard form).
 
-def haar(x: np.ndarray, levels: int | None = None) -> np.ndarray:
-    """Haar coefficients along the last axis in O(N) per vector; with
-    ``levels`` = k only the first 2^k, those at levels < k."""
+def haar(x: np.ndarray) -> np.ndarray:
+    """Haar coefficients along the last axis in O(N) per vector."""
     N = x.shape[-1]
-    K = N.bit_length() - 1
-    k = K if levels is None else levels
-    out = np.empty(x.shape[:-1] + (1 << k,), dtype=np.result_type(x, float))
+    out = np.empty(x.shape, dtype=np.result_type(x, float))
     sums = x
-    for lev in range(K - 1, -1, -1):      # level-(lev+1) cube sums -> lev
+    for lev in range(N.bit_length() - 2, -1, -1):  # level-(lev+1) sums -> lev
         even, odd = sums[..., 0::2], sums[..., 1::2]
-        if lev < k:
-            out[..., 1 << lev:2 << lev] = (even - odd) / np.sqrt(N >> lev)
+        out[..., 1 << lev:2 << lev] = (even - odd) / np.sqrt(N >> lev)
         sums = even + odd
     out[..., :1] = sums / np.sqrt(N)
     return out
@@ -527,8 +523,9 @@ def paraproduct(rho: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
 
 def paraproduct_correction(t_hat: np.ndarray) -> np.ndarray:
     """The Haar-coefficient matrices of T0 = T - Pi_rho* with rho = T*1,
-    read off those of T, t_hat = H T H^T (..., N, N), without forming
-    Pi_rho*; t_hat is overwritten.
+    read off those of T, t_hat = H T H^T (..., rows, N), the first rows
+    (row 0 at least) or all, without forming Pi_rho*; t_hat is
+    overwritten.
 
     Row 0 of H is the constant N^{-1/2}, so conj(rho_i) = sqrt(N) t[0, i],
     and column i >= 1 of H Pi_rho* H^T is conj(rho_i) / #Q_i times the Haar
@@ -539,7 +536,7 @@ def paraproduct_correction(t_hat: np.ndarray) -> np.ndarray:
     w = 1.0 / _cube_cells(N.bit_length() - 1)
     w[0] = 0.0                  # the paraproduct drops the constant
     a = np.sqrt(N) * _on_rows(haar, _ancestor_sums(np.diag(w)))
-    t_hat -= t_hat[..., :1, :] * a
+    t_hat -= t_hat[..., :1, :] * a[:t_hat.shape[-2]]
     return t_hat
 
 

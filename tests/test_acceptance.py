@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nclp import pseudoloc as pl
-from nclp.cuculescu import pi_family, delta_split, delta_trunc
+from nclp.cuculescu import cuculescu, delta_split, delta_trunc, pi_family
 from nclp.filtration import GridFiltration, TensorDyadicFiltration
 from nclp.harness import (ExperimentConfig, all_pass, random_op,
                           random_positive_martingale, run, trial_rng)
@@ -132,7 +132,7 @@ def test_criterion_08_triangular_truncation(capsys):
     for t in range(20):
         rng = trial_rng(800, t)
         f = random_positive_martingale(filt, rng)
-        pi = pi_family(f, (-2, 4))
+        pi = pi_family(cuculescu(f, 2.0 ** np.arange(-2, 5)))
         x = random_op(filt.algebra, rng, hermitian=False)
         r, c = delta_split(x, pi)
         nx = l2_norm(x)

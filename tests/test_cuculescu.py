@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nclp.cuculescu import (CuculescuSequence, cuculescu, cuculescu_report,
-                            delta_split, delta_trunc, pi_family, q_lambda)
+                            delta_split, delta_trunc, ladder_top, pi_family,
+                            q_lambda)
 from nclp.errors import ContractViolation
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
@@ -13,6 +14,11 @@ from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
                          l2_norm, op_norm, proj_meet, schatten_norm)
 
 from batch_entries import assert_entries_match_scalar_calls
+
+
+def ladder(f, l_min, l_max, convention="closed"):
+    """The recursion of f at the thresholds 2^l, l = l_min..l_max."""
+    return cuculescu(f, 2.0 ** np.arange(l_min, l_max + 1), convention)
 
 
 def naive_cuculescu(f, lam):
@@ -262,7 +268,7 @@ def test_q_lambda_meet():
 def test_pi_family_partitions_unity():
     filt = TensorDyadicFiltration(3)
     f = random_positive_martingale(filt, trial_rng(15, 0))
-    pi = pi_family(f, (-2, 3))
+    pi = pi_family(ladder(f, -2, 3))
     assert len(pi.blocks) == len(pi.indices())
     total = f.algebra.zero()
     for b in pi.blocks:
@@ -275,14 +281,27 @@ def test_pi_family_range_too_small():
     filt = TensorDyadicFiltration(3)
     f = random_positive_martingale(filt, trial_rng(16, 0))
     f = Martingale(filt, 100.0 * f.top)
-    with pytest.raises(ContractViolation):
-        pi_family(f, (-2, 3))      # 2^3 < sup ||f||_inf
+    assert 2.0 ** 8 < f.sup_linf < 2.0 ** 9
+    with pytest.raises(ContractViolation, match="l_max too small"):
+        pi_family(ladder(f, -2, 3))      # 2^3 < sup ||f||_inf
+    with pytest.raises(ContractViolation, match="l_max too small"):
+        pi_family(ladder(f, 0, 8))
+    # the default top is one level above the lowest that clears the sup
+    assert ladder_top(f) == 10 and ladder_top(f, 9) == 9
+    assert pi_family(ladder(f, 0, 9)).l_max == 9
+
+
+@pytest.mark.parametrize("lam", [[1.0, 4.0], [4.0, 2.0], [0.75, 1.5], 2.0])
+def test_pi_family_needs_a_consecutive_dyadic_ladder(lam):
+    f = random_positive_martingale(TensorDyadicFiltration(3), trial_rng(16, 1))
+    with pytest.raises(ContractViolation, match="consecutive"):
+        pi_family(cuculescu(f, lam))
 
 
 def test_delta_split_is_exact_partition():
     filt = TensorDyadicFiltration(3)
     f = random_positive_martingale(filt, trial_rng(17, 0))
-    pi = pi_family(f, (-2, 3))
+    pi = pi_family(ladder(f, -2, 3))
     rng = np.random.default_rng(18)
     alg = f.algebra
     x = Op(rng.standard_normal((alg.nblocks, alg.d, alg.d))
@@ -299,7 +318,7 @@ def test_delta_split_is_exact_partition():
 def test_delta_trunc_contraction_and_nesting():
     filt = TensorDyadicFiltration(3)
     f = random_positive_martingale(filt, trial_rng(19, 0))
-    pi = pi_family(f, (-2, 3))
+    pi = pi_family(ladder(f, -2, 3))
     rng = np.random.default_rng(20)
     alg = f.algebra
     x = Op(rng.standard_normal((alg.nblocks, alg.d, alg.d)) + 0j, alg)
@@ -316,7 +335,7 @@ def test_delta_trunc_contraction_and_nesting():
 def test_delta_trunc_matches_pair_loop_oracle(spec):
     filt = build_filtration(spec)
     f = random_positive_martingale(filt, trial_rng(27, 0))
-    pi = pi_family(f, (-3, 3))
+    pi = pi_family(ladder(f, -3, 3))
     rng = np.random.default_rng(28)
     alg = f.algebra
     x = Op(rng.standard_normal((alg.nblocks, alg.d, alg.d))
@@ -341,8 +360,8 @@ def meet_ladder_pairwise_oracle(qs):
 @pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,2"])
 def test_meet_ladder_matches_pairwise_oracle(spec):
     f = random_positive_martingale(build_filtration(spec), trial_rng(30, 0))
-    pi = pi_family(f, (-4, 3))
-    qs = q_lambda(cuculescu(f, 2.0 ** np.arange(-4, 4)))
+    seq = ladder(f, -4, 3)
+    pi, qs = pi_family(seq), q_lambda(seq)
     w, blocks = meet_ladder_pairwise_oracle(qs)
     assert pi.l_max == 3 and len(pi.w) == len(w) == 8
     for got, ref in zip(pi.w, w, strict=True):
@@ -407,6 +426,19 @@ def test_level_size_recursion_matches_full_size_oracle(spec, convention):
     for i, want in enumerate(full_size_report(seqs)):
         for key, val in want.items():
             assert abs(got[key][i] - val) <= 1e-12
+
+
+@pytest.mark.parametrize("convention", ["closed", "half-open"])
+@pytest.mark.parametrize("spec", LEVEL_SPECS)
+def test_indexed_solve_equals_solving_at_those_thresholds(spec, convention):
+    f = random_positive_martingale(build_filtration(spec), trial_rng(34, 0))
+    seq = ladder(f, -3, 4, convention)
+    for i in ([1, 2, 5], [6, 0, 6], slice(2, 5), np.arange(3, 8)):
+        got = seq[i]
+        want = cuculescu(f, 2.0 ** np.arange(-3, 5)[i], convention)
+        assert np.array_equal(got.lam, want.lam)
+        assert np.array_equal(got.qs.blocks, want.qs.blocks)
+        assert got.convention == convention and got.martingale is f
 
 
 @pytest.mark.parametrize("spec", LEVEL_SPECS)

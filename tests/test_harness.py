@@ -407,6 +407,23 @@ def test_cli_rejects_bad_seed_lambda_exponent_and_gamma(argv, bad, capsys):
     assert bad in err
 
 
+@pytest.mark.parametrize("s", ["0..3", "-2..3", "2..6"])
+def test_cli_decay_checks_the_shifts_before_any_indexing(s, monkeypatch,
+                                                         capsys):
+    from nclp.cli import main
+    import nclp.harness as harness
+
+    def unreachable(*args):
+        raise AssertionError("the setup indexed a Haar matrix")
+
+    monkeypatch.setattr(harness.pl, "circulant_haar", unreachable)
+    assert main(["pseudoloc-decay", "--depth", "6", f"--s={s}",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nclp: config/contract error:")
+    assert "outside 1..5" in err
+
+
 # -- suite-level numbers -----------------------------------------------------
 
 def test_trial_missing_a_rule_metric_fails():

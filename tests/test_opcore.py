@@ -7,8 +7,7 @@ from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op, abs_op,
                          annihilation_check, dense_algebra, is_projection,
                          l2_inner, l2_norm, mu_function, op_norm, proj_join,
                          proj_meet, psd_sqrt, schatten_norm, singular_values,
-                         spectral_decompose, spectral_projection, tail_trace,
-                         weak_l1)
+                         spectral_projection, tail_trace, weak_l1)
 
 ALG = dense_algebra(4)
 BLOCKY = Algebra(3, 2, np.array([1.0 / 8, 1.0 / 4, 1.0 / 8]))
@@ -52,22 +51,6 @@ def test_nonfinite_in_one_part_rejected(value):
 def test_shape_mismatch_rejected():
     with pytest.raises(ContractViolation):
         Op(np.zeros((2, 4, 4)), ALG)
-
-
-def test_spectral_decompose_reconstructs():
-    h = rand_op(BLOCKY, 3, hermitian=True)
-    recon = BLOCKY.zero()
-    for w, p in spectral_decompose(h):
-        recon = recon + w * p
-    assert (recon - h).max_abs() < 1e-10
-
-
-def test_spectral_decompose_merges_close_eigenvalues():
-    # [DERIVED] two eigenvalues 1e-10 apart collapse into one projection
-    d = np.diag([1.0, 1.0 + 1e-10, 2.0, 3.0]).astype(complex)
-    pairs = spectral_decompose(Op(d[None], ALG))
-    assert len(pairs) == 3
-    assert pairs[0][1].trace() == pytest.approx(0.5)
 
 
 def test_spectral_projection_interval_endpoints():

@@ -107,7 +107,7 @@ def dense_psi_s_hat(T, s):
     for k in range(4, T.K - s + 1):
         lev = k + s - 1
         tk = truncated_mats(T, 4.0 * 2.0 ** (-k))
-        block = _on_rows(haar, haar(tk, lev + 1)[..., 1 << lev:])
+        block = _on_rows(haar, haar(tk)[..., 1 << lev:2 << lev])
         block[..., :1 << k, :] = 0.0
         blocks.append(block)
     return np.concatenate(blocks, axis=-1)
@@ -257,8 +257,7 @@ def test_haar_orthonormal_and_inverse():
     assert np.allclose(ihaar(haar(x), N), x, atol=1e-13)
     for k in range(K + 1):
         # the first 2^k coefficients carry E_k
-        assert np.allclose(haar(x, k), haar(x)[:, :1 << k], atol=1e-13)
-        assert np.allclose(ihaar(haar(x, k), N), e_level(x.T, k).T,
+        assert np.allclose(ihaar(haar(x)[:, :1 << k], N), e_level(x.T, k).T,
                            atol=1e-13)
 
 
@@ -713,6 +712,27 @@ def test_t0_haar_matrix_matches_dense_correction(K, kernel):
         assert _rel_err(haar2(mats), ref) > 1e-3
     # T0* 1 is constant: row 0 of its Haar matrix vanishes past column 0
     assert np.abs(ref[:, 0, 1:]).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli",
+                                    "random"])
+@pytest.mark.parametrize("K", [4, 7, 9])
+def test_row_limited_t0_is_the_first_rows_of_the_full_t0(K, kernel):
+    # pseudoloc-decay keeps only the rows below 2^{K - s_lo}
+    N = 1 << K
+    if kernel == "random":      # not a circulant: the correction is large
+        t_hat = _complex(np.random.default_rng(90 + K), 2, N, N)
+        full = paraproduct_correction(t_hat.copy())
+    else:
+        col = normalized(assemble(_kernel(kernel, K), K)).column
+        full = paraproduct_correction(circulant_haar(col, 0, N))
+    for s in range(1, K):
+        rows = 1 << (K - s)
+        if kernel == "random":
+            got = paraproduct_correction(t_hat[..., :rows, :].copy())
+        else:
+            got = paraproduct_correction(circulant_haar(col, 0, N, 0, rows))
+        assert np.array_equal(got, full[..., :rows, :])
 
 
 def test_rho_bmo_constant_is_zero():
