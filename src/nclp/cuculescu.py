@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .martingale import Martingale
-from .opcore import ENDPOINT_TOL, Op, null_projection
+from .opcore import ENDPOINT_TOL, Op, block_matmul as mm, null_projection
 
 
 @dataclass
@@ -75,13 +75,14 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
     qs = np.empty(np.shape(lam) + f.seq.blocks.shape, dtype=complex)
     for n, k in enumerate(f.levels):
         fk, qk = f.restricted[n].blocks, filt.restrict(q, k).blocks
-        h = qk @ fk @ qk + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
+        h = mm(mm(qk, fk), qk) \
+            + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
         w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         keep = w <= cut + ENDPOINT_TOL
         if convention == "half-open":
             keep &= w > ENDPOINT_TOL
         u = u * keep[..., None, :]
-        q = filt.extend(Op(u @ u.conj().swapaxes(-1, -2),
+        q = filt.extend(Op(mm(u, u.conj().swapaxes(-1, -2)),
                            filt.level_algebra(k)), k)
         qs[..., n, :, :, :] = q.blocks
     return CuculescuSequence(lam, convention, Op(qs, alg), f)
@@ -106,10 +107,11 @@ def cuculescu_report(seq: CuculescuSequence) -> dict:
         qn = seq.qs[..., n, :, :, :]
         q, qp = (filt.restrict(x, k).blocks for x in (qn, qprev))
         fk = f.restricted[n].blocks
-        comp = qp @ fk @ qp
+        comp = mm(mm(qp, fk), qp)
         # i[q_n, comp] is Hermitian, so its eigenvalues give the commutator's
         # singular values; with q_n f_n q_n - lam q_n it is one eigvalsh
-        h = np.stack([1j * (q @ comp - comp @ q), q @ fk @ q - lams * q])
+        h = np.stack([1j * (mm(q, comp) - mm(comp, q)),
+                      mm(mm(q, fk), q) - lams * q])
         w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         comm = np.maximum(comm, np.abs(w[0]).max(axis=(-2, -1)))
         excess = np.maximum(excess, w[1].max(axis=(-2, -1)))

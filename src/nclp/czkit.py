@@ -14,8 +14,9 @@ from .filtration import GridFiltration
 from .martingale import Martingale
 # proj_join is not called here; perfbench's self-test checks that the tracer
 # rebinds it in this module
-from .opcore import (Interval, Op, is_projection, l2_norm, null_projection,
-                     proj_join, schatten_norm, spectral_projection)
+from .opcore import (Interval, Op, block_matmul as mm, is_projection, l2_norm,
+                     null_projection, proj_join, schatten_norm,
+                     spectral_projection)
 
 
 @dataclass
@@ -75,13 +76,13 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
     # A = sum_j u_j f_j p_j and B = sum_j u_j f p_j the good pair sum is
     # A + A* and the bad one (B - A) + (B - A)*, and
     # q f (1 - q) + (1 - q) f q = q f + (q f)* - 2 q f q
-    FP, fP, qf = F @ P, top @ P, q @ top
-    A, B = (u @ FP).sum(axis=-4), (u @ fP).sum(axis=-4)
-    PFP, qfq = P @ FP, qf @ q
+    FP, fP, qf = mm(F, P), mm(top, P), mm(q, top)
+    A, B = mm(u, FP).sum(axis=-4), mm(u, fP).sum(axis=-4)
+    PFP, qfq = mm(P, FP), mm(qf, q)
     g_d = qfq + PFP.sum(axis=-4)
     g_off = qf + _adjoint(qf) - 2.0 * qfq + A + _adjoint(A)
     b_off = B - A + _adjoint(B - A)
-    bad = P @ fP - PFP
+    bad = mm(P, fP) - PFP
     # the q f p_j and p_i f q cross terms sit in q f q^perp + q^perp f q, so
     # the four parts reassemble f; cz_report measures the residual
     g_d, g_off, b_d, b_off, bad, P = (Op(x, alg) for x in (
@@ -93,7 +94,7 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
 def cz_report(parts: CZParts) -> dict:
     """Reconstruction residual and the diagonal-part bounds, each shaped
     like ``parts.lam`` (the b_d bound does not depend on lambda), with one
-    stacked SVD over every threshold and level."""
+    stacked eigvalsh over every threshold and level."""
     f = parts.martingale
     l1 = schatten_norm(f.top, 1)
     recon = (parts.g_d + parts.g_off + parts.b_d + parts.b_off).blocks
@@ -102,7 +103,10 @@ def cz_report(parts: CZParts) -> dict:
             axis=(-3, -2, -1)),
         "g_d_l2sq": l2_norm(parts.g_d) ** 2,
         "g_d_bound": (2.0 ** parts.filtration.n) * parts.lam * l1,
-        "b_d_l1_sum": schatten_norm(parts.b_d_terms, 1).sum(axis=-1),
+        # p_k (f - f_k) p_k is Hermitian: its singular values are the
+        # moduli of its eigenvalues
+        "b_d_l1_sum": schatten_norm(parts.b_d_terms, 1,
+                                    hermitian=True).sum(axis=-1),
         "b_d_bound": 2.0 * l1,
         "m_lambda": parts.m_lambda,
     }

@@ -10,6 +10,7 @@ from nclp.martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
                              lp_rc_norm, partition_coeffs, row_square,
                              split_upper_bound, transform_family)
 from nclp.opcore import Op, l2_norm, op_norm
+from oracles import abs_op
 
 FILT = TensorDyadicFiltration(3)
 
@@ -92,7 +93,6 @@ def test_row_col_square_oracle():
     f = rand_mart(6)
     fam = transform_family(f, dirac_coeffs(len(f.diffs)))
     g = fam[1]
-    from nclp.opcore import abs_op
     r = row_square(transform_family(f, CoeffMatrix(
         np.eye(len(f.diffs))[:, 1:2])))
     assert (r - abs_op(g)).max_abs() < 1e-8

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclp.errors import ContractViolation, NumericError
-from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op, abs_op,
-                         annihilation_check, dense_algebra, is_projection,
+from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op,
+                         annihilation_check, block_matmul, dense_algebra,
+                         is_projection,
                          l2_inner, l2_norm, mu_function, op_norm, proj_join,
                          proj_meet, psd_sqrt, schatten_norm, singular_values,
                          spectral_projection, tail_trace, weak_l1)
+from oracles import abs_op
 
 ALG = dense_algebra(4)
 BLOCKY = Algebra(3, 2, np.array([1.0 / 8, 1.0 / 4, 1.0 / 8]))
@@ -294,3 +296,63 @@ def test_tail_trace_vector_matches_per_lambda_loop():
             assert np.array_equal(tail_trace(a, lams[1])[i], ref[1])
     with pytest.raises(ContractViolation):
         tail_trace(a, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 8])        # both paths: d <= 2, d > 2
+@pytest.mark.parametrize("shapes", [((16,), (16,)), ((5, 1, 16), (1, 7, 16)),
+                                    ((), (4, 3)), ((0,), (0,)), ((0, 2), (1,))])
+@pytest.mark.parametrize("kinds", [(complex, complex), (float, complex),
+                                   (float, float)])
+def test_block_matmul_matches_matmul(d, shapes, kinds):
+    rng = np.random.default_rng(d)
+
+    def draw(shape, kind):
+        x = rng.standard_normal(shape + (d, d))
+        return x + 1j * rng.standard_normal(x.shape) if kind is complex else x
+
+    a, b = (draw(shape, kind) for shape, kind in zip(shapes, kinds))
+    want = np.matmul(a, b)
+    got = block_matmul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # relative to |a| |b|, the scale of each entry's rounding error
+    assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(a) @ np.abs(b)))
+    if d > 2:                           # the BLAS path is matmul itself
+        assert np.array_equal(got, want)
+
+
+def _hermitian_stack(alg, seed, shape=(4,)):
+    """Hermitian blocks u diag(w) u* with eigenvalues of both signs and
+    zeros: indefinite and rank-deficient."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal(shape + (alg.nblocks, alg.d, alg.d)) \
+        + 1j * rng.standard_normal(shape + (alg.nblocks, alg.d, alg.d))
+    u, _ = np.linalg.qr(z)
+    w = rng.choice([-2.5, -1.0, 0.0, 0.0, 0.7, 3.0],
+                   size=shape + (alg.nblocks, alg.d))
+    if alg.nblocks > 1:
+        w[..., -1, :] = 0.0             # a zero block in every entry
+    w[..., 0, 0] = 1.0                  # but no entry is zero
+    return (Op(u * w[..., None, :], alg)
+            @ Op(u.conj().swapaxes(-1, -2), alg)).hermitize()
+
+
+@pytest.mark.parametrize("p", [1, 4, np.inf])
+def test_hermitian_schatten_norm_matches_the_svd(p):
+    for seed, alg in enumerate((dense_algebra(2), BLOCKY, ALG)):
+        h = _hermitian_stack(alg, 50 + seed)
+        got, want = schatten_norm(h, p, hermitian=True), schatten_norm(h, p)
+        assert got.shape == want.shape == (4,)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+        assert singular_values(h, hermitian=True).shape == \
+            singular_values(h).shape
+
+
+def test_hermitian_singular_values_read_one_triangle():
+    # the caller guarantees Hermitian blocks: eigvalsh reads the lower
+    # triangle, so the upper one does not enter
+    alg = dense_algebra(2)
+    h = Op(np.array([[[2.0, 0.0], [1.0, -3.0]]]), alg)
+    full = Op(np.array([[[2.0, 1.0], [1.0, -3.0]]]), alg)
+    assert np.allclose(singular_values(h, hermitian=True),
+                       singular_values(full), rtol=1e-15, atol=0)
+    assert not np.allclose(singular_values(h), singular_values(full))
