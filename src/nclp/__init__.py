@@ -10,9 +10,8 @@ from .opcore import (Algebra, Interval, MuFunction, Op, dense_algebra,
 from .filtration import (AlgebraSpec, CornerFiltration, DyadicCube,
                          Filtration, GridFiltration, TensorDyadicFiltration,
                          build_filtration, parse_spec)
-from .martingale import (CoeffMatrix, Martingale, bmo_norms,
-                         col_square, dirac_coeffs, function_bmo,
-                         l2_identity_check, lp_rc_norm, partition_coeffs,
+from .martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
+                         function_bmo, l2_identity_check, lp_rc_norm,
                          row_square, transform_family)
 from .cuculescu import (CuculescuSequence, PiFamily, cuculescu,
                         cuculescu_report, delta_split, delta_trunc,

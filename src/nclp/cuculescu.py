@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import ContractViolation
 from .martingale import Martingale
-from .opcore import ENDPOINT_TOL, Op, block_matmul as mm, null_projection
+from .opcore import (ENDPOINT_TOL, Op, block_matmul as mm, eigvalsh,
+                     kept_projection, null_projection)
 
 
 @dataclass
@@ -67,24 +68,27 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
         raise ContractViolation("cuculescu requires a positive martingale")
     alg, filt = f.algebra, f.filtration
     # q f_n q + (lam+1)(1 - q) has the spectrum of the compression on
-    # range(q) and lam + 1 on its complement, so one stacked eigh per level
+    # range(q) and lam + 1 on its complement, so one stacked solve per level
     # keeps exactly the directions of range(q) at or below lam.  q_{n-1} and
-    # f_n lie in M_n, so the solve runs in M_n's coordinates.
+    # f_n lie in M_n, so the solve runs in M_n's coordinates, and q_{n-1}
+    # reaches them from M_{n-1}'s by ``refine``.
     cut = np.asarray(lam)[..., None, None]
-    q = alg.unit()
+
+    def keep(w):
+        kept = w <= cut + ENDPOINT_TOL
+        return kept & (w > ENDPOINT_TOL) if convention == "half-open" else kept
+
+    q = filt.level_algebra(f.levels[0]).unit()
     qs = np.empty(np.shape(lam) + f.seq.blocks.shape, dtype=complex)
     for n, k in enumerate(f.levels):
-        fk, qk = f.restricted[n].blocks, filt.restrict(q, k).blocks
+        if n:
+            q = filt.refine(q, k)
+        fk, qk = f.restricted[n].blocks, q.blocks
         h = mm(mm(qk, fk), qk) \
             + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
-        w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
-        keep = w <= cut + ENDPOINT_TOL
-        if convention == "half-open":
-            keep &= w > ENDPOINT_TOL
-        u = u * keep[..., None, :]
-        q = filt.extend(Op(mm(u, u.conj().swapaxes(-1, -2)),
-                           filt.level_algebra(k)), k)
-        qs[..., n, :, :, :] = q.blocks
+        q = Op(kept_projection(0.5 * (h + h.conj().swapaxes(-1, -2)), keep),
+               filt.level_algebra(k))
+        qs[..., n, :, :, :] = filt.extend(q, k).blocks
     return CuculescuSequence(lam, convention, Op(qs, alg), f)
 
 
@@ -100,19 +104,19 @@ def cuculescu_report(seq: CuculescuSequence) -> dict:
     f = seq.martingale
     filt = f.filtration
     lams = np.asarray(seq.lam)[..., None, None, None]
-    qprev = f.algebra.unit()
     comm = excess = -np.inf
-    # q_{n-1}, q_n and f_n lie in M_n: both checks run in M_n's coordinates
+    # q_{n-1}, q_n and f_n lie in M_n: both checks run in M_n's coordinates,
+    # and q_{n-1} comes there from M_{n-1}'s by ``refine``
     for n, k in enumerate(f.levels):
-        qn = seq.qs[..., n, :, :, :]
-        q, qp = (filt.restrict(x, k).blocks for x in (qn, qprev))
-        fk = f.restricted[n].blocks
+        qn = filt.restrict(seq.qs[..., n, :, :, :], k)
+        qp = filt.refine(qprev, k) if n else filt.level_algebra(k).unit()
+        q, qp, fk = qn.blocks, qp.blocks, f.restricted[n].blocks
         comp = mm(mm(qp, fk), qp)
         # i[q_n, comp] is Hermitian, so its eigenvalues give the commutator's
         # singular values; with q_n f_n q_n - lam q_n it is one eigvalsh
         h = np.stack([1j * (mm(q, comp) - mm(comp, q)),
                       mm(mm(q, fk), q) - lams * q])
-        w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+        w = eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         comm = np.maximum(comm, np.abs(w[0]).max(axis=(-2, -1)))
         excess = np.maximum(excess, w[1].max(axis=(-2, -1)))
         qprev = qn

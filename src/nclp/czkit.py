@@ -14,9 +14,9 @@ from .filtration import GridFiltration
 from .martingale import Martingale
 # proj_join is not called here; perfbench's self-test checks that the tracer
 # rebinds it in this module
-from .opcore import (Interval, Op, block_matmul as mm, is_projection, l2_norm,
-                     null_projection, proj_join, schatten_norm,
-                     spectral_projection)
+from .opcore import (Interval, Op, block_matmul as mm, eigvalsh,
+                     is_projection, l2_norm, null_projection, proj_join,
+                     schatten_norm, spectral_projection)
 
 
 @dataclass
@@ -185,7 +185,7 @@ def zeta_cube_inequalities(zd: ZetaData) -> dict:
         weak.append(xi_q - zb)
     h = np.stack([np.concatenate(strong, axis=-3),
                   np.concatenate(weak, axis=-3)])
-    w = np.linalg.eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    w = eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
     return {"strong_min_eig": w[0].min(axis=(-2, -1)),
             "weak_min_eig": w[1].min(axis=(-2, -1))}
 

@@ -84,6 +84,12 @@ class Filtration:
         """E_k applied to each entry of f (batch axes pass through)."""
         return self.extend(self.restrict(f, k), k)
 
+    def refine(self, y: Op, k: int) -> Op:
+        """The inclusion of ``level_algebra(k - 1)`` into
+        ``level_algebra(k)``: restrict(extend(y, k - 1), k), which the grid
+        and tensor filtrations form without the full-size detour."""
+        return self.restrict(self.extend(y, k - 1), k)
+
     def check_level(self, k: int):
         if k not in self.levels:
             raise ContractViolation(f"level {k} outside {self.levels[0]}..{self.levels[-1]}")
@@ -128,6 +134,14 @@ class TensorDyadicFiltration(Filtration):
         small = y.blocks[..., 0, :, :]
         out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
         return Op(out.reshape(y.batch + (1, a * b, a * b)), self.algebra)
+
+    def refine(self, y: Op, k: int) -> Op:
+        """y (x) 1_2."""
+        self.check_level(k)
+        small = y.blocks[..., 0, :, :]
+        out = small[..., :, None, :, None] * np.eye(2)[:, None, :]
+        return Op(out.reshape(y.batch + (1, 2 ** k, 2 ** k)),
+                  self.level_algebra(k))
 
 
 class CornerFiltration(Filtration):
@@ -191,10 +205,21 @@ class GridFiltration(Filtration):
 
     def extend(self, y: Op, k: int) -> Op:
         """Each cube's block repeated over the cube's cells."""
-        m = y.blocks.reshape(y.batch + (2 ** k, 1) * self.n + (self.d, self.d))
-        out = np.broadcast_to(m, y.batch + (2 ** k, 2 ** (self.K - k))
-                              * self.n + (self.d, self.d))
-        return Op(out.reshape(y.batch + (-1, self.d, self.d)), self.algebra)
+        return Op(self._spread(y.blocks, k, self.K), self.algebra)
+
+    def refine(self, y: Op, k: int) -> Op:
+        """Each level-(k - 1) cube's block repeated over its 2^n children."""
+        self.check_level(k)
+        return Op(self._spread(y.blocks, k - 1, k), self.level_algebra(k))
+
+    def _spread(self, blocks: np.ndarray, k: int, j: int) -> np.ndarray:
+        """The blocks of the level-k cubes repeated over the level-j cubes
+        inside them, in the order of ``cubes_at_level(j)``."""
+        batch, dd = blocks.shape[:-3], (self.d, self.d)
+        out = np.empty(batch + (2 ** k, 2 ** (j - k)) * self.n + dd,
+                       dtype=blocks.dtype)
+        out[...] = blocks.reshape(batch + (2 ** k, 1) * self.n + dd)
+        return out.reshape(batch + (-1,) + dd)
 
     # dyadic cube helpers --------------------------------------------------
     def cube_cells(self, Q: "DyadicCube") -> np.ndarray:
@@ -264,12 +289,6 @@ class DyadicCube:
     @property
     def measure(self) -> float:
         return float(2.0 ** (-self.n * self.level))
-
-
-def dyadic_father(Q: DyadicCube) -> DyadicCube:
-    if Q.level == 0:
-        raise ContractViolation("the level-0 cube has no dyadic father")
-    return DyadicCube(Q.level - 1, tuple(c // 2 for c in Q.corner), Q.n)
 
 
 def build_filtration(spec: AlgebraSpec | str) -> Filtration:

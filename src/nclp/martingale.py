@@ -8,7 +8,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .filtration import Filtration, GridFiltration
-from .opcore import Op, l2_norm, op_norm, psd_sqrt, schatten_norm
+from .opcore import Op, eigvalsh, l2_norm, op_norm, psd_sqrt, schatten_norm
 
 
 class Martingale:
@@ -62,7 +62,7 @@ class Martingale:
     def spectral_floor(self) -> float:
         """Smallest eigenvalue of the Hermitian parts of all f_k, from one
         stacked eigen-solve; ``seq`` never changes, so it is computed once."""
-        return float(np.linalg.eigvalsh(self.seq.hermitize().blocks).min())
+        return float(eigvalsh(self.seq.hermitize().blocks).min())
 
     def is_positive(self, tol: float = 1e-10) -> bool:
         return self.spectral_floor >= -tol
@@ -98,18 +98,6 @@ class CoeffMatrix:
         """The family (sum_k xi[k, m] x_k)_m from a family (x_k)."""
         return Op(np.einsum("km,k...->m...", self.entries,
                             x.blocks[:self.k_max]), x.algebra)
-
-
-def dirac_coeffs(K: int) -> CoeffMatrix:
-    return CoeffMatrix(np.eye(K, dtype=complex))
-
-
-def partition_coeffs(K: int, parts: list[list[int]]) -> CoeffMatrix:
-    xi = np.zeros((K, len(parts)), dtype=complex)
-    for m, block in enumerate(parts):
-        for k in block:
-            xi[k, m] = 1.0
-    return CoeffMatrix(xi)
 
 
 def transform_family(f: Martingale, xi: CoeffMatrix) -> Op:

@@ -186,13 +186,75 @@ def _per_entry(x):
 # spectral calculus
 # ---------------------------------------------------------------------------
 
-def _eigh(op: Op):
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
+
+
+def _eigh(h: np.ndarray):
     """Blockwise Hermitian eigendecomposition (ascending eigenvalues)."""
     try:
-        w, v = np.linalg.eigh(op.blocks)
+        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
-    return w, v
+
+
+def _hermitian2(h: np.ndarray):
+    """m = (a + d)/2, r = hypot((a - d)/2, |b|), x = (a - d)/2 and b of
+    Hermitian 2 x 2 blocks [[a, *], [b, d]]: the eigenvalues are m -+ r."""
+    a, d, b = h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]
+    x = 0.5 * (a - d)
+    return 0.5 * (a + d), np.hypot(x, np.abs(b)), x, b
+
+
+def eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of stacked Hermitian d x d blocks, read from
+    the lower triangle as ``np.linalg.eigvalsh`` reads it.
+
+    A stacked LAPACK call costs about 0.7 us per block, so for d <= 2 the
+    eigenvalues are the closed form m -+ r (``_hermitian2``), as in
+    LAPACK's own zlaev2; larger blocks go to ``np.linalg.eigvalsh``."""
+    d = h.shape[-1]
+    if d > 2:
+        try:
+            return np.linalg.eigvalsh(h)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericError(f"eigvalsh failed: {exc}") from exc
+    if d == 1:
+        return h[..., 0].real
+    m, r, _, _ = _hermitian2(h)
+    return np.stack([m - r, m + r], axis=-1)
+
+
+def kept_projection(h: np.ndarray, keep) -> np.ndarray:
+    """The projection onto the eigenvectors of each stacked Hermitian block
+    whose eigenvalue w has ``keep(w)`` true; ``keep`` maps the ascending
+    eigenvalues (*batch, d) elementwise to booleans of the same shape, so
+    equal eigenvalues are kept alike.
+
+    For d <= 2 the projection is 0 or 1 when both eigenvalues are dropped
+    or both kept; when one is kept it is (h - w_other)/(w_kept - w_other)
+    = (1 -+ (h - m)/r)/2, the sign + when the larger is kept, from the
+    lower triangle.  Larger blocks sum v v* over the kept eigenvectors of
+    ``np.linalg.eigh``."""
+    d = h.shape[-1]
+    if d > 2:
+        w, v = _eigh(h)
+        v = np.where(keep(w)[..., None, :], v, 0.0)
+        return block_matmul(v, _adjoint(v))
+    if d == 1:
+        return keep(h[..., 0].real)[..., None].astype(float)
+    m, r, x, b = _hermitian2(h)
+    kept = keep(np.stack([m - r, m + r], axis=-1)).astype(float)
+    lo, hi = kept[..., 0], kept[..., 1]
+    # z = +-1/(2r) when only the larger or only the smaller is kept, else
+    # 0; r = 0 means equal eigenvalues, kept alike
+    z = 0.5 * (hi - lo) / np.where(r > 0, r, 1.0)
+    t = 0.5 * (lo + hi)
+    out = np.empty(h.shape, dtype=np.result_type(h, float))
+    out[..., 0, 0], out[..., 1, 1] = t + z * x, t - z * x
+    out[..., 1, 0] = z * b
+    out[..., 0, 1] = np.conj(out[..., 1, 0])
+    return out
 
 
 @dataclass(frozen=True)
@@ -227,30 +289,46 @@ def spectral_projection(h: Op, interval: Interval) -> Op:
     """chi_interval(h) for Hermitian h (sum of eigenprojections inside)."""
     if not h.is_hermitian():
         raise ContractViolation("spectral_projection requires a Hermitian operator")
-    w, v = _eigh(h)
-    keep = interval.contains(w)  # (*batch, nblocks, d) boolean
-    sel = np.where(keep[..., None, :], v, 0.0)
-    return Op(block_matmul(sel, sel.conj().swapaxes(-1, -2)), h.algebra)
+    return Op(kept_projection(h.blocks, interval.contains), h.algebra)
 
 
 def psd_sqrt(h: Op) -> Op:
     """h^{1/2} for a positive h, from its Hermitian part (eigenvalues below
     zero, rounding, are clipped)."""
-    w, v = _eigh(h.hermitize())
+    w, v = _eigh(h.hermitize().blocks)
     return Op(block_matmul(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :],
-                           v.conj().swapaxes(-1, -2)), h.algebra)
+                           _adjoint(v)), h.algebra)
 
 
 def singular_values(a: Op, hermitian: bool = False):
-    """Per-block singular values (*batch, nblocks, d), each carrying its
-    block weight.  With ``hermitian`` the caller guarantees Hermitian
-    blocks, and the values are the moduli of their eigenvalues (eigvalsh
-    reads one triangle), as in ``np.linalg.svd``."""
-    try:
-        s = np.linalg.svd(a.blocks, compute_uv=False, hermitian=hermitian)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericError(f"SVD failed: {exc}") from exc
-    return s
+    """Per-block singular values (*batch, nblocks, d), descending, each
+    carrying its block weight.  With ``hermitian`` the caller guarantees
+    Hermitian blocks, and the values are the moduli of their eigenvalues
+    (``eigvalsh``, one triangle), as in ``np.linalg.svd``.
+
+    For d <= 2 they are closed forms.  A general 2 x 2 block A has
+    sigma_1 = sqrt(m + r) from the eigenvalues m -+ r of A*A (the column
+    norms and the columns' inner product), and sigma_2 = |det A| / sigma_1,
+    at most sigma_1; the textbook
+    (sqrt(|A|_F^2 + 2|det A|) -+ sqrt(|A|_F^2 - 2|det A|))/2 loses half
+    the digits of sigma_2 when the two are close."""
+    x = a.blocks
+    d = x.shape[-1]
+    if d > 2:
+        try:
+            return np.linalg.svd(x, compute_uv=False, hermitian=hermitian)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover
+            raise NumericError(f"SVD failed: {exc}") from exc
+    if d == 1:
+        return np.abs(x[..., 0].real if hermitian else x[..., 0])
+    if hermitian:               # |m -+ r|, the larger first
+        m, r, _, _ = _hermitian2(x)
+        return np.stack([np.abs(m) + r, np.abs(np.abs(m) - r)], axis=-1)
+    m, r, _, _ = _hermitian2(block_matmul(_adjoint(x), x))
+    s1 = np.sqrt(m + r)
+    det = np.abs(x[..., 0, 0] * x[..., 1, 1] - x[..., 0, 1] * x[..., 1, 0])
+    return np.stack([s1, np.minimum(det / np.where(s1 > 0, s1, 1.0), s1)],
+                    axis=-1)
 
 
 def tail_trace(f: Op, lam):

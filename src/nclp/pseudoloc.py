@@ -530,13 +530,20 @@ def paraproduct_correction(t_hat: np.ndarray) -> np.ndarray:
     Row 0 of H is the constant N^{-1/2}, so conj(rho_i) = sqrt(N) t[0, i],
     and column i >= 1 of H Pi_rho* H^T is conj(rho_i) / #Q_i times the Haar
     coefficients of 1_{Q_i}.  With a[r, i] = sqrt(N) <1_{Q_i} / #Q_i, h_r>,
-    nonzero on row 0 and on the cubes strictly containing Q_i, T0 has the
-    coefficients t - t[0] a."""
-    N = t_hat.shape[-1]
-    w = 1.0 / _cube_cells(N.bit_length() - 1)
-    w[0] = 0.0                  # the paraproduct drops the constant
-    a = np.sqrt(N) * _on_rows(haar, _ancestor_sums(np.diag(w)))
-    t_hat -= t_hat[..., :1, :] * a[:t_hat.shape[-2]]
+    T0 has the coefficients t - t[0] a.  The paraproduct drops the
+    constant, so column 0 of a is 0; on column i >= 1, a is
+    +-sqrt(N) / sqrt(#Q_r) on row 0 (+) and on the rows r whose cube Q_r
+    strictly contains Q_i (+ on the first half), and 0 elsewhere: only
+    the rows of t_hat are formed."""
+    rows, N = t_hat.shape[-2:]
+    K = N.bit_length() - 1
+    lev, cells, start = _haar_levels(K), _cube_cells(K), _cube_starts(K)
+    r_lev, r_cells, r_start = (x[:rows, None] for x in (lev, cells, start))
+    inside = (r_lev < lev) & (r_start <= start) & (start < r_start + r_cells)
+    first = (r_lev < 0) | (start < r_start + r_cells // 2)
+    a = np.sqrt(N) * np.where(inside, np.where(first, 1.0, -1.0)
+                              / np.sqrt(r_cells), 0.0)
+    t_hat -= t_hat[..., :1, :] * a
     return t_hat
 
 

@@ -78,24 +78,25 @@ def delta_trunc_oracle(x, pi, ell):
     return out
 
 
-def _rank_deficient_martingale():
+def _rank_deficient_martingale(d=3):
     """Every f_k vanishes on one direction shared by all cells, so its
     compressions keep a kernel the two conventions treat differently."""
-    filt = GridFiltration(1, 3, 3)
+    filt = GridFiltration(1, 3, d)
     rng = np.random.default_rng(21)
-    basis = np.linalg.qr(rng.standard_normal((3, 2)))[0]
-    g = basis @ (rng.standard_normal((filt.algebra.nblocks, 2, 2))
-                 + 1j * rng.standard_normal((filt.algebra.nblocks, 2, 2)))
+    basis = np.linalg.qr(rng.standard_normal((d, d - 1)))[0]
+    shape = (filt.algebra.nblocks, d - 1, d - 1)
+    g = basis @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     top = Op(g @ g.conj().transpose(0, 2, 1), filt.algebra)
     return Martingale(filt, (1.0 / top.trace().real) * top)
 
 
 @pytest.mark.parametrize("convention", ["closed", "half-open"])
 @pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
-                                  "rank-deficient"])
+                                  "rank-deficient", "rank-deficient-2"])
 def test_batched_matches_per_block_oracle(spec, convention):
-    if spec == "rank-deficient":
-        marts = [_rank_deficient_martingale()]
+    if spec.startswith("rank-deficient"):
+        # d = 2 is the closed-form kernel, d = 3 LAPACK's
+        marts = [_rank_deficient_martingale(2 if spec.endswith("2") else 3)]
     else:
         filt = build_filtration(spec)
         marts = [random_positive_martingale(filt, trial_rng(22, t))
@@ -175,7 +176,15 @@ def test_sup_l1_equals_max_schatten_norm(spec):
 
 
 def test_rank_deficient_case_separates_conventions():
-    f = _rank_deficient_martingale()
+    _assert_conventions_separate(_rank_deficient_martingale())
+
+
+def test_closed_form_kernel_separates_conventions():
+    # the kernel direction of 2 x 2 blocks meets the closed form
+    _assert_conventions_separate(_rank_deficient_martingale(2))
+
+
+def _assert_conventions_separate(f):
     closed = cuculescu(f, 0.25, convention="closed")
     halfopen = cuculescu(f, 0.25, convention="half-open")
     for qc, qh in zip(closed.qs, halfopen.qs):

@@ -7,7 +7,7 @@ from nclp.czkit import (ZetaData, cz_decompose, cz_report, g_off_layer_report,
                         g_off_layers, thmB1_decompose, zeta, zeta_cube_inequalities,
                         zeta_report)
 from nclp.errors import ContractViolation
-from nclp.filtration import GridFiltration, TensorDyadicFiltration, dyadic_father
+from nclp.filtration import GridFiltration, TensorDyadicFiltration
 from nclp.harness import random_coeffs, random_positive_martingale, trial_rng
 from nclp.martingale import Martingale, transform_family
 from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
@@ -15,6 +15,7 @@ from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
                          spectral_projection)
 
 from batch_entries import assert_entries_match_scalar_calls, entry
+from oracles import dyadic_father
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -542,3 +543,29 @@ def test_batch_entries_equal_scalar_calls(spec):
     for i in range(len(lams)):
         one = g_off_layers(cz_decompose(f, lams[i]))
         assert np.array_equal(lay["layers"].blocks[i], one["layers"].blocks)
+
+
+def test_grid_experiments_make_no_lapack_call(monkeypatch):
+    # grid:1,4,2 has 2 x 2 blocks, so every spectral kernel is a closed form
+    import nclp.harness as harness
+    calls = []
+
+    def counting(name):
+        lapack = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return lapack(*args, **kwargs)
+        return counted
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    for experiment in ("cuculescu", "cz", "zeta"):
+        rep = harness.run(harness.ExperimentConfig(
+            experiment, algebra="grid:1,4,2", trials=1))
+        assert harness.all_pass(rep)
+    assert calls == []
+    # 3 x 3 blocks go to LAPACK, and the counters see it
+    harness.run(harness.ExperimentConfig("cuculescu", algebra="grid:1,3,3",
+                                         trials=1))
+    assert {"eigh", "eigvalsh", "svd"} <= set(calls)

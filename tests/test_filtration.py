@@ -4,8 +4,9 @@ import pytest
 from nclp.errors import ContractViolation
 from nclp.filtration import (CornerFiltration, DyadicCube, GridFiltration,
                              TensorDyadicFiltration, build_filtration,
-                             dyadic_father, parse_spec)
+                             parse_spec)
 from nclp.opcore import Op
+from oracles import dyadic_father
 
 
 def rand(filt, seed):
@@ -253,3 +254,16 @@ def test_level_algebra_trace_agrees_with_tau(spec):
         small = filt.restrict(x, k)
         assert small.algebra is alg
         assert small.trace() == pytest.approx(x.trace(), abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["grid:1,3,1", "grid:1,3,2", "grid:1,3,3",
+                                  "grid:2,2,1", "grid:2,2,2", "grid:2,2,3",
+                                  "tensor:3", "corner:4"])
+def test_refine_is_restrict_of_extend(spec):
+    filt = build_filtration(spec)
+    for k in filt.levels[1:]:
+        y = rand_level(filt, k - 1, 70 + k)
+        got = filt.refine(y, k)
+        assert got.algebra is filt.level_algebra(k)
+        want = filt.restrict(filt.extend(y, k - 1), k)
+        assert np.array_equal(got.blocks, want.blocks)

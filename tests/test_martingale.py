@@ -6,11 +6,10 @@ from nclp.errors import ContractViolation
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
 from nclp.martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
-                             dirac_coeffs, function_bmo, l2_identity_check,
-                             lp_rc_norm, partition_coeffs, row_square,
-                             split_upper_bound, transform_family)
+                             function_bmo, l2_identity_check, lp_rc_norm,
+                             row_square, split_upper_bound, transform_family)
 from nclp.opcore import Op, l2_norm, op_norm
-from oracles import abs_op
+from oracles import abs_op, dirac_coeffs, partition_coeffs
 
 FILT = TensorDyadicFiltration(3)
 

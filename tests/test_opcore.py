@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from nclp.errors import ContractViolation, NumericError
 from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op,
                          annihilation_check, block_matmul, dense_algebra,
-                         is_projection,
+                         eigvalsh, is_projection, kept_projection,
                          l2_inner, l2_norm, mu_function, op_norm, proj_join,
                          proj_meet, psd_sqrt, schatten_norm, singular_values,
                          spectral_projection, tail_trace, weak_l1)
@@ -356,3 +356,183 @@ def test_hermitian_singular_values_read_one_triangle():
     assert np.allclose(singular_values(h, hermitian=True),
                        singular_values(full), rtol=1e-15, atol=0)
     assert not np.allclose(singular_values(h), singular_values(full))
+
+
+# -- closed-form spectral kernels for blocks of side <= 2 --------------------
+
+EPS = np.finfo(float).eps
+KINDS = ["random", "diagonal", "zero", "identity", "rank-one",
+         "near-degenerate"]
+
+
+def _adj(x):
+    return x.conj().swapaxes(-1, -2)
+
+
+def _hermitian_kind(kind, d, scale, seed, n=64):
+    """(n, d, d) Hermitian blocks of one kind, entries of size ``scale``."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    u = np.linalg.qr(z)[0]
+    c = rng.standard_normal(n)[:, None]
+    w = {"random": rng.standard_normal((n, d)),
+         "diagonal": rng.standard_normal((n, d)),
+         "zero": np.zeros((n, d)),
+         "identity": np.repeat(c, d, axis=1),
+         "rank-one": np.eye(d)[-1] * np.abs(c),
+         "near-degenerate": c + 1e-10 * np.arange(d)}[kind]
+    if kind in ("diagonal", "identity"):
+        return scale * (w[..., None] * np.eye(d)).astype(complex)
+    if kind == "random":
+        return scale * 0.5 * (z + _adj(z))
+    return scale * (u * w[:, None, :]) @ _adj(u)
+
+
+def _lapack_projection(h, keep):
+    """sum v v* over the kept eigenvectors of np.linalg.eigh."""
+    w, v = np.linalg.eigh(h)
+    v = np.where(keep(w)[..., None, :], v, 0.0)
+    return v @ _adj(v)
+
+
+def _size(h):
+    """The Frobenius norm of each block."""
+    return np.linalg.norm(h, axis=(-2, -1))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_eigenvalues_match_lapack(d, kind, scale):
+    h = _hermitian_kind(kind, d, scale, 100 + d)
+    got, want = eigvalsh(h), np.linalg.eigvalsh(h)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= 8 * EPS * _size(h)[:, None])
+    assert np.all(np.diff(got, axis=-1) >= 0)
+    if kind in ("zero", "identity"):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("d", [1, 2])
+def test_closed_form_projection_matches_lapack(d, kind, scale):
+    h = _hermitian_kind(kind, d, scale, 110 + d)
+    w = np.linalg.eigvalsh(h)
+    mid = (0.5 * (w[:, 0] + w[:, -1]))[:, None]
+    for keep in (lambda x: x <= mid, lambda x: x > mid,
+                 lambda x: x < w[:, :1] - scale, lambda x: x > w[:, :1] - scale):
+        p = kept_projection(h, keep)
+        ref = _lapack_projection(h, keep)
+        kept = keep(w).sum(axis=-1)
+        # the eigenvectors of a block whose pair is split are accurate to
+        # rounding over the gap, in either method
+        gap = np.where(kept % d, w[:, -1] - w[:, 0], np.inf)
+        tol = 1e-14 + 8 * EPS * _size(h) / gap
+        assert np.all(_size(p - ref) <= tol)
+        # whatever the gap, p is an exact-Hermitian projection of the kept
+        # rank that commutes with h
+        assert np.array_equal(p, _adj(p))
+        assert np.all(_size(p @ p - p) <= 1e-15)
+        assert np.allclose(np.einsum("...ii->...", p).real, kept,
+                           rtol=0, atol=1e-15)
+        assert np.all(_size(h @ p - p @ h) <= 8 * EPS * _size(h))
+
+
+@pytest.mark.parametrize("convention", ["closed", "half-open"])
+def test_closed_form_projection_at_cuculescu_endpoints(convention):
+    # eigenvalues exactly at 0 and at lambda: the closed convention keeps
+    # both, the half-open one drops 0
+    lam = 0.75
+
+    def keep(w):
+        kept = w <= lam + ENDPOINT_TOL
+        return kept & (w > ENDPOINT_TOL) if convention == "half-open" else kept
+
+    pairs = np.array([(0.0, lam), (lam, lam), (0.0, 0.0), (lam, lam + 1.0),
+                      (0.5 * lam, lam), (0.0, lam + 1.0), (lam + 1.0, lam + 2)])
+    kept_ref = keep(pairs).astype(float)
+    diag = (pairs[..., None] * np.eye(2)).astype(complex)
+    want = kept_ref[..., None] * np.eye(2)
+    assert np.array_equal(kept_projection(diag, keep), want)
+    rng = np.random.default_rng(120)
+    u = np.linalg.qr(rng.standard_normal((len(pairs), 2, 2))
+                     + 1j * rng.standard_normal((len(pairs), 2, 2)))[0]
+    h = (u * pairs[:, None, :]) @ _adj(u)
+    p = kept_projection(h, keep)
+    assert np.all(_size(p - _lapack_projection(h, keep)) <= 1e-14)
+    assert np.all(_size(p - (u * kept_ref[:, None, :]) @ _adj(u)) <= 1e-14)
+
+
+def _general_kind(kind, scale, seed, n=64):
+    """(n, 2, 2) complex blocks with the named singular values."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((3, n, 2, 2)) + 1j * rng.standard_normal((3, n, 2, 2))
+    u, v = np.linalg.qr(z[1])[0], np.linalg.qr(z[2])[0]
+    c = np.abs(rng.standard_normal(n))[:, None] + 0.5
+    s = {"random": None, "rank-one": c * [1.0, 0.0], "zero": 0 * c,
+         "identity": c * [1.0, 1.0], "near-degenerate": c * [1.0, 1 - 1e-8],
+         "diagonal": None}[kind]
+    if kind == "random":
+        return scale * z[0]
+    if kind == "diagonal":
+        return scale * z[0] * np.eye(2)
+    return scale * (u * s[:, None, :]) @ _adj(v)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("kind", KINDS)
+def test_closed_form_singular_values_match_lapack(kind, scale):
+    for hermitian in (False, True):
+        x = _hermitian_kind(kind, 2, scale, 130) if hermitian \
+            else _general_kind(kind, scale, 131)
+        got = singular_values(Op(x, Algebra(len(x), 2)), hermitian=hermitian)
+        want = np.linalg.svd(x, compute_uv=False, hermitian=hermitian)
+        assert got.shape == want.shape
+        # rounding of sigma_1, also for sigma_2: sigma_2 = |det| / sigma_1
+        # keeps the digits that the textbook difference of roots loses
+        assert np.all(np.abs(got - want) <= 8 * EPS * want[:, :1])
+        assert np.all(got[:, 0] >= got[:, 1])
+    x1 = _general_kind("random", scale, 132)[..., :1, :1]
+    assert np.array_equal(singular_values(Op(x1, Algebra(len(x1), 1))),
+                          np.abs(x1[..., 0]))
+
+
+def test_near_equal_singular_values_keep_their_digits():
+    # sigma = (1, 1 - 1e-8): the textbook
+    # (sqrt(|A|^2 + 2|det|) - sqrt(|A|^2 - 2|det|))/2 is about 1e-8 off
+    x = _general_kind("near-degenerate", 1.0, 133)
+    got = singular_values(Op(x, Algebra(len(x), 2)))
+    want = np.linalg.svd(x, compute_uv=False)
+    assert np.all(np.abs(got - want) <= 4 * EPS)
+    fro2, det = (np.abs(x) ** 2).sum(axis=(-2, -1)), np.abs(np.linalg.det(x))
+    textbook = 0.5 * (np.sqrt(fro2 + 2 * det)
+                      - np.sqrt(np.maximum(fro2 - 2 * det, 0.0)))
+    assert np.abs(textbook - want[:, 1]).max() > 1e3 * 4 * EPS
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_hermitian_kernels_read_the_lower_triangle(d):
+    h = _hermitian_kind("random", d, 1.0, 140 + d)
+    g = h.copy()
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    g[:, upper] = 1e3 * (1 + 2j)
+    keep = lambda w: w <= 0.1             # noqa: E731
+    assert np.array_equal(eigvalsh(g), eigvalsh(h))
+    assert np.array_equal(kept_projection(g, keep), kept_projection(h, keep))
+    alg = Algebra(len(h), d)
+    assert np.array_equal(singular_values(Op(g, alg), hermitian=True),
+                          singular_values(Op(h, alg), hermitian=True))
+
+
+@pytest.mark.parametrize("d", [3, 4, 8])
+def test_larger_blocks_stay_on_lapack_bit_for_bit(d):
+    h = _hermitian_kind("random", d, 1.0, 150 + d)
+    keep = lambda w: w <= 0.1             # noqa: E731
+    assert np.array_equal(eigvalsh(h), np.linalg.eigvalsh(h))
+    assert np.array_equal(kept_projection(h, keep), _lapack_projection(h, keep))
+    x = Op(h + np.triu(h), Algebra(len(h), d))
+    assert np.array_equal(singular_values(x),
+                          np.linalg.svd(x.blocks, compute_uv=False))
+    assert np.array_equal(singular_values(Op(h, x.algebra), hermitian=True),
+                          np.linalg.svd(h, compute_uv=False, hermitian=True))
