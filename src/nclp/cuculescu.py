@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .martingale import Martingale
+from .martingale import POSITIVE_TOL, Martingale
 from .opcore import (ENDPOINT_TOL, Op, block_matmul as mm, eigvalsh,
                      kept_projection, null_projection)
 
@@ -31,7 +31,8 @@ from .opcore import (ENDPOINT_TOL, Op, block_matmul as mm, eigvalsh,
 @dataclass
 class CuculescuSequence:
     """The recursion at every threshold of ``lam``: ``qs`` has shape
-    (*lam.shape, levels, nblocks, d, d), so a scalar lam adds no axis."""
+    (*lam.shape, *martingale.batch, levels, nblocks, d, d), so a scalar
+    lam adds no axis."""
 
     lam: np.ndarray | float
     convention: str
@@ -54,9 +55,17 @@ class CuculescuSequence:
                                  self.qs[i], self.martingale)
 
 
+def lam_axes(lam, f: Martingale, trailing: int = 0) -> np.ndarray:
+    """lam with a unit axis for each batch axis of f and ``trailing`` more,
+    so that it broadcasts with the thresholds in front of f's batch axes."""
+    lam = np.asarray(lam)
+    return lam.reshape(lam.shape + (1,) * (len(f.batch) + trailing))
+
+
 def cuculescu(f: Martingale, lam, convention: str = "closed"):
-    """Run the recursion along all levels of a positive martingale at a
-    threshold or at each entry of a 1-D threshold vector."""
+    """Run the recursion along all levels of a positive martingale, or of
+    each entry of a batched one, at a threshold or at each entry of a 1-D
+    threshold vector; the threshold axes come first."""
     lam = np.asarray(lam, dtype=float)[()]      # a 0-d lam: np.float64
     if np.ndim(lam) > 1 or np.size(lam) == 0 \
             or not np.all(np.isfinite(lam) & (lam > 0)):
@@ -65,14 +74,19 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
     if convention not in ("closed", "half-open"):
         raise ContractViolation(f"unknown endpoint convention {convention!r}")
     if not f.is_positive():
-        raise ContractViolation("cuculescu requires a positive martingale")
+        # of a batched f, name the first entry that is not positive
+        bad = np.argwhere(np.asarray(f.spectral_floor) < -POSITIVE_TOL)[0]
+        raise ContractViolation(
+            "cuculescu requires a positive martingale"
+            + (f" (entry {', '.join(map(str, bad))} is not)" if bad.size
+               else ""))
     alg, filt = f.algebra, f.filtration
     # q f_n q + (lam+1)(1 - q) has the spectrum of the compression on
     # range(q) and lam + 1 on its complement, so one stacked solve per level
     # keeps exactly the directions of range(q) at or below lam.  q_{n-1} and
     # f_n lie in M_n, so the solve runs in M_n's coordinates, and q_{n-1}
     # reaches them from M_{n-1}'s by ``refine``.
-    cut = np.asarray(lam)[..., None, None]
+    cut = lam_axes(lam, f, 2)
 
     def keep(w):
         kept = w <= cut + ENDPOINT_TOL
@@ -100,10 +114,11 @@ def q_lambda(seq: CuculescuSequence) -> Op:
 
 def cuculescu_report(seq: CuculescuSequence) -> dict:
     """Measured versions of the three classical properties, each shaped
-    like ``seq.lam``, from one eigvalsh per level over every threshold."""
+    (*lam.shape, *martingale.batch), from one eigvalsh per level over every
+    threshold and entry."""
     f = seq.martingale
     filt = f.filtration
-    lams = np.asarray(seq.lam)[..., None, None, None]
+    lams = lam_axes(seq.lam, f, 3)
     comm = excess = -np.inf
     # q_{n-1}, q_n and f_n lie in M_n: both checks run in M_n's coordinates,
     # and q_{n-1} comes there from M_{n-1}'s by ``refine``

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuculescu import (PiFamily, cuculescu, ladder_top, meet_ladder,
-                        q_lambda)
+from .cuculescu import (PiFamily, cuculescu, ladder_top, lam_axes,
+                        meet_ladder, q_lambda)
 from .errors import ContractViolation
 from .filtration import GridFiltration
 from .martingale import Martingale
@@ -22,7 +22,8 @@ from .opcore import (Interval, Op, block_matmul as mm, eigvalsh,
 @dataclass
 class CZParts:
     """The four parts at every threshold of ``lam``; each Op carries lam's
-    shape in front of its own axes, as do ``m_lambda`` and ``lam``."""
+    shape and then the martingale's batch axes in front of its own axes, and
+    ``m_lambda`` has those two in that order."""
 
     g_d: Op
     g_off: Op
@@ -54,7 +55,8 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
 
 def cz_decompose(f: Martingale, lam) -> CZParts:
     """f = g_d + g_off + b_d + b_off through the recursion projections, at
-    a threshold or at each entry of a 1-D threshold vector.
+    a threshold or at each entry of a 1-D threshold vector, for f or each
+    entry of a batched f.
 
     g_d   = q f q + sum_k p_k f_k p_k
     g_off = sum_{i != j} p_i f_{i v j} p_j + q f q^perp + q^perp f q
@@ -67,7 +69,7 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
     alg = f.algebra
     Q, Qprev = seq.qs.blocks, seq.q_prev.blocks
     P, F = Qprev - Q, f.seq.blocks
-    q, top = Q[..., -1, :, :, :], F[-1]
+    q, top = Q[..., -1, :, :, :], F[..., -1, :, :, :]
     # the pair sums telescope: u_j = sum_{i<j} p_i = 1 - q_{j-1} and
     # f_{i v j} = f_j for i < j, so sum_{i != j} p_i X_{i v j} p_j is
     # sum_j u_j X_j p_j + p_j X_j u_j: one product per level
@@ -76,7 +78,7 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
     # A = sum_j u_j f_j p_j and B = sum_j u_j f p_j the good pair sum is
     # A + A* and the bad one (B - A) + (B - A)*, and
     # q f (1 - q) + (1 - q) f q = q f + (q f)* - 2 q f q
-    FP, fP, qf = mm(F, P), mm(top, P), mm(q, top)
+    FP, fP, qf = mm(F, P), mm(top[..., None, :, :, :], P), mm(q, top)
     A, B = mm(u, FP).sum(axis=-4), mm(u, fP).sum(axis=-4)
     PFP, qfq = mm(P, FP), mm(qf, q)
     g_d = qfq + PFP.sum(axis=-4)
@@ -93,16 +95,17 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
 
 def cz_report(parts: CZParts) -> dict:
     """Reconstruction residual and the diagonal-part bounds, each shaped
-    like ``parts.lam`` (the b_d bound does not depend on lambda), with one
-    stacked eigvalsh over every threshold and level."""
+    (*lam.shape, *martingale.batch) (the b_d bound does not depend on
+    lambda and has the batch shape), with one stacked eigvalsh over every
+    threshold, entry and level."""
     f = parts.martingale
-    l1 = schatten_norm(f.top, 1)
+    l1, lam = schatten_norm(f.top, 1), lam_axes(parts.lam, f)
     recon = (parts.g_d + parts.g_off + parts.b_d + parts.b_off).blocks
     return {
         "reconstruction_residual": np.abs(recon - f.top.blocks).max(
             axis=(-3, -2, -1)),
         "g_d_l2sq": l2_norm(parts.g_d) ** 2,
-        "g_d_bound": (2.0 ** parts.filtration.n) * parts.lam * l1,
+        "g_d_bound": (2.0 ** parts.filtration.n) * lam * l1,
         # p_k (f - f_k) p_k is Hermitian: its singular values are the
         # moduli of its eigenvalues
         "b_d_l1_sum": schatten_norm(parts.b_d_terms, 1,

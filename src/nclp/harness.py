@@ -9,6 +9,7 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field, replace
+from functools import wraps
 from typing import Callable
 
 import numpy as np
@@ -28,6 +29,10 @@ from .opcore import (Op, l2_inner, l2_norm, mu_function, schatten_norm,
                      weak_l1)
 
 ENVELOPE = 64.0
+
+# trials per call of an experiment's runner: the batched runners stack this
+# many martingales, which keeps their arrays, and so the peak memory, small
+TRIAL_CHUNK = 4
 
 
 @dataclass
@@ -92,12 +97,25 @@ def random_op(algebra, rng, hermitian: bool = True) -> Op:
     return a.hermitize() if hermitian else a
 
 
-def random_positive_martingale(filtration, rng) -> Martingale:
-    """f_k = E_k(h) for h = g g* normalized to tau(h) = 1."""
+def random_positive_top(filtration, rng) -> Op:
+    """h = g g* normalized to tau(h) = 1."""
     g = random_op(filtration.algebra, rng, hermitian=False).blocks
     top = Op(np.einsum("bij,bkj->bik", g, g.conj()), filtration.algebra)
-    top = (1.0 / top.trace().real) * top
-    return Martingale(filtration, top)
+    return (1.0 / top.trace().real) * top
+
+
+def random_positive_martingale(filtration, rng) -> Martingale:
+    """f_k = E_k(h) for h = ``random_positive_top(filtration, rng)``."""
+    return Martingale(filtration, random_positive_top(filtration, rng))
+
+
+def random_positive_batch(filtration, chunk) -> Martingale:
+    """The martingales of a chunk's trials as one batched Martingale, the
+    trial axis first: each top is ``random_positive_top`` drawn from its
+    own trial's generator."""
+    return Martingale(filtration, Op(np.stack([
+        random_positive_top(filtration, rng).blocks for rng, _ in chunk]),
+        filtration.algebra))
 
 
 def random_coeffs(k_max: int, m_max: int, rng,
@@ -231,13 +249,24 @@ def all_pass(report: dict) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies: each trial function returns (inputs to digest, metrics)
+# experiment bodies: each trial function returns (inputs to digest, metrics);
+# a chunk runner returns one such pair per (rng, t) of its chunk
 # ---------------------------------------------------------------------------
+
+def per_trial(trial: Callable) -> Callable:
+    """The chunk runner of a runner of one trial, trial(cfg, ctx, rng, t):
+    it runs the chunk's trials one at a time, in order."""
+    @wraps(trial)
+    def run_chunk(cfg, ctx, chunk):
+        return [trial(cfg, ctx, rng, t) for rng, t in chunk]
+    return run_chunk
+
 
 def _filtration(cfg):
     return build_filtration(cfg.algebra)
 
 
+@per_trial
 def _norms(cfg, filt, rng, t):
     alg = filt.algebra
     a = random_op(alg, rng)
@@ -259,17 +288,26 @@ def _norms(cfg, filt, rng, t):
 # keeps a NaN wherever it sits: the builtin max(0.0, nan) is 0.0 and would
 # turn a failed check into a PASS.
 
-def _cuculescu(cfg, filt, rng, t):
+def _max_over_lambda(per_lam: dict, trials: int) -> list[dict]:
+    """Each trial's metrics from arrays shaped (lambda, trial): the max over
+    the thresholds."""
+    return [{key: np.max(val[:, i]) for key, val in per_lam.items()}
+            for i in range(trials)]
+
+
+def _cuculescu(cfg, filt, chunk):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
-    f = random_positive_martingale(filt, rng)
+    f = random_positive_batch(filt, chunk)
     rep = cuculescu_report(cuculescu(f, lams))
-    return (f.top, cfg.lambda_exps), {
-        "commutator": np.max(rep["commutator"]),
-        "compression_excess": np.max(rep["compression_excess"]),
-        "tail_excess": np.max(lams * rep["tail_trace"] - f.sup_l1),
-    }
+    metrics = _max_over_lambda({
+        "commutator": rep["commutator"],
+        "compression_excess": rep["compression_excess"],
+        "tail_excess": lams[:, None] * rep["tail_trace"] - f.sup_l1,
+    }, len(chunk))
+    return [((f.top[i], cfg.lambda_exps), m) for i, m in enumerate(metrics)]
 
 
+@per_trial
 def _gundy(cfg, filt, rng, t):
     exps = np.asarray(cfg.lambda_exps)
     f = random_positive_martingale(filt, rng)
@@ -296,12 +334,14 @@ def _gundy(cfg, filt, rng, t):
     }
 
 
+@per_trial
 def _transform_weak11(cfg, filt, rng, t):
     f = random_positive_martingale(filt, rng)
     xi = random_coeffs(len(f.diffs), 4, rng, "row-eq-one")
     return (f.top, xi.entries), weak11_experiment(f, xi, cfg.lambda_exps)
 
 
+@per_trial
 def _transform_l2(cfg, filt, rng, t):
     f = Martingale(filt, random_op(filt.algebra, rng))
     nsq = max(l2_norm(f.top) ** 2, 1e-300)
@@ -313,6 +353,7 @@ def _transform_l2(cfg, filt, rng, t):
     }
 
 
+@per_trial
 def _bmo(cfg, filt, rng, t):
     f = Martingale(filt, random_op(filt.algebra, rng))
     xi = CoeffMatrix(rng.uniform(-1.0, 1.0, size=(len(f.diffs), 1)))
@@ -325,6 +366,7 @@ def _bmo(cfg, filt, rng, t):
     }
 
 
+@per_trial
 def _ergodic(cfg, filt, rng, t):
     f = random_positive_martingale(filt, rng)
     k_max = len(f.diffs)
@@ -340,6 +382,7 @@ def _ergodic(cfg, filt, rng, t):
     }
 
 
+@per_trial
 def _cross(cfg, filt, rng, t):
     f = random_positive_martingale(filt, rng)
     k = len(f.diffs)
@@ -348,17 +391,19 @@ def _cross(cfg, filt, rng, t):
     return (f.top, rho.entries, eta.entries), cross_experiment(f, rho, eta)
 
 
-def _cz(cfg, filt, rng, t):
+def _cz(cfg, filt, chunk):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
-    f = random_positive_martingale(filt, rng)
+    f = random_positive_batch(filt, chunk)
     rep = cz_report(cz_decompose(f, lams))
-    return (f.top, cfg.lambda_exps), {
-        "reconstruction_residual": np.max(rep["reconstruction_residual"]),
-        "g_d_excess": np.max(rep["g_d_l2sq"] - rep["g_d_bound"]),
-        "b_d_excess": np.max(rep["b_d_l1_sum"] - rep["b_d_bound"]),
-    }
+    metrics = _max_over_lambda({
+        "reconstruction_residual": rep["reconstruction_residual"],
+        "g_d_excess": rep["g_d_l2sq"] - rep["g_d_bound"],
+        "b_d_excess": rep["b_d_l1_sum"] - rep["b_d_bound"],
+    }, len(chunk))
+    return [((f.top[i], cfg.lambda_exps), m) for i, m in enumerate(metrics)]
 
 
+@per_trial
 def _zeta(cfg, filt, rng, t):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
     f = random_positive_martingale(filt, rng)
@@ -378,6 +423,7 @@ def _zeta(cfg, filt, rng, t):
         key: np.max(val, initial=0.0) for key, val in per_lam.items()}
 
 
+@per_trial
 def _thmB1(cfg, filt, rng, t):
     f = random_positive_martingale(filt, rng)
     xi = random_coeffs(len(f.diffs), 3, rng, "row-eq-one")
@@ -445,6 +491,7 @@ def _decay_setup(cfg):
         pl.circulant_haar(T.column, 0, T.N, 0, 1 << (T.K - s_lo)))
 
 
+@per_trial
 def _decay(cfg, ctx, rng, t):
     T, t0_hat = ctx
     s = cfg.s_range[0] + t
@@ -485,6 +532,7 @@ def _ksk_setup(cfg):
                                 f"{cfg.depth} and s = {s}")
 
 
+@per_trial
 def _ksk(cfg, ctx, rng, t):
     K, s = cfg.depth + t, cfg.s_range[0]
     T = pl.assemble(_make_kernel(cfg, K), K)
@@ -497,6 +545,7 @@ def _ksk(cfg, ctx, rng, t):
             {"max_residual": resid, "size_constant": size_c})
 
 
+@per_trial
 def _paraproduct(cfg, T, rng, t):
     f = rng.standard_normal(T.N)
     rep = pl.paraproduct_bound_report(T, f)
@@ -513,6 +562,7 @@ def _vanish_setup(cfg):
                                   for s in range(s_lo, s_hi + 1)}
 
 
+@per_trial
 def _vanish(cfg, ctx, rng, t):
     T, rho, hats = ctx
     worst = worst_rest = 0.0
@@ -534,6 +584,7 @@ def _localization_setup(cfg):
     return _operator(cfg)
 
 
+@per_trial
 def _localization(cfg, T, rng, t):
     x0 = float(rng.uniform(0, 1))
     r1 = float(rng.uniform(4.0 / T.N, 0.05))
@@ -554,6 +605,7 @@ def _nc_pseudoloc_setup(cfg):
                      for s in range(max(s_lo, 1), s_hi + 1)}
 
 
+@per_trial
 def _nc_pseudoloc(cfg, ctx, rng, t):
     filt, T, hats = ctx
     f = random_positive_martingale(filt, rng)
@@ -606,6 +658,7 @@ def _bmo_czo_setup(cfg):
     return pl.assemble(pl.annuli_kernel(K), K), GridFiltration(1, K, 1)
 
 
+@per_trial
 def _bmo_czo(cfg, ctx, rng, t):
     T, filt = ctx
     f = rng.uniform(-1.0, 1.0, size=T.N)
@@ -628,13 +681,15 @@ def _bmo_czo(cfg, ctx, rng, t):
 class Experiment:
     """One experiment as ``run`` executes it.
 
-    ``trial(cfg, ctx, rng, t)`` returns the inputs to digest and the trial's
-    metrics; ``defaults`` fills the config fields left at None; ``rules``
-    are (assertion, metric, threshold) triples.  ``setup(cfg)`` builds the
-    ``ctx`` the trials share and rejects options they cannot run with, and
-    ``summary(cfg, ctx, trials)`` maps the trials' metrics to suite-level
-    numbers.  With ``per_shift`` the trials are the shifts s_lo..s_hi, and
-    all of them draw from the one generator of trial 0.
+    ``trial(cfg, ctx, chunk)`` runs a chunk of at most ``TRIAL_CHUNK``
+    trials, given as (rng, t) pairs in order, and returns one (inputs to
+    digest, metrics) pair per trial; ``per_trial`` makes one from a runner
+    of a single trial.  ``defaults`` fills the config fields left at None;
+    ``rules`` are (assertion, metric, threshold) triples.  ``setup(cfg)``
+    builds the ``ctx`` the trials share and rejects options they cannot run
+    with, and ``summary(cfg, ctx, trials)`` maps the trials' metrics to
+    suite-level numbers.  With ``per_shift`` the trials are the shifts
+    s_lo..s_hi, and all of them draw from the one generator of trial 0.
     """
     trial: Callable
     defaults: dict
@@ -748,20 +803,22 @@ def environment() -> dict:
 
 
 def run(config: ExperimentConfig) -> dict:
-    """Set up, run the trials with their own generators, summarize, and
-    judge the rules; ``timing`` holds the wall time of each phase."""
+    """Set up, run the trials with their own generators, ``TRIAL_CHUNK`` at
+    a time, summarize, and judge the rules; ``timing`` holds the wall time
+    of each phase."""
     exp = EXPERIMENTS[config.resolved().experiment]
     suite = Suite(config, rules=list(exp.rules))
     start = time.perf_counter()
     ctx = exp.setup(config)
     set_up = time.perf_counter()
-    rng = None
-    for t in range(config.trials):
+    shared = trial_rng(config.seed, 0)
+    for first in range(0, config.trials, TRIAL_CHUNK):
+        ts = range(first, min(first + TRIAL_CHUNK, config.trials))
         # with per_shift, every shift draws from trial 0's generator
-        if rng is None or not exp.per_shift:
-            rng = trial_rng(config.seed, t)
-        inputs, metrics = exp.trial(config, ctx, rng, t)
-        suite.add_trial(digest(*inputs), metrics)
+        chunk = [(shared if exp.per_shift else trial_rng(config.seed, t), t)
+                 for t in ts]
+        for inputs, metrics in exp.trial(config, ctx, chunk):
+            suite.add_trial(digest(*inputs), metrics)
     trials_done = time.perf_counter()
     suite.summary.update(exp.summary(config, ctx,
                                      [t["metrics"] for t in suite.trials]))

@@ -8,7 +8,12 @@ import numpy as np
 
 from .errors import ContractViolation
 from .filtration import Filtration, GridFiltration
-from .opcore import Op, eigvalsh, l2_norm, op_norm, psd_sqrt, schatten_norm
+from .opcore import (Op, _per_entry, eigvalsh, l2_norm, op_norm, psd_sqrt,
+                     schatten_norm)
+
+
+# the eigenvalue floor below which ``Martingale.is_positive`` fails
+POSITIVE_TOL = 1e-10
 
 
 class Martingale:
@@ -18,6 +23,10 @@ class Martingale:
     holds each f_k in the coordinates of M_k (``Filtration.restrict``).
     The convention f_{before first level} = 0 makes the first difference
     equal to the first conditional expectation, so sum(df) = f_top.
+
+    A batched ``top`` (*batch, nblocks, d, d) gives a batch of martingales:
+    the level axis is axis -4 of ``seq`` and ``diffs``, behind the batch
+    axes, and the cached norms give one value per entry.
     """
 
     def __init__(self, filtration: Filtration, top: Op):
@@ -25,14 +34,19 @@ class Martingale:
         self.levels = list(filtration.levels)
         self.restricted = [filtration.restrict(top, k) for k in self.levels]
         self.seq = Op(np.stack([filtration.extend(y, k).blocks for k, y in
-                                zip(self.levels, self.restricted)]),
+                                zip(self.levels, self.restricted)], axis=-4),
                       filtration.algebra)
-        self.diffs = Op(np.diff(self.seq.blocks, axis=0, prepend=0.0),
+        self.diffs = Op(np.diff(self.seq.blocks, axis=-4, prepend=0.0),
                         filtration.algebra)
 
     @property
     def top(self) -> Op:
-        return self.seq[-1]
+        return self.seq[..., -1, :, :, :]
+
+    @property
+    def batch(self) -> tuple:
+        """The batch axes in front of the level axis."""
+        return self.seq.batch[:-1]
 
     @property
     def algebra(self):
@@ -49,23 +63,26 @@ class Martingale:
         return Op(out, self.algebra)
 
     @cached_property
-    def sup_l1(self) -> float:
-        """max_k ||f_k||_1, computed once like ``spectral_floor``."""
-        return float(schatten_norm(self.seq, 1).max())
+    def sup_l1(self):
+        """max_k ||f_k||_1 per entry, computed once like ``spectral_floor``."""
+        return _per_entry(np.max(schatten_norm(self.seq, 1), axis=-1))
 
     @cached_property
-    def sup_linf(self) -> float:
-        """max_k ||f_k||_inf, computed once like ``sup_l1``."""
-        return float(op_norm(self.seq).max())
+    def sup_linf(self):
+        """max_k ||f_k||_inf per entry, computed once like ``sup_l1``."""
+        return _per_entry(np.max(op_norm(self.seq), axis=-1))
 
     @cached_property
-    def spectral_floor(self) -> float:
-        """Smallest eigenvalue of the Hermitian parts of all f_k, from one
-        stacked eigen-solve; ``seq`` never changes, so it is computed once."""
-        return float(eigvalsh(self.seq.hermitize().blocks).min())
+    def spectral_floor(self):
+        """Smallest eigenvalue of the Hermitian parts of all f_k per entry,
+        from one stacked eigen-solve; ``seq`` never changes, so it is
+        computed once."""
+        return _per_entry(eigvalsh(self.seq.hermitize().blocks).min(
+            axis=(-3, -2, -1)))
 
-    def is_positive(self, tol: float = 1e-10) -> bool:
-        return self.spectral_floor >= -tol
+    def is_positive(self, tol: float = POSITIVE_TOL) -> bool:
+        """Every entry positive: no f_k has an eigenvalue below -tol."""
+        return bool(np.all(np.asarray(self.spectral_floor) >= -tol))
 
 
 @dataclass
@@ -185,8 +202,13 @@ def function_bmo(filtration: GridFiltration, fs: Op) -> tuple[float, float]:
                 len(b), -1, L ** n, d, d)         # (member, cube, cell)
             g_r = np.einsum("mqlab,mqlcb->qac", dev, dev.conj()) / L ** n
             g_c = np.einsum("mqlba,mqlbc->qac", dev.conj(), dev) / L ** n
-            bmo_r = max(bmo_r, float(np.sqrt(np.linalg.norm(
-                g_r, ord=2, axis=(1, 2)).max())))
-            bmo_c = max(bmo_c, float(np.sqrt(np.linalg.norm(
-                g_c, ord=2, axis=(1, 2)).max())))
+            bmo_r = max(bmo_r, float(np.sqrt(_gram_norm(g_r).max())))
+            bmo_c = max(bmo_c, float(np.sqrt(_gram_norm(g_c).max())))
     return bmo_r, bmo_c
+
+
+def _gram_norm(g: np.ndarray) -> np.ndarray:
+    """The operator norms of stacked positive blocks: their top eigenvalues
+    (``eigvalsh``, no SVD), clipped at 0, so that the square root of a zero
+    block's norm is 0 and not a NaN from a rounding-negative eigenvalue."""
+    return np.clip(eigvalsh(g)[..., -1], 0.0, None)

@@ -8,7 +8,8 @@ from nclp.errors import ContractViolation
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
 from nclp.harness import (ExperimentConfig, Suite, random_op,
-                          random_positive_martingale, trial_rng)
+                          random_positive_martingale, random_positive_top,
+                          trial_rng)
 from nclp.martingale import Martingale
 from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
                          l2_norm, op_norm, proj_meet, schatten_norm)
@@ -484,3 +485,50 @@ def test_batch_entries_equal_scalar_calls(spec):
             one = cuculescu(f, lam)
             assert (q_lambda(seq)[i] - q_lambda(one)).max_abs() <= 1e-12
             assert (seq.q_prev[i] - one.q_prev).max_abs() <= 1e-12
+
+
+# -- a batch of martingales against one call per member ----------------------
+
+def _member_tops(filt, count, seed=35):
+    return np.stack([random_positive_top(filt, trial_rng(seed, t)).blocks
+                     for t in range(count)])
+
+
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,2,2"])
+def test_trial_batch_entries_equal_each_members_own_call(spec):
+    # the thresholds come first, then the martingale's batch axis
+    filt = build_filtration(spec)
+    tops = _member_tops(filt, 3)
+    batch = Martingale(filt, Op(tops, filt.algebra))
+    seq = cuculescu(batch, BATCH_LAMS)
+    rep = cuculescu_report(seq)
+    assert seq.qs.batch == BATCH_LAMS.shape + (3, len(filt.levels))
+    assert all(np.shape(v) == BATCH_LAMS.shape + (3,) for v in rep.values())
+    for i, top in enumerate(tops):
+        one = cuculescu(Martingale(filt, Op(top, filt.algebra)), BATCH_LAMS)
+        assert np.array_equal(seq.qs.blocks[:, i], one.qs.blocks)
+        for key, val in cuculescu_report(one).items():
+            assert np.array_equal(rep[key][:, i], val)
+    # a scalar threshold adds no axis in front of the batch
+    scalar = cuculescu_report(cuculescu(batch, 2.0))
+    assert all(np.shape(v) == (3,) for v in scalar.values())
+    assert np.array_equal(scalar["commutator"], rep["commutator"][3])
+
+
+@pytest.mark.parametrize("shape,bad,named", [
+    ((4,), [2], "2"), ((4,), [1, 3], "1"), ((4,), [0], "0"),
+    ((2, 2), [3, 1], "0, 1")])
+def test_a_batch_that_is_not_positive_names_its_first_bad_entry(
+        shape, bad, named):
+    filt = GridFiltration(1, 3, 2)
+    tops = _member_tops(filt, 4)
+    tops[bad, 3] -= 10.0 * np.eye(2)
+    f = Martingale(filt, Op(tops.reshape(shape + tops.shape[1:]),
+                            filt.algebra))
+    with pytest.raises(ContractViolation,
+                       match=rf"positive martingale \(entry {named} is not\)$"):
+        cuculescu(f, BATCH_LAMS)
+    # an unbatched martingale has no entry to name
+    with pytest.raises(ContractViolation,
+                       match="requires a positive martingale$"):
+        cuculescu(Martingale(filt, Op(tops[bad[0]], filt.algebra)), 1.0)

@@ -8,7 +8,8 @@ from nclp.czkit import (ZetaData, cz_decompose, cz_report, g_off_layer_report,
                         zeta_report)
 from nclp.errors import ContractViolation
 from nclp.filtration import GridFiltration, TensorDyadicFiltration
-from nclp.harness import random_coeffs, random_positive_martingale, trial_rng
+from nclp.harness import (random_coeffs, random_positive_batch,
+                          random_positive_martingale, trial_rng)
 from nclp.martingale import Martingale, transform_family
 from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
                          proj_meet, schatten_norm, singular_values,
@@ -543,6 +544,33 @@ def test_batch_entries_equal_scalar_calls(spec):
     for i in range(len(lams)):
         one = g_off_layers(cz_decompose(f, lams[i]))
         assert np.array_equal(lay["layers"].blocks[i], one["layers"].blocks)
+
+
+@pytest.mark.parametrize("spec", ["grid:1,4,2", "grid:2,2,2"])
+def test_trial_batch_entries_equal_each_members_own_call(spec):
+    # the thresholds come first, then the martingale's batch axis
+    filt = GridFiltration(*(int(p) for p in spec.split(":")[1].split(",")))
+    chunk = [(trial_rng(71, t), t) for t in range(3)]
+    batch = random_positive_batch(filt, chunk)
+    lams = 2.0 ** np.arange(0, 5)
+    parts = cz_decompose(batch, lams)
+    rep = cz_report(parts)
+    assert parts.m_lambda.shape == lams.shape + (3,)
+    assert rep["b_d_bound"].shape == (3,)
+    assert all(np.shape(rep[key]) == lams.shape + (3,)
+               for key in rep if key != "b_d_bound")
+    for i in range(3):
+        f = Martingale(filt, batch.top[i])
+        one = cz_decompose(f, lams)
+        assert np.array_equal(parts.m_lambda[:, i], one.m_lambda)
+        for name in ("g_d", "g_off", "b_d", "b_off", "b_d_terms", "qs", "ps",
+                     "q"):
+            got, want = getattr(parts, name).blocks[:, i], \
+                getattr(one, name).blocks
+            assert np.abs(got - want).max() <= 1e-12
+        for key, want in cz_report(one).items():
+            got = rep[key][i] if key == "b_d_bound" else rep[key][:, i]
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-14)
 
 
 def test_grid_experiments_make_no_lapack_call(monkeypatch):

@@ -5,9 +5,12 @@ from hypothesis import given, settings, strategies as st
 from nclp.errors import ContractViolation
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
-from nclp.martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
-                             function_bmo, l2_identity_check, lp_rc_norm,
-                             row_square, split_upper_bound, transform_family)
+from nclp.harness import (ExperimentConfig, all_pass, random_positive_top,
+                          run, trial_rng)
+from nclp.martingale import (CoeffMatrix, Martingale, _gram_norm, bmo_norms,
+                             col_square, function_bmo, l2_identity_check,
+                             lp_rc_norm, row_square, split_upper_bound,
+                             transform_family)
 from nclp.opcore import Op, l2_norm, op_norm
 from oracles import abs_op, dirac_coeffs, partition_coeffs
 
@@ -258,3 +261,103 @@ def test_function_bmo_of_a_family_matches_loop_oracle(n, K, d):
     for got, want in zip(function_bmo(filt, fam[1]),
                          function_bmo_loop_oracle(filt, [fam[1]])):
         assert abs(got - want) <= 1e-12 * want
+
+
+# -- the operator norm of the cube Grams -------------------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gram_norm_is_the_spectral_norm(d):
+    # positive stacks of every rank, a zero Gram first, at three scales
+    rng = np.random.default_rng(46)
+    a = rng.standard_normal((30, d, d)) + 1j * rng.standard_normal((30, d, d))
+    a[1:10, :, 1:] = 0.0                          # rank one
+    a *= np.repeat([1e-8, 1.0, 1e8], 10)[:, None, None]
+    g = a @ a.conj().swapaxes(-1, -2)
+    g[0] = 0.0
+    want = np.linalg.norm(g, ord=2, axis=(1, 2))
+    got = _gram_norm(g)
+    assert got[0] == 0.0 and np.all(want[1:] > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    # a Gram whose eigenvalues round below 0 has norm 0, and its root is 0
+    assert _gram_norm(-1e-18 * np.eye(d)[None]) == 0.0
+
+
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 3)])
+def test_function_bmo_of_zero_is_zero_not_nan(n, d):
+    filt = GridFiltration(n, 2, d)
+    assert function_bmo(filt, filt.algebra.zero()) == (0.0, 0.0)
+
+
+def test_bmo_czo_makes_no_svd_call(monkeypatch):
+    # np.linalg.norm(ord=2) of a matrix stack calls the svd of the module
+    # that defines it, so both bindings are counted
+    import importlib
+    calls = []
+    impl = importlib.import_module(np.linalg.norm.__wrapped__.__module__)
+    real = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    for module in (np.linalg, impl):
+        monkeypatch.setattr(module, "svd", counted)
+    assert all_pass(run(ExperimentConfig("bmo-czo", trials=2, depth=6)))
+    assert calls == []
+    # the counter sees the norm the Grams used to take
+    np.linalg.norm(np.eye(2)[None], ord=2, axis=(1, 2))
+    assert calls == [1]
+
+
+# -- a batch of martingales --------------------------------------------------
+
+BATCH_SPECS = ["grid:1,4,2", "grid:2,2,2", "tensor:4"]
+EPS = np.finfo(float).eps
+
+
+def _positive_tops(filt, count, seed=47):
+    return np.stack([random_positive_top(filt, trial_rng(seed, t)).blocks
+                     for t in range(count)])
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS)
+def test_a_batch_holds_each_members_own_martingale(spec):
+    filt = build_filtration(spec)
+    tops = _positive_tops(filt, 4)
+    batch = Martingale(filt, Op(tops, filt.algebra))
+    assert batch.batch == (4,)
+    assert batch.seq.batch == batch.diffs.batch == (4, len(filt.levels))
+    for i, top in enumerate(tops):
+        f = Martingale(filt, Op(top, filt.algebra))
+        assert f.batch == ()
+        for got, want in [(batch.seq[i], f.seq), (batch.diffs[i], f.diffs),
+                          (batch.top[i], f.top)]:
+            assert np.array_equal(got.blocks, want.blocks)
+        for got, want in zip(batch.restricted, f.restricted, strict=True):
+            assert got.algebra == want.algebra
+            assert np.array_equal(got.blocks[i], want.blocks)
+        for name in ("sup_l1", "sup_linf", "spectral_floor"):
+            assert isinstance(getattr(f, name), float)
+        assert batch.sup_linf[i] == f.sup_linf
+        assert batch.spectral_floor[i] == f.spectral_floor
+        # the trace weights are summed by one BLAS dot over the whole stack,
+        # whose rounding can change by an ulp with the number of rows
+        assert abs(batch.sup_l1[i] - f.sup_l1) <= 4 * EPS * f.sup_l1
+    # any batch shape: the level axis stays axis -4
+    square = Martingale(filt, Op(tops.reshape((2, 2) + tops.shape[1:]),
+                                 filt.algebra))
+    assert square.batch == (2, 2)
+    for name in ("sup_l1", "sup_linf", "spectral_floor"):
+        assert np.allclose(getattr(square, name),
+                           getattr(batch, name).reshape(2, 2),
+                           rtol=4 * EPS, atol=0.0)
+
+
+def test_a_batch_is_positive_only_when_every_member_is():
+    filt = GridFiltration(1, 3, 2)
+    tops = _positive_tops(filt, 3)
+    assert Martingale(filt, Op(tops, filt.algebra)).is_positive()
+    tops[2, 5] -= 10.0 * np.eye(2)      # a negative cell in member 2
+    members = [Martingale(filt, Op(top, filt.algebra)) for top in tops]
+    assert [f.is_positive() for f in members] == [True, True, False]
+    assert not Martingale(filt, Op(tops, filt.algebra)).is_positive()
