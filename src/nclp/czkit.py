@@ -123,7 +123,7 @@ def cz_report(parts: CZParts) -> dict:
 class ZetaData:
     psi: Op                      # psi_k, batched over lambda and levels
     zeta_k: Op                   # 1 - supp psi_k
-    zeta: Op                     # batched over lambda
+    zeta: Op                     # batched over lambda and the batch axes
     parts: CZParts
 
 
@@ -133,18 +133,18 @@ def zeta(parts: CZParts) -> ZetaData:
     of their complements."""
     filt, levels = parts.filtration, parts.martingale.levels
     alg = filt.algebra
-    d = alg.d
     # the lost blocks q_{k-1} - q_k = p_k of each level above m_lambda,
-    # spread over the 9Q
-    lost = np.zeros(parts.ps.batch + (alg.nblocks, d * d), dtype=complex)
+    # spread over the 9Q: each cell gathers, one dilation offset at a time,
+    # the block of the cube whose 9Q holds it at that offset
+    lost = np.zeros(parts.ps.blocks.shape, dtype=complex)
     for pos, k in enumerate(levels):
         diff = parts.ps.blocks[..., pos, filt.first_cells(k), :, :]
         live = (np.abs(diff).max(axis=(-2, -1)) > 1e-14) \
             & (k > np.asarray(parts.m_lambda)[..., None])
         diff = np.where(live[..., None, None], diff, 0.0)
-        lost[..., pos, :, :] = filt.dilation_masks(k, 9).T @ diff.reshape(
-            diff.shape[:-2] + (-1,))
-    psi = Op(np.cumsum(lost, axis=-3).reshape(lost.shape[:-1] + (d, d)), alg)
+        for cubes in filt.dilation_cubes(k, 9):
+            lost[..., pos, :, :, :] += diff[..., cubes, :, :]
+    psi = Op(np.cumsum(lost, axis=-4), alg)
     zeta_k = alg.unit() - spectral_projection(
         psi.hermitize(), Interval(1e-9, None, closed_lo=False))
     # the meet along the level axis: the null space of sum_k (1 - zeta_k)
@@ -154,12 +154,12 @@ def zeta(parts: CZParts) -> ZetaData:
 
 def zeta_report(zd: ZetaData) -> dict:
     """The excised mass against its 9^n bound and the projection check, per
-    threshold."""
+    threshold and entry."""
     f, n = zd.parts.martingale, zd.parts.filtration.n
     lost = (f.algebra.unit() - zd.zeta).trace().real
     return {
-        "excised_mass_ratio": zd.parts.lam * lost /
-                              max(9.0 ** n * schatten_norm(f.top, 1), 1e-300),
+        "excised_mass_ratio": lam_axes(zd.parts.lam, f) * lost / np.maximum(
+            9.0 ** n * schatten_norm(f.top, 1), 1e-300),
         "is_projection": is_projection(zd.zeta, tol=1e-8),
     }
 
@@ -170,27 +170,24 @@ def zeta_cube_inequalities(zd: ZetaData) -> dict:
     block of q_k on the first cell of the level-k cube Q.
 
     Returns the most negative eigenvalue seen for each difference, per
-    threshold (>= -1e-8 means the inequality holds).
+    threshold and entry (>= -1e-8 means the inequality holds).
     """
-    filt, qs = zd.parts.filtration, zd.parts.qs.blocks
-    strong, weak = [], []
+    filt, qs, zb = zd.parts.filtration, zd.parts.qs.blocks, zd.zeta.blocks
+    low = np.inf
     for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
-        # one (cube, cell) pair per cell of each 9Q; the father of the cube
-        # at corner c is the level-(k-1) cube at corner c // 2
-        cube, cell = np.nonzero(filt.dilation_masks(k, 9))
-        corner = np.unravel_index(cube, (2 ** k,) * filt.n)
-        father = np.ravel_multi_index(tuple(c // 2 for c in corner),
-                                      (2 ** (k - 1),) * filt.n)
-        xi_q = qs[..., pos, filt.first_cells(k)[cube], :, :]
-        xi_hat = qs[..., pos - 1, filt.first_cells(k - 1)[father], :, :]
-        zb = zd.zeta.blocks[..., cell, :, :]
-        strong.append(np.eye(filt.d) - xi_hat + xi_q - zb)
-        weak.append(xi_q - zb)
-    h = np.stack([np.concatenate(strong, axis=-3),
-                  np.concatenate(weak, axis=-3)])
-    w = eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
-    return {"strong_min_eig": w[0].min(axis=(-2, -1)),
-            "weak_min_eig": w[1].min(axis=(-2, -1))}
+        # the two differences before zeta, per level-k cube Q; q_{k-1} is
+        # constant on the father Qhat, so xi_{Qhat} is its block on Q's
+        # first cell
+        first = filt.first_cells(k)
+        xi_q, xi_hat = qs[..., pos, first, :, :], qs[..., pos - 1, first, :, :]
+        cube_part = np.stack([np.eye(filt.d) - xi_hat + xi_q, xi_q])
+        # one cell-sized stack per offset: each cell against the cube whose
+        # 9Q holds it at that offset
+        for cubes in filt.dilation_cubes(k, 9):
+            h = cube_part[..., cubes, :, :] - zb
+            w = eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+            low = np.minimum(low, w.min(axis=(-2, -1)))
+    return {"strong_min_eig": low[0], "weak_min_eig": low[1]}
 
 
 # ---------------------------------------------------------------------------
@@ -201,21 +198,22 @@ def g_off_layers(parts: CZParts) -> dict:
     """g_off = sum_s g_(s) with g_(s) = sum_k p_k df_{k+s} q_{k+s-1}
     + q_{k+s-1} df_{k+s} p_k, the k-sum over levels above m_lambda.
 
-    ``layers`` is batched over lambda and s = 1, 2, ...; ``terms`` over
-    lambda and every (s, k) pair, in the order of the arrays ``s`` and
-    ``k`` (positions).  The terms with k <= m_lambda are exact zeros."""
+    ``layers`` is batched over lambda, the martingale's batch axes and
+    s = 1, 2, ...; ``terms`` over lambda, the batch axes and every (s, k)
+    pair, in the order of the arrays ``s`` and ``k`` (positions).  The terms
+    with k <= m_lambda are exact zeros."""
     f = parts.martingale
     npos = len(f.levels)
     s, k = np.array([(s, k) for s in range(1, npos)
                      for k in range(npos - s)], dtype=int).reshape(-1, 2).T
-    p, df = parts.ps[..., k, :, :, :], f.diffs[k + s]
+    p, df = parts.ps[..., k, :, :, :], f.diffs[..., k + s, :, :, :]
     qprev = parts.qs[..., k + s - 1, :, :, :]
     live = np.asarray(f.levels)[k] > np.asarray(parts.m_lambda)[..., None]
     terms = Op(np.where(live[..., None, None, None],
                         (p @ df @ qprev + qprev @ df @ p).blocks, 0.0),
                f.algebra)
     layers = np.zeros(parts.ps.batch[:-1] + (npos - 1,)
-                      + f.seq.blocks.shape[1:], dtype=complex)
+                      + f.seq.blocks.shape[-3:], dtype=complex)
     # in order, k ascending per s; a masked zero leaves a sum unchanged
     np.add.at(np.moveaxis(layers, -4, 0), s - 1,
               np.moveaxis(terms.blocks, -4, 0))
@@ -224,10 +222,11 @@ def g_off_layers(parts: CZParts) -> dict:
 
 def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
     """Sum, orthogonality and support residuals of the layers and their
-    largest L2 ratio, per threshold."""
+    largest L2 ratio, per threshold and entry."""
     f = parts.martingale
     g, terms = layers["layers"], layers["terms"]
-    l1 = schatten_norm(f.top, 1)
+    scale = np.maximum(lam_axes(parts.lam, f) * schatten_norm(f.top, 1),
+                       1e-300)
     nsq = l2_norm(g) ** 2
     termsum = np.zeros(nsq.shape)
     np.add.at(np.moveaxis(termsum, -1, 0), layers["s"] - 1,
@@ -236,8 +235,8 @@ def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
     resid = np.abs(g.blocks.sum(axis=-4) - parts.g_off.blocks)
     return {
         "sum_residual": resid.max(axis=(-3, -2, -1)),
-        "sup_layer_ratio": (nsq / np.maximum(parts.lam * l1, 1e-300)[
-            ..., None]).max(axis=-1, initial=0.0),
+        "sup_layer_ratio": (nsq / scale[..., None]).max(axis=-1,
+                                                        initial=0.0),
         "layer_orthogonality_residual": np.abs(nsq - termsum).max(
             axis=-1, initial=0.0),
         "support_residual": np.abs((rest @ terms @ rest).blocks).max(

@@ -252,20 +252,36 @@ class GridFiltration(Filtration):
             return starts
         return (starts[:, None] * self.side + starts[None, :]).ravel()
 
-    def dilation_masks(self, k: int, delta: int) -> np.ndarray:
-        """(cubes, cells) boolean incidence of the concentric dilations
-        delta*Q (torus wrap), one row per cube of ``cubes_at_level(k)``."""
+    def dilation_cubes(self, k: int, delta: int) -> np.ndarray:
+        """(offsets, cells) indices, in ``cubes_at_level(k)``, of the level-k
+        cubes Q whose concentric dilation delta*Q holds each cell (torus
+        wrap): row o gives the cube o cubes away along each axis, so each
+        (cube, cell) pair comes once, in at most delta^n rows of one cell
+        each and no (cubes, cells) array."""
         if delta % 2 == 0 or delta < 1:
             raise ContractViolation("concentric dilation factor must be odd")
         # along each axis a cell lies in delta*Q iff its level-k cube is at
-        # most (delta - 1)/2 cubes away from Q, mod 2^k; delta >= 2^k covers
-        # the whole axis
-        cube = np.arange(self.side) // 2 ** (self.K - k)
-        away = cube - np.arange(2 ** k)[:, None]
-        m = (away + (delta - 1) // 2) % 2 ** k < delta
+        # most (delta - 1)/2 cubes away from Q, mod 2^k: the offsets
+        # -(delta - 1)/2 .. (delta - 1)/2, or every residue once delta >= 2^k
+        # covers the whole axis
+        m = 2 ** k
+        steps = np.arange(m) if delta >= m \
+            else np.arange(delta) - (delta - 1) // 2
+        along = (np.arange(self.side) // 2 ** (self.K - k)
+                 - steps[:, None]) % m
         if self.n == 1:
-            return m
-        return (m[:, None, :, None] & m[None, :, None, :]).reshape(4 ** k, -1)
+            return along
+        return (along[:, None, :, None] * m
+                + along[None, :, None, :]).reshape(len(steps) ** 2, -1)
+
+    def dilation_masks(self, k: int, delta: int) -> np.ndarray:
+        """(cubes, cells) boolean incidence of the concentric dilations
+        delta*Q, one row per cube of ``cubes_at_level(k)``: the pairs of
+        ``dilation_cubes``."""
+        cubes = self.dilation_cubes(k, delta)
+        mask = np.zeros((2 ** (self.n * k), cubes.shape[1]), dtype=bool)
+        mask[cubes, np.arange(cubes.shape[1])] = True
+        return mask
 
     def concentric_mask(self, Q: "DyadicCube", delta: int) -> np.ndarray:
         """Boolean cell mask of the concentric dilation delta*Q (torus wrap)."""

@@ -101,7 +101,11 @@ def random_positive_top(filtration, rng) -> Op:
     """h = g g* normalized to tau(h) = 1."""
     g = random_op(filtration.algebra, rng, hermitian=False).blocks
     top = Op(np.einsum("bij,bkj->bik", g, g.conj()), filtration.algebra)
-    return (1.0 / top.trace().real) * top
+    # tau(h) as one np.dot over this trial's blocks alone, which rounds as
+    # the draws always have, so every input digest stays; ``Op.trace`` sums
+    # in another order
+    tau = np.dot(np.einsum("bii->b", top.blocks), filtration.algebra.weights)
+    return (1.0 / tau.real) * top
 
 
 def random_positive_martingale(filtration, rng) -> Martingale:
@@ -403,10 +407,9 @@ def _cz(cfg, filt, chunk):
     return [((f.top[i], cfg.lambda_exps), m) for i, m in enumerate(metrics)]
 
 
-@per_trial
-def _zeta(cfg, filt, rng, t):
+def _zeta(cfg, filt, chunk):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
-    f = random_positive_martingale(filt, rng)
+    f = random_positive_batch(filt, chunk)
     parts = cz_decompose(f, lams)
     zd = zeta(parts)
     ineq = zeta_cube_inequalities(zd)
@@ -419,8 +422,12 @@ def _zeta(cfg, filt, rng, t):
         "layer_support_residual": lay["support_residual"],
         "layer_orthogonality_residual": lay["layer_orthogonality_residual"],
         "layer_ratio": lay["sup_layer_ratio"]}
-    return (f.top, cfg.lambda_exps), {
-        key: np.max(val, initial=0.0) for key, val in per_lam.items()}
+    # the max over the thresholds starts at 0, not at _max_over_lambda's
+    # first value: cube_ineq_violation is at or below 0 wherever the
+    # inequalities hold, and reads 0 there
+    return [((f.top[i], cfg.lambda_exps),
+             {key: np.max(val[:, i], initial=0.0)
+              for key, val in per_lam.items()}) for i in range(len(chunk))]
 
 
 @per_trial

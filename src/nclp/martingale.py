@@ -117,9 +117,17 @@ class CoeffMatrix:
                             x.blocks[:self.k_max]), x.algebra)
 
 
+def _one_martingale(f: Martingale, name: str):
+    """Reject a batched f where the level axis must be axis 0."""
+    if f.batch != ():
+        raise ContractViolation(f"{name} takes one martingale, got a batch "
+                                f"of shape {f.batch}")
+
+
 def transform_family(f: Martingale, xi: CoeffMatrix) -> Op:
     """T_m f = sum_k xi[k, m] df_k (k enumerates the difference sequence),
     batched over m."""
+    _one_martingale(f, "transform_family")
     if xi.k_max > len(f.diffs):
         raise ContractViolation(
             f"coefficients use {xi.k_max} differences, martingale has {len(f.diffs)}")
@@ -165,6 +173,7 @@ def bmo_norms(f: Martingale) -> tuple[float, float, float]:
     BMO_c = sup_n || [E_n( sum_{k>=n} df_k* df_k )]^{1/2} ||_inf, with the
     row version using df_k df_k*.
     """
+    _one_martingale(f, "bmo_norms")
     d = f.diffs
     # the supremum starts after the coarsest level: the zeroth difference
     # is f at the first level itself, not an oscillation

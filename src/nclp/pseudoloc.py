@@ -650,16 +650,16 @@ def zeta_fs(filt: GridFiltration, q_list: Op, levels: list[int]) -> Op:
     level projections q_k = sum_Q xi_Q 1_Q (batched over ``levels``).
 
     On each cell the meet of the projections xi_Q over the 9Q that contain
-    it is the null space of S = sum (1 - xi_Q), and S is one product with
-    the (cube, cell) incidence of every level's cubes."""
-    d = filt.d
-    first = [filt.first_cells(k) for k in levels]
-    pos = np.repeat(np.arange(len(levels)), [len(c) for c in first])
-    comp = np.eye(d) - q_list.blocks[pos, np.concatenate(first)]
-    comp[np.abs(comp).max(axis=(1, 2)) <= 1e-14] = 0.0
-    masks = np.concatenate([filt.dilation_masks(k, 9) for k in levels])
-    S = masks.T @ comp.reshape(len(comp), -1)
-    return null_projection(Op(S.reshape(-1, d, d), filt.algebra))
+    it is the null space of S = sum (1 - xi_Q), which each cell gathers one
+    level and one dilation offset at a time (``dilation_cubes``)."""
+    S = np.zeros((filt.algebra.nblocks, filt.d, filt.d),
+                 dtype=np.result_type(float, q_list.blocks))
+    for pos, k in enumerate(levels):
+        comp = np.eye(filt.d) - q_list.blocks[pos, filt.first_cells(k)]
+        comp[np.abs(comp).max(axis=(1, 2)) <= 1e-14] = 0.0
+        for cubes in filt.dilation_cubes(k, 9):
+            S += comp[cubes]
+    return null_projection(Op(S, filt.algebra))
 
 
 def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,

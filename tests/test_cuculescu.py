@@ -4,6 +4,7 @@ import pytest
 from nclp.cuculescu import (CuculescuSequence, cuculescu, cuculescu_report,
                             delta_split, delta_trunc, ladder_top, pi_family,
                             q_lambda)
+from nclp.czkit import cz_decompose, cz_report
 from nclp.errors import ContractViolation
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
@@ -513,6 +514,37 @@ def test_trial_batch_entries_equal_each_members_own_call(spec):
     scalar = cuculescu_report(cuculescu(batch, 2.0))
     assert all(np.shape(v) == (3,) for v in scalar.values())
     assert np.array_equal(scalar["commutator"], rep["commutator"][3])
+
+
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,2,2"])
+def test_a_member_reads_the_same_whatever_shares_its_chunk(spec):
+    # one member stacked at every place of chunks of 1-6 with companions
+    # drawn afresh for each size: each per-entry value is its own, bit for
+    # bit (CZ lives on the grid algebra only)
+    filt = build_filtration(spec)
+    member = _member_tops(filt, 1, seed=36)
+    f = Martingale(filt, Op(member[0], filt.algebra))
+    want = [f.sup_l1, f.sup_linf, f.spectral_floor,
+            cuculescu_report(cuculescu(f, BATCH_LAMS))]
+    if spec.startswith("grid"):
+        want.append(cz_report(cz_decompose(f, BATCH_LAMS)))
+    for size in range(1, 7):
+        companions = _member_tops(filt, size - 1, seed=100 + size) \
+            if size > 1 else member[:0]
+        for place in range(size):
+            tops = np.insert(companions, place, member, axis=0)
+            batch = Martingale(filt, Op(tops, filt.algebra))
+            got = [batch.sup_l1[place], batch.sup_linf[place],
+                   batch.spectral_floor[place],
+                   cuculescu_report(cuculescu(batch, BATCH_LAMS))]
+            if spec.startswith("grid"):
+                got.append(cz_report(cz_decompose(batch, BATCH_LAMS)))
+            assert got[:3] == want[:3]
+            for rep, one in zip(got[3:], want[3:]):
+                for key, val in one.items():
+                    entry = rep[key][place] if key == "b_d_bound" \
+                        else rep[key][:, place]
+                    assert np.array_equal(entry, val)
 
 
 @pytest.mark.parametrize("shape,bad,named", [

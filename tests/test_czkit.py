@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
                          spectral_projection)
 
 from batch_entries import assert_entries_match_scalar_calls, entry
-from oracles import dyadic_father
+from oracles import dyadic_father, zeta_cube_inequalities_pairs
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -565,12 +566,74 @@ def test_trial_batch_entries_equal_each_members_own_call(spec):
         assert np.array_equal(parts.m_lambda[:, i], one.m_lambda)
         for name in ("g_d", "g_off", "b_d", "b_off", "b_d_terms", "qs", "ps",
                      "q"):
-            got, want = getattr(parts, name).blocks[:, i], \
-                getattr(one, name).blocks
-            assert np.abs(got - want).max() <= 1e-12
+            assert np.array_equal(getattr(parts, name).blocks[:, i],
+                                  getattr(one, name).blocks)
         for key, want in cz_report(one).items():
             got = rep[key][i] if key == "b_d_bound" else rep[key][:, i]
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + 1e-14)
+            assert np.array_equal(got, want)
+
+
+def _chunk_or_one(filt, seed, chunk):
+    """A batch of ``chunk`` trials' martingales, or one martingale for 0."""
+    if not chunk:
+        return random_positive_martingale(filt, trial_rng(seed, 0))
+    return random_positive_batch(filt, [(trial_rng(seed, t), t)
+                                        for t in range(chunk)])
+
+
+@pytest.mark.parametrize("chunk", [0, 4])
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 6, 3)])
+def test_offset_walk_equals_pair_array(n, K, d, chunk):
+    # grid:1,6,3: the side 64 exceeds 9, so the offsets -4..4 wrap at the
+    # rim of the torus, and the 3 x 3 blocks go to LAPACK
+    f = _chunk_or_one(GridFiltration(n, K, d), 73, chunk)
+    zd = zeta(cz_decompose(f, 2.0 ** np.arange(0, 5)))
+    got, want = zeta_cube_inequalities(zd), zeta_cube_inequalities_pairs(zd)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.shape(got[key]) == (5,) + f.batch
+        assert np.array_equal(got[key], want[key])
+
+
+def test_zeta_memory_stays_cell_sized():
+    # the pair array of every 9Q peaked at 123 MiB here; the offset walk
+    # holds one stack of one block per cell at a time
+    f = random_positive_martingale(GridFiltration(2, 4, 2), trial_rng(74, 0))
+    parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
+    tracemalloc.start()
+    try:
+        zeta_cube_inequalities(zeta(parts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+@pytest.mark.parametrize("spec", ["grid:1,4,2", "grid:2,2,2"])
+def test_zeta_and_layers_of_a_batch_equal_each_members_own_call(spec):
+    # 4 thresholds and 4 trials: a threshold broadcast against the trial
+    # axis would pair threshold i with trial i and raise no error
+    filt = GridFiltration(*(int(p) for p in spec.split(":")[1].split(",")))
+    batch = _chunk_or_one(filt, 75, 4)
+    lams = 2.0 ** np.arange(0, 4)
+    parts = cz_decompose(batch, lams)
+    zd, lay = zeta(parts), g_off_layers(parts)
+    reps = (zeta_report(zd), zeta_cube_inequalities(zd),
+            g_off_layer_report(parts, lay))
+    for i in range(4):
+        one = cz_decompose(Martingale(filt, batch.top[i]), lams)
+        z1, l1 = zeta(one), g_off_layers(one)
+        assert np.array_equal(zd.zeta.blocks[:, i], z1.zeta.blocks)
+        for key in ("layers", "terms"):
+            assert np.array_equal(lay[key].blocks[:, i], l1[key].blocks)
+        assert np.array_equal(lay["s"], l1["s"])
+        assert np.array_equal(lay["k"], l1["k"])
+        for rep, want in zip(reps, (zeta_report(z1), zeta_cube_inequalities(
+                z1), g_off_layer_report(one, l1))):
+            assert rep.keys() == want.keys()
+            for key, val in want.items():
+                assert np.shape(rep[key]) == lams.shape + (4,)
+                assert np.array_equal(rep[key][:, i], val)
 
 
 def test_grid_experiments_make_no_lapack_call(monkeypatch):

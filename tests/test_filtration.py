@@ -170,6 +170,27 @@ def test_dilation_masks_match_concentric_mask(n, K):
         filt.dilation_masks(1, 4)
 
 
+@pytest.mark.parametrize("n,K", [(1, 3), (1, 6), (1, 9), (2, 3), (2, 5)])
+def test_dilation_cubes_pair_each_cell_with_its_dilations_once(n, K):
+    # every level: 2^k < delta, where the offsets are all the residues, and
+    # 2^k > delta, where -4..4 wrap at the rim of the torus
+    filt = GridFiltration(n, K, 1)
+    for k in filt.levels:
+        for delta in (1, 3, 9):
+            walk = filt.dilation_cubes(k, delta)
+            assert walk.shape == (min(delta, 2 ** k) ** n, filt.side ** n)
+            got = np.stack([walk.ravel(), np.broadcast_to(
+                np.arange(walk.shape[1]), walk.shape).ravel()])
+            want = np.stack(np.nonzero(np.stack(
+                [concentric_mask_oracle(filt, Q, delta)
+                 for Q in filt.cubes_at_level(k)])))
+            # the oracle's (cube, cell) pairs, none twice
+            assert np.array_equal(np.unique(got, axis=1), want)
+            assert got.shape == want.shape
+    with pytest.raises(ContractViolation):
+        filt.dilation_cubes(1, 4)
+
+
 @pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2", "grid:2,2,2",
                                   "corner:4"])
 def test_expect_passes_batch_axes_through(spec):

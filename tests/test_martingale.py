@@ -312,7 +312,6 @@ def test_bmo_czo_makes_no_svd_call(monkeypatch):
 # -- a batch of martingales --------------------------------------------------
 
 BATCH_SPECS = ["grid:1,4,2", "grid:2,2,2", "tensor:4"]
-EPS = np.finfo(float).eps
 
 
 def _positive_tops(filt, count, seed=47):
@@ -338,19 +337,15 @@ def test_a_batch_holds_each_members_own_martingale(spec):
             assert np.array_equal(got.blocks[i], want.blocks)
         for name in ("sup_l1", "sup_linf", "spectral_floor"):
             assert isinstance(getattr(f, name), float)
-        assert batch.sup_linf[i] == f.sup_linf
-        assert batch.spectral_floor[i] == f.spectral_floor
-        # the trace weights are summed by one BLAS dot over the whole stack,
-        # whose rounding can change by an ulp with the number of rows
-        assert abs(batch.sup_l1[i] - f.sup_l1) <= 4 * EPS * f.sup_l1
+        for name in ("sup_l1", "sup_linf", "spectral_floor"):
+            assert getattr(batch, name)[i] == getattr(f, name)
     # any batch shape: the level axis stays axis -4
     square = Martingale(filt, Op(tops.reshape((2, 2) + tops.shape[1:]),
                                  filt.algebra))
     assert square.batch == (2, 2)
     for name in ("sup_l1", "sup_linf", "spectral_floor"):
-        assert np.allclose(getattr(square, name),
-                           getattr(batch, name).reshape(2, 2),
-                           rtol=4 * EPS, atol=0.0)
+        assert np.array_equal(getattr(square, name),
+                              getattr(batch, name).reshape(2, 2))
 
 
 def test_a_batch_is_positive_only_when_every_member_is():
@@ -361,3 +356,24 @@ def test_a_batch_is_positive_only_when_every_member_is():
     members = [Martingale(filt, Op(top, filt.algebra)) for top in tops]
     assert [f.is_positive() for f in members] == [True, True, False]
     assert not Martingale(filt, Op(tops, filt.algebra)).is_positive()
+
+
+# the 3 trials of this batch would pass for 3 levels of one martingale
+def _three_trial_batch():
+    filt = GridFiltration(1, 3, 2)
+    return Martingale(filt, Op(_positive_tops(filt, 3), filt.algebra))
+
+
+def test_transform_family_rejects_a_batch():
+    f = _three_trial_batch()
+    with pytest.raises(ContractViolation, match="one martingale"):
+        transform_family(f, CoeffMatrix(np.ones((3, 2))))
+    assert len(transform_family(Martingale(f.filtration, f.top[0]),
+                                CoeffMatrix(np.ones((3, 2))))) == 2
+
+
+def test_bmo_norms_rejects_a_batch():
+    f = _three_trial_batch()
+    with pytest.raises(ContractViolation, match="one martingale"):
+        bmo_norms(f)
+    assert np.isfinite(bmo_norms(Martingale(f.filtration, f.top[0]))[2])

@@ -226,6 +226,26 @@ def test_batched_scalars_are_per_entry():
     assert a.max_abs() == max(m.max_abs() for row in a for m in row)
 
 
+@pytest.mark.parametrize("alg", [BLOCKY, Algebra(16, 2), Algebra(37, 1)])
+@pytest.mark.parametrize("shape", [(2, 3), (7,)])
+def test_batched_scalars_are_per_entry_bit_for_bit(alg, shape):
+    # bit for bit: a BLAS dot over the whole stack would round an entry by
+    # how many rows share it.  p = 3 only to 1e-14: numpy's vectorized
+    # power rounds an array entry apart from the same scalar
+    a = _batch(alg, 32, shape=shape)
+    for fn, rel in ((lambda x: x.trace(), 0.0), (l2_norm, 0.0),
+                    (op_norm, 0.0), (lambda x: schatten_norm(x, 1), 0.0),
+                    (lambda x: schatten_norm(x, 3), 1e-14)):
+        got = fn(a)
+        assert got.shape == shape
+        for idx in np.ndindex(shape):
+            want = fn(Op(a.blocks[idx], alg))
+            assert np.isscalar(want)
+            assert abs(got[idx] - want) <= rel * abs(want)
+    assert singular_values(a).shape == shape + (alg.nblocks, alg.d)
+    assert a.max_abs() == np.abs(a.blocks).max()
+
+
 def test_batched_hermitian_checks_and_projections_per_entry():
     h = _batch(BLOCKY, 33, hermitian=True)
     assert h.is_hermitian()
@@ -318,6 +338,31 @@ def test_block_matmul_matches_matmul(d, shapes, kinds):
     assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(a) @ np.abs(b)))
     if d > 2:                           # the BLAS path is matmul itself
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("shapes", [((3200,), (3200,)),
+                                    ((5, 4, 10, 16), (4, 10, 16)),
+                                    ((4, 10, 16), (5, 4, 10, 16))])
+@pytest.mark.parametrize("kinds", [(complex, complex), (float, complex)])
+def test_large_2x2_stacks_multiply_entry_by_entry_to_the_same_bits(shapes,
+                                                                   kinds):
+    # from 768 blocks on the 2 x 2 products run entry by entry; slices of
+    # fewer blocks take the outer-product path, and the bits agree
+    rng = np.random.default_rng(7)
+
+    def draw(shape, kind):
+        x = rng.standard_normal(shape + (2, 2))
+        return x + 1j * rng.standard_normal(x.shape) if kind is complex else x
+
+    a, b = (draw(shape, kind) for shape, kind in zip(shapes, kinds))
+    got = block_matmul(a, b)
+    want = np.matmul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.all(np.abs(got - want) <= 1e-14 * (np.abs(a) @ np.abs(b)))
+    a, b = np.broadcast_arrays(a, b)
+    a, b = a.reshape(-1, 100, 2, 2), b.reshape(-1, 100, 2, 2)
+    small = np.stack([block_matmul(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(got, small.reshape(got.shape))
 
 
 def _hermitian_stack(alg, seed, shape=(4,)):
