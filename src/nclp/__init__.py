@@ -4,12 +4,11 @@ Hilbert-space-valued singular integrals on finite matrix algebras."""
 
 from .errors import ContractViolation, NumericError
 from .opcore import (Algebra, Interval, MuFunction, Op, dense_algebra,
-                     l2_inner, l2_norm, mu_function, op_norm, proj_join,
-                     proj_meet, schatten_norm, singular_values,
-                     spectral_projection, tail_trace, weak_l1)
-from .filtration import (AlgebraSpec, CornerFiltration, DyadicCube,
-                         Filtration, GridFiltration, TensorDyadicFiltration,
-                         build_filtration, parse_spec)
+                     l2_inner, l2_norm, mu_function, op_norm, schatten_norm,
+                     singular_values, spectral_projection, tail_trace,
+                     weak_l1)
+from .filtration import (AlgebraSpec, Filtration, GridFiltration,
+                         TensorDyadicFiltration, build_filtration, parse_spec)
 from .martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
                          function_bmo, l2_identity_check, lp_rc_norm,
                          row_square, transform_family)

@@ -30,7 +30,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "decompositions and dyadic pseudo-localization.")
     p.add_argument("experiment", choices=sorted(EXPERIMENTS))
     p.add_argument("--algebra", default=None,
-                   help="tensor:N | grid:n,K,d | corner:n")
+                   help="tensor:N | grid:n,K,d")
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--lambda-exp", default=None, metavar="a..b",
@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", default=None, metavar="a..b",
                    help="inclusive shift range")
     p.add_argument("--kernel", default=None, choices=sorted(KERNELS))
-    p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--depth", type=int, default=None,
                    help="grid depth K (pseudo-localization suites)")
     p.add_argument("--out", default=None)
@@ -63,7 +62,6 @@ def main(argv=None) -> int:
             lambda_exps=lam,
             s_range=_range_pair(args.s) if args.s is not None else None,
             kernel=args.kernel,
-            gamma=args.gamma,
             depth=args.depth,
             out=args.out,
             format=args.format,

@@ -3,13 +3,10 @@ lambda-indexed meets q(lambda), the pi_k partition, triangular splits and
 their truncations.
 
 The recursion compresses each martingale value by the previous projection and
-keeps the spectral part at or below lambda.  Two endpoint conventions exist:
-
-* ``"closed"`` (default): q_n = chi_{[0,lambda]}(q_{n-1} f_n q_{n-1}) meet
-  q_{n-1}.  Kernel directions inside range(q_{n-1}) satisfy the bound and are
-  kept, which preserves monotonicity for degenerate inputs.
-* ``"half-open"``: chi_{(0,lambda]} taken literally, which expels those
-  kernel directions.
+keeps the spectral part at or below lambda, endpoints closed:
+q_n = chi_{[0,lambda]}(q_{n-1} f_n q_{n-1}) meet q_{n-1}.  Kernel directions
+inside range(q_{n-1}) satisfy the bound and are kept, which preserves
+monotonicity for degenerate inputs.
 
 The threshold is a leading batch axis (a scalar lambda adds none): one
 stacked eigen-solve per level diagonalizes q_{n-1} f_n q_{n-1}, shifted to
@@ -25,7 +22,7 @@ import numpy as np
 from .errors import ContractViolation
 from .martingale import POSITIVE_TOL, Martingale
 from .opcore import (ENDPOINT_TOL, Op, block_matmul as mm, eigvalsh,
-                     kept_projection, null_projection)
+                     hermitian_part, kept_projection, null_projection)
 
 
 @dataclass
@@ -35,7 +32,6 @@ class CuculescuSequence:
     lam adds no axis."""
 
     lam: np.ndarray | float
-    convention: str
     qs: Op
     martingale: Martingale
 
@@ -51,8 +47,8 @@ class CuculescuSequence:
     def __getitem__(self, i) -> "CuculescuSequence":
         """The recursion at the thresholds lam[i]: lam and qs are indexed
         together along the threshold axis."""
-        return CuculescuSequence(np.asarray(self.lam)[i], self.convention,
-                                 self.qs[i], self.martingale)
+        return CuculescuSequence(np.asarray(self.lam)[i], self.qs[i],
+                                 self.martingale)
 
 
 def lam_axes(lam, f: Martingale, trailing: int = 0) -> np.ndarray:
@@ -62,7 +58,7 @@ def lam_axes(lam, f: Martingale, trailing: int = 0) -> np.ndarray:
     return lam.reshape(lam.shape + (1,) * (len(f.batch) + trailing))
 
 
-def cuculescu(f: Martingale, lam, convention: str = "closed"):
+def cuculescu(f: Martingale, lam):
     """Run the recursion along all levels of a positive martingale, or of
     each entry of a batched one, at a threshold or at each entry of a 1-D
     threshold vector; the threshold axes come first."""
@@ -71,8 +67,6 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
             or not np.all(np.isfinite(lam) & (lam > 0)):
         raise ContractViolation("lambda must be a positive number or a "
                                 f"non-empty 1-D vector of them, got {lam!r}")
-    if convention not in ("closed", "half-open"):
-        raise ContractViolation(f"unknown endpoint convention {convention!r}")
     if not f.is_positive():
         # of a batched f, name the first entry that is not positive
         bad = np.argwhere(np.asarray(f.spectral_floor) < -POSITIVE_TOL)[0]
@@ -89,8 +83,7 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
     cut = lam_axes(lam, f, 2)
 
     def keep(w):
-        kept = w <= cut + ENDPOINT_TOL
-        return kept & (w > ENDPOINT_TOL) if convention == "half-open" else kept
+        return w <= cut + ENDPOINT_TOL
 
     q = filt.level_algebra(f.levels[0]).unit()
     qs = np.empty(np.shape(lam) + f.seq.blocks.shape, dtype=complex)
@@ -100,10 +93,10 @@ def cuculescu(f: Martingale, lam, convention: str = "closed"):
         fk, qk = f.restricted[n].blocks, q.blocks
         h = mm(mm(qk, fk), qk) \
             + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
-        q = Op(kept_projection(0.5 * (h + h.conj().swapaxes(-1, -2)), keep),
+        q = Op(kept_projection(hermitian_part(h), keep),
                filt.level_algebra(k))
         qs[..., n, :, :, :] = filt.extend(q, k).blocks
-    return CuculescuSequence(lam, convention, Op(qs, alg), f)
+    return CuculescuSequence(lam, Op(qs, alg), f)
 
 
 def q_lambda(seq: CuculescuSequence) -> Op:
@@ -131,7 +124,7 @@ def cuculescu_report(seq: CuculescuSequence) -> dict:
         # singular values; with q_n f_n q_n - lam q_n it is one eigvalsh
         h = np.stack([1j * (mm(q, comp) - mm(comp, q)),
                       mm(mm(q, fk), q) - lams * q])
-        w = eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+        w = eigvalsh(hermitian_part(h))
         comm = np.maximum(comm, np.abs(w[0]).max(axis=(-2, -1)))
         excess = np.maximum(excess, w[1].max(axis=(-2, -1)))
         qprev = qn

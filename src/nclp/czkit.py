@@ -12,10 +12,8 @@ from .cuculescu import (PiFamily, cuculescu, ladder_top, lam_axes,
 from .errors import ContractViolation
 from .filtration import GridFiltration
 from .martingale import Martingale
-# proj_join is not called here; perfbench's self-test checks that the tracer
-# rebinds it in this module
-from .opcore import (Interval, Op, block_matmul as mm, eigvalsh,
-                     is_projection, l2_norm, null_projection, proj_join,
+from .opcore import (Interval, Op, _adjoint, block_matmul as mm, eigvalsh,
+                     hermitian_part, is_projection, l2_norm, null_projection,
                      schatten_norm, spectral_projection)
 
 
@@ -47,10 +45,6 @@ def m_lambda_of(qs: Op, levels: list[int]):
     finite depth."""
     dev = np.abs(qs.blocks - qs.algebra.unit().blocks).max(axis=(-3, -2, -1))
     return np.where(dev <= 1e-10, levels, -1).max(axis=-1)
-
-
-def _adjoint(x: np.ndarray) -> np.ndarray:
-    return x.conj().swapaxes(-1, -2)
 
 
 def cz_decompose(f: Martingale, lam) -> CZParts:
@@ -185,7 +179,7 @@ def zeta_cube_inequalities(zd: ZetaData) -> dict:
         # 9Q holds it at that offset
         for cubes in filt.dilation_cubes(k, 9):
             h = cube_part[..., cubes, :, :] - zb
-            w = eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+            w = eigvalsh(hermitian_part(h))
             low = np.minimum(low, w.min(axis=(-2, -1)))
     return {"strong_min_eig": low[0], "weak_min_eig": low[1]}
 

@@ -1,7 +1,7 @@
 """Concrete algebras and filtrations with trace-preserving conditional
 expectations, plus dyadic geometry helpers on the torus [0,1)^n.
 
-Three families are provided:
+Two families are provided, specified as ``tensor:N | grid:n,K,d``:
 
 * ``tensor_dyadic(N)`` — the 2^N dimensional tensor product of N copies of
   (M_2, normalized trace); level n keeps the first n factors and integrates
@@ -9,8 +9,6 @@ Three families are provided:
 * ``grid_matrix(n, K, d)`` — functions on the dyadic 2^K x ... x 2^K torus
   grid with d x d matrix values; level k averages over dyadic cubes of side
   2^{-k}.
-* ``corner(n)`` — M_n with level k the subalgebra of matrices supported on
-  the top-left k x k corner plus the remaining diagonal.
 
 Levels always run 0..top; the bi-infinite dyadic index of the continuum
 picture is truncated with E_{<0} = E_0.
@@ -27,7 +25,7 @@ from .opcore import Algebra, Op, dense_algebra
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    kind: str                 # "tensor" | "grid" | "corner"
+    kind: str                 # "tensor" | "grid"
     params: tuple
 
     @property
@@ -36,7 +34,7 @@ class AlgebraSpec:
 
 
 def parse_spec(text: str) -> AlgebraSpec:
-    """Parse CLI-style specs: tensor:N | grid:n,K,d | corner:n."""
+    """Parse CLI-style specs: tensor:N | grid:n,K,d."""
     try:
         kind, rest = text.split(":", 1)
         params = tuple(int(p) for p in rest.split(","))
@@ -46,20 +44,19 @@ def parse_spec(text: str) -> AlgebraSpec:
         return AlgebraSpec("tensor", params)
     if kind == "grid" and len(params) == 3 and params[0] in (1, 2):
         return AlgebraSpec("grid", params)
-    if kind == "corner" and len(params) == 1:
-        return AlgebraSpec("corner", params)
     raise ContractViolation(f"unsupported algebra spec {text!r}")
 
 
 class Filtration:
     """Ordered chain of subalgebras M_k given by conditional expectations.
 
-    ``restrict(x, k)`` is E_k(x) written in the coordinates of M_k, an
-    element of ``level_algebra(k)`` whose trace agrees with tau, and
-    ``extend(y, k)`` is the inclusion of M_k back into the full algebra, so
-    E_k = extend o restrict.  The levels run 0..top, M_top being the whole
-    algebra.  This base keeps every level at full size: ``restrict`` is E_k
-    itself and ``extend`` the identity.
+    A subclass defines ``restrict(x, k)``, E_k applied to each entry of x
+    (batch axes pass through) and written in the coordinates of M_k, an
+    element of ``level_algebra(k)`` whose trace agrees with tau;
+    ``extend(y, k)``, the inclusion of M_k back into the full algebra, so
+    E_k = extend o restrict; and ``refine(y, k)``, the inclusion of M_{k-1}
+    into M_k, restrict(extend(y, k - 1), k) without the full-size detour.
+    The levels run 0..top, M_top being the whole algebra.
     """
 
     def __init__(self, level_algebras: list[Algebra], spec: AlgebraSpec):
@@ -71,24 +68,9 @@ class Filtration:
     def level_algebra(self, k: int) -> Algebra:
         return self._level_algebras[k]
 
-    def restrict(self, x: Op, k: int) -> Op:
-        """E_k applied to each entry of x (batch axes pass through), as an
-        element of ``level_algebra(k)``."""
-        raise NotImplementedError
-
-    def extend(self, y: Op, k: int) -> Op:
-        """The inclusion of ``level_algebra(k)`` into the full algebra."""
-        return y
-
     def expect(self, f: Op, k: int) -> Op:
         """E_k applied to each entry of f (batch axes pass through)."""
         return self.extend(self.restrict(f, k), k)
-
-    def refine(self, y: Op, k: int) -> Op:
-        """The inclusion of ``level_algebra(k - 1)`` into
-        ``level_algebra(k)``: restrict(extend(y, k - 1), k), which the grid
-        and tensor filtrations form without the full-size detour."""
-        return self.restrict(self.extend(y, k - 1), k)
 
     def check_level(self, k: int):
         if k not in self.levels:
@@ -144,27 +126,12 @@ class TensorDyadicFiltration(Filtration):
                   self.level_algebra(k))
 
 
-class CornerFiltration(Filtration):
-    def __init__(self, n: int):
-        if n < 1:
-            raise ContractViolation("corner:n requires n >= 1")
-        self.n = n
-        super().__init__([dense_algebra(n)] * (n + 1),
-                         AlgebraSpec("corner", (n,)))
-
-    def restrict(self, x: Op, k: int) -> Op:
-        self.check_level(k)
-        m = x.blocks
-        out = np.where(np.eye(self.n, dtype=bool), m, 0.0)
-        out[..., :k, :k] = m[..., :k, :k]
-        return Op(out, self.algebra)
-
-
 class GridFiltration(Filtration):
     """d x d matrix-valued functions on the dyadic torus grid.
 
     Cells are raster-ordered; the operator blocks array has one block per
-    cell.  E_k averages blocks over each dyadic cube of level k.
+    cell.  E_k averages blocks over each dyadic cube of level k, and a
+    level's cubes are raster-ordered too.
     """
 
     def __init__(self, n: int, K: int, d: int):
@@ -192,8 +159,7 @@ class GridFiltration(Filtration):
     expect = Filtration.expect
 
     def restrict(self, x: Op, k: int) -> Op:
-        """Cube averages, one block per level-k cube in the order of
-        ``cubes_at_level(k)``."""
+        """Cube averages, one block per level-k cube."""
         self.check_level(k)
         m = self.cubes(x.blocks, k)
         # the cell axes inside a cube: -3 (n = 1); -5 and -3 (n = 2), which
@@ -214,7 +180,7 @@ class GridFiltration(Filtration):
 
     def _spread(self, blocks: np.ndarray, k: int, j: int) -> np.ndarray:
         """The blocks of the level-k cubes repeated over the level-j cubes
-        inside them, in the order of ``cubes_at_level(j)``."""
+        inside them."""
         batch, dd = blocks.shape[:-3], (self.d, self.d)
         out = np.empty(batch + (2 ** k, 2 ** (j - k)) * self.n + dd,
                        dtype=blocks.dtype)
@@ -222,42 +188,19 @@ class GridFiltration(Filtration):
         return out.reshape(batch + (-1,) + dd)
 
     # dyadic cube helpers --------------------------------------------------
-    def cube_cells(self, Q: "DyadicCube") -> np.ndarray:
-        """Flat cell indices of a level-k dyadic cube."""
-        L = 2 ** (self.K - Q.level)
-        axes = [np.arange(c * L, (c + 1) * L) for c in Q.corner]
-        if self.n == 1:
-            return axes[0]
-        return (axes[0][:, None] * self.side + axes[1][None, :]).ravel()
-
-    def cubes_at_level(self, k: int):
-        """All dyadic cubes of level k."""
-        side = 2 ** k
-        if self.n == 1:
-            return [DyadicCube(k, (c,), 1) for c in range(side)]
-        return [DyadicCube(k, (a, b), 2) for a in range(side) for b in range(side)]
-
-    def cube_of_cell(self, cell: int, k: int) -> "DyadicCube":
-        L = 2 ** (self.K - k)
-        if self.n == 1:
-            return DyadicCube(k, (cell // L,), 1)
-        i, j = divmod(cell, self.side)
-        return DyadicCube(k, (i // L, j // L), 2)
-
     def first_cells(self, k: int) -> np.ndarray:
-        """Flat index of the first cell of each level-k cube, in the order of
-        ``cubes_at_level(k)``."""
+        """Flat index of the first cell of each level-k cube."""
         starts = np.arange(2 ** k) * 2 ** (self.K - k)
         if self.n == 1:
             return starts
         return (starts[:, None] * self.side + starts[None, :]).ravel()
 
     def dilation_cubes(self, k: int, delta: int) -> np.ndarray:
-        """(offsets, cells) indices, in ``cubes_at_level(k)``, of the level-k
-        cubes Q whose concentric dilation delta*Q holds each cell (torus
-        wrap): row o gives the cube o cubes away along each axis, so each
-        (cube, cell) pair comes once, in at most delta^n rows of one cell
-        each and no (cubes, cells) array."""
+        """(offsets, cells) indices of the level-k cubes Q whose concentric
+        dilation delta*Q holds each cell (torus wrap): row o gives the cube
+        o cubes away along each axis, so each (cube, cell) pair comes once,
+        in at most delta^n rows of one cell each and no (cubes, cells)
+        array."""
         if delta % 2 == 0 or delta < 1:
             raise ContractViolation("concentric dilation factor must be odd")
         # along each axis a cell lies in delta*Q iff its level-k cube is at
@@ -276,35 +219,11 @@ class GridFiltration(Filtration):
 
     def dilation_masks(self, k: int, delta: int) -> np.ndarray:
         """(cubes, cells) boolean incidence of the concentric dilations
-        delta*Q, one row per cube of ``cubes_at_level(k)``: the pairs of
-        ``dilation_cubes``."""
+        delta*Q, one row per level-k cube: the pairs of ``dilation_cubes``."""
         cubes = self.dilation_cubes(k, delta)
         mask = np.zeros((2 ** (self.n * k), cubes.shape[1]), dtype=bool)
         mask[cubes, np.arange(cubes.shape[1])] = True
         return mask
-
-    def concentric_mask(self, Q: "DyadicCube", delta: int) -> np.ndarray:
-        """Boolean cell mask of the concentric dilation delta*Q (torus wrap)."""
-        row = np.ravel_multi_index(Q.corner, (2 ** Q.level,) * self.n)
-        return self.dilation_masks(Q.level, delta)[row]
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """Dyadic cube of side 2^{-level} on the torus, corner in cube units."""
-
-    level: int
-    corner: tuple
-    n: int
-
-    def __post_init__(self):
-        side = 2 ** self.level
-        object.__setattr__(self, "corner",
-                           tuple(int(c) % side for c in self.corner))
-
-    @property
-    def measure(self) -> float:
-        return float(2.0 ** (-self.n * self.level))
 
 
 def build_filtration(spec: AlgebraSpec | str) -> Filtration:
@@ -314,7 +233,5 @@ def build_filtration(spec: AlgebraSpec | str) -> Filtration:
         return TensorDyadicFiltration(*spec.params)
     if spec.kind == "grid":
         return GridFiltration(*spec.params)
-    if spec.kind == "corner":
-        return CornerFiltration(*spec.params)
     raise ContractViolation(f"unsupported spec {spec}")
 

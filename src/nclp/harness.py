@@ -8,7 +8,7 @@ import io
 import json
 import platform
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from functools import wraps
 from typing import Callable
 
@@ -44,7 +44,6 @@ class ExperimentConfig:
     lambda_exps: list[int] | None = None
     s_range: tuple[int, int] | None = None
     kernel: str = "lp-bumps"
-    gamma: float | None = None
     depth: int | None = None
     out: str | None = None
     format: str = "json"
@@ -69,10 +68,6 @@ class ExperimentConfig:
             if not -1074 <= e <= 1023:
                 raise ContractViolation(f"lambda exponent {e} out of range: "
                                         f"2^{e} is not finite and positive")
-        if self.gamma is not None and not (np.isfinite(self.gamma)
-                                           and self.gamma > 0):
-            raise ContractViolation(f"gamma must be finite and > 0, "
-                                    f"got {self.gamma}")
         if self.s_range is not None and (
                 len(self.s_range) != 2 or self.s_range[0] > self.s_range[1]):
             raise ContractViolation(f"bad shift range {self.s_range!r}: "
@@ -454,14 +449,10 @@ KERNELS = {"lp-bumps": lambda K: pl.lp_bumps_kernel(M=K),
            "annuli": lambda K: pl.annuli_kernel(K)}
 
 
-def _make_kernel(cfg, K):
-    k = KERNELS[cfg.kernel](K)
-    return k if cfg.gamma is None else replace(k, gamma=float(cfg.gamma))
-
-
 def _operator(cfg):
     """The normalized operator of the configured kernel at cfg.depth."""
-    return pl.normalized(pl.assemble(_make_kernel(cfg, cfg.depth), cfg.depth))
+    K = cfg.depth
+    return pl.normalized(pl.assemble(KERNELS[cfg.kernel](K), K))
 
 
 def _localized_scalar(N, K, s, rng):
@@ -542,7 +533,7 @@ def _ksk_setup(cfg):
 @per_trial
 def _ksk(cfg, ctx, rng, t):
     K, s = cfg.depth + t, cfg.s_range[0]
-    T = pl.assemble(_make_kernel(cfg, K), K)
+    T = pl.assemble(KERNELS[cfg.kernel](K), K)
     resid = size_c = 0.0
     for k in range(0, min(3, K - s)):
         rep = pl.ksk_check(T, s, k, n_pairs=70, rng=rng)
@@ -606,10 +597,11 @@ def _nc_pseudoloc_setup(cfg):
     filt = _filtration(cfg)
     if not isinstance(filt, GridFiltration) or filt.n != 1:
         raise ContractViolation("nc-pseudoloc needs a grid:1,K,d algebra")
-    T = pl.normalized(pl.assemble(_make_kernel(cfg, filt.K), filt.K))
-    s_lo, s_hi = cfg.s_range           # a shift >= K is a contract violation
-    return filt, T, {s: pl.phi_psi_hat(T, s)
-                     for s in range(max(s_lo, 1), s_hi + 1)}
+    s_lo, s_hi = cfg.s_range
+    for s in (s_lo, s_hi):
+        pl._check_s(filt.K, s)
+    T = pl.normalized(pl.assemble(KERNELS[cfg.kernel](filt.K), filt.K))
+    return filt, T, {s: pl.phi_psi_hat(T, s) for s in range(s_lo, s_hi + 1)}
 
 
 @per_trial

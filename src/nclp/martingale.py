@@ -9,7 +9,7 @@ import numpy as np
 from .errors import ContractViolation
 from .filtration import Filtration, GridFiltration
 from .opcore import (Op, _per_entry, eigvalsh, l2_norm, op_norm, psd_sqrt,
-                     schatten_norm)
+                     schatten_norm, top_eigenvalue)
 
 
 # the eigenvalue floor below which ``Martingale.is_positive`` fails
@@ -211,13 +211,6 @@ def function_bmo(filtration: GridFiltration, fs: Op) -> tuple[float, float]:
                 len(b), -1, L ** n, d, d)         # (member, cube, cell)
             g_r = np.einsum("mqlab,mqlcb->qac", dev, dev.conj()) / L ** n
             g_c = np.einsum("mqlba,mqlbc->qac", dev.conj(), dev) / L ** n
-            bmo_r = max(bmo_r, float(np.sqrt(_gram_norm(g_r).max())))
-            bmo_c = max(bmo_c, float(np.sqrt(_gram_norm(g_c).max())))
+            bmo_r = max(bmo_r, float(np.sqrt(top_eigenvalue(g_r).max())))
+            bmo_c = max(bmo_c, float(np.sqrt(top_eigenvalue(g_c).max())))
     return bmo_r, bmo_c
-
-
-def _gram_norm(g: np.ndarray) -> np.ndarray:
-    """The operator norms of stacked positive blocks: their top eigenvalues
-    (``eigvalsh``, no SVD), clipped at 0, so that the square root of a zero
-    block's norm is 0 and not a NaN from a rounding-negative eigenvalue."""
-    return np.clip(eigvalsh(g)[..., -1], 0.0, None)

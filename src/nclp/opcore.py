@@ -18,7 +18,7 @@ from .errors import ContractViolation, NumericError
 
 # Tolerances, fixed once so every test is reproducible.
 ENDPOINT_TOL = 1e-9      # interval-endpoint snapping for spectral projections
-MEET_NULL_TOL = 1e-8     # null-space eigenvalue cut in proj_meet
+MEET_NULL_TOL = 1e-8     # null-space eigenvalue cut in null_projection
 HERMITIAN_TOL = 1e-12
 
 
@@ -134,7 +134,7 @@ class Op:
 
     @property
     def H(self) -> "Op":
-        return Op(self.blocks.conj().swapaxes(-1, -2), self.algebra)
+        return Op(_adjoint(self.blocks), self.algebra)
 
     # -- scalars ----------------------------------------------------------
     def trace(self):
@@ -151,7 +151,7 @@ class Op:
         return bool(np.all(dev <= tol * scale + 1e-300))
 
     def hermitize(self) -> "Op":
-        return Op(0.5 * (self.blocks + self.H.blocks), self.algebra)
+        return Op(hermitian_part(self.blocks), self.algebra)
 
     def max_abs(self) -> float:
         return float(np.abs(self.blocks).max(initial=0.0))
@@ -206,6 +206,11 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(x + x*)/2 of each stacked block."""
+    return 0.5 * (x + _adjoint(x))
+
+
 def _eigh(h: np.ndarray):
     """Blockwise Hermitian eigendecomposition (ascending eigenvalues)."""
     try:
@@ -228,17 +233,25 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
 
     A stacked LAPACK call costs about 0.7 us per block, so for d <= 2 the
     eigenvalues are the closed form m -+ r (``_hermitian2``), as in
-    LAPACK's own zlaev2; larger blocks go to ``np.linalg.eigvalsh``."""
+    LAPACK's own zlaev2; larger (and empty) blocks go to
+    ``np.linalg.eigvalsh``."""
     d = h.shape[-1]
-    if d > 2:
-        try:
-            return np.linalg.eigvalsh(h)
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
-            raise NumericError(f"eigvalsh failed: {exc}") from exc
     if d == 1:
         return h[..., 0].real
-    m, r, _, _ = _hermitian2(h)
-    return np.stack([m - r, m + r], axis=-1)
+    if d == 2:
+        m, r, _, _ = _hermitian2(h)
+        return np.stack([m - r, m + r], axis=-1)
+    try:
+        return np.linalg.eigvalsh(h)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise NumericError(f"eigvalsh failed: {exc}") from exc
+
+
+def top_eigenvalue(h: np.ndarray) -> np.ndarray:
+    """The top eigenvalue of each stacked positive block (``eigvalsh``),
+    clipped at 0, so that the square root of a zero block's norm is 0 and
+    not a NaN from a rounding-negative eigenvalue; 0 for an empty block."""
+    return eigvalsh(h).max(axis=-1, initial=0.0)
 
 
 def kept_projection(h: np.ndarray, keep) -> np.ndarray:
@@ -451,20 +464,6 @@ def null_projection(h: Op) -> Op:
     eigenvalue cut MEET_NULL_TOL."""
     return spectral_projection(h.hermitize(), Interval(None, MEET_NULL_TOL,
                                                        closed_hi=True))
-
-
-def proj_meet(ps: Op) -> Op:
-    """Meet of the projections along the first batch axis of ps (range =
-    intersection of ranges): the null space of sum_i (1 - p_i)."""
-    if not ps.batch or len(ps) == 0:
-        raise ContractViolation("proj_meet needs a non-empty batch")
-    return null_projection((ps.algebra.unit() - ps).sum())
-
-
-def proj_join(ps: Op) -> Op:
-    """Join of projections: 1 - meet(1 - p_i)."""
-    one = ps.algebra.unit()
-    return one - proj_meet(one - ps)
 
 
 def annihilation_check(p: Op, f: Op, tol: float = 1e-10):

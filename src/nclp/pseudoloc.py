@@ -13,7 +13,7 @@ from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
 from .opcore import (Op, annihilation_check, dense_algebra, l2_norm,
-                     null_projection, psd_sqrt)
+                     null_projection, psd_sqrt, top_eigenvalue)
 
 # ---------------------------------------------------------------------------
 # grid functions and the Haar transform
@@ -259,6 +259,11 @@ class DiscOp:
         return 2.0 ** (-self.K)
 
     @property
+    def gamma(self) -> float:
+        """The kernel's declared smoothness exponent, 1 without a kernel."""
+        return self.kernel.gamma if self.kernel else 1.0
+
+    @property
     def mats(self) -> np.ndarray:
         """The dense (M, N, N) kernel matrices, built on every read."""
         return np.take(self.column, _circulant_index(self.N), axis=1)
@@ -277,11 +282,10 @@ class DiscOp:
         return out.astype(dtype, copy=False)
 
 
-def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
+def assemble(kernel: HilbertKernel, K: int) -> DiscOp:
     """The circulant with first column ``kernel.column(2^K)``.  Except for
-    the ``annuli`` multipliers (left as they are, ``eps`` ignored) it is a
-    midpoint quadrature: scaled by 2^{-K}, with hard zero on the diagonal
-    and on torus distance <= eps."""
+    the ``annuli`` multipliers (left as they are) it is a midpoint
+    quadrature: scaled by 2^{-K}, with hard zero on the diagonal."""
     if K < 2:
         raise ContractViolation("grid depth K >= 2 required")
     N = 2 ** K
@@ -291,7 +295,6 @@ def assemble(kernel: HilbertKernel, K: int, eps: float = 0.0) -> DiscOp:
         raise NumericError(f"kernel evaluation not finite at {tuple(bad)}")
     if kernel.family != "annuli":
         col *= 2.0 ** (-K)
-        col[:, np.abs(_torus_offsets(N)) <= eps] = 0.0
         col[:, 0] = 0.0
     return DiscOp(col, K, kernel)
 
@@ -308,18 +311,13 @@ def family_gram(mats: np.ndarray) -> np.ndarray:
     return G
 
 
-def _top_eigenvalue(G: np.ndarray) -> float:
-    """Top eigenvalue of a Hermitian PSD matrix by a dense solve, >= 0."""
-    return float(np.linalg.eigvalsh(G).max(initial=0.0))
-
-
 def estimate_norm(mats: np.ndarray) -> float:
     """||T||: the top singular value of the stacked (M*N, N) matrix A,
     from the smaller of the Grams A^H A and A A^H."""
     rows, cols = math.prod(mats.shape[:-1]), mats.shape[-1]
     if rows < cols:     # A A^H is the Gram of the one-component A^H
         mats = mats.reshape(rows, cols).conj().T[None]
-    return float(np.sqrt(_top_eigenvalue(family_gram(mats))))
+    return float(np.sqrt(top_eigenvalue(family_gram(mats))))
 
 
 def normalized(T: DiscOp) -> DiscOp:
@@ -444,7 +442,7 @@ def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
         d = min(d, 1.0 - d)
         if d > 1.5 * Lr / N:
             norm = float(np.linalg.norm(lhs))
-            bound = 2.0 ** (-T.kernel.gamma * (k + s)) / d ** (1 + T.kernel.gamma)
+            bound = 2.0 ** (-T.gamma * (k + s)) / d ** (1 + T.gamma)
             size_ratio = max(size_ratio, norm / max(bound, 1e-300))
     return {"max_residual": resid, "size_constant": size_ratio}
 
@@ -478,15 +476,14 @@ def cotlar_bound(family: list[np.ndarray]) -> float:
     best: dict[int, float] = {}
     for i in range(F):
         for j in range(F):
-            n1 = np.sqrt(_top_eigenvalue(x[i, :, j].conj().T @ x[i, :, j]))
-            n2 = np.sqrt(_top_eigenvalue(roots[i] @ x[j, :, j] @ roots[i]))
+            n1 = np.sqrt(top_eigenvalue(x[i, :, j].conj().T @ x[i, :, j]))
+            n2 = np.sqrt(top_eigenvalue(roots[i] @ x[j, :, j] @ roots[i]))
             best[i - j] = max(best.get(i - j, 0.0), n1, n2)
     return float(sum(np.sqrt(v) for v in best.values()))
 
 
 def schur_integrals_decay(T: DiscOp, s_range, k_range) -> dict:
     """Row/column kernel integrals of E_k T Delta_{k+s} across shifts."""
-    gamma = T.kernel.gamma if T.kernel else 1.0
     rows = []
     for s in s_range:
         for k in k_range:
@@ -495,7 +492,7 @@ def schur_integrals_decay(T: DiscOp, s_range, k_range) -> dict:
             s1, s2 = _schur_integrals(ekt_delta(T, k, k + s))
             rows.append({"s": s, "k": k,
                          "S1": s1, "S2": s2,
-                         "S1_normalized": (2.0 ** (gamma * s)) * s1 / s,
+                         "S1_normalized": (2.0 ** (T.gamma * s)) * s1 / s,
                          "S2_normalized": s2 / s})
     return {"rows": rows,
             "max_S1_normalized": max(r["S1_normalized"] for r in rows),
@@ -576,12 +573,11 @@ def sigma_set(f: np.ndarray, s: int, K: int) -> np.ndarray:
 def commutative_pseudoloc_check(T: DiscOp, f: np.ndarray, s: int) -> dict:
     """||Tf||_{L2(H)} outside Sigma_{f,s} against s 2^{-gamma s/2} ||f||_2."""
     _check_s(T.K, s)
-    gamma = T.kernel.gamma if T.kernel else 1.0
     tf = T.apply(f)
     out = ~sigma_set(f, s, T.K)
     val = grid_l2(tf[:, out], T.K)
     f2 = grid_l2(f, T.K)
-    denom = s * 2.0 ** (-gamma * s / 2.0) * max(f2, 1e-300)
+    denom = s * 2.0 ** (-T.gamma * s / 2.0) * max(f2, 1e-300)
     return {"outside_norm": val, "ratio": val / denom,
             "outside_fraction": float(out.mean())}
 
@@ -672,7 +668,6 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
     q_k df_{k+s} q_k = 0 (certified here; violations raise).
     """
     _check_s(T.K, s)
-    gamma = T.kernel.gamma if T.kernel else 1.0
     dfs = Martingale(filt, f).diffs[s:]             # df_{k+s}, k = 0..K-s
     levels = list(range(len(dfs)))
     q = q_list[:len(levels)]
@@ -687,7 +682,7 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
     comp = z @ tf @ z
     val = float(np.sqrt((l2_norm(comp) ** 2).sum()))
     f2 = l2_norm(f)
-    denom = s * 2.0 ** (-gamma * s / 2.0) * max(f2, 1e-300)
+    denom = s * 2.0 ** (-T.gamma * s / 2.0) * max(f2, 1e-300)
     out = {"compressed_norm": val, "ratio": val / denom,
            "zeta_trace": float(z.trace().real)}
     if hat is not None:

@@ -1,11 +1,12 @@
-"""Reference operators, coefficients and cube maps that only the tests
-compute."""
+"""Reference operators, coefficients, projection meets and cube maps that
+only the tests compute."""
+from dataclasses import dataclass
+
 import numpy as np
 
 from nclp.errors import ContractViolation
-from nclp.filtration import DyadicCube
 from nclp.martingale import CoeffMatrix
-from nclp.opcore import Op, eigvalsh, psd_sqrt
+from nclp.opcore import Op, eigvalsh, hermitian_part, null_projection, psd_sqrt
 
 
 def abs_op(a: Op) -> Op:
@@ -23,6 +24,82 @@ def partition_coeffs(K: int, parts: list[list[int]]) -> CoeffMatrix:
         for k in block:
             xi[k, m] = 1.0
     return CoeffMatrix(xi)
+
+
+def proj_meet(ps: Op) -> Op:
+    """Meet of the projections along the first batch axis of ps (range =
+    intersection of ranges): the null space of sum_i (1 - p_i)."""
+    if not ps.batch or len(ps) == 0:
+        raise ContractViolation("proj_meet needs a non-empty batch")
+    return null_projection((ps.algebra.unit() - ps).sum())
+
+
+def proj_join(ps: Op) -> Op:
+    """Join of projections: 1 - meet(1 - p_i)."""
+    one = ps.algebra.unit()
+    return one - proj_meet(one - ps)
+
+
+# -- dyadic cubes of a GridFiltration, one at a time --------------------------
+
+@dataclass(frozen=True)
+class DyadicCube:
+    """Dyadic cube of side 2^{-level} on the torus, corner in cube units."""
+
+    level: int
+    corner: tuple
+    n: int
+
+    def __post_init__(self):
+        side = 2 ** self.level
+        object.__setattr__(self, "corner",
+                           tuple(int(c) % side for c in self.corner))
+
+    @property
+    def measure(self) -> float:
+        return float(2.0 ** (-self.n * self.level))
+
+
+def cubes_at_level(filt, k: int) -> list:
+    """All dyadic cubes of level k, in the raster order of the filtration's
+    level-k blocks."""
+    side = 2 ** k
+    if filt.n == 1:
+        return [DyadicCube(k, (c,), 1) for c in range(side)]
+    return [DyadicCube(k, (a, b), 2) for a in range(side) for b in range(side)]
+
+
+def cube_cells(filt, Q: DyadicCube) -> np.ndarray:
+    """Flat cell indices of a dyadic cube."""
+    L = 2 ** (filt.K - Q.level)
+    axes = [np.arange(c * L, (c + 1) * L) for c in Q.corner]
+    if filt.n == 1:
+        return axes[0]
+    return (axes[0][:, None] * filt.side + axes[1][None, :]).ravel()
+
+
+def cube_of_cell(filt, cell: int, k: int) -> DyadicCube:
+    L = 2 ** (filt.K - k)
+    if filt.n == 1:
+        return DyadicCube(k, (cell // L,), 1)
+    i, j = divmod(cell, filt.side)
+    return DyadicCube(k, (i // L, j // L), 2)
+
+
+def concentric_mask(filt, Q: DyadicCube, delta: int) -> np.ndarray:
+    """Boolean cell mask of the concentric dilation delta*Q (torus wrap),
+    built one axis at a time from the cube's cell range."""
+    L = 2 ** (filt.K - Q.level)
+    r = (delta - 1) // 2
+    mask_axes = []
+    for c in Q.corner:
+        m = np.zeros(filt.side, dtype=bool)
+        lo = c * L - r * L
+        m[np.arange(lo, lo + delta * L) % filt.side] = True
+        mask_axes.append(m)
+    if filt.n == 1:
+        return mask_axes[0]
+    return (mask_axes[0][:, None] & mask_axes[1][None, :]).ravel()
 
 
 def dyadic_father(Q: DyadicCube) -> DyadicCube:
@@ -51,6 +128,6 @@ def zeta_cube_inequalities_pairs(zd) -> dict:
         weak.append(xi_q - zb)
     h = np.stack([np.concatenate(strong, axis=-3),
                   np.concatenate(weak, axis=-3)])
-    w = eigvalsh(0.5 * (h + h.conj().swapaxes(-1, -2)))
+    w = eigvalsh(hermitian_part(h))
     return {"strong_min_eig": w[0].min(axis=(-2, -1)),
             "weak_min_eig": w[1].min(axis=(-2, -1))}

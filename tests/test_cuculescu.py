@@ -13,14 +13,21 @@ from nclp.harness import (ExperimentConfig, Suite, random_op,
                           trial_rng)
 from nclp.martingale import Martingale
 from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
-                         l2_norm, op_norm, proj_meet, schatten_norm)
+                         l2_norm, op_norm, schatten_norm)
 
 from batch_entries import assert_entries_match_scalar_calls
+from oracles import proj_meet
 
 
-def ladder(f, l_min, l_max, convention="closed"):
+def ladder(f, l_min, l_max):
     """The recursion of f at the thresholds 2^l, l = l_min..l_max."""
-    return cuculescu(f, 2.0 ** np.arange(l_min, l_max + 1), convention)
+    return cuculescu(f, 2.0 ** np.arange(l_min, l_max + 1))
+
+
+def closed(specs):
+    """Test ids that name the spec and the recursion's closed endpoint
+    convention."""
+    return [f"{spec}-closed" for spec in specs]
 
 
 def naive_cuculescu(f, lam):
@@ -40,7 +47,7 @@ def naive_cuculescu(f, lam):
     return qs
 
 
-def per_block_cuculescu(f, lam, convention):
+def per_block_cuculescu(f, lam):
     """Oracle: the recursion block by block, diagonalizing V* f_n V on an
     orthonormal basis V of range(q_{n-1}) kept per block."""
     alg = f.algebra
@@ -59,8 +66,6 @@ def per_block_cuculescu(f, lam, convention):
             h = 0.5 * (h + h.conj().T)
             w, u = np.linalg.eigh(h)
             keep = w <= lam + ENDPOINT_TOL
-            if convention == "half-open":
-                keep &= w > ENDPOINT_TOL
             W = V @ u[:, keep]
             blocks[b] = W @ W.conj().T
             new_bases.append(W)
@@ -80,60 +85,64 @@ def delta_trunc_oracle(x, pi, ell):
     return out
 
 
-def _rank_deficient_martingale(d=3):
-    """Every f_k vanishes on one direction shared by all cells, so its
-    compressions keep a kernel the two conventions treat differently."""
+def _rank_deficient_case(d=3):
+    """A martingale whose every f_k vanishes on one direction shared by all
+    cells, so that its compressions keep a kernel, and the projection onto
+    that direction."""
     filt = GridFiltration(1, 3, d)
     rng = np.random.default_rng(21)
     basis = np.linalg.qr(rng.standard_normal((d, d - 1)))[0]
     shape = (filt.algebra.nblocks, d - 1, d - 1)
     g = basis @ (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     top = Op(g @ g.conj().transpose(0, 2, 1), filt.algebra)
-    return Martingale(filt, (1.0 / top.trace().real) * top)
+    return (Martingale(filt, (1.0 / top.trace().real) * top),
+            np.eye(d) - basis @ basis.T)
 
 
-@pytest.mark.parametrize("convention", ["closed", "half-open"])
-@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
-                                  "rank-deficient", "rank-deficient-2"])
-def test_batched_matches_per_block_oracle(spec, convention):
+BLOCK_SPECS = ["tensor:4", "grid:1,4,2", "grid:2,3,3", "rank-deficient",
+               "rank-deficient-2"]
+
+
+@pytest.mark.parametrize("spec", BLOCK_SPECS, ids=closed(BLOCK_SPECS))
+def test_batched_matches_per_block_oracle(spec):
     if spec.startswith("rank-deficient"):
         # d = 2 is the closed-form kernel, d = 3 LAPACK's
-        marts = [_rank_deficient_martingale(2 if spec.endswith("2") else 3)]
+        marts = [_rank_deficient_case(2 if spec.endswith("2") else 3)[0]]
     else:
         filt = build_filtration(spec)
         marts = [random_positive_martingale(filt, trial_rng(22, t))
                  for t in range(3)]
     for f in marts:
         for e in range(-2, 5):
-            seq = cuculescu(f, 2.0 ** e, convention)
-            oracle = per_block_cuculescu(f, 2.0 ** e, convention)
+            seq = cuculescu(f, 2.0 ** e)
+            oracle = per_block_cuculescu(f, 2.0 ** e)
             for q, q_ref in zip(seq.qs, oracle, strict=True):
                 assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
 
 
 def _batch_martingales(spec):
     if spec == "rank-deficient":
-        return [_rank_deficient_martingale()]
+        return [_rank_deficient_case()[0]]
     filt = build_filtration(spec)
     return [random_positive_martingale(filt, trial_rng(24, t))
             for t in range(2)]
 
 
-@pytest.mark.parametrize("convention", ["closed", "half-open"])
-@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
-                                  "rank-deficient"])
-def test_lambda_batch_matches_per_lambda_calls(spec, convention):
+LAMBDA_SPECS = ["tensor:4", "grid:1,4,2", "grid:2,3,3", "rank-deficient"]
+
+
+@pytest.mark.parametrize("spec", LAMBDA_SPECS, ids=closed(LAMBDA_SPECS))
+def test_lambda_batch_matches_per_lambda_calls(spec):
     lams = 2.0 ** np.arange(-2, 5)
     for f in _batch_martingales(spec):
-        seqs = cuculescu(f, lams, convention)
+        seqs = cuculescu(f, lams)
         reports = cuculescu_report(seqs)
         assert seqs.qs.batch == lams.shape + (len(f.levels),)
         assert all(np.shape(v) == lams.shape for v in reports.values())
         for i, lam in enumerate(lams):
-            one = cuculescu(f, lam, convention)
+            one = cuculescu(f, lam)
             assert isinstance(one, CuculescuSequence)
             assert seqs.lam[i] == one.lam == lam
-            assert seqs.convention == convention
             for q, q_ref in zip(seqs.qs[i], one.qs, strict=True):
                 assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
             ref = cuculescu_report(one)
@@ -155,11 +164,10 @@ def test_bad_lambda_batch_raises(lam):
 @pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "rank-deficient"])
 def test_q_lambda_equals_proj_meet_oracle(spec):
     for f in _batch_martingales(spec):
-        for convention in ("closed", "half-open"):
-            seq = cuculescu(f, 2.0 ** np.arange(-2, 5), convention)
-            for i in range(len(seq.lam)):
-                diff = q_lambda(seq)[i].blocks - proj_meet(seq.qs[i]).blocks
-                assert np.abs(diff).max() <= 1e-12
+        seq = cuculescu(f, 2.0 ** np.arange(-2, 5))
+        for i in range(len(seq.lam)):
+            diff = q_lambda(seq)[i].blocks - proj_meet(seq.qs[i]).blocks
+            assert np.abs(diff).max() <= 1e-12
 
 
 @pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
@@ -178,19 +186,21 @@ def test_sup_l1_equals_max_schatten_norm(spec):
 
 
 def test_rank_deficient_case_separates_conventions():
-    _assert_conventions_separate(_rank_deficient_martingale())
+    _assert_closed_convention_keeps_the_kernel(3)
 
 
 def test_closed_form_kernel_separates_conventions():
     # the kernel direction of 2 x 2 blocks meets the closed form
-    _assert_conventions_separate(_rank_deficient_martingale(2))
+    _assert_closed_convention_keeps_the_kernel(2)
 
 
-def _assert_conventions_separate(f):
-    closed = cuculescu(f, 0.25, convention="closed")
-    halfopen = cuculescu(f, 0.25, convention="half-open")
-    for qc, qh in zip(closed.qs, halfopen.qs):
-        assert qc.trace().real > qh.trace().real + 0.1
+def _assert_closed_convention_keeps_the_kernel(d):
+    # the eigenvalue 0 of the shared kernel direction lies in [0, lambda],
+    # so every q_n keeps that direction, of trace 1/d, where a half-open
+    # (0, lambda] would expel it
+    f, kernel = _rank_deficient_case(d)
+    for q in cuculescu(f, 0.25).qs:
+        assert np.abs(q.blocks @ kernel - kernel).max() <= 1e-10
 
 
 def test_compression_excess_sees_a_projection_above_lambda():
@@ -201,7 +211,7 @@ def test_compression_excess_sees_a_projection_above_lambda():
     w = np.linalg.eigvalsh(f.top.blocks)
     lam = 0.5 * (w.min() + w.max())
     units = np.broadcast_to(f.algebra.unit().blocks, f.seq.blocks.shape)
-    bad = CuculescuSequence(lam, "closed", Op(units, f.algebra), f)
+    bad = CuculescuSequence(lam, Op(units, f.algebra), f)
     excess = cuculescu_report(bad)["compression_excess"]
     assert excess >= w.max() - lam - 1e-12 > 0.0
     suite = Suite(ExperimentConfig("cuculescu").resolved(), rules=[
@@ -254,17 +264,6 @@ def test_scalar_stopping_time_oracle():
         hit |= np.repeat(avg > 1.0 + 1e-9, 8 // 2 ** k)
         got = seq.qs[k].blocks[:, 0, 0].real
         assert np.allclose(got, (~hit).astype(float))
-
-
-def test_halfopen_convention_differs_on_kernel():
-    # an eigenvalue exactly 0 is kept by the closed convention and dropped
-    # by the half-open one
-    filt = GridFiltration(1, 1, 2)
-    blocks = np.stack([np.diag([0.0, 0.5]), np.diag([0.5, 0.0])]).astype(complex)
-    f = Martingale(filt, Op(blocks, filt.algebra))
-    closed = cuculescu(f, 0.25, convention="closed")
-    halfopen = cuculescu(f, 0.25, convention="half-open")
-    assert closed.qs[-1].trace().real > halfopen.qs[-1].trace().real
 
 
 def test_q_lambda_meet():
@@ -383,10 +382,10 @@ def test_meet_ladder_matches_pairwise_oracle(spec):
 
 # -- the level-size recursion against the full-size one ---------------------
 
-LEVEL_SPECS = ["tensor:3", "tensor:4", "grid:1,4,2", "grid:2,3,2", "corner:4"]
+LEVEL_SPECS = ["tensor:3", "tensor:4", "grid:1,4,2", "grid:2,3,2"]
 
 
-def full_size_cuculescu(f, lams, convention):
+def full_size_cuculescu(f, lams):
     """The recursion with every level diagonalized at full size, as it ran
     before the level subalgebras had their own coordinates: (lambda,
     position, block, d, d) projections."""
@@ -399,8 +398,6 @@ def full_size_cuculescu(f, lams, convention):
         h = q @ fn @ q + (cut[..., None] + 1.0) * (one - q)
         w, u = np.linalg.eigh(0.5 * (h + h.conj().swapaxes(-1, -2)))
         keep = w <= cut + ENDPOINT_TOL
-        if convention == "half-open":
-            keep &= w > ENDPOINT_TOL
         u = u * keep[..., None, :]
         q = qs[:, n] = u @ u.conj().swapaxes(-1, -2)
     return qs
@@ -424,13 +421,12 @@ def full_size_report(seqs):
             for i in range(len(seqs.lam))]
 
 
-@pytest.mark.parametrize("convention", ["closed", "half-open"])
-@pytest.mark.parametrize("spec", LEVEL_SPECS)
-def test_level_size_recursion_matches_full_size_oracle(spec, convention):
+@pytest.mark.parametrize("spec", LEVEL_SPECS, ids=closed(LEVEL_SPECS))
+def test_level_size_recursion_matches_full_size_oracle(spec):
     lams = 2.0 ** np.arange(-2, 5)
     f = random_positive_martingale(build_filtration(spec), trial_rng(31, 0))
-    seqs = cuculescu(f, lams, convention)
-    ref = full_size_cuculescu(f, lams, convention)
+    seqs = cuculescu(f, lams)
+    ref = full_size_cuculescu(f, lams)
     for i in range(len(lams)):
         assert np.abs(seqs.qs[i].blocks - ref[i]).max() <= 1e-12
     got = cuculescu_report(seqs)
@@ -439,30 +435,26 @@ def test_level_size_recursion_matches_full_size_oracle(spec, convention):
             assert abs(got[key][i] - val) <= 1e-12
 
 
-@pytest.mark.parametrize("convention", ["closed", "half-open"])
-@pytest.mark.parametrize("spec", LEVEL_SPECS)
-def test_indexed_solve_equals_solving_at_those_thresholds(spec, convention):
+@pytest.mark.parametrize("spec", LEVEL_SPECS, ids=closed(LEVEL_SPECS))
+def test_indexed_solve_equals_solving_at_those_thresholds(spec):
     f = random_positive_martingale(build_filtration(spec), trial_rng(34, 0))
-    seq = ladder(f, -3, 4, convention)
+    seq = ladder(f, -3, 4)
     for i in ([1, 2, 5], [6, 0, 6], slice(2, 5), np.arange(3, 8)):
         got = seq[i]
-        want = cuculescu(f, 2.0 ** np.arange(-3, 5)[i], convention)
+        want = cuculescu(f, 2.0 ** np.arange(-3, 5)[i])
         assert np.array_equal(got.lam, want.lam)
         assert np.array_equal(got.qs.blocks, want.qs.blocks)
-        assert got.convention == convention and got.martingale is f
+        assert got.martingale is f
 
 
 @pytest.mark.parametrize("spec", LEVEL_SPECS)
 def test_q_n_lies_in_its_level(spec):
     filt = build_filtration(spec)
     f = random_positive_martingale(filt, trial_rng(32, 0))
-    # a corner level is solved at full size, so the rounding of its
-    # eigenvectors outside M_k remains
-    tol = 1e-15 if filt.spec.kind == "corner" else 0.0
     seq = cuculescu(f, 2.0 ** np.arange(-2, 5))
     for qs in seq.qs:
         for k, q in zip(f.levels, qs):
-            assert np.abs(filt.expect(q, k).blocks - q.blocks).max() <= tol
+            assert np.array_equal(filt.expect(q, k).blocks, q.blocks)
 
 
 # -- the lambda batch against one call per threshold -------------------------

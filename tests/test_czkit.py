@@ -13,11 +13,11 @@ from nclp.harness import (random_coeffs, random_positive_batch,
                           random_positive_martingale, trial_rng)
 from nclp.martingale import Martingale, transform_family
 from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
-                         proj_meet, schatten_norm, singular_values,
-                         spectral_projection)
+                         schatten_norm, singular_values, spectral_projection)
 
 from batch_entries import assert_entries_match_scalar_calls, entry
-from oracles import dyadic_father, zeta_cube_inequalities_pairs
+from oracles import (concentric_mask, cube_cells, cubes_at_level,
+                     dyadic_father, proj_meet, zeta_cube_inequalities_pairs)
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -76,7 +76,7 @@ def cube_xi(parts):
     keyed by (level, cube corner), for the parts at one threshold."""
     filt = parts.filtration
     return {(k, Q.corner): b for pos, k in enumerate(parts.martingale.levels)
-            for Q, b in zip(filt.cubes_at_level(k),
+            for Q, b in zip(cubes_at_level(filt, k),
                             parts.qs.blocks[pos, filt.first_cells(k)])}
 
 
@@ -86,11 +86,11 @@ def cube_inequality_oracle(zd):
     xi = cube_xi(zd.parts)
     worst_strong = worst_weak = np.inf
     for k in zd.parts.martingale.levels[1:]:
-        for Q in filt.cubes_at_level(k):
+        for Q in cubes_at_level(filt, k):
             xi_q = xi[(k, Q.corner)]
             xi_hat = xi[(k - 1, dyadic_father(Q).corner)]
             strong_cap = np.eye(filt.d) - xi_hat + xi_q
-            for blk in zd.zeta.blocks[filt.concentric_mask(Q, 9)]:
+            for blk in zd.zeta.blocks[concentric_mask(filt, Q, 9)]:
                 h1 = strong_cap - blk
                 h2 = xi_q - blk
                 worst_strong = min(worst_strong, np.linalg.eigvalsh(
@@ -105,19 +105,19 @@ def zeta_per_cube_oracle(parts):
     time onto its 9-fold dilation."""
     f, filt = parts.martingale, parts.filtration
     alg = f.algebra
-    xi = {(k, Q.corner): parts.qs[pos].blocks[filt.cube_cells(Q)[0]]
-          for pos, k in enumerate(f.levels) for Q in filt.cubes_at_level(k)}
+    xi = {(k, Q.corner): parts.qs[pos].blocks[cube_cells(filt, Q)[0]]
+          for pos, k in enumerate(f.levels) for Q in cubes_at_level(filt, k)}
     running = np.zeros((alg.nblocks, alg.d, alg.d), dtype=complex)
     psi, zeta_k = [], []
     for pos, k in enumerate(f.levels):
         if k > parts.m_lambda:
             qprev = parts.qs[pos - 1] if pos > 0 else alg.unit()
-            for Q in filt.cubes_at_level(k):
-                cell = filt.cube_cells(Q)[0]
+            for Q in cubes_at_level(filt, k):
+                cell = cube_cells(filt, Q)[0]
                 diff = qprev.blocks[cell] - parts.qs[pos].blocks[cell]
                 if np.abs(diff).max() <= 1e-14:
                     continue
-                running[filt.concentric_mask(Q, 9)] += diff
+                running[concentric_mask(filt, Q, 9)] += diff
         psi.append(Op(running.copy(), alg))
         supp = spectral_projection(psi[-1].hermitize(),
                                    Interval(1e-9, None, closed_lo=False))
@@ -479,7 +479,7 @@ def per_lambda_cz_report(parts):
 
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
 def test_split_matches_eighteen_product_oracle(n, K, d):
-    # CZ lives on the grid algebra only: tensor:N and corner:n are rejected
+    # CZ lives on the grid algebra only: tensor:N is rejected
     for t in range(2):
         f = random_positive_martingale(GridFiltration(n, K, d),
                                        trial_rng(66, t))

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from nclp.errors import ContractViolation
-from nclp.filtration import (CornerFiltration, DyadicCube, GridFiltration,
-                             TensorDyadicFiltration, build_filtration,
-                             parse_spec)
+from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
+                             build_filtration, parse_spec)
 from nclp.opcore import Op
-from oracles import dyadic_father
+from oracles import (DyadicCube, concentric_mask, cube_cells, cube_of_cell,
+                     cubes_at_level, dyadic_father)
 
 
 def rand(filt, seed):
@@ -17,7 +17,7 @@ def rand(filt, seed):
     return Op(b, alg).hermitize()
 
 
-@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2", "corner:4"])
+@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2"])
 def test_expectation_axioms(spec):
     filt = build_filtration(spec)
     x = rand(filt, 0)
@@ -34,7 +34,7 @@ def test_expectation_axioms(spec):
     assert (a - filt.expect(x, lo)).max_abs() < 1e-12
 
 
-@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2", "corner:4"])
+@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2"])
 def test_bimodule_property(spec):
     # E_k(a x b) = a E_k(x) b for a, b in the level-k subalgebra
     filt = build_filtration(spec)
@@ -64,18 +64,6 @@ def test_tensor_dyadic_oracle():
     assert np.allclose(e0.blocks[0], np.eye(2) * 2.5)
 
 
-def test_corner_oracle():
-    # [DERIVED] corner filtration level 1 keeps the (0,0) entry and the
-    # rest of the diagonal
-    filt = CornerFiltration(3)
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((3, 3)) + 0j
-    e1 = filt.expect(Op(m[None], filt.algebra), 1).blocks[0]
-    assert e1[0, 0] == pytest.approx(m[0, 0])
-    assert e1[0, 1] == 0 and e1[2, 1] == 0
-    assert e1[1, 1] == pytest.approx(m[1, 1])
-
-
 def test_grid_average_oracle():
     filt = GridFiltration(1, 2, 1)
     vals = np.array([1.0, 3.0, 5.0, 7.0], dtype=complex)
@@ -91,6 +79,8 @@ def test_parse_spec_errors():
         parse_spec("hex:3")
     with pytest.raises(ContractViolation):
         parse_spec("grid:1,2")
+    with pytest.raises(ContractViolation, match="unsupported"):
+        parse_spec("corner:3")
     assert parse_spec("grid:1,3,2").label == "grid:1,3,2"
 
 
@@ -102,51 +92,36 @@ def test_check_level():
 
 def test_cube_navigation():
     filt = GridFiltration(1, 3, 1)
-    Q = filt.cube_of_cell(5, 2)
+    Q = cube_of_cell(filt, 5, 2)
     assert Q.level == 2
-    assert 5 in filt.cube_cells(Q)
+    assert 5 in cube_cells(filt, Q)
     father = dyadic_father(Q)
     assert father.level == 1
-    assert set(filt.cube_cells(Q)) <= set(filt.cube_cells(father))
+    assert set(cube_cells(filt, Q)) <= set(cube_cells(filt, father))
     with pytest.raises(ContractViolation):
-        dyadic_father(filt.cube_of_cell(0, 0))
+        dyadic_father(cube_of_cell(filt, 0, 0))
 
 
 def test_concentric_mask_wraps_and_counts():
     filt = GridFiltration(1, 3, 1)
-    Q = filt.cube_of_cell(0, 3)     # single cell at the finest level
-    mask = filt.concentric_mask(Q, 9)
+    Q = cube_of_cell(filt, 0, 3)    # single cell at the finest level
+    mask = concentric_mask(filt, Q, 9)
     assert mask.sum() == 8          # 9 cells clipped to the 8-cell torus
     filt4 = GridFiltration(1, 4, 1)
-    Q = filt4.cube_of_cell(0, 4)
-    mask = filt4.concentric_mask(Q, 9)
+    Q = cube_of_cell(filt4, 0, 4)
+    mask = concentric_mask(filt4, Q, 9)
     assert mask.sum() == 9
     assert mask[0] and mask[12] and mask[4]   # wraps around
     with pytest.raises(ContractViolation):
-        filt4.concentric_mask(Q, 4)            # even dilation has no center
+        filt4.dilation_cubes(Q.level, 4)       # even dilation has no center
 
 
 def test_concentric_father_measure():
     filt = GridFiltration(1, 5, 1)
-    Q = filt.cube_of_cell(3, 5)
+    Q = cube_of_cell(filt, 3, 5)
     assert DyadicCube(3, Q.corner, 1).measure == pytest.approx(2.0 ** -3)
     # concentric father 9Q of a single-cell cube on a 32-cell torus
-    assert filt.concentric_mask(Q, 9).sum() == 9
-
-
-def concentric_mask_oracle(filt, Q, delta):
-    """delta*Q built one axis at a time from the cube's cell range."""
-    L = 2 ** (filt.K - Q.level)
-    r = (delta - 1) // 2
-    mask_axes = []
-    for c in Q.corner:
-        m = np.zeros(filt.side, dtype=bool)
-        lo = c * L - r * L
-        m[np.arange(lo, lo + delta * L) % filt.side] = True
-        mask_axes.append(m)
-    if filt.n == 1:
-        return mask_axes[0]
-    return (mask_axes[0][:, None] & mask_axes[1][None, :]).ravel()
+    assert concentric_mask(filt, Q, 9).sum() == 9
 
 
 @pytest.mark.parametrize("n,K", [(1, 3), (1, 4), (1, 6), (1, 9),
@@ -156,16 +131,12 @@ def test_dilation_masks_match_concentric_mask(n, K):
     # n = 2, K = 9 is left out: its finest incidence has 2^36 entries
     filt = GridFiltration(n, K, 1)
     for k in filt.levels:
-        cubes = filt.cubes_at_level(k)
+        cubes = cubes_at_level(filt, k)
         for delta in (1, 3, 9):
-            ref = np.stack([concentric_mask_oracle(filt, Q, delta)
-                            for Q in cubes])
+            ref = np.stack([concentric_mask(filt, Q, delta) for Q in cubes])
             assert np.array_equal(filt.dilation_masks(k, delta), ref)
         assert np.array_equal(filt.first_cells(k),
-                              [filt.cube_cells(Q)[0] for Q in cubes])
-        for Q in cubes[:3] + cubes[-2:]:
-            assert np.array_equal(filt.concentric_mask(Q, 9),
-                                  concentric_mask_oracle(filt, Q, 9))
+                              [cube_cells(filt, Q)[0] for Q in cubes])
     with pytest.raises(ContractViolation):
         filt.dilation_masks(1, 4)
 
@@ -182,8 +153,8 @@ def test_dilation_cubes_pair_each_cell_with_its_dilations_once(n, K):
             got = np.stack([walk.ravel(), np.broadcast_to(
                 np.arange(walk.shape[1]), walk.shape).ravel()])
             want = np.stack(np.nonzero(np.stack(
-                [concentric_mask_oracle(filt, Q, delta)
-                 for Q in filt.cubes_at_level(k)])))
+                [concentric_mask(filt, Q, delta)
+                 for Q in cubes_at_level(filt, k)])))
             # the oracle's (cube, cell) pairs, none twice
             assert np.array_equal(np.unique(got, axis=1), want)
             assert got.shape == want.shape
@@ -191,8 +162,7 @@ def test_dilation_cubes_pair_each_cell_with_its_dilations_once(n, K):
         filt.dilation_cubes(1, 4)
 
 
-@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2", "grid:2,2,2",
-                                  "corner:4"])
+@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,3,2", "grid:2,2,2"])
 def test_expect_passes_batch_axes_through(spec):
     filt = build_filtration(spec)
     alg = filt.algebra
@@ -209,7 +179,7 @@ def test_expect_passes_batch_axes_through(spec):
 
 # -- level subalgebras in their own coordinates ----------------------------
 
-SPECS = ["tensor:3", "tensor:4", "grid:1,4,2", "grid:2,3,2", "corner:4"]
+SPECS = ["tensor:3", "tensor:4", "grid:1,4,2", "grid:2,3,2"]
 
 
 def full_size_expect_oracle(filt, x, k):
@@ -222,12 +192,10 @@ def full_size_expect_oracle(filt, x, k):
         small = np.einsum("...ibjb->...ij", m) / b
         out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
         return Op(out.reshape(x.batch + (1, a * b, a * b)), filt.algebra)
-    if isinstance(filt, GridFiltration):
-        cubes = filt.cubes(x.blocks, k)
-        axes = (-3,) if filt.n == 1 else (-5, -3)
-        m = np.broadcast_to(cubes.mean(axis=axes, keepdims=True), cubes.shape)
-        return Op(m.reshape(x.blocks.shape), filt.algebra)
-    return filt.expect(x, k)        # corner keeps every level at full size
+    cubes = filt.cubes(x.blocks, k)
+    axes = (-3,) if filt.n == 1 else (-5, -3)
+    m = np.broadcast_to(cubes.mean(axis=axes, keepdims=True), cubes.shape)
+    return Op(m.reshape(x.blocks.shape), filt.algebra)
 
 
 def rand_level(filt, k, seed):
@@ -241,10 +209,7 @@ def rand_level(filt, k, seed):
 def test_restrict_of_extend_is_exact(spec):
     filt = build_filtration(spec)
     for k in filt.levels:
-        # a corner level is the full algebra: its elements are E_k's range
         y = rand_level(filt, k, 40 + k)
-        if isinstance(filt, CornerFiltration):
-            y = filt.restrict(y, k)
         z = filt.extend(y, k)
         assert z.algebra is filt.algebra
         assert np.array_equal(filt.restrict(z, k).blocks, y.blocks)
@@ -267,8 +232,7 @@ def test_level_algebra_trace_agrees_with_tau(spec):
     filt = build_filtration(spec)
     x = rand(filt, 60)
     sizes = {"tensor": lambda k: (1, 2 ** k),
-             "grid": lambda k: (2 ** (filt.n * k), filt.d),
-             "corner": lambda k: (1, filt.n)}[filt.spec.kind]
+             "grid": lambda k: (2 ** (filt.n * k), filt.d)}[filt.spec.kind]
     for k in filt.levels:
         alg = filt.level_algebra(k)
         assert (alg.nblocks, alg.d) == sizes(k)
@@ -279,7 +243,7 @@ def test_level_algebra_trace_agrees_with_tau(spec):
 
 @pytest.mark.parametrize("spec", ["grid:1,3,1", "grid:1,3,2", "grid:1,3,3",
                                   "grid:2,2,1", "grid:2,2,2", "grid:2,2,3",
-                                  "tensor:3", "corner:4"])
+                                  "tensor:3"])
 def test_refine_is_restrict_of_extend(spec):
     filt = build_filtration(spec)
     for k in filt.levels[1:]:

@@ -470,16 +470,46 @@ def test_cli_rejects_empty_or_malformed_range(argv, capsys):
     (["ergodic", "--lambda-exp", "1100..1100"], "exponent 1100"),
     (["gundy", "--lambda-exp", "1100..1100"], "exponent 1100"),
     (["cuculescu", "--lambda-exp=-1100..-1100"], "exponent -1100"),
-    (["pseudoloc-decay", "--gamma", "nan"], "got nan"),
-    (["pseudoloc-decay", "--gamma", "0"], "got 0.0"),
 ], ids=["negative-seed", "weak11-overflow", "ergodic-overflow",
-        "gundy-overflow", "underflow", "gamma-nan", "gamma-zero"])
+        "gundy-overflow", "underflow"])
 def test_cli_rejects_bad_seed_lambda_exponent_and_gamma(argv, bad, capsys):
     from nclp.cli import main
     assert main(argv + ["--trials", "1", "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("nclp: config/contract error:")
     assert bad in err
+
+
+@pytest.mark.parametrize("value", ["0.5", "nan", "0"],
+                         ids=["gamma", "gamma-nan", "gamma-zero"])
+def test_cli_has_no_gamma_option(value, capsys):
+    # the kernel declares its own exponent; a flag that only overwrote the
+    # declared constant is a usage error
+    from nclp.cli import main
+    with pytest.raises(SystemExit) as exc:
+        main(["pseudoloc-decay", "--gamma", value, "--quiet"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --gamma" in capsys.readouterr().err
+
+
+def test_cli_rejects_the_corner_algebra(capsys):
+    from nclp.cli import main
+    assert main(["cuculescu", "--algebra", "corner:3", "--trials", "1",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nclp: config/contract error:")
+    assert "unsupported algebra spec 'corner:3'" in err
+
+
+@pytest.mark.parametrize("s", ["0..2", "-1..2", "2..6"])
+def test_cli_nc_pseudoloc_checks_both_ends_of_the_shift_range(s, capsys):
+    # a shift below 1 once reached support_cubes as a negative shift count
+    from nclp.cli import main
+    assert main(["nc-pseudoloc", f"--s={s}", "--trials", "1",
+                 "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("nclp: config/contract error:")
+    assert "outside 1..5" in err
 
 
 @pytest.mark.parametrize("s", ["0..3", "-2..3", "2..6"])

@@ -7,11 +7,10 @@ from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
 from nclp.harness import (ExperimentConfig, all_pass, random_positive_top,
                           run, trial_rng)
-from nclp.martingale import (CoeffMatrix, Martingale, _gram_norm, bmo_norms,
-                             col_square, function_bmo, l2_identity_check,
-                             lp_rc_norm, row_square, split_upper_bound,
-                             transform_family)
-from nclp.opcore import Op, l2_norm, op_norm
+from nclp.martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
+                             function_bmo, l2_identity_check, lp_rc_norm,
+                             row_square, split_upper_bound, transform_family)
+from nclp.opcore import Op, l2_norm, op_norm, top_eigenvalue
 from oracles import abs_op, dirac_coeffs, partition_coeffs
 
 FILT = TensorDyadicFiltration(3)
@@ -275,11 +274,13 @@ def test_gram_norm_is_the_spectral_norm(d):
     g = a @ a.conj().swapaxes(-1, -2)
     g[0] = 0.0
     want = np.linalg.norm(g, ord=2, axis=(1, 2))
-    got = _gram_norm(g)
+    got = top_eigenvalue(g)
     assert got[0] == 0.0 and np.all(want[1:] > 0.0)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
     # a Gram whose eigenvalues round below 0 has norm 0, and its root is 0
-    assert _gram_norm(-1e-18 * np.eye(d)[None]) == 0.0
+    assert top_eigenvalue(-1e-18 * np.eye(d)[None]) == 0.0
+    # and an empty Gram, of a map from a zero-dimensional space, has norm 0
+    assert top_eigenvalue(np.zeros((0, 0))) == 0.0
 
 
 @pytest.mark.parametrize("n,d", [(1, 1), (1, 2), (2, 3)])

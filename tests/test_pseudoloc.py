@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ from nclp.filtration import GridFiltration
 from nclp.czkit import cz_decompose
 from nclp.harness import (_localized_scalar, random_positive_martingale,
                           trial_rng)
-from nclp.opcore import Op, dense_algebra, proj_join
+from nclp.opcore import Op, dense_algebra
 from nclp.pseudoloc import (DiscOp, _ancestor_sums, _circulant_index,
                             _cube_cells, _from_haar, _on_rows,
                             _torus_offsets, adjoint_one, annuli_kernel,
-                            assemble, circulant_haar, cotlar_bound,
+                            assemble, circulant_haar,
+                            commutative_pseudoloc_check, cotlar_bound,
                             ekt_delta, estimate_norm, family_gram, grid_l2,
                             haar, hilbert_kernel, ihaar, ksk_check,
                             lambda_family, localization_check,
@@ -22,10 +24,11 @@ from nclp.pseudoloc import (DiscOp, _ancestor_sums, _circulant_index,
                             psi_s_hat, restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
                             vanish_check, vanish_sum, zeta_fs)
+from oracles import concentric_mask, cube_cells, cubes_at_level, proj_join
 
 
-def _T(K=5, M=3, eps=0.0):
-    return assemble(lp_bumps_kernel(M), K, eps)
+def _T(K=5, M=3):
+    return assemble(lp_bumps_kernel(M), K)
 
 
 # -- dense kernel matrices from the Haar-coefficient pieces ------------------
@@ -283,13 +286,6 @@ def test_assemble_entry_oracle():
     assert np.allclose(np.diagonal(T.mats, axis1=1, axis2=2), 0.0)
 
 
-def test_assemble_eps_zeroing():
-    T = _T(4, 2, eps=0.25)
-    N = T.N
-    diff = (np.subtract.outer(np.arange(N), np.arange(N)) / N + 0.5) % 1 - 0.5
-    assert np.all(T.mats[:, np.abs(diff) <= 0.25] == 0.0)
-
-
 # -- dense N x N oracle for the circulant assembly ----------------------------
 # Every kernel evaluated on the full table of torus differences x_i - y_j, and
 # the annuli built by filtering each column of the identity.
@@ -299,7 +295,7 @@ def dense_torus_diff(N):
     return ((i[:, None] - i[None, :]) / N + 0.5) % 1.0 - 0.5
 
 
-def oracle_assemble(kernel, K, eps):
+def oracle_assemble(kernel, K):
     N = 2 ** K
     diff = dense_torus_diff(N)
     if kernel.family == "lp-bumps":
@@ -317,9 +313,7 @@ def oracle_assemble(kernel, K, eps):
         taper = np.clip(2.0 * (1.0 - np.abs(diff) / kernel.cutoff), 0.0, 1.0)
         mats = (vals * taper)[None, :, :]
     mats *= 2.0 ** (-K)
-    kill = np.abs(diff) <= eps
-    np.fill_diagonal(kill, True)
-    mats[:, kill] = 0.0
+    mats[:, np.eye(N, dtype=bool)] = 0.0
     return mats
 
 
@@ -350,9 +344,8 @@ def test_torus_offsets_range_and_antisymmetry():
 @pytest.mark.parametrize("K", [4, 7, 9])
 def test_assemble_matches_dense_oracle(K):
     for kernel in (lp_bumps_kernel(K), hilbert_kernel()):
-        for eps in (0.0, 0.01):
-            assert np.array_equal(assemble(kernel, K, eps).mats,
-                                  oracle_assemble(kernel, K, eps))
+        assert np.array_equal(assemble(kernel, K).mats,
+                              oracle_assemble(kernel, K))
     T = assemble(annuli_kernel(K), K)
     assert np.abs(T.mats - oracle_annuli(K)).max() <= 1e-15
 
@@ -622,6 +615,24 @@ def test_ksk_kernel_identity():
     assert rep["max_residual"] < 1e-10
 
 
+def test_gamma_is_read_from_the_kernel():
+    # one exponent per operator: its kernel's declared gamma, 1 without one
+    T = normalized(_T(6, 2))
+    half = DiscOp(T.column, T.K, replace(T.kernel, gamma=0.5))
+    bare = DiscOp(T.column, T.K, None)
+    assert (T.gamma, half.gamma, bare.gamma) == (1.0, 0.5, 1.0)
+    f = np.random.default_rng(63).standard_normal(T.N)
+    for op in (T, half):
+        chk = commutative_pseudoloc_check(op, f, 2)
+        assert chk["ratio"] == pytest.approx(
+            chk["outside_norm"] / (2 * 2.0 ** -op.gamma * grid_l2(f, T.K)),
+            rel=1e-14)
+    # the kernel size bound reads the same exponent, with or without a kernel
+    want, got = (ksk_check(op, s=2, k=2, n_pairs=50,
+                           rng=np.random.default_rng(64)) for op in (T, bare))
+    assert got == want and want["size_constant"] > 0.0
+
+
 def test_schur_dominates_operator_norm():
     T = normalized(_T(5, 3))
     for s in (1, 2):
@@ -859,11 +870,11 @@ def zeta_fs_per_cell_join_oracle(filt, q_list, levels):
     d = filt.d
     lost = [[] for _ in range(filt.algebra.nblocks)]
     for k, q in zip(levels, q_list):
-        for Q in filt.cubes_at_level(k):
-            comp = np.eye(d) - q.blocks[filt.cube_cells(Q)[0]]
+        for Q in cubes_at_level(filt, k):
+            comp = np.eye(d) - q.blocks[cube_cells(filt, Q)[0]]
             if np.abs(comp).max() <= 1e-14:
                 continue
-            for cell in np.nonzero(filt.concentric_mask(Q, 9))[0]:
+            for cell in np.nonzero(concentric_mask(filt, Q, 9))[0]:
                 lost[cell].append(comp)
     blocks = np.empty((filt.algebra.nblocks, d, d), dtype=complex)
     for cell, comps in enumerate(lost):
