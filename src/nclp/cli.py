@@ -75,6 +75,9 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"nclp: numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:
+        print(f"nclp: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"nclp: i/o error: {exc}", file=sys.stderr)
         return EXIT_USAGE

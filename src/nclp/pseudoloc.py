@@ -58,13 +58,6 @@ def _on_rows(f, x: np.ndarray, *args) -> np.ndarray:
     return f(x.swapaxes(-1, -2), *args).swapaxes(-1, -2)
 
 
-def _from_haar(block: np.ndarray, N: int, col_start: int = 0) -> np.ndarray:
-    """Kernel matrices (..., N, N) whose Haar-coefficient matrix holds
-    ``block`` from row 0 and column ``col_start`` on, and zeros elsewhere."""
-    pad = [(0, 0)] * (block.ndim - 1) + [(col_start, 0)]
-    return _on_rows(ihaar, ihaar(np.pad(block, pad), N), N)
-
-
 # -- coefficients as cubes ---------------------------------------------------
 # Coefficient i >= 1 belongs to the cube Q_i of its wavelet (#Q_i = N >> l
 # cells at level l); the cubes of 2i and 2i + 1 are the halves of Q_i.
@@ -174,13 +167,6 @@ def _torus_offsets(N: int) -> np.ndarray:
     return (np.arange(N) / N + 0.5) % 1.0 - 0.5
 
 
-def _circulant_index(N: int) -> np.ndarray:
-    """The table (i - j) mod N: entry (i, j) of a circulant is entry
-    (i - j) mod N of its first column."""
-    i = np.arange(N)
-    return (i[:, None] - i[None, :]) % N
-
-
 @dataclass(frozen=True)
 class HilbertKernel:
     """M-component convolution kernel t -> C^M on the torus with declared
@@ -265,8 +251,10 @@ class DiscOp:
 
     @property
     def mats(self) -> np.ndarray:
-        """The dense (M, N, N) kernel matrices, built on every read."""
-        return np.take(self.column, _circulant_index(self.N), axis=1)
+        """The dense (M, N, N) kernel matrices, built on every read; no
+        experiment reads them, only dense test oracles and array counts."""
+        i = np.arange(self.N)
+        return np.take(self.column, (i[:, None] - i) % self.N, axis=1)
 
     def apply(self, f: np.ndarray) -> np.ndarray:
         """(M, N, ...) result of T f for cellwise data f of shape (N, ...):
@@ -320,10 +308,22 @@ def estimate_norm(mats: np.ndarray) -> float:
     return float(np.sqrt(top_eigenvalue(family_gram(mats))))
 
 
+def symbol_norm(T: DiscOp) -> float:
+    """||T|| from the column: the DFT diagonalizes every circulant, so
+    ||T||^2 = max_xi sum_m |fft(column_m)(xi)|^2 (P. J. Davis, Circulant
+    Matrices, 1979)."""
+    if not np.all(np.isfinite(T.column)):
+        raise NumericError("symbol of a non-finite operator column")
+    with np.errstate(over="ignore"):                    # checked below
+        top = (np.abs(np.fft.fft(T.column, axis=-1)) ** 2).sum(axis=0).max()
+    if not np.isfinite(top):
+        raise NumericError("symbol norm overflows")
+    return float(np.sqrt(top))
+
+
 def normalized(T: DiscOp) -> DiscOp:
-    """T / ||T||, the norm from the dense stack, which lives only during
-    this call."""
-    est = estimate_norm(T.mats)
+    """T / ||T||, the norm from ``symbol_norm``."""
+    est = symbol_norm(T)
     if est <= 0:
         raise NumericError("cannot normalize a zero operator")
     return DiscOp(T.column / est, T.K, T.kernel)
@@ -338,12 +338,17 @@ def _check_s(K: int, s: int):
         raise ContractViolation(f"shift s = {s} outside 1..{K - 1}")
 
 
-def ekt_delta(T: DiscOp, k: int, j: int) -> np.ndarray:
-    """E_k T Delta_j (j >= 1) as kernel matrices: the Haar block with rows
-    at level < k and columns at level j - 1."""
+def _ekt_delta_cols(T: DiscOp, k: int, j: int) -> np.ndarray:
+    """E_k T Delta_j (j >= 1), (M, 2^k, N), with its columns in cells and
+    its rows still the Haar coefficients below level k."""
     half = 1 << (j - 1)
     block = circulant_haar(T.column, half, 2 * half, 0, 1 << k)
-    return _from_haar(block, T.N, half)
+    return ihaar(np.pad(block, [(0, 0), (0, 0), (half, 0)]), T.N)
+
+
+def ekt_delta(T: DiscOp, k: int, j: int) -> np.ndarray:
+    """E_k T Delta_j (j >= 1) as kernel matrices (M, N, N)."""
+    return _on_rows(ihaar, _ekt_delta_cols(T, k, j), T.N)
 
 
 def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
@@ -414,18 +419,19 @@ def lambda_family(T: DiscOp, s: int) -> list[np.ndarray]:
 def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
               rng: np.random.Generator) -> dict:
     """Compare assembled E_k T Delta_{k+s} entries with the two-bump formula
-    <T psi_{Qhat_y}, phi_{R_x}> on sampled pairs."""
+    <T psi_{Qhat_y}, phi_{R_x}> on sampled pairs, each from its column."""
     _check_s(T.K, s)
     N = T.N
-    A = ekt_delta(T, k, k + s)
+    cols = _ekt_delta_cols(T, k, k + s)
     Lr = N // (1 << k)            # cells per level-k cube
     Lq = N // (1 << (k + s))      # cells per level-(k+s) cube
-    resid = 0.0
-    size_ratio = 0.0
+    resid = size_ratio = 0.0
     mids = (np.arange(N) + 0.5) / N
-    for _ in range(n_pairs):
-        i = int(rng.integers(0, N))
-        j = int(rng.integers(0, N))
+    ij = np.array([(rng.integers(0, N), rng.integers(0, N))
+                   for _ in range(n_pairs)]).reshape(-1, 2)
+    lhs_all = ihaar(np.moveaxis(cols[:, :, ij[:, 1]], -1, 0), N)[
+        np.arange(n_pairs), :, ij[:, 0]] / T.measure   # per pair: (M,) kernel
+    for (i, j), lhs in zip(ij.tolist(), lhs_all):
         qy = j // Lq
         sib = qy ^ 1
         psi = np.zeros(N)
@@ -434,7 +440,6 @@ def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
         psi[sib * Lq:(sib + 1) * Lq] = -scale
         tpsi = T.apply(psi)               # (M, N)
         rx = i // Lr
-        lhs = A[:, i, j] / T.measure      # kernel value
         rhs = tpsi[:, rx * Lr:(rx + 1) * Lr].mean(axis=1)
         resid = max(resid, float(np.abs(lhs - rhs).max()))
         # size sanity for y outside 3R_x

@@ -249,8 +249,8 @@ TINY = {
               ["reconstruction"]),
     # one trial per shift, whatever trials asks for
     "pseudoloc-decay": (dict(depth=6, s_range=(1, 3), trials=1),
-                        ["f93e6debaf4a0f2c", "5e5fb28ab53ddcc1",
-                         "82da173c35af67dc"],
+                        ["6e2bdd0a6a999392", "ce33cc84d50a73a2",
+                         "b2619bfe43ad9baa"],
                         ["phi_slope_upper", "phi_slope_lower",
                          "psi_slope_upper", "psi_slope_lower",
                          "pseudoloc_envelope"]),
@@ -258,10 +258,10 @@ TINY = {
             ["5dc94a2050fc7a68", "15fde960dde4ef0a", "a2dfcb559646eb2a"],
             ["two_bump_kernel_identity", "kernel_size_envelope"]),
     "paraproduct": (dict(trials=2, depth=5),
-                    ["642391ac0d1e6f4e", "f3bc85b70d66fcc6"],
+                    ["7772dbac1bf0d320", "feaf9e2ea00b60c0"],
                     ["paraproduct_bmo_bound"]),
     "vanish": (dict(trials=2, depth=6, s_range=(2, 3)),
-               ["d4b2c4402930649c", "f93e6debaf4a0f2c"],
+               ["8c4a6cb9b6e44b1e", "6e2bdd0a6a999392"],
                ["paraproduct_term_vanishes_outside", "restriction_identity"]),
     "localization": (dict(trials=2, depth=7),
                      ["de812bc82cb214e7", "6a81fdeb53d57c7c"],
@@ -499,6 +499,21 @@ def test_cli_rejects_the_corner_algebra(capsys):
     err = capsys.readouterr().err
     assert err.startswith("nclp: config/contract error:")
     assert "unsupported algebra spec 'corner:3'" in err
+
+
+def test_cli_out_of_memory_exits_three(monkeypatch, capsys):
+    # a depth too large to allocate (e.g. localization --depth 30) raises
+    # numpy's MemoryError from inside the run; no test allocates that much
+    import nclp.cli as cli
+
+    def oom(cfg):
+        raise MemoryError("Unable to allocate 8.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "run", oom)
+    assert cli.main(["localization", "--depth", "30", "--trials", "1",
+                     "--quiet"]) == cli.EXIT_NUMERIC == 3
+    assert capsys.readouterr().err == (
+        "nclp: out of memory: Unable to allocate 8.00 GiB for an array\n")
 
 
 @pytest.mark.parametrize("s", ["0..2", "-1..2", "2..6"])

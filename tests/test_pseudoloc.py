@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +9,7 @@ from nclp.czkit import cz_decompose
 from nclp.harness import (_localized_scalar, random_positive_martingale,
                           trial_rng)
 from nclp.opcore import Op, dense_algebra
-from nclp.pseudoloc import (DiscOp, _ancestor_sums, _circulant_index,
-                            _cube_cells, _from_haar, _on_rows,
+from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells, _on_rows,
                             _torus_offsets, adjoint_one, annuli_kernel,
                             assemble, circulant_haar,
                             commutative_pseudoloc_check, cotlar_bound,
@@ -23,7 +21,7 @@ from nclp.pseudoloc import (DiscOp, _ancestor_sums, _circulant_index,
                             phi_psi_apply, phi_psi_hat, phi_s_hat,
                             psi_s_hat, restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
-                            vanish_check, vanish_sum, zeta_fs)
+                            symbol_norm, vanish_check, vanish_sum, zeta_fs)
 from oracles import concentric_mask, cube_cells, cubes_at_level, proj_join
 
 
@@ -34,6 +32,20 @@ def _T(K=5, M=3):
 # -- dense kernel matrices from the Haar-coefficient pieces ------------------
 # The dense (M, N, N) forms of the pieces, for any kernel matrices (the
 # circulant T.mats, T0 = T - Pi_rho*, random stacks).
+
+def _circulant_index(N):
+    """The table (i - j) mod N: entry (i, j) of a circulant is entry
+    (i - j) mod N of its first column."""
+    i = np.arange(N)
+    return (i[:, None] - i[None, :]) % N
+
+
+def _from_haar(block, N, col_start=0):
+    """Kernel matrices (..., N, N) whose Haar-coefficient matrix holds
+    ``block`` from row 0 and column ``col_start`` on, and zeros elsewhere."""
+    pad = [(0, 0)] * (block.ndim - 1) + [(col_start, 0)]
+    return _on_rows(ihaar, ihaar(np.pad(block, pad), N), N)
+
 
 def haar2(mats):
     """Haar-coefficient matrices H T H^T of kernel matrices (..., N, N)."""
@@ -396,22 +408,27 @@ def test_fft_apply_matches_dense_einsum(K, kernel):
     ("localization", dict(trials=2, depth=7)),
     ("nc-pseudoloc", dict(algebra="grid:1,5,2", trials=2, s_range=(2, 3))),
     ("bmo-czo", dict(trials=2, depth=5))])
-def test_only_normalized_builds_the_dense_stack(experiment, fields,
-                                                monkeypatch):
+def test_no_experiment_builds_the_dense_stack(experiment, fields,
+                                              monkeypatch):
+    # the two (M, N, N) builders: the dense stack and E_k T Delta_j as
+    # kernel matrices
     import nclp.harness as harness
-    callers, dense = [], DiscOp.mats
+    import nclp.pseudoloc as pl
+    callers, dense, ekt = [], DiscOp.mats, pl.ekt_delta
 
     def recorded(T):
-        frame = sys._getframe(1)
-        callers.append((frame.f_globals["__name__"], frame.f_code.co_name))
+        callers.append("mats")
         return dense.fget(T)
 
+    def recorded_ekt(*args):
+        callers.append("ekt_delta")
+        return ekt(*args)
+
     monkeypatch.setattr(DiscOp, "mats", property(recorded))
+    monkeypatch.setattr(pl, "ekt_delta", recorded_ekt)
     rep = harness.run(harness.ExperimentConfig(experiment, **fields))
     assert rep["assertions"]
-    assert set(callers) <= {("nclp.pseudoloc", "normalized")}
-    # the patched property is reached wherever the runner normalizes
-    assert bool(callers) == (experiment not in ("ksk", "bmo-czo"))
+    assert callers == []
 
 
 def test_truncated_mats():
@@ -496,11 +513,49 @@ def test_estimate_norm_from_smaller_gram_vs_svd(shape, dtype, monkeypatch):
 def test_normalized_has_unit_norm():
     T = _T(4, 3)
     Tn = normalized(T)
-    assert estimate_norm(Tn.mats) == pytest.approx(1.0, rel=1e-8)
-    # the divisor is the norm of the raw assembly
-    est = estimate_norm(T.mats)
+    assert estimate_norm(Tn.mats) == pytest.approx(1.0, rel=1e-13)
+    # the divisor is the symbol norm of the raw assembly
+    est = symbol_norm(T)
     assert est > 1e-12
-    assert np.array_equal(Tn.mats, T.mats / est)
+    assert np.array_equal(Tn.column, T.column / est)
+
+
+def dense_normalized(T):
+    """T / ||T|| with the norm from the dense stack's Gram."""
+    est = estimate_norm(T.mats)
+    if est <= 0:
+        raise NumericError("cannot normalize a zero operator")
+    return DiscOp(T.column / est, T.K, T.kernel)
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", range(2, 11))
+def test_symbol_norm_matches_dense_oracle(K, kernel):
+    T = assemble(_kernel(kernel, K), K)
+    dense = estimate_norm(T.mats)
+    if dense == 0.0:            # the Hilbert kernel at K = 2 is all taper
+        assert (kernel, K) == ("hilbert", 2) and symbol_norm(T) == 0.0
+        for path in (normalized, dense_normalized):
+            with pytest.raises(NumericError, match="zero operator"):
+                path(T)
+        return
+    assert symbol_norm(T) == pytest.approx(dense, rel=1e-13, abs=0.0)
+    assert np.allclose(normalized(T).column, T.column / dense, rtol=1e-13,
+                       atol=0.0)
+
+
+@pytest.mark.parametrize("K", range(2, 11))
+def test_normalized_annuli_has_unit_norm(K):
+    Tn = normalized(assemble(annuli_kernel(K), K))
+    assert abs(symbol_norm(Tn) - 1.0) <= 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symbol_norm_overflow_raises_numeric_error():
+    T = _T(4, 2)
+    huge = DiscOp(np.full_like(T.column, 1e300), T.K, T.kernel)
+    with pytest.raises(NumericError, match="overflows"):
+        normalized(huge)
 
 
 # -- shifted pieces ----------------------------------------------------------

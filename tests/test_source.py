@@ -34,3 +34,23 @@ def test_unused_imports_finds_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def mats_reads(source: str) -> list[int]:
+    """The lines that read a ``.mats`` attribute, apart from the property's
+    own definition (``def mats``)."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr == "mats")
+
+
+def test_mats_reads_finds_a_read():
+    assert mats_reads("x = T.mats[0]\n") == [1]
+    assert mats_reads("class D:\n    @property\n    def mats(self):\n"
+                      "        return 1\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_module_reads_the_dense_stack(path):
+    # the dense (M, N, N) stack DiscOp.mats is for the tests' oracles only
+    assert mats_reads(path.read_text(encoding="utf-8")) == []
