@@ -68,12 +68,12 @@ def cuculescu(f: Martingale, lam):
         raise ContractViolation("lambda must be a positive number or a "
                                 f"non-empty 1-D vector of them, got {lam!r}")
     if not f.is_positive():
-        # of a batched f, name the first entry that is not positive
-        bad = np.argwhere(np.asarray(f.spectral_floor) < -POSITIVE_TOL)[0]
+        # name the first entry below -tol; with none, the top is not Hermitian
+        bad = np.argwhere(np.asarray(f.spectral_floor) < -POSITIVE_TOL)
         raise ContractViolation(
             "cuculescu requires a positive martingale"
-            + (f" (entry {', '.join(map(str, bad))} is not)" if bad.size
-               else ""))
+            + (f" (entry {', '.join(map(str, bad[0]))} is not)" if bad.size
+               else "" if len(bad) else " (its top is not Hermitian)"))
     alg, filt = f.algebra, f.filtration
     # q f_n q + (lam+1)(1 - q) has the spectrum of the compression on
     # range(q) and lam + 1 on its complement, so one stacked solve per level
@@ -167,11 +167,11 @@ def meet_ladder(qs: Op, l_min: int) -> PiFamily:
 def ladder_top(f: Martingale, l_max: int | None = None) -> int:
     """The top level l_max of a dyadic threshold ladder 2^l for f.  Above
     sup_n ||f_n||_inf every q_n is 1, so the ladder is complete only when
-    2^{l_max} exceeds it; by default l_max is the level
-    ceil(log2 sup_n ||f_n||_inf) + 1, and a given l_max is checked."""
+    2^{l_max} exceeds it; by default l_max is the least such level, the
+    exponent of ``np.frexp(sup)``, and a given l_max is checked."""
     sup = f.sup_linf
     if l_max is None:
-        l_max = int(np.ceil(np.log2(max(sup, 1e-12)))) + 1
+        l_max = int(np.frexp(sup)[1])
     if 2.0 ** l_max <= sup:
         raise ContractViolation(
             f"l_max too small: 2^{l_max} <= sup ||f_n||_inf = {sup:.6g}")

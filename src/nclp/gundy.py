@@ -12,7 +12,7 @@ from .cuculescu import (CuculescuSequence, cuculescu, delta_split,
 from .errors import ContractViolation
 from .martingale import (CoeffMatrix, Martingale, col_square, row_square,
                          transform_family)
-from .opcore import (Op, _per_entry, annihilation_check, l2_norm, op_norm,
+from .opcore import (Op, _per_entry, annihilation_check, l2_norm,
                      schatten_norm, tail_trace, weak_l1)
 
 
@@ -55,12 +55,15 @@ def gundy_verify(parts: GundyParts) -> dict:
     denom = max(f.sup_l1, 1e-300)
     alpha_sums = Op(np.cumsum(parts.d_alpha.blocks, axis=-4), f.algebra)
     alpha_term = (l2_norm(alpha_sums) ** 2).max(axis=-1) / lam
-    beta_term = schatten_norm(parts.d_beta, 1).sum(axis=-1)
+    # the recursion ran on a Hermitian top: df_k, d_beta_k, d_gamma_k are too
+    beta_term = f.level_norms(parts.d_beta, 1).sum(axis=-1)
     q = q_lambda(parts.seq)
-    scale = max(float(op_norm(f.diffs).max()), 1e-300)
-    dead = op_norm(parts.d_gamma) <= 1e-12 * scale
+    scale = max(float(f.level_norms(f.diffs, np.inf).max()), 1e-300)
+    gamma = f.level_norms(parts.d_gamma, np.inf)
+    dead = gamma <= 1e-12 * scale
     annihilated = annihilation_check(Op(q.blocks[..., None, :, :, :],
-                                        f.algebra), parts.d_gamma, tol=1e-10)
+                                        f.algebra), parts.d_gamma, 1e-10,
+                                     hermitian=True, f_norm=gamma)
     gamma_term = lam * (f.algebra.unit() - q).trace().real
     return {
         "alpha": alpha_term / denom,
@@ -102,10 +105,10 @@ def weak11_experiment(f: Martingale, xi: CoeffMatrix,
     col = col_square(b_fam)
     lams = 2.0 ** np.asarray(lambda_exps, dtype=float)
     return {
-        "row_ratio": float(np.max(lams * tail_trace(row, lams))) / denom,
-        "col_ratio": float(np.max(lams * tail_trace(col, lams))) / denom,
-        "row_weak_l1": weak_l1(row) / denom,
-        "col_weak_l1": weak_l1(col) / denom,
+        "row_ratio": float(np.max(lams * tail_trace(row, lams, True))) / denom,
+        "col_ratio": float(np.max(lams * tail_trace(col, lams, True))) / denom,
+        "row_weak_l1": weak_l1(row, hermitian=True) / denom,
+        "col_weak_l1": weak_l1(col, hermitian=True) / denom,
     }
 
 
@@ -151,8 +154,8 @@ def cross_experiment(f: Martingale, rho: CoeffMatrix,
     big = np.einsum("mnkab,mqkac->knbqc", t.conj(), t).reshape(
         alg.nblocks, M_n * alg.d, M_n * alg.d)
     lhs = float(alg.weights @ np.einsum("kij,kji->k", big, big).real) ** 0.25
-    row = schatten_norm(row_square(fam), 4)
-    col = schatten_norm(col_square(fam), 4)
+    row = schatten_norm(row_square(fam), 4, hermitian=True)
+    col = schatten_norm(col_square(fam), 4, hermitian=True)
     return {
         "lhs": lhs,
         "row": row,

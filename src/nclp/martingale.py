@@ -62,27 +62,37 @@ class Martingale:
                 x[..., i, :, :, :], self.levels[i - lag]).blocks
         return Op(out, self.algebra)
 
+    def level_norms(self, x: Op, p: float):
+        """||E_k(x_k)||_p, level axis last, of each entry x_k of a Hermitian
+        family aligned with the levels on axis -4, measured in M_k."""
+        return np.stack([schatten_norm(self.filtration.restrict(
+            x[..., i, :, :, :], k), p, hermitian=True)
+            for i, k in enumerate(self.levels)], axis=-1)
+
     @cached_property
     def sup_l1(self):
-        """max_k ||f_k||_1 per entry, computed once like ``spectral_floor``."""
-        return _per_entry(np.max(schatten_norm(self.seq, 1), axis=-1))
+        """max_k ||f_k||_1 = ||f_top||_1 per entry: each E_k is a positive,
+        unital, trace-preserving contraction of L_1 (Cuculescu 1971)."""
+        return schatten_norm(self.top, 1)
 
     @cached_property
     def sup_linf(self):
-        """max_k ||f_k||_inf per entry, computed once like ``sup_l1``."""
-        return _per_entry(np.max(op_norm(self.seq), axis=-1))
+        """max_k ||f_k||_inf = ||f_top||_inf per entry: E_k contracts L_inf."""
+        return op_norm(self.top)
 
     @cached_property
     def spectral_floor(self):
         """Smallest eigenvalue of the Hermitian parts of all f_k per entry,
-        from one stacked eigen-solve; ``seq`` never changes, so it is
-        computed once."""
-        return _per_entry(eigvalsh(self.seq.hermitize().blocks).min(
-            axis=(-3, -2, -1)))
+        f_top's: E_k is positive, unital and commutes with the adjoint, so
+        Re f_top >= m 1 gives Re f_k = E_k(Re f_top) >= m 1."""
+        return _per_entry(eigvalsh(self.top.hermitize().blocks).min(
+            axis=(-2, -1)))
 
     def is_positive(self, tol: float = POSITIVE_TOL) -> bool:
-        """Every entry positive: no f_k has an eigenvalue below -tol."""
-        return bool(np.all(np.asarray(self.spectral_floor) >= -tol))
+        """Every entry positive: a Hermitian top (positive implies self-
+        adjoint) with no eigenvalue below -tol, and so every f_k."""
+        return self.top.is_hermitian() and bool(
+            np.all(np.asarray(self.spectral_floor) >= -tol))
 
 
 @dataclass
@@ -181,8 +191,7 @@ def bmo_norms(f: Martingale) -> tuple[float, float, float]:
     out = []
     for sq in (d @ d.H, d.H @ d):
         tails = Op(np.cumsum(sq.blocks[::-1], axis=0)[::-1], f.algebra)
-        top = op_norm(f.expect_each(tails)[start:]).max()
-        out.append(float(np.sqrt(max(top, 0.0))))
+        out.append(float(np.sqrt(f.level_norms(tails, np.inf)[start:].max())))
     return out[0], out[1], max(out)
 
 

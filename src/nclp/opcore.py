@@ -360,27 +360,27 @@ def singular_values(a: Op, hermitian: bool = False):
                     axis=-1)
 
 
-def tail_trace(f: Op, lam):
+def tail_trace(f: Op, lam, hermitian: bool = False):
     """tau( chi_(lam, inf)(|f|) ), the distribution function of |f|, per
     entry of f and per threshold of a 1-D lam (from one SVD); a scalar lam
-    gives one value per entry."""
+    gives one value per entry; ``hermitian`` as in ``singular_values``."""
     lams = np.asarray(lam, dtype=float)
     if lams.ndim > 1 or not np.all(lams > 0):
         raise ContractViolation("tail_trace requires lambda > 0, a number or "
                                 f"a 1-D vector, got {lam!r}")
-    s = singular_values(f)                              # (*batch, nblocks, d)
+    s = singular_values(f, hermitian)                   # (*batch, nblocks, d)
     counts = (s[..., None] > lams.reshape(-1) + ENDPOINT_TOL).sum(axis=-2)
     tails = np.einsum("...bl,b->...l", counts, f.algebra.weights)
     return _per_entry(tails.reshape(f.batch + lams.shape))
 
 
-def weak_l1(f: Op) -> float:
-    """sup_{lam>0} lam * tau{|f| > lam}.
+def weak_l1(f: Op, hermitian: bool = False) -> float:
+    """sup_{lam>0} lam * tau{|f| > lam}, ``hermitian`` as in ``tail_trace``.
 
     The map lam -> lam*tau{|f|>lam} is piecewise linear between singular
     values, so the sup is attained just below one of them.
     """
-    s = singular_values(f)
+    s = singular_values(f, hermitian)
     vals = np.unique(s[s > 0])
     if vals.size == 0:
         return 0.0
@@ -432,8 +432,8 @@ def schatten_norm(a: Op, p: float, hermitian: bool = False) -> float:
                       ** (1.0 / p))
 
 
-def op_norm(a: Op) -> float:
-    return schatten_norm(a, np.inf)
+def op_norm(a: Op, hermitian: bool = False) -> float:
+    return schatten_norm(a, np.inf, hermitian)
 
 
 def l2_norm(a: Op) -> float:
@@ -466,10 +466,13 @@ def null_projection(h: Op) -> Op:
                                                        closed_hi=True))
 
 
-def annihilation_check(p: Op, f: Op, tol: float = 1e-10):
+def annihilation_check(p: Op, f: Op, tol: float = 1e-10,
+                       hermitian: bool = False, f_norm=None):
     """Per entry, ||p f p||_inf <= tol * ||f||_inf (certifies
-    supp* f <= 1-p)."""
+    supp* f <= 1-p); ``hermitian`` as in ``tail_trace``, and a caller that
+    has ||f||_inf per entry passes it as ``f_norm``."""
     if p.algebra.dim != f.algebra.dim:
         raise ContractViolation("dimension mismatch")
-    return _per_entry(np.asarray(op_norm(p @ f @ p))
-                      <= tol * np.maximum(op_norm(f), 1e-300))
+    f_norm = op_norm(f, hermitian) if f_norm is None else f_norm
+    return _per_entry(np.asarray(op_norm(p @ f @ p, hermitian))
+                      <= tol * np.maximum(f_norm, 1e-300))

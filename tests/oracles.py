@@ -6,7 +6,8 @@ import numpy as np
 
 from nclp.errors import ContractViolation
 from nclp.martingale import CoeffMatrix
-from nclp.opcore import Op, eigvalsh, hermitian_part, null_projection, psd_sqrt
+from nclp.opcore import (Op, _per_entry, eigvalsh, hermitian_part,
+                         null_projection, op_norm, psd_sqrt, schatten_norm)
 
 
 def abs_op(a: Op) -> Op:
@@ -24,6 +25,23 @@ def partition_coeffs(K: int, parts: list[list[int]]) -> CoeffMatrix:
         for k in block:
             xi[k, m] = 1.0
     return CoeffMatrix(xi)
+
+
+def level_sup_l1(f):
+    """max_k ||f_k||_1 per entry of a Martingale, level by level."""
+    return _per_entry(np.max(schatten_norm(f.seq, 1), axis=-1))
+
+
+def level_sup_linf(f):
+    """max_k ||f_k||_inf per entry, level by level."""
+    return _per_entry(np.max(op_norm(f.seq), axis=-1))
+
+
+def level_spectral_floor(f):
+    """The smallest eigenvalue of the Hermitian parts of all f_k per entry,
+    from one eigen-solve of every level."""
+    return _per_entry(eigvalsh(f.seq.hermitize().blocks).min(
+        axis=(-3, -2, -1)))
 
 
 def proj_meet(ps: Op) -> Op:

@@ -16,7 +16,8 @@ from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
                          l2_norm, op_norm, schatten_norm)
 
 from batch_entries import assert_entries_match_scalar_calls
-from oracles import proj_meet
+from oracles import (level_spectral_floor, level_sup_l1, level_sup_linf,
+                     proj_meet)
 
 
 def ladder(f, l_min, l_max):
@@ -185,6 +186,68 @@ def test_sup_l1_equals_max_schatten_norm(spec):
         assert abs(f.sup_l1 - ref) <= 1e-12
 
 
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2", "grid:2,3,3",
+                                  "rank-deficient"])
+def test_top_norms_equal_the_level_by_level_oracles(spec):
+    # each E_k is a positive unital contraction, so the top decides the
+    # sup norms and the floor, for signed and non-Hermitian tops too
+    marts = _batch_martingales(spec)
+    filt = marts[0].filtration
+    for t, hermitian in enumerate((True, False)):
+        marts.append(Martingale(filt, random_op(filt.algebra,
+                                                trial_rng(30, t), hermitian)))
+    # and a (2, 2) batch, with negated tops when there are fewer than four
+    tops = np.stack(([f.top.blocks for f in marts]
+                     + [-f.top.blocks for f in marts])[:4])
+    marts.append(Martingale(filt, Op(tops.reshape((2, 2) + tops.shape[1:]),
+                                     filt.algebra)))
+    for f in marts:
+        # the floor is measured against the size of f: a rank-deficient f
+        # has a rounding-level zero floor
+        l1, linf = level_sup_l1(f), level_sup_linf(f)
+        for got, want, scale in ((f.sup_l1, l1, l1), (f.sup_linf, linf, linf),
+                                 (f.spectral_floor, level_spectral_floor(f),
+                                  linf)):
+            assert np.shape(got) == np.shape(want) == f.batch
+            assert np.all(np.abs(np.subtract(got, want)) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("m", range(-4, 12))
+def test_default_ladder_top_is_the_least_level_above_the_sup(m):
+    # 1 x 1 blocks: the sup of a constant martingale c is |c| exactly
+    filt = GridFiltration(1, 2, 1)
+    for c in (2.0 ** m, np.nextafter(2.0 ** m, 0), np.nextafter(2.0 ** m, 4e3),
+              1.5 * 2.0 ** m, 1e-13):
+        f = Martingale(filt, c * filt.algebra.unit())
+        assert f.sup_linf == c
+        top = ladder_top(f)
+        assert 2.0 ** top > c >= 2.0 ** (top - 1)
+        with pytest.raises(ContractViolation, match="l_max too small"):
+            ladder_top(f, top - 1)
+
+
+def test_a_non_hermitian_top_is_not_positive():
+    # 2 + 1.5 e_07 has the positive Hermitian part 2 + 0.75 (e_07 + e_70),
+    # floor 1.25, but a positive operator is self-adjoint
+    filt = TensorDyadicFiltration(3)
+    top = filt.algebra.unit() * 2.0
+    top.blocks[0, 0, 7] += 1.5
+    f = Martingale(filt, top)
+    assert abs(f.spectral_floor - 1.25) <= 1e-14
+    assert not f.top.is_hermitian() and not f.is_positive()
+    with pytest.raises(ContractViolation, match=r"positive martingale "
+                       r"\(its top is not Hermitian\)$"):
+        cuculescu(f, 1.0)
+    # one such entry makes a batch not positive
+    good = random_positive_martingale(filt, trial_rng(31, 0)).top
+    batch = Martingale(filt, Op(np.stack([good.blocks, top.blocks]),
+                                filt.algebra))
+    assert not batch.is_positive()
+    assert Martingale(filt, good).is_positive()
+    with pytest.raises(ContractViolation, match="not Hermitian"):
+        cuculescu(batch, [1.0, 2.0])
+
+
 def test_rank_deficient_case_separates_conventions():
     _assert_closed_convention_keeps_the_kernel(3)
 
@@ -296,8 +359,8 @@ def test_pi_family_range_too_small():
         pi_family(ladder(f, -2, 3))      # 2^3 < sup ||f||_inf
     with pytest.raises(ContractViolation, match="l_max too small"):
         pi_family(ladder(f, 0, 8))
-    # the default top is one level above the lowest that clears the sup
-    assert ladder_top(f) == 10 and ladder_top(f, 9) == 9
+    # the default top is the lowest level that clears the sup
+    assert ladder_top(f) == 9 and ladder_top(f, 10) == 10
     assert pi_family(ladder(f, 0, 9)).l_max == 9
 
 

@@ -13,7 +13,8 @@ from nclp.harness import (random_coeffs, random_positive_martingale,
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
 from nclp.martingale import CoeffMatrix, Martingale, transform_family
-from nclp.opcore import annihilation_check, l2_norm, op_norm, schatten_norm
+from nclp.opcore import (Op, annihilation_check, dense_algebra, l2_norm,
+                         op_norm, schatten_norm)
 
 from batch_entries import assert_entries_match_scalar_calls
 
@@ -294,3 +295,40 @@ def test_gundy_experiment_solves_once_per_trial(monkeypatch):
     for lam in calls:
         assert len(lam) >= 4
         assert np.array_equal(lam, 2.0 ** np.arange(-1, len(lam) - 1))
+
+
+def test_tensor_experiments_solve_each_quantity_once(monkeypatch):
+    # every np.linalg solve as (routine, stack shape, hermitian)
+    from nclp import harness
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(a, *args, _name=name, _lapack=getattr(np.linalg, name),
+                    **kwargs):
+            calls.append((_name, np.shape(a),
+                          _name != "svd" or kwargs.get("hermitian", False)))
+            return _lapack(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    def general_svds(experiment):
+        calls.clear()
+        assert harness.all_pass(harness.run(harness.ExperimentConfig(
+            experiment, algebra="tensor:4", trials=1)))
+        return [shape for name, shape, hermitian in calls
+                if name == "svd" and not hermitian]
+
+    # one trial's sup_l1 is one SVD of its top, the batch of one
+    assert general_svds("cuculescu") == [(1, 1, 16, 16)]
+    # and no solve runs on a level family (levels, nblocks, d, d)
+    assert not [c for c in calls if c[1][-4:] == (5, 1, 16, 16)]
+    # gundy's and the weak-(1,1) runs' are sup_l1 and sup_linf of the top;
+    # every other norm they and bmo and cross take is of a Hermitian operand
+    for experiment in ("transform-weak11", "gundy"):
+        assert general_svds(experiment) == [(1, 16, 16)] * 2
+    # gundy's one full-size family norm is its annihilation check's
+    # q(lam) d_gamma q(lam): ||d_gamma|| comes from the level-size solve
+    full = [c for c in calls if c[0] == "svd" and c[1][-4:] == (5, 1, 16, 16)]
+    assert [c[2] for c in full] == [True]
+    assert general_svds("bmo") == general_svds("cross") == []
+    # the counter sees the SVD path
+    op_norm(Op(np.ones((1, 16, 16)), dense_algebra(16)))
+    assert calls[-1] == ("svd", (1, 16, 16), False)

@@ -581,3 +581,40 @@ def test_larger_blocks_stay_on_lapack_bit_for_bit(d):
                           np.linalg.svd(x.blocks, compute_uv=False))
     assert np.array_equal(singular_values(Op(h, x.algebra), hermitian=True),
                           np.linalg.svd(h, compute_uv=False, hermitian=True))
+
+
+def _hermitian_family(kind, d, scale, seed):
+    """A (3,)-batch of exactly Hermitian Ops of two d x d blocks: positive,
+    signed or positive of rank one, entries of size ``scale``."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((3, 2, d, d)) \
+        + 1j * rng.standard_normal((3, 2, d, d))
+    h = {"psd": z @ _adj(z), "signed": z + _adj(z),
+         "rank-one": z[..., :1] @ _adj(z[..., :1])}[kind]
+    return Op(scale * (0.5 * (h + _adj(h))), Algebra(2, d))
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("kind", ["psd", "signed", "rank-one"])
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_hermitian_paths_of_tail_weak_and_annihilation_match_the_svd(
+        d, kind, scale):
+    x = _hermitian_family(kind, d, scale, 200 + d)
+    tol = 8 * EPS * op_norm(x)                      # per entry
+    assert np.all(np.abs(singular_values(x, hermitian=True)
+                         - singular_values(x)) <= tol[:, None, None])
+    lams = scale * np.array([0.05, 0.5, 2.0])
+    assert np.array_equal(tail_trace(x, lams, hermitian=True),
+                          tail_trace(x, lams))
+    for i, entry in enumerate(x):
+        assert abs(weak_l1(entry, hermitian=True) - weak_l1(entry)) <= tol[i]
+    # p = the even coordinates annihilates (1 - p) x (1 - p), not x
+    p = Op(np.broadcast_to(np.diag(np.arange(d) % 2 == 0), (2, d, d)),
+           x.algebra)
+    comp = (x.algebra.unit() - p) @ x @ (x.algebra.unit() - p)
+    for y, annihilated in ((x, False), (comp, True)):
+        want = annihilation_check(p, y)
+        assert np.all(want == annihilated)
+        assert np.array_equal(annihilation_check(p, y, hermitian=True), want)
+        assert np.array_equal(annihilation_check(
+            p, y, hermitian=True, f_norm=op_norm(y, hermitian=True)), want)
