@@ -217,14 +217,6 @@ class GridFiltration(Filtration):
         return (along[:, None, :, None] * m
                 + along[None, :, None, :]).reshape(len(steps) ** 2, -1)
 
-    def dilation_masks(self, k: int, delta: int) -> np.ndarray:
-        """(cubes, cells) boolean incidence of the concentric dilations
-        delta*Q, one row per level-k cube: the pairs of ``dilation_cubes``."""
-        cubes = self.dilation_cubes(k, delta)
-        mask = np.zeros((2 ** (self.n * k), cubes.shape[1]), dtype=bool)
-        mask[cubes, np.arange(cubes.shape[1])] = True
-        return mask
-
 
 def build_filtration(spec: AlgebraSpec | str) -> Filtration:
     if isinstance(spec, str):

@@ -78,13 +78,16 @@ def thmA1_decompose(f: Martingale, xi: CoeffMatrix):
 
     A_m = sum_k xi[k,m] Delta_r(df_k),  B_m = sum_k xi[k,m] Delta_c(df_k),
     so A_m + B_m = T_m exactly.  The pi family runs on the ladder from
-    min(-2, top - 8) to the top level of ``ladder_top``.  The martingale
-    must be positive (callers with signed martingales shift by a multiple
-    of the identity first; the applied shift is returned).
+    min(-2, top - 8) to the top level of ``ladder_top``.  A Hermitian
+    martingale that is not positive is first shifted by a multiple of the
+    identity to a positive one; the applied shift is returned.
     """
     shift = 0.0
     work = f
     if not f.is_positive():
+        if not f.top.is_hermitian():
+            raise ContractViolation("thmA1_decompose needs a Hermitian "
+                                    "martingale (its top is not Hermitian)")
         shift = -f.spectral_floor + 1e-6
         work = Martingale(f.filtration, f.top + shift * f.algebra.unit())
     top = ladder_top(work)

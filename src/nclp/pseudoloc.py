@@ -4,6 +4,7 @@ kernel-identity and almost-orthogonality bounds, the paraproduct reduction,
 and the commutative and semicommutative localization checks."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,21 +63,29 @@ def _on_rows(f, x: np.ndarray, *args) -> np.ndarray:
 # Coefficient i >= 1 belongs to the cube Q_i of its wavelet (#Q_i = N >> l
 # cells at level l); the cubes of 2i and 2i + 1 are the halves of Q_i.
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False       # one cached array serves every caller
+    return a
+
+
+@functools.cache
 def _haar_levels(K: int) -> np.ndarray:
     """The level of each Haar coefficient (the constant's: -1)."""
-    return np.repeat(np.arange(-1, K), np.r_[1, 1 << np.arange(K)])
+    return _frozen(np.repeat(np.arange(-1, K), np.r_[1, 1 << np.arange(K)]))
 
 
+@functools.cache
 def _cube_cells(K: int) -> np.ndarray:
     """#Q_i of each Haar coefficient (the constant's: all 2^K cells)."""
-    return 1 << (K - np.maximum(_haar_levels(K), 0))
+    return _frozen(1 << (K - np.maximum(_haar_levels(K), 0)))
 
 
+@functools.cache
 def _cube_starts(K: int) -> np.ndarray:
     """The first cell of Q_i for each Haar coefficient (the constant's: 0)."""
     i = np.arange(1 << K)
     first = (i - (1 << np.maximum(_haar_levels(K), 0))) * _cube_cells(K)
-    return np.where(i > 0, first, 0)
+    return _frozen(np.where(i > 0, first, 0))
 
 
 def _subtree_sums(w: np.ndarray) -> np.ndarray:
@@ -419,37 +428,30 @@ def lambda_family(T: DiscOp, s: int) -> list[np.ndarray]:
 def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
               rng: np.random.Generator) -> dict:
     """Compare assembled E_k T Delta_{k+s} entries with the two-bump formula
-    <T psi_{Qhat_y}, phi_{R_x}> on sampled pairs, each from its column."""
+    <T psi_{Qhat_y}, phi_{R_x}> on sampled pairs, each from its column.
+    psi_{Qhat_y} is one of 2^{k+s}, so T is applied once, to all of them."""
     _check_s(T.K, s)
     N = T.N
     cols = _ekt_delta_cols(T, k, k + s)
     Lr = N // (1 << k)            # cells per level-k cube
     Lq = N // (1 << (k + s))      # cells per level-(k+s) cube
-    resid = size_ratio = 0.0
-    mids = (np.arange(N) + 0.5) / N
-    ij = np.array([(rng.integers(0, N), rng.integers(0, N))
-                   for _ in range(n_pairs)]).reshape(-1, 2)
-    lhs_all = ihaar(np.moveaxis(cols[:, :, ij[:, 1]], -1, 0), N)[
-        np.arange(n_pairs), :, ij[:, 0]] / T.measure   # per pair: (M,) kernel
-    for (i, j), lhs in zip(ij.tolist(), lhs_all):
-        qy = j // Lq
-        sib = qy ^ 1
-        psi = np.zeros(N)
-        scale = 1.0 / (2.0 * Lq / N)      # 1/|Qhat_y|
-        psi[qy * Lq:(qy + 1) * Lq] = scale
-        psi[sib * Lq:(sib + 1) * Lq] = -scale
-        tpsi = T.apply(psi)               # (M, N)
-        rx = i // Lr
-        rhs = tpsi[:, rx * Lr:(rx + 1) * Lr].mean(axis=1)
-        resid = max(resid, float(np.abs(lhs - rhs).max()))
-        # size sanity for y outside 3R_x
-        d = abs(mids[i] - mids[j])
-        d = min(d, 1.0 - d)
-        if d > 1.5 * Lr / N:
-            norm = float(np.linalg.norm(lhs))
-            bound = 2.0 ** (-T.gamma * (k + s)) / d ** (1 + T.gamma)
-            size_ratio = max(size_ratio, norm / max(bound, 1e-300))
-    return {"max_residual": resid, "size_constant": size_ratio}
+    i, j = np.array([(rng.integers(0, N), rng.integers(0, N))
+                     for _ in range(n_pairs)]).reshape(-1, 2).T
+    lhs = ihaar(np.moveaxis(cols[:, :, j], -1, 0), N)[
+        np.arange(n_pairs), :, i] / T.measure   # per pair: (M,) kernel
+    # column q: +-1/|Qhat| on the level-(k+s) cube q and on its sibling
+    cube, q = np.arange(N)[:, None] // Lq, np.arange(1 << (k + s))
+    psi = ((cube == q) * 1.0 - (cube == q ^ 1)) / (2.0 * Lq / N)
+    means = T.apply(psi).reshape(T.M, 1 << k, Lr, -1).mean(axis=2)
+    rhs = means[:, i // Lr, j // Lq].T
+    # size sanity for y outside 3R_x (cell midpoints are |i - j| / N apart)
+    d = np.abs(i - j) / N
+    d = np.minimum(d, 1.0 - d)
+    far = d > 1.5 * Lr / N
+    bound = 2.0 ** (-T.gamma * (k + s)) / d[far] ** (1 + T.gamma)
+    ratio = np.linalg.norm(lhs[far], axis=1) / np.maximum(bound, 1e-300)
+    return {"max_residual": float(np.abs(lhs - rhs).max(initial=0.0)),
+            "size_constant": float(ratio.max(initial=0.0))}
 
 
 def _schur_integrals(mats: np.ndarray) -> tuple[float, float]:
@@ -567,11 +569,14 @@ def paraproduct_bound_report(T: DiscOp, f: np.ndarray) -> dict:
 # localization sets and checks
 # ---------------------------------------------------------------------------
 
+_grids = functools.cache(GridFiltration)    # one per (n, K, d)
+
+
 def sigma_set(f: np.ndarray, s: int, K: int) -> np.ndarray:
     """Cell mask of Sigma_{f,s}: the union over k of the 9-fold dilations
     of the level-k cubes that carry Delta_{k+s} f (``support_cubes``)."""
-    filt = GridFiltration(1, K, 1)
-    return np.any([filt.dilation_masks(k, 9)[bad].any(axis=0) for k, bad
+    filt = _grids(1, K, 1)
+    return np.any([bad[filt.dilation_cubes(k, 9)].any(axis=0) for k, bad
                    in enumerate(support_cubes(f, s, K))], axis=0)
 
 

@@ -1,5 +1,5 @@
-"""Reference operators, coefficients, projection meets and cube maps that
-only the tests compute."""
+"""Reference operators, coefficients, projection meets, cube maps and
+kernel checks that only the tests compute."""
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,6 +8,7 @@ from nclp.errors import ContractViolation
 from nclp.martingale import CoeffMatrix
 from nclp.opcore import (Op, _per_entry, eigvalsh, hermitian_part,
                          null_projection, op_norm, psd_sqrt, schatten_norm)
+from nclp.pseudoloc import _ekt_delta_cols, ihaar
 
 
 def abs_op(a: Op) -> Op:
@@ -120,6 +121,15 @@ def concentric_mask(filt, Q: DyadicCube, delta: int) -> np.ndarray:
     return (mask_axes[0][:, None] & mask_axes[1][None, :]).ravel()
 
 
+def dilation_masks(filt, k: int, delta: int) -> np.ndarray:
+    """(cubes, cells) boolean incidence of the concentric dilations delta*Q,
+    one row per level-k cube: the pairs of ``filt.dilation_cubes``."""
+    cubes = filt.dilation_cubes(k, delta)
+    mask = np.zeros((2 ** (filt.n * k), cubes.shape[1]), dtype=bool)
+    mask[cubes, np.arange(cubes.shape[1])] = True
+    return mask
+
+
 def dyadic_father(Q: DyadicCube) -> DyadicCube:
     if Q.level == 0:
         raise ContractViolation("the level-0 cube has no dyadic father")
@@ -135,7 +145,7 @@ def zeta_cube_inequalities_pairs(zd) -> dict:
     for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
         # the father of the cube at corner c is the level-(k-1) cube at
         # corner c // 2
-        cube, cell = np.nonzero(filt.dilation_masks(k, 9))
+        cube, cell = np.nonzero(dilation_masks(filt, k, 9))
         corner = np.unravel_index(cube, (2 ** k,) * filt.n)
         father = np.ravel_multi_index(tuple(c // 2 for c in corner),
                                       (2 ** (k - 1),) * filt.n)
@@ -149,3 +159,40 @@ def zeta_cube_inequalities_pairs(zd) -> dict:
     w = eigvalsh(hermitian_part(h))
     return {"strong_min_eig": w[0].min(axis=(-2, -1)),
             "weak_min_eig": w[1].min(axis=(-2, -1))}
+
+
+# -- the two-bump kernel identity, one pair at a time -------------------------
+
+def ksk_check_per_pair(T, s: int, k: int, n_pairs: int, rng) -> dict:
+    """``ksk_check`` as it was first written: one ``T.apply`` of the pair's
+    two-bump function psi_{Qhat_y} per sampled pair (x_i, y_j), and the
+    residual and size ratio accumulated pair by pair."""
+    N = T.N
+    cols = _ekt_delta_cols(T, k, k + s)
+    Lr = N // (1 << k)            # cells per level-k cube
+    Lq = N // (1 << (k + s))      # cells per level-(k+s) cube
+    resid = size_ratio = 0.0
+    mids = (np.arange(N) + 0.5) / N
+    ij = np.array([(rng.integers(0, N), rng.integers(0, N))
+                   for _ in range(n_pairs)]).reshape(-1, 2)
+    lhs_all = ihaar(np.moveaxis(cols[:, :, ij[:, 1]], -1, 0), N)[
+        np.arange(n_pairs), :, ij[:, 0]] / T.measure   # (M,) per pair
+    for (i, j), lhs in zip(ij.tolist(), lhs_all):
+        qy = j // Lq
+        sib = qy ^ 1
+        psi = np.zeros(N)
+        scale = 1.0 / (2.0 * Lq / N)      # 1/|Qhat_y|
+        psi[qy * Lq:(qy + 1) * Lq] = scale
+        psi[sib * Lq:(sib + 1) * Lq] = -scale
+        tpsi = T.apply(psi)               # (M, N)
+        rx = i // Lr
+        rhs = tpsi[:, rx * Lr:(rx + 1) * Lr].mean(axis=1)
+        resid = max(resid, float(np.abs(lhs - rhs).max()))
+        # size sanity for y outside 3R_x
+        d = abs(mids[i] - mids[j])
+        d = min(d, 1.0 - d)
+        if d > 1.5 * Lr / N:
+            norm = float(np.linalg.norm(lhs))
+            bound = 2.0 ** (-T.gamma * (k + s)) / d ** (1 + T.gamma)
+            size_ratio = max(size_ratio, norm / max(bound, 1e-300))
+    return {"max_residual": resid, "size_constant": size_ratio}

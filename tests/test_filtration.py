@@ -6,7 +6,7 @@ from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration, parse_spec)
 from nclp.opcore import Op
 from oracles import (DyadicCube, concentric_mask, cube_cells, cube_of_cell,
-                     cubes_at_level, dyadic_father)
+                     cubes_at_level, dilation_masks, dyadic_father)
 
 
 def rand(filt, seed):
@@ -134,11 +134,11 @@ def test_dilation_masks_match_concentric_mask(n, K):
         cubes = cubes_at_level(filt, k)
         for delta in (1, 3, 9):
             ref = np.stack([concentric_mask(filt, Q, delta) for Q in cubes])
-            assert np.array_equal(filt.dilation_masks(k, delta), ref)
+            assert np.array_equal(dilation_masks(filt, k, delta), ref)
         assert np.array_equal(filt.first_cells(k),
                               [cube_cells(filt, Q)[0] for Q in cubes])
     with pytest.raises(ContractViolation):
-        filt.dilation_masks(1, 4)
+        dilation_masks(filt, 1, 4)
 
 
 @pytest.mark.parametrize("n,K", [(1, 3), (1, 6), (1, 9), (2, 3), (2, 5)])

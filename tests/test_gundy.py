@@ -87,6 +87,27 @@ def test_thmA1_shifts_signed_martingales():
         assert (a_fam[m] + b_fam[m] - tm).max_abs() < 1e-8
 
 
+def test_thmA1_rejects_a_non_hermitian_top_before_shifting(monkeypatch):
+    # 2 + 1.5 e_07 has the positive Hermitian part 2 + 0.75 (e_07 + e_70),
+    # floor 1.25; shifting it would build a second martingale that
+    # cuculescu then rejects
+    filt = TensorDyadicFiltration(3)
+    top = filt.algebra.unit() * 2.0
+    top.blocks[0, 0, 7] += 1.5
+    f = Martingale(filt, top)
+    xi = random_coeffs(3, 2, trial_rng(39, 0), "row-le-one")
+    built = []
+    monkeypatch.setattr(importlib.import_module("nclp.gundy"),
+                        "Martingale", lambda *args: built.append(args))
+    for call in (lambda: thmA1_decompose(f, xi),
+                 lambda: weak11_experiment(f, xi, [0])):
+        with pytest.raises(ContractViolation, match=r"^thmA1_decompose "
+                           r"needs a Hermitian martingale \(its top is not "
+                           r"Hermitian\)$"):
+            call()
+    assert built == []
+
+
 def test_weak11_requires_contractive_rows():
     f = _mart(39)
     xi = CoeffMatrix(2.0 * np.eye(4, 3, dtype=complex))

@@ -1,4 +1,5 @@
-"""tools/lapack_counts.py counts the same solves in two copies of a tree."""
+"""tools/lapack_counts.py counts the same solves and transforms in two copies
+of a tree."""
 import importlib.util
 import subprocess
 import sys
@@ -32,8 +33,17 @@ def test_head_against_head_gives_equal_counts():
         tool.extract("HEAD", Path(tmp))
         base, again = tool.run_tree(Path(tmp)), tool.run_tree(Path(tmp))
     assert base == again
-    # the 16 x 16 blocks of nc-tensor reach LAPACK, and each row shows Δ 0
+    # the 16 x 16 blocks of nc-tensor reach LAPACK, each DiscOp.apply of
+    # ksk one inverse real FFT, and each row shows Δ 0 calls and blocks
     assert any(name.startswith("nc-tensor:") and side == 16
                for name, _, side, _ in base)
+    applies = [base[key] for key in base
+               if key[:2] == ("loc-suite:ksk", "irfft")]
+    assert applies and all(calls > 0 and blocks >= calls
+                           for calls, blocks in applies)
+    assert all(flag == "-" for _, routine, _, flag in base
+               if "fft" in routine)
     rows = tool.table(base, again).splitlines()[2:]
-    assert len(rows) > len(base) and all(r.endswith("| +0 |") for r in rows)
+    assert len(rows) > len(base)
+    assert all(r.endswith("| +0 |") and r.count("| +0 |") == 2
+               for r in rows)

@@ -9,7 +9,8 @@ from nclp.czkit import cz_decompose
 from nclp.harness import (_localized_scalar, random_positive_martingale,
                           trial_rng)
 from nclp.opcore import Op, dense_algebra
-from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells, _on_rows,
+from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells,
+                            _cube_starts, _haar_levels, _on_rows,
                             _torus_offsets, adjoint_one, annuli_kernel,
                             assemble, circulant_haar,
                             commutative_pseudoloc_check, cotlar_bound,
@@ -22,7 +23,8 @@ from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells, _on_rows,
                             psi_s_hat, restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
                             symbol_norm, vanish_check, vanish_sum, zeta_fs)
-from oracles import concentric_mask, cube_cells, cubes_at_level, proj_join
+from oracles import (concentric_mask, cube_cells, cubes_at_level,
+                     ksk_check_per_pair, proj_join)
 
 
 def _T(K=5, M=3):
@@ -274,6 +276,25 @@ def test_haar_orthonormal_and_inverse():
         # the first 2^k coefficients carry E_k
         assert np.allclose(ihaar(haar(x)[:, :1 << k], N), e_level(x.T, k).T,
                            atol=1e-13)
+
+
+@pytest.mark.parametrize("geometry", [_haar_levels, _cube_cells,
+                                      _cube_starts])
+def test_haar_geometry_is_cached_and_read_only(geometry):
+    # one array per depth, shared by every caller, so no caller may write it
+    K = 5
+    H = haar(np.eye(1 << K)).T                  # rows: the Haar basis
+    support = np.abs(H) > 0
+    levels = np.r_[-1, np.log2(np.arange(1, 1 << K)).astype(int)]
+    want = {_haar_levels: levels, _cube_cells: support.sum(axis=1),
+            _cube_starts: support.argmax(axis=1)}[geometry]
+    got = geometry(K)
+    assert geometry(K) is got and np.array_equal(got, want)
+    with pytest.raises(ValueError, match="read-only"):
+        got[0] = 7
+    with pytest.raises(ValueError, match="read-only"):
+        got += 1
+    assert np.array_equal(geometry(K), want)
 
 
 def test_grid_l2_oracle():
@@ -686,6 +707,47 @@ def test_gamma_is_read_from_the_kernel():
     want, got = (ksk_check(op, s=2, k=2, n_pairs=50,
                            rng=np.random.default_rng(64)) for op in (T, bare))
     assert got == want and want["size_constant"] > 0.0
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [5, 6, 8])
+def test_ksk_check_matches_per_pair_oracle(K, kernel):
+    # one T.apply on the stack of all two-bump functions against one per
+    # pair: the same draws, the residual within 1e-13 of the kernel scale
+    # (both are rounding) and the size constant within 1e-13 relative
+    T = normalized(assemble(_kernel(kernel, K), K))
+    scale = np.abs(T.column).max() / T.measure
+    far = shared = 0
+    for s in (1, 2, 3):
+        for k in range(K - s + 1):
+            rng, ref_rng = (np.random.default_rng([K, s, k]) for _ in "ab")
+            got = ksk_check(T, s, k, 70, rng)
+            ref = ksk_check_per_pair(T, s, k, 70, ref_rng)
+            assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+            assert abs(got["max_residual"] - ref["max_residual"]) \
+                <= 1e-13 * scale
+            assert got["size_constant"] == pytest.approx(
+                ref["size_constant"], rel=1e-13, abs=0.0)
+            # 70 pairs over fewer than 70 level-(k+s) cubes: two share one
+            shared += (1 << (k + s)) < 70
+            # for k <= 1 no y lies outside 3R_x: the size check is empty
+            if k <= 1:
+                assert got["size_constant"] == 0.0 == ref["size_constant"]
+            far += got["size_constant"] > 0.0
+    assert far > 0 and shared > 0
+
+
+def test_ksk_check_applies_t_once(monkeypatch):
+    T = normalized(_T(6, 2))
+    calls, apply = [], DiscOp.apply
+
+    def counted(op, f):
+        calls.append(np.shape(f))
+        return apply(op, f)
+
+    monkeypatch.setattr(DiscOp, "apply", counted)
+    ksk_check(T, s=2, k=2, n_pairs=70, rng=np.random.default_rng(65))
+    assert calls == [(T.N, 16)]
 
 
 def test_schur_dominates_operator_norm():

@@ -1,5 +1,6 @@
-"""LAPACK counts: the eigen- and singular-value solves of every benchmark
-experiment in the working tree against a base revision.
+"""LAPACK and FFT counts: the eigen- and singular-value solves and the
+Fourier transforms of every benchmark experiment in the working tree
+against a base revision.
 
     python3 tools/lapack_counts.py [BASE]       # BASE defaults to HEAD
 
@@ -7,15 +8,25 @@ Run from anywhere inside the repository.  The base revision is extracted
 with ``git archive`` as ``tools/same_results.py`` does.  Each tree runs
 every experiment call of ``perfbench/workloads.py`` (the working tree's
 list) once at seed 0, in one subprocess of its own, with
-``np.linalg.eigh``, ``eigvalsh`` and ``svd`` wrapped by counters.  A call
-on a stack of shape (*batch, d, d) counts prod(batch) blocks of side d,
-under its routine and its ``hermitian`` flag (always true for ``eigh`` and
-``eigvalsh``).  Closed forms for d <= 2 make no call and are not counted.
+``np.linalg.eigh``, ``eigvalsh`` and ``svd`` and ``np.fft.fft``, ``ifft``,
+``rfft`` and ``irfft`` wrapped by counters.  Each routine counts its calls
+and its blocks:
+
+- a LAPACK call on a stack of shape (*batch, d, d) is prod(batch) blocks
+  of side d, under its ``hermitian`` flag (always true for ``eigh`` and
+  ``eigvalsh``).  Closed forms for d <= 2 make no call and are not
+  counted;
+- an FFT call is one block per transformed vector, of side the transform
+  length n, flag ``-``.  ``DiscOp.apply`` makes one inverse-transform
+  call per application of T (``irfft``, or ``ifft`` on complex data), and
+  nothing else calls ``irfft``, so its calls count the applications of
+  real operators.
+
 The counts depend on the code and the seed alone, not on the host.
 
 The script prints a Markdown table: one row per workload:experiment,
-routine, block side and flag, with the blocks of the base and of the
-working tree, then one total row per workload, routine and flag.
+routine, block side and flag, with the calls and blocks of the base and of
+the working tree, then one total row per workload, routine and flag.
 """
 from __future__ import annotations
 
@@ -24,7 +35,6 @@ import json
 import subprocess
 import sys
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 from same_results import ROOT, extract
@@ -33,7 +43,7 @@ SEED = 0
 
 # Runs in each tree with that tree's src/ first on sys.path; argv[1] is the
 # perfbench directory whose workloads are run.  It prints a JSON list of
-# [workload:experiment, routine, side, hermitian, blocks].
+# [workload:experiment, routine, side, flag, calls, blocks].
 CHILD = """
 import copy, json, math, sys
 sys.path[:0] = ['src', sys.argv[1]]
@@ -43,29 +53,45 @@ from workloads import WORKLOADS
 counts = {}
 current = None
 
-def counting(name):
-    lapack = getattr(np.linalg, name)
+def record(key, blocks):
+    calls, total = counts.get(key, (0, 0))
+    counts[key] = (calls + 1, total + blocks)
+
+def lapack(name):
+    solve = getattr(np.linalg, name)
     def counted(a, *args, **kwargs):
         shape = np.shape(a)
-        key = (current, name, shape[-1],
-               name != 'svd' or bool(kwargs.get('hermitian', False)))
-        counts[key] = counts.get(key, 0) + math.prod(shape[:-2])
-        return lapack(a, *args, **kwargs)
+        record((current, name, shape[-1],
+                name != 'svd' or bool(kwargs.get('hermitian', False))),
+               math.prod(shape[:-2]))
+        return solve(a, *args, **kwargs)
+    return counted
+
+def fourier(name):
+    transform = getattr(np.fft, name)
+    def counted(a, n=None, axis=-1, *args, **kwargs):
+        shape = np.shape(a)
+        if n is None:
+            n = 2 * (shape[axis] - 1) if name == 'irfft' else shape[axis]
+        record((current, name, n, '-'), math.prod(shape) // shape[axis])
+        return transform(a, n, axis, *args, **kwargs)
     return counted
 
 for name in ('eigh', 'eigvalsh', 'svd'):
-    setattr(np.linalg, name, counting(name))
+    setattr(np.linalg, name, lapack(name))
+for name in ('fft', 'ifft', 'rfft', 'irfft'):
+    setattr(np.fft, name, fourier(name))
 for workload, (_, calls) in WORKLOADS.items():
     for experiment, fields in calls:
         current = f'{workload}:{experiment}'
         harness.run(harness.ExperimentConfig(
             experiment, seed=%d, **copy.deepcopy(fields)))
-print(json.dumps([list(k) + [v] for k, v in counts.items()]))
+print(json.dumps([list(k) + list(v) for k, v in counts.items()]))
 """ % SEED
 
 
 def run_tree(tree: Path) -> dict:
-    """(workload:experiment, routine, side, hermitian) -> blocks, from
+    """(workload:experiment, routine, side, flag) -> (calls, blocks), from
     every workload call run once in ``tree``."""
     done = subprocess.run(
         [sys.executable, "-c", CHILD, str(ROOT / "perfbench")], cwd=tree,
@@ -73,26 +99,29 @@ def run_tree(tree: Path) -> dict:
     if done.returncode != 0:
         sys.exit(f"{tree}: the experiments failed:\n{done.stderr}")
     rows = json.loads(done.stdout.splitlines()[-1])
-    return {tuple(r[:4]): r[4] for r in rows}
+    return {tuple(r[:4]): tuple(r[4:]) for r in rows}
 
 
 def table(base: dict, change: dict) -> str:
     """The Markdown table of two count maps of ``run_tree``."""
     lines = ["| workload:experiment | routine | side | hermitian | base "
-             "blocks | blocks | Δ |", "|---|---|---|---|---|---|---|"]
-    totals = Counter(), Counter()
+             "calls | calls | Δ calls | base blocks | blocks | Δ blocks |",
+             "|---|---|---|---|---|---|---|---|---|---|"]
+
+    def row(name, routine, side, flag, b, c):
+        lines.append(f"| {name} | {routine} | {side} | {flag} | {b[0]} "
+                     f"| {c[0]} | {c[0] - b[0]:+d} | {b[1]} | {c[1]} "
+                     f"| {c[1] - b[1]:+d} |")
+
+    totals = {}     # (workload, routine, flag) -> base and change counts
     for key in sorted(base.keys() | change.keys()):
-        b, c = base.get(key, 0), change.get(key, 0)
-        name, routine, side, herm = key
-        lines.append(f"| {name} | {routine} | {side} | {herm} | {b} | {c} "
-                     f"| {c - b:+d} |")
-        total = (name.split(":")[0], routine, "all", herm)
-        totals[0][total] += b
-        totals[1][total] += c
-    for key in sorted(totals[0].keys() | totals[1].keys()):
-        b, c = totals[0][key], totals[1][key]
-        lines.append(f"| **{key[0]}** | {key[1]} | all | {key[3]} | {b} "
-                     f"| {c} | {c - b:+d} |")
+        b, c = base.get(key, (0, 0)), change.get(key, (0, 0))
+        name, routine, side, flag = key
+        row(name, routine, side, flag, b, c)
+        t = totals.setdefault((name.split(":")[0], routine, flag), [0] * 4)
+        t[:] = [x + y for x, y in zip(t, b + c)]
+    for (workload, routine, flag), t in sorted(totals.items()):
+        row(f"**{workload}**", routine, "all", flag, t[:2], t[2:])
     return "\n".join(lines)
 
 
@@ -106,8 +135,8 @@ def main(argv=None) -> int:
         base = run_tree(Path(tmp))
     change = run_tree(ROOT)
     print(table(base, change))
-    print(f"\nseed {SEED}; blocks of LAPACK calls, base {args.base} "
-          "against the working tree")
+    print(f"\nseed {SEED}; calls and blocks of LAPACK and FFT routines, "
+          f"base {args.base} against the working tree")
     return 0
 
 
