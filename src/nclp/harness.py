@@ -483,8 +483,8 @@ def _decay_setup(cfg):
     for s in (s_lo, s_hi):         # before any shift sizes an index
         pl._check_s(cfg.depth, s)
     T = _operator(cfg)
-    # H is orthogonal: ||Phi_s||, ||Psi_s|| are norms of their Haar blocks;
-    # Phi_s reads only the rows below 2^{K-s}
+    # H is orthogonal: ||Phi_s|| is the norm of its Haar block, which reads
+    # only the rows below 2^{K-s} (||Psi_s||: ``psi_s_norm``)
     return T, pl.paraproduct_correction(
         pl.circulant_haar(T.column, 0, T.N, 0, 1 << (T.K - s_lo)))
 
@@ -494,7 +494,7 @@ def _decay(cfg, ctx, rng, t):
     T, t0_hat = ctx
     s = cfg.s_range[0] + t
     phi = pl.estimate_norm(pl.phi_s_hat(t0_hat, s))
-    psi = pl.estimate_norm(pl.psi_s_hat(T, s))
+    psi = pl.psi_s_norm(T, s)
     f = _localized_scalar(T.N, T.K, s, rng)
     chk = pl.commutative_pseudoloc_check(T, f, s)
     return (np.array([s]), _row0(T)), {

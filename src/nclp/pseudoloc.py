@@ -310,7 +310,7 @@ def family_gram(mats: np.ndarray) -> np.ndarray:
 
 def estimate_norm(mats: np.ndarray) -> float:
     """||T||: the top singular value of the stacked (M*N, N) matrix A,
-    from the smaller of the Grams A^H A and A A^H."""
+    from the smaller of the Grams A^H A and A A^H (in experiments: Phi_s)."""
     rows, cols = math.prod(mats.shape[:-1]), mats.shape[-1]
     if rows < cols:     # A A^H is the Gram of the one-component A^H
         mats = mats.reshape(rows, cols).conj().T[None]
@@ -375,11 +375,11 @@ def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
 
 
 def psi_s_hat(T: DiscOp, s: int) -> np.ndarray:
-    """Haar coefficients of Psi_s: for each k the level-(k+s-1) column block
-    of H T_{4*2^{-k}} H^T, on rows at level >= k, read off the truncated
-    column of T.  For k < 4 the truncation radius 4*2^{-k} reaches the
-    torus diameter 1/2 and empties T, so only the columns from level s + 3
-    on are returned (none when K - s < 4)."""
+    """Haar coefficients of Psi_s for ``phi_psi_hat``: for each k the
+    level-(k+s-1) column block of H T_{4*2^{-k}} H^T, rows at level >= k,
+    read off the truncated column of T.  For k < 4 the radius 4*2^{-k}
+    reaches the torus diameter 1/2 and empties T, so only the columns from
+    level s + 3 on are returned (none when K - s < 4)."""
     _check_s(T.K, s)
     col, N = T.column, T.N
     start = min(8 << s, N)
@@ -391,6 +391,36 @@ def psi_s_hat(T: DiscOp, s: int) -> np.ndarray:
         out[..., 1 << k:, lo - start:2 * lo - start] = circulant_haar(
             tk, lo, 2 * lo, 1 << k)
     return out
+
+
+def psi_s_norm(T: DiscOp, s: int) -> float:
+    """||Psi_s|| from its block symbol: T_k is a circulant, and E_k and
+    Delta_{k+s} (k >= 4) commute with the shift by one level-4 cube, so each
+    component of Psi_s is block circulant with 16 blocks C_m[b] of side
+    L = N/16, and ||Psi_s||^2 = max_w lambda_max(sum_m C_m(w)* C_m(w)) with
+    C_m(w) = sum_b C_m[b] e^{-2 pi i b w / 16}.  0.0 when K - s < 4."""
+    _check_s(T.K, s)
+    if T.K - s < 4:
+        return 0.0
+    if not np.all(np.isfinite(T.column)):
+        raise NumericError("Psi_s of a non-finite operator column")
+    M, N, L, cells = T.M, T.N, T.N >> 4, np.arange(T.N)
+    C = np.zeros((M, N, L), dtype=np.result_type(T.column, float))
+    for k in range(4, T.K - s + 1):      # (1 - E_k) T_k Delta_{k+s} e_i, i < L
+        w = N >> (k + s - 1)                 # cells per level-(k+s-1) cube
+        sign = np.where(cells % w < w // 2, 1.0, -1.0)
+        h = (cells[:, None] // w == np.arange(L // w)) * sign[:, None]
+        tk = np.where(np.abs(_torus_offsets(N)) > 4 * 2.0 ** -k, T.column, 0)
+        y = DiscOp(tk, T.K, None).apply(h).reshape(M, 1 << k, N >> k, -1)
+        y = (y - y.mean(axis=2, keepdims=True)).reshape(M, N, -1)
+        C += np.repeat(y, w, axis=-1) * (sign[:L] / w)
+    hat = np.fft.fft(C.reshape(M, 16, L, L), axis=1).swapaxes(0, 1)
+    hat = hat.reshape(16, M * L, L)
+    with np.errstate(invalid="ignore", over="ignore"):   # checked below
+        G = hat.conj().swapaxes(-1, -2) @ hat
+    if not np.all(np.isfinite(G)):
+        raise NumericError("Gram matrix of a non-finite Psi_s symbol")
+    return float(np.sqrt(top_eigenvalue(G).max()))
 
 
 def phi_psi_hat(T: DiscOp, s: int) -> tuple[np.ndarray, np.ndarray]:

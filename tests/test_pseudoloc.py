@@ -20,7 +20,8 @@ from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
                             paraproduct, paraproduct_correction,
                             phi_psi_apply, phi_psi_hat, phi_s_hat,
-                            psi_s_hat, restriction_identity_residual,
+                            psi_s_hat, psi_s_norm,
+                            restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
                             symbol_norm, vanish_check, vanish_sum, zeta_fs)
 from oracles import (concentric_mask, cube_cells, cubes_at_level,
@@ -665,6 +666,94 @@ def test_phi_psi_shift_contract():
         psi_s_hat(T, 4)
     with pytest.raises(ContractViolation):
         phi_s_hat(haar2(T.mats), 4)
+
+
+# -- ||Psi_s|| from its 16-block symbol ---------------------------------------
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [5, 6, 7, 8, 9, 10])
+def test_psi_s_norm_matches_dense_haar_block_norm(K, kernel):
+    T = normalized(assemble(_kernel(kernel, K), K))
+    nonzero = 0
+    for s in range(1, K):
+        got = psi_s_norm(T, s)
+        ref = estimate_norm(psi_s_hat(T, s))
+        if K - s < 4:        # Psi_s is empty: exact zeros, as _slope reads
+            assert got == 0.0 and ref == 0.0
+        # abs=0: where every truncated T_k is 0 both sides are exactly 0.0
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+        nonzero += got > 0.0
+    # at K = 5 the hilbert Psi_s is its k = 4 term alone, which the cutoff
+    # 1/4 = 4 * 2^-4 empties
+    assert nonzero > 0 or (kernel, K) == ("hilbert", 5)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psi_s_norm_contract_and_non_finite(bad):
+    T = normalized(_T(6, 2))
+    for s in (0, 6, 7):
+        with pytest.raises(ContractViolation):
+            psi_s_norm(T, s)
+    col = T.column.copy()
+    col[1, 40] = bad
+    with pytest.raises(NumericError, match="column"):
+        psi_s_norm(DiscOp(col, T.K, T.kernel), 1)
+    # a finite column whose symbol Gram overflows
+    with pytest.raises(NumericError, match="Gram"):
+        psi_s_norm(DiscOp(T.column * 1e200, T.K, T.kernel), 1)
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "annuli"])
+@pytest.mark.parametrize("K,s", [(7, 1), (8, 2), (8, 3)])
+def test_psi_s_commutes_with_the_level_4_shift_only(K, s, kernel):
+    # the symmetry psi_s_norm rests on, on the dense averaging oracle: the
+    # shift by N/16 cells commutes exactly; the shift by N/32 does not, so
+    # 32 blocks would be wrong.  (The hilbert kernel's k = 4 term is empty,
+    # its cutoff 1/4 being the radius 4 * 2^-4, so its Psi_s also commutes
+    # with the shift by N/32 and cannot tell the two apart.)
+    T = normalized(assemble(_kernel(kernel, K), K))
+    P = oracle_psi_s(T, s)
+    assert np.array_equal(np.roll(P, (T.N // 16,) * 2, axis=(-2, -1)), P)
+    moved = np.roll(P, (T.N // 32,) * 2, axis=(-2, -1)) - P
+    assert np.abs(moved).max() > 0.05 * np.abs(P).max()
+
+
+def test_decay_builds_no_psi_s_block(monkeypatch):
+    # Psi_s reaches neither psi_s_hat nor family_gram: the only Grams are
+    # the Phi_s blocks' (the smaller one, A A^H as the Gram of A^H, when
+    # phi_s_hat's M 2^{K-s} rows fall below its N columns)
+    import nclp.pseudoloc as pl
+    import nclp.harness as harness
+    calls = []
+    for name in ("psi_s_hat", "psi_s_norm", "family_gram"):
+        def recorded(x, *args, name=name, real=getattr(pl, name)):
+            calls.append((name, getattr(x, "shape", None)))
+            return real(x, *args)
+        monkeypatch.setattr(pl, name, recorded)
+    K, N, shifts = 8, 256, range(2, 7)
+    rep = harness.run(harness.ExperimentConfig(
+        "pseudoloc-decay", depth=K, s_range=(2, 6), kernel="lp-bumps"))
+    assert len(rep["trials"]) == len(shifts)
+    rows = [1 << (K - s) for s in shifts]      # phi_s_hat's, of M = K each
+    assert [shape for name, shape in calls if name == "family_gram"] == [
+        (K, r, N) if K * r >= N else (1, N, K * r) for r in rows]
+    assert [name for name, _ in calls if name != "family_gram"] == [
+        "psi_s_norm"] * len(shifts)
+
+
+def test_psi_s_norm_peak_memory():
+    # depth 10, s = 3, lp-bumps (M = 10): about 29 MiB traced, where the
+    # dense estimate_norm(psi_s_hat(T, 3)) peaks at 115 MiB
+    import tracemalloc
+    T = normalized(assemble(_kernel("lp-bumps", 10), 10))
+    tracemalloc.start()
+    try:
+        psi_s_norm(T, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2 ** 20
 
 
 def test_restriction_identity():
