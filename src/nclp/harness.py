@@ -486,7 +486,7 @@ def _decay_setup(cfg):
     # H is orthogonal: ||Phi_s|| is the norm of its Haar block, which reads
     # only the rows below 2^{K-s} (||Psi_s||: ``psi_s_norm``)
     return T, pl.paraproduct_correction(
-        pl.circulant_haar(T.column, 0, T.N, 0, 1 << (T.K - s_lo)))
+        pl.circulant_haar(T.column, 0, T.N, 1 << (T.K - s_lo)))
 
 
 @per_trial

@@ -149,19 +149,19 @@ def _haar_table(x: np.ndarray) -> np.ndarray:
     return np.stack(rows, axis=-2)
 
 
-def circulant_haar(col: np.ndarray, lo: int, hi: int, row0: int = 0,
-                   row1: int | None = None) -> np.ndarray:
-    """Rows row0..row1-1 (default: to the end) and columns lo..hi-1 of the
+def circulant_haar(col: np.ndarray, lo: int, hi: int,
+                   rows: int | None = None) -> np.ndarray:
+    """The first ``rows`` rows (default: all) and columns lo..hi-1 of the
     Haar-coefficient matrices H C H^T of the circulants C[m, i, j] =
     col[m, (i - j) mod N], equal bit for bit to transforming the columns of
     the dense C with ``haar`` and then its rows, without forming C."""
     N = col.shape[-1]
     K = N.bit_length() - 1
     lev, start = _haar_levels(K) + 1, _cube_starts(K)
-    r = np.arange(row0, N if row1 is None else row1)[:, None]
+    r = np.arange(N if rows is None else rows)[:, None]
     q = np.arange(lo, hi)
-    rows = _haar_table(_reversed(col))[..., lev[lo]:lev[hi - 1] + 1, :]
-    table = _haar_table(_reversed(rows))
+    table = _haar_table(_reversed(col))[..., lev[lo]:lev[hi - 1] + 1, :]
+    table = _haar_table(_reversed(table))
     idx = (((lev[q] - lev[lo]) * (K + 1) + lev[r]) * N
            + (start[r] - start[q]) % N)
     return np.take(table.reshape(col.shape[:-1] + (-1,)), idx, axis=-1)
@@ -310,7 +310,7 @@ def family_gram(mats: np.ndarray) -> np.ndarray:
 
 def estimate_norm(mats: np.ndarray) -> float:
     """||T||: the top singular value of the stacked (M*N, N) matrix A,
-    from the smaller of the Grams A^H A and A A^H (in experiments: Phi_s)."""
+    from the smaller of the Grams A^H A and A A^H (Phi_s, Psi_s symbols)."""
     rows, cols = math.prod(mats.shape[:-1]), mats.shape[-1]
     if rows < cols:     # A A^H is the Gram of the one-component A^H
         mats = mats.reshape(rows, cols).conj().T[None]
@@ -351,7 +351,7 @@ def _ekt_delta_cols(T: DiscOp, k: int, j: int) -> np.ndarray:
     """E_k T Delta_j (j >= 1), (M, 2^k, N), with its columns in cells and
     its rows still the Haar coefficients below level k."""
     half = 1 << (j - 1)
-    block = circulant_haar(T.column, half, 2 * half, 0, 1 << k)
+    block = circulant_haar(T.column, half, 2 * half, 1 << k)
     return ihaar(np.pad(block, [(0, 0), (0, 0), (half, 0)]), T.N)
 
 
@@ -374,34 +374,15 @@ def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
                     t_hat[..., :rows, :], 0.0)
 
 
-def psi_s_hat(T: DiscOp, s: int) -> np.ndarray:
-    """Haar coefficients of Psi_s for ``phi_psi_hat``: for each k the
-    level-(k+s-1) column block of H T_{4*2^{-k}} H^T, rows at level >= k,
-    read off the truncated column of T.  For k < 4 the radius 4*2^{-k}
-    reaches the torus diameter 1/2 and empties T, so only the columns from
-    level s + 3 on are returned (none when K - s < 4)."""
-    _check_s(T.K, s)
-    col, N = T.column, T.N
-    start = min(8 << s, N)
-    out = np.zeros(col.shape + (N - start,), dtype=np.result_type(col, float))
-    dist = np.abs(_torus_offsets(N))
-    for k in range(4, T.K - s + 1):
-        lo = 1 << (k + s - 1)
-        tk = np.where(dist > 4.0 * 2.0 ** (-k), col, 0.0)
-        out[..., 1 << k:, lo - start:2 * lo - start] = circulant_haar(
-            tk, lo, 2 * lo, 1 << k)
-    return out
-
-
-def psi_s_norm(T: DiscOp, s: int) -> float:
-    """||Psi_s|| from its block symbol: T_k is a circulant, and E_k and
+def psi_s_symbol(T: DiscOp, s: int) -> np.ndarray | None:
+    """Psi_s as a block circulant: T_k is a circulant, and E_k and
     Delta_{k+s} (k >= 4) commute with the shift by one level-4 cube, so each
-    component of Psi_s is block circulant with 16 blocks C_m[b] of side
-    L = N/16, and ||Psi_s||^2 = max_w lambda_max(sum_m C_m(w)* C_m(w)) with
-    C_m(w) = sum_b C_m[b] e^{-2 pi i b w / 16}.  0.0 when K - s < 4."""
+    component of Psi_s has 16 x 16 blocks C_m[a - b mod 16] of side
+    L = N/16.  Returns their symbol C_m(w) = sum_b C_m[b] e^{-2 pi i b w/16},
+    shaped (M, 16, L, L); None when K - s < 4 (Psi_s = 0)."""
     _check_s(T.K, s)
     if T.K - s < 4:
-        return 0.0
+        return None
     if not np.all(np.isfinite(T.column)):
         raise NumericError("Psi_s of a non-finite operator column")
     M, N, L, cells = T.M, T.N, T.N >> 4, np.arange(T.N)
@@ -414,35 +395,38 @@ def psi_s_norm(T: DiscOp, s: int) -> float:
         y = DiscOp(tk, T.K, None).apply(h).reshape(M, 1 << k, N >> k, -1)
         y = (y - y.mean(axis=2, keepdims=True)).reshape(M, N, -1)
         C += np.repeat(y, w, axis=-1) * (sign[:L] / w)
-    hat = np.fft.fft(C.reshape(M, 16, L, L), axis=1).swapaxes(0, 1)
-    hat = hat.reshape(16, M * L, L)
-    with np.errstate(invalid="ignore", over="ignore"):   # checked below
-        G = hat.conj().swapaxes(-1, -2) @ hat
-    if not np.all(np.isfinite(G)):
-        raise NumericError("Gram matrix of a non-finite Psi_s symbol")
-    return float(np.sqrt(top_eigenvalue(G).max()))
+    return np.fft.fft(C.reshape(M, 16, L, L), axis=1)
 
 
-def phi_psi_hat(T: DiscOp, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Haar blocks (``phi_s_hat``, ``psi_s_hat``) of Phi_s and Psi_s,
-    computed once per (T, s) for any number of ``phi_psi_apply`` calls."""
+def psi_s_norm(T: DiscOp, s: int) -> float:
+    """||Psi_s|| = max_w ||C(w)|| over its symbol (``psi_s_symbol``; P. J.
+    Davis, Circulant Matrices, 1979); 0.0 when K - s < 4."""
+    hat = psi_s_symbol(T, s)
+    return 0.0 if hat is None else max(map(estimate_norm, hat.swapaxes(0, 1)))
+
+
+def phi_psi_hat(T: DiscOp, s: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(``phi_s_hat``, ``psi_s_symbol``) of Phi_s and Psi_s, computed once
+    per (T, s) for any number of ``phi_psi_apply`` calls."""
     _check_s(T.K, s)
-    t_hat = circulant_haar(T.column, 0, T.N, 0, 1 << (T.K - s))
-    return phi_s_hat(t_hat, s), psi_s_hat(T, s)
+    t_hat = circulant_haar(T.column, 0, T.N, 1 << (T.K - s))
+    return phi_s_hat(t_hat, s), psi_s_symbol(T, s)
 
 
-def phi_psi_apply(hat: tuple[np.ndarray, np.ndarray],
+def phi_psi_apply(hat: tuple[np.ndarray, np.ndarray | None],
                   x: np.ndarray) -> np.ndarray:
     """(Phi_s + Psi_s) x, shaped (M, N, ...), for x with cells on axis 0
-    (scalar or matrix-valued), applied through the Haar blocks ``hat`` of
-    ``phi_psi_hat`` instead of the dense kernel matrices of Phi_s and
-    Psi_s."""
+    (scalar or matrix-valued), from ``hat = phi_psi_hat(T, s)``: Phi_s
+    through its Haar block, Psi_s through its block-circulant symbol."""
     phi, psi = hat
     M, N = phi.shape[0], phi.shape[-1]
-    c = _on_rows(haar, x.reshape(N, -1))            # (N, cols) coefficients
-    y = psi @ c[N - psi.shape[-1]:]
-    y[:, :phi.shape[-2]] += phi @ c
-    return _on_rows(ihaar, y, N).reshape((M,) + x.shape)
+    c = x.reshape(N, -1)
+    y = _on_rows(ihaar, phi @ _on_rows(haar, c), N)     # (M, N, cols)
+    if psi is not None:
+        z = np.fft.ifft(psi @ np.fft.fft(c.reshape(16, N >> 4, -1), axis=0),
+                        axis=1).reshape(y.shape)
+        y += z if np.iscomplexobj(y) else z.real
+    return y.reshape((M,) + x.shape)
 
 
 def lambda_family(T: DiscOp, s: int) -> list[np.ndarray]:

@@ -20,7 +20,7 @@ from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
                             paraproduct, paraproduct_correction,
                             phi_psi_apply, phi_psi_hat, phi_s_hat,
-                            psi_s_hat, psi_s_norm,
+                            psi_s_norm, psi_s_symbol,
                             restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
                             symbol_norm, vanish_check, vanish_sum, zeta_fs)
@@ -63,7 +63,7 @@ def phi_s(mats, s):
 def psi_s(T, s):
     """Kernel matrices of Psi_s = sum_{k=0}^{K-s} (id - E_k) T_{4*2^{-k}}
     Delta_{k+s} for a DiscOp T."""
-    hat = psi_s_hat(T, s)
+    hat = dense_psi_s_hat(T, s)
     return _from_haar(hat, T.N, T.N - hat.shape[-1])
 
 
@@ -119,9 +119,12 @@ def truncated_mats(T, eps):
 
 
 def dense_psi_s_hat(T, s):
-    """``psi_s_hat`` from the Haar transforms of the dense truncated stacks
-    T_{4*2^{-k}}, one per k (no circulant structure used)."""
-    blocks = [np.zeros(T.mats.shape[:-1] + (0,), dtype=T.mats.dtype)]
+    """The Haar coefficients of Psi_s from those of the dense truncated
+    stacks T_{4*2^{-k}}, one per k (no circulant structure used): for each
+    k >= 4 the level-(k+s-1) column block, rows at level >= k; the columns
+    from level s + 3 on (none when K - s < 4, where radius 4*2^{-k} reaches
+    the torus diameter 1/2 for every k < 4)."""
+    blocks = [np.zeros((T.M, T.N, 0), dtype=T.column.dtype)]
     for k in range(4, T.K - s + 1):
         lev = k + s - 1
         tk = truncated_mats(T, 4.0 * 2.0 ** (-k))
@@ -624,25 +627,30 @@ def test_circulant_haar_matches_haar2(K, kernel):
         whole = circulant_haar(T.column, 0, N)
         assert whole.shape == ref.shape and whole.dtype == ref.dtype
         assert np.array_equal(whole, ref)
-        # column ranges inside one level and across levels, rows row0..row1-1
-        for lo, hi, row0, row1 in [(0, 1, 0, None), (1, 2, 1, None),
-                                   (N // 4, N // 2, N // 8, None),
-                                   (3, N // 2 + 5, 5, None),
-                                   (N - 3, N, N - 1, N), (0, N, 0, N // 8),
-                                   (N // 2, N, 2, 3)]:
-            got = circulant_haar(T.column, lo, hi, row0, row1)
-            assert np.array_equal(got, ref[..., row0:row1, lo:hi])
+        # column ranges inside one level and across levels, the first rows
+        for lo, hi, rows in [(0, 1, None), (1, 2, 1), (N // 4, N // 2, None),
+                             (3, N // 2 + 5, 5), (N - 3, N, N),
+                             (0, N, N // 8), (N // 2, N, 3)]:
+            got = circulant_haar(T.column, lo, hi, rows)
+            assert np.array_equal(got, ref[..., :rows, lo:hi])
 
 
 @pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
 @pytest.mark.parametrize("K", [4, 6, 8])
-def test_psi_s_hat_equals_dense_truncated_stacks(K, kernel):
-    # the column read-off adds in the order of the dense transforms
+def test_psi_s_symbol_equals_dense_truncated_stacks(K, kernel):
+    # the symbol is the DFT over the 16 row blocks of the first block
+    # column of the dense Psi_s built from the truncated stacks
     T = normalized(assemble(_kernel(kernel, K), K))
+    L = T.N // 16
     for s in range(1, K):
-        got, ref = psi_s_hat(T, s), dense_psi_s_hat(T, s)
+        got = psi_s_symbol(T, s)
+        if K - s < 4:
+            assert got is None
+            continue
+        dense = psi_s(T, s)[..., :L].reshape(T.M, 16, L, L)
+        ref = np.fft.fft(dense, axis=1)
         assert got.shape == ref.shape and got.dtype == ref.dtype
-        assert np.array_equal(got, ref)
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("kernel", ["lp-bumps", "annuli"])
@@ -654,7 +662,7 @@ def test_haar_block_norms_equal_piece_norms(kernel):
     for s in range(1, K):
         assert estimate_norm(phi_s_hat(t_hat, s)) == pytest.approx(
             estimate_norm(phi_s(T.mats, s)), rel=1e-12, abs=1e-300)
-        assert estimate_norm(psi_s_hat(T, s)) == pytest.approx(
+        assert estimate_norm(dense_psi_s_hat(T, s)) == pytest.approx(
             estimate_norm(psi_s(T, s)), rel=1e-12, abs=1e-300)
 
 
@@ -663,21 +671,25 @@ def test_phi_psi_shift_contract():
     with pytest.raises(ContractViolation):
         phi_psi_hat(T, 0)
     with pytest.raises(ContractViolation):
-        psi_s_hat(T, 4)
+        psi_s_symbol(T, 4)
     with pytest.raises(ContractViolation):
         phi_s_hat(haar2(T.mats), 4)
 
 
 # -- ||Psi_s|| from its 16-block symbol ---------------------------------------
 
-@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
-@pytest.mark.parametrize("K", [5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize("K,kernel", [
+    (K, kernel) for K in range(5, 10)
+    for kernel in ("lp-bumps", "hilbert", "annuli")] + [(10, "lp-bumps")])
 def test_psi_s_norm_matches_dense_haar_block_norm(K, kernel):
+    # the dense reference forms every truncated (M, N, N) stack, so depth 10
+    # runs only its cheapest nonzero shift, s = K - 4 (one stack), and the
+    # empty ones
     T = normalized(assemble(_kernel(kernel, K), K))
     nonzero = 0
-    for s in range(1, K):
+    for s in range(1 if K < 10 else K - 4, K):
         got = psi_s_norm(T, s)
-        ref = estimate_norm(psi_s_hat(T, s))
+        ref = estimate_norm(dense_psi_s_hat(T, s))
         if K - s < 4:        # Psi_s is empty: exact zeros, as _slope reads
             assert got == 0.0 and ref == 0.0
         # abs=0: where every truncated T_k is 0 both sides are exactly 0.0
@@ -720,13 +732,15 @@ def test_psi_s_commutes_with_the_level_4_shift_only(K, s, kernel):
 
 
 def test_decay_builds_no_psi_s_block(monkeypatch):
-    # Psi_s reaches neither psi_s_hat nor family_gram: the only Grams are
-    # the Phi_s blocks' (the smaller one, A A^H as the Gram of A^H, when
-    # phi_s_hat's M 2^{K-s} rows fall below its N columns)
+    # Psi_s reaches family_gram only as the 16 (M, N/16, N/16) blocks of its
+    # symbol per nonempty shift, never as a Haar block of N - 8*2^s
+    # columns; the other Grams are the Phi_s blocks' (the smaller one, A A^H
+    # as the Gram of A^H, when phi_s_hat's M 2^{K-s} rows fall below its N
+    # columns)
     import nclp.pseudoloc as pl
     import nclp.harness as harness
     calls = []
-    for name in ("psi_s_hat", "psi_s_norm", "family_gram"):
+    for name in ("psi_s_symbol", "family_gram"):
         def recorded(x, *args, name=name, real=getattr(pl, name)):
             calls.append((name, getattr(x, "shape", None)))
             return real(x, *args)
@@ -735,16 +749,24 @@ def test_decay_builds_no_psi_s_block(monkeypatch):
     rep = harness.run(harness.ExperimentConfig(
         "pseudoloc-decay", depth=K, s_range=(2, 6), kernel="lp-bumps"))
     assert len(rep["trials"]) == len(shifts)
+    # per shift: one Phi_s Gram, then psi_s_symbol, then the Psi_s Grams
+    marks = [i for i, (name, _) in enumerate(calls) if name == "psi_s_symbol"]
+    assert len(marks) == len(shifts) and calls[0][0] == "family_gram"
+    phi_ops = [calls[i - 1] for i in marks]
+    psi_ops = {s: calls[i + 1:j - 1]
+               for s, i, j in zip(shifts, marks, marks[1:] + [len(calls) + 1])}
     rows = [1 << (K - s) for s in shifts]      # phi_s_hat's, of M = K each
-    assert [shape for name, shape in calls if name == "family_gram"] == [
-        (K, r, N) if K * r >= N else (1, N, K * r) for r in rows]
-    assert [name for name, _ in calls if name != "family_gram"] == [
-        "psi_s_norm"] * len(shifts)
+    assert phi_ops == [("family_gram", (K, r, N) if K * r >= N
+                        else (1, N, K * r)) for r in rows]
+    assert psi_ops == {s: [("family_gram", (K, N // 16, N // 16))]
+                       * (16 if K - s >= 4 else 0) for s in shifts}
+    assert not any(shape[-1] == N - 8 * 2 ** s
+                   for s, ops in psi_ops.items() for _, shape in ops)
 
 
 def test_psi_s_norm_peak_memory():
     # depth 10, s = 3, lp-bumps (M = 10): about 29 MiB traced, where the
-    # dense estimate_norm(psi_s_hat(T, 3)) peaks at 115 MiB
+    # norm of the dense Haar block of Psi_s peaked at 115 MiB
     import tracemalloc
     T = normalized(assemble(_kernel("lp-bumps", 10), 10))
     tracemalloc.start()
@@ -754,6 +776,20 @@ def test_psi_s_norm_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2 ** 20
+
+
+def test_phi_psi_hat_peak_memory():
+    # depth 10, s = 3, lp-bumps (M = 10): about 48 MiB traced; a Haar block
+    # of Psi_s, (M, N, N - 8*2^s), peaked at 135 MiB
+    import tracemalloc
+    T = normalized(assemble(_kernel("lp-bumps", 10), 10))
+    tracemalloc.start()
+    try:
+        phi_psi_hat(T, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
 
 
 def test_restriction_identity():
@@ -948,7 +984,7 @@ def test_row_limited_t0_is_the_first_rows_of_the_full_t0(K, kernel):
         if kernel == "random":
             got = paraproduct_correction(t_hat[..., :rows, :].copy())
         else:
-            got = paraproduct_correction(circulant_haar(col, 0, N, 0, rows))
+            got = paraproduct_correction(circulant_haar(col, 0, N, rows))
         assert np.array_equal(got, full[..., :rows, :])
 
 
@@ -1174,18 +1210,13 @@ def test_phi_psi_apply_matches_dense_oracle(K, kernel):
         for v in (x, xm):
             ref = np.einsum("mij,j...->mi...", mats, v)
             got = phi_psi_apply(hat, v)
-            assert got.shape == ref.shape
+            assert got.shape == ref.shape and got.dtype == ref.dtype
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def phi_psi_apply_per_call(T, s, x):
-    """(Phi_s + Psi_s) x with both Haar blocks recomputed on every call."""
-    c = _on_rows(haar, x.reshape(T.N, -1))
-    psi = psi_s_hat(T, s)
-    y = psi @ c[T.N - psi.shape[-1]:]
-    phi = phi_s_hat(haar2(T.mats), s)
-    y[:, :phi.shape[-2]] += phi @ c
-    return _on_rows(ihaar, y, T.N).reshape((T.M,) + x.shape)
+    """(Phi_s + Psi_s) x with ``phi_psi_hat`` recomputed on every call."""
+    return phi_psi_apply(phi_psi_hat(T, s), x)
 
 
 def test_shared_phi_psi_hat_gives_identical_output():
