@@ -12,9 +12,8 @@ from .cuculescu import (PiFamily, cuculescu, ladder_top, lam_axes,
 from .errors import ContractViolation
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import (Interval, Op, _adjoint, block_matmul as mm, eigvalsh,
-                     hermitian_part, is_projection, l2_norm, null_projection,
-                     schatten_norm, spectral_projection)
+from .opcore import (Op, _adjoint, block_matmul as mm, eigvalsh,
+                     hermitian_part, l2_norm, null_projection, schatten_norm)
 
 
 @dataclass
@@ -113,49 +112,47 @@ def cz_report(parts: CZParts) -> dict:
 # dilated bad-set projections
 # ---------------------------------------------------------------------------
 
+def zeta_fs(filt: GridFiltration, q_list: Op, levels: list[int]) -> Op:
+    """zeta_{f,s} = meet_k ( 1 - join_Q (1 - xi_Q) 1_{9Q} ) from the supplied
+    level projections q_k = sum_Q xi_Q 1_Q (batched over ``levels``, after
+    any leading batch axes).
+
+    On each cell the meet of the projections xi_Q over the 9Q that contain
+    it is the null space of S = sum (1 - xi_Q), which each cell gathers one
+    level and one dilation offset at a time (``dilation_cubes``)."""
+    qb = q_list.blocks
+    S = np.zeros(qb.shape[:-4] + (filt.algebra.nblocks, filt.d, filt.d),
+                 dtype=np.result_type(float, qb))
+    for pos, k in enumerate(levels):
+        comp = np.eye(filt.d) - qb[..., pos, filt.first_cells(k), :, :]
+        comp[np.abs(comp).max(axis=(-2, -1)) <= 1e-14] = 0.0
+        for cubes in filt.dilation_cubes(k, 9):
+            S += comp[..., cubes, :, :]
+    return null_projection(Op(S, filt.algebra))
+
+
 @dataclass
 class ZetaData:
-    psi: Op                      # psi_k, batched over lambda and levels
-    zeta_k: Op                   # 1 - supp psi_k
     zeta: Op                     # batched over lambda and the batch axes
     parts: CZParts
 
 
 def zeta(parts: CZParts) -> ZetaData:
-    """Bad-set excision at every threshold of ``parts``: psi_k sums the lost
-    cube blocks smeared over the 9-fold dilations; zeta(lambda) is the meet
-    of their complements."""
-    filt, levels = parts.filtration, parts.martingale.levels
-    alg = filt.algebra
-    # the lost blocks q_{k-1} - q_k = p_k of each level above m_lambda,
-    # spread over the 9Q: each cell gathers, one dilation offset at a time,
-    # the block of the cube whose 9Q holds it at that offset
-    lost = np.zeros(parts.ps.blocks.shape, dtype=complex)
-    for pos, k in enumerate(levels):
-        diff = parts.ps.blocks[..., pos, filt.first_cells(k), :, :]
-        live = (np.abs(diff).max(axis=(-2, -1)) > 1e-14) \
-            & (k > np.asarray(parts.m_lambda)[..., None])
-        diff = np.where(live[..., None, None], diff, 0.0)
-        for cubes in filt.dilation_cubes(k, 9):
-            lost[..., pos, :, :, :] += diff[..., cubes, :, :]
-    psi = Op(np.cumsum(lost, axis=-4), alg)
-    zeta_k = alg.unit() - spectral_projection(
-        psi.hermitize(), Interval(1e-9, None, closed_lo=False))
-    # the meet along the level axis: the null space of sum_k (1 - zeta_k)
-    meet = null_projection(Op((alg.unit() - zeta_k).blocks.sum(axis=-4), alg))
-    return ZetaData(psi, zeta_k, meet, parts)
+    """Bad-set excision at every threshold of ``parts``: zeta(lambda) is
+    zeta_{f,0} of the Cuculescu projections.  As 1 - q_k = sum_{j<=k} p_j and
+    9Q lies in each ancestor's 9-fold dilation, it is the meet of the
+    complements of the supports of psi_k (the p_j, j <= k, over their 9Q)."""
+    return ZetaData(zeta_fs(parts.filtration, parts.qs,
+                            parts.martingale.levels), parts)
 
 
 def zeta_report(zd: ZetaData) -> dict:
-    """The excised mass against its 9^n bound and the projection check, per
-    threshold and entry."""
+    """The excised mass against its 9^n bound, per threshold and entry."""
     f, n = zd.parts.martingale, zd.parts.filtration.n
     lost = (f.algebra.unit() - zd.zeta).trace().real
-    return {
-        "excised_mass_ratio": lam_axes(zd.parts.lam, f) * lost / np.maximum(
-            9.0 ** n * schatten_norm(f.top, 1), 1e-300),
-        "is_projection": is_projection(zd.zeta, tol=1e-8),
-    }
+    bound = 9.0 ** n * schatten_norm(f.top, 1)
+    return {"excised_mass_ratio": lam_axes(zd.parts.lam, f) * lost
+            / np.maximum(bound, 1e-300)}
 
 
 def zeta_cube_inequalities(zd: ZetaData) -> dict:

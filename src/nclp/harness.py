@@ -534,11 +534,12 @@ def _ksk_setup(cfg):
 def _ksk(cfg, ctx, rng, t):
     K, s = cfg.depth + t, cfg.s_range[0]
     T = pl.assemble(KERNELS[cfg.kernel](K), K)
-    resid = size_c = 0.0
+    # fmax skips a level with no far pair (NaN); a trial with none fails
+    resid, size_c = 0.0, np.nan
     for k in range(0, min(3, K - s)):
         rep = pl.ksk_check(T, s, k, n_pairs=70, rng=rng)
         resid = np.maximum(resid, rep["max_residual"])
-        size_c = np.maximum(size_c, rep["size_constant"])
+        size_c = np.fmax(size_c, rep["size_constant"])
     return ((np.array([K, s]), _row0(T)),
             {"max_residual": resid, "size_constant": size_c})
 

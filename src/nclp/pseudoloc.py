@@ -10,11 +10,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .czkit import zeta_fs
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
 from .opcore import (Op, annihilation_check, dense_algebra, l2_norm,
-                     null_projection, psd_sqrt, top_eigenvalue)
+                     psd_sqrt, top_eigenvalue)
 
 # ---------------------------------------------------------------------------
 # grid functions and the Haar transform
@@ -464,8 +465,9 @@ def ksk_check(T: DiscOp, s: int, k: int, n_pairs: int,
     far = d > 1.5 * Lr / N
     bound = 2.0 ** (-T.gamma * (k + s)) / d[far] ** (1 + T.gamma)
     ratio = np.linalg.norm(lhs[far], axis=1) / np.maximum(bound, 1e-300)
+    # NaN when no sampled y lies outside 3R_x (always so for k <= 1)
     return {"max_residual": float(np.abs(lhs - rhs).max(initial=0.0)),
-            "size_constant": float(ratio.max(initial=0.0))}
+            "size_constant": float(ratio.max()) if far.any() else math.nan}
 
 
 def _schur_integrals(mats: np.ndarray) -> tuple[float, float]:
@@ -664,23 +666,6 @@ def localization_check(T: DiscOp, x0: float, r1: float, r2: float) -> dict:
 # ---------------------------------------------------------------------------
 # semicommutative localization (matrix-valued f)
 # ---------------------------------------------------------------------------
-
-def zeta_fs(filt: GridFiltration, q_list: Op, levels: list[int]) -> Op:
-    """zeta_{f,s} = meet_k ( 1 - join_Q (1 - xi_Q) 1_{9Q} ) from the supplied
-    level projections q_k = sum_Q xi_Q 1_Q (batched over ``levels``).
-
-    On each cell the meet of the projections xi_Q over the 9Q that contain
-    it is the null space of S = sum (1 - xi_Q), which each cell gathers one
-    level and one dilation offset at a time (``dilation_cubes``)."""
-    S = np.zeros((filt.algebra.nblocks, filt.d, filt.d),
-                 dtype=np.result_type(float, q_list.blocks))
-    for pos, k in enumerate(levels):
-        comp = np.eye(filt.d) - q_list.blocks[pos, filt.first_cells(k)]
-        comp[np.abs(comp).max(axis=(1, 2)) <= 1e-14] = 0.0
-        for cubes in filt.dilation_cubes(k, 9):
-            S += comp[cubes]
-    return null_projection(Op(S, filt.algebra))
-
 
 def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
                        q_list: Op, hat: tuple | None = None) -> dict:

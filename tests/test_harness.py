@@ -434,6 +434,17 @@ def test_cli_ksk_runs_one_depth_per_trial(argv, depths, capsys):
         for K in depths]
 
 
+def test_cli_ksk_with_no_far_pair_fails_on_nan(capsys):
+    # depth 4, s = 2 runs only k = 0 and 1, where no sampled y lies outside
+    # 3R_x: the size envelope measured nothing and must not pass on it
+    from nclp.cli import main
+    assert main(["ksk", "--depth", "4", "--s", "2..2", "--trials", "1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    size = {a["name"]: a for a in rep["assertions"]}["kernel_size_envelope"]
+    assert size["measured"] == "NaN" and not size["pass"]
+    assert rep["trials"][0]["metrics"]["size_constant"] == "NaN"
+
+
 def test_unknown_kernel_is_a_contract_violation(capsys):
     from nclp.cli import main
     with pytest.raises(ContractViolation, match="unknown kernel"):
