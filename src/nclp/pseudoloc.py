@@ -361,18 +361,47 @@ def ekt_delta(T: DiscOp, k: int, j: int) -> np.ndarray:
     return _on_rows(ihaar, _ekt_delta_cols(T, k, j), T.N)
 
 
-def phi_s_hat(t_hat: np.ndarray, s: int) -> np.ndarray:
+def phi_s_hat(t_hat: np.ndarray, s: int, split: bool = False) -> np.ndarray:
     """Haar coefficients of Phi_s from those of T (``circulant_haar`` of
     its column, or any Haar-coefficient matrices with at least 2^{K-s}
     rows): the entries with row level <= column level - s.  Phi_s maps
     into E_{K-s}, so only the first 2^{K-s} rows, the ones that can be
-    nonzero, are returned."""
-    K = t_hat.shape[-1].bit_length() - 1
+    nonzero, are returned.  With ``split``, t_hat and Phi_s are the even
+    and odd blocks of ``half_shift_split``, 2^{K-s-1} rows each."""
+    K = t_hat.shape[-1].bit_length() - 1 + split
     _check_s(K, s)
-    lev = _haar_levels(K)
-    rows = 1 << (K - s)
-    return np.where(lev[:rows, None] <= lev[None, :] - s,
+    lev = _haar_levels(K - split) + split   # odd block: h_1 (level 0), ...
+    if split:                               # even block: h_0 (level -1), ...
+        lev = np.stack([np.r_[-1, lev[1:]], lev])[:, None]
+    rows = 1 << (K - s - split)
+    return np.where(lev[..., :rows, None] <= lev[..., None, :] - s,
                     t_hat[..., :rows, :], 0.0)
+
+
+# -- the shift S by half the torus -------------------------------------------
+# In Haar coordinates S fixes h_0, negates h_1 and swaps h_i, h_{i+2^{l-1}}
+# at each level l >= 1, so its eigenvectors keep the level of h_i.
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """(2, ..., n/2): the even coordinates h_0, (h_i + h_{i+2^{l-1}})/sqrt(2)
+    and the odd ones h_1, (h_i - h_{i+2^{l-1}})/sqrt(2) of x (..., n)."""
+    out = np.empty((2,) + x.shape[:-1] + (x.shape[-1] // 2,), dtype=x.dtype)
+    out[:, ..., 0] = x[..., 0], x[..., 1]
+    for h in 1 << np.arange(x.shape[-1].bit_length() - 2):   # h = 2^{l-1}
+        a, b = x[..., 2 * h:3 * h], x[..., 3 * h:4 * h]
+        out[:, ..., h:2 * h] = (a + b) / np.sqrt(2), (a - b) / np.sqrt(2)
+    return out
+
+
+def half_shift_split(t_hat: np.ndarray) -> np.ndarray:
+    """(2, ..., rows/2, N/2): the even and odd blocks of Haar-coefficient
+    matrices (..., rows >= 2, N) that commute with S, the larger norm being
+    theirs; NumericError when a cross block exceeds 1e-12 max|t_hat|."""
+    parts = _parity(_on_rows(_parity, t_hat))     # [col parity, row parity]
+    cross = np.abs(parts[[0, 1], [1, 0]]).max()
+    if not cross <= 1e-12 * np.abs(t_hat).max():
+        raise NumericError(f"does not commute with the half shift: {cross:g}")
+    return parts[[0, 1], [0, 1]]
 
 
 def psi_s_symbol(T: DiscOp, s: int) -> np.ndarray | None:
@@ -401,9 +430,10 @@ def psi_s_symbol(T: DiscOp, s: int) -> np.ndarray | None:
 
 def psi_s_norm(T: DiscOp, s: int) -> float:
     """||Psi_s|| = max_w ||C(w)|| over its symbol (``psi_s_symbol``; P. J.
-    Davis, Circulant Matrices, 1979); 0.0 when K - s < 4."""
-    hat = psi_s_symbol(T, s)
-    return 0.0 if hat is None else max(map(estimate_norm, hat.swapaxes(0, 1)))
+    Davis, Circulant Matrices, 1979); 0.0 when K - s < 4.  A real column
+    has C(16 - w) = conj C(w), of the same norm: w = 0..8 suffice."""
+    C, w = psi_s_symbol(T, s), 9 if np.isrealobj(T.column) else 16
+    return 0.0 if C is None else max(map(estimate_norm, C.swapaxes(0, 1)[:w]))
 
 
 def phi_psi_hat(T: DiscOp, s: int) -> tuple[np.ndarray, np.ndarray | None]:

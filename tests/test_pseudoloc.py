@@ -10,13 +10,13 @@ from nclp.harness import (_localized_scalar, random_positive_martingale,
                           trial_rng)
 from nclp.opcore import Op, dense_algebra
 from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells,
-                            _cube_starts, _haar_levels, _on_rows,
+                            _cube_starts, _haar_levels, _on_rows, _parity,
                             _torus_offsets, adjoint_one, annuli_kernel,
                             assemble, circulant_haar,
                             commutative_pseudoloc_check, cotlar_bound,
                             ekt_delta, estimate_norm, family_gram, grid_l2,
-                            haar, hilbert_kernel, ihaar, ksk_check,
-                            lambda_family, localization_check,
+                            haar, half_shift_split, hilbert_kernel, ihaar,
+                            ksk_check, lambda_family, localization_check,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
                             paraproduct, paraproduct_correction,
                             phi_psi_apply, phi_psi_hat, phi_s_hat,
@@ -604,12 +604,18 @@ def test_haar_pieces_match_oracle(K, kernel, corrected):
     if corrected:
         mats = dense_paraproduct_correction(mats)[0]
     tol = 1e-12 * np.abs(mats).max()
+    eye = np.eye(T.N)
     for s in range(1, K):
-        assert np.abs(phi_s(mats, s) - oracle_phi_s(mats, s)).max() <= tol
-    if corrected:   # Psi_s and ekt_delta take a DiscOp; T0 is a dense stack
+        ref = oracle_phi_s(mats, s)
+        assert np.abs(phi_s(mats, s) - ref).max() <= tol
+        if corrected:   # Psi_s takes a DiscOp; T0 is a dense stack
+            continue
+        # Phi_s + Psi_s as the code applies them (Psi_s as the block
+        # circulant of its symbol), on the identity, against the oracles
+        got = phi_psi_apply(phi_psi_hat(T, s), eye)
+        assert np.abs(got - ref - oracle_psi_s(T, s)).max() <= tol
+    if corrected:       # ekt_delta takes a DiscOp too
         return
-    for s in range(1, K):
-        assert np.abs(psi_s(T, s) - oracle_psi_s(T, s)).max() <= tol
     for j in range(1, K + 1):
         cols = avg_cols(mats, j) - avg_cols(mats, j - 1)
         for k in range(0, K + 1):   # oracle_ekt_delta(mats, k, j)
@@ -676,6 +682,91 @@ def test_phi_psi_shift_contract():
         phi_s_hat(haar2(T.mats), 4)
 
 
+# -- ||Phi_s|| from its two half-shift parities ------------------------------
+
+@pytest.mark.parametrize("corrected", [False, True], ids=["T", "T0"])
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [4, 6, 8, 10])
+def test_half_shift_split_phi_norms_match_unsplit(K, kernel, corrected):
+    # the rows below level K - s_lo, all that Phi_s reads at s >= s_lo, of
+    # T and of T0 = T - Pi_rho* (which commutes with the half shift: rho =
+    # T*1 is constant, so Pi_rho* = 0 up to rounding).  At K = 10 the
+    # shifts start at 3, as pseudoloc-decay's do: the unsplit references at
+    # s = 1, 2 are 1024-sided Grams of up to 5120 rows, 5 s of the 6 s that
+    # the four M = 10 cases would take
+    s_lo = 1 if K < 10 else 3
+    T = normalized(assemble(_kernel(kernel, K), K))
+    t_hat = circulant_haar(T.column, 0, T.N, 1 << (K - s_lo))
+    if corrected:
+        t_hat = paraproduct_correction(t_hat)
+    scale = np.abs(t_hat).max()
+    parts = _parity(_on_rows(_parity, t_hat))    # [col parity, row parity]
+    assert parts.shape == (2, 2, T.M, 1 << (K - s_lo - 1), T.N // 2)
+    assert np.abs(parts[[0, 1], [1, 0]]).max() <= 1e-15 * scale
+    # Frobenius norms by numpy's pairwise sum: np.linalg.norm's own
+    # accumulation of the 5e6 complex entries at K = 10 errs by 4e-14
+    def frobenius(x):
+        return np.sqrt((np.abs(x) ** 2).sum())
+    assert frobenius(parts) == pytest.approx(frobenius(t_hat), rel=1e-14,
+                                             abs=0.0)
+    split = half_shift_split(t_hat)
+    assert np.array_equal(split, parts[[0, 1], [0, 1]])
+    for s in range(s_lo, K):
+        whole = estimate_norm(phi_s_hat(t_hat, s))
+        halves = phi_s_hat(split, s, split=True)
+        assert halves.shape == (2, T.M, 1 << (K - s - 1), T.N // 2)
+        assert max(map(estimate_norm, halves)) == pytest.approx(
+            whole, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("K", [4, 6])
+def test_half_shift_split_of_an_operator_that_is_not_circulant(K):
+    # a random stack plus its conjugate by S commutes with S, and unlike a
+    # circulant's its constant Haar row is not 0: the even block's mask must
+    # read h_0 at level -1
+    N = 1 << K
+    A = np.random.default_rng(64).standard_normal((2, N, N))
+    t_hat = haar2(A + np.roll(A, (N // 2, N // 2), axis=(-2, -1)))
+    split = half_shift_split(t_hat)
+    for s in range(1, K):
+        assert max(map(estimate_norm, phi_s_hat(split, s, split=True))) \
+            == pytest.approx(estimate_norm(phi_s_hat(t_hat, s)), rel=1e-13,
+                             abs=0.0)
+
+
+@pytest.mark.parametrize("K", [2, 3, 5])
+def test_parity_basis_is_the_half_shift_eigenbasis(K):
+    # the rows of the parity transform, in cells: orthonormal, S-even or
+    # S-odd, and at the level phi_s_hat's split mask gives them, -1 (even)
+    # or 0 (odd) and then 2^{l-1} pairs at each level l >= 1 (a wavelet at
+    # level l is constant on level-(l+1) cubes and not on level-l ones)
+    N = 1 << K
+    vecs = ihaar(_parity(np.eye(N)).swapaxes(-1, -2), N)   # (2, N/2, N)
+    flat = vecs.reshape(N, N)
+    assert np.allclose(flat @ flat.T, np.eye(N), rtol=0.0, atol=1e-15)
+    pairs = [lev for lev in range(1, K) for _ in range(1 << (lev - 1))]
+    for sign, first, half in zip((1.0, -1.0), (-1, 0), vecs):
+        assert np.allclose(np.roll(half, N // 2, axis=-1), sign * half,
+                           rtol=0.0, atol=1e-15)
+        for lev, v in zip([first] + pairs, half):
+            cubes = [v.reshape(1 << k, -1) for k in (max(lev, 0), lev + 1)]
+            flat_on = [np.allclose(c, c[:, :1]) for c in cubes]
+            assert flat_on == [lev < 0, True]
+
+
+def test_half_shift_split_rejects_a_block_that_does_not_commute():
+    # one level-2 wavelet column moved by one cell: T h_c becomes
+    # (roll T h_c by one), and the cross-parity blocks no longer vanish
+    T = normalized(_T(6, 2))
+    t_hat = circulant_haar(T.column, 0, T.N)
+    c = 4 + 1
+    t_hat[..., c] = haar(np.roll(ihaar(t_hat[..., c], T.N), 1, axis=-1))
+    with pytest.raises(NumericError, match="does not commute with the half shift"):
+        half_shift_split(t_hat)
+    with pytest.raises(NumericError, match="does not commute with the half shift"):
+        half_shift_split(np.full_like(t_hat, np.nan))
+
+
 # -- ||Psi_s|| from its 16-block symbol ---------------------------------------
 
 @pytest.mark.parametrize("K,kernel", [
@@ -698,6 +789,35 @@ def test_psi_s_norm_matches_dense_haar_block_norm(K, kernel):
     # at K = 5 the hilbert Psi_s is its k = 4 term alone, which the cutoff
     # 1/4 = 4 * 2^-4 empties
     assert nonzero > 0 or (kernel, K) == ("hilbert", 5)
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [9, 10])
+def test_psi_s_norm_reads_nine_symbol_blocks_of_a_real_column(K, kernel,
+                                                              monkeypatch):
+    # a real column has C(16 - w) = conj C(w): blocks w and 16 - w have the
+    # same norm up to eigvalsh's rounding, and psi_s_norm reads w = 0..8;
+    # the complex annuli column keeps all 16
+    import nclp.pseudoloc as pl
+    T = normalized(assemble(_kernel(kernel, K), K))
+    real = kernel != "annuli"
+    for s in range(1, K - 3):
+        norms = [estimate_norm(b) for b in psi_s_symbol(T, s).swapaxes(0, 1)]
+        if real:
+            for w in range(1, 8):
+                assert norms[16 - w] == pytest.approx(norms[w], rel=1e-15,
+                                                      abs=0.0)
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(pl, "estimate_norm",
+                      lambda x: calls.append(x.shape) or estimate_norm(x))
+            got = psi_s_norm(T, s)
+        assert len(calls) == (9 if real else 16)
+        assert got == max(norms[:len(calls)])
+        # == but for hilbert at K = 10, s = 5, where block 9's eigvalsh
+        # rounds one ulp (1.9e-16) above block 7's
+        assert got == pytest.approx(max(norms), rel=1e-15, abs=0.0)
+        assert got == max(norms) or (kernel, K, s) == ("hilbert", 10, 5)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -732,11 +852,11 @@ def test_psi_s_commutes_with_the_level_4_shift_only(K, s, kernel):
 
 
 def test_decay_builds_no_psi_s_block(monkeypatch):
-    # Psi_s reaches family_gram only as the 16 (M, N/16, N/16) blocks of its
+    # Psi_s reaches family_gram only as (M, N/16, N/16) blocks of its
     # symbol per nonempty shift, never as a Haar block of N - 8*2^s
-    # columns; the other Grams are the Phi_s blocks' (the smaller one, A A^H
-    # as the Gram of A^H, when phi_s_hat's M 2^{K-s} rows fall below its N
-    # columns)
+    # columns; the other Grams are those of Phi_s's two parity blocks, never
+    # of its N-column Haar block (the smaller Gram, A A^H as the Gram of
+    # A^H, when a block's M 2^{K-s-1} rows fall below its N/2 columns)
     import nclp.pseudoloc as pl
     import nclp.harness as harness
     calls = []
@@ -749,17 +869,18 @@ def test_decay_builds_no_psi_s_block(monkeypatch):
     rep = harness.run(harness.ExperimentConfig(
         "pseudoloc-decay", depth=K, s_range=(2, 6), kernel="lp-bumps"))
     assert len(rep["trials"]) == len(shifts)
-    # per shift: one Phi_s Gram, then psi_s_symbol, then the Psi_s Grams
+    # per shift: the Grams of Phi_s's even and odd blocks, then
+    # psi_s_symbol, then the Psi_s Grams (9 of 16 blocks: the column is real)
     marks = [i for i, (name, _) in enumerate(calls) if name == "psi_s_symbol"]
-    assert len(marks) == len(shifts) and calls[0][0] == "family_gram"
-    phi_ops = [calls[i - 1] for i in marks]
-    psi_ops = {s: calls[i + 1:j - 1]
-               for s, i, j in zip(shifts, marks, marks[1:] + [len(calls) + 1])}
-    rows = [1 << (K - s) for s in shifts]      # phi_s_hat's, of M = K each
-    assert phi_ops == [("family_gram", (K, r, N) if K * r >= N
-                        else (1, N, K * r)) for r in rows]
+    assert len(marks) == len(shifts) and marks[0] == 2
+    phi_ops = [calls[i - 2:i] for i in marks]
+    psi_ops = {s: calls[i + 1:j - 2]
+               for s, i, j in zip(shifts, marks, marks[1:] + [len(calls) + 2])}
+    rows, half = [1 << (K - s - 1) for s in shifts], N // 2   # per parity
+    assert phi_ops == [[("family_gram", (K, r, half) if K * r >= half
+                         else (1, half, K * r))] * 2 for r in rows]
     assert psi_ops == {s: [("family_gram", (K, N // 16, N // 16))]
-                       * (16 if K - s >= 4 else 0) for s in shifts}
+                       * (9 if K - s >= 4 else 0) for s in shifts}
     assert not any(shape[-1] == N - 8 * 2 ** s
                    for s, ops in psi_ops.items() for _, shape in ops)
 
