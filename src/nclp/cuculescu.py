@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ContractViolation
 from .martingale import POSITIVE_TOL, Martingale
-from .opcore import (ENDPOINT_TOL, Op, block_matmul as mm, eigvalsh,
+from .opcore import (ENDPOINT_TOL, Op, _op, block_matmul as mm, eigvalsh,
                      hermitian_part, kept_projection, null_projection)
 
 
@@ -41,8 +41,8 @@ class CuculescuSequence:
         qs = self.qs.blocks
         unit = np.broadcast_to(self.martingale.algebra.unit().blocks,
                                qs[..., :1, :, :, :].shape)
-        return Op(np.concatenate([unit, qs[..., :-1, :, :, :]], axis=-4),
-                  self.qs.algebra)
+        return _op(np.concatenate([unit, qs[..., :-1, :, :, :]], axis=-4),
+                   self.qs.algebra)
 
     def __getitem__(self, i) -> "CuculescuSequence":
         """The recursion at the thresholds lam[i]: lam and qs are indexed
@@ -93,10 +93,10 @@ def cuculescu(f: Martingale, lam):
         fk, qk = f.restricted[n].blocks, q.blocks
         h = mm(mm(qk, fk), qk) \
             + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
-        q = Op(kept_projection(hermitian_part(h), keep),
-               filt.level_algebra(k))
+        q = _op(kept_projection(hermitian_part(h), keep),
+                filt.level_algebra(k))
         qs[..., n, :, :, :] = filt.extend(q, k).blocks
-    return CuculescuSequence(lam, Op(qs, alg), f)
+    return CuculescuSequence(lam, _op(qs, alg), f)
 
 
 def q_lambda(seq: CuculescuSequence) -> Op:
@@ -159,9 +159,9 @@ def meet_ladder(qs: Op, l_min: int) -> PiFamily:
     W_l is the null space of sum_{s>=l} (1 - q_s), a reverse cumulative sum,
     so one batched spectral projection gives the whole ladder."""
     lost = np.cumsum((qs.algebra.unit() - qs).blocks[::-1], axis=0)[::-1]
-    w = null_projection(Op(lost, qs.algebra))
-    return PiFamily(l_min, Op(np.diff(w.blocks, axis=0, prepend=0.0),
-                              qs.algebra), w)
+    w = null_projection(_op(lost, qs.algebra))
+    return PiFamily(l_min, _op(np.diff(w.blocks, axis=0, prepend=0.0),
+                               qs.algebra), w)
 
 
 def ladder_top(f: Martingale, l_max: int | None = None) -> int:
@@ -214,4 +214,4 @@ def delta_trunc(x: Op, pi: PiFamily, ell) -> Op:
         (-1,) + (1,) * ell.ndim) <= ell
     keep = keep.reshape(keep.shape + (1,) * (len(x.batch) - ell.ndim + 3))
     terms = (pi.blocks[sel] @ x @ pi.w[sel]).blocks
-    return Op(np.where(keep, terms, 0.0).sum(axis=0), x.algebra)
+    return _op(np.where(keep, terms, 0.0).sum(axis=0), x.algebra)

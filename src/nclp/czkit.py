@@ -12,7 +12,7 @@ from .cuculescu import (PiFamily, cuculescu, ladder_top, lam_axes,
 from .errors import ContractViolation
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import (Op, _adjoint, block_matmul as mm, eigvalsh,
+from .opcore import (Op, _adjoint, _op, block_matmul as mm, eigvalsh,
                      hermitian_part, l2_norm, null_projection, schatten_norm)
 
 
@@ -80,7 +80,7 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
     bad = mm(P, fP) - PFP
     # the q f p_j and p_i f q cross terms sit in q f q^perp + q^perp f q, so
     # the four parts reassemble f; cz_report measures the residual
-    g_d, g_off, b_d, b_off, bad, P = (Op(x, alg) for x in (
+    g_d, g_off, b_d, b_off, bad, P = (_op(x, alg) for x in (
         g_d, g_off, bad.sum(axis=-4), b_off, bad, P))
     return CZParts(g_d, g_off, b_d, b_off, bad, seq.qs, P, q_lambda(seq),
                    m_lambda_of(seq.qs, f.levels), seq.lam, f)
@@ -128,7 +128,7 @@ def zeta_fs(filt: GridFiltration, q_list: Op, levels: list[int]) -> Op:
         comp[np.abs(comp).max(axis=(-2, -1)) <= 1e-14] = 0.0
         for cubes in filt.dilation_cubes(k, 9):
             S += comp[..., cubes, :, :]
-    return null_projection(Op(S, filt.algebra))
+    return null_projection(_op(S, filt.algebra))
 
 
 @dataclass
@@ -200,15 +200,15 @@ def g_off_layers(parts: CZParts) -> dict:
     p, df = parts.ps[..., k, :, :, :], f.diffs[..., k + s, :, :, :]
     qprev = parts.qs[..., k + s - 1, :, :, :]
     live = np.asarray(f.levels)[k] > np.asarray(parts.m_lambda)[..., None]
-    terms = Op(np.where(live[..., None, None, None],
-                        (p @ df @ qprev + qprev @ df @ p).blocks, 0.0),
-               f.algebra)
+    terms = _op(np.where(live[..., None, None, None],
+                         (p @ df @ qprev + qprev @ df @ p).blocks, 0.0),
+                f.algebra)
     layers = np.zeros(parts.ps.batch[:-1] + (npos - 1,)
                       + f.seq.blocks.shape[-3:], dtype=complex)
     # in order, k ascending per s; a masked zero leaves a sum unchanged
     np.add.at(np.moveaxis(layers, -4, 0), s - 1,
               np.moveaxis(terms.blocks, -4, 0))
-    return {"layers": Op(layers, f.algebra), "terms": terms, "s": s, "k": k}
+    return {"layers": _op(layers, f.algebra), "terms": terms, "s": s, "k": k}
 
 
 def g_off_layer_report(parts: CZParts, layers: dict) -> dict:

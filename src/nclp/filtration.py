@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractViolation
-from .opcore import Algebra, Op, dense_algebra
+from .opcore import Algebra, Op, _op, dense_algebra
 
 
 @dataclass(frozen=True)
@@ -107,23 +107,23 @@ class TensorDyadicFiltration(Filtration):
         m = x.blocks[..., 0, :, :].reshape(x.batch + (a, b, a, b))
         # the diagonal of the traced factors, shape (*batch, a, a, b)
         diag = np.diagonal(m, axis1=-3, axis2=-1)
-        return Op(_pairwise_mean(diag, -1)[..., None, :, :],
-                  self.level_algebra(k))
+        return _op(_pairwise_mean(diag, -1)[..., None, :, :],
+                   self.level_algebra(k))
 
     def extend(self, y: Op, k: int) -> Op:
         a, b = 2 ** k, 2 ** (self.N - k)
         # the kron product small (x) 1_b, entry by entry
         small = y.blocks[..., 0, :, :]
         out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
-        return Op(out.reshape(y.batch + (1, a * b, a * b)), self.algebra)
+        return _op(out.reshape(y.batch + (1, a * b, a * b)), self.algebra)
 
     def refine(self, y: Op, k: int) -> Op:
         """y (x) 1_2."""
         self.check_level(k)
         small = y.blocks[..., 0, :, :]
         out = small[..., :, None, :, None] * np.eye(2)[:, None, :]
-        return Op(out.reshape(y.batch + (1, 2 ** k, 2 ** k)),
-                  self.level_algebra(k))
+        return _op(out.reshape(y.batch + (1, 2 ** k, 2 ** k)),
+                   self.level_algebra(k))
 
 
 class GridFiltration(Filtration):
@@ -166,17 +166,17 @@ class GridFiltration(Filtration):
         # is -4 once -3 is averaged out
         for axis in (-3,) if self.n == 1 else (-3, -4):
             m = _pairwise_mean(m, axis)
-        return Op(m.reshape(x.batch + (-1, self.d, self.d)),
-                  self.level_algebra(k))
+        return _op(m.reshape(x.batch + (-1, self.d, self.d)),
+                   self.level_algebra(k))
 
     def extend(self, y: Op, k: int) -> Op:
         """Each cube's block repeated over the cube's cells."""
-        return Op(self._spread(y.blocks, k, self.K), self.algebra)
+        return _op(self._spread(y.blocks, k, self.K), self.algebra)
 
     def refine(self, y: Op, k: int) -> Op:
         """Each level-(k - 1) cube's block repeated over its 2^n children."""
         self.check_level(k)
-        return Op(self._spread(y.blocks, k - 1, k), self.level_algebra(k))
+        return _op(self._spread(y.blocks, k - 1, k), self.level_algebra(k))
 
     def _spread(self, blocks: np.ndarray, k: int, j: int) -> np.ndarray:
         """The blocks of the level-k cubes repeated over the level-j cubes

@@ -12,7 +12,7 @@ from .cuculescu import (CuculescuSequence, cuculescu, delta_split,
 from .errors import ContractViolation
 from .martingale import (CoeffMatrix, Martingale, col_square, row_square,
                          transform_family)
-from .opcore import (Op, _per_entry, annihilation_check, l2_norm,
+from .opcore import (Op, _op, _per_entry, annihilation_check, l2_norm,
                      schatten_norm, tail_trace, weak_l1)
 
 
@@ -53,7 +53,7 @@ def gundy_verify(parts: GundyParts) -> dict:
     f = parts.martingale
     lam = parts.seq.lam
     denom = max(f.sup_l1, 1e-300)
-    alpha_sums = Op(np.cumsum(parts.d_alpha.blocks, axis=-4), f.algebra)
+    alpha_sums = _op(np.cumsum(parts.d_alpha.blocks, axis=-4), f.algebra)
     alpha_term = (l2_norm(alpha_sums) ** 2).max(axis=-1) / lam
     # the recursion ran on a Hermitian top: df_k, d_beta_k, d_gamma_k are too
     beta_term = f.level_norms(parts.d_beta, 1).sum(axis=-1)
@@ -61,8 +61,8 @@ def gundy_verify(parts: GundyParts) -> dict:
     scale = max(float(f.level_norms(f.diffs, np.inf).max()), 1e-300)
     gamma = f.level_norms(parts.d_gamma, np.inf)
     dead = gamma <= 1e-12 * scale
-    annihilated = annihilation_check(Op(q.blocks[..., None, :, :, :],
-                                        f.algebra), parts.d_gamma, 1e-10,
+    annihilated = annihilation_check(_op(q.blocks[..., None, :, :, :],
+                                         f.algebra), parts.d_gamma, 1e-10,
                                      hermitian=True, f_norm=gamma)
     gamma_term = lam * (f.algebra.unit() - q).trace().real
     return {
@@ -131,8 +131,7 @@ def ergodic_row_bound(k_max: int) -> float:
     m = np.arange(1, k_max + 1).astype(float)
     w = 1.0 / (m * (m + 1.0) ** 2)
     suffix = np.cumsum(w[::-1])[::-1]
-    k = np.arange(1, k_max + 1).astype(float)
-    return float((k ** 2 * suffix[:k_max]).max())
+    return float((m ** 2 * suffix).max())       # k runs over m's values
 
 
 def cross_experiment(f: Martingale, rho: CoeffMatrix,

@@ -25,7 +25,7 @@ from .gundy import (cross_experiment, ergodic_coeffs, ergodic_row_bound,
                     gundy, gundy_verify, weak11_experiment)
 from .martingale import (CoeffMatrix, Martingale, bmo_norms, function_bmo,
                          l2_identity_check, transform_family)
-from .opcore import (Op, l2_inner, l2_norm, mu_function, schatten_norm,
+from .opcore import (Op, _op, l2_inner, l2_norm, mu_function, schatten_norm,
                      weak_l1)
 
 ENVELOPE = 64.0
@@ -112,7 +112,7 @@ def random_positive_batch(filtration, chunk) -> Martingale:
     """The martingales of a chunk's trials as one batched Martingale, the
     trial axis first: each top is ``random_positive_top`` drawn from its
     own trial's generator."""
-    return Martingale(filtration, Op(np.stack([
+    return Martingale(filtration, _op(np.stack([
         random_positive_top(filtration, rng).blocks for rng, _ in chunk]),
         filtration.algebra))
 
@@ -644,7 +644,7 @@ def _nc_scalar_reduction(cfg, ctx, trials):
         f = _localized_scalar(T.N, K, s, rng)
         good = [np.repeat(~bad, T.N >> k)
                 for k, bad in enumerate(pl.support_cubes(f, s, K))]
-        q_list = Op(np.array(good)[..., None, None], filt1.algebra)
+        q_list = _op(np.array(good)[..., None, None], filt1.algebra)
         fop = Op(f.astype(complex)[:, None, None], filt1.algebra)
         rep = pl.nc_pseudoloc_check(T, fop, s, filt1, q_list)
         chk = pl.commutative_pseudoloc_check(T, f, s)
@@ -665,7 +665,7 @@ def _bmo_czo(cfg, ctx, rng, t):
     tf = T.apply(f)
     lhs = T.measure * (np.abs(tf) ** 2).sum()
     rhs = T.measure * (np.abs(f - f.mean()) ** 2).sum()
-    br, bc = function_bmo(filt, Op(tf[..., None, None], filt.algebra))
+    br, bc = function_bmo(filt, _op(tf[..., None, None], filt.algebra))
     ratio = max(br, bc) / max(np.abs(f).max(), 1e-300)
     return (f,), {
         "annuli_identity_residual": abs(lhs - rhs) / max(rhs, 1e-300),

@@ -6,10 +6,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ContractViolation
+from .errors import ContractViolation, NumericError
 from .filtration import Filtration, GridFiltration
-from .opcore import (Op, _per_entry, eigvalsh, l2_norm, op_norm, psd_sqrt,
-                     schatten_norm, top_eigenvalue)
+from .opcore import (Op, _op, _per_entry, eigvalsh, l2_norm, op_norm,
+                     psd_sqrt, schatten_norm, top_eigenvalue)
 
 
 # the eigenvalue floor below which ``Martingale.is_positive`` fails
@@ -30,14 +30,16 @@ class Martingale:
     """
 
     def __init__(self, filtration: Filtration, top: Op):
+        if not np.isfinite(top.blocks).all():   # where the data enters
+            raise NumericError("martingale top entries must be finite")
         self.filtration = filtration
         self.levels = list(filtration.levels)
         self.restricted = [filtration.restrict(top, k) for k in self.levels]
-        self.seq = Op(np.stack([filtration.extend(y, k).blocks for k, y in
-                                zip(self.levels, self.restricted)], axis=-4),
-                      filtration.algebra)
-        self.diffs = Op(np.diff(self.seq.blocks, axis=-4, prepend=0.0),
-                        filtration.algebra)
+        self.seq = _op(np.stack([filtration.extend(y, k).blocks for k, y in
+                                 zip(self.levels, self.restricted)], axis=-4),
+                       filtration.algebra)
+        self.diffs = _op(np.diff(self.seq.blocks, axis=-4, prepend=0.0),
+                         filtration.algebra)
 
     @property
     def top(self) -> Op:
@@ -60,7 +62,7 @@ class Martingale:
         for i in range(lag, len(self.levels)):
             out[..., i, :, :, :] = self.filtration.expect(
                 x[..., i, :, :, :], self.levels[i - lag]).blocks
-        return Op(out, self.algebra)
+        return _op(out, self.algebra)
 
     def level_norms(self, x: Op, p: float):
         """||E_k(x_k)||_p, level axis last, of each entry x_k of a Hermitian
@@ -105,6 +107,8 @@ class CoeffMatrix:
         self.entries = np.asarray(self.entries, dtype=complex)
         if self.entries.ndim != 2:
             raise ContractViolation("coefficient matrix must be 2-D")
+        if not np.isfinite(self.entries).all():
+            raise NumericError("transform coefficients must be finite")
 
     @property
     def k_max(self) -> int:
@@ -123,8 +127,8 @@ class CoeffMatrix:
 
     def apply(self, x: Op) -> Op:
         """The family (sum_k xi[k, m] x_k)_m from a family (x_k)."""
-        return Op(np.einsum("km,k...->m...", self.entries,
-                            x.blocks[:self.k_max]), x.algebra)
+        return _op(np.einsum("km,k...->m...", self.entries,
+                             x.blocks[:self.k_max]), x.algebra)
 
 
 def _one_martingale(f: Martingale, name: str):
@@ -190,7 +194,7 @@ def bmo_norms(f: Martingale) -> tuple[float, float, float]:
     start = min(1, len(f.levels) - 1)
     out = []
     for sq in (d @ d.H, d.H @ d):
-        tails = Op(np.cumsum(sq.blocks[::-1], axis=0)[::-1], f.algebra)
+        tails = _op(np.cumsum(sq.blocks[::-1], axis=0)[::-1], f.algebra)
         out.append(float(np.sqrt(f.level_norms(tails, np.inf)[start:].max())))
     return out[0], out[1], max(out)
 

@@ -50,12 +50,10 @@ class Algebra:
         return self.nblocks * self.d
 
     def unit(self) -> "Op":
-        blocks = np.broadcast_to(np.eye(self.d, dtype=complex),
-                                 (self.nblocks, self.d, self.d)).copy()
-        return Op(blocks, self)
+        return _op(np.tile(np.eye(self.d), (self.nblocks, 1, 1)), self)
 
     def zero(self) -> "Op":
-        return Op(np.zeros((self.nblocks, self.d, self.d), dtype=complex), self)
+        return _op(np.zeros((self.nblocks, self.d, self.d), dtype=complex), self)
 
 
 def dense_algebra(d: int) -> Algebra:
@@ -80,8 +78,7 @@ class Op:
 
     def __init__(self, blocks: np.ndarray, algebra: Algebra):
         blocks = np.asarray(blocks, dtype=complex)
-        if blocks.shape[-3:] != (algebra.nblocks, algebra.d, algebra.d) \
-                or blocks.ndim < 3:
+        if blocks.shape[-3:] != (algebra.nblocks, algebra.d, algebra.d):
             raise ContractViolation(
                 f"block shape {blocks.shape} does not match algebra "
                 f"({algebra.nblocks},{algebra.d},{algebra.d})")
@@ -103,38 +100,33 @@ class Op:
     def __getitem__(self, i) -> "Op":
         if not self.batch:
             raise TypeError("an unbatched Op cannot be indexed")
-        out = object.__new__(Op)    # entries of a checked family: no recheck
-        out.blocks, out.algebra = self.blocks[i], self.algebra
-        return out
+        return _op(self.blocks[i], self.algebra)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
     def sum(self) -> "Op":
         """Sum over the first batch axis."""
-        return Op(self.blocks.sum(axis=0), self.algebra)
+        return _op(self.blocks.sum(axis=0), self.algebra)
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "Op") -> "Op":
-        return Op(self.blocks + other.blocks, self.algebra)
+        return _op(self.blocks + other.blocks, self.algebra)
 
     def __sub__(self, other: "Op") -> "Op":
-        return Op(self.blocks - other.blocks, self.algebra)
-
-    def __neg__(self) -> "Op":
-        return Op(-self.blocks, self.algebra)
+        return _op(self.blocks - other.blocks, self.algebra)
 
     def __mul__(self, c) -> "Op":
-        return Op(self.blocks * c, self.algebra)
+        return _op(self.blocks * c, self.algebra)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Op") -> "Op":
-        return Op(block_matmul(self.blocks, other.blocks), self.algebra)
+        return _op(block_matmul(self.blocks, other.blocks), self.algebra)
 
     @property
     def H(self) -> "Op":
-        return Op(_adjoint(self.blocks), self.algebra)
+        return _op(_adjoint(self.blocks), self.algebra)
 
     # -- scalars ----------------------------------------------------------
     def trace(self):
@@ -151,10 +143,18 @@ class Op:
         return bool(np.all(dev <= tol * scale + 1e-300))
 
     def hermitize(self) -> "Op":
-        return Op(hermitian_part(self.blocks), self.algebra)
+        return _op(hermitian_part(self.blocks), self.algebra)
 
     def max_abs(self) -> float:
         return float(np.abs(self.blocks).max(initial=0.0))
+
+
+def _op(blocks, algebra: Algebra) -> Op:
+    """The Op of blocks computed from checked operands: complex as in ``Op``,
+    with no shape or finiteness pass (README: where finiteness is checked)."""
+    out = object.__new__(Op)
+    out.blocks, out.algebra = np.asarray(blocks, dtype=complex), algebra
+    return out
 
 
 _BLOCK_AXES = (-3, -2, -1)
@@ -318,15 +318,15 @@ def spectral_projection(h: Op, interval: Interval) -> Op:
     """chi_interval(h) for Hermitian h (sum of eigenprojections inside)."""
     if not h.is_hermitian():
         raise ContractViolation("spectral_projection requires a Hermitian operator")
-    return Op(kept_projection(h.blocks, interval.contains), h.algebra)
+    return _op(kept_projection(h.blocks, interval.contains), h.algebra)
 
 
 def psd_sqrt(h: Op) -> Op:
     """h^{1/2} for a positive h, from its Hermitian part (eigenvalues below
     zero, rounding, are clipped)."""
     w, v = _eigh(h.hermitize().blocks)
-    return Op(block_matmul(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :],
-                           _adjoint(v)), h.algebra)
+    return _op(block_matmul(v * np.sqrt(np.clip(w, 0.0, None))[..., None, :],
+                            _adjoint(v)), h.algebra)
 
 
 def singular_values(a: Op, hermitian: bool = False):
@@ -450,14 +450,6 @@ def l2_inner(a: Op, b: Op) -> complex:
 # ---------------------------------------------------------------------------
 # projection lattice
 # ---------------------------------------------------------------------------
-
-def is_projection(p: Op, tol: float = 1e-10):
-    """Per entry, p = p* = p^2 up to tol times max(1, its largest entry)."""
-    cut = tol * np.maximum(np.abs(p.blocks).max(axis=_BLOCK_AXES), 1.0)
-    herm = np.abs(p.blocks - p.H.blocks).max(axis=_BLOCK_AXES) <= cut
-    idem = np.abs((p @ p).blocks - p.blocks).max(axis=_BLOCK_AXES) <= cut
-    return _per_entry(herm & idem)
-
 
 def null_projection(h: Op) -> Op:
     """Projection onto the null space of a positive h, with the documented

@@ -14,8 +14,8 @@ from .czkit import zeta_fs
 from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
-from .opcore import (Op, annihilation_check, dense_algebra, l2_norm,
-                     psd_sqrt, top_eigenvalue)
+from .opcore import (Op, _op, annihilation_check, dense_algebra,
+                     l2_norm, psd_sqrt, top_eigenvalue)
 
 # ---------------------------------------------------------------------------
 # grid functions and the Haar transform
@@ -425,7 +425,12 @@ def psi_s_symbol(T: DiscOp, s: int) -> np.ndarray | None:
         y = DiscOp(tk, T.K, None).apply(h).reshape(M, 1 << k, N >> k, -1)
         y = (y - y.mean(axis=2, keepdims=True)).reshape(M, N, -1)
         C += np.repeat(y, w, axis=-1) * (sign[:L] / w)
-    return np.fft.fft(C.reshape(M, 16, L, L), axis=1)
+    if np.iscomplexobj(C):
+        return np.fft.fft(C.reshape(M, 16, L, L), axis=1)
+    out = np.empty((M, 16, L, L), dtype=complex)   # C(16 - w) = conj C(w)
+    out[:, :9] = np.fft.rfft(C.reshape(M, 16, L, L), axis=1)
+    np.conjugate(out[:, 7:0:-1], out=out[:, 9:])
+    return out
 
 
 def psi_s_norm(T: DiscOp, s: int) -> float:
@@ -524,7 +529,7 @@ def cotlar_bound(family: list[np.ndarray]) -> float:
     N = family[0].shape[-1]
     stack = np.concatenate([A.reshape(-1, N) for A in family], axis=1)
     x = family_gram(stack).reshape(F, N, F, N)    # x[i, :, j] = L_i* L_j
-    diag = Op(x[np.arange(F), :, np.arange(F)][:, None], dense_algebra(N))
+    diag = _op(x[np.arange(F), :, np.arange(F)][:, None], dense_algebra(N))
     roots = psd_sqrt(diag).blocks[:, 0]           # G_i^{1/2}
     best: dict[int, float] = {}
     for i in range(F):
@@ -717,7 +722,7 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
         raise ContractViolation(
             f"q_{k} does not annihilate df_{k + s}: containment uncertified")
     z = zeta_fs(filt, q, levels)
-    tf = Op(T.apply(f.blocks), f.algebra)          # (T_m f)_m, batched
+    tf = _op(T.apply(f.blocks), f.algebra)         # (T_m f)_m, batched
     comp = z @ tf @ z
     val = float(np.sqrt((l2_norm(comp) ** 2).sum()))
     f2 = l2_norm(f)
@@ -725,7 +730,7 @@ def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
     out = {"compressed_norm": val, "ratio": val / denom,
            "zeta_trace": float(z.trace().real)}
     if hat is not None:
-        rhs = z @ Op(phi_psi_apply(hat, f.blocks), f.algebra) @ z
+        rhs = z @ _op(phi_psi_apply(hat, f.blocks), f.algebra) @ z
         out["identity_residual"] = (comp - rhs).max_abs() / max(
             tf.max_abs(), 1e-300)
     return out

@@ -46,6 +46,15 @@ def level_spectral_floor(f):
         axis=(-3, -2, -1)))
 
 
+def is_projection(p: Op, tol: float = 1e-10):
+    """Per entry, p = p* = p^2 up to tol times max(1, its largest entry)."""
+    axes = (-3, -2, -1)
+    cut = tol * np.maximum(np.abs(p.blocks).max(axis=axes), 1.0)
+    herm = np.abs(p.blocks - p.H.blocks).max(axis=axes) <= cut
+    idem = np.abs((p @ p).blocks - p.blocks).max(axis=axes) <= cut
+    return _per_entry(herm & idem)
+
+
 def proj_meet(ps: Op) -> Op:
     """Meet of the projections along the first batch axis of ps (range =
     intersection of ranges): the null space of sum_i (1 - p_i)."""

@@ -1,3 +1,6 @@
+import importlib
+import json
+
 import numpy as np
 import pytest
 
@@ -5,19 +8,19 @@ from nclp.cuculescu import (CuculescuSequence, cuculescu, cuculescu_report,
                             delta_split, delta_trunc, ladder_top, pi_family,
                             q_lambda)
 from nclp.czkit import cz_decompose, cz_report
-from nclp.errors import ContractViolation
+from nclp.errors import ContractViolation, NumericError
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
 from nclp.harness import (ExperimentConfig, Suite, random_op,
-                          random_positive_martingale, random_positive_top,
-                          trial_rng)
+                          random_positive_batch, random_positive_martingale,
+                          random_positive_top, report_json, run, trial_rng)
 from nclp.martingale import Martingale
-from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, is_projection,
-                         l2_norm, op_norm, schatten_norm)
+from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, l2_norm,
+                         op_norm, schatten_norm)
 
 from batch_entries import assert_entries_match_scalar_calls
-from oracles import (level_spectral_floor, level_sup_l1, level_sup_linf,
-                     proj_meet)
+from oracles import (is_projection, level_spectral_floor, level_sup_l1,
+                     level_sup_linf, proj_meet)
 
 
 def ladder(f, l_min, l_max):
@@ -619,3 +622,47 @@ def test_a_batch_that_is_not_positive_names_its_first_bad_entry(
     with pytest.raises(ContractViolation,
                        match="requires a positive martingale$"):
         cuculescu(Martingale(filt, Op(tops[bad[0]], filt.algebra)), 1.0)
+
+
+# -- finiteness: checked where data enters, not on every result ----------------
+
+@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,4,2"])
+def test_injected_nonfinite_projection_never_passes(spec, monkeypatch):
+    # the recursion's projections are not checked once computed, so a NaN
+    # arising inside must raise or fail a rule on a "NaN" measurement
+    # (the package exports the function ``cuculescu`` under the module's name)
+    module = importlib.import_module("nclp.cuculescu")
+    real = module.kept_projection
+
+    def poisoned(h, keep):
+        out = real(h, keep).astype(complex)
+        out[(0,) * (out.ndim - 2)] = np.nan     # the first block
+        return out
+
+    monkeypatch.setattr(module, "kept_projection", poisoned)
+    try:
+        rep = run(ExperimentConfig("cuculescu", algebra=spec, trials=1))
+    except NumericError:
+        return
+    failed = [a for a in json.loads(report_json(rep))["assertions"]
+              if not a["pass"]]
+    assert any(a["measured"] == "NaN" for a in failed), failed
+
+
+def test_recursion_makes_no_validating_op_call(monkeypatch):
+    f = random_positive_batch(TensorDyadicFiltration(4),
+                              [(trial_rng(0, t), t) for t in range(4)])
+    calls = []
+    real = Op.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(Op, "__init__", counted)
+    rep = cuculescu_report(cuculescu(f, 2.0 ** np.arange(-2, 5)))
+    assert np.all(rep["commutator"] <= 1e-8)
+    assert calls == []
+    # the counter sees the validating constructor
+    Op(f.top.blocks, f.algebra)
+    assert calls == [1]

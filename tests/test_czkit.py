@@ -12,12 +12,13 @@ from nclp.filtration import GridFiltration, TensorDyadicFiltration
 from nclp.harness import (random_coeffs, random_positive_batch,
                           random_positive_martingale, trial_rng)
 from nclp.martingale import Martingale, transform_family
-from nclp.opcore import (Interval, Op, is_projection, l2_norm, op_norm,
-                         schatten_norm, singular_values, spectral_projection)
+from nclp.opcore import (Interval, Op, l2_norm, op_norm, schatten_norm,
+                         singular_values, spectral_projection)
 
 from batch_entries import assert_entries_match_scalar_calls, entry
 from oracles import (concentric_mask, cube_cells, cubes_at_level,
-                     dyadic_father, proj_meet, zeta_cube_inequalities_pairs)
+                     dyadic_father, is_projection, proj_meet,
+                     zeta_cube_inequalities_pairs)
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -672,3 +673,21 @@ def test_grid_experiments_make_no_lapack_call(monkeypatch):
     harness.run(harness.ExperimentConfig("cuculescu", algebra="grid:1,3,3",
                                          trials=1))
     assert {"eigh", "eigvalsh", "svd"} <= set(calls)
+
+
+def test_cz_split_makes_no_validating_op_call(monkeypatch):
+    f = _grid_mart(0)
+    calls = []
+    real = Op.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(Op, "__init__", counted)
+    rep = cz_report(cz_decompose(f, 2.0 ** np.arange(0, 5)))
+    assert np.all(rep["reconstruction_residual"] <= 1e-10)
+    assert calls == []
+    # the counter sees the validating constructor
+    Op(f.top.blocks, f.algebra)
+    assert calls == [1]

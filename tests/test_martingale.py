@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nclp.errors import ContractViolation
+from nclp.errors import ContractViolation, NumericError
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
 from nclp.harness import (ExperimentConfig, all_pass, random_positive_top,
@@ -10,7 +10,7 @@ from nclp.harness import (ExperimentConfig, all_pass, random_positive_top,
 from nclp.martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
                              function_bmo, l2_identity_check, lp_rc_norm,
                              row_square, split_upper_bound, transform_family)
-from nclp.opcore import Op, l2_norm, op_norm, top_eigenvalue
+from nclp.opcore import Op, _op, l2_norm, op_norm, top_eigenvalue
 from oracles import abs_op, dirac_coeffs, partition_coeffs
 
 FILT = TensorDyadicFiltration(3)
@@ -378,3 +378,32 @@ def test_bmo_norms_rejects_a_batch():
     with pytest.raises(ContractViolation, match="one martingale"):
         bmo_norms(f)
     assert np.isfinite(bmo_norms(Martingale(f.filtration, f.top[0]))[2])
+
+
+# -- finiteness at the boundary ----------------------------------------------
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(np.inf, 0.0),
+                                   complex(0.0, np.nan), complex(0.0, -np.inf)],
+                         ids=["nan-real", "inf-real", "nan-imag", "inf-imag"])
+@pytest.mark.parametrize("spec", ["tensor:3", "grid:1,4,2"])
+def test_nonfinite_top_rejected_by_martingale(spec, value):
+    # a top computed inside nclp is not checked by Op; the martingale built
+    # on it checks it, once
+    filt = build_filtration(spec)
+    good = random_positive_top(filt, trial_rng(0, 0))
+    Martingale(filt, good)
+    blocks = good.blocks.copy()
+    blocks[-1, -1, 0] = value
+    with pytest.raises(NumericError, match="martingale top"):
+        Martingale(filt, _op(blocks, filt.algebra))
+    # a batch with one bad entry is rejected as a whole
+    with pytest.raises(NumericError, match="martingale top"):
+        Martingale(filt, _op(np.stack([good.blocks, blocks]), filt.algebra))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0.0, np.nan)])
+def test_nonfinite_coefficients_rejected(value):
+    e = np.ones((3, 2), dtype=complex)
+    e[1, 0] = value
+    with pytest.raises(NumericError, match="coefficients"):
+        CoeffMatrix(e)

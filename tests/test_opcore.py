@@ -5,11 +5,11 @@ from hypothesis import given, settings, strategies as st
 from nclp.errors import ContractViolation, NumericError
 from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op,
                          annihilation_check, block_matmul, dense_algebra,
-                         eigvalsh, is_projection, kept_projection,
-                         l2_inner, l2_norm, mu_function, op_norm, psd_sqrt,
-                         schatten_norm, singular_values, spectral_projection,
-                         tail_trace, weak_l1)
-from oracles import abs_op, proj_join, proj_meet
+                         eigvalsh, kept_projection, l2_inner, l2_norm,
+                         mu_function, op_norm, psd_sqrt, schatten_norm,
+                         singular_values, spectral_projection, tail_trace,
+                         weak_l1)
+from oracles import abs_op, is_projection, proj_join, proj_meet
 
 ALG = dense_algebra(4)
 BLOCKY = Algebra(3, 2, np.array([1.0 / 8, 1.0 / 4, 1.0 / 8]))

@@ -103,13 +103,23 @@ def avg_cols(X, k):
     return np.broadcast_to(m, shp).reshape(X.shape).copy()
 
 
-def oracle_ekt_delta(mats, k, j):
-    return avg_rows(avg_cols(mats, j) - avg_cols(mats, j - 1), k)
-
-
-def oracle_phi_s(mats, s):
+def col_deltas(mats):
+    """T Delta_j = avg_cols(mats, j) - avg_cols(mats, j - 1) for
+    j = 1..K at index j (index 0 unused), from the K + 1 column averages."""
     K = mats.shape[-1].bit_length() - 1
-    return sum(oracle_ekt_delta(mats, k, k + s) for k in range(0, K - s + 1))
+    avgs = [avg_cols(mats, j) for j in range(K + 1)]
+    return [None] + [b - a for a, b in zip(avgs, avgs[1:])]
+
+
+def oracle_ekt_delta(cols, k, j):
+    """E_k T Delta_j from ``cols = col_deltas(mats)``."""
+    return avg_rows(cols[j], k)
+
+
+def oracle_phi_s(cols, s):
+    """Phi_s = sum_k E_k T Delta_{k+s} from ``cols = col_deltas(mats)``."""
+    K = len(cols) - 1
+    return sum(oracle_ekt_delta(cols, k, k + s) for k in range(0, K - s + 1))
 
 
 def truncated_mats(T, eps):
@@ -605,8 +615,9 @@ def test_haar_pieces_match_oracle(K, kernel, corrected):
         mats = dense_paraproduct_correction(mats)[0]
     tol = 1e-12 * np.abs(mats).max()
     eye = np.eye(T.N)
+    cols = col_deltas(mats)     # shared by the Phi_s and E_k T Delta_j checks
     for s in range(1, K):
-        ref = oracle_phi_s(mats, s)
+        ref = oracle_phi_s(cols, s)
         assert np.abs(phi_s(mats, s) - ref).max() <= tol
         if corrected:   # Psi_s takes a DiscOp; T0 is a dense stack
             continue
@@ -617,10 +628,9 @@ def test_haar_pieces_match_oracle(K, kernel, corrected):
     if corrected:       # ekt_delta takes a DiscOp too
         return
     for j in range(1, K + 1):
-        cols = avg_cols(mats, j) - avg_cols(mats, j - 1)
-        for k in range(0, K + 1):   # oracle_ekt_delta(mats, k, j)
+        for k in range(0, K + 1):
             assert np.abs(ekt_delta(T, k, j)
-                          - avg_rows(cols, k)).max() <= tol
+                          - oracle_ekt_delta(cols, k, j)).max() <= tol
 
 
 @pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])

@@ -54,3 +54,51 @@ def test_mats_reads_finds_a_read():
 def test_no_module_reads_the_dense_stack(path):
     # the dense (M, N, N) stack DiscOp.mats is for the tests' oracles only
     assert mats_reads(path.read_text(encoding="utf-8")) == []
+
+
+def validating_op_callers(source: str) -> set[str]:
+    """The functions that call the validating constructor ``Op(...)``, as
+    ``function``, ``Class.method`` or ``outer.inner``; ``<module>`` for a
+    call outside any function."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
+                    and child.func.id == "Op":
+                found.add(".".join(scope) or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+# Where data enters an Op: the draws, and the drawn scalar function of the
+# d = 1 reduction.  Every other Op is computed from checked operands and is
+# made by ``opcore._op``; ``Martingale.__init__`` checks its top directly.
+OP_CALLERS = {"harness.py": {"random_op", "random_positive_top",
+                             "_nc_scalar_reduction"}}
+
+
+def test_validating_op_callers_finds_a_call_outside_the_list():
+    assert validating_op_callers("def f(x, a):\n    return _op(x, a)\n") \
+        == set()
+    assert validating_op_callers(
+        "class A:\n    def g(self, x):\n        return Op(x, 1)\n"
+        "def f():\n    def inner():\n        return [Op(1, 2)]\n"
+        "Op(0, 0)\n") == {"A.g", "f.inner", "<module>"}
+    # a cuculescu that validated its results again would be caught
+    src = (SRC / "cuculescu.py").read_text(encoding="utf-8")
+    assert validating_op_callers(src.replace("_op(", "Op(")) \
+        - OP_CALLERS.get("cuculescu.py", set())
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_entry_points_call_the_validating_op(path):
+    assert validating_op_callers(path.read_text(encoding="utf-8")) \
+        == OP_CALLERS.get(path.name, set())
