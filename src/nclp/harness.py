@@ -9,7 +9,8 @@ import json
 import platform
 import time
 from dataclasses import asdict, dataclass, field
-from functools import wraps
+from functools import cache, wraps
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -791,15 +792,39 @@ EXPERIMENTS = {
 }
 
 
+@cache
+def blas_threads() -> int | None:
+    """The thread count of the OpenBLAS that numpy loaded (a wheel's
+    ``numpy.libs``), asked once per process; None when it is not found."""
+    import ctypes
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return int(fn())
+    return None
+
+
 def environment() -> dict:
-    """The interpreter, numpy, and the BLAS numpy was built against."""
+    """The interpreter, numpy, the BLAS numpy was built against and the
+    thread count of the one it loaded."""
     try:
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
         name, version = blas["name"], blas.get("version", "unknown")
     except (AttributeError, KeyError):
         name = version = "unknown"
     return {"python": platform.python_version(), "numpy": np.__version__,
-            "blas": name, "blas_version": version}
+            "blas": name, "blas_version": version,
+            "blas_threads": blas_threads()}
 
 
 def run(config: ExperimentConfig) -> dict:

@@ -111,10 +111,10 @@ class Op:
 
     # -- arithmetic -------------------------------------------------------
     def __add__(self, other: "Op") -> "Op":
-        return _op(self.blocks + other.blocks, self.algebra)
+        return _op(self.blocks + other.blocks, _same_algebra(self, other))
 
     def __sub__(self, other: "Op") -> "Op":
-        return _op(self.blocks - other.blocks, self.algebra)
+        return _op(self.blocks - other.blocks, _same_algebra(self, other))
 
     def __mul__(self, c) -> "Op":
         return _op(self.blocks * c, self.algebra)
@@ -122,7 +122,8 @@ class Op:
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Op") -> "Op":
-        return _op(block_matmul(self.blocks, other.blocks), self.algebra)
+        return _op(block_matmul(self.blocks, other.blocks),
+                   _same_algebra(self, other))
 
     @property
     def H(self) -> "Op":
@@ -155,6 +156,15 @@ def _op(blocks, algebra: Algebra) -> Op:
     out = object.__new__(Op)
     out.blocks, out.algebra = np.asarray(blocks, dtype=complex), algebra
     return out
+
+
+def _same_algebra(a: Op, b: Op) -> Algebra:
+    """The algebra of a and b, which must have the same block shape."""
+    x, y = a.algebra, b.algebra
+    if x is not y and (x.nblocks, x.d) != (y.nblocks, y.d):
+        raise ContractViolation(f"operands of algebras ({x.nblocks},{x.d}) "
+                                f"and ({y.nblocks},{y.d})")
+    return x
 
 
 _BLOCK_AXES = (-3, -2, -1)

@@ -405,30 +405,29 @@ def half_shift_split(t_hat: np.ndarray) -> np.ndarray:
 
 
 def psi_s_symbol(T: DiscOp, s: int) -> np.ndarray | None:
-    """Psi_s as a block circulant: T_k is a circulant, and E_k and
-    Delta_{k+s} (k >= 4) commute with the shift by one level-4 cube, so each
-    component of Psi_s has 16 x 16 blocks C_m[a - b mod 16] of side
-    L = N/16.  Returns their symbol C_m(w) = sum_b C_m[b] e^{-2 pi i b w/16},
-    shaped (M, 16, L, L); None when K - s < 4 (Psi_s = 0)."""
+    """The symbol C_m(w) = sum_b C_m[b] e^{-2 pi i b w/16}, (M, 16, L, c), of
+    Psi_s on its wavelet columns (README): C_m[a - b mod 16] is Psi_s h_Q =
+    (1 - E_k) T_k h_Q on the L = N/16 cells of cube a, for the c = L - 2^{s-1}
+    level-(k+s-1) h_Q of cube b, level-major; None when K - s < 4."""
     _check_s(T.K, s)
     if T.K - s < 4:
         return None
     if not np.all(np.isfinite(T.column)):
         raise NumericError("Psi_s of a non-finite operator column")
-    M, N, L, cells = T.M, T.N, T.N >> 4, np.arange(T.N)
-    C = np.zeros((M, N, L), dtype=np.result_type(T.column, float))
-    for k in range(4, T.K - s + 1):      # (1 - E_k) T_k Delta_{k+s} e_i, i < L
-        w = N >> (k + s - 1)                 # cells per level-(k+s-1) cube
-        sign = np.where(cells % w < w // 2, 1.0, -1.0)
-        h = (cells[:, None] // w == np.arange(L // w)) * sign[:, None]
+    M, N, L, p, cells = T.M, T.N, T.N >> 4, 1 << (s - 1), np.arange(T.N)
+    C = np.empty((M, 16, L, L - p), dtype=np.result_type(T.column, float))
+    for k in range(4, T.K - s + 1):      # (1 - E_k) T_k h_Q, Q in cube 0
+        w, n = N >> (k + s - 1), 1 << (k + s - 5)   # cells per Q, Qs per cube
+        h = np.where(cells < w // 2, 1.0, -1.0) * (cells < w) / np.sqrt(w)
         tk = np.where(np.abs(_torus_offsets(N)) > 4 * 2.0 ** -k, T.column, 0)
-        y = DiscOp(tk, T.K, None).apply(h).reshape(M, 1 << k, N >> k, -1)
-        y = (y - y.mean(axis=2, keepdims=True)).reshape(M, N, -1)
-        C += np.repeat(y, w, axis=-1) * (sign[:L] / w)
+        y = DiscOp(tk, T.K, None).apply(h)      # T_k h_Q, moved by j w < L:
+        y = y[:, (cells.reshape(1 << k, -1, 1) - w * np.arange(n)) % N]
+        np.subtract(y, y.mean(axis=2, keepdims=True),
+                    out=C.reshape(M, 1 << k, N >> k, -1)[..., n - p:2 * n - p])
     if np.iscomplexobj(C):
-        return np.fft.fft(C.reshape(M, 16, L, L), axis=1)
-    out = np.empty((M, 16, L, L), dtype=complex)   # C(16 - w) = conj C(w)
-    out[:, :9] = np.fft.rfft(C.reshape(M, 16, L, L), axis=1)
+        return np.fft.fft(C, axis=1)
+    out = np.empty(C.shape, dtype=complex)         # C(16 - w) = conj C(w)
+    out[:, :9] = np.fft.rfft(C, axis=1)
     np.conjugate(out[:, 7:0:-1], out=out[:, 9:])
     return out
 
@@ -453,14 +452,15 @@ def phi_psi_apply(hat: tuple[np.ndarray, np.ndarray | None],
                   x: np.ndarray) -> np.ndarray:
     """(Phi_s + Psi_s) x, shaped (M, N, ...), for x with cells on axis 0
     (scalar or matrix-valued), from ``hat = phi_psi_hat(T, s)``: Phi_s
-    through its Haar block, Psi_s through its block-circulant symbol."""
+    through its Haar block, Psi_s through its symbol on the same one."""
     phi, psi = hat
     M, N = phi.shape[0], phi.shape[-1]
-    c = x.reshape(N, -1)
-    y = _on_rows(ihaar, phi @ _on_rows(haar, c), N)     # (M, N, cols)
+    hx = _on_rows(haar, x.reshape(N, -1))
+    y = _on_rows(ihaar, phi @ hx, N)                    # (M, N, cols)
     if psi is not None:
-        z = np.fft.ifft(psi @ np.fft.fft(c.reshape(16, N >> 4, -1), axis=0),
-                        axis=1).reshape(y.shape)
+        z = np.hstack([hx[n:2 * n].reshape(16, n >> 4, -1) for n in 16 << (
+            np.arange(N.bit_length() - 5))])[:, -psi.shape[-1]:]  # s+3..K-1
+        z = np.fft.ifft(psi @ np.fft.fft(z, axis=0), axis=1).reshape(y.shape)
         y += z if np.iscomplexobj(y) else z.real
     return y.reshape((M,) + x.shape)
 

@@ -180,7 +180,10 @@ def test_report_structure_and_determinism():
         # judging the rules and building the report take far less than 1 s
         assert phases <= rep["timing"]["wall_s"] <= phases + 1.0
         assert rep["timing"]["trials_s"] > 0.0
-        assert set(rep["env"]) == {"python", "numpy", "blas", "blas_version"}
+        assert set(rep["env"]) == {"python", "numpy", "blas", "blas_version",
+                                   "blas_threads"}
+        threads = rep["env"]["blas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
     strip = lambda r: {k: v for k, v in r.items()
                        if k not in ("timestamp", "timing")}
     assert json.dumps(strip(rep1), sort_keys=True) == \

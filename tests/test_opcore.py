@@ -55,6 +55,23 @@ def test_shape_mismatch_rejected():
         Op(np.zeros((2, 4, 4)), ALG)
 
 
+@pytest.mark.parametrize("op", ["+", "-", "@"])
+def test_mixed_algebra_arithmetic_rejected(op):
+    # block stacks that broadcast: unchecked, M_2 + (4 blocks of M_2) gives
+    # blocks (4, 2, 2) tagged with the one-block algebra, its trace 8
+    a = Op(np.eye(2)[None], dense_algebra(2))
+    b = Op(np.tile(np.eye(2), (4, 1, 1)), Algebra(4, 2))
+    apply = {"+": lambda x, y: x + y, "-": lambda x, y: x - y,
+             "@": lambda x, y: x @ y}[op]
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(ContractViolation, match="algebras"):
+            apply(x, y)
+    # two Algebra objects of one block shape are one algebra
+    c = Op(2.0 * np.eye(2)[None], dense_algebra(2))
+    assert apply(a, c).algebra is a.algebra
+    assert apply(a, c).blocks.shape == (1, 2, 2)
+
+
 def test_spectral_projection_interval_endpoints():
     d = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
     h = Op(d[None], ALG)

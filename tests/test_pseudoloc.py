@@ -654,8 +654,9 @@ def test_circulant_haar_matches_haar2(K, kernel):
 @pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
 @pytest.mark.parametrize("K", [4, 6, 8])
 def test_psi_s_symbol_equals_dense_truncated_stacks(K, kernel):
-    # the symbol is the DFT over the 16 row blocks of the first block
-    # column of the dense Psi_s built from the truncated stacks
+    # the symbol is the DFT over the 16 row blocks of the dense Psi_s built
+    # from the truncated stacks, times the normalized wavelet columns of
+    # levels s+3..K-1 inside the first level-4 cube, level-major
     T = normalized(assemble(_kernel(kernel, K), K))
     L = T.N // 16
     for s in range(1, K):
@@ -663,10 +664,34 @@ def test_psi_s_symbol_equals_dense_truncated_stacks(K, kernel):
         if K - s < 4:
             assert got is None
             continue
-        dense = psi_s(T, s)[..., :L].reshape(T.M, 16, L, L)
+        idx = np.concatenate([(1 << lev) + np.arange(1 << (lev - 4))
+                              for lev in range(s + 3, K)])
+        wavelets = ihaar(np.eye(T.N)[idx], T.N).T          # (N, c)
+        assert wavelets.shape == (T.N, L - 2 ** (s - 1))
+        dense = (psi_s(T, s) @ wavelets).reshape(T.M, 16, L, -1)
         ref = np.fft.fft(dense, axis=1)
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kernel,K", [("lp-bumps", 8), ("lp-bumps", 9),
+                                      ("annuli", 8)])
+def test_psi_s_symbol_applies_each_t_k_once(kernel, K, monkeypatch):
+    # one DiscOp.apply per truncated T_k, k = 4..K-s, on the first wavelet
+    # of level k + s - 1 alone: the other columns are its translates, and
+    # nothing is spread over cells with np.repeat
+    T = normalized(assemble(_kernel(kernel, K), K))
+    applies, repeats = [], []
+    apply, repeat = DiscOp.apply, np.repeat
+    monkeypatch.setattr(DiscOp, "apply", lambda self, f: applies.append(
+        np.shape(f)) or apply(self, f))
+    monkeypatch.setattr(np, "repeat", lambda *a, **kw: repeats.append(
+        a[1:]) or repeat(*a, **kw))
+    for s in range(1, K - 3):
+        applies.clear()
+        assert psi_s_symbol(T, s) is not None
+        assert applies == [(T.N,)] * (K - s - 3)
+    assert repeats == []
 
 
 @pytest.mark.parametrize("kernel", ["lp-bumps", "annuli"])
@@ -862,8 +887,8 @@ def test_psi_s_commutes_with_the_level_4_shift_only(K, s, kernel):
 
 
 def test_decay_builds_no_psi_s_block(monkeypatch):
-    # Psi_s reaches family_gram only as (M, N/16, N/16) blocks of its
-    # symbol per nonempty shift, never as a Haar block of N - 8*2^s
+    # Psi_s reaches family_gram only as (M, N/16, N/16 - 2^{s-1}) blocks of
+    # its symbol per nonempty shift, never as a Haar block of N - 8*2^s
     # columns; the other Grams are those of Phi_s's two parity blocks, never
     # of its N-column Haar block (the smaller Gram, A A^H as the Gram of
     # A^H, when a block's M 2^{K-s-1} rows fall below its N/2 columns)
@@ -889,7 +914,8 @@ def test_decay_builds_no_psi_s_block(monkeypatch):
     rows, half = [1 << (K - s - 1) for s in shifts], N // 2   # per parity
     assert phi_ops == [[("family_gram", (K, r, half) if K * r >= half
                          else (1, half, K * r))] * 2 for r in rows]
-    assert psi_ops == {s: [("family_gram", (K, N // 16, N // 16))]
+    L = N // 16                     # symbol blocks: L cells by c wavelets
+    assert psi_ops == {s: [("family_gram", (K, L, L - 2 ** (s - 1)))]
                        * (9 if K - s >= 4 else 0) for s in shifts}
     assert not any(shape[-1] == N - 8 * 2 ** s
                    for s, ops in psi_ops.items() for _, shape in ops)
