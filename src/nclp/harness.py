@@ -484,17 +484,17 @@ def _decay_setup(cfg):
     for s in (s_lo, s_hi):         # before any shift sizes an index
         pl._check_s(cfg.depth, s)
     T = _operator(cfg)
-    # ||Phi_s||: the larger norm of the two half-shift parities of T0's Haar
-    # block (rows below 2^{K-s}), split once; ||Psi_s||: ``psi_s_norm``
-    return T, pl.half_shift_split(pl.paraproduct_correction(
-        pl.circulant_haar(T.column, 0, T.N, 1 << (T.K - s_lo))))
+    # ||Phi_s||: the largest norm of its blocks on the dyadic periods, built
+    # once for every shift (T0 = T: rho = T*1 is constant, so Pi_rho = 0);
+    # ||Psi_s||: ``psi_s_norm``
+    return T, pl.phi_s_blocks(T, s_lo)
 
 
 @per_trial
 def _decay(cfg, ctx, rng, t):
-    T, t0_split = ctx
+    T, blocks = ctx
     s = cfg.s_range[0] + t
-    phi = max(map(pl.estimate_norm, pl.phi_s_hat(t0_split, s, split=True)))
+    phi = pl.phi_s_norm(blocks, s)
     psi = pl.psi_s_norm(T, s)
     f = _localized_scalar(T.N, T.K, s, rng)
     chk = pl.commutative_pseudoloc_check(T, f, s)

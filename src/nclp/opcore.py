@@ -463,9 +463,9 @@ def l2_inner(a: Op, b: Op) -> complex:
 
 def null_projection(h: Op) -> Op:
     """Projection onto the null space of a positive h, with the documented
-    eigenvalue cut MEET_NULL_TOL."""
-    return spectral_projection(h.hermitize(), Interval(None, MEET_NULL_TOL,
-                                                       closed_hi=True))
+    eigenvalue cut MEET_NULL_TOL, from its Hermitian part."""
+    keep = Interval(None, MEET_NULL_TOL, closed_hi=True).contains
+    return _op(kept_projection(hermitian_part(h.blocks), keep), h.algebra)
 
 
 def annihilation_check(p: Op, f: Op, tol: float = 1e-10,

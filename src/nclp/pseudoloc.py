@@ -126,46 +126,61 @@ def support_cubes(f: np.ndarray, s: int, K: int) -> list[np.ndarray]:
 # in turn reversed, and the (row cube a', column cube a) coefficient
 # depends on (a' - a) mod N only: a column level's block of H C H^T is
 # one ``np.take`` from an (M, K+1, N) table of window sums, added in the
-# order ``haar`` adds them.
+# order ``haar`` adds them.  A negacyclic C (wrap = -1) is the same with
+# c extended by c[t + N] = -c[t]: every sequence read past its end, and
+# every entry with a' < a, changes sign.
 
-def _reversed(x: np.ndarray) -> np.ndarray:
-    """x[(-t) mod N] along the last axis."""
-    return np.roll(x[..., ::-1], 1, axis=-1)
+def _ahead(x: np.ndarray, h: int, wrap: int) -> np.ndarray:
+    """x[u + h] along the last axis, x extended by x[t + N] = wrap x[t]."""
+    head = x[..., :h]
+    return np.concatenate((x[..., h:], head if wrap > 0 else -head), axis=-1)
 
 
-def _haar_table(x: np.ndarray) -> np.ndarray:
+def _reversed(x: np.ndarray, wrap: int) -> np.ndarray:
+    """x[-t] along the last axis, x extended by x[t + N] = wrap x[t]."""
+    rest = x[..., :0:-1]                # x[N - t] for t >= 1
+    return np.concatenate((x[..., :1], rest if wrap > 0 else -rest), axis=-1)
+
+
+def _haar_table(x: np.ndarray, wrap: int) -> np.ndarray:
     """(..., K+1, N): entry [r, u] is the coefficient of level r - 1 (r = 0:
-    the constant) of x read from u on, x[u], x[u+1], ... (indices mod N),
-    equal bit for bit to ``haar`` of that sequence."""
+    the constant) of x read from u on, x[u], x[u+1], ... (x extended by
+    x[t + N] = wrap x[t]), equal bit for bit to ``haar`` of that sequence."""
     N = x.shape[-1]
     K = N.bit_length() - 1
     W = [x]              # W[e][u] = x[u] + ... + x[u + 2^e - 1], as paired
     for e in range(K):   # by haar: first half + second half
-        W.append(W[-1] + np.roll(W[-1], -(1 << e), axis=-1))
+        W.append(W[-1] + _ahead(W[-1], 1 << e, wrap))
     rows = [W[K] / np.sqrt(N)]
     for lev in range(K):
         half = W[K - lev - 1]
-        rows.append((half - np.roll(half, -(N >> (lev + 1)), axis=-1))
+        rows.append((half - _ahead(half, N >> (lev + 1), wrap))
                     / np.sqrt(N >> lev))
     return np.stack(rows, axis=-2)
 
 
 def circulant_haar(col: np.ndarray, lo: int, hi: int,
-                   rows: int | None = None) -> np.ndarray:
+                   rows: int | None = None, wrap: int = 1) -> np.ndarray:
     """The first ``rows`` rows (default: all) and columns lo..hi-1 of the
     Haar-coefficient matrices H C H^T of the circulants C[m, i, j] =
-    col[m, (i - j) mod N], equal bit for bit to transforming the columns of
-    the dense C with ``haar`` and then its rows, without forming C."""
+    col[m, (i - j) mod N] (wrap = 1), equal bit for bit to transforming
+    the columns of the dense C with ``haar`` and then its rows, without
+    forming C; with wrap = -1, of the negacyclic C, whose entries with
+    i < j are -col[m, i - j + N]."""
     N = col.shape[-1]
     K = N.bit_length() - 1
     lev, start = _haar_levels(K) + 1, _cube_starts(K)
     r = np.arange(N if rows is None else rows)[:, None]
     q = np.arange(lo, hi)
-    table = _haar_table(_reversed(col))[..., lev[lo]:lev[hi - 1] + 1, :]
-    table = _haar_table(_reversed(table))
+    table = _haar_table(_reversed(col, wrap), wrap)[
+        ..., lev[lo]:lev[hi - 1] + 1, :]
+    table = _haar_table(_reversed(table, wrap), wrap)
     idx = (((lev[q] - lev[lo]) * (K + 1) + lev[r]) * N
            + (start[r] - start[q]) % N)
-    return np.take(table.reshape(col.shape[:-1] + (-1,)), idx, axis=-1)
+    out = np.take(table.reshape(col.shape[:-1] + (-1,)), idx, axis=-1)
+    if wrap < 0:
+        out *= np.where(start[r] < start[q], -1.0, 1.0)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -361,47 +376,51 @@ def ekt_delta(T: DiscOp, k: int, j: int) -> np.ndarray:
     return _on_rows(ihaar, _ekt_delta_cols(T, k, j), T.N)
 
 
-def phi_s_hat(t_hat: np.ndarray, s: int, split: bool = False) -> np.ndarray:
+def phi_s_hat(t_hat: np.ndarray, s: int,
+              lev: np.ndarray | None = None) -> np.ndarray:
     """Haar coefficients of Phi_s from those of T (``circulant_haar`` of
     its column, or any Haar-coefficient matrices with at least 2^{K-s}
     rows): the entries with row level <= column level - s.  Phi_s maps
-    into E_{K-s}, so only the first 2^{K-s} rows, the ones that can be
-    nonzero, are returned.  With ``split``, t_hat and Phi_s are the even
-    and odd blocks of ``half_shift_split``, 2^{K-s-1} rows each."""
-    K = t_hat.shape[-1].bit_length() - 1 + split
+    into E_{K-s}, so only the rows below level K - s, the ones that can be
+    nonzero, are returned.  ``lev`` gives the ascending levels of the rows
+    and columns of a block of ``phi_s_blocks`` (default: the Haar levels);
+    the finest columns are at level K - 1 in either case."""
+    if lev is None:
+        lev = _haar_levels(t_hat.shape[-1].bit_length() - 1)
+    K = int(lev[-1]) + 1
     _check_s(K, s)
-    lev = _haar_levels(K - split) + split   # odd block: h_1 (level 0), ...
-    if split:                               # even block: h_0 (level -1), ...
-        lev = np.stack([np.r_[-1, lev[1:]], lev])[:, None]
-    rows = 1 << (K - s - split)
-    return np.where(lev[..., :rows, None] <= lev[..., None, :] - s,
-                    t_hat[..., :rows, :], 0.0)
+    rows = np.count_nonzero(lev < K - s)
+    return np.where(lev[:rows, None] <= lev - s, t_hat[..., :rows, :], 0.0)
 
 
-# -- the shift S by half the torus -------------------------------------------
-# In Haar coordinates S fixes h_0, negates h_1 and swaps h_i, h_{i+2^{l-1}}
-# at each level l >= 1, so its eigenvectors keep the level of h_i.
+def phi_s_blocks(T: DiscOp, s: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(Haar block, levels of its coefficients) of T on the dyadic periods
+    (README), which Phi_s keeps: on V_j, j = 1..K-s, the functions of period
+    N/2^{j-1} and antiperiod N/2^j, the first 2^{K-s-j} rows of the
+    negacyclic matrix of o_j on N/2^j cells, its constant at level j - 1
+    and its level-l wavelets at level l + j; then row 0 (h_0, level -1) of
+    the cyclic c_{K-s} on W_{K-s}, the functions of period 2^s.  o_j and c_j
+    are the difference and the sum of the halves of c_{j-1}, c_0 = T.column.
+    Phi_s at every shift >= s is ``phi_s_hat`` of each block."""
+    _check_s(T.K, s)
+    if not np.all(np.isfinite(T.column)):
+        raise NumericError("Phi_s of a non-finite operator column")
+    blocks, c = [], T.column
+    for j in range(1, T.K - s + 1):
+        n = c.shape[-1] // 2
+        c, o = c[..., :n] + c[..., n:], c[..., :n] - c[..., n:]
+        blocks.append((circulant_haar(o, 0, n, 1 << (T.K - s - j), wrap=-1),
+                       _haar_levels(T.K - j) + j))
+    lev = _haar_levels(s) + T.K - s
+    blocks.append((circulant_haar(c, 0, 1 << s, 1), np.r_[-1, lev[1:]]))
+    return blocks
 
-def _parity(x: np.ndarray) -> np.ndarray:
-    """(2, ..., n/2): the even coordinates h_0, (h_i + h_{i+2^{l-1}})/sqrt(2)
-    and the odd ones h_1, (h_i - h_{i+2^{l-1}})/sqrt(2) of x (..., n)."""
-    out = np.empty((2,) + x.shape[:-1] + (x.shape[-1] // 2,), dtype=x.dtype)
-    out[:, ..., 0] = x[..., 0], x[..., 1]
-    for h in 1 << np.arange(x.shape[-1].bit_length() - 2):   # h = 2^{l-1}
-        a, b = x[..., 2 * h:3 * h], x[..., 3 * h:4 * h]
-        out[:, ..., h:2 * h] = (a + b) / np.sqrt(2), (a - b) / np.sqrt(2)
-    return out
 
-
-def half_shift_split(t_hat: np.ndarray) -> np.ndarray:
-    """(2, ..., rows/2, N/2): the even and odd blocks of Haar-coefficient
-    matrices (..., rows >= 2, N) that commute with S, the larger norm being
-    theirs; NumericError when a cross block exceeds 1e-12 max|t_hat|."""
-    parts = _parity(_on_rows(_parity, t_hat))     # [col parity, row parity]
-    cross = np.abs(parts[[0, 1], [1, 0]]).max()
-    if not cross <= 1e-12 * np.abs(t_hat).max():
-        raise NumericError(f"does not commute with the half shift: {cross:g}")
-    return parts[[0, 1], [0, 1]]
+def phi_s_norm(blocks: list[tuple[np.ndarray, np.ndarray]], s: int) -> float:
+    """||Phi_s||, the largest norm of its nonempty blocks, from
+    ``phi_s_blocks`` built at a shift <= s."""
+    hats = (phi_s_hat(b, s, lev) for b, lev in blocks)
+    return max(estimate_norm(h) for h in hats if h.shape[-2])
 
 
 def psi_s_symbol(T: DiscOp, s: int) -> np.ndarray | None:
@@ -574,32 +593,6 @@ def paraproduct(rho: np.ndarray, f: np.ndarray, K: int) -> np.ndarray:
     heap = np.concatenate([np.zeros_like(f), f])      # cells below the cubes
     means = _subtree_sums(heap)[:N] / _cube_cells(K)
     return ihaar(haar(rho.T) * means, N).T
-
-
-def paraproduct_correction(t_hat: np.ndarray) -> np.ndarray:
-    """The Haar-coefficient matrices of T0 = T - Pi_rho* with rho = T*1,
-    read off those of T, t_hat = H T H^T (..., rows, N), the first rows
-    (row 0 at least) or all, without forming Pi_rho*; t_hat is
-    overwritten.
-
-    Row 0 of H is the constant N^{-1/2}, so conj(rho_i) = sqrt(N) t[0, i],
-    and column i >= 1 of H Pi_rho* H^T is conj(rho_i) / #Q_i times the Haar
-    coefficients of 1_{Q_i}.  With a[r, i] = sqrt(N) <1_{Q_i} / #Q_i, h_r>,
-    T0 has the coefficients t - t[0] a.  The paraproduct drops the
-    constant, so column 0 of a is 0; on column i >= 1, a is
-    +-sqrt(N) / sqrt(#Q_r) on row 0 (+) and on the rows r whose cube Q_r
-    strictly contains Q_i (+ on the first half), and 0 elsewhere: only
-    the rows of t_hat are formed."""
-    rows, N = t_hat.shape[-2:]
-    K = N.bit_length() - 1
-    lev, cells, start = _haar_levels(K), _cube_cells(K), _cube_starts(K)
-    r_lev, r_cells, r_start = (x[:rows, None] for x in (lev, cells, start))
-    inside = (r_lev < lev) & (r_start <= start) & (start < r_start + r_cells)
-    first = (r_lev < 0) | (start < r_start + r_cells // 2)
-    a = np.sqrt(N) * np.where(inside, np.where(first, 1.0, -1.0)
-                              / np.sqrt(r_cells), 0.0)
-    t_hat -= t_hat[..., :1, :] * a
-    return t_hat
 
 
 def rho_bmo(rho: np.ndarray, K: int) -> float:

@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nclp.errors import ContractViolation
+from nclp.errors import ContractViolation, NumericError
 from nclp.martingale import CoeffMatrix
 from nclp.opcore import (Op, _per_entry, eigvalsh, hermitian_part,
                          null_projection, op_norm, psd_sqrt, schatten_norm)
-from nclp.pseudoloc import _ekt_delta_cols, ihaar
+from nclp.pseudoloc import (_cube_cells, _cube_starts, _ekt_delta_cols,
+                            _haar_levels, _on_rows, ihaar, phi_s_hat)
 
 
 def abs_op(a: Op) -> Op:
@@ -208,3 +209,67 @@ def ksk_check_per_pair(T, s: int, k: int, n_pairs: int, rng) -> dict:
     # NaN when no sampled pair is far
     return {"max_residual": resid,
             "size_constant": max(ratios, default=math.nan)}
+
+
+# -- Phi_s on the two parities of the half shift, and T0 ----------------------
+# ``pseudoloc-decay`` split T0's Haar block by the parities of the shift S by
+# half the torus, and took T0 = T - Pi_rho* off T's; ``phi_s_blocks``
+# continues the split down every dyadic period, and T0 = T for a circulant.
+# In Haar coordinates S fixes h_0, negates h_1 and swaps h_i, h_{i+2^{l-1}}
+# at each level l >= 1, so its eigenvectors keep the level of h_i.
+
+def _parity(x: np.ndarray) -> np.ndarray:
+    """(2, ..., n/2): the even coordinates h_0, (h_i + h_{i+2^{l-1}})/sqrt(2)
+    and the odd ones h_1, (h_i - h_{i+2^{l-1}})/sqrt(2) of x (..., n)."""
+    out = np.empty((2,) + x.shape[:-1] + (x.shape[-1] // 2,), dtype=x.dtype)
+    out[:, ..., 0] = x[..., 0], x[..., 1]
+    for h in 1 << np.arange(x.shape[-1].bit_length() - 2):   # h = 2^{l-1}
+        a, b = x[..., 2 * h:3 * h], x[..., 3 * h:4 * h]
+        out[:, ..., h:2 * h] = (a + b) / np.sqrt(2), (a - b) / np.sqrt(2)
+    return out
+
+
+def half_shift_split(t_hat: np.ndarray) -> np.ndarray:
+    """(2, ..., rows/2, N/2): the even and odd blocks of Haar-coefficient
+    matrices (..., rows >= 2, N) that commute with S, the larger norm being
+    theirs; NumericError when a cross block exceeds 1e-12 max|t_hat|."""
+    parts = _parity(_on_rows(_parity, t_hat))     # [col parity, row parity]
+    cross = np.abs(parts[[0, 1], [1, 0]]).max()
+    if not cross <= 1e-12 * np.abs(t_hat).max():
+        raise NumericError(f"does not commute with the half shift: {cross:g}")
+    return parts[[0, 1], [0, 1]]
+
+
+def split_phi_s_hat(split: np.ndarray, s: int) -> np.ndarray:
+    """``phi_s_hat`` of the even and odd blocks of ``half_shift_split``,
+    each in its own level order: h_0 (level -1) first in the even block,
+    h_1 (level 0) in the odd, then 2^{l-1} pairs at each level l >= 1."""
+    odd = _haar_levels(split.shape[-1].bit_length() - 1) + 1
+    return np.stack([phi_s_hat(part, s, lev) for part, lev
+                     in zip(split, (np.r_[-1, odd[1:]], odd))])
+
+
+def paraproduct_correction(t_hat: np.ndarray) -> np.ndarray:
+    """The Haar-coefficient matrices of T0 = T - Pi_rho* with rho = T*1,
+    read off those of T, t_hat = H T H^T (..., rows, N), the first rows
+    (row 0 at least) or all, without forming Pi_rho*; t_hat is
+    overwritten.
+
+    Row 0 of H is the constant N^{-1/2}, so conj(rho_i) = sqrt(N) t[0, i],
+    and column i >= 1 of H Pi_rho* H^T is conj(rho_i) / #Q_i times the Haar
+    coefficients of 1_{Q_i}.  With a[r, i] = sqrt(N) <1_{Q_i} / #Q_i, h_r>,
+    T0 has the coefficients t - t[0] a.  The paraproduct drops the
+    constant, so column 0 of a is 0; on column i >= 1, a is
+    +-sqrt(N) / sqrt(#Q_r) on row 0 (+) and on the rows r whose cube Q_r
+    strictly contains Q_i (+ on the first half), and 0 elsewhere: only
+    the rows of t_hat are formed."""
+    rows, N = t_hat.shape[-2:]
+    K = N.bit_length() - 1
+    lev, cells, start = _haar_levels(K), _cube_cells(K), _cube_starts(K)
+    r_lev, r_cells, r_start = (x[:rows, None] for x in (lev, cells, start))
+    inside = (r_lev < lev) & (r_start <= start) & (start < r_start + r_cells)
+    first = (r_lev < 0) | (start < r_start + r_cells // 2)
+    a = np.sqrt(N) * np.where(inside, np.where(first, 1.0, -1.0)
+                              / np.sqrt(r_cells), 0.0)
+    t_hat -= t_hat[..., :1, :] * a
+    return t_hat

@@ -547,10 +547,11 @@ def test_cli_decay_checks_the_shifts_before_any_indexing(s, monkeypatch,
     from nclp.cli import main
     import nclp.harness as harness
 
-    def unreachable(*args):
+    def unreachable(*args, **kwargs):
         raise AssertionError("the setup indexed a Haar matrix")
 
     monkeypatch.setattr(harness.pl, "circulant_haar", unreachable)
+    monkeypatch.setattr(harness.pl, "phi_s_blocks", unreachable)
     assert main(["pseudoloc-decay", "--depth", "6", f"--s={s}",
                  "--quiet"]) == 2
     err = capsys.readouterr().err

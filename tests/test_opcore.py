@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclp.errors import ContractViolation, NumericError
-from nclp.opcore import (ENDPOINT_TOL, Algebra, Interval, Op,
+from nclp.opcore import (ENDPOINT_TOL, MEET_NULL_TOL, Algebra, Interval, Op,
                          annihilation_check, block_matmul, dense_algebra,
                          eigvalsh, kept_projection, l2_inner, l2_norm,
-                         mu_function, op_norm, psd_sqrt, schatten_norm,
+                         mu_function, null_projection, op_norm, psd_sqrt,
+                         schatten_norm,
                          singular_values, spectral_projection, tail_trace,
                          weak_l1)
 from oracles import abs_op, is_projection, proj_join, proj_meet
@@ -275,6 +276,28 @@ def test_batched_hermitian_checks_and_projections_per_entry():
         assert (got - spectral_projection(m, iv)).max_abs() <= 1e-14
     for got, m in zip(abs_op(h), h):
         assert (got - abs_op(m)).max_abs() <= 1e-12
+
+
+@pytest.mark.parametrize("alg", [ALG, BLOCKY], ids=["d4", "d2"])
+def test_null_projection_checks_nothing_it_has_hermitized(alg, monkeypatch):
+    # the operand is hermitized on the way in, so no is_hermitian pass runs,
+    # and the projection is bit for bit the one spectral_projection (which
+    # checks) gives on the hermitized operand; rank-one positive blocks
+    # plus a non-Hermitian rounding-size perturbation
+    v = _batch(alg, 36, shape=(5,)).blocks[..., :1]
+    h = Op(v @ v.conj().swapaxes(-1, -2)
+           + 1e-14 * _batch(alg, 37, shape=(5,)).blocks, alg)
+    ref = spectral_projection(h.hermitize(),
+                              Interval(None, MEET_NULL_TOL, closed_hi=True))
+    calls = []
+    check = Op.is_hermitian
+    monkeypatch.setattr(Op, "is_hermitian", lambda self, *a: calls.append(
+        self) or check(self, *a))
+    got = null_projection(h)
+    assert calls == []
+    assert got.algebra == h.algebra
+    assert np.array_equal(got.blocks, ref.blocks)
+    assert np.all(is_projection(got)) and (h @ got).max_abs() <= 1e-12
 
 
 def test_proj_meet_runs_over_the_first_axis():

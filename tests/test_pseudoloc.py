@@ -10,22 +10,23 @@ from nclp.harness import (_localized_scalar, random_positive_martingale,
                           trial_rng)
 from nclp.opcore import Op, dense_algebra
 from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells,
-                            _cube_starts, _haar_levels, _on_rows, _parity,
+                            _cube_starts, _haar_levels, _on_rows,
                             _torus_offsets, adjoint_one, annuli_kernel,
                             assemble, circulant_haar,
                             commutative_pseudoloc_check, cotlar_bound,
                             ekt_delta, estimate_norm, family_gram, grid_l2,
-                            haar, half_shift_split, hilbert_kernel, ihaar,
+                            haar, hilbert_kernel, ihaar,
                             ksk_check, lambda_family, localization_check,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
-                            paraproduct, paraproduct_correction,
-                            phi_psi_apply, phi_psi_hat, phi_s_hat,
-                            psi_s_norm, psi_s_symbol,
+                            paraproduct, phi_psi_apply, phi_psi_hat,
+                            phi_s_blocks, phi_s_hat, phi_s_norm, psi_s_norm,
+                            psi_s_symbol,
                             restriction_identity_residual,
                             rho_bmo, schur_bound, sigma_set, support_cubes,
                             symbol_norm, vanish_check, vanish_sum, zeta_fs)
-from oracles import (concentric_mask, cube_cells, cubes_at_level,
-                     ksk_check_per_pair, proj_join)
+from oracles import (_parity, concentric_mask, cube_cells, cubes_at_level,
+                     half_shift_split, ksk_check_per_pair,
+                     paraproduct_correction, proj_join, split_phi_s_hat)
 
 
 def _T(K=5, M=3):
@@ -636,18 +637,21 @@ def test_haar_pieces_match_oracle(K, kernel, corrected):
 @pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
 @pytest.mark.parametrize("K", [4, 7, 9])
 def test_circulant_haar_matches_haar2(K, kernel):
+    # the cyclic matrices and, with wrap = -1, the negacyclic ones of the
+    # same columns (the entries above the diagonal negated)
     raw = assemble(_kernel(kernel, K), K)
     N = raw.N
-    for T in (raw, normalized(raw)):
-        ref = haar2(T.mats)
-        whole = circulant_haar(T.column, 0, N)
+    upper = np.triu(np.ones((N, N), dtype=bool), 1)     # i < j
+    for T, wrap in [(raw, 1), (normalized(raw), 1), (normalized(raw), -1)]:
+        ref = haar2(np.where(upper & (wrap < 0), -T.mats, T.mats))
+        whole = circulant_haar(T.column, 0, N, wrap=wrap)
         assert whole.shape == ref.shape and whole.dtype == ref.dtype
         assert np.array_equal(whole, ref)
         # column ranges inside one level and across levels, the first rows
         for lo, hi, rows in [(0, 1, None), (1, 2, 1), (N // 4, N // 2, None),
                              (3, N // 2 + 5, 5), (N - 3, N, N),
                              (0, N, N // 8), (N // 2, N, 3)]:
-            got = circulant_haar(T.column, lo, hi, rows)
+            got = circulant_haar(T.column, lo, hi, rows, wrap)
             assert np.array_equal(got, ref[..., :rows, lo:hi])
 
 
@@ -748,7 +752,7 @@ def test_half_shift_split_phi_norms_match_unsplit(K, kernel, corrected):
     assert np.array_equal(split, parts[[0, 1], [0, 1]])
     for s in range(s_lo, K):
         whole = estimate_norm(phi_s_hat(t_hat, s))
-        halves = phi_s_hat(split, s, split=True)
+        halves = split_phi_s_hat(split, s)
         assert halves.shape == (2, T.M, 1 << (K - s - 1), T.N // 2)
         assert max(map(estimate_norm, halves)) == pytest.approx(
             whole, rel=1e-13, abs=0.0)
@@ -764,7 +768,7 @@ def test_half_shift_split_of_an_operator_that_is_not_circulant(K):
     t_hat = haar2(A + np.roll(A, (N // 2, N // 2), axis=(-2, -1)))
     split = half_shift_split(t_hat)
     for s in range(1, K):
-        assert max(map(estimate_norm, phi_s_hat(split, s, split=True))) \
+        assert max(map(estimate_norm, split_phi_s_hat(split, s))) \
             == pytest.approx(estimate_norm(phi_s_hat(t_hat, s)), rel=1e-13,
                              abs=0.0)
 
@@ -800,6 +804,103 @@ def test_half_shift_split_rejects_a_block_that_does_not_commute():
         half_shift_split(t_hat)
     with pytest.raises(NumericError, match="does not commute with the half shift"):
         half_shift_split(np.full_like(t_hat, np.nan))
+
+
+# -- ||Phi_s|| from its blocks on the dyadic periods -------------------------
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
+@pytest.mark.parametrize("K", [4, 6, 8, 10])
+def test_dyadic_period_block_norms_match_the_parities_and_dense_phi_s(
+        K, kernel):
+    # ||Phi_s|| from phi_s_blocks against the larger norm of the two
+    # parities of T0's Haar block (the split pseudoloc-decay took before)
+    # and, up to K = 8, against the dense Phi_s; at K = 10 the shifts start
+    # at 3, as pseudoloc-decay's do
+    s_lo = 1 if K < 10 else 3
+    T = normalized(assemble(_kernel(kernel, K), K))
+    blocks = phi_s_blocks(T, s_lo)
+    assert [b.shape for b, _ in blocks] == [
+        (T.M, 1 << (K - s_lo - j), T.N >> j) for j in range(1, K - s_lo + 1)
+    ] + [(T.M, 1, 1 << s_lo)]
+    split = half_shift_split(paraproduct_correction(
+        circulant_haar(T.column, 0, T.N, 1 << (K - s_lo))))
+    cols = col_deltas(T.mats) if K <= 8 else None
+    for s in range(s_lo, K):
+        got = phi_s_norm(blocks, s)
+        assert got == pytest.approx(max(map(
+            estimate_norm, split_phi_s_hat(split, s))), rel=1e-13, abs=0.0)
+        if cols is not None:
+            assert got == pytest.approx(estimate_norm(oracle_phi_s(cols, s)),
+                                        rel=1e-13, abs=0.0)
+
+
+def _lifted_haar_vectors(K, J):
+    """The Haar vectors on N/2^j cells lifted to N = 2^K cells, in Haar
+    order: into V_j (period N/2^{j-1}, antiperiod N/2^j) for j = 1..J, then
+    into W_J (period N/2^J); one (N/2^j, N) array each."""
+    N = 1 << K
+    out = []
+    for j in range(1, J + 1):
+        g = ihaar(np.eye(N >> j), N >> j)
+        out.append(np.tile(np.hstack([g, -g]), 1 << (j - 1)) / 2 ** (j / 2))
+    g = ihaar(np.eye(N >> J), N >> J)
+    return out + [np.tile(g, 1 << J) / 2 ** (J / 2)]
+
+
+@pytest.mark.parametrize("K,s_lo", [(2, 1), (3, 1), (5, 1), (5, 3)])
+def test_dyadic_period_basis_is_orthonormal_at_the_stated_levels(K, s_lo):
+    # the lifted Haar vectors: orthonormal, of the stated period and
+    # antiperiod, and each inside the Haar level that phi_s_blocks states
+    # for its coefficient (the constant of V_j at level j - 1, a level-l
+    # wavelet at level l + j; W's constant at level -1)
+    N, J = 1 << K, K - s_lo
+    vecs = _lifted_haar_vectors(K, J)
+    flat = np.vstack(vecs)
+    assert np.allclose(flat @ flat.T, np.eye(N), rtol=0.0, atol=1e-15)
+    levels = [lev for _, lev in phi_s_blocks(_T(K, 2), s_lo)]
+    assert [len(lev) for lev in levels] == [len(v) for v in vecs]
+    for j, (v, lev) in enumerate(zip(vecs, levels), start=1):
+        if j <= J:          # V_j
+            assert np.allclose(np.roll(v, N >> (j - 1), axis=-1), v,
+                               rtol=0.0, atol=1e-15)
+            assert np.allclose(np.roll(v, N >> j, axis=-1), -v,
+                               rtol=0.0, atol=1e-15)
+        else:               # W_J
+            assert np.allclose(np.roll(v, N >> J, axis=-1), v,
+                               rtol=0.0, atol=1e-15)
+        for x, level in zip(haar(v), lev):
+            off = _haar_levels(K) != level
+            assert np.abs(x[off]).max(initial=0.0) < 1e-15
+
+
+@pytest.mark.parametrize("kernel", ["lp-bumps", "annuli"])
+@pytest.mark.parametrize("K,s_lo", [(3, 1), (5, 1), (6, 2)])
+def test_dense_phi_s_is_block_diagonal_on_the_dyadic_periods(K, s_lo,
+                                                            kernel):
+    # in the lifted basis the dense Phi_s is the direct sum of the masked
+    # blocks of phi_s_blocks (zero past their rows), and nothing else
+    T = normalized(assemble(_kernel(kernel, K), K))
+    basis = np.vstack(_lifted_haar_vectors(K, K - s_lo))
+    blocks = phi_s_blocks(T, s_lo)
+    for s in range(s_lo, K):
+        got = basis @ phi_s(T.mats, s) @ basis.T
+        ref = np.zeros_like(got)
+        at = 0
+        for b, lev in blocks:
+            hat = phi_s_hat(b, s, lev)
+            ref[:, at:at + hat.shape[-2], at:at + len(lev)] = hat
+            at += len(lev)
+        assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_phi_s_blocks_reject_a_non_finite_column():
+    T = _T(5, 2)
+    col = T.column.copy()
+    col[1, 3] = np.nan
+    with pytest.raises(NumericError, match="non-finite"):
+        phi_s_blocks(DiscOp(col, T.K, None), 2)
+    with pytest.raises(ContractViolation):
+        phi_s_blocks(T, 5)
 
 
 # -- ||Psi_s|| from its 16-block symbol ---------------------------------------
@@ -889,35 +990,51 @@ def test_psi_s_commutes_with_the_level_4_shift_only(K, s, kernel):
 def test_decay_builds_no_psi_s_block(monkeypatch):
     # Psi_s reaches family_gram only as (M, N/16, N/16 - 2^{s-1}) blocks of
     # its symbol per nonempty shift, never as a Haar block of N - 8*2^s
-    # columns; the other Grams are those of Phi_s's two parity blocks, never
-    # of its N-column Haar block (the smaller Gram, A A^H as the Gram of
-    # A^H, when a block's M 2^{K-s-1} rows fall below its N/2 columns)
+    # columns; the other Grams are those of Phi_s's blocks on V_1..V_{K-s}
+    # and W_{K-s_lo} (``phi_s_blocks``), never of its N-column Haar block or
+    # of its two (N/2)-column parities (the smaller Gram, A A^H as the Gram
+    # of A^H, when a block's M rows fall below its columns)
     import nclp.pseudoloc as pl
     import nclp.harness as harness
-    calls = []
+    calls, built = [], []
     for name in ("psi_s_symbol", "family_gram"):
         def recorded(x, *args, name=name, real=getattr(pl, name)):
             calls.append((name, getattr(x, "shape", None)))
             return real(x, *args)
         monkeypatch.setattr(pl, name, recorded)
+    def recorded_block(*args, real=pl.circulant_haar, **kwargs):
+        out = real(*args, **kwargs)
+        built.append(out.shape)
+        return out
+    monkeypatch.setattr(pl, "circulant_haar", recorded_block)
     K, N, shifts = 8, 256, range(2, 7)
     rep = harness.run(harness.ExperimentConfig(
         "pseudoloc-decay", depth=K, s_range=(2, 6), kernel="lp-bumps"))
     assert len(rep["trials"]) == len(shifts)
-    # per shift: the Grams of Phi_s's even and odd blocks, then
+    # built once: V_j's first 2^{K-2-j} rows on N/2^j cells, j = 1..K-2,
+    # then W_{K-2}'s row 0 on 4 cells; no N-column or two-parity block
+    assert built == [(K, 1 << (K - 2 - j), N >> j) for j in range(1, K - 1)] \
+        + [(K, 1, 4)]
+    assert not any(len(shape) > 3 or shape[-1] == N for shape in built)
+    # per shift: the Grams of Phi_s's K - s + 1 nonempty blocks, then
     # psi_s_symbol, then the Psi_s Grams (9 of 16 blocks: the column is real)
     marks = [i for i, (name, _) in enumerate(calls) if name == "psi_s_symbol"]
-    assert len(marks) == len(shifts) and marks[0] == 2
-    phi_ops = [calls[i - 2:i] for i in marks]
-    psi_ops = {s: calls[i + 1:j - 2]
-               for s, i, j in zip(shifts, marks, marks[1:] + [len(calls) + 2])}
-    rows, half = [1 << (K - s - 1) for s in shifts], N // 2   # per parity
-    assert phi_ops == [[("family_gram", (K, r, half) if K * r >= half
-                         else (1, half, K * r))] * 2 for r in rows]
+    starts = [0] + [i + 1 + 9 * (K - s >= 4) for s, i in zip(shifts, marks)]
+    assert len(marks) == len(shifts)
+    phi_ops = [calls[i:j] for i, j in zip(starts, marks)]
+    psi_ops = {s: calls[i + 1:j]
+               for s, i, j in zip(shifts, marks, starts[1:])}
+    assert starts[-1] == len(calls)
+
+    def gram(rows, cols):
+        return (K, rows, cols) if K * rows >= cols else (1, cols, K * rows)
+    assert phi_ops == [[("family_gram", gram(1 << (K - s - j), N >> j))
+                        for j in range(1, K - s + 1)]
+                       + [("family_gram", gram(1, 4))] for s in shifts]
     L = N // 16                     # symbol blocks: L cells by c wavelets
     assert psi_ops == {s: [("family_gram", (K, L, L - 2 ** (s - 1)))]
                        * (9 if K - s >= 4 else 0) for s in shifts}
-    assert not any(shape[-1] == N - 8 * 2 ** s
+    assert not any(shape[-1] in (N, N - 8 * 2 ** s)
                    for s, ops in psi_ops.items() for _, shape in ops)
 
 
