@@ -3,10 +3,9 @@
 Hilbert-space-valued singular integrals on finite matrix algebras."""
 
 from .errors import ContractViolation, NumericError
-from .opcore import (Algebra, Interval, MuFunction, Op, dense_algebra,
-                     l2_inner, l2_norm, mu_function, op_norm, schatten_norm,
-                     singular_values, spectral_projection, tail_trace,
-                     weak_l1)
+from .opcore import (Algebra, MuFunction, Op, dense_algebra, l2_inner,
+                     l2_norm, mu_function, op_norm, opnorm, schatten_norm,
+                     singular_values, tail_trace, weak_l1)
 from .filtration import (AlgebraSpec, Filtration, GridFiltration,
                          TensorDyadicFiltration, build_filtration, parse_spec)
 from .martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
@@ -23,11 +22,10 @@ from .czkit import (CZParts, ZetaData, cz_decompose, cz_report,
                     zeta_cube_inequalities, zeta_report)
 from .pseudoloc import (DiscOp, HilbertKernel, annuli_kernel, assemble,
                         commutative_pseudoloc_check, cotlar_bound,
-                        estimate_norm, hilbert_kernel, ksk_check,
-                        localization_check, lp_bumps_kernel,
-                        nc_pseudoloc_check, normalized, paraproduct,
-                        schur_bound, schur_integrals_decay, sigma_set,
-                        vanish_check)
+                        hilbert_kernel, ksk_check, localization_check,
+                        lp_bumps_kernel, nc_pseudoloc_check, normalized,
+                        paraproduct, schur_bound, schur_integrals_decay,
+                        sigma_set, vanish_check)
 from .harness import (ExperimentConfig, random_coeffs,
                       random_positive_martingale, run)
 

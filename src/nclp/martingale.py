@@ -1,6 +1,7 @@
 """Martingales, transform families, square functions and BMO norms."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -9,7 +10,7 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 from .filtration import Filtration, GridFiltration
 from .opcore import (Op, _op, _per_entry, eigvalsh, l2_norm, op_norm,
-                     psd_sqrt, schatten_norm, top_eigenvalue)
+                     opnorm, psd_sqrt, schatten_norm)
 
 
 # the eigenvalue floor below which ``Martingale.is_positive`` fails
@@ -203,10 +204,13 @@ def function_bmo(filtration: GridFiltration, fs: Op) -> tuple[float, float]:
     """Function-BMO of a grid function or of the family of the entries of a
     batched Op.
 
-    For each dyadic cube Q (every level, dyadic grid plus the 2^n half-side
-    shifted grids on the torus) computes the block norm of
+    For each dyadic cube Q (every level, dyadic grid plus the grids shifted
+    by half a side along any set of axes, 2^n in all, on the torus) computes
+    the block norm of
     (1/|Q|) int_Q sum_m (f_m - (f_m)_Q)(f_m - (f_m)_Q)* dx  (row flavor)
     and the adjoint-ordered column flavor; returns the square-root suprema.
+    These are ||A||/|Q|^{1/2} and ||B||/|Q|^{1/2}, A the (d, member.cell.d)
+    row of Q's deviations and B the (member.cell.d, d) column.
     """
     n, d = filtration.n, filtration.d
     b = fs.blocks.reshape((-1,) + fs.blocks.shape[-3:])
@@ -216,14 +220,16 @@ def function_bmo(filtration: GridFiltration, fs: Op) -> tuple[float, float]:
     bmo_c = 0.0
     for k in filtration.levels:
         L = 2 ** (filtration.K - k)
-        for shift in [0] if L == 1 else [0, L // 2]:
-            rolled = np.roll(sp, shift=(-shift,) * n, axis=range(1, n + 1))
+        for shift in itertools.product(sorted({0, L // 2}), repeat=n):
+            rolled = np.roll(sp, shift=[-t for t in shift],
+                             axis=range(1, n + 1))
             cubes = filtration.cubes(rolled.reshape(b.shape), k)
             dev = cubes - cubes.mean(axis=axes, keepdims=True)
             dev = np.moveaxis(dev, axes, range(-2 - n, -2)).reshape(
                 len(b), -1, L ** n, d, d)         # (member, cube, cell)
-            g_r = np.einsum("mqlab,mqlcb->qac", dev, dev.conj()) / L ** n
-            g_c = np.einsum("mqlba,mqlbc->qac", dev.conj(), dev) / L ** n
-            bmo_r = max(bmo_r, float(np.sqrt(top_eigenvalue(g_r).max())))
-            bmo_c = max(bmo_c, float(np.sqrt(top_eigenvalue(g_c).max())))
+            q, width = dev.shape[1], len(b) * L ** n * d
+            row = dev.transpose(1, 3, 0, 2, 4).reshape(q, d, width)
+            col = dev.transpose(1, 0, 2, 3, 4).reshape(q, width, d)
+            bmo_r = max(bmo_r, float(opnorm(row).max() / np.sqrt(L ** n)))
+            bmo_c = max(bmo_c, float(opnorm(col).max() / np.sqrt(L ** n)))
     return bmo_r, bmo_c

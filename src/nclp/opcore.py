@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ContractViolation, NumericError
 
 # Tolerances, fixed once so every test is reproducible.
-ENDPOINT_TOL = 1e-9      # interval-endpoint snapping for spectral projections
+ENDPOINT_TOL = 1e-9      # endpoint snapping for spectral cuts
 MEET_NULL_TOL = 1e-8     # null-space eigenvalue cut in null_projection
 HERMITIAN_TOL = 1e-12
 
@@ -257,11 +257,20 @@ def eigvalsh(h: np.ndarray) -> np.ndarray:
         raise NumericError(f"eigvalsh failed: {exc}") from exc
 
 
-def top_eigenvalue(h: np.ndarray) -> np.ndarray:
-    """The top eigenvalue of each stacked positive block (``eigvalsh``),
-    clipped at 0, so that the square root of a zero block's norm is 0 and
-    not a NaN from a rounding-negative eigenvalue; 0 for an empty block."""
-    return eigvalsh(h).max(axis=-1, initial=0.0)
+def opnorm(a: np.ndarray) -> np.ndarray:
+    """The operator norm of each stacked matrix (*batch, rows, cols): the
+    square root of the top eigenvalue (``eigvalsh``) of the smaller Gram,
+    a* a when rows >= cols and a a* otherwise, clipped at 0, so that a zero
+    matrix reads 0 and not a NaN from a rounding-negative eigenvalue; 0 for
+    an empty matrix."""
+    rows, cols = a.shape[-2:]
+    if rows == 0 or cols == 0:
+        return np.zeros(a.shape[:-2])
+    with np.errstate(invalid="ignore", over="ignore"):   # checked below
+        g = _adjoint(a) @ a if rows >= cols else a @ _adjoint(a)
+    if not np.isfinite(g).all():
+        raise NumericError("Gram matrix of a non-finite operator stack")
+    return np.sqrt(eigvalsh(g).max(axis=-1, initial=0.0))
 
 
 def kept_projection(h: np.ndarray, keep) -> np.ndarray:
@@ -294,41 +303,6 @@ def kept_projection(h: np.ndarray, keep) -> np.ndarray:
     out[..., 1, 0] = z * b
     out[..., 0, 1] = np.conj(out[..., 1, 0])
     return out
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Real interval with explicit endpoint conventions.
-
-    None endpoints mean unbounded.  Eigenvalues within ENDPOINT_TOL of an
-    endpoint are assigned according to the declared open/closed convention.
-    """
-
-    lo: float | None
-    hi: float | None
-    closed_lo: bool = True
-    closed_hi: bool = True
-
-    def contains(self, x: np.ndarray) -> np.ndarray:
-        keep = np.ones(x.shape, dtype=bool)
-        if self.lo is not None:
-            if self.closed_lo:
-                keep &= x >= self.lo - ENDPOINT_TOL
-            else:
-                keep &= x > self.lo + ENDPOINT_TOL
-        if self.hi is not None:
-            if self.closed_hi:
-                keep &= x <= self.hi + ENDPOINT_TOL
-            else:
-                keep &= x < self.hi - ENDPOINT_TOL
-        return keep
-
-
-def spectral_projection(h: Op, interval: Interval) -> Op:
-    """chi_interval(h) for Hermitian h (sum of eigenprojections inside)."""
-    if not h.is_hermitian():
-        raise ContractViolation("spectral_projection requires a Hermitian operator")
-    return _op(kept_projection(h.blocks, interval.contains), h.algebra)
 
 
 def psd_sqrt(h: Op) -> Op:
@@ -464,8 +438,9 @@ def l2_inner(a: Op, b: Op) -> complex:
 def null_projection(h: Op) -> Op:
     """Projection onto the null space of a positive h, with the documented
     eigenvalue cut MEET_NULL_TOL, from its Hermitian part."""
-    keep = Interval(None, MEET_NULL_TOL, closed_hi=True).contains
-    return _op(kept_projection(hermitian_part(h.blocks), keep), h.algebra)
+    return _op(kept_projection(hermitian_part(h.blocks),
+                               lambda w: w <= MEET_NULL_TOL + ENDPOINT_TOL),
+               h.algebra)
 
 
 def annihilation_check(p: Op, f: Op, tol: float = 1e-10,

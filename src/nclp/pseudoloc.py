@@ -15,7 +15,7 @@ from .errors import ContractViolation, NumericError
 from .filtration import GridFiltration
 from .martingale import Martingale
 from .opcore import (Op, _op, annihilation_check, dense_algebra,
-                     l2_norm, psd_sqrt, top_eigenvalue)
+                     l2_norm, opnorm, psd_sqrt)
 
 # ---------------------------------------------------------------------------
 # grid functions and the Haar transform
@@ -314,25 +314,6 @@ def assemble(kernel: HilbertKernel, K: int) -> DiscOp:
 
 # -- operator norms ----------------------------------------------------------
 
-def family_gram(mats: np.ndarray) -> np.ndarray:
-    """T*T for T: L2 -> L2(C^M), one BLAS product of the stacked (M*N, N)."""
-    A = mats.reshape(math.prod(mats.shape[:-1]), mats.shape[-1])
-    with np.errstate(invalid="ignore", over="ignore"):   # checked below
-        G = A.conj().T @ A
-    if not np.all(np.isfinite(G)):
-        raise NumericError("Gram matrix of non-finite operator matrices")
-    return G
-
-
-def estimate_norm(mats: np.ndarray) -> float:
-    """||T||: the top singular value of the stacked (M*N, N) matrix A,
-    from the smaller of the Grams A^H A and A A^H (Phi_s, Psi_s symbols)."""
-    rows, cols = math.prod(mats.shape[:-1]), mats.shape[-1]
-    if rows < cols:     # A A^H is the Gram of the one-component A^H
-        mats = mats.reshape(rows, cols).conj().T[None]
-    return float(np.sqrt(top_eigenvalue(family_gram(mats))))
-
-
 def symbol_norm(T: DiscOp) -> float:
     """||T|| from the column: the DFT diagonalizes every circulant, so
     ||T||^2 = max_xi sum_m |fft(column_m)(xi)|^2 (P. J. Davis, Circulant
@@ -417,10 +398,10 @@ def phi_s_blocks(T: DiscOp, s: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 def phi_s_norm(blocks: list[tuple[np.ndarray, np.ndarray]], s: int) -> float:
-    """||Phi_s||, the largest norm of its nonempty blocks, from
+    """||Phi_s||, the largest norm of its blocks (an empty one reads 0), from
     ``phi_s_blocks`` built at a shift <= s."""
     hats = (phi_s_hat(b, s, lev) for b, lev in blocks)
-    return max(estimate_norm(h) for h in hats if h.shape[-2])
+    return float(max(opnorm(h.reshape(-1, h.shape[-1])) for h in hats))
 
 
 def psi_s_symbol(T: DiscOp, s: int) -> np.ndarray | None:
@@ -456,7 +437,8 @@ def psi_s_norm(T: DiscOp, s: int) -> float:
     Davis, Circulant Matrices, 1979); 0.0 when K - s < 4.  A real column
     has C(16 - w) = conj C(w), of the same norm: w = 0..8 suffice."""
     C, w = psi_s_symbol(T, s), 9 if np.isrealobj(T.column) else 16
-    return 0.0 if C is None else max(map(estimate_norm, C.swapaxes(0, 1)[:w]))
+    return 0.0 if C is None else float(max(
+        opnorm(C[:, i].reshape(-1, C.shape[-1])) for i in range(w)))
 
 
 def phi_psi_hat(T: DiscOp, s: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -539,24 +521,22 @@ def schur_bound(mats: np.ndarray) -> float:
 def cotlar_bound(family: list[np.ndarray]) -> float:
     """sum over offsets d of sqrt(max pairwise composition norm at offset d).
 
-    For maps L2 -> L2(H) the two compositions are L_i* L_j (computed
-    directly) and L_i L_j*, whose norm squared is the top eigenvalue of the
-    Hermitian G_i^{1/2} G_j G_i^{1/2} with G_i = L_i* L_i."""
+    For maps L2 -> L2(H) the two compositions are L_i* L_j, a block of the
+    cross Gram, and L_i L_j*, whose norm is that of G_j^{1/2} G_i^{1/2} with
+    G_i = L_i* L_i (polar decomposition); one ``opnorm`` takes all pairs."""
     F = len(family)
     if F == 0:
         return 0.0
     N = family[0].shape[-1]
     stack = np.concatenate([A.reshape(-1, N) for A in family], axis=1)
-    x = family_gram(stack).reshape(F, N, F, N)    # x[i, :, j] = L_i* L_j
+    with np.errstate(invalid="ignore", over="ignore"):  # opnorm checks
+        x = (stack.conj().T @ stack).reshape(F, N, F, N)  # [i,:,j]: L_i* L_j
+    n1 = opnorm(x.swapaxes(1, 2))                 # and checks x is finite
     diag = _op(x[np.arange(F), :, np.arange(F)][:, None], dense_algebra(N))
     roots = psd_sqrt(diag).blocks[:, 0]           # G_i^{1/2}
-    best: dict[int, float] = {}
-    for i in range(F):
-        for j in range(F):
-            n1 = np.sqrt(top_eigenvalue(x[i, :, j].conj().T @ x[i, :, j]))
-            n2 = np.sqrt(top_eigenvalue(roots[i] @ x[j, :, j] @ roots[i]))
-            best[i - j] = max(best.get(i - j, 0.0), n1, n2)
-    return float(sum(np.sqrt(v) for v in best.values()))
+    best = np.maximum(n1, opnorm(roots[None] @ roots[:, None]))
+    return float(sum(np.sqrt(np.diagonal(best, d).max())
+                     for d in range(1 - F, F)))
 
 
 def schur_integrals_decay(T: DiscOp, s_range, k_range) -> dict:

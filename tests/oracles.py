@@ -8,9 +8,19 @@ import numpy as np
 from nclp.errors import ContractViolation, NumericError
 from nclp.martingale import CoeffMatrix
 from nclp.opcore import (Op, _per_entry, eigvalsh, hermitian_part,
-                         null_projection, op_norm, psd_sqrt, schatten_norm)
+                         kept_projection, null_projection, op_norm, psd_sqrt,
+                         schatten_norm)
 from nclp.pseudoloc import (_cube_cells, _cube_starts, _ekt_delta_cols,
                             _haar_levels, _on_rows, ihaar, phi_s_hat)
+
+
+def spectral_projection(h: Op, keep) -> Op:
+    """chi(h) for a Hermitian h: the sum of its eigenprojections whose
+    eigenvalue w has ``keep(w)`` true."""
+    if not h.is_hermitian():
+        raise ContractViolation("spectral_projection requires a Hermitian "
+                                "operator")
+    return Op(kept_projection(h.blocks, keep), h.algebra)
 
 
 def abs_op(a: Op) -> Op:

@@ -12,7 +12,7 @@ from nclp.cuculescu import cuculescu, delta_split, delta_trunc, pi_family
 from nclp.filtration import GridFiltration, TensorDyadicFiltration
 from nclp.harness import (ExperimentConfig, all_pass, random_op,
                           random_positive_martingale, run, trial_rng)
-from nclp.opcore import l2_norm
+from nclp.opcore import l2_norm, opnorm
 
 
 def _report(experiment, **kw):
@@ -191,13 +191,15 @@ def test_criterion_13_schur_cotlar(capsys):
     K = 7
     T = pl.normalized(pl.assemble(pl.lp_bumps_kernel(K), K))
     worst_schur = worst_cotlar = -np.inf
+
+    def norm(A):                # T: L2 -> L2(C^M), components in the rows
+        return float(opnorm(A.reshape(-1, T.N)))
     for s in (1, 2, 3):
         fam = pl.lambda_family(T, s)
         worst_cotlar = max(worst_cotlar,
-                           pl.estimate_norm(sum(fam)) - pl.cotlar_bound(fam))
+                           norm(sum(fam)) - pl.cotlar_bound(fam))
         for A in fam:
-            worst_schur = max(worst_schur,
-                              pl.estimate_norm(A) - pl.schur_bound(A))
+            worst_schur = max(worst_schur, norm(A) - pl.schur_bound(A))
     dec = pl.schur_integrals_decay(T, range(1, 5), range(0, 4))
     env = max(dec["max_S1_normalized"], dec["max_S2_normalized"])
     ok = worst_schur <= 1e-6 and worst_cotlar <= 1e-6 and env <= 64.0

@@ -12,13 +12,13 @@ from nclp.filtration import GridFiltration, TensorDyadicFiltration
 from nclp.harness import (random_coeffs, random_positive_batch,
                           random_positive_martingale, trial_rng)
 from nclp.martingale import Martingale, transform_family
-from nclp.opcore import (Interval, Op, l2_norm, op_norm, schatten_norm,
-                         singular_values, spectral_projection)
+from nclp.opcore import (ENDPOINT_TOL, Op, l2_norm, op_norm, schatten_norm,
+                         singular_values)
 
 from batch_entries import assert_entries_match_scalar_calls, entry
 from oracles import (concentric_mask, cube_cells, cubes_at_level,
                      dyadic_father, is_projection, proj_meet,
-                     zeta_cube_inequalities_pairs)
+                     spectral_projection, zeta_cube_inequalities_pairs)
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -121,7 +121,7 @@ def zeta_per_cube_oracle(parts):
                 running[concentric_mask(filt, Q, 9)] += diff
         psi.append(Op(running.copy(), alg))
         supp = spectral_projection(psi[-1].hermitize(),
-                                   Interval(1e-9, None, closed_lo=False))
+                                   lambda w: w > 1e-9 + ENDPOINT_TOL)
         zeta_k.append(alg.unit() - supp)
     return xi, psi, zeta_k, proj_meet(Op(np.stack([z.blocks for z in zeta_k]),
                                          alg))

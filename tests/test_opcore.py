@@ -3,17 +3,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nclp.errors import ContractViolation, NumericError
-from nclp.opcore import (ENDPOINT_TOL, MEET_NULL_TOL, Algebra, Interval, Op,
+from nclp.opcore import (ENDPOINT_TOL, MEET_NULL_TOL, Algebra, Op,
                          annihilation_check, block_matmul, dense_algebra,
                          eigvalsh, kept_projection, l2_inner, l2_norm,
-                         mu_function, null_projection, op_norm, psd_sqrt,
-                         schatten_norm,
-                         singular_values, spectral_projection, tail_trace,
+                         mu_function, null_projection, op_norm, opnorm,
+                         psd_sqrt, schatten_norm, singular_values, tail_trace,
                          weak_l1)
-from oracles import abs_op, is_projection, proj_join, proj_meet
+from oracles import (abs_op, is_projection, proj_join, proj_meet,
+                     spectral_projection)
 
 ALG = dense_algebra(4)
 BLOCKY = Algebra(3, 2, np.array([1.0 / 8, 1.0 / 4, 1.0 / 8]))
+
+
+def nonnegative(w):
+    """The spectral cut [0, inf), its endpoint snapped by ENDPOINT_TOL."""
+    return w >= -ENDPOINT_TOL
 
 
 def rand_op(alg, seed, hermitian=False):
@@ -71,18 +76,6 @@ def test_mixed_algebra_arithmetic_rejected(op):
     c = Op(2.0 * np.eye(2)[None], dense_algebra(2))
     assert apply(a, c).algebra is a.algebra
     assert apply(a, c).blocks.shape == (1, 2, 2)
-
-
-def test_spectral_projection_interval_endpoints():
-    d = np.diag([0.0, 1.0, 2.0, 3.0]).astype(complex)
-    h = Op(d[None], ALG)
-    p = spectral_projection(h, Interval(1.0, 2.0, True, True))
-    assert p.trace() == pytest.approx(0.5)
-    p = spectral_projection(h, Interval(1.0, 2.0, False, True))
-    assert p.trace() == pytest.approx(0.25)
-    # endpoint snapping within 1e-9
-    p = spectral_projection(h, Interval(1.0 + 1e-10, 2.0, True, True))
-    assert p.trace() == pytest.approx(0.5)
 
 
 def test_schatten_known_values():
@@ -270,10 +263,9 @@ def test_batched_hermitian_checks_and_projections_per_entry():
     # one non-Hermitian entry makes the batch non-Hermitian
     assert not Op(np.concatenate([h.blocks, _batch(BLOCKY, 34).blocks[:1]]),
                   BLOCKY).is_hermitian()
-    iv = Interval(0.0, None)
-    p = spectral_projection(h, iv)
+    p = spectral_projection(h, nonnegative)
     for got, m in zip(p, h):
-        assert (got - spectral_projection(m, iv)).max_abs() <= 1e-14
+        assert (got - spectral_projection(m, nonnegative)).max_abs() <= 1e-14
     for got, m in zip(abs_op(h), h):
         assert (got - abs_op(m)).max_abs() <= 1e-12
 
@@ -288,7 +280,7 @@ def test_null_projection_checks_nothing_it_has_hermitized(alg, monkeypatch):
     h = Op(v @ v.conj().swapaxes(-1, -2)
            + 1e-14 * _batch(alg, 37, shape=(5,)).blocks, alg)
     ref = spectral_projection(h.hermitize(),
-                              Interval(None, MEET_NULL_TOL, closed_hi=True))
+                              lambda w: w <= MEET_NULL_TOL + ENDPOINT_TOL)
     calls = []
     check = Op.is_hermitian
     monkeypatch.setattr(Op, "is_hermitian", lambda self, *a: calls.append(
@@ -303,7 +295,7 @@ def test_null_projection_checks_nothing_it_has_hermitized(alg, monkeypatch):
 def test_proj_meet_runs_over_the_first_axis():
     # a (2, 3) batch: meets of the two projections in each of 3 columns
     h = _batch(ALG, 35, shape=(2, 3), hermitian=True)
-    ps = spectral_projection(h, Interval(0.0, None))
+    ps = spectral_projection(h, nonnegative)
     meets = proj_meet(ps)
     assert meets.batch == (3,)
     for j in range(3):
@@ -658,3 +650,78 @@ def test_hermitian_paths_of_tail_weak_and_annihilation_match_the_svd(
         assert np.array_equal(annihilation_check(p, y, hermitian=True), want)
         assert np.array_equal(annihilation_check(
             p, y, hermitian=True, f_norm=op_norm(y, hermitian=True)), want)
+
+
+# -- opnorm: the operator norm of stacked matrices ---------------------------
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_opnorm_is_the_spectral_norm(d):
+    # tall and wide stacks (smaller side d) of full rank and of rank one, a
+    # zero matrix first, at three scales; empty stacks read 0
+    rng = np.random.default_rng(46)
+    for shape in [(30, 3 * d, d), (30, d, 3 * d)]:
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        a[1:10] = a[1:10, :, :1] * a[1:10, :1, :]          # rank one
+        a *= np.repeat([1e-8, 1.0, 1e8], 10)[:, None, None]
+        a[0] = 0.0
+        want = np.linalg.norm(a, ord=2, axis=(1, 2))
+        got = opnorm(a)
+        assert got.shape == (30,) and got[0] == 0.0 and np.all(want[1:] > 0)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+    for shape in [(4, 0, d), (4, d, 0), (0, d, d), (0, 0)]:
+        assert np.array_equal(opnorm(np.zeros(shape)), np.zeros(shape[:-2]))
+    # a component stack folded into its rows, T: L2 -> L2(C^M), has the
+    # Gram sum_m T_m* T_m
+    t = rng.standard_normal((3, 2 * d, 5)) + 1j * rng.standard_normal(
+        (3, 2 * d, 5))
+    gram = np.einsum("mki,mkj->ij", t.conj(), t)
+    assert opnorm(t.reshape(-1, 5)) == pytest.approx(
+        np.sqrt(np.linalg.eigvalsh(gram)[-1]), rel=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(3, 8, 16), (2, 4, 16), (3, 8, 0)],
+                         ids=["tall", "wide", "empty"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_opnorm_from_smaller_gram_vs_svd(shape, dtype, monkeypatch):
+    import nclp.opcore as opcore
+    rng = np.random.default_rng(64)
+    mats = rng.standard_normal(shape)
+    if dtype is complex:
+        mats = mats + 1j * rng.standard_normal(shape)
+    A = mats.reshape(shape[0] * shape[1], shape[2])
+    top = np.linalg.svd(A, compute_uv=False).max(initial=0.0)
+    grams = []
+    monkeypatch.setattr(opcore, "eigvalsh", lambda g, real=opcore.eigvalsh:
+                        grams.append(g.shape) or real(g))
+    assert opnorm(A) == pytest.approx(top, rel=1e-12, abs=0.0)
+    # one Gram, of side min(rows, cols) of A; none of an empty A
+    assert grams == ([(min(A.shape),) * 2] if A.size else [])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("shape", [(6, 3), (3, 6), (2, 6, 3)],
+                         ids=["tall", "wide", "batch"])
+def test_opnorm_of_a_non_finite_stack_raises(shape, bad):
+    # real, and complex with the bad value in the imaginary part alone
+    for dtype, value in [(float, bad), (complex, complex(1.0, bad))]:
+        a = np.ones(shape, dtype=dtype)
+        a[..., 1, 2] = value
+        with pytest.raises(NumericError, match="Gram"):
+            opnorm(a)
+
+
+@pytest.mark.parametrize("side", [1, 2, 3, 8])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_opnorm_batch_entries_equal_their_own_calls(side, dtype):
+    # the closed forms (side <= 2) and LAPACK alike, tall and wide
+    rng = np.random.default_rng(65)
+    for shape in [(2, 3, 3 * side, side), (2, 3, side, 2 * side)]:
+        a = rng.standard_normal(shape).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal(shape)
+        got = opnorm(a)
+        assert got.shape == shape[:2]
+        for i, j in np.ndindex(*shape[:2]):
+            assert got[i, j] == opnorm(a[i, j])
+        assert np.array_equal(got[1], opnorm(a[1]))

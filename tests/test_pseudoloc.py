@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,13 +9,13 @@ from nclp.filtration import GridFiltration
 from nclp.czkit import cz_decompose
 from nclp.harness import (_localized_scalar, random_positive_martingale,
                           trial_rng)
-from nclp.opcore import Op, dense_algebra
+from nclp.opcore import Op, dense_algebra, opnorm
 from nclp.pseudoloc import (DiscOp, _ancestor_sums, _cube_cells,
                             _cube_starts, _haar_levels, _on_rows,
                             _torus_offsets, adjoint_one, annuli_kernel,
                             assemble, circulant_haar,
                             commutative_pseudoloc_check, cotlar_bound,
-                            ekt_delta, estimate_norm, family_gram, grid_l2,
+                            ekt_delta, grid_l2,
                             haar, hilbert_kernel, ihaar,
                             ksk_check, lambda_family, localization_check,
                             lp_bumps_kernel, nc_pseudoloc_check, normalized,
@@ -31,6 +32,14 @@ from oracles import (_parity, concentric_mask, cube_cells, cubes_at_level,
 
 def _T(K=5, M=3):
     return assemble(lp_bumps_kernel(M), K)
+
+
+def stack_norm(mats):
+    """||T|| of kernel matrices (M, rows, cols), T: L2 -> L2(C^M): opnorm
+    of the stack with its components folded into the rows (-1 would not
+    do: an empty stack may have no columns)."""
+    return float(opnorm(mats.reshape(math.prod(mats.shape[:-1]),
+                                     mats.shape[-1])))
 
 
 # -- dense kernel matrices from the Haar-coefficient pieces ------------------
@@ -480,21 +489,13 @@ def test_truncated_mats():
 # -- norms -------------------------------------------------------------------
 
 @pytest.mark.parametrize("kernel", ["hilbert", "annuli"])
-def test_estimate_norm_exact_vs_svd(kernel):
+def test_folded_opnorm_exact_vs_svd(kernel):
     # at K = 8 an iterative solve stopped early is off by about 1e-9
     K = 8
     T = assemble(_kernel(kernel, K), K)
     for mats in (T.mats, phi_s(T.mats, 3), ekt_delta(T, 2, 5)):
         top = np.linalg.svd(mats.reshape(-1, T.N), compute_uv=False)[0]
-        assert estimate_norm(mats) == pytest.approx(top, rel=1e-12)
-
-
-def test_family_gram_is_stacked_product():
-    T = assemble(annuli_kernel(4), 4)
-    G = family_gram(T.mats)
-    assert np.allclose(G, np.einsum("mki,mkj->ij", T.mats.conj(), T.mats),
-                       atol=1e-14)
-    assert np.allclose(G, G.conj().T, atol=0)
+        assert stack_norm(mats) == pytest.approx(top, rel=1e-12)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -506,50 +507,26 @@ def test_non_finite_mats_raise_numeric_error(bad):
     col = T.column.copy()
     col[1, 5] = bad
     with pytest.raises(NumericError):
-        estimate_norm(mats)
+        stack_norm(mats)
     with pytest.raises(NumericError):
         normalized(DiscOp(col, T.K, T.kernel))
     with pytest.raises(NumericError):
         cotlar_bound([mats, T.mats])
 
 
-def test_estimate_norm_vs_svd_oracle():
+def test_folded_opnorm_vs_svd_oracle():
     T = _T(4, 2)
     # stack components: the L2 -> L2(H) norm is the top singular value of
     # the (M*N, N) stacked matrix
     stacked = T.mats.reshape(-1, T.N)
     top = float(np.linalg.svd(stacked, compute_uv=False)[0])
-    assert estimate_norm(T.mats) == pytest.approx(top, rel=1e-8)
-
-
-@pytest.mark.parametrize("shape", [(3, 8, 16), (2, 4, 16), (3, 8, 0)],
-                         ids=["tall", "wide", "empty"])
-@pytest.mark.parametrize("dtype", [float, complex])
-def test_estimate_norm_from_smaller_gram_vs_svd(shape, dtype, monkeypatch):
-    import nclp.pseudoloc as pl
-    rng = np.random.default_rng(64)
-    mats = rng.standard_normal(shape)
-    if dtype is complex:
-        mats = mats + 1j * rng.standard_normal(shape)
-    A = mats.reshape(shape[0] * shape[1], shape[2])
-    top = np.linalg.svd(A, compute_uv=False).max(initial=0.0)
-    grams, real = [], pl.family_gram
-
-    def recorded(x):
-        grams.append(x.shape)
-        return real(x)
-
-    monkeypatch.setattr(pl, "family_gram", recorded)
-    assert estimate_norm(mats) == pytest.approx(top, rel=1e-12, abs=0.0)
-    # one Gram of a 3-D stack, of side min(rows, cols) of A
-    assert len(grams) == 1 and len(grams[0]) == 3
-    assert grams[0][-1] == min(A.shape)
+    assert stack_norm(T.mats) == pytest.approx(top, rel=1e-8)
 
 
 def test_normalized_has_unit_norm():
     T = _T(4, 3)
     Tn = normalized(T)
-    assert estimate_norm(Tn.mats) == pytest.approx(1.0, rel=1e-13)
+    assert stack_norm(Tn.mats) == pytest.approx(1.0, rel=1e-13)
     # the divisor is the symbol norm of the raw assembly
     est = symbol_norm(T)
     assert est > 1e-12
@@ -558,7 +535,7 @@ def test_normalized_has_unit_norm():
 
 def dense_normalized(T):
     """T / ||T|| with the norm from the dense stack's Gram."""
-    est = estimate_norm(T.mats)
+    est = stack_norm(T.mats)
     if est <= 0:
         raise NumericError("cannot normalize a zero operator")
     return DiscOp(T.column / est, T.K, T.kernel)
@@ -568,7 +545,7 @@ def dense_normalized(T):
 @pytest.mark.parametrize("K", range(2, 11))
 def test_symbol_norm_matches_dense_oracle(K, kernel):
     T = assemble(_kernel(kernel, K), K)
-    dense = estimate_norm(T.mats)
+    dense = stack_norm(T.mats)
     if dense == 0.0:            # the Hilbert kernel at K = 2 is all taper
         assert (kernel, K) == ("hilbert", 2) and symbol_norm(T) == 0.0
         for path in (normalized, dense_normalized):
@@ -705,10 +682,10 @@ def test_haar_block_norms_equal_piece_norms(kernel):
     T = normalized(assemble(_kernel(kernel, K), K))
     t_hat = haar2(T.mats)
     for s in range(1, K):
-        assert estimate_norm(phi_s_hat(t_hat, s)) == pytest.approx(
-            estimate_norm(phi_s(T.mats, s)), rel=1e-12, abs=1e-300)
-        assert estimate_norm(dense_psi_s_hat(T, s)) == pytest.approx(
-            estimate_norm(psi_s(T, s)), rel=1e-12, abs=1e-300)
+        assert stack_norm(phi_s_hat(t_hat, s)) == pytest.approx(
+            stack_norm(phi_s(T.mats, s)), rel=1e-12, abs=1e-300)
+        assert stack_norm(dense_psi_s_hat(T, s)) == pytest.approx(
+            stack_norm(psi_s(T, s)), rel=1e-12, abs=1e-300)
 
 
 def test_phi_psi_shift_contract():
@@ -751,10 +728,10 @@ def test_half_shift_split_phi_norms_match_unsplit(K, kernel, corrected):
     split = half_shift_split(t_hat)
     assert np.array_equal(split, parts[[0, 1], [0, 1]])
     for s in range(s_lo, K):
-        whole = estimate_norm(phi_s_hat(t_hat, s))
+        whole = stack_norm(phi_s_hat(t_hat, s))
         halves = split_phi_s_hat(split, s)
         assert halves.shape == (2, T.M, 1 << (K - s - 1), T.N // 2)
-        assert max(map(estimate_norm, halves)) == pytest.approx(
+        assert max(map(stack_norm, halves)) == pytest.approx(
             whole, rel=1e-13, abs=0.0)
 
 
@@ -768,8 +745,8 @@ def test_half_shift_split_of_an_operator_that_is_not_circulant(K):
     t_hat = haar2(A + np.roll(A, (N // 2, N // 2), axis=(-2, -1)))
     split = half_shift_split(t_hat)
     for s in range(1, K):
-        assert max(map(estimate_norm, split_phi_s_hat(split, s))) \
-            == pytest.approx(estimate_norm(phi_s_hat(t_hat, s)), rel=1e-13,
+        assert max(map(stack_norm, split_phi_s_hat(split, s))) \
+            == pytest.approx(stack_norm(phi_s_hat(t_hat, s)), rel=1e-13,
                              abs=0.0)
 
 
@@ -828,9 +805,9 @@ def test_dyadic_period_block_norms_match_the_parities_and_dense_phi_s(
     for s in range(s_lo, K):
         got = phi_s_norm(blocks, s)
         assert got == pytest.approx(max(map(
-            estimate_norm, split_phi_s_hat(split, s))), rel=1e-13, abs=0.0)
+            stack_norm, split_phi_s_hat(split, s))), rel=1e-13, abs=0.0)
         if cols is not None:
-            assert got == pytest.approx(estimate_norm(oracle_phi_s(cols, s)),
+            assert got == pytest.approx(stack_norm(oracle_phi_s(cols, s)),
                                         rel=1e-13, abs=0.0)
 
 
@@ -916,7 +893,7 @@ def test_psi_s_norm_matches_dense_haar_block_norm(K, kernel):
     nonzero = 0
     for s in range(1 if K < 10 else K - 4, K):
         got = psi_s_norm(T, s)
-        ref = estimate_norm(dense_psi_s_hat(T, s))
+        ref = stack_norm(dense_psi_s_hat(T, s))
         if K - s < 4:        # Psi_s is empty: exact zeros, as _slope reads
             assert got == 0.0 and ref == 0.0
         # abs=0: where every truncated T_k is 0 both sides are exactly 0.0
@@ -938,17 +915,19 @@ def test_psi_s_norm_reads_nine_symbol_blocks_of_a_real_column(K, kernel,
     T = normalized(assemble(_kernel(kernel, K), K))
     real = kernel != "annuli"
     for s in range(1, K - 3):
-        norms = [estimate_norm(b) for b in psi_s_symbol(T, s).swapaxes(0, 1)]
+        norms = [stack_norm(b) for b in psi_s_symbol(T, s).swapaxes(0, 1)]
         if real:
             for w in range(1, 8):
                 assert norms[16 - w] == pytest.approx(norms[w], rel=1e-15,
                                                       abs=0.0)
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(pl, "estimate_norm",
-                      lambda x: calls.append(x.shape) or estimate_norm(x))
+            m.setattr(pl, "opnorm",
+                      lambda x: calls.append(x.shape) or opnorm(x))
             got = psi_s_norm(T, s)
-        assert len(calls) == (9 if real else 16)
+        # one call per block, its M components folded into its L rows
+        L = T.N >> 4
+        assert calls == [(T.M * L, L - 2 ** (s - 1))] * (9 if real else 16)
         assert got == max(norms[:len(calls)])
         # == but for hilbert at K = 10, s = 5, where block 9's eigvalsh
         # rounds one ulp (1.9e-16) above block 7's
@@ -988,16 +967,17 @@ def test_psi_s_commutes_with_the_level_4_shift_only(K, s, kernel):
 
 
 def test_decay_builds_no_psi_s_block(monkeypatch):
-    # Psi_s reaches family_gram only as (M, N/16, N/16 - 2^{s-1}) blocks of
-    # its symbol per nonempty shift, never as a Haar block of N - 8*2^s
-    # columns; the other Grams are those of Phi_s's blocks on V_1..V_{K-s}
+    # Psi_s reaches opnorm only as (M*N/16, N/16 - 2^{s-1}) blocks of its
+    # symbol per nonempty shift, never as a Haar block of N - 8*2^s
+    # columns; the other norms are those of Phi_s's blocks on V_1..V_{K-s_lo}
     # and W_{K-s_lo} (``phi_s_blocks``), never of its N-column Haar block or
-    # of its two (N/2)-column parities (the smaller Gram, A A^H as the Gram
-    # of A^H, when a block's M rows fall below its columns)
+    # of its two (N/2)-column parities; each solves the smaller Gram, and
+    # the blocks on V_{K-s+1}..V_{K-s_lo}, empty at shift s, solve none
+    import nclp.opcore as opcore
     import nclp.pseudoloc as pl
     import nclp.harness as harness
-    calls, built = [], []
-    for name in ("psi_s_symbol", "family_gram"):
+    calls, built, grams = [], [], []
+    for name in ("psi_s_symbol", "opnorm"):
         def recorded(x, *args, name=name, real=getattr(pl, name)):
             calls.append((name, getattr(x, "shape", None)))
             return real(x, *args)
@@ -1007,6 +987,8 @@ def test_decay_builds_no_psi_s_block(monkeypatch):
         built.append(out.shape)
         return out
     monkeypatch.setattr(pl, "circulant_haar", recorded_block)
+    monkeypatch.setattr(opcore, "eigvalsh", lambda g, real=opcore.eigvalsh:
+                        grams.append(g.shape) or real(g))
     K, N, shifts = 8, 256, range(2, 7)
     rep = harness.run(harness.ExperimentConfig(
         "pseudoloc-decay", depth=K, s_range=(2, 6), kernel="lp-bumps"))
@@ -1016,8 +998,8 @@ def test_decay_builds_no_psi_s_block(monkeypatch):
     assert built == [(K, 1 << (K - 2 - j), N >> j) for j in range(1, K - 1)] \
         + [(K, 1, 4)]
     assert not any(len(shape) > 3 or shape[-1] == N for shape in built)
-    # per shift: the Grams of Phi_s's K - s + 1 nonempty blocks, then
-    # psi_s_symbol, then the Psi_s Grams (9 of 16 blocks: the column is real)
+    # per shift: the norms of Phi_s's K - 1 blocks, then psi_s_symbol, then
+    # the Psi_s norms (9 of 16 blocks: the column is real)
     marks = [i for i, (name, _) in enumerate(calls) if name == "psi_s_symbol"]
     starts = [0] + [i + 1 + 9 * (K - s >= 4) for s, i in zip(shifts, marks)]
     assert len(marks) == len(shifts)
@@ -1025,17 +1007,22 @@ def test_decay_builds_no_psi_s_block(monkeypatch):
     psi_ops = {s: calls[i + 1:j]
                for s, i, j in zip(shifts, marks, starts[1:])}
     assert starts[-1] == len(calls)
-
-    def gram(rows, cols):
-        return (K, rows, cols) if K * rows >= cols else (1, cols, K * rows)
-    assert phi_ops == [[("family_gram", gram(1 << (K - s - j), N >> j))
+    # the M = K components folded into the rows
+    assert phi_ops == [[("opnorm", (K << (K - s - j), N >> j))
                         for j in range(1, K - s + 1)]
-                       + [("family_gram", gram(1, 4))] for s in shifts]
+                       + [("opnorm", (0, N >> j)) for j in range(K - s + 1,
+                                                                 K - 1)]
+                       + [("opnorm", (K, 4))] for s in shifts]
     L = N // 16                     # symbol blocks: L cells by c wavelets
-    assert psi_ops == {s: [("family_gram", (K, L, L - 2 ** (s - 1)))]
+    assert psi_ops == {s: [("opnorm", (K * L, L - 2 ** (s - 1)))]
                        * (9 if K - s >= 4 else 0) for s in shifts}
     assert not any(shape[-1] in (N, N - 8 * 2 ** s)
                    for s, ops in psi_ops.items() for _, shape in ops)
+    # one Gram per nonempty block, of side min(rows, cols)
+    assert grams == [(side, side) for s in shifts for side in
+                     [min(K << (K - s - j), N >> j)
+                      for j in range(1, K - s + 1)] + [min(K, 4)]
+                     + [L - 2 ** (s - 1)] * (9 if K - s >= 4 else 0)]
 
 
 def test_psi_s_norm_peak_memory():
@@ -1156,7 +1143,7 @@ def test_schur_dominates_operator_norm():
     for s in (1, 2):
         for k in (0, 1, 2):
             A = ekt_delta(T, k, k + s)
-            assert schur_bound(A) >= estimate_norm(A) - 1e-9
+            assert schur_bound(A) >= stack_norm(A) - 1e-9
 
 
 def test_cotlar_bound_matches_svd_oracle():
@@ -1179,7 +1166,7 @@ def test_cotlar_dominates_sum_norm():
     T = normalized(_T(5, 3))
     s = 2
     fam = lambda_family(T, s)
-    direct = estimate_norm(sum(fam))
+    direct = stack_norm(sum(fam))
     assert cotlar_bound(fam) >= direct - 1e-6
 
 

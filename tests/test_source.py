@@ -56,10 +56,10 @@ def test_no_module_reads_the_dense_stack(path):
     assert mats_reads(path.read_text(encoding="utf-8")) == []
 
 
-def validating_op_callers(source: str) -> set[str]:
-    """The functions that call the validating constructor ``Op(...)``, as
-    ``function``, ``Class.method`` or ``outer.inner``; ``<module>`` for a
-    call outside any function."""
+def callers(source: str, is_target) -> set[str]:
+    """The functions that make a call whose ``func`` node has
+    ``is_target(func)`` true, as ``function``, ``Class.method`` or
+    ``outer.inner``; ``<module>`` for a call outside any function."""
     found = set()
 
     def visit(node, scope):
@@ -68,13 +68,17 @@ def validating_op_callers(source: str) -> set[str]:
                                   ast.ClassDef)):
                 visit(child, scope + [child.name])
                 continue
-            if isinstance(child, ast.Call) and isinstance(child.func, ast.Name) \
-                    and child.func.id == "Op":
+            if isinstance(child, ast.Call) and is_target(child.func):
                 found.add(".".join(scope) or "<module>")
             visit(child, scope)
 
     visit(ast.parse(source), [])
     return found
+
+
+def validating_op_callers(source: str) -> set[str]:
+    """The functions that call the validating constructor ``Op(...)``."""
+    return callers(source, lambda f: isinstance(f, ast.Name) and f.id == "Op")
 
 
 # Where data enters an Op: the draws, and the drawn scalar function of the
@@ -102,3 +106,47 @@ def test_validating_op_callers_finds_a_call_outside_the_list():
 def test_only_the_entry_points_call_the_validating_op(path):
     assert validating_op_callers(path.read_text(encoding="utf-8")) \
         == OP_CALLERS.get(path.name, set())
+
+
+def spectral_callers(source: str) -> set[str]:
+    """The functions that call ``eigvalsh`` or ``np.linalg``'s ``eigvalsh``,
+    ``eigh``, ``svd`` or ``norm`` (which takes an SVD for ord=2)."""
+    def is_solve(f):
+        if isinstance(f, ast.Name):
+            return f.id == "eigvalsh"
+        return isinstance(f, ast.Attribute) \
+            and f.attr in ("eigvalsh", "eigh", "svd", "norm") \
+            and isinstance(f.value, ast.Attribute) and f.value.attr == "linalg"
+    return callers(source, is_solve)
+
+
+# opcore holds the solvers, and every eigenvalue-based operator norm is its
+# ``opnorm``; outside it only these read a spectrum, not a norm, and two
+# checks take the norm of vectors
+SPECTRAL_CALLERS = {"cuculescu.py": {"cuculescu_report"},
+                    "czkit.py": {"zeta_cube_inequalities"},
+                    "martingale.py": {"Martingale.spectral_floor"},
+                    "pseudoloc.py": {"ksk_check", "localization_check"}}
+
+
+def test_spectral_callers_finds_a_solve_outside_the_list():
+    assert spectral_callers(
+        "def f(g):\n    return np.linalg.eigh(g), linalg.svd(g)\n"
+        "class A:\n    def n(self, x):\n        return np.linalg.norm(x)\n"
+        "def g(h):\n    return eigvalsh(h), np.linalg.qr(h), h.norm()\n") \
+        == {"f", "A.n", "g"}
+    # a phi_s_norm that took its block norms by hand would be caught
+    src = (SRC / "pseudoloc.py").read_text(encoding="utf-8")
+    old = "opnorm(h.reshape(-1, h.shape[-1]))"
+    planted = src.replace(old, "np.sqrt(eigvalsh(h).max())")
+    assert planted != src
+    assert spectral_callers(planted) - SPECTRAL_CALLERS["pseudoloc.py"] \
+        == {"phi_s_norm"}
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "opcore.py"],
+                         ids=lambda p: p.name)
+def test_only_the_spectrum_readers_solve_outside_opcore(path):
+    assert spectral_callers(path.read_text(encoding="utf-8")) \
+        == SPECTRAL_CALLERS.get(path.name, set())
