@@ -16,6 +16,7 @@ pair.  q_n <= q_{n-1} holds up to rounding, so q(lambda) is the last q_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +28,19 @@ from .opcore import (ENDPOINT_TOL, Op, _op, block_matmul as mm, eigvalsh,
 
 @dataclass
 class CuculescuSequence:
-    """The recursion at every threshold of ``lam``: ``qs`` has shape
-    (*lam.shape, *martingale.batch, levels, nblocks, d, d), so a scalar
-    lam adds no axis."""
+    """The recursion at every threshold of ``lam``, a leading axis unless lam
+    is a scalar: ``restricted[n]`` is q_n in M_n's coordinates, and ``qs``,
+    built on first read, stacks every q_n in the full algebra on axis -4."""
 
     lam: np.ndarray | float
-    qs: Op
+    restricted: tuple[Op, ...]
     martingale: Martingale
 
-    @property
+    @cached_property
+    def qs(self) -> Op:
+        return self.martingale.filtration.extend_levels(self.restricted)
+
+    @cached_property
     def q_prev(self) -> Op:
         """q_{n-1} at each position n, the unit before the first level."""
         qs = self.qs.blocks
@@ -45,10 +50,10 @@ class CuculescuSequence:
                    self.qs.algebra)
 
     def __getitem__(self, i) -> "CuculescuSequence":
-        """The recursion at the thresholds lam[i]: lam and qs are indexed
-        together along the threshold axis."""
-        return CuculescuSequence(np.asarray(self.lam)[i], self.qs[i],
-                                 self.martingale)
+        """The recursion at the thresholds lam[i]: lam and every level are
+        indexed together along the threshold axis."""
+        return CuculescuSequence(np.asarray(self.lam)[i], tuple(
+            q[i] for q in self.restricted), self.martingale)
 
 
 def lam_axes(lam, f: Martingale, trailing: int = 0) -> np.ndarray:
@@ -74,7 +79,7 @@ def cuculescu(f: Martingale, lam):
             "cuculescu requires a positive martingale"
             + (f" (entry {', '.join(map(str, bad[0]))} is not)" if bad.size
                else "" if len(bad) else " (its top is not Hermitian)"))
-    alg, filt = f.algebra, f.filtration
+    filt = f.filtration
     # q f_n q + (lam+1)(1 - q) has the spectrum of the compression on
     # range(q) and lam + 1 on its complement, so one stacked solve per level
     # keeps exactly the directions of range(q) at or below lam.  q_{n-1} and
@@ -85,8 +90,7 @@ def cuculescu(f: Martingale, lam):
     def keep(w):
         return w <= cut + ENDPOINT_TOL
 
-    q = filt.level_algebra(f.levels[0]).unit()
-    qs = np.empty(np.shape(lam) + f.seq.blocks.shape, dtype=complex)
+    q, qs = filt.level_algebra(f.levels[0]).unit(), []
     for n, k in enumerate(f.levels):
         if n:
             q = filt.refine(q, k)
@@ -95,14 +99,14 @@ def cuculescu(f: Martingale, lam):
             + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)
         q = _op(kept_projection(hermitian_part(h), keep),
                 filt.level_algebra(k))
-        qs[..., n, :, :, :] = filt.extend(q, k).blocks
-    return CuculescuSequence(lam, _op(qs, alg), f)
+        qs.append(q)
+    return CuculescuSequence(lam, tuple(qs), f)
 
 
 def q_lambda(seq: CuculescuSequence) -> Op:
-    """q(lambda) = meet of all q_n, which is the last q_n because the chain
-    decreases (the tests check it against ``proj_meet``)."""
-    return seq.qs[..., -1, :, :, :]
+    """q(lambda) = meet of all q_n, which is the last q_n, in the full
+    algebra, because the chain decreases (``proj_meet`` in the tests)."""
+    return seq.restricted[-1]
 
 
 def cuculescu_report(seq: CuculescuSequence) -> dict:
@@ -115,10 +119,10 @@ def cuculescu_report(seq: CuculescuSequence) -> dict:
     comm = excess = -np.inf
     # q_{n-1}, q_n and f_n lie in M_n: both checks run in M_n's coordinates,
     # and q_{n-1} comes there from M_{n-1}'s by ``refine``
+    qs = seq.restricted
     for n, k in enumerate(f.levels):
-        qn = filt.restrict(seq.qs[..., n, :, :, :], k)
-        qp = filt.refine(qprev, k) if n else filt.level_algebra(k).unit()
-        q, qp, fk = qn.blocks, qp.blocks, f.restricted[n].blocks
+        qp = filt.refine(qs[n - 1], k) if n else filt.level_algebra(k).unit()
+        q, qp, fk = qs[n].blocks, qp.blocks, f.restricted[n].blocks
         comp = mm(mm(qp, fk), qp)
         # i[q_n, comp] is Hermitian, so its eigenvalues give the commutator's
         # singular values; with q_n f_n q_n - lam q_n it is one eigvalsh
@@ -127,7 +131,6 @@ def cuculescu_report(seq: CuculescuSequence) -> dict:
         w = eigvalsh(hermitian_part(h))
         comm = np.maximum(comm, np.abs(w[0]).max(axis=(-2, -1)))
         excess = np.maximum(excess, w[1].max(axis=(-2, -1)))
-        qprev = qn
     return {"commutator": comm, "compression_excess": excess,
             "tail_trace": 1.0 - q_lambda(seq).trace().real}
 

@@ -197,14 +197,15 @@ def g_off_layers(parts: CZParts) -> dict:
     npos = len(f.levels)
     s, k = np.array([(s, k) for s in range(1, npos)
                      for k in range(npos - s)], dtype=int).reshape(-1, 2).T
-    p, df = parts.ps[..., k, :, :, :], f.diffs[..., k + s, :, :, :]
-    qprev = parts.qs[..., k + s - 1, :, :, :]
-    live = np.asarray(f.levels)[k] > np.asarray(parts.m_lambda)[..., None]
-    terms = _op(np.where(live[..., None, None, None],
-                         (p @ df @ qprev + qprev @ df @ p).blocks, 0.0),
-                f.algebra)
-    layers = np.zeros(parts.ps.batch[:-1] + (npos - 1,)
-                      + f.seq.blocks.shape[-3:], dtype=complex)
+    # p_k, df and q are Hermitian, so q df p_k = (p_k df q)*
+    x = mm(mm(parts.ps.blocks[..., k, :, :, :],
+              f.diffs.blocks[..., k + s, :, :, :]),
+           parts.qs.blocks[..., k + s - 1, :, :, :])
+    x += _adjoint(x)
+    x[np.asarray(f.levels)[k] <= np.asarray(parts.m_lambda)[..., None]] = 0.0
+    terms = _op(x, f.algebra)
+    layers = np.zeros(x.shape[:-4] + (npos - 1,) + x.shape[-3:],
+                      dtype=complex)
     # in order, k ascending per s; a masked zero leaves a sum unchanged
     np.add.at(np.moveaxis(layers, -4, 0), s - 1,
               np.moveaxis(terms.blocks, -4, 0))

@@ -72,6 +72,11 @@ class Filtration:
         """E_k applied to each entry of f (batch axes pass through)."""
         return self.extend(self.restrict(f, k), k)
 
+    def extend_levels(self, ys) -> Op:
+        """Each ys[k] of M_k in the full algebra, stacked on axis -4."""
+        return _op(np.stack([self.extend(y, k).blocks for k, y in zip(
+            self.levels, ys, strict=True)], axis=-4), self.algebra)
+
     def check_level(self, k: int):
         if k not in self.levels:
             raise ContractViolation(f"level {k} outside {self.levels[0]}..{self.levels[-1]}")

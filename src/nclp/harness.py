@@ -33,7 +33,7 @@ ENVELOPE = 64.0
 
 # trials per call of an experiment's runner: the batched runners stack this
 # many martingales, which keeps their arrays, and so the peak memory, small
-TRIAL_CHUNK = 4
+TRIAL_CHUNK = 8
 
 
 @dataclass

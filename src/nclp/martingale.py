@@ -20,10 +20,10 @@ POSITIVE_TOL = 1e-10
 class Martingale:
     """Finite adapted sequence f_k = E_k(f) over the filtration levels.
 
-    ``seq`` and ``diffs`` are Ops batched over the levels; ``restricted``
-    holds each f_k in the coordinates of M_k (``Filtration.restrict``).
-    The convention f_{before first level} = 0 makes the first difference
-    equal to the first conditional expectation, so sum(df) = f_top.
+    ``restricted`` holds each f_k in the coordinates of M_k, the last one
+    f_top; ``seq`` and ``diffs``, built on first read, are Ops batched over
+    the levels.  The convention f_{before first level} = 0 makes the first
+    difference equal to the first conditional expectation, so sum(df) = f_top.
 
     A batched ``top`` (*batch, nblocks, d, d) gives a batch of martingales:
     the level axis is axis -4 of ``seq`` and ``diffs``, behind the batch
@@ -36,20 +36,24 @@ class Martingale:
         self.filtration = filtration
         self.levels = list(filtration.levels)
         self.restricted = [filtration.restrict(top, k) for k in self.levels]
-        self.seq = _op(np.stack([filtration.extend(y, k).blocks for k, y in
-                                 zip(self.levels, self.restricted)], axis=-4),
-                       filtration.algebra)
-        self.diffs = _op(np.diff(self.seq.blocks, axis=-4, prepend=0.0),
-                         filtration.algebra)
+
+    @cached_property
+    def seq(self) -> Op:
+        return self.filtration.extend_levels(self.restricted)
+
+    @cached_property
+    def diffs(self) -> Op:
+        return _op(np.diff(self.seq.blocks, axis=-4, prepend=0.0),
+                   self.algebra)
 
     @property
     def top(self) -> Op:
-        return self.seq[..., -1, :, :, :]
+        return self.restricted[-1]
 
     @property
     def batch(self) -> tuple:
         """The batch axes in front of the level axis."""
-        return self.seq.batch[:-1]
+        return self.top.batch
 
     @property
     def algebra(self):

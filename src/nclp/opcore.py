@@ -218,7 +218,9 @@ def _adjoint(x: np.ndarray) -> np.ndarray:
 
 def hermitian_part(x: np.ndarray) -> np.ndarray:
     """(x + x*)/2 of each stacked block."""
-    return 0.5 * (x + _adjoint(x))
+    h = x + _adjoint(x)
+    h *= 0.5
+    return h
 
 
 def _eigh(h: np.ndarray):

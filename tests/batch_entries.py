@@ -9,13 +9,16 @@ from nclp.opcore import Op
 
 def entry(x, i):
     """The entry at index i of the threshold axis of a lambda-batched
-    result: every Op and array field is indexed at i, nested dataclasses
-    and dicts field by field; scalars, which no threshold shapes, stay."""
+    result: every Op and array field is indexed at i, nested dataclasses,
+    dicts and tuples field by field; scalars, which no threshold shapes,
+    stay."""
     if dataclasses.is_dataclass(x):
         return dataclasses.replace(x, **{
             f.name: entry(getattr(x, f.name), i) for f in dataclasses.fields(x)})
     if isinstance(x, dict):
         return {k: entry(v, i) for k, v in x.items()}
+    if isinstance(x, tuple):
+        return tuple(entry(v, i) for v in x)
     if isinstance(x, Op) or np.ndim(x) > 0:
         return x[i]
     return x
@@ -31,6 +34,10 @@ def assert_same(got, want, tol=1e-12):
         assert got.keys() == want.keys()
         for key in want:
             assert_same(got[key], want[key], tol)
+    elif isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same(g, w, tol)
     elif isinstance(want, Op):
         assert got.blocks.shape == want.blocks.shape
         assert np.abs(got.blocks - want.blocks).max(initial=0.0) <= tol

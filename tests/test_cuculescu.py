@@ -1,5 +1,6 @@
 import importlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nclp.czkit import cz_decompose, cz_report
 from nclp.errors import ContractViolation, NumericError
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
-from nclp.harness import (ExperimentConfig, Suite, random_op,
+from nclp.harness import (TRIAL_CHUNK, ExperimentConfig, Suite, random_op,
                           random_positive_batch, random_positive_martingale,
                           random_positive_top, report_json, run, trial_rng)
 from nclp.martingale import Martingale
@@ -276,8 +277,8 @@ def test_compression_excess_sees_a_projection_above_lambda():
     f = random_positive_martingale(filt, trial_rng(23, 0))
     w = np.linalg.eigvalsh(f.top.blocks)
     lam = 0.5 * (w.min() + w.max())
-    units = np.broadcast_to(f.algebra.unit().blocks, f.seq.blocks.shape)
-    bad = CuculescuSequence(lam, Op(units, f.algebra), f)
+    bad = CuculescuSequence(lam, tuple(filt.level_algebra(k).unit()
+                                       for k in f.levels), f)
     excess = cuculescu_report(bad)["compression_excess"]
     assert excess >= w.max() - lam - 1e-12 > 0.0
     suite = Suite(ExperimentConfig("cuculescu").resolved(), rules=[
@@ -666,3 +667,90 @@ def test_recursion_makes_no_validating_op_call(monkeypatch):
     # the counter sees the validating constructor
     Op(f.top.blocks, f.algebra)
     assert calls == [1]
+
+
+# -- q_n in its own level's coordinates, the full-size stacks on first read ----
+
+CONTRACT_SPECS = ["tensor:4", "grid:1,4,2", "grid:2,3,2"]
+
+
+def _pair(filt, seed):
+    return random_positive_batch(filt, [(trial_rng(seed, t), t)
+                                        for t in range(2)])
+
+
+def stored_full_size(seq):
+    """qs and q_prev as a recursion that stores full-size projections holds
+    them: each q_n extended into a preallocated complex stack, and the unit
+    ahead of q_0..q_{top-1}."""
+    f, filt = seq.martingale, seq.martingale.filtration
+    qs = np.empty(np.shape(seq.lam) + f.batch + (len(f.levels),)
+                  + f.top.blocks.shape[-3:], dtype=complex)
+    for n, k in enumerate(f.levels):
+        qs[..., n, :, :, :] = filt.extend(seq.restricted[n], k).blocks
+    unit = np.broadcast_to(filt.algebra.unit().blocks,
+                           qs[..., :1, :, :, :].shape)
+    return qs, np.concatenate([unit, qs[..., :-1, :, :, :]], axis=-4)
+
+
+@pytest.mark.parametrize("lam", [2.0, BATCH_LAMS], ids=["scalar", "vector"])
+@pytest.mark.parametrize("spec", CONTRACT_SPECS)
+def test_levels_hold_q_n_and_the_full_stacks_extend_them(spec, lam):
+    filt = build_filtration(spec)
+    f = _pair(filt, 36)
+    seq = cuculescu(f, lam)
+    assert not {"qs", "q_prev"} & seq.__dict__.keys()
+    assert len(seq.restricted) == len(f.levels)
+    for k, q in zip(f.levels, seq.restricted):
+        assert q.algebra is filt.level_algebra(k)
+        assert q.batch == np.shape(lam) + f.batch
+    qs, q_prev = stored_full_size(seq)
+    assert np.array_equal(seq.qs.blocks, qs)
+    assert np.array_equal(seq.q_prev.blocks, q_prev)
+    # q(lambda) is the top level itself, the last q_n of the full stack
+    assert q_lambda(seq) is seq.restricted[-1]
+    assert np.array_equal(q_lambda(seq).blocks, qs[..., -1, :, :, :])
+
+
+@pytest.mark.parametrize("spec", CONTRACT_SPECS)
+def test_indexing_slices_the_levels_and_the_full_stacks_alike(spec):
+    seq = cuculescu(_pair(build_filtration(spec), 37), BATCH_LAMS)
+    for i in (3, [1, 4, 1], slice(2, 6)):
+        got = seq[i]
+        assert np.array_equal(got.lam, BATCH_LAMS[i])
+        for q, q_all in zip(got.restricted, seq.restricted, strict=True):
+            assert np.array_equal(q.blocks, q_all.blocks[i])
+        assert np.array_equal(got.qs.blocks, seq.qs.blocks[i])
+        assert np.array_equal(got.q_prev.blocks, seq.q_prev.blocks[i])
+
+
+@pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2"])
+def test_cuculescu_runner_builds_no_full_size_stack(spec, monkeypatch):
+    import nclp.harness as harness
+    seen, real = [], harness.cuculescu_report
+
+    def recorded(seq):
+        seen.append(seq)
+        return real(seq)
+
+    monkeypatch.setattr(harness, "cuculescu_report", recorded)
+    run(ExperimentConfig("cuculescu", algebra=spec, trials=TRIAL_CHUNK))
+    [seq] = seen
+    assert seq.martingale.batch == (TRIAL_CHUNK,)
+    assert not {"seq", "diffs"} & seq.martingale.__dict__.keys()
+    assert not {"qs", "q_prev"} & seq.__dict__.keys()
+
+
+def test_cuculescu_chunk_memory_stays_level_sized():
+    # a tensor:4 chunk of 8 trials at 7 thresholds peaked at 3.3 MiB here
+    # while every q_n was also stored at full size; kept in its own level's
+    # coordinates it peaks at 2.2 MiB
+    f = random_positive_batch(TensorDyadicFiltration(4), [
+        (trial_rng(5, t), t) for t in range(TRIAL_CHUNK)])
+    tracemalloc.start()
+    try:
+        cuculescu_report(cuculescu(f, BATCH_LAMS))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20

@@ -320,8 +320,9 @@ def test_decay_shifts_draw_from_one_generator_across_chunks(monkeypatch):
         return real(T, f, s)
 
     monkeypatch.setattr(harness.pl, "commutative_pseudoloc_check", recorded)
+    monkeypatch.setattr(harness, "TRIAL_CHUNK", 4)
     rep = run(ExperimentConfig("pseudoloc-decay", depth=7, s_range=(1, 6)))
-    assert len(rep["trials"]) == 6 > TRIAL_CHUNK
+    assert len(rep["trials"]) == 6 > harness.TRIAL_CHUNK
     rng = trial_rng(0, 0)
     assert [s for s, _ in seen] == list(range(1, 7))
     for s, f in seen:
