@@ -10,7 +10,7 @@ from .filtration import (AlgebraSpec, Filtration, GridFiltration,
                          TensorDyadicFiltration, build_filtration, parse_spec)
 from .martingale import (CoeffMatrix, Martingale, bmo_norms, col_square,
                          function_bmo, l2_identity_check, lp_rc_norm,
-                         row_square, transform_family)
+                         row_square, split_upper_bound, transform_family)
 from .cuculescu import (CuculescuSequence, PiFamily, cuculescu,
                         cuculescu_report, delta_split, delta_trunc,
                         ladder_top, pi_family, q_lambda)

@@ -40,9 +40,11 @@ class CuculescuSequence:
     def qs(self) -> Op:
         return self.martingale.filtration.extend_levels(self.restricted)
 
-    @cached_property
+    @property
     def q_prev(self) -> Op:
-        """q_{n-1} at each position n, the unit before the first level."""
+        """q_{n-1} at each position n, the unit before the first level,
+        built on each read: its two readers read it once, and a cached
+        copy would live as long as the CZ parts that hold the sequence."""
         qs = self.qs.blocks
         unit = np.broadcast_to(self.martingale.algebra.unit().blocks,
                                qs[..., :1, :, :, :].shape)
@@ -152,9 +154,6 @@ class PiFamily:
     @property
     def l_max(self) -> int:
         return self.l_min + len(self.w) - 1
-
-    def indices(self):
-        return range(self.l_min, self.l_max + 1)
 
 
 def meet_ladder(qs: Op, l_min: int) -> PiFamily:

@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cuculescu import (PiFamily, cuculescu, ladder_top, lam_axes,
-                        meet_ladder, q_lambda)
+from .cuculescu import (CuculescuSequence, PiFamily, cuculescu, ladder_top,
+                        lam_axes, meet_ladder, q_lambda)
 from .errors import ContractViolation
 from .filtration import GridFiltration
 from .martingale import Martingale
@@ -18,21 +18,22 @@ from .opcore import (Op, _adjoint, _op, block_matmul as mm, eigvalsh,
 
 @dataclass
 class CZParts:
-    """The four parts at every threshold of ``lam``; each Op carries lam's
-    shape and then the martingale's batch axes in front of its own axes, and
-    ``m_lambda`` has those two in that order."""
+    """The four parts at every threshold of ``seq.lam``; each Op carries
+    lam's shape and then the martingale's batch axes in front of its own
+    axes, and ``m_lambda`` has those two in that order."""
 
     g_d: Op
     g_off: Op
     b_d: Op
     b_off: Op
     b_d_terms: Op                # p_k (f - f_k) p_k, batched over levels
-    qs: Op                       # Cuculescu projections, batched likewise
-    ps: Op                       # p_k = q_{k-1} - q_k
-    q: Op                        # final meet
+    ps: Op                       # p_k = q_{k-1} - q_k, batched likewise
     m_lambda: np.ndarray | int
-    lam: np.ndarray | float
-    martingale: Martingale
+    seq: CuculescuSequence       # the recursion the parts are split along
+
+    @property
+    def martingale(self) -> Martingale:
+        return self.seq.martingale
 
     @property
     def filtration(self) -> GridFiltration:
@@ -62,7 +63,7 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
     alg = f.algebra
     Q, Qprev = seq.qs.blocks, seq.q_prev.blocks
     P, F = Qprev - Q, f.seq.blocks
-    q, top = Q[..., -1, :, :, :], F[..., -1, :, :, :]
+    q, top = q_lambda(seq).blocks, F[..., -1, :, :, :]
     # the pair sums telescope: u_j = sum_{i<j} p_i = 1 - q_{j-1} and
     # f_{i v j} = f_j for i < j, so sum_{i != j} p_i X_{i v j} p_j is
     # sum_j u_j X_j p_j + p_j X_j u_j: one product per level
@@ -82,8 +83,8 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
     # the four parts reassemble f; cz_report measures the residual
     g_d, g_off, b_d, b_off, bad, P = (_op(x, alg) for x in (
         g_d, g_off, bad.sum(axis=-4), b_off, bad, P))
-    return CZParts(g_d, g_off, b_d, b_off, bad, seq.qs, P, q_lambda(seq),
-                   m_lambda_of(seq.qs, f.levels), seq.lam, f)
+    return CZParts(g_d, g_off, b_d, b_off, bad, P,
+                   m_lambda_of(seq.qs, f.levels), seq)
 
 
 def cz_report(parts: CZParts) -> dict:
@@ -92,7 +93,7 @@ def cz_report(parts: CZParts) -> dict:
     lambda and has the batch shape), with one stacked eigvalsh over every
     threshold, entry and level."""
     f = parts.martingale
-    l1, lam = schatten_norm(f.top, 1), lam_axes(parts.lam, f)
+    l1, lam = schatten_norm(f.top, 1), lam_axes(parts.seq.lam, f)
     recon = (parts.g_d + parts.g_off + parts.b_d + parts.b_off).blocks
     return {
         "reconstruction_residual": np.abs(recon - f.top.blocks).max(
@@ -112,19 +113,18 @@ def cz_report(parts: CZParts) -> dict:
 # dilated bad-set projections
 # ---------------------------------------------------------------------------
 
-def zeta_fs(filt: GridFiltration, q_list: Op, levels: list[int]) -> Op:
+def zeta_fs(filt: GridFiltration, qs) -> Op:
     """zeta_{f,s} = meet_k ( 1 - join_Q (1 - xi_Q) 1_{9Q} ) from the supplied
-    level projections q_k = sum_Q xi_Q 1_Q (batched over ``levels``, after
-    any leading batch axes).
+    level projections q_k = sum_Q xi_Q 1_Q, ``qs[k]`` in M_k's coordinates
+    (one block xi_Q per level-k cube, after any leading batch axes).
 
     On each cell the meet of the projections xi_Q over the 9Q that contain
     it is the null space of S = sum (1 - xi_Q), which each cell gathers one
     level and one dilation offset at a time (``dilation_cubes``)."""
-    qb = q_list.blocks
-    S = np.zeros(qb.shape[:-4] + (filt.algebra.nblocks, filt.d, filt.d),
-                 dtype=np.result_type(float, qb))
-    for pos, k in enumerate(levels):
-        comp = np.eye(filt.d) - qb[..., pos, filt.first_cells(k), :, :]
+    S = np.zeros(qs[0].batch + (filt.algebra.nblocks, filt.d, filt.d),
+                 dtype=np.result_type(float, *(q.blocks.dtype for q in qs)))
+    for k, q in enumerate(qs):
+        comp = np.eye(filt.d) - q.blocks
         comp[np.abs(comp).max(axis=(-2, -1)) <= 1e-14] = 0.0
         for cubes in filt.dilation_cubes(k, 9):
             S += comp[..., cubes, :, :]
@@ -142,8 +142,7 @@ def zeta(parts: CZParts) -> ZetaData:
     zeta_{f,0} of the Cuculescu projections.  As 1 - q_k = sum_{j<=k} p_j and
     9Q lies in each ancestor's 9-fold dilation, it is the meet of the
     complements of the supports of psi_k (the p_j, j <= k, over their 9Q)."""
-    return ZetaData(zeta_fs(parts.filtration, parts.qs,
-                            parts.martingale.levels), parts)
+    return ZetaData(zeta_fs(parts.filtration, parts.seq.restricted), parts)
 
 
 def zeta_report(zd: ZetaData) -> dict:
@@ -151,26 +150,25 @@ def zeta_report(zd: ZetaData) -> dict:
     f, n = zd.parts.martingale, zd.parts.filtration.n
     lost = (f.algebra.unit() - zd.zeta).trace().real
     bound = 9.0 ** n * schatten_norm(f.top, 1)
-    return {"excised_mass_ratio": lam_axes(zd.parts.lam, f) * lost
+    return {"excised_mass_ratio": lam_axes(zd.parts.seq.lam, f) * lost
             / np.maximum(bound, 1e-300)}
 
 
 def zeta_cube_inequalities(zd: ZetaData) -> dict:
     """Property ii): on each 9Q0, zeta <= (1 - xi_{Q0hat} + xi_{Q0}) and
     zeta <= xi_{Q0}, as blockwise operator inequalities, where xi_Q is the
-    block of q_k on the first cell of the level-k cube Q.
+    block of q_k on the level-k cube Q.
 
     Returns the most negative eigenvalue seen for each difference, per
     threshold and entry (>= -1e-8 means the inequality holds).
     """
-    filt, qs, zb = zd.parts.filtration, zd.parts.qs.blocks, zd.zeta.blocks
+    filt, zb = zd.parts.filtration, zd.zeta.blocks
+    qs = zd.parts.seq.restricted
     low = np.inf
-    for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
-        # the two differences before zeta, per level-k cube Q; q_{k-1} is
-        # constant on the father Qhat, so xi_{Qhat} is its block on Q's
-        # first cell
-        first = filt.first_cells(k)
-        xi_q, xi_hat = qs[..., pos, first, :, :], qs[..., pos - 1, first, :, :]
+    for k in zd.parts.martingale.levels[1:]:
+        # the two differences before zeta, per level-k cube Q; xi_{Qhat} is
+        # q_{k-1}'s block on the father Qhat, refined onto Q
+        xi_q, xi_hat = qs[k].blocks, filt.refine(qs[k - 1], k).blocks
         cube_part = np.stack([np.eye(filt.d) - xi_hat + xi_q, xi_q])
         # one cell-sized stack per offset: each cell against the cube whose
         # 9Q holds it at that offset
@@ -200,7 +198,7 @@ def g_off_layers(parts: CZParts) -> dict:
     # p_k, df and q are Hermitian, so q df p_k = (p_k df q)*
     x = mm(mm(parts.ps.blocks[..., k, :, :, :],
               f.diffs.blocks[..., k + s, :, :, :]),
-           parts.qs.blocks[..., k + s - 1, :, :, :])
+           parts.seq.qs.blocks[..., k + s - 1, :, :, :])
     x += _adjoint(x)
     x[np.asarray(f.levels)[k] <= np.asarray(parts.m_lambda)[..., None]] = 0.0
     terms = _op(x, f.algebra)
@@ -217,7 +215,7 @@ def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
     largest L2 ratio, per threshold and entry."""
     f = parts.martingale
     g, terms = layers["layers"], layers["terms"]
-    scale = np.maximum(lam_axes(parts.lam, f) * schatten_norm(f.top, 1),
+    scale = np.maximum(lam_axes(parts.seq.lam, f) * schatten_norm(f.top, 1),
                        1e-300)
     nsq = l2_norm(g) ** 2
     termsum = np.zeros(nsq.shape)

@@ -73,9 +73,10 @@ class Filtration:
         return self.extend(self.restrict(f, k), k)
 
     def extend_levels(self, ys) -> Op:
-        """Each ys[k] of M_k in the full algebra, stacked on axis -4."""
+        """Each ys[k] of M_k, k = 0..len(ys) - 1, in the full algebra,
+        stacked on axis -4."""
         return _op(np.stack([self.extend(y, k).blocks for k, y in zip(
-            self.levels, ys, strict=True)], axis=-4), self.algebra)
+            self.levels[:len(ys)], ys, strict=True)], axis=-4), self.algebra)
 
     def check_level(self, k: int):
         if k not in self.levels:
@@ -116,19 +117,20 @@ class TensorDyadicFiltration(Filtration):
                    self.level_algebra(k))
 
     def extend(self, y: Op, k: int) -> Op:
-        a, b = 2 ** k, 2 ** (self.N - k)
-        # the kron product small (x) 1_b, entry by entry
-        small = y.blocks[..., 0, :, :]
-        out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
-        return _op(out.reshape(y.batch + (1, a * b, a * b)), self.algebra)
+        return self._kron_unit(y, 2 ** (self.N - k), self.algebra)
 
     def refine(self, y: Op, k: int) -> Op:
         """y (x) 1_2."""
         self.check_level(k)
+        return self._kron_unit(y, 2, self.level_algebra(k))
+
+    @staticmethod
+    def _kron_unit(y: Op, b: int, algebra: Algebra) -> Op:
+        """The kron product y (x) 1_b, entry by entry, in ``algebra``."""
         small = y.blocks[..., 0, :, :]
-        out = small[..., :, None, :, None] * np.eye(2)[:, None, :]
-        return _op(out.reshape(y.batch + (1, 2 ** k, 2 ** k)),
-                   self.level_algebra(k))
+        out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
+        n = small.shape[-1] * b
+        return _op(out.reshape(y.batch + (1, n, n)), algebra)
 
 
 class GridFiltration(Filtration):
@@ -193,13 +195,6 @@ class GridFiltration(Filtration):
         return out.reshape(batch + (-1,) + dd)
 
     # dyadic cube helpers --------------------------------------------------
-    def first_cells(self, k: int) -> np.ndarray:
-        """Flat index of the first cell of each level-k cube."""
-        starts = np.arange(2 ** k) * 2 ** (self.K - k)
-        if self.n == 1:
-            return starts
-        return (starts[:, None] * self.side + starts[None, :]).ravel()
-
     def dilation_cubes(self, k: int, delta: int) -> np.ndarray:
         """(offsets, cells) indices of the level-k cubes Q whose concentric
         dilation delta*Q holds each cell (torus wrap): row o gives the cube

@@ -272,9 +272,8 @@ def _norms(cfg, filt, rng, t):
     a = random_op(alg, rng)
     b = random_op(alg, rng)
     mu = mu_function(a)
-    holder = 0.0
+    holder, lhs = 0.0, abs((a @ b).trace())
     for p, q in ((2.0, 2.0), (4.0, 4.0 / 3.0), (1.0, np.inf)):
-        lhs = abs((a @ b).trace())
         holder = max(holder, lhs - schatten_norm(a, p) * schatten_norm(b, q))
     return (a, b), {
         "holder_excess": max(holder, 0.0),
@@ -288,23 +287,25 @@ def _norms(cfg, filt, rng, t):
 # keeps a NaN wherever it sits: the builtin max(0.0, nan) is 0.0 and would
 # turn a failed check into a PASS.
 
-def _max_over_lambda(per_lam: dict, trials: int) -> list[dict]:
-    """Each trial's metrics from arrays shaped (lambda, trial): the max over
-    the thresholds."""
-    return [{key: np.max(val[:, i]) for key, val in per_lam.items()}
-            for i in range(trials)]
+def _max_over_lambda(f: Martingale, cfg, per_lam: dict,
+                     initial: float = -np.inf) -> list:
+    """Each trial's (inputs, metrics) pair from arrays shaped (lambda,
+    trial): the inputs are its top and the exponents, and each metric the
+    max over the thresholds and ``initial``."""
+    return [((f.top[i], cfg.lambda_exps),
+             {key: np.max(val[:, i], initial=initial)
+              for key, val in per_lam.items()}) for i in range(len(f.top))]
 
 
 def _cuculescu(cfg, filt, chunk):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
     f = random_positive_batch(filt, chunk)
     rep = cuculescu_report(cuculescu(f, lams))
-    metrics = _max_over_lambda({
+    return _max_over_lambda(f, cfg, {
         "commutator": rep["commutator"],
         "compression_excess": rep["compression_excess"],
         "tail_excess": lams[:, None] * rep["tail_trace"] - f.sup_l1,
-    }, len(chunk))
-    return [((f.top[i], cfg.lambda_exps), m) for i, m in enumerate(metrics)]
+    })
 
 
 @per_trial
@@ -395,12 +396,11 @@ def _cz(cfg, filt, chunk):
     lams = 2.0 ** np.asarray(cfg.lambda_exps, dtype=float)
     f = random_positive_batch(filt, chunk)
     rep = cz_report(cz_decompose(f, lams))
-    metrics = _max_over_lambda({
+    return _max_over_lambda(f, cfg, {
         "reconstruction_residual": rep["reconstruction_residual"],
         "g_d_excess": rep["g_d_l2sq"] - rep["g_d_bound"],
         "b_d_excess": rep["b_d_l1_sum"] - rep["b_d_bound"],
-    }, len(chunk))
-    return [((f.top[i], cfg.lambda_exps), m) for i, m in enumerate(metrics)]
+    })
 
 
 def _zeta(cfg, filt, chunk):
@@ -410,20 +410,16 @@ def _zeta(cfg, filt, chunk):
     zd = zeta(parts)
     ineq = zeta_cube_inequalities(zd)
     lay = g_off_layer_report(parts, g_off_layers(parts))
-    per_lam = {
+    # the max over the thresholds starts at 0: cube_ineq_violation is at or
+    # below 0 wherever the inequalities hold, and reads 0 there
+    return _max_over_lambda(f, cfg, {
         "excised_mass_ratio": zeta_report(zd)["excised_mass_ratio"],
         "cube_ineq_violation": -np.minimum(ineq["strong_min_eig"],
                                            ineq["weak_min_eig"]),
         "layer_sum_residual": lay["sum_residual"],
         "layer_support_residual": lay["support_residual"],
         "layer_orthogonality_residual": lay["layer_orthogonality_residual"],
-        "layer_ratio": lay["sup_layer_ratio"]}
-    # the max over the thresholds starts at 0, not at _max_over_lambda's
-    # first value: cube_ineq_violation is at or below 0 wherever the
-    # inequalities hold, and reads 0 there
-    return [((f.top[i], cfg.lambda_exps),
-             {key: np.max(val[:, i], initial=0.0)
-              for key, val in per_lam.items()}) for i in range(len(chunk))]
+        "layer_ratio": lay["sup_layer_ratio"]}, initial=0.0)
 
 
 @per_trial
@@ -613,12 +609,13 @@ def _nc_pseudoloc(cfg, ctx, rng, t):
     m = {"ratio": 0.0, "identity_residual": 0.0, "zeta_trace": 0.0}
     parts = cz_decompose(f, [1.0, 2.0, 4.0])
     layers = g_off_layers(parts)["layers"]
-    for i in range(len(parts.lam)):
+    for i in range(len(parts.seq.lam)):
+        qs = parts.seq[i].restricted
         for s, hat in hats.items():
             g_s = layers[i, s - 1]
             if g_s.max_abs() < 1e-13:
                 continue
-            rep = pl.nc_pseudoloc_check(T, g_s, s, filt, parts.qs[i], hat)
+            rep = pl.nc_pseudoloc_check(T, g_s, s, filt, qs, hat)
             for key in m:
                 m[key] = np.maximum(m[key], rep[key])
     return (f.top,), m
@@ -643,11 +640,10 @@ def _nc_scalar_reduction(cfg, ctx, trials):
     worst = 0.0
     for s in range(cfg.s_range[0], cfg.s_range[1] + 1):
         f = _localized_scalar(T.N, K, s, rng)
-        good = [np.repeat(~bad, T.N >> k)
-                for k, bad in enumerate(pl.support_cubes(f, s, K))]
-        q_list = _op(np.array(good)[..., None, None], filt1.algebra)
+        qs = [_op(~bad[:, None, None], filt1.level_algebra(k))
+              for k, bad in enumerate(pl.support_cubes(f, s, K))]
         fop = Op(f.astype(complex)[:, None, None], filt1.algebra)
-        rep = pl.nc_pseudoloc_check(T, fop, s, filt1, q_list)
+        rep = pl.nc_pseudoloc_check(T, fop, s, filt1, qs)
         chk = pl.commutative_pseudoloc_check(T, f, s)
         worst = np.maximum(worst,
                            abs(rep["compressed_norm"] - chk["outside_norm"]))

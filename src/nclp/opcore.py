@@ -52,9 +52,6 @@ class Algebra:
     def unit(self) -> "Op":
         return _op(np.tile(np.eye(self.d), (self.nblocks, 1, 1)), self)
 
-    def zero(self) -> "Op":
-        return _op(np.zeros((self.nblocks, self.d, self.d), dtype=complex), self)
-
 
 def dense_algebra(d: int) -> Algebra:
     """Full matrix algebra M_d with the normalized trace."""

@@ -676,25 +676,25 @@ def localization_check(T: DiscOp, x0: float, r1: float, r2: float) -> dict:
 # ---------------------------------------------------------------------------
 
 def nc_pseudoloc_check(T: DiscOp, f: Op, s: int, filt: GridFiltration,
-                       q_list: Op, hat: tuple | None = None) -> dict:
+                       qs, hat: tuple | None = None) -> dict:
     """Compressed-norm localization for matrix-valued f; given
     ``hat = phi_psi_hat(T, s)``, also the residual of the restriction
     identity zeta T f zeta = zeta (Phi_s + Psi_s) f zeta.
 
-    Preconditions: T normalized; q_list[k] in the level-k subalgebra with
+    Preconditions: T normalized; qs[k] = q_k in M_k's coordinates with
     q_k df_{k+s} q_k = 0 (certified here; violations raise).
     """
     _check_s(T.K, s)
     dfs = Martingale(filt, f).diffs[s:]             # df_{k+s}, k = 0..K-s
-    levels = list(range(len(dfs)))
-    q = q_list[:len(levels)]
+    qs = qs[:len(dfs)]
+    # q_k meets df_{k+s} in the full algebra, and only there
     bad = (np.abs(dfs.blocks).max(axis=(1, 2, 3)) > 1e-13) \
-        & ~annihilation_check(q, dfs, tol=1e-9)
+        & ~annihilation_check(filt.extend_levels(qs), dfs, tol=1e-9)
     if bad.any():
         k = int(np.argmax(bad))
         raise ContractViolation(
             f"q_{k} does not annihilate df_{k + s}: containment uncertified")
-    z = zeta_fs(filt, q, levels)
+    z = zeta_fs(filt, qs)
     tf = _op(T.apply(f.blocks), f.algebra)         # (T_m f)_m, batched
     comp = z @ tf @ z
     val = float(np.sqrt((l2_norm(comp) ** 2).sum()))

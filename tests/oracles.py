@@ -7,7 +7,7 @@ import numpy as np
 
 from nclp.errors import ContractViolation, NumericError
 from nclp.martingale import CoeffMatrix
-from nclp.opcore import (Op, _per_entry, eigvalsh, hermitian_part,
+from nclp.opcore import (Op, _op, _per_entry, eigvalsh, hermitian_part,
                          kept_projection, null_projection, op_norm, psd_sqrt,
                          schatten_norm)
 from nclp.pseudoloc import (_cube_cells, _cube_starts, _ekt_delta_cols,
@@ -21,6 +21,11 @@ def spectral_projection(h: Op, keep) -> Op:
         raise ContractViolation("spectral_projection requires a Hermitian "
                                 "operator")
     return Op(kept_projection(h.blocks, keep), h.algebra)
+
+
+def zero(alg) -> Op:
+    """The zero element of an algebra, where the tests' sums start."""
+    return Op(np.zeros((alg.nblocks, alg.d, alg.d)), alg)
 
 
 def abs_op(a: Op) -> Op:
@@ -118,6 +123,15 @@ def cube_cells(filt, Q: DyadicCube) -> np.ndarray:
     return (axes[0][:, None] * filt.side + axes[1][None, :]).ravel()
 
 
+def first_cells(filt, k: int) -> np.ndarray:
+    """Flat index of the first cell of each level-k cube, in the raster
+    order of the level-k blocks."""
+    starts = np.arange(2 ** k) * 2 ** (filt.K - k)
+    if filt.n == 1:
+        return starts
+    return (starts[:, None] * filt.side + starts[None, :]).ravel()
+
+
 def cube_of_cell(filt, cell: int, k: int) -> DyadicCube:
     L = 2 ** (filt.K - k)
     if filt.n == 1:
@@ -161,7 +175,7 @@ def zeta_cube_inequalities_pairs(zd) -> dict:
     """``zeta_cube_inequalities`` as it was first written: every (cube, cell)
     pair of every 9Q in one array, from ``dilation_masks``, and one stacked
     eigvalsh over all of them."""
-    filt, qs = zd.parts.filtration, zd.parts.qs.blocks
+    filt, qs = zd.parts.filtration, zd.parts.seq.qs.blocks
     strong, weak = [], []
     for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
         # the father of the cube at corner c is the level-(k-1) cube at
@@ -170,8 +184,8 @@ def zeta_cube_inequalities_pairs(zd) -> dict:
         corner = np.unravel_index(cube, (2 ** k,) * filt.n)
         father = np.ravel_multi_index(tuple(c // 2 for c in corner),
                                       (2 ** (k - 1),) * filt.n)
-        xi_q = qs[..., pos, filt.first_cells(k)[cube], :, :]
-        xi_hat = qs[..., pos - 1, filt.first_cells(k - 1)[father], :, :]
+        xi_q = qs[..., pos, first_cells(filt, k)[cube], :, :]
+        xi_hat = qs[..., pos - 1, first_cells(filt, k - 1)[father], :, :]
         zb = zd.zeta.blocks[..., cell, :, :]
         strong.append(np.eye(filt.d) - xi_hat + xi_q - zb)
         weak.append(xi_q - zb)
@@ -180,6 +194,40 @@ def zeta_cube_inequalities_pairs(zd) -> dict:
     w = eigvalsh(hermitian_part(h))
     return {"strong_min_eig": w[0].min(axis=(-2, -1)),
             "weak_min_eig": w[1].min(axis=(-2, -1))}
+
+
+# -- zeta and its cube inequalities from the full-size q_k stack --------------
+# Before the CZ parts carried the Cuculescu levels, both read xi_Q as the
+# block of the full-size q_k on the first cell of each level-k cube.
+
+def zeta_fs_first_cells(filt, qs: Op, levels) -> Op:
+    """``zeta_fs`` of the full-size stack ``qs`` (levels on axis -4),
+    gathering xi_Q on each cube's first cell."""
+    qb = qs.blocks
+    S = np.zeros(qb.shape[:-4] + (filt.algebra.nblocks, filt.d, filt.d),
+                 dtype=np.result_type(float, qb))
+    for pos, k in enumerate(levels):
+        comp = np.eye(filt.d) - qb[..., pos, first_cells(filt, k), :, :]
+        comp[np.abs(comp).max(axis=(-2, -1)) <= 1e-14] = 0.0
+        for cubes in filt.dilation_cubes(k, 9):
+            S += comp[..., cubes, :, :]
+    return null_projection(_op(S, filt.algebra))
+
+
+def zeta_cube_inequalities_first_cells(zd) -> dict:
+    """``zeta_cube_inequalities`` with xi_Q and xi_{Qhat} gathered on the
+    first cell of each level-k cube from the full-size q_k and q_{k-1}."""
+    filt, qs, zb = zd.parts.filtration, zd.parts.seq.qs.blocks, zd.zeta.blocks
+    low = np.inf
+    for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
+        first = first_cells(filt, k)
+        xi_q, xi_hat = qs[..., pos, first, :, :], qs[..., pos - 1, first, :, :]
+        cube_part = np.stack([np.eye(filt.d) - xi_hat + xi_q, xi_q])
+        for cubes in filt.dilation_cubes(k, 9):
+            h = cube_part[..., cubes, :, :] - zb
+            w = eigvalsh(hermitian_part(h))
+            low = np.minimum(low, w.min(axis=(-2, -1)))
+    return {"strong_min_eig": low[0], "weak_min_eig": low[1]}
 
 
 # -- the two-bump kernel identity, one pair at a time -------------------------

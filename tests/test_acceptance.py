@@ -136,7 +136,7 @@ def test_criterion_08_triangular_truncation(capsys):
         x = random_op(filt.algebra, rng, hermitian=False)
         r, c = delta_split(x, pi)
         nx = l2_norm(x)
-        for ell in pi.indices():
+        for ell in range(pi.l_min, pi.l_max + 1):
             worst_contract = max(worst_contract,
                                  l2_norm(delta_trunc(x, pi, ell)) - nx)
         worst_pyth = max(worst_pyth,

@@ -21,7 +21,7 @@ from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, l2_norm,
 
 from batch_entries import assert_entries_match_scalar_calls
 from oracles import (is_projection, level_spectral_floor, level_sup_l1,
-                     level_sup_linf, proj_meet)
+                     level_sup_linf, proj_meet, zero)
 
 
 def ladder(f, l_min, l_max):
@@ -81,8 +81,8 @@ def per_block_cuculescu(f, lam):
 
 def delta_trunc_oracle(x, pi, ell):
     """Delta_{r,ell}(x) as the double loop over pairs j <= i <= ell."""
-    out = x.algebra.zero()
-    idx = [i for i, k in enumerate(pi.indices()) if k <= ell]
+    out = zero(x.algebra)
+    idx = [i for i, k in enumerate(range(pi.l_min, pi.l_max + 1)) if k <= ell]
     for i in idx:
         for j in idx:
             if i >= j:
@@ -346,8 +346,8 @@ def test_pi_family_partitions_unity():
     filt = TensorDyadicFiltration(3)
     f = random_positive_martingale(filt, trial_rng(15, 0))
     pi = pi_family(ladder(f, -2, 3))
-    assert len(pi.blocks) == len(pi.indices())
-    total = f.algebra.zero()
+    assert len(pi.blocks) == len(range(pi.l_min, pi.l_max + 1))
+    total = zero(f.algebra)
     for b in pi.blocks:
         total = total + b
         assert is_projection(b, tol=1e-8)
@@ -400,7 +400,7 @@ def test_delta_trunc_contraction_and_nesting():
     alg = f.algebra
     x = Op(rng.standard_normal((alg.nblocks, alg.d, alg.d)) + 0j, alg)
     prev = None
-    for ell in pi.indices():
+    for ell in range(pi.l_min, pi.l_max + 1):
         tr = delta_trunc(x, pi, ell)
         assert l2_norm(tr) <= l2_norm(x) + 1e-10
         prev = tr

@@ -4,9 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from nclp.cuculescu import CuculescuSequence, q_lambda
 from nclp.czkit import (ZetaData, cz_decompose, cz_report, g_off_layer_report,
                         g_off_layers, thmB1_decompose, zeta, zeta_cube_inequalities,
-                        zeta_report)
+                        zeta_fs, zeta_report)
 from nclp.errors import ContractViolation
 from nclp.filtration import GridFiltration, TensorDyadicFiltration
 from nclp.harness import (random_coeffs, random_positive_batch,
@@ -17,8 +18,10 @@ from nclp.opcore import (ENDPOINT_TOL, Op, l2_norm, op_norm, schatten_norm,
 
 from batch_entries import assert_entries_match_scalar_calls, entry
 from oracles import (concentric_mask, cube_cells, cubes_at_level,
-                     dyadic_father, is_projection, proj_meet,
-                     spectral_projection, zeta_cube_inequalities_pairs)
+                     dyadic_father, first_cells, is_projection, proj_meet,
+                     spectral_projection, zero,
+                     zeta_cube_inequalities_first_cells,
+                     zeta_cube_inequalities_pairs, zeta_fs_first_cells)
 
 
 def _grid_mart(seed, n=1, K=4, d=2):
@@ -30,17 +33,17 @@ def pair_sum_oracle(parts):
     """g_d, g_off, b_d, b_off and the b_d terms rebuilt one Op product at a
     time from the recursion projections of ``parts``."""
     f = parts.martingale
-    ps, q, top = parts.ps, parts.q, f.top
+    ps, q, top = parts.ps, q_lambda(parts.seq), f.top
     one = f.algebra.unit()
     g_d = q @ top @ q
-    b_d = f.algebra.zero()
+    b_d = zero(f.algebra)
     terms = []
     for k in range(len(ps)):
         g_d = g_d + ps[k] @ f.seq[k] @ ps[k]
         terms.append(ps[k] @ (top - f.seq[k]) @ ps[k])
         b_d = b_d + terms[-1]
     g_off = q @ top @ (one - q) + (one - q) @ top @ q
-    b_off = f.algebra.zero()
+    b_off = zero(f.algebra)
     for i in range(len(ps)):
         for j in range(len(ps)):
             if i != j:
@@ -78,7 +81,7 @@ def cube_xi(parts):
     filt = parts.filtration
     return {(k, Q.corner): b for pos, k in enumerate(parts.martingale.levels)
             for Q, b in zip(cubes_at_level(filt, k),
-                            parts.qs.blocks[pos, filt.first_cells(k)])}
+                            parts.seq.qs.blocks[pos, first_cells(filt, k)])}
 
 
 def cube_inequality_oracle(zd):
@@ -106,16 +109,17 @@ def zeta_per_cube_oracle(parts):
     time onto its 9-fold dilation."""
     f, filt = parts.martingale, parts.filtration
     alg = f.algebra
-    xi = {(k, Q.corner): parts.qs[pos].blocks[cube_cells(filt, Q)[0]]
+    qs = parts.seq.qs
+    xi = {(k, Q.corner): qs[pos].blocks[cube_cells(filt, Q)[0]]
           for pos, k in enumerate(f.levels) for Q in cubes_at_level(filt, k)}
     running = np.zeros((alg.nblocks, alg.d, alg.d), dtype=complex)
     psi, zeta_k = [], []
     for pos, k in enumerate(f.levels):
         if k > parts.m_lambda:
-            qprev = parts.qs[pos - 1] if pos > 0 else alg.unit()
+            qprev = qs[pos - 1] if pos > 0 else alg.unit()
             for Q in cubes_at_level(filt, k):
                 cell = cube_cells(filt, Q)[0]
-                diff = qprev.blocks[cell] - parts.qs[pos].blocks[cell]
+                diff = qprev.blocks[cell] - qs[pos].blocks[cell]
                 if np.abs(diff).max() <= 1e-14:
                     continue
                 running[concentric_mask(filt, Q, 9)] += diff
@@ -137,7 +141,7 @@ def test_zeta_matches_per_cube_oracle(n, K, d):
         f = random_positive_martingale(GridFiltration(n, K, d),
                                        trial_rng(63, t))
         batch = zeta(cz_decompose(f, 2.0 ** np.arange(0, 5)))
-        for i in range(len(batch.parts.lam)):
+        for i in range(len(batch.parts.seq.lam)):
             zd = entry(batch, i)
             xi, _, _, z = zeta_per_cube_oracle(zd.parts)
             assert cube_xi(zd.parts).keys() == xi.keys()
@@ -180,13 +184,14 @@ def test_cube_inequalities_reach_the_rim_of_9Q():
     filt = GridFiltration(1, 5, 1)
     parts = cz_decompose(random_positive_martingale(filt, trial_rng(64, 0)),
                          1.0)
-    one = filt.algebra.unit()
     dead = np.ones((32, 1, 1), dtype=complex)
     dead[20] = 0.0
-    qs = Op(np.stack([one.blocks] * 5 + [dead]), filt.algebra)
+    qs = tuple(filt.level_algebra(k).unit() for k in range(5)) \
+        + (Op(dead, filt.algebra),)
     z = np.zeros((32, 1, 1), dtype=complex)
     z[24] = 1.0
-    zd = ZetaData(Op(z, filt.algebra), replace(parts, qs=qs))
+    zd = ZetaData(Op(z, filt.algebra), replace(
+        parts, seq=CuculescuSequence(parts.seq.lam, qs, parts.martingale)))
     for rep in (zeta_cube_inequalities(zd), cube_inequality_oracle(zd)):
         assert rep["weak_min_eig"] == pytest.approx(-1.0)
         assert rep["strong_min_eig"] == pytest.approx(-1.0)
@@ -199,17 +204,17 @@ def test_lambda_batch_matches_per_lambda_calls(n, K, d):
         f = random_positive_martingale(GridFiltration(n, K, d),
                                        trial_rng(62, t))
         batch = cz_decompose(f, lams)
-        assert batch.lam.shape == batch.m_lambda.shape == lams.shape
+        assert batch.seq.lam.shape == batch.m_lambda.shape == lams.shape
         for i, lam in enumerate(lams):
             parts, ref = entry(batch, i), cz_decompose(f, lam)
-            assert parts.lam == ref.lam == lam
+            assert parts.seq.lam == ref.seq.lam == lam
             assert parts.m_lambda == ref.m_lambda
             for got, want in [(parts.g_d, ref.g_d), (parts.g_off, ref.g_off),
                               (parts.b_d, ref.b_d), (parts.b_off, ref.b_off),
-                              (parts.q, ref.q),
+                              (q_lambda(parts.seq), q_lambda(ref.seq)),
                               *zip(parts.b_d_terms, ref.b_d_terms,
                                    strict=True),
-                              *zip(parts.qs, ref.qs, strict=True),
+                              *zip(parts.seq.qs, ref.seq.qs, strict=True),
                               *zip(parts.ps, ref.ps, strict=True)]:
                 assert (got - want).max_abs() <= 1e-12
 
@@ -364,23 +369,24 @@ def g_off_layers_loop_oracle(parts):
     npos = len(f.levels)
     layers, terms = {}, {}
     for s in range(1, npos):
-        acc, row = f.algebra.zero(), []
+        acc, row = zero(f.algebra), []
         for k in range(npos - s):
             if f.levels[k] <= parts.m_lambda:
                 continue
-            p, df, qp = parts.ps[k], f.diffs[k + s], parts.qs[k + s - 1]
+            p, df = parts.ps[k], f.diffs[k + s]
+            qp = parts.seq.qs[k + s - 1]
             t = p @ df @ qp + qp @ df @ p
             row.append((k, t))
             acc = acc + t
         layers[s], terms[s] = acc, row
     l1 = schatten_norm(f.top, 1)
     one = f.algebra.unit()
-    total = f.algebra.zero()
+    total = zero(f.algebra)
     sup_ratio = orth = supp = 0.0
     for s, g in layers.items():
         total = total + g
         nsq = l2_norm(g) ** 2
-        sup_ratio = max(sup_ratio, nsq / max(parts.lam * l1, 1e-300))
+        sup_ratio = max(sup_ratio, nsq / max(parts.seq.lam * l1, 1e-300))
         orth = max(orth, abs(nsq - sum(l2_norm(t) ** 2 for _, t in terms[s])))
         for k, t in terms[s]:
             rest = one - parts.ps[k]
@@ -399,7 +405,7 @@ def test_g_off_layers_match_loop_oracle(n, K, d):
     batch = cz_decompose(f, 2.0 ** np.arange(-2, 5))
     batch_lay = g_off_layers(batch)
     batch_report = g_off_layer_report(batch, batch_lay)
-    for i in range(len(batch.lam)):
+    for i in range(len(batch.seq.lam)):
         parts = entry(batch, i)
         lay = dict(batch_lay, layers=batch_lay["layers"][i],
                    terms=batch_lay["terms"][i])
@@ -445,7 +451,7 @@ def eighteen_product_oracle(f, parts):
     """g_d, g_off, b_d, b_off and the b_d terms from the 18 stacked products
     the split used before it relied on Hermitian factors."""
     one = np.eye(f.algebra.d)
-    Q = parts.qs.blocks
+    Q = parts.seq.qs.blocks
     Qprev = np.concatenate([np.broadcast_to(one, Q[:, :1].shape), Q[:, :-1]],
                            axis=1)
     P, F = Qprev - Q, f.seq.blocks
@@ -460,7 +466,7 @@ def eighteen_product_oracle(f, parts):
 
 def per_lambda_cz_report(parts):
     """cz_report one threshold at a time, with its own SVDs."""
-    f, lam = parts.martingale, parts.lam
+    f, lam = parts.martingale, parts.seq.lam
     l1 = schatten_norm(f.top, 1)
     recon = parts.g_d + parts.g_off + parts.b_d + parts.b_off - f.top
     return {
@@ -483,7 +489,7 @@ def test_split_matches_eighteen_product_oracle(n, K, d):
                                        trial_rng(66, t))
         parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
         g_d, g_off, b_d, b_off, terms = eighteen_product_oracle(f, parts)
-        for i in range(len(parts.lam)):
+        for i in range(len(parts.seq.lam)):
             p = entry(parts, i)
             for got, want in ((p.g_d, g_d[i]), (p.g_off, g_off[i]),
                               (p.b_d, b_d[i]), (p.b_off, b_off[i]),
@@ -496,8 +502,9 @@ def test_batched_report_matches_per_lambda_oracle(n, K, d):
     f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(67, 0))
     parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
     reports = cz_report(parts)
-    assert all(np.shape(v) in ((), parts.lam.shape) for v in reports.values())
-    for i in range(len(parts.lam)):
+    assert all(np.shape(v) in ((), parts.seq.lam.shape)
+               for v in reports.values())
+    for i in range(len(parts.seq.lam)):
         p, got = entry(parts, i), entry(reports, i)
         want = per_lambda_cz_report(p)
         assert got.keys() == want.keys()
@@ -562,10 +569,12 @@ def test_trial_batch_entries_equal_each_members_own_call(spec):
         f = Martingale(filt, batch.top[i])
         one = cz_decompose(f, lams)
         assert np.array_equal(parts.m_lambda[:, i], one.m_lambda)
-        for name in ("g_d", "g_off", "b_d", "b_off", "b_d_terms", "qs", "ps",
-                     "q"):
+        for name in ("g_d", "g_off", "b_d", "b_off", "b_d_terms", "ps"):
             assert np.array_equal(getattr(parts, name).blocks[:, i],
                                   getattr(one, name).blocks)
+        for got, want in ((parts.seq.qs, one.seq.qs),
+                          (q_lambda(parts.seq), q_lambda(one.seq))):
+            assert np.array_equal(got.blocks[:, i], want.blocks)
         for key, want in cz_report(one).items():
             got = rep[key][i] if key == "b_d_bound" else rep[key][:, i]
             assert np.array_equal(got, want)
@@ -591,6 +600,38 @@ def test_offset_walk_equals_pair_array(n, K, d, chunk):
     for key in want:
         assert np.shape(got[key]) == (5,) + f.batch
         assert np.array_equal(got[key], want[key])
+
+
+@pytest.mark.parametrize("chunk", [0, 3], ids=["lambda-batch", "trial-batch"])
+@pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2)])
+def test_level_path_equals_first_cell_gather(n, K, d, chunk):
+    # zeta, zeta_fs on the first levels (as nc_pseudoloc_check calls it)
+    # and the cube inequalities read xi_Q off q_k in M_k's coordinates;
+    # the oracles gather it on each cube's first cell of the full-size q_k
+    filt = GridFiltration(n, K, d)
+    f = _chunk_or_one(filt, 77, chunk)
+    # q_0 < 1 at the three lowest thresholds, and q_k = 1 up to level 1
+    # or more at the top two
+    parts = cz_decompose(f, 2.0 ** np.arange(-2, 3))
+    zd = zeta(parts)
+    full = parts.seq.qs
+    # some cell lost mass, so the gathers are compared on live blocks
+    assert np.abs(zd.zeta.blocks - np.eye(d)).max() > 0.5
+    assert np.array_equal(zd.zeta.blocks, zeta_fs_first_cells(
+        filt, full, f.levels).blocks)
+    got, want = (zeta_cube_inequalities(zd),
+                 zeta_cube_inequalities_first_cells(zd))
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.shape(got[key]) == (5,) + f.batch
+        assert np.array_equal(got[key], want[key])
+    for i in range(len(parts.seq.lam)):
+        for s in (1, 2):
+            levels = list(range(K - s + 1))
+            z = zeta_fs(filt, parts.seq[i].restricted[:len(levels)])
+            ref = zeta_fs_first_cells(
+                filt, full[i][..., :len(levels), :, :, :], levels)
+            assert np.array_equal(z.blocks, ref.blocks)
 
 
 def test_zeta_memory_stays_cell_sized():

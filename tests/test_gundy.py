@@ -12,11 +12,13 @@ from nclp.harness import (random_coeffs, random_positive_martingale,
                           trial_rng)
 from nclp.filtration import (GridFiltration, TensorDyadicFiltration,
                              build_filtration)
-from nclp.martingale import CoeffMatrix, Martingale, transform_family
-from nclp.opcore import (Op, annihilation_check, dense_algebra, l2_norm,
-                         op_norm, schatten_norm)
+from nclp.martingale import (CoeffMatrix, Martingale, col_square, row_square,
+                             transform_family)
+from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, dense_algebra,
+                         l2_norm, op_norm, schatten_norm)
 
 from batch_entries import assert_entries_match_scalar_calls
+from oracles import zero
 
 
 def _mart(seed, filt=None):
@@ -66,7 +68,7 @@ def test_thmA1_split_is_exact():
     a_fam, b_fam, pi, shift = thmA1_decompose(f, xi)
     assert shift == 0.0
     for m in range(xi.m_max):
-        tm = f.algebra.zero()
+        tm = zero(f.algebra)
         for k in range(xi.k_max):
             tm = tm + xi.entries[k, m] * f.diffs[k]
         assert (a_fam[m] + b_fam[m] - tm).max_abs() < 1e-8
@@ -81,7 +83,7 @@ def test_thmA1_shifts_signed_martingales():
     assert shift > 0.0
     # the split still reproduces the transforms of the *original* input
     for m in range(xi.m_max):
-        tm = signed.algebra.zero()
+        tm = zero(signed.algebra)
         for k in range(xi.k_max):
             tm = tm + xi.entries[k, m] * signed.diffs[k]
         assert (a_fam[m] + b_fam[m] - tm).max_abs() < 1e-8
@@ -121,6 +123,43 @@ def test_weak11_ratios_finite_and_ordered():
     rep = weak11_experiment(f, xi, range(-2, 5))
     assert 0.0 <= rep["row_ratio"] <= rep["row_weak_l1"] + 1e-12
     assert 0.0 <= rep["col_ratio"] <= rep["col_weak_l1"] + 1e-12
+
+
+def weak11_sides_oracle(f, xi, lambda_exps, squares=(row_square, col_square)):
+    """weak11_experiment's four numbers from thmA1_decompose's A and B: the
+    first of ``squares`` applied to A, the second to B, and each one's
+    distribution function read off its eigenvalues, one threshold and one
+    eigenvalue at a time."""
+    a, b, _, _ = thmA1_decompose(f, xi)
+    w, denom = f.algebra.weights, max(f.sup_l1, 1e-300)
+    out = {}
+    for side, sq in zip(("row", "col"), (squares[0](a), squares[1](b))):
+        ev = np.abs(np.linalg.eigvalsh(sq.hermitize().blocks))
+        out[side + "_ratio"] = max(
+            lam * float(w @ (ev > lam + ENDPOINT_TOL).sum(axis=1))
+            for lam in 2.0 ** np.asarray(lambda_exps, dtype=float)) / denom
+        out[side + "_weak_l1"] = max(
+            (t * float(w @ (ev >= t - ENDPOINT_TOL).sum(axis=1))
+             for t in np.unique(ev[ev > 0])), default=0.0) / denom
+    return out
+
+
+@pytest.mark.parametrize("spec", ["tensor:3", "tensor:4", "grid:1,4,2"])
+def test_weak11_takes_the_row_square_of_A_and_the_column_square_of_B(spec):
+    # the draw of the transform-weak11 runner's first trial at seed 0
+    rng = trial_rng(0, 0)
+    f = random_positive_martingale(build_filtration(spec), rng)
+    xi = random_coeffs(len(f.diffs), 4, rng, "row-eq-one")
+    exps = list(range(-8, 9))
+    got = weak11_experiment(f, xi, exps)
+    want = weak11_sides_oracle(f, xi, exps)
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        assert abs(got[key] - val) <= 1e-12
+    # the draw tells the sides apart: with the squares swapped, the row
+    # number moves (tensor:3: 0.82753 -> 0.84100)
+    swapped = weak11_sides_oracle(f, xi, exps, (col_square, row_square))
+    assert abs(swapped["row_weak_l1"] - want["row_weak_l1"]) > 1e-3
 
 
 def test_ergodic_coeffs_values():
@@ -181,7 +220,7 @@ def gundy_loop_oracle(f, lam):
         qp = qs[i - 1] if i else f.algebra.unit()
         core = qk @ df @ qk
         comp = f.filtration.expect(core, f.levels[i - 1]) if i \
-            else f.algebra.zero()
+            else zero(f.algebra)
         alpha.append(core - comp)
         beta.append(qp @ df @ qp - core + comp)
         gamma.append(df - qp @ df @ qp)
@@ -190,7 +229,7 @@ def gundy_loop_oracle(f, lam):
 
 def gundy_verify_loop_oracle(parts):
     f, lam = parts.martingale, parts.seq.lam
-    acc, alpha = f.algebra.zero(), 0.0
+    acc, alpha = zero(f.algebra), 0.0
     for a in parts.d_alpha:
         acc = acc + a
         alpha = max(alpha, l2_norm(acc) ** 2)
@@ -209,7 +248,7 @@ def thmA1_loop_oracle(f, xi, pi):
     splits = [delta_split(df, pi) for df in list(f.diffs)[:xi.k_max]]
     a_ops, b_ops = [], []
     for m in range(xi.m_max):
-        am = bm = f.algebra.zero()
+        am = bm = zero(f.algebra)
         for k in range(xi.k_max):
             am = am + xi.entries[k, m] * splits[k][0]
             bm = bm + xi.entries[k, m] * splits[k][1]

@@ -1358,10 +1358,11 @@ def test_zeta_fs_scalar_complement():
     # kills exactly its 9-fold dilation, zeta is the complement indicator
     filt = GridFiltration(1, 6, 1)
     N = 64
-    good = np.ones(N)
-    good[12:16] = 0.0                 # cube 3 at level 4 (width 4)
-    q = Op(good[None, :, None, None], filt.algebra)
-    z = zeta_fs(filt, q, [4])
+    good = np.ones(16)
+    good[3] = 0.0                     # cube 3 at level 4 (width 4)
+    qs = [filt.level_algebra(k).unit() for k in range(4)] \
+        + [Op(good[:, None, None], filt.level_algebra(4))]
+    z = zeta_fs(filt, qs)
     expect = np.ones(N)
     L = 4
     idx = np.arange((3 - 4) * L, (3 + 5) * L) % N
@@ -1390,15 +1391,16 @@ def zeta_fs_per_cell_join_oracle(filt, q_list, levels):
 
 
 def support_q_list(f, K, s, filt1):
-    """The support-driven projections of the d = 1 scalar reduction: q_k
-    drops the level-k cubes on which df_{k+s} does not vanish."""
+    """The support-driven projections of the d = 1 scalar reduction, each
+    q_k in M_k's coordinates: q_k drops the level-k cubes on which
+    df_{k+s} does not vanish."""
     scale = max(np.abs(f).max(), 1e-300)
     good = []
     for k in range(0, K - s + 1):
         bad = np.abs(delta_level(f, k + s)) > 1e-12 * scale
         cube_bad = bad.reshape(1 << k, -1).any(axis=1)
-        good.append(np.repeat(~cube_bad, 2 ** (K - k)))
-    return Op(np.array(good)[..., None, None], filt1.algebra)
+        good.append(Op(~cube_bad[:, None, None], filt1.level_algebra(k)))
+    return good
 
 
 def test_support_cubes_match_support_q_list():
@@ -1407,15 +1409,17 @@ def test_support_cubes_match_support_q_list():
     rng = trial_rng(69, 0)
     for s in range(1, K):
         f = _localized_scalar(2 ** K, K, s, rng)
-        good = [np.repeat(~bad, 2 ** (K - k))
-                for k, bad in enumerate(support_cubes(f, s, K))]
-        ref = support_q_list(f, K, s, filt1).blocks[..., 0, 0]
-        assert np.array_equal(np.array(good, dtype=float), ref)
+        ref = support_q_list(f, K, s, filt1)
+        got = support_cubes(f, s, K)
+        assert len(got) == len(ref)
+        for bad, q in zip(got, ref):
+            assert np.array_equal(~bad, q.blocks[:, 0, 0])
 
 
-def _check_zeta_fs(filt, q_list, levels):
-    ref, untouched = zeta_fs_per_cell_join_oracle(filt, q_list, levels)
-    z = zeta_fs(filt, q_list, levels)
+def _check_zeta_fs(filt, qs):
+    ref, untouched = zeta_fs_per_cell_join_oracle(
+        filt, filt.extend_levels(qs), range(len(qs)))
+    z = zeta_fs(filt, qs)
     assert np.abs(z.blocks - ref).max() <= 1e-12
     # a cell outside every bad 9Q keeps exactly the identity
     assert np.array_equal(z.blocks[untouched],
@@ -1431,10 +1435,10 @@ def test_zeta_fs_matches_per_cell_join_oracle(n, K, d):
     for t in range(2):
         f = random_positive_martingale(filt, trial_rng(66, t))
         parts = cz_decompose(f, 2.0 ** np.arange(0, 4))
-        for qs in parts.qs:
+        for i in range(len(parts.seq.lam)):
+            qs = parts.seq[i].restricted
             for s in (1, 2):
-                levels = list(range(0, K - s + 1))
-                untouched = _check_zeta_fs(filt, qs[:len(levels)], levels)
+                untouched = _check_zeta_fs(filt, qs[:K - s + 1])
                 touched += int((~untouched).sum())
     assert touched > 0
 
@@ -1445,9 +1449,7 @@ def test_zeta_fs_matches_per_cell_join_oracle_on_support_projections():
     rng = trial_rng(67, 0)
     for s in (2, 3, 4):
         f = _localized_scalar(2 ** K, K, s, rng)
-        levels = list(range(0, K - s + 1))
-        untouched = _check_zeta_fs(filt1, support_q_list(f, K, s, filt1),
-                                   levels)
+        untouched = _check_zeta_fs(filt1, support_q_list(f, K, s, filt1))
         assert 0 < untouched.sum() < 2 ** K
 
 
@@ -1455,9 +1457,9 @@ def test_nc_pseudoloc_rejects_uncertified_projection():
     filt = GridFiltration(1, 4, 2)
     f = random_positive_martingale(filt, trial_rng(65, 0)).top
     T = normalized(_T(4, 2))
-    ones = np.broadcast_to(filt.algebra.unit().blocks, (4, 16, 2, 2))
+    ones = [filt.level_algebra(k).unit() for k in range(4)]
     with pytest.raises(ContractViolation):
-        nc_pseudoloc_check(T, f, 1, filt, Op(ones, filt.algebra))
+        nc_pseudoloc_check(T, f, 1, filt, ones)
 
 
 @pytest.mark.parametrize("kernel", ["lp-bumps", "hilbert", "annuli"])
@@ -1515,9 +1517,9 @@ def test_nc_pseudoloc_checks_the_identity_on_every_trial(monkeypatch):
     import nclp.harness as harness
     calls, real = [], harness.pl.nc_pseudoloc_check
 
-    def recorded(T, f, s, filt, q_list, hat=None):
+    def recorded(T, f, s, filt, qs, hat=None):
         calls.append((filt.d, hat is not None))
-        return real(T, f, s, filt, q_list, hat)
+        return real(T, f, s, filt, qs, hat)
 
     monkeypatch.setattr(harness.pl, "nc_pseudoloc_check", recorded)
     rep = harness.run(harness.ExperimentConfig(

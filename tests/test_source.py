@@ -150,3 +150,76 @@ def test_spectral_callers_finds_a_solve_outside_the_list():
 def test_only_the_spectrum_readers_solve_outside_opcore(path):
     assert spectral_callers(path.read_text(encoding="utf-8")) \
         == SPECTRAL_CALLERS.get(path.name, set())
+
+
+def uncalled(sources: dict, exported: set) -> set[str]:
+    """The functions and methods of ``sources`` (module name -> source) that
+    no code of theirs names outside their own body, as
+    ``module.function`` or ``module.Class.method``; a name in ``exported``
+    and a dunder method, which Python calls itself, count as called.  A
+    name read anywhere counts, as a call, an attribute, a callback or a
+    registry entry alike."""
+    defs, reads = [], []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((module, scope + [child.name]))
+                visit(child, module, scope + [child.name])
+            elif isinstance(child, ast.ClassDef):
+                visit(child, module, scope + [child.name])
+            else:
+                if isinstance(child, ast.Name):
+                    reads.append((child.id, scope))
+                elif isinstance(child, ast.Attribute):
+                    reads.append((child.attr, scope))
+                visit(child, module, scope)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module, [])
+    found = set()
+    for module, path in defs:
+        name = path[-1]
+        if name in exported or (name.startswith("__")
+                                and name.endswith("__")):
+            continue
+        # a read inside the function's own body is recursion, not a caller
+        if not any(n == name and scope[:len(path)] != path
+                   for n, scope in reads):
+            found.add(".".join([module] + path))
+    return found
+
+
+def package_exports() -> set[str]:
+    """The names ``nclp/__init__.py`` imports to export."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return {a.asname or a.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+# read by no code in src/: lambda_family waits for the truncation
+# experiment, and perfbench reads AlgebraSpec.label
+UNCALLED = {"pseudoloc.lambda_family", "filtration.AlgebraSpec.label"}
+
+
+def src_sources() -> dict:
+    return {p.stem: p.read_text(encoding="utf-8") for p in MODULES}
+
+
+def test_uncalled_finds_a_planted_helper():
+    assert uncalled({"m": "def f():\n    return 1\n"
+                          "def g():\n    return g()\n"
+                          "class A:\n    def __len__(self):\n        return 0\n"
+                          "    def h(self):\n        return self.k\n"
+                          "    @property\n    def k(self):\n        return 1\n"
+                          "REG = {'x': f}\n"}, set()) == {"m.g", "m.A.h"}
+    assert uncalled({"m": "def f():\n    return 1\n"}, {"f"}) == set()
+    # a helper planted in czkit with no caller is caught
+    sources = src_sources()
+    sources["czkit"] += "\n\ndef _orphan(x):\n    return x\n"
+    assert uncalled(sources, package_exports()) - UNCALLED \
+        == {"czkit._orphan"}
+
+
+def test_every_function_in_src_has_a_caller_or_is_exported():
+    assert uncalled(src_sources(), package_exports()) == UNCALLED
