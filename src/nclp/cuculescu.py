@@ -12,11 +12,12 @@ The threshold is a leading batch axis (a scalar lambda adds none): one
 stacked eigen-solve per level diagonalizes q_{n-1} f_n q_{n-1}, shifted to
 lambda + 1 on the complement of range(q_{n-1}), for every (lambda, block)
 pair.  q_n <= q_{n-1} holds up to rounding, so q(lambda) is the last q_n.
+Each q_n is kept in M_n's coordinates only: its readers bring q_{n-1} into
+M_n by ``refine`` and extend one level at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,27 +30,13 @@ from .opcore import (ENDPOINT_TOL, Op, _op, block_matmul as mm, eigvalsh,
 @dataclass
 class CuculescuSequence:
     """The recursion at every threshold of ``lam``, a leading axis unless lam
-    is a scalar: ``restricted[n]`` is q_n in M_n's coordinates, and ``qs``,
-    built on first read, stacks every q_n in the full algebra on axis -4."""
+    is a scalar: ``restricted[n]`` is q_n in M_n's coordinates, the only
+    form of q_n kept; a reader that needs q_{n-1} in M_n brings it there
+    by ``refine``."""
 
     lam: np.ndarray | float
     restricted: tuple[Op, ...]
     martingale: Martingale
-
-    @cached_property
-    def qs(self) -> Op:
-        return self.martingale.filtration.extend_levels(self.restricted)
-
-    @property
-    def q_prev(self) -> Op:
-        """q_{n-1} at each position n, the unit before the first level,
-        built on each read: its two readers read it once, and a cached
-        copy would live as long as the CZ parts that hold the sequence."""
-        qs = self.qs.blocks
-        unit = np.broadcast_to(self.martingale.algebra.unit().blocks,
-                               qs[..., :1, :, :, :].shape)
-        return _op(np.concatenate([unit, qs[..., :-1, :, :, :]], axis=-4),
-                   self.qs.algebra)
 
     def __getitem__(self, i) -> "CuculescuSequence":
         """The recursion at the thresholds lam[i]: lam and every level are
@@ -94,8 +81,7 @@ def cuculescu(f: Martingale, lam):
 
     q, qs = filt.level_algebra(f.levels[0]).unit(), []
     for n, k in enumerate(f.levels):
-        if n:
-            q = filt.refine(q, k)
+        q = filt.refine(q, k)
         fk, qk = f.restricted[n].blocks, q.blocks
         h = mm(mm(qk, fk), qk) \
             + (cut[..., None] + 1.0) * (np.eye(fk.shape[-1]) - qk)

@@ -20,14 +20,14 @@ from .opcore import (Op, _adjoint, _op, block_matmul as mm, eigvalsh,
 class CZParts:
     """The four parts at every threshold of ``seq.lam``; each Op carries
     lam's shape and then the martingale's batch axes in front of its own
-    axes, and ``m_lambda`` has those two in that order."""
+    axes, and ``m_lambda`` and ``b_d_l1`` have those two in that order."""
 
     g_d: Op
     g_off: Op
     b_d: Op
     b_off: Op
-    b_d_terms: Op                # p_k (f - f_k) p_k, batched over levels
-    ps: Op                       # p_k = q_{k-1} - q_k, batched likewise
+    b_d_l1: np.ndarray           # ||p_k (f - f_k) p_k||_1, levels last
+    ps: tuple[Op, ...]           # p_k = q_{k-1} - q_k in M_k's coordinates
     m_lambda: np.ndarray | int
     seq: CuculescuSequence       # the recursion the parts are split along
 
@@ -40,11 +40,12 @@ class CZParts:
         return self.martingale.filtration
 
 
-def m_lambda_of(qs: Op, levels: list[int]):
+def m_lambda_of(seq: CuculescuSequence):
     """Largest level with q = 1, per threshold; -1 if no level qualifies at
     finite depth."""
-    dev = np.abs(qs.blocks - qs.algebra.unit().blocks).max(axis=(-3, -2, -1))
-    return np.where(dev <= 1e-10, levels, -1).max(axis=-1)
+    dev = np.stack([np.abs(q.blocks - q.algebra.unit().blocks).max(
+        axis=(-3, -2, -1)) for q in seq.restricted], axis=-1)
+    return np.where(dev <= 1e-10, seq.martingale.levels, -1).max(axis=-1)
 
 
 def cz_decompose(f: Martingale, lam) -> CZParts:
@@ -60,38 +61,49 @@ def cz_decompose(f: Martingale, lam) -> CZParts:
     if not isinstance(f.filtration, GridFiltration):
         raise ContractViolation("cz_decompose lives on the grid algebra")
     seq = cuculescu(f, lam)
-    alg = f.algebra
-    Q, Qprev = seq.qs.blocks, seq.q_prev.blocks
-    P, F = Qprev - Q, f.seq.blocks
-    q, top = q_lambda(seq).blocks, F[..., -1, :, :, :]
+    filt, alg = f.filtration, f.algebra
+    q, top = q_lambda(seq).blocks, f.top.blocks
     # the pair sums telescope: u_j = sum_{i<j} p_i = 1 - q_{j-1} and
     # f_{i v j} = f_j for i < j, so sum_{i != j} p_i X_{i v j} p_j is
     # sum_j u_j X_j p_j + p_j X_j u_j: one product per level
-    u = np.eye(alg.d) - Qprev
     # f, f_j, u_j and p_j are Hermitian, so p_j X u_j = (u_j X p_j)*: with
     # A = sum_j u_j f_j p_j and B = sum_j u_j f p_j the good pair sum is
-    # A + A* and the bad one (B - A) + (B - A)*, and
-    # q f (1 - q) + (1 - q) f q = q f + (q f)* - 2 q f q
-    FP, fP, qf = mm(F, P), mm(top[..., None, :, :, :], P), mm(q, top)
-    A, B = mm(u, FP).sum(axis=-4), mm(u, fP).sum(axis=-4)
-    PFP, qfq = mm(P, FP), mm(qf, q)
-    g_d = qfq + PFP.sum(axis=-4)
+    # A + A* and the bad one (B - A) + (B - A)*.  p_j, u_j and f_j lie in
+    # M_j, where their products are formed; those with f are full size
+    A, B, g_d, b_d = (np.zeros(q.shape, dtype=complex) for _ in range(4))
+    ps, b_d_l1 = [], []
+    for k, qk in enumerate(seq.restricted):
+        one = qk.algebra.unit()
+        qp = filt.refine(seq.restricted[k - 1] if k else one, k)
+        p, u = qp - qk, one - qp
+        ps.append(p)
+        fp = f.restricted[k] @ p
+        P, U, UFP, PFP = (filt.extend(x, k).blocks
+                          for x in (p, u, u @ fp, p @ fp))
+        fP = mm(top, P)
+        A += UFP
+        B += mm(U, fP)
+        g_d += PFP
+        bad = mm(P, fP) - PFP
+        b_d += bad
+        # p_k (f - f_k) p_k is Hermitian: its singular values are the
+        # moduli of its eigenvalues
+        b_d_l1.append(schatten_norm(_op(bad, alg), 1, hermitian=True))
+    # q f q^perp + q^perp f q = q f + (q f)* - 2 q f q holds the q f p_j and
+    # p_i f q cross terms, so the four parts reassemble f
+    qf = mm(q, top)
+    qfq = mm(qf, q)
     g_off = qf + _adjoint(qf) - 2.0 * qfq + A + _adjoint(A)
-    b_off = B - A + _adjoint(B - A)
-    bad = mm(P, fP) - PFP
-    # the q f p_j and p_i f q cross terms sit in q f q^perp + q^perp f q, so
-    # the four parts reassemble f; cz_report measures the residual
-    g_d, g_off, b_d, b_off, bad, P = (_op(x, alg) for x in (
-        g_d, g_off, bad.sum(axis=-4), b_off, bad, P))
-    return CZParts(g_d, g_off, b_d, b_off, bad, P,
-                   m_lambda_of(seq.qs, f.levels), seq)
+    return CZParts(*(_op(x, alg) for x in (
+        qfq + g_d, g_off, b_d, B - A + _adjoint(B - A))),
+        np.stack(b_d_l1, axis=-1), tuple(ps), m_lambda_of(seq), seq)
 
 
 def cz_report(parts: CZParts) -> dict:
     """Reconstruction residual and the diagonal-part bounds, each shaped
     (*lam.shape, *martingale.batch) (the b_d bound does not depend on
-    lambda and has the batch shape), with one stacked eigvalsh over every
-    threshold, entry and level."""
+    lambda and has the batch shape); the b_d sum adds the per-level trace
+    norms that ``cz_decompose`` measured."""
     f = parts.martingale
     l1, lam = schatten_norm(f.top, 1), lam_axes(parts.seq.lam, f)
     recon = (parts.g_d + parts.g_off + parts.b_d + parts.b_off).blocks
@@ -100,10 +112,7 @@ def cz_report(parts: CZParts) -> dict:
             axis=(-3, -2, -1)),
         "g_d_l2sq": l2_norm(parts.g_d) ** 2,
         "g_d_bound": (2.0 ** parts.filtration.n) * lam * l1,
-        # p_k (f - f_k) p_k is Hermitian: its singular values are the
-        # moduli of its eigenvalues
-        "b_d_l1_sum": schatten_norm(parts.b_d_terms, 1,
-                                    hermitian=True).sum(axis=-1),
+        "b_d_l1_sum": parts.b_d_l1.sum(axis=-1),
         "b_d_bound": 2.0 * l1,
         "m_lambda": parts.m_lambda,
     }
@@ -188,40 +197,46 @@ def g_off_layers(parts: CZParts) -> dict:
     + q_{k+s-1} df_{k+s} p_k, the k-sum over levels above m_lambda.
 
     ``layers`` is batched over lambda, the martingale's batch axes and
-    s = 1, 2, ...; ``terms`` over lambda, the batch axes and every (s, k)
-    pair, in the order of the arrays ``s`` and ``k`` (positions).  The terms
-    with k <= m_lambda are exact zeros."""
-    f = parts.martingale
-    npos = len(f.levels)
-    s, k = np.array([(s, k) for s in range(1, npos)
-                     for k in range(npos - s)], dtype=int).reshape(-1, 2).T
-    # p_k, df and q are Hermitian, so q df p_k = (p_k df q)*
-    x = mm(mm(parts.ps.blocks[..., k, :, :, :],
-              f.diffs.blocks[..., k + s, :, :, :]),
-           parts.seq.qs.blocks[..., k + s - 1, :, :, :])
-    x += _adjoint(x)
-    x[np.asarray(f.levels)[k] <= np.asarray(parts.m_lambda)[..., None]] = 0.0
-    terms = _op(x, f.algebra)
-    layers = np.zeros(x.shape[:-4] + (npos - 1,) + x.shape[-3:],
-                      dtype=complex)
-    # in order, k ascending per s; a masked zero leaves a sum unchanged
-    np.add.at(np.moveaxis(layers, -4, 0), s - 1,
-              np.moveaxis(terms.blocks, -4, 0))
-    return {"layers": _op(layers, f.algebra), "terms": terms, "s": s, "k": k}
+    s = 1, 2, ....  ``terms[j - 1]`` holds the terms of level j = k + s in
+    M_j, where p_k, df_j and q_{j-1} lie, batched over lambda, the batch
+    axes and k = 0..j-1; those with k <= m_lambda are exact zeros."""
+    f, filt, g = parts.martingale, parts.filtration, parts.g_off.blocks
+    masked = np.asarray(f.levels) <= np.asarray(parts.m_lambda)[..., None]
+    layers = np.zeros(np.insert(g.shape, -3, len(f.levels) - 1), complex)
+    terms = []
+    for j in f.levels[1:]:
+        p = np.stack([filt.refine(pk, j).blocks for pk in parts.ps[:j]],
+                     axis=-4)
+        df = (f.restricted[j] - filt.refine(f.restricted[j - 1], j)).blocks
+        q = filt.refine(parts.seq.restricted[j - 1], j).blocks
+        # p_k, df and q are Hermitian, so q df p_k = (p_k df q)*
+        x = mm(mm(p, df[..., None, :, :, :]), q[..., None, :, :, :])
+        x += _adjoint(x)
+        x[masked[..., :j]] = 0.0
+        terms.append(_op(x, filt.level_algebra(j)))
+        # layer s = j - k receives its terms in order, k ascending; a
+        # masked zero leaves a sum unchanged
+        layers[..., :j, :, :, :] += filt.extend(terms[-1], j).blocks[
+            ..., ::-1, :, :, :]
+    return {"layers": _op(layers, f.algebra), "terms": tuple(terms)}
 
 
 def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
     """Sum, orthogonality and support residuals of the layers and their
-    largest L2 ratio, per threshold and entry."""
-    f = parts.martingale
-    g, terms = layers["layers"], layers["terms"]
+    largest L2 ratio, per threshold and entry; each term is read in its
+    level's coordinates."""
+    f, g, filt = parts.martingale, layers["layers"], parts.filtration
     scale = np.maximum(lam_axes(parts.seq.lam, f) * schatten_norm(f.top, 1),
                        1e-300)
     nsq = l2_norm(g) ** 2
-    termsum = np.zeros(nsq.shape)
-    np.add.at(np.moveaxis(termsum, -1, 0), layers["s"] - 1,
-              np.moveaxis(l2_norm(terms) ** 2, -1, 0))
-    rest = f.algebra.unit() - parts.ps[..., layers["k"], :, :, :]
+    termsum, support = np.zeros(nsq.shape), 0.0
+    for j, t in enumerate(layers["terms"], start=1):
+        # layer s = j - k, in order, k ascending
+        termsum[..., :j] += (l2_norm(t) ** 2)[..., ::-1]
+        for k in range(j):
+            rest = np.eye(f.algebra.d) - filt.refine(parts.ps[k], j).blocks
+            x = mm(mm(rest, t.blocks[..., k, :, :, :]), rest)
+            support = np.maximum(support, np.abs(x).max(axis=(-3, -2, -1)))
     resid = np.abs(g.blocks.sum(axis=-4) - parts.g_off.blocks)
     return {
         "sum_residual": resid.max(axis=(-3, -2, -1)),
@@ -229,8 +244,7 @@ def g_off_layer_report(parts: CZParts, layers: dict) -> dict:
                                                         initial=0.0),
         "layer_orthogonality_residual": np.abs(nsq - termsum).max(
             axis=-1, initial=0.0),
-        "support_residual": np.abs((rest @ terms @ rest).blocks).max(
-            axis=(-4, -3, -2, -1), initial=0.0),
+        "support_residual": support,
     }
 
 

@@ -52,11 +52,11 @@ class Filtration:
 
     A subclass defines ``restrict(x, k)``, E_k applied to each entry of x
     (batch axes pass through) and written in the coordinates of M_k, an
-    element of ``level_algebra(k)`` whose trace agrees with tau;
-    ``extend(y, k)``, the inclusion of M_k back into the full algebra, so
-    E_k = extend o restrict; and ``refine(y, k)``, the inclusion of M_{k-1}
-    into M_k, restrict(extend(y, k - 1), k) without the full-size detour.
-    The levels run 0..top, M_top being the whole algebra.
+    element of ``level_algebra(k)`` whose trace agrees with tau; and
+    ``refine(y, k)``, the inclusion into M_k of y in M_i, i <= k.  Its case
+    k = top is ``extend``, the inclusion into the full algebra, so
+    E_k = extend o restrict.  The levels run 0..top, M_top being the whole
+    algebra.
     """
 
     def __init__(self, level_algebras: list[Algebra], spec: AlgebraSpec):
@@ -72,9 +72,15 @@ class Filtration:
         """E_k applied to each entry of f (batch axes pass through)."""
         return self.extend(self.restrict(f, k), k)
 
+    def extend(self, y: Op, k: int) -> Op:
+        """y of M_k in the full algebra: its ``refine`` to the top level,
+        which reads y's level off y itself."""
+        return self.refine(y, self.levels[-1])
+
     def extend_levels(self, ys) -> Op:
         """Each ys[k] of M_k, k = 0..len(ys) - 1, in the full algebra,
-        stacked on axis -4."""
+        stacked on axis -4, for the martingale's f_n and the certificate
+        of ``nc_pseudoloc_check``; every other reader takes one level."""
         return _op(np.stack([self.extend(y, k).blocks for k, y in zip(
             self.levels[:len(ys)], ys, strict=True)], axis=-4), self.algebra)
 
@@ -116,21 +122,13 @@ class TensorDyadicFiltration(Filtration):
         return _op(_pairwise_mean(diag, -1)[..., None, :, :],
                    self.level_algebra(k))
 
-    def extend(self, y: Op, k: int) -> Op:
-        return self._kron_unit(y, 2 ** (self.N - k), self.algebra)
-
     def refine(self, y: Op, k: int) -> Op:
-        """y (x) 1_2."""
+        """The kron product y (x) 1_b, b = 2^k / dim y, entry by entry."""
         self.check_level(k)
-        return self._kron_unit(y, 2, self.level_algebra(k))
-
-    @staticmethod
-    def _kron_unit(y: Op, b: int, algebra: Algebra) -> Op:
-        """The kron product y (x) 1_b, entry by entry, in ``algebra``."""
-        small = y.blocks[..., 0, :, :]
+        small, b = y.blocks[..., 0, :, :], 2 ** k // y.algebra.d
         out = small[..., :, None, :, None] * np.eye(b)[:, None, :]
-        n = small.shape[-1] * b
-        return _op(out.reshape(y.batch + (1, n, n)), algebra)
+        return _op(out.reshape(y.batch + (1, 2 ** k, 2 ** k)),
+                   self.level_algebra(k))
 
 
 class GridFiltration(Filtration):
@@ -176,23 +174,16 @@ class GridFiltration(Filtration):
         return _op(m.reshape(x.batch + (-1, self.d, self.d)),
                    self.level_algebra(k))
 
-    def extend(self, y: Op, k: int) -> Op:
-        """Each cube's block repeated over the cube's cells."""
-        return _op(self._spread(y.blocks, k, self.K), self.algebra)
-
     def refine(self, y: Op, k: int) -> Op:
-        """Each level-(k - 1) cube's block repeated over its 2^n children."""
+        """Each block of y, of a level-i cube, repeated over the level-k
+        cubes inside it."""
         self.check_level(k)
-        return _op(self._spread(y.blocks, k - 1, k), self.level_algebra(k))
-
-    def _spread(self, blocks: np.ndarray, k: int, j: int) -> np.ndarray:
-        """The blocks of the level-k cubes repeated over the level-j cubes
-        inside them."""
-        batch, dd = blocks.shape[:-3], (self.d, self.d)
-        out = np.empty(batch + (2 ** k, 2 ** (j - k)) * self.n + dd,
-                       dtype=blocks.dtype)
-        out[...] = blocks.reshape(batch + (2 ** k, 1) * self.n + dd)
-        return out.reshape(batch + (-1,) + dd)
+        i = (y.algebra.nblocks.bit_length() - 1) // self.n
+        batch, dd = y.batch, (self.d, self.d)
+        out = np.empty(batch + (2 ** i, 2 ** (k - i)) * self.n + dd,
+                       dtype=y.blocks.dtype)
+        out[...] = y.blocks.reshape(batch + (2 ** i, 1) * self.n + dd)
+        return _op(out.reshape(batch + (-1,) + dd), self.level_algebra(k))
 
     # dyadic cube helpers --------------------------------------------------
     def dilation_cubes(self, k: int, delta: int) -> np.ndarray:

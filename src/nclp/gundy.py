@@ -12,8 +12,9 @@ from .cuculescu import (CuculescuSequence, cuculescu, delta_split,
 from .errors import ContractViolation
 from .martingale import (CoeffMatrix, Martingale, col_square, row_square,
                          transform_family)
-from .opcore import (Op, _op, _per_entry, annihilation_check, l2_norm,
-                     schatten_norm, tail_trace, weak_l1)
+from .opcore import (Op, _op, _per_entry, annihilation_check,
+                     block_matmul as mm, l2_norm, schatten_norm, tail_trace,
+                     weak_l1)
 
 
 @dataclass
@@ -37,11 +38,17 @@ def gundy(seq: CuculescuSequence) -> GundyParts:
     d_gamma_k = df_k - q_{k-1} df_k q_{k-1}
     """
     f = seq.martingale
-    qk, qp, df = seq.qs, seq.q_prev, f.diffs
-    core = qk @ df @ qk
-    comp = f.expect_each(core, lag=1)
-    kept = qp @ df @ qp
-    return GundyParts(core - comp, kept - core + comp, df - kept, seq)
+    filt, df, qp = f.filtration, f.diffs.blocks, f.algebra.unit().blocks
+    parts = np.empty((3,) + np.shape(seq.lam) + df.shape, dtype=complex)
+    # each q_k is read on its level and extended, as the parts are full size
+    for k, qk in enumerate(seq.restricted):
+        q, dk = filt.extend(qk, k).blocks, df[..., k, :, :, :]
+        core, kept = mm(mm(q, dk), q), mm(mm(qp, dk), qp)
+        comp = filt.expect(_op(core, f.algebra), k - 1).blocks if k else 0.0
+        for x, y in zip(parts, (core - comp, kept - core + comp, dk - kept)):
+            x[..., k, :, :, :] = y
+        qp = q
+    return GundyParts(*(_op(x, f.algebra) for x in parts), seq)
 
 
 def gundy_verify(parts: GundyParts) -> dict:

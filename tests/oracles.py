@@ -5,11 +5,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from nclp.cuculescu import cuculescu
 from nclp.errors import ContractViolation, NumericError
 from nclp.martingale import CoeffMatrix
-from nclp.opcore import (Op, _op, _per_entry, eigvalsh, hermitian_part,
-                         kept_projection, null_projection, op_norm, psd_sqrt,
-                         schatten_norm)
+from nclp.opcore import (Op, _adjoint, _op, _per_entry, block_matmul as mm,
+                         eigvalsh, hermitian_part, kept_projection,
+                         null_projection, op_norm, psd_sqrt, schatten_norm)
 from nclp.pseudoloc import (_cube_cells, _cube_starts, _ekt_delta_cols,
                             _haar_levels, _on_rows, ihaar, phi_s_hat)
 
@@ -171,11 +172,58 @@ def dyadic_father(Q: DyadicCube) -> DyadicCube:
     return DyadicCube(Q.level - 1, tuple(c // 2 for c in Q.corner), Q.n)
 
 
+# -- the Cuculescu projections and the CZ split at full size ------------------
+# Before every reader took q_n in M_n's coordinates, the sequence also held
+# q_n, and q_{n-1} at each level n, extended into the full algebra, and the
+# CZ split formed every level's products there in one stacked call.
+
+def stored_full_size(seq) -> tuple[Op, Op]:
+    """qs and q_prev as a recursion that stores full-size projections holds
+    them: each q_n extended into a preallocated complex stack (levels on
+    axis -4), and the unit ahead of q_0..q_{top-1}."""
+    f, filt = seq.martingale, seq.martingale.filtration
+    qs = np.empty(np.shape(seq.lam) + f.batch + (len(f.levels),)
+                  + f.top.blocks.shape[-3:], dtype=complex)
+    for n, k in enumerate(f.levels):
+        qs[..., n, :, :, :] = filt.extend(seq.restricted[n], k).blocks
+    unit = np.broadcast_to(filt.algebra.unit().blocks,
+                           qs[..., :1, :, :, :].shape)
+    return (_op(qs, filt.algebra), _op(np.concatenate(
+        [unit, qs[..., :-1, :, :, :]], axis=-4), filt.algebra))
+
+
+def cz_decompose_full_size(f, lam) -> dict:
+    """``cz_decompose`` on the full-size stacks of ``stored_full_size``:
+    every level's products in one stacked call, and the b_d terms
+    p_k (f - f_k) p_k and the p_k kept at full size, levels on axis -4."""
+    seq = cuculescu(f, lam)
+    alg = f.algebra
+    qs, q_prev = stored_full_size(seq)
+    Q, Qprev = qs.blocks, q_prev.blocks
+    P, F = Qprev - Q, f.seq.blocks
+    q, top = seq.restricted[-1].blocks, F[..., -1, :, :, :]
+    u = np.eye(alg.d) - Qprev
+    FP, fP, qf = mm(F, P), mm(top[..., None, :, :, :], P), mm(q, top)
+    A, B = mm(u, FP).sum(axis=-4), mm(u, fP).sum(axis=-4)
+    PFP, qfq = mm(P, FP), mm(qf, q)
+    g_d = qfq + PFP.sum(axis=-4)
+    g_off = qf + _adjoint(qf) - 2.0 * qfq + A + _adjoint(A)
+    b_off = B - A + _adjoint(B - A)
+    bad = mm(P, fP) - PFP
+    dev = np.abs(Q - alg.unit().blocks).max(axis=(-3, -2, -1))
+    parts = {key: _op(x, alg) for key, x in (
+        ("g_d", g_d), ("g_off", g_off), ("b_d", bad.sum(axis=-4)),
+        ("b_off", b_off), ("b_d_terms", bad), ("ps", P))}
+    parts["m_lambda"] = np.where(dev <= 1e-10, f.levels, -1).max(axis=-1)
+    return parts
+
+
 def zeta_cube_inequalities_pairs(zd) -> dict:
     """``zeta_cube_inequalities`` as it was first written: every (cube, cell)
     pair of every 9Q in one array, from ``dilation_masks``, and one stacked
     eigvalsh over all of them."""
-    filt, qs = zd.parts.filtration, zd.parts.seq.qs.blocks
+    filt = zd.parts.filtration
+    qs = stored_full_size(zd.parts.seq)[0].blocks
     strong, weak = [], []
     for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
         # the father of the cube at corner c is the level-(k-1) cube at
@@ -217,7 +265,8 @@ def zeta_fs_first_cells(filt, qs: Op, levels) -> Op:
 def zeta_cube_inequalities_first_cells(zd) -> dict:
     """``zeta_cube_inequalities`` with xi_Q and xi_{Qhat} gathered on the
     first cell of each level-k cube from the full-size q_k and q_{k-1}."""
-    filt, qs, zb = zd.parts.filtration, zd.parts.seq.qs.blocks, zd.zeta.blocks
+    filt, zb = zd.parts.filtration, zd.zeta.blocks
+    qs = stored_full_size(zd.parts.seq)[0].blocks
     low = np.inf
     for pos, k in enumerate(zd.parts.martingale.levels[1:], start=1):
         first = first_cells(filt, k)

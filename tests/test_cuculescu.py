@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import tracemalloc
@@ -21,7 +22,7 @@ from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, l2_norm,
 
 from batch_entries import assert_entries_match_scalar_calls
 from oracles import (is_projection, level_spectral_floor, level_sup_l1,
-                     level_sup_linf, proj_meet, zero)
+                     level_sup_linf, proj_meet, stored_full_size, zero)
 
 
 def ladder(f, l_min, l_max):
@@ -121,7 +122,8 @@ def test_batched_matches_per_block_oracle(spec):
         for e in range(-2, 5):
             seq = cuculescu(f, 2.0 ** e)
             oracle = per_block_cuculescu(f, 2.0 ** e)
-            for q, q_ref in zip(seq.qs, oracle, strict=True):
+            full = stored_full_size(seq)[0]
+            for q, q_ref in zip(full, oracle, strict=True):
                 assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
 
 
@@ -142,13 +144,14 @@ def test_lambda_batch_matches_per_lambda_calls(spec):
     for f in _batch_martingales(spec):
         seqs = cuculescu(f, lams)
         reports = cuculescu_report(seqs)
-        assert seqs.qs.batch == lams.shape + (len(f.levels),)
+        assert {q.batch for q in seqs.restricted} == {lams.shape}
         assert all(np.shape(v) == lams.shape for v in reports.values())
         for i, lam in enumerate(lams):
             one = cuculescu(f, lam)
             assert isinstance(one, CuculescuSequence)
             assert seqs.lam[i] == one.lam == lam
-            for q, q_ref in zip(seqs.qs[i], one.qs, strict=True):
+            for q, q_ref in zip(seqs[i].restricted, one.restricted,
+                                strict=True):
                 assert np.abs(q.blocks - q_ref.blocks).max() <= 1e-12
             ref = cuculescu_report(one)
             assert reports.keys() == ref.keys()
@@ -170,8 +173,9 @@ def test_bad_lambda_batch_raises(lam):
 def test_q_lambda_equals_proj_meet_oracle(spec):
     for f in _batch_martingales(spec):
         seq = cuculescu(f, 2.0 ** np.arange(-2, 5))
+        full = stored_full_size(seq)[0]
         for i in range(len(seq.lam)):
-            diff = q_lambda(seq)[i].blocks - proj_meet(seq.qs[i]).blocks
+            diff = q_lambda(seq)[i].blocks - proj_meet(full[i]).blocks
             assert np.abs(diff).max() <= 1e-12
 
 
@@ -266,7 +270,7 @@ def _assert_closed_convention_keeps_the_kernel(d):
     # so every q_n keeps that direction, of trace 1/d, where a half-open
     # (0, lambda] would expel it
     f, kernel = _rank_deficient_case(d)
-    for q in cuculescu(f, 0.25).qs:
+    for q in stored_full_size(cuculescu(f, 0.25))[0]:
         assert np.abs(q.blocks @ kernel - kernel).max() <= 1e-10
 
 
@@ -292,7 +296,7 @@ def test_matches_naive_oracle(lam):
     filt = TensorDyadicFiltration(3)
     f = random_positive_martingale(filt, trial_rng(11, 0))
     seq = cuculescu(f, lam)
-    for q, q_ref in zip(seq.qs, naive_cuculescu(f, lam)):
+    for q, q_ref in zip(stored_full_size(seq)[0], naive_cuculescu(f, lam)):
         assert (q - q_ref).max_abs() < 1e-8
 
 
@@ -301,7 +305,7 @@ def test_projections_decrease():
     f = random_positive_martingale(filt, trial_rng(12, 0))
     seq = cuculescu(f, 1.0)
     prev = f.algebra.unit()
-    for q in seq.qs:
+    for q in stored_full_size(seq)[0]:
         assert is_projection(q, tol=1e-9)
         assert np.linalg.eigvalsh((prev - q).blocks).min() > -1e-10
         prev = q
@@ -329,7 +333,7 @@ def test_scalar_stopping_time_oracle():
     for k in range(4):
         avg = vals.reshape(2 ** k, -1).mean(axis=1)
         hit |= np.repeat(avg > 1.0 + 1e-9, 8 // 2 ** k)
-        got = seq.qs[k].blocks[:, 0, 0].real
+        got = stored_full_size(seq)[0][k].blocks[:, 0, 0].real
         assert np.allclose(got, (~hit).astype(float))
 
 
@@ -338,7 +342,7 @@ def test_q_lambda_meet():
     f = random_positive_martingale(filt, trial_rng(14, 0))
     seq = cuculescu(f, 1.0)
     q = q_lambda(seq)
-    for qn in seq.qs:
+    for qn in stored_full_size(seq)[0]:
         assert np.linalg.eigvalsh((qn - q).blocks).min() > -1e-10
 
 
@@ -476,7 +480,7 @@ def full_size_report(seqs):
     f = seqs.martingale
     lams = seqs.lam[:, None, None, None, None]
     fs = f.seq.blocks
-    qs = seqs.qs.blocks
+    qs = stored_full_size(seqs)[0].blocks
     unit = np.broadcast_to(f.algebra.unit().blocks, qs[:, :1].shape)
     qprev = np.concatenate([unit, qs[:, :-1]], axis=1)
     comp = qprev @ fs @ qprev
@@ -494,8 +498,9 @@ def test_level_size_recursion_matches_full_size_oracle(spec):
     f = random_positive_martingale(build_filtration(spec), trial_rng(31, 0))
     seqs = cuculescu(f, lams)
     ref = full_size_cuculescu(f, lams)
+    full = stored_full_size(seqs)[0]
     for i in range(len(lams)):
-        assert np.abs(seqs.qs[i].blocks - ref[i]).max() <= 1e-12
+        assert np.abs(full[i].blocks - ref[i]).max() <= 1e-12
     got = cuculescu_report(seqs)
     for i, want in enumerate(full_size_report(seqs)):
         for key, val in want.items():
@@ -510,7 +515,8 @@ def test_indexed_solve_equals_solving_at_those_thresholds(spec):
         got = seq[i]
         want = cuculescu(f, 2.0 ** np.arange(-3, 5)[i])
         assert np.array_equal(got.lam, want.lam)
-        assert np.array_equal(got.qs.blocks, want.qs.blocks)
+        for q, q_want in zip(got.restricted, want.restricted, strict=True):
+            assert np.array_equal(q.blocks, q_want.blocks)
         assert got.martingale is f
 
 
@@ -519,7 +525,7 @@ def test_q_n_lies_in_its_level(spec):
     filt = build_filtration(spec)
     f = random_positive_martingale(filt, trial_rng(32, 0))
     seq = cuculescu(f, 2.0 ** np.arange(-2, 5))
-    for qs in seq.qs:
+    for qs in stored_full_size(seq)[0]:
         for k, q in zip(f.levels, qs):
             assert np.array_equal(filt.expect(q, k).blocks, q.blocks)
 
@@ -535,16 +541,17 @@ def test_batch_entries_equal_scalar_calls(spec):
     # the thresholds in a shuffled order: no entry may lean on its place
     for lams in (BATCH_LAMS, BATCH_LAMS[[3, 0, 6, 2, 5, 1, 4]]):
         seq = cuculescu(f, lams)
-        assert seq.qs.batch == lams.shape + (len(f.levels),)
+        assert {q.batch for q in seq.restricted} == {lams.shape}
         assert_entries_match_scalar_calls(
             seq, lams, lambda lam: cuculescu(f, lam))
         assert_entries_match_scalar_calls(
             cuculescu_report(seq), lams,
             lambda lam: cuculescu_report(cuculescu(f, lam)))
+        q_prev = stored_full_size(seq)[1]
         for i, lam in enumerate(lams):
             one = cuculescu(f, lam)
             assert (q_lambda(seq)[i] - q_lambda(one)).max_abs() <= 1e-12
-            assert (seq.q_prev[i] - one.q_prev).max_abs() <= 1e-12
+            assert (q_prev[i] - stored_full_size(one)[1]).max_abs() <= 1e-12
 
 
 # -- a batch of martingales against one call per member ----------------------
@@ -562,11 +569,12 @@ def test_trial_batch_entries_equal_each_members_own_call(spec):
     batch = Martingale(filt, Op(tops, filt.algebra))
     seq = cuculescu(batch, BATCH_LAMS)
     rep = cuculescu_report(seq)
-    assert seq.qs.batch == BATCH_LAMS.shape + (3, len(filt.levels))
+    assert {q.batch for q in seq.restricted} == {BATCH_LAMS.shape + (3,)}
     assert all(np.shape(v) == BATCH_LAMS.shape + (3,) for v in rep.values())
     for i, top in enumerate(tops):
         one = cuculescu(Martingale(filt, Op(top, filt.algebra)), BATCH_LAMS)
-        assert np.array_equal(seq.qs.blocks[:, i], one.qs.blocks)
+        for q, q_one in zip(seq.restricted, one.restricted, strict=True):
+            assert np.array_equal(q.blocks[:, i], q_one.blocks)
         for key, val in cuculescu_report(one).items():
             assert np.array_equal(rep[key][:, i], val)
     # a scalar threshold adds no axis in front of the batch
@@ -669,7 +677,7 @@ def test_recursion_makes_no_validating_op_call(monkeypatch):
     assert calls == [1]
 
 
-# -- q_n in its own level's coordinates, the full-size stacks on first read ----
+# -- q_n in its own level's coordinates, the full-size stacks in the tests ----
 
 CONTRACT_SPECS = ["tensor:4", "grid:1,4,2", "grid:2,3,2"]
 
@@ -679,49 +687,46 @@ def _pair(filt, seed):
                                         for t in range(2)])
 
 
-def stored_full_size(seq):
-    """qs and q_prev as a recursion that stores full-size projections holds
-    them: each q_n extended into a preallocated complex stack, and the unit
-    ahead of q_0..q_{top-1}."""
-    f, filt = seq.martingale, seq.martingale.filtration
-    qs = np.empty(np.shape(seq.lam) + f.batch + (len(f.levels),)
-                  + f.top.blocks.shape[-3:], dtype=complex)
-    for n, k in enumerate(f.levels):
-        qs[..., n, :, :, :] = filt.extend(seq.restricted[n], k).blocks
-    unit = np.broadcast_to(filt.algebra.unit().blocks,
-                           qs[..., :1, :, :, :].shape)
-    return qs, np.concatenate([unit, qs[..., :-1, :, :, :]], axis=-4)
-
-
 @pytest.mark.parametrize("lam", [2.0, BATCH_LAMS], ids=["scalar", "vector"])
 @pytest.mark.parametrize("spec", CONTRACT_SPECS)
 def test_levels_hold_q_n_and_the_full_stacks_extend_them(spec, lam):
     filt = build_filtration(spec)
     f = _pair(filt, 36)
     seq = cuculescu(f, lam)
-    assert not {"qs", "q_prev"} & seq.__dict__.keys()
+    # the levels are the only form of q_n the sequence keeps
+    assert [fld.name for fld in dataclasses.fields(seq)] \
+        == ["lam", "restricted", "martingale"]
+    assert not {"qs", "q_prev"} & set(dir(seq))
     assert len(seq.restricted) == len(f.levels)
     for k, q in zip(f.levels, seq.restricted):
         assert q.algebra is filt.level_algebra(k)
         assert q.batch == np.shape(lam) + f.batch
+    # the tests' full-size stacks extend the levels, and q_{n-1} at level n
+    # is the extension of its refinement into M_n, which the readers use
     qs, q_prev = stored_full_size(seq)
-    assert np.array_equal(seq.qs.blocks, qs)
-    assert np.array_equal(seq.q_prev.blocks, q_prev)
+    assert np.array_equal(qs.blocks, filt.extend_levels(seq.restricted).blocks)
+    assert np.array_equal(q_prev.blocks[..., 0, :, :, :], np.broadcast_to(
+        filt.algebra.unit().blocks, qs.blocks[..., 0, :, :, :].shape))
+    for k in f.levels[1:]:
+        assert np.array_equal(q_prev.blocks[..., k, :, :, :], filt.extend(
+            filt.refine(seq.restricted[k - 1], k), k).blocks)
     # q(lambda) is the top level itself, the last q_n of the full stack
     assert q_lambda(seq) is seq.restricted[-1]
-    assert np.array_equal(q_lambda(seq).blocks, qs[..., -1, :, :, :])
+    assert np.array_equal(q_lambda(seq).blocks, qs.blocks[..., -1, :, :, :])
 
 
 @pytest.mark.parametrize("spec", CONTRACT_SPECS)
 def test_indexing_slices_the_levels_and_the_full_stacks_alike(spec):
     seq = cuculescu(_pair(build_filtration(spec), 37), BATCH_LAMS)
+    qs_all, q_prev_all = stored_full_size(seq)
     for i in (3, [1, 4, 1], slice(2, 6)):
         got = seq[i]
         assert np.array_equal(got.lam, BATCH_LAMS[i])
         for q, q_all in zip(got.restricted, seq.restricted, strict=True):
             assert np.array_equal(q.blocks, q_all.blocks[i])
-        assert np.array_equal(got.qs.blocks, seq.qs.blocks[i])
-        assert np.array_equal(got.q_prev.blocks, seq.q_prev.blocks[i])
+        qs, q_prev = stored_full_size(got)
+        assert np.array_equal(qs.blocks, qs_all.blocks[i])
+        assert np.array_equal(q_prev.blocks, q_prev_all.blocks[i])
 
 
 @pytest.mark.parametrize("spec", ["tensor:4", "grid:1,4,2"])

@@ -18,8 +18,9 @@ from nclp.opcore import (ENDPOINT_TOL, Op, l2_norm, op_norm, schatten_norm,
 
 from batch_entries import assert_entries_match_scalar_calls, entry
 from oracles import (concentric_mask, cube_cells, cubes_at_level,
-                     dyadic_father, first_cells, is_projection, proj_meet,
-                     spectral_projection, zero,
+                     cz_decompose_full_size, dyadic_father, first_cells,
+                     is_projection, proj_meet, spectral_projection,
+                     stored_full_size, zero,
                      zeta_cube_inequalities_first_cells,
                      zeta_cube_inequalities_pairs, zeta_fs_first_cells)
 
@@ -31,9 +32,11 @@ def _grid_mart(seed, n=1, K=4, d=2):
 
 def pair_sum_oracle(parts):
     """g_d, g_off, b_d, b_off and the b_d terms rebuilt one Op product at a
-    time from the recursion projections of ``parts``."""
+    time from the recursion projections of ``parts``, each p_k extended
+    into the full algebra."""
     f = parts.martingale
-    ps, q, top = parts.ps, q_lambda(parts.seq), f.top
+    ps = [parts.filtration.extend(p, k) for k, p in enumerate(parts.ps)]
+    q, top = q_lambda(parts.seq), f.top
     one = f.algebra.unit()
     g_d = q @ top @ q
     b_d = zero(f.algebra)
@@ -78,10 +81,10 @@ def thmB1_pair_loop_oracle(tf_family, split):
 def cube_xi(parts):
     """xi_Q, the block of q_k on the first cell of each level-k cube Q,
     keyed by (level, cube corner), for the parts at one threshold."""
-    filt = parts.filtration
+    filt, qs = parts.filtration, stored_full_size(parts.seq)[0].blocks
     return {(k, Q.corner): b for pos, k in enumerate(parts.martingale.levels)
             for Q, b in zip(cubes_at_level(filt, k),
-                            parts.seq.qs.blocks[pos, first_cells(filt, k)])}
+                            qs[pos, first_cells(filt, k)])}
 
 
 def cube_inequality_oracle(zd):
@@ -109,7 +112,7 @@ def zeta_per_cube_oracle(parts):
     time onto its 9-fold dilation."""
     f, filt = parts.martingale, parts.filtration
     alg = f.algebra
-    qs = parts.seq.qs
+    qs = stored_full_size(parts.seq)[0]
     xi = {(k, Q.corner): qs[pos].blocks[cube_cells(filt, Q)[0]]
           for pos, k in enumerate(f.levels) for Q in cubes_at_level(filt, k)}
     running = np.zeros((alg.nblocks, alg.d, alg.d), dtype=complex)
@@ -161,9 +164,9 @@ def test_stacked_pair_sums_match_oracle(n, K, d):
             for got, ref in ((parts.g_d, g_d), (parts.g_off, g_off),
                              (parts.b_d, b_d), (parts.b_off, b_off)):
                 assert (got - ref).max_abs() <= 1e-12
-            assert len(parts.b_d_terms) == len(terms)
-            for got, ref in zip(parts.b_d_terms, terms):
-                assert (got - ref).max_abs() <= 1e-12
+            assert len(parts.b_d_l1) == len(terms)
+            for got, ref in zip(parts.b_d_l1, terms):
+                assert abs(got - schatten_norm(ref, 1)) <= 1e-12
 
 
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2)])
@@ -212,11 +215,11 @@ def test_lambda_batch_matches_per_lambda_calls(n, K, d):
             for got, want in [(parts.g_d, ref.g_d), (parts.g_off, ref.g_off),
                               (parts.b_d, ref.b_d), (parts.b_off, ref.b_off),
                               (q_lambda(parts.seq), q_lambda(ref.seq)),
-                              *zip(parts.b_d_terms, ref.b_d_terms,
+                              *zip(parts.seq.restricted, ref.seq.restricted,
                                    strict=True),
-                              *zip(parts.seq.qs, ref.seq.qs, strict=True),
                               *zip(parts.ps, ref.ps, strict=True)]:
                 assert (got - want).max_abs() <= 1e-12
+            assert np.abs(parts.b_d_l1 - ref.b_d_l1).max() <= 1e-12
 
 
 @pytest.mark.parametrize("lam", [[], [[1.0, 2.0]], [1.0, 0.0], [2.0, -1.0]],
@@ -244,9 +247,10 @@ def test_good_part_bounds():
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
 def test_b_d_l1_sum_matches_per_term_norms(n, K, d):
     f = random_positive_martingale(GridFiltration(n, K, d), trial_rng(54, 0))
-    parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
-    for i, got in enumerate(cz_report(parts)["b_d_l1_sum"]):
-        ref = sum(schatten_norm(t, 1) for t in parts.b_d_terms[i])
+    lams = 2.0 ** np.arange(0, 5)
+    terms = cz_decompose_full_size(f, lams)["b_d_terms"]
+    for i, got in enumerate(cz_report(cz_decompose(f, lams))["b_d_l1_sum"]):
+        ref = sum(schatten_norm(t, 1) for t in terms[i])
         assert abs(got - ref) <= 1e-12 * abs(ref) + 1e-15
 
 
@@ -365,16 +369,17 @@ def test_thmB1_range_check():
 def g_off_layers_loop_oracle(parts):
     """The layers g_(s) and their terms one (s, k) pair at a time, plus the
     layer report computed term by term."""
-    f = parts.martingale
+    f, filt = parts.martingale, parts.filtration
     npos = len(f.levels)
+    ps = [filt.extend(p, k) for k, p in enumerate(parts.ps)]
+    qs = stored_full_size(parts.seq)[0]
     layers, terms = {}, {}
     for s in range(1, npos):
         acc, row = zero(f.algebra), []
         for k in range(npos - s):
             if f.levels[k] <= parts.m_lambda:
                 continue
-            p, df = parts.ps[k], f.diffs[k + s]
-            qp = parts.seq.qs[k + s - 1]
+            p, df, qp = ps[k], f.diffs[k + s], qs[k + s - 1]
             t = p @ df @ qp + qp @ df @ p
             row.append((k, t))
             acc = acc + t
@@ -389,7 +394,7 @@ def g_off_layers_loop_oracle(parts):
         sup_ratio = max(sup_ratio, nsq / max(parts.seq.lam * l1, 1e-300))
         orth = max(orth, abs(nsq - sum(l2_norm(t) ** 2 for _, t in terms[s])))
         for k, t in terms[s]:
-            rest = one - parts.ps[k]
+            rest = one - ps[k]
             supp = max(supp, (rest @ t @ rest).max_abs())
     report = {"sum_residual": (total - parts.g_off).max_abs(),
               "sup_layer_ratio": sup_ratio,
@@ -406,22 +411,27 @@ def test_g_off_layers_match_loop_oracle(n, K, d):
     batch_lay = g_off_layers(batch)
     batch_report = g_off_layer_report(batch, batch_lay)
     for i in range(len(batch.seq.lam)):
-        parts = entry(batch, i)
-        lay = dict(batch_lay, layers=batch_lay["layers"][i],
-                   terms=batch_lay["terms"][i])
+        parts, lay = entry(batch, i), entry(batch_lay, i)
         layers, terms, report = g_off_layers_loop_oracle(parts)
         assert len(lay["layers"]) == len(layers)
         for s, ref in layers.items():
             assert (lay["layers"][s - 1] - ref).max_abs() <= 1e-12
-        # the batch keeps every (s, k) pair; the oracle's are those above
-        # m_lambda, and the others are exact zeros
-        pairs = [(s, k, t) for s, row in terms.items() for k, t in row]
-        live = [j for j, k in enumerate(batch_lay["k"])
-                if f.levels[k] > parts.m_lambda]
-        assert [(s, k) for s, k, _ in pairs] == [
-            (batch_lay["s"][j], batch_lay["k"][j]) for j in live]
-        for j, (_, _, ref) in zip(live, pairs):
-            assert (lay["terms"][j] - ref).max_abs() <= 1e-12
+        # the batch keeps every (s, k) pair, the term of level j = k + s
+        # in M_j; the oracle's are those above m_lambda, and the others
+        # are exact zeros
+        pairs = {(s, k): t for s, row in terms.items() for k, t in row}
+        assert len(lay["terms"]) == len(f.levels) - 1
+        for j, level in enumerate(lay["terms"], start=1):
+            assert level.algebra is parts.filtration.level_algebra(j)
+            assert len(level) == j
+            for k, t in enumerate(level):
+                if (j - k, k) in pairs:
+                    ref = pairs[j - k, k]
+                    assert (parts.filtration.extend(t, j) - ref).max_abs() \
+                        <= 1e-12
+                else:
+                    assert f.levels[k] <= parts.m_lambda
+                    assert not t.blocks.any()
         seen_terms += len(pairs)
         got = entry(batch_report, i)
         for key, ref in report.items():
@@ -451,7 +461,7 @@ def eighteen_product_oracle(f, parts):
     """g_d, g_off, b_d, b_off and the b_d terms from the 18 stacked products
     the split used before it relied on Hermitian factors."""
     one = np.eye(f.algebra.d)
-    Q = parts.seq.qs.blocks
+    Q = stored_full_size(parts.seq)[0].blocks
     Qprev = np.concatenate([np.broadcast_to(one, Q[:, :1].shape), Q[:, :-1]],
                            axis=1)
     P, F = Qprev - Q, f.seq.blocks
@@ -475,7 +485,7 @@ def per_lambda_cz_report(parts):
                                  * f.algebra.weights[:, None])),
         "g_d_bound": (2.0 ** parts.filtration.n) * lam * l1,
         "b_d_l1_sum": float(sum(schatten_norm(t, 1)
-                                for t in parts.b_d_terms)),
+                                for t in pair_sum_oracle(parts)[4])),
         "b_d_bound": 2.0 * l1,
         "m_lambda": parts.m_lambda,
     }
@@ -492,9 +502,49 @@ def test_split_matches_eighteen_product_oracle(n, K, d):
         for i in range(len(parts.seq.lam)):
             p = entry(parts, i)
             for got, want in ((p.g_d, g_d[i]), (p.g_off, g_off[i]),
-                              (p.b_d, b_d[i]), (p.b_off, b_off[i]),
-                              (p.b_d_terms, terms[i])):
+                              (p.b_d, b_d[i]), (p.b_off, b_off[i])):
                 assert np.abs(got.blocks - want).max() <= 1e-12
+            ref = schatten_norm(Op(terms[i], f.algebra), 1)
+            assert np.abs(p.b_d_l1 - ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("chunk", [0, 8], ids=["lambda-batch", "trial-batch"])
+@pytest.mark.parametrize("spec", ["grid:1,4,2", "grid:2,3,2"])
+def test_level_loop_equals_full_size_split(spec, chunk):
+    # p_k, u_k and f_k in M_k, the products with f at full size one level at
+    # a time: the stacked full-size split of the same projections, bit for
+    # bit, and the b_d trace norms those of its full-size terms
+    filt = GridFiltration(*(int(p) for p in spec.split(":")[1].split(",")))
+    f = _chunk_or_one(filt, 79, chunk)
+    lams = 2.0 ** np.arange(-2, 5)
+    parts, ref = cz_decompose(f, lams), cz_decompose_full_size(f, lams)
+    for name in ("g_d", "g_off", "b_d", "b_off"):
+        assert np.array_equal(getattr(parts, name).blocks, ref[name].blocks)
+    assert np.array_equal(parts.m_lambda, ref["m_lambda"])
+    assert len(np.unique(parts.m_lambda)) > 2
+    assert np.array_equal(parts.b_d_l1, schatten_norm(ref["b_d_terms"], 1,
+                                                      hermitian=True))
+    for k, p in enumerate(parts.ps):
+        assert p.algebra is filt.level_algebra(k)
+        assert np.array_equal(filt.extend(p, k).blocks,
+                              ref["ps"].blocks[..., k, :, :, :])
+
+
+def test_split_and_layers_memory_stays_level_sized():
+    # one grid:2,5,2 trial at 5 thresholds, where one full-size (lambda,
+    # cell, d, d) stack is 0.31 MiB: with every level's products stacked at
+    # full size, cz_decompose peaked at 21.1 MiB here, and with g_off_layers
+    # and its report (every (s, k) term at full size) at 29.8 MiB; formed on
+    # their levels, the three peak at 9.6 MiB
+    f = random_positive_martingale(GridFiltration(2, 5, 2), trial_rng(78, 0))
+    tracemalloc.start()
+    try:
+        parts = cz_decompose(f, 2.0 ** np.arange(0, 5))
+        g_off_layer_report(parts, g_off_layers(parts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2 ** 20
 
 
 @pytest.mark.parametrize("n,K,d", [(1, 4, 2), (2, 3, 2), (1, 3, 3)])
@@ -525,7 +575,6 @@ def test_batch_entries_equal_scalar_calls(spec):
     parts = cz_decompose(f, lams)
     zd = zeta(parts)
     lay = g_off_layers(parts)
-    pairs = {"s": lay["s"], "k": lay["k"]}
     for got, call in (
             (parts, lambda lam: cz_decompose(f, lam)),
             (cz_report(parts), lambda lam: cz_report(cz_decompose(f, lam))),
@@ -534,19 +583,17 @@ def test_batch_entries_equal_scalar_calls(spec):
                 f, lam)))),
             (zeta_cube_inequalities(zd), lambda lam: zeta_cube_inequalities(
                 zeta(cz_decompose(f, lam)))),
-            (dict(lay, **{key: None for key in pairs}), lambda lam: dict(
-                g_off_layers(cz_decompose(f, lam)), **{key: None
-                                                       for key in pairs})),
+            (lay, lambda lam: g_off_layers(cz_decompose(f, lam))),
             (g_off_layer_report(parts, lay), lambda lam: g_off_layer_report(
                 cz_decompose(f, lam), g_off_layers(cz_decompose(f, lam))))):
         assert_entries_match_scalar_calls(got, lams, call)
-    # the (s, k) pairs are the same at every threshold; those at or below
-    # m_lambda are masked to exact zeros, and the layers keep their sums
-    one = g_off_layers(cz_decompose(f, lams[-1]))
-    assert all(np.array_equal(one[key], pairs[key]) for key in pairs)
-    masked = np.asarray(f.levels)[lay["k"]] <= parts.m_lambda[:, None]
-    assert masked.any() and not masked.all()
-    assert not lay["terms"].blocks[masked].any()
+    # the (s, k) pairs at or below m_lambda are masked to exact zeros, and
+    # the layers keep their sums
+    masked = [np.asarray(f.levels[:j]) <= parts.m_lambda[:, None]
+              for j in range(1, len(f.levels))]
+    assert any(m.any() for m in masked) and not all(m.all() for m in masked)
+    for t, m in zip(lay["terms"], masked, strict=True):
+        assert not t.blocks[m].any()
     for i in range(len(lams)):
         one = g_off_layers(cz_decompose(f, lams[i]))
         assert np.array_equal(lay["layers"].blocks[i], one["layers"].blocks)
@@ -569,11 +616,12 @@ def test_trial_batch_entries_equal_each_members_own_call(spec):
         f = Martingale(filt, batch.top[i])
         one = cz_decompose(f, lams)
         assert np.array_equal(parts.m_lambda[:, i], one.m_lambda)
-        for name in ("g_d", "g_off", "b_d", "b_off", "b_d_terms", "ps"):
+        assert np.array_equal(parts.b_d_l1[:, i], one.b_d_l1)
+        for name in ("g_d", "g_off", "b_d", "b_off"):
             assert np.array_equal(getattr(parts, name).blocks[:, i],
                                   getattr(one, name).blocks)
-        for got, want in ((parts.seq.qs, one.seq.qs),
-                          (q_lambda(parts.seq), q_lambda(one.seq))):
+        for got, want in zip(parts.ps + parts.seq.restricted,
+                             one.ps + one.seq.restricted, strict=True):
             assert np.array_equal(got.blocks[:, i], want.blocks)
         for key, want in cz_report(one).items():
             got = rep[key][i] if key == "b_d_bound" else rep[key][:, i]
@@ -614,7 +662,7 @@ def test_level_path_equals_first_cell_gather(n, K, d, chunk):
     # or more at the top two
     parts = cz_decompose(f, 2.0 ** np.arange(-2, 3))
     zd = zeta(parts)
-    full = parts.seq.qs
+    full = stored_full_size(parts.seq)[0]
     # some cell lost mass, so the gathers are compared on live blocks
     assert np.abs(zd.zeta.blocks - np.eye(d)).max() > 0.5
     assert np.array_equal(zd.zeta.blocks, zeta_fs_first_cells(
@@ -678,10 +726,9 @@ def test_zeta_and_layers_of_a_batch_equal_each_members_own_call(spec):
         one = cz_decompose(Martingale(filt, batch.top[i]), lams)
         z1, l1 = zeta(one), g_off_layers(one)
         assert np.array_equal(zd.zeta.blocks[:, i], z1.zeta.blocks)
-        for key in ("layers", "terms"):
-            assert np.array_equal(lay[key].blocks[:, i], l1[key].blocks)
-        assert np.array_equal(lay["s"], l1["s"])
-        assert np.array_equal(lay["k"], l1["k"])
+        for got, want in zip((lay["layers"], *lay["terms"]),
+                             (l1["layers"], *l1["terms"]), strict=True):
+            assert np.array_equal(got.blocks[:, i], want.blocks)
         for rep, want in zip(reps, (zeta_report(z1), zeta_cube_inequalities(
                 z1), g_off_layer_report(one, l1))):
             assert rep.keys() == want.keys()

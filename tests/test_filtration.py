@@ -253,3 +253,11 @@ def test_refine_is_restrict_of_extend(spec):
         assert got.algebra is filt.level_algebra(k)
         want = filt.restrict(filt.extend(y, k - 1), k)
         assert np.array_equal(got.blocks, want.blocks)
+    # from any level i <= k in one step, k itself included
+    for k in filt.levels:
+        for i in filt.levels[:k + 1]:
+            y = rand_level(filt, i, 170 + 10 * k + i)
+            got = filt.refine(y, k)
+            assert got.algebra is filt.level_algebra(k)
+            want = filt.restrict(filt.extend(y, i), k)
+            assert np.array_equal(got.blocks, want.blocks)

@@ -18,7 +18,7 @@ from nclp.opcore import (ENDPOINT_TOL, Op, annihilation_check, dense_algebra,
                          l2_norm, op_norm, schatten_norm)
 
 from batch_entries import assert_entries_match_scalar_calls
-from oracles import zero
+from oracles import stored_full_size, zero
 
 
 def _mart(seed, filt=None):
@@ -213,7 +213,7 @@ SPECS = ["tensor:4", "grid:1,4,2", "grid:2,3,2"]
 
 def gundy_loop_oracle(f, lam):
     """The three difference sequences one level at a time."""
-    qs = list(cuculescu(f, lam).qs)
+    qs = list(stored_full_size(cuculescu(f, lam))[0])
     alpha, beta, gamma = [], [], []
     for i, df in enumerate(f.diffs):
         qk = qs[i]

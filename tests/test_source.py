@@ -223,3 +223,37 @@ def test_uncalled_finds_a_planted_helper():
 
 def test_every_function_in_src_has_a_caller_or_is_exported():
     assert uncalled(src_sources(), package_exports()) == UNCALLED
+
+
+def extend_levels_callers(source: str) -> set[str]:
+    """The functions that call a ``.extend_levels`` method."""
+    return callers(source, lambda f: isinstance(f, ast.Attribute)
+                   and f.attr == "extend_levels")
+
+
+# The full-size stack of every level is built for the martingale's f_n and
+# for nc_pseudoloc_check's certificate, which meets q_k with df_{k+s} in the
+# full algebra; every other reader takes q_n on its own level.
+EXTEND_LEVELS_CALLERS = {"martingale.py": {"Martingale.seq"},
+                         "pseudoloc.py": {"nc_pseudoloc_check"}}
+
+
+def test_extend_levels_callers_finds_a_planted_caller():
+    assert extend_levels_callers(
+        "def f(filt, ys):\n    return filt.extend_levels(ys)\n"
+        "def g(filt, ys):\n    return filt.extend(ys[0], 0)\n") == {"f"}
+    # a CuculescuSequence that built its full-size stack again is caught
+    src = (SRC / "cuculescu.py").read_text(encoding="utf-8")
+    old = "    def __getitem__(self, i)"
+    planted = src.replace(old, (
+        "    @property\n    def qs(self):\n        return self.martingale."
+        "filtration.extend_levels(self.restricted)\n\n") + old)
+    assert planted != src
+    assert extend_levels_callers(planted) == {"CuculescuSequence.qs"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_only_the_full_size_readers_extend_every_level(path):
+    assert extend_levels_callers(path.read_text(encoding="utf-8")) \
+        == EXTEND_LEVELS_CALLERS.get(path.name, set())
